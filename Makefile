@@ -11,14 +11,18 @@
 # (cross-database claim decomposition and routing, DESIGN.md §16), and a
 # short fuzz smoke over the SQL parser/executor, the store's segment decoder,
 # the shard ring, the ingestion type-inference engine, and the claim
-# decomposer/router.
+# decomposer/router, the documented-surface gate, and `benchmark-quick`: the
+# repository benchmark's own correctness checks on a twentieth of every
+# workload. Performance is measured by `go run ./benchmark` (see
+# benchmark/README.md); `make bench` only runs the packages' Go
+# micro-benchmarks, for profiling while working on one.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint bench
+.PHONY: check build vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick bench
 
-check: build vet race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint
+check: build vet race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -132,5 +136,16 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecompose$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzRouteScore$$ -fuzztime $(FUZZTIME) ./internal/route
 
+# The benchmark's reference, digest and span checks on 1/20 of every
+# workload's list, untraced then traced: claims returned in order, a sampled
+# re-verification through a fresh System, traced-vs-plain verdict digest and
+# fee agreement. It exits non-zero if any check fails; the timings it prints
+# are too short to mean anything and are not gated.
+benchmark-quick:
+	$(GO) run ./benchmark -quick
+
+# Go micro-benchmarks of every package, for profiling one layer while
+# working on it. The numbers a change is judged by come from
+# `go run ./benchmark`, not from here.
 bench:
 	$(GO) test -bench . -benchmem ./...

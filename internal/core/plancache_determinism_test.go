@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/claim"
 	"repro/internal/data"
+	"repro/internal/ingest"
 	"repro/internal/sqldb"
 )
 
@@ -28,6 +32,9 @@ func planCacheTotals(docs []*claim.Document) sqldb.PlanCacheStats {
 		total.Hits += st.Hits
 		total.Misses += st.Misses
 		total.Entries += st.Entries
+		total.VecRuns += st.VecRuns
+		total.RowFallbacks += st.RowFallbacks
+		total.RowOnlyPlans += st.RowOnlyPlans
 	}
 	return total
 }
@@ -125,6 +132,76 @@ func TestGoldenTraceUnchangedByWarmPlanCache(t *testing.T) {
 			t.Errorf("workers=%d warm-cache trace differs from cold sequential trace (%d vs %d bytes)",
 				workers, len(got), len(golden))
 			diffTraces(t, golden, got)
+		}
+	}
+}
+
+// TestWarmPlanCacheBigTableNoRowFallback verifies the benchmark's
+// lib-bigtable shape — a 16,000-row CSV onboarded through ingest, its claim
+// surface with every second claim falsified, flat and normalized — at worker
+// counts 1 and 8, and requires that the row engine answered none of the
+// pipeline's queries: every one ran on the column image. A vectorized
+// regression that only the silent fallback hid would show here as a count,
+// not as a slowdown someone has to notice.
+func TestWarmPlanCacheBigTableNoRowFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	teams := []string{"north", "south", "east", "west", "central", "coastal"}
+	var csv strings.Builder
+	csv.WriteString("name,team,units,revenue,discounted,day\n")
+	for i := 0; i < 16000; i++ {
+		fmt.Fprintf(&csv, "acct-%05d,%s,%d,%.2f,%t,2024-%02d-%02d\n", i,
+			teams[rng.Intn(len(teams))], rng.Intn(500), float64(rng.Intn(1_000_000))/100,
+			rng.Intn(2) == 1, 1+rng.Intn(12), 1+rng.Intn(28))
+	}
+	ir, err := ingest.Ingest(strings.NewReader(csv.String()), ingest.Options{Table: "sales", Format: "csv", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sqldb.NewDatabase("sales")
+	ds, err := ingest.NewRegistry(db, nil, ingest.Options{}).Add(ir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := &claim.Document{ID: "big", Domain: "ingest", Data: db}
+	for i, sc := range ds.Surface.Claims {
+		sentence, value, correct := sc.Sentence, sc.Value, true
+		if i%2 == 1 {
+			wrong := value + "7"
+			sentence = strings.Replace(sentence, value, wrong, 1)
+			value, correct = wrong, false
+		}
+		c, err := claim.New(sc.ID, sentence, value, sc.Context)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Gold = claim.Gold{Query: sc.Query, Correct: correct}
+		flat.Claims = append(flat.Claims, c)
+	}
+	norm, err := data.NormalizeDocument(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalDocs := []*claim.Document{flat, norm}
+	profDocs, err := data.AggChecker(406)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
+
+	for _, workers := range []int{1, 8} {
+		before := planCacheTotals(evalDocs)
+		snap := snapshotRun(t, 405, workers, gen, profDocs[:8])
+		after := planCacheTotals(evalDocs)
+		if len(snap.results) != len(flat.Claims)+len(norm.Claims) {
+			t.Fatalf("workers=%d verified %d claims, want %d", workers, len(snap.results), len(flat.Claims)+len(norm.Claims))
+		}
+		if after.VecRuns-before.VecRuns < uint64(len(snap.results)) {
+			t.Errorf("workers=%d: %d vectorized runs for %d claims; the run is not exercising Query",
+				workers, after.VecRuns-before.VecRuns, len(snap.results))
+		}
+		if after.RowFallbacks != 0 || after.RowOnlyPlans != 0 {
+			t.Errorf("workers=%d: the row engine answered %d fallbacks and %d row-only statements; want 0 and 0",
+				workers, after.RowFallbacks, after.RowOnlyPlans)
 		}
 	}
 }

@@ -192,3 +192,61 @@ func TestPushdownPreservesRowCounts(t *testing.T) {
 	}
 	t.Logf("pushdown property held on %d cases (%d pushed, %d residual controls)", checked, pushed, checked-pushed)
 }
+
+// TestDifferentialImageRoundTripGenerators checks the column image of every
+// generator database from outside sqldb: a vectorized SELECT * (ExecVec never
+// falls back) projects the image's vectors cell by cell, so its result must be
+// bit-equal to Table.Rows. Value is comparable and carries floats as bits,
+// so != tells NaN payloads and signed zeros apart.
+func TestDifferentialImageRoundTripGenerators(t *testing.T) {
+	var docs []*claim.Document
+	add := func(ds []*claim.Document, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, ds...)
+	}
+	add(AggChecker(31))
+	add(TabFact(31))
+	add(WikiText(31))
+	add(UnitConv(31, true))
+	add(UnitConv(31, false))
+	flat, norm, err := JoinBench(31)
+	add(flat, err)
+	add(norm, nil)
+	dbs := uniqueDatabases(docs)
+	rb, err := RouteBench(31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs = append(dbs, rb.Databases...)
+
+	tables := 0
+	for _, db := range dbs {
+		for _, tab := range db.Tables() {
+			stmt, err := sqldb.Parse("SELECT * FROM " + quoteIdent(tab.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sqldb.ExecVec(db, stmt)
+			if err != nil {
+				t.Fatalf("%s.%s: vectorized scan failed: %v", db.Name, tab.Name, err)
+			}
+			if len(res.Rows) != len(tab.Rows) {
+				t.Fatalf("%s.%s: image has %d rows, table %d", db.Name, tab.Name, len(res.Rows), len(tab.Rows))
+			}
+			for i, row := range tab.Rows {
+				for c, want := range row {
+					if got := res.Rows[i][c]; got != want {
+						t.Fatalf("%s.%s.%s row %d: image holds %#v, Rows hold %#v", db.Name, tab.Name, tab.Columns[c].Name, i, got, want)
+					}
+				}
+			}
+			tables++
+		}
+	}
+	if tables < 20 {
+		t.Fatalf("only %d generator tables checked", tables)
+	}
+}

@@ -29,19 +29,10 @@ type SQLBenchRow struct {
 	Match       bool
 }
 
-// SQLBatchRow is one cell of the batch-size sweep on the largest fact table.
-type SQLBatchRow struct {
-	Cardinality int
-	Query       string
-	Batch       int
-	VecNS       int64
-}
-
 // SQLBenchResult backs EXPERIMENTS.md's vectorized-executor table and
 // BENCH_sql.json (cedar-bench -sqlbench-json).
 type SQLBenchResult struct {
-	Rows    []SQLBenchRow
-	Batches []SQLBatchRow
+	Rows []SQLBenchRow
 }
 
 // sqlBenchDB builds a fact/dim pair shaped like JoinBench's normalized
@@ -151,27 +142,10 @@ func SQLBench(seed int64, _ int) (*SQLBenchResult, error) {
 			})
 		}
 	}
-
-	// Batch-size sweep on the largest table's acceptance workload.
-	db := sqlBenchDB(seed, cards[len(cards)-1])
-	stmt, err := sqldb.Parse(sqlBenchQueries[0].sql)
-	if err != nil {
-		return nil, err
-	}
-	for _, batch := range []int{64, 256, 1024, 4096} {
-		batch := batch
-		ns, err := timeExec(func() error { _, err := sqldb.ExecVecBatch(db, stmt, batch); return err })
-		if err != nil {
-			return nil, err
-		}
-		res.Batches = append(res.Batches, SQLBatchRow{
-			Cardinality: cards[len(cards)-1], Query: sqlBenchQueries[0].name, Batch: batch, VecNS: ns,
-		})
-	}
 	return res, nil
 }
 
-// Render prints the engine comparison and the batch sweep.
+// Render prints the engine comparison.
 func (r *SQLBenchResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Vectorized executor vs row oracle on JoinBench-shaped tables (DESIGN.md §12).\n")
@@ -182,32 +156,20 @@ func (r *SQLBenchResult) Render() string {
 			row.Cardinality, row.Query, row.RowNS, row.VecColdNS, row.VecWarmNS,
 			row.SpeedupCold, row.SpeedupWarm, row.Match)
 	}
-	b.WriteString("\nBatch-size sweep (cold plans):\n")
-	fmt.Fprintf(&b, "%-7s %-11s %6s %12s\n", "Rows", "Query", "Batch", "Vec ns")
-	for _, row := range r.Batches {
-		fmt.Fprintf(&b, "%-7d %-11s %6d %12d\n", row.Cardinality, row.Query, row.Batch, row.VecNS)
-	}
 	return b.String()
 }
 
-// CSV renders one series per comparison row; the batch sweep follows with a
-// distinct series label.
+// CSV renders one row per comparison cell.
 func (r *SQLBenchResult) CSV() string {
-	rows := make([][]string, 0, len(r.Rows)+len(r.Batches))
+	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
-			"engines", fmt.Sprintf("%d", row.Cardinality), row.Query, "",
+			fmt.Sprintf("%d", row.Cardinality), row.Query,
 			fmt.Sprintf("%d", row.RowNS), fmt.Sprintf("%d", row.VecColdNS), fmt.Sprintf("%d", row.VecWarmNS),
 			f(row.SpeedupCold), f(row.SpeedupWarm), fmt.Sprintf("%v", row.Match),
 		})
 	}
-	for _, row := range r.Batches {
-		rows = append(rows, []string{
-			"batches", fmt.Sprintf("%d", row.Cardinality), row.Query, fmt.Sprintf("%d", row.Batch),
-			"", fmt.Sprintf("%d", row.VecNS), "", "", "", "",
-		})
-	}
-	return csvString([]string{"series", "cardinality", "query", "batch",
+	return csvString([]string{"cardinality", "query",
 		"row_ns", "vec_cold_ns", "vec_warm_ns", "speedup_cold", "speedup_warm", "match"}, rows)
 }
 
@@ -223,27 +185,15 @@ func (r *SQLBenchResult) JSON() ([]byte, error) {
 		SpeedupWarm float64 `json:"speedup_warm"`
 		Match       bool    `json:"match"`
 	}
-	type batchRow struct {
-		Cardinality int    `json:"cardinality"`
-		Query       string `json:"query"`
-		Batch       int    `json:"batch"`
-		VecNS       int64  `json:"vec_ns"`
-	}
 	out := struct {
-		Experiment string     `json:"experiment"`
-		Rows       []row      `json:"rows"`
-		Batches    []batchRow `json:"batches"`
+		Experiment string `json:"experiment"`
+		Rows       []row  `json:"rows"`
 	}{Experiment: "sqlbench"}
 	for _, rw := range r.Rows {
 		out.Rows = append(out.Rows, row{
 			Cardinality: rw.Cardinality, Query: rw.Query,
 			RowNS: rw.RowNS, VecColdNS: rw.VecColdNS, VecWarmNS: rw.VecWarmNS,
 			SpeedupCold: rw.SpeedupCold, SpeedupWarm: rw.SpeedupWarm, Match: rw.Match,
-		})
-	}
-	for _, rw := range r.Batches {
-		out.Batches = append(out.Batches, batchRow{
-			Cardinality: rw.Cardinality, Query: rw.Query, Batch: rw.Batch, VecNS: rw.VecNS,
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")

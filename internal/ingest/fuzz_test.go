@@ -3,13 +3,16 @@ package ingest
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sqldb"
 )
 
 // FuzzTypeInference throws adversarial CSV/JSON at the full ingestion path
 // and checks the invariants that matter downstream: no panics, every kept
 // row matches the final column set, inferred column types agree with the
 // stored sqldb kinds, and re-ingesting identical bytes reproduces the same
-// fingerprint (the determinism gates depend on that).
+// fingerprint (the determinism gates depend on that), and the column image a
+// catalog builds from the table is bit-equal to its rows.
 func FuzzTypeInference(f *testing.F) {
 	f.Add("a,b\n1,2\n")
 	f.Add("\xEF\xBB\xBFa,b\n1,2,3\n4\n")
@@ -73,6 +76,26 @@ func FuzzTypeInference(f *testing.F) {
 			}
 			if tableFingerprint(dec.Table) != res.Fingerprint {
 				t.Fatalf("format %s: codec round-trip changed the table", format)
+			}
+			// Registering the table builds its column image; a vectorized
+			// SELECT * (ExecVec never falls back) reads every image cell.
+			db := sqldb.NewDatabase("fuzz")
+			db.AddTable(res.Table)
+			stmt, err := sqldb.Parse("SELECT * FROM fuzz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := sqldb.ExecVec(db, stmt)
+			if err != nil || len(scan.Rows) != len(res.Table.Rows) {
+				t.Fatalf("format %s: vectorized scan: %d rows, err %v", format, len(scan.Rows), err)
+			}
+			for i, row := range res.Table.Rows {
+				for c, want := range row {
+					if got := scan.Rows[i][c]; got != want {
+						t.Fatalf("format %s: col %s row %d: image holds %#v, Rows hold %#v",
+							format, res.Table.Columns[c].Name, i, got, want)
+					}
+				}
 			}
 		}
 	})

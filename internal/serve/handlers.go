@@ -171,6 +171,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	body.Stream.Window = s.cfg.StreamWindow
 	rc := reviewCounters(s.review.Stats())
 	body.Review = &rc
+	st := s.cfg.DB.PlanCacheStats()
+	body.SQL = &SQLCounters{
+		PlanHits: st.Hits, PlanMisses: st.Misses, PlanEntries: st.Entries,
+		VecRuns: st.VecRuns, RowFallbacks: st.RowFallbacks, RowOnlyPlans: st.RowOnlyPlans,
+	}
 	if s.cfg.Resilience != nil {
 		rs := s.cfg.Resilience()
 		body.Resilience = &ResilienceCounters{

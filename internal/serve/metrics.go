@@ -131,6 +131,22 @@ type MetricsResponse struct {
 	Review *ReviewCounters `json:"review,omitempty"`
 	// Shard describes the routing tier; present only on coordinators.
 	Shard *ShardCounters `json:"shard,omitempty"`
+	// SQL says how the replica's database answered queries — plan cache
+	// reuse and, above all, whether the vectorized engine or the row-engine
+	// fallback did the work. Present only on replicas.
+	SQL *SQLCounters `json:"sql,omitempty"`
+}
+
+// SQLCounters mirrors sqldb.PlanCacheStats. Every query execution counts in
+// exactly one of VecRuns, RowFallbacks and RowOnlyPlans; a RowFallbacks that
+// moves means the fast path declined or failed and the row engine covered.
+type SQLCounters struct {
+	PlanHits     uint64 `json:"plan_hits"`
+	PlanMisses   uint64 `json:"plan_misses"`
+	PlanEntries  int    `json:"plan_entries"`
+	VecRuns      uint64 `json:"vec_runs"`
+	RowFallbacks uint64 `json:"row_fallbacks"`
+	RowOnlyPlans uint64 `json:"row_only_plans"`
 }
 
 // StreamCounters tallies the streaming surface.

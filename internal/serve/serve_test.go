@@ -364,13 +364,25 @@ func TestBadRequests(t *testing.T) {
 
 func TestStatusAndMetrics(t *testing.T) {
 	be := &gatedBackend{}
-	_, ts := newTestServer(t, Config{Backend: be, BatchWait: -1, Schedule: "sp->agent"})
+	db := sqldb.NewDatabase("testdb")
+	tab := sqldb.NewTable("t", "a")
+	tab.MustAppendRow(sqldb.Int(1))
+	db.AddTable(tab)
+	_, ts := newTestServer(t, Config{Backend: be, DB: db, BatchWait: -1, Schedule: "sp->agent"})
 	for i := 0; i < 3; i++ {
 		resp := postVerify(t, ts.URL, claimBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, want 200", resp.StatusCode)
 		}
 		resp.Body.Close()
+		// The fake backend runs no SQL; stand in for it. The third query
+		// finds the table grown since registration and falls back.
+		if i == 2 {
+			tab.MustAppendRow(sqldb.Int(2))
+		}
+		if _, err := sqldb.Query(db, "SELECT COUNT(*) FROM t"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
@@ -398,6 +410,9 @@ func TestStatusAndMetrics(t *testing.T) {
 	}
 	if met.Resilience != nil {
 		t.Errorf("resilience section present without a snapshot source: %+v", met.Resilience)
+	}
+	if want := (SQLCounters{PlanHits: 2, PlanMisses: 1, PlanEntries: 1, VecRuns: 2, RowFallbacks: 1}); met.SQL == nil || *met.SQL != want {
+		t.Errorf("sql counters = %+v, want %+v", met.SQL, want)
 	}
 }
 

@@ -110,14 +110,54 @@ func mergeKind(cur, next Kind) Kind {
 	return KindText
 }
 
+// tableImage is a table's column-resident form: one immutable vector per
+// column, built from Rows when the table is registered. Rows stay the
+// construction and interchange surface (and the row engine's input); the
+// image is what vectorized scans read, as slice views, so the row-to-column
+// layout change is paid once per table instead of once per query.
+type tableImage struct {
+	n    int // len(Rows) when the image was built
+	cols []*Vec
+}
+
+// buildImage transposes t.Rows into typed column vectors, each stored unboxed
+// under the kind of its first non-NULL cell and demoted to generic storage if
+// a later cell disagrees. A table with a ragged row gets no image: only the
+// row engine reads it.
+func buildImage(t *Table) *tableImage {
+	for _, row := range t.Rows {
+		if len(row) != len(t.Columns) {
+			return nil
+		}
+	}
+	img := &tableImage{n: len(t.Rows), cols: make([]*Vec, len(t.Columns))}
+	for c := range img.cols {
+		kind := KindNull
+		for _, row := range t.Rows {
+			if kind = row[c].Kind(); kind != KindNull {
+				break
+			}
+		}
+		v := NewVec(kind, len(t.Rows))
+		for _, row := range t.Rows {
+			v.Append(row[c])
+		}
+		img.cols[c] = v
+	}
+	return img
+}
+
 // Database is a named collection of tables. Catalog reads and writes are
 // safe for concurrent use; the tables themselves must not be mutated after
-// registration while queries run against them.
+// registration: queries read the column image AddTable built, and a table
+// that changed since is served by the row engine until it is registered
+// again (see vecPlan.run).
 type Database struct {
 	Name string
 
 	mu      sync.RWMutex
 	tables  map[string]*Table
+	images  map[string]*tableImage // column image per table, same keys as tables
 	order   []string
 	version uint64 // bumped on every catalog change; guards cached plans
 	// tableVers records, per (lowercased) table name, the catalog version at
@@ -131,24 +171,30 @@ type Database struct {
 
 // NewDatabase constructs an empty database.
 func NewDatabase(name string) *Database {
-	return &Database{Name: name, tables: make(map[string]*Table), tableVers: make(map[string]uint64)}
+	return &Database{
+		Name:      name,
+		tables:    make(map[string]*Table),
+		images:    make(map[string]*tableImage),
+		tableVers: make(map[string]uint64),
+	}
 }
 
 // AddTable registers a table, replacing any previous table with the same
-// (case-insensitive) name. Cached query plans that reference the table are
-// invalidated: they may have bound column positions against the replaced
-// schema. Plans over other tables stay cached.
+// (case-insensitive) name. Its column image is built here, before the table
+// is published, so no query ever transposes rows; registering the same
+// *Table again rebuilds the image from its current Rows. Cached query plans
+// that reference the table are invalidated: they may have bound column
+// positions against the replaced schema. Plans over other tables stay cached.
 func (d *Database) AddTable(t *Table) {
+	img := buildImage(t)
 	d.mu.Lock()
 	key := strings.ToLower(t.Name)
 	if _, exists := d.tables[key]; !exists {
 		d.order = append(d.order, key)
 	}
 	d.tables[key] = t
+	d.images[key] = img
 	d.version++
-	if d.tableVers == nil {
-		d.tableVers = make(map[string]uint64)
-	}
 	d.tableVers[key] = d.version
 	d.mu.Unlock()
 	d.plans.invalidate(key)
@@ -164,6 +210,7 @@ func (d *Database) RemoveTable(name string) bool {
 		return false
 	}
 	delete(d.tables, key)
+	delete(d.images, key)
 	for i, k := range d.order {
 		if k == key {
 			d.order = append(d.order[:i], d.order[i+1:]...)
@@ -171,9 +218,6 @@ func (d *Database) RemoveTable(name string) bool {
 		}
 	}
 	d.version++
-	if d.tableVers == nil {
-		d.tableVers = make(map[string]uint64)
-	}
 	d.tableVers[key] = d.version
 	d.mu.Unlock()
 	d.plans.invalidate(key)
@@ -195,25 +239,27 @@ func (d *Database) Version() uint64 {
 	return d.version
 }
 
-// snapshotTables resolves the named tables and their combined change stamp
-// in one atomic step, so a concurrent AddTable cannot hand an executor a
-// table whose schema differs from the plan it is about to run. The stamp is
-// the maximum per-table version over names: it moves only when one of the
-// named tables changes, so churn on unrelated tables does not stale plans
-// compiled against this set.
-func (d *Database) snapshotTables(names []string) ([]*Table, uint64) {
+// snapshotTables resolves the named tables, their column images and their
+// combined change stamp in one atomic step, so a concurrent AddTable cannot
+// hand an executor a table whose schema differs from the plan it is about to
+// run, or an image built from another table's rows. The stamp is the maximum
+// per-table version over names: it moves only when one of the named tables
+// changes, so churn on unrelated tables does not stale plans compiled
+// against this set.
+func (d *Database) snapshotTables(names []string) ([]*Table, []*tableImage, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]*Table, len(names))
+	tables := make([]*Table, len(names))
+	images := make([]*tableImage, len(names))
 	var stamp uint64
 	for i, n := range names {
 		key := strings.ToLower(n)
-		out[i] = d.tables[key]
+		tables[i], images[i] = d.tables[key], d.images[key]
 		if v := d.tableVers[key]; v > stamp {
 			stamp = v
 		}
 	}
-	return out, stamp
+	return tables, images, stamp
 }
 
 // stampFor returns the combined change stamp of the named tables: the

@@ -137,7 +137,9 @@ func sortedRows(r *Result) []string {
 func checkDifferential(t *testing.T, db *Database, sql string) bool {
 	t.Helper()
 	stmt, perr := Parse(sql)
+	before := db.PlanCacheStats()
 	qRes, qErr := Query(db, sql)
+	after := db.PlanCacheStats()
 	if perr != nil {
 		if qErr == nil {
 			t.Fatalf("Query accepted a statement the parser rejects:\nsql: %q\nparse err: %v", sql, perr)
@@ -176,6 +178,11 @@ func checkDifferential(t *testing.T, db *Database, sql string) bool {
 	if !sameResult(rowRes, vecRes) {
 		t.Fatalf("engines disagree:\nsql: %q\nrow:\n%s\nvec:\n%s\nrow sorted: %v\nvec sorted: %v",
 			sql, rowRes.String(), vecRes.String(), sortedRows(rowRes), sortedRows(vecRes))
+	}
+	// A statement the vectorized engine handles must not have been answered
+	// by the row engine behind Query's back.
+	if after.VecRuns != before.VecRuns+1 || after.RowFallbacks != before.RowFallbacks {
+		t.Fatalf("Query fell back to the row engine on a vectorizable statement:\nsql: %q\nbefore: %+v\nafter:  %+v", sql, before, after)
 	}
 	return true
 }

@@ -94,6 +94,49 @@ func TestHashJoinNumericCoercion(t *testing.T) {
 	}
 }
 
+// TestHashJoinMatchesDenseKeys pins the array-indexed join (denseKeys) to the
+// row engine's matching at the places they could part: duplicate and NULL
+// keys, left keys outside the right side's range, int64 extremes, and the
+// 2^53 boundary, from which distinct integers share a float64 image (so
+// 2^53+1 joins 2^53) and the dense path must step aside.
+func TestHashJoinMatchesDenseKeys(t *testing.T) {
+	const p53 = int64(1) << 53
+	for name, keys := range map[string][2][]Value{
+		"dense":      {{Int(3), Int(1), Null(), Int(7), Int(2), Int(3), Int(-40)}, {Int(2), Int(3), Null(), Int(3), Int(5), Int(1)}},
+		"extremes":   {{Int(-1 << 63), Int(1<<63 - 1), Int(0), Int(p53 + 1)}, {Int(0), Int(1), Int(2)}},
+		"below 2^53": {{Int(p53 - 1), Int(p53), Int(p53 + 1)}, {Int(p53 - 2), Int(p53 - 1)}},
+		"at 2^53":    {{Int(p53 - 1), Int(p53), Int(p53 + 1)}, {Int(p53 - 1), Int(p53)}},
+		"sparse":     {{Int(5), Int(1 << 40)}, {Int(5), Int(1 << 40)}},
+	} {
+		db := NewDatabase(name)
+		for side, tab := range []string{"l", "r"} {
+			tb := NewTable(tab, "k", "tag")
+			for i, k := range keys[side] {
+				tb.MustAppendRow(k, Int(int64(i)))
+			}
+			db.AddTable(tb)
+		}
+		for _, q := range []string{
+			`SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k`,
+			`SELECT l.tag, r.tag FROM l LEFT JOIN r ON l.k = r.k`,
+			`SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k AND TRUE`, // nested loop
+		} {
+			if !checkDifferential(t, db, q) {
+				t.Errorf("%s: %q did not run vectorized", name, q)
+			}
+		}
+	}
+	db := NewDatabase("d")
+	tb := NewTable("t", "k")
+	tb.MustAppendRow(Int(p53 - 2))
+	tb.MustAppendRow(Int(p53 - 1))
+	db.AddTable(tb)
+	_, images, _ := db.snapshotTables([]string{"t"})
+	if _, _, ok := denseKeys(images[0].cols[0], images[0].cols[0]); !ok {
+		t.Error("keys just below 2^53 should take the dense path")
+	}
+}
+
 func TestEquiJoinDetection(t *testing.T) {
 	db := buildJoinDB(5, rand.New(rand.NewSource(1)))
 	// Non-equality ON must still work via nested loop.

@@ -11,9 +11,11 @@ import "strings"
 // fallback nodes, and a nil plan means "run the whole statement on the row
 // engine". The compiled plan is immutable and safe for concurrent execution.
 
-// DefaultBatchSize is the number of rows a vectorized scan processes per
-// column chunk.
-const DefaultBatchSize = 1024
+// windowRows is how many rows of a table image a filtered scan evaluates its
+// pushed-down predicates over at a time. It bounds the predicates'
+// temporaries to cache-sized vectors; on a 16k-row filtered aggregate 1024
+// measured fastest, and 64 or the whole column at once 25-30% slower.
+const windowRows = 1024
 
 // planScan describes one FROM/JOIN relation: its slot range in the full
 // working-set layout plus any filter conjuncts pushed below the join.
@@ -21,7 +23,7 @@ type planScan struct {
 	table  string  // catalog table name
 	base   int     // first slot index in the working-set layout
 	n      int     // column count (validated against the live table at exec)
-	pushed []vexpr // pushdown filters, evaluated per scan chunk
+	pushed []vexpr // pushdown filters, evaluated per scan window
 }
 
 // planJoin describes how the i+1'th relation joins the accumulated working
@@ -31,8 +33,9 @@ type planJoin struct {
 	kind      string // "INNER", "CROSS", "LEFT"
 	on        Expr   // nil for CROSS
 	hash      bool
-	li, ri    int // key slots (full layout) when hash
-	leftWidth int // slots visible to the ON clause from the left side
+	li, ri    int    // key slots (full layout) when hash
+	leftWidth int    // slots visible to the ON clause from the left side
+	carry     []bool // slots an operator after this join reads
 }
 
 // orderPlan is one compiled ORDER BY key. Exactly one of the three fields is
@@ -49,7 +52,6 @@ type orderPlan struct {
 type vecPlan struct {
 	stmt    *SelectStmt
 	version uint64 // catalog version the plan was bound against
-	batch   int    // scan chunk size; DefaultBatchSize unless overridden
 
 	scans    []planScan
 	joins    []planJoin
@@ -77,7 +79,7 @@ type vecPlan struct {
 // tables, or malformed projections — the row engine then produces its
 // canonical error).
 func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
-	p := &vecPlan{stmt: stmt, batch: DefaultBatchSize}
+	p := &vecPlan{stmt: stmt}
 
 	var names []string
 	if stmt.From != nil {
@@ -91,7 +93,7 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 	} else if len(stmt.Joins) > 0 {
 		return nil
 	}
-	tables, version := db.snapshotTables(names)
+	tables, _, version := db.snapshotTables(names)
 	p.version = version
 	for _, t := range tables {
 		if t == nil {
@@ -212,12 +214,14 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 		for i := range c.needed {
 			c.needed[i] = true
 		}
-	} else {
-		for _, j := range p.joins {
-			if j.hash {
-				c.needed[j.li] = true
-				c.needed[j.ri] = true
-			}
+	}
+	// A join carries forward what the expressions read plus the keys of the
+	// joins after it; its own keys are dead once it has matched.
+	for ji := len(p.joins) - 1; ji >= 0; ji-- {
+		j := &p.joins[ji]
+		j.carry = append([]bool(nil), c.needed...)
+		if j.hash {
+			c.needed[j.li], c.needed[j.ri] = true, true
 		}
 	}
 	p.needed = c.needed
@@ -303,6 +307,8 @@ func (c *planCompiler) compile(e Expr) vexpr {
 			return &vand{l: c.compile(v.Left), r: c.compile(v.Right)}
 		case "OR":
 			return &vor{l: c.compile(v.Left), r: c.compile(v.Right)}
+		case "=", "<>", "<", "<=", ">", ">=":
+			return &vcmp{op: v.Op, truth: cmpTruth[v.Op], l: c.compile(v.Left), r: c.compile(v.Right)}
 		}
 		return &vbin{op: v.Op, l: c.compile(v.Left), r: c.compile(v.Right)}
 	case *BetweenExpr:

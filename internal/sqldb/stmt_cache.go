@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // stmt_cache.go is the parsed-plan / prepared-statement cache. Plans are
@@ -39,12 +40,17 @@ type planEntry struct {
 // exec runs the entry: the vectorized plan when present, with unconditional
 // fallback to the row-engine oracle on any vectorized-execution error. The
 // fallback guarantees callers observe exactly the row engine's results and
-// error surface regardless of what the vectorized engine covers.
+// error surface regardless of what the vectorized engine covers; the
+// counters say which of the three ways each execution went.
 func (pe *planEntry) exec(db *Database) (*Result, error) {
-	if pe.vp != nil {
-		if res, err := pe.vp.run(db); err == nil {
-			return res, nil
-		}
+	c := &db.plans
+	if pe.vp == nil {
+		c.rowOnly.Add(1)
+	} else if res, err := pe.vp.run(db); err == nil {
+		c.vecRuns.Add(1)
+		return res, nil
+	} else {
+		c.fallbacks.Add(1)
 	}
 	return Exec(db, pe.stmt)
 }
@@ -56,6 +62,8 @@ type planCache struct {
 	byNorm map[string]*planEntry
 	hits   uint64
 	misses uint64
+
+	vecRuns, fallbacks, rowOnly atomic.Uint64 // execution outcomes (planEntry.exec)
 }
 
 // lookup returns a prepared entry for sql, parsing and compiling on miss.
@@ -243,20 +251,29 @@ func collectExprTables(e Expr, set map[string]bool) {
 	}
 }
 
-// PlanCacheStats is a snapshot of a database's plan-cache counters.
+// PlanCacheStats is a snapshot of a database's plan-cache counters. Every
+// Query execution is counted once in exactly one of VecRuns, RowFallbacks and
+// RowOnlyPlans.
 type PlanCacheStats struct {
 	Hits    uint64
 	Misses  uint64
 	Entries int
+
+	VecRuns      uint64 // executions the vectorized engine answered
+	RowFallbacks uint64 // executions whose vectorized run errored or declined (stale plan or image), answered by the row engine
+	RowOnlyPlans uint64 // executions of statements that have no vectorized plan
 }
 
-// PlanCacheStats returns cumulative hit/miss counters and the current entry
-// count (distinct normalized plans).
+// PlanCacheStats returns cumulative hit/miss and execution-outcome counters
+// and the current entry count (distinct normalized plans).
 func (d *Database) PlanCacheStats() PlanCacheStats {
 	c := &d.plans
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.byNorm)}
+	return PlanCacheStats{
+		Hits: c.hits, Misses: c.misses, Entries: len(c.byNorm),
+		VecRuns: c.vecRuns.Load(), RowFallbacks: c.fallbacks.Load(), RowOnlyPlans: c.rowOnly.Load(),
+	}
 }
 
 // InvalidatePlans drops all cached plans, forcing the next execution of each
@@ -297,7 +314,7 @@ func ExplainQuery(db *Database, sql string) (string, error) {
 
 func (p *vecPlan) explain() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "vectorized batch=%d\n", p.batch)
+	b.WriteString("vectorized\n")
 	for i, s := range p.scans {
 		if i == 0 {
 			fmt.Fprintf(&b, "scan %s pushed=%d\n", s.table, len(s.pushed))

@@ -45,29 +45,40 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed SQL cell.
+// Value is a dynamically typed SQL cell. It is 32 bytes: the int, float
+// (as IEEE-754 bits) and bool payloads share the one word n, beside kind and
+// the text payload s. Rows, generic vectors and join gathers are all slices
+// of Values, so the size is pinned by a test; every field access stays in
+// this file.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{kind: KindNull} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Text returns a string value.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+func (v Value) i64() int64   { return int64(v.n) }
+func (v Value) f64() float64 { return math.Float64frombits(v.n) }
+func (v Value) truth() bool  { return v.n != 0 }
 
 // Kind returns the value's runtime kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -83,11 +94,11 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i64()), true
 	case KindFloat:
-		return v.f, true
+		return v.f64(), true
 	case KindBool:
-		if v.b {
+		if v.truth() {
 			return 1, true
 		}
 		return 0, true
@@ -107,10 +118,10 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt:
-		return v.i, true
+		return v.i64(), true
 	case KindFloat:
-		if v.f == math.Trunc(v.f) {
-			return int64(v.f), true
+		if f := v.f64(); f == math.Trunc(f) {
+			return int64(f), true
 		}
 		return 0, false
 	case KindText:
@@ -129,11 +140,11 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) AsBool() bool {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.truth()
 	case KindInt:
-		return v.i != 0
+		return v.i64() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f64() != 0
 	default:
 		return false
 	}
@@ -155,14 +166,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i64(), 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.f, 'f', -1, 64)
-		return s
+		return strconv.FormatFloat(v.f64(), 'f', -1, 64)
 	case KindText:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.truth() {
 			return "true"
 		}
 		return "false"
@@ -202,9 +212,9 @@ func (v Value) Compare(o Value) (int, bool) {
 	}
 	if v.kind == KindBool && o.kind == KindBool {
 		switch {
-		case v.b == o.b:
+		case v.truth() == o.truth():
 			return 0, true
-		case !v.b:
+		case !v.truth():
 			return -1, true
 		default:
 			return 1, true
@@ -232,17 +242,18 @@ func (v Value) key() string {
 	case KindNull:
 		return "\x00N"
 	case KindInt:
-		return "\x00I" + strconv.FormatInt(v.i, 10)
+		return "\x00I" + strconv.FormatInt(v.i64(), 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
+		f := v.f64()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 			// Integral floats group with equal ints.
-			return "\x00I" + strconv.FormatInt(int64(v.f), 10)
+			return "\x00I" + strconv.FormatInt(int64(f), 10)
 		}
-		return "\x00F" + strconv.FormatFloat(v.f, 'b', -1, 64)
+		return "\x00F" + strconv.FormatFloat(f, 'b', -1, 64)
 	case KindText:
 		return "\x00T" + v.s
 	case KindBool:
-		if v.b {
+		if v.truth() {
 			return "\x00B1"
 		}
 		return "\x00B0"
@@ -251,54 +262,94 @@ func (v Value) key() string {
 	}
 }
 
-// Vec is a typed column vector: the unit of data the vectorized executor
-// moves between operators. Columns whose values are uniformly integral or
-// floating-point are stored unboxed (with a parallel null mask); columns
-// that mix kinds demote to generic Value storage on first mismatch. All
+// Vec is a typed column vector: the storage of a table's column image and the
+// unit of data the vectorized executor moves between operators. A column whose
+// non-NULL values are uniformly int, float, text or bool is stored unboxed;
+// one that mixes kinds demotes to generic Value storage on first mismatch. All
 // accessors reconstruct exactly the Value a row-at-a-time evaluator would
-// have seen, so the two engines cannot diverge through storage.
+// have seen, so the two engines cannot diverge through storage. Image vectors
+// and their windows are shared between concurrent queries: operators read
+// them and build new vectors, and never append to or write through a vector
+// they did not create.
 type Vec struct {
-	kind   Kind    // KindInt or KindFloat for unboxed storage, KindNull for generic
-	ints   []int64 // unboxed values when kind == KindInt
+	kind   Kind // unboxed storage kind; KindNull selects generic storage
+	ints   []int64
 	floats []float64
-	nulls  []bool  // parallel null mask for unboxed storage
-	any    []Value // generic storage when kind == KindNull
+	strs   []string
+	bools  []bool
+	nulls  []bool  // NULL mask parallel to unboxed storage; nil while no NULL was stored
+	any    []Value // generic storage
+	// bcast > 0 marks an expression result that is its one stored element
+	// repeated bcast times (a literal, a scalar subquery). Batch columns are
+	// never broadcast, so Append, Gather and window do not handle it.
+	bcast int
 }
 
-// NewVec returns an empty vector with storage hinted by kind (pass KindNull
-// for generic storage) and capacity for n values.
+// NewVec returns an empty vector with unboxed storage for kind (KindNull
+// selects generic storage) and capacity for n values.
 func NewVec(kind Kind, n int) *Vec {
+	v := &Vec{kind: kind}
 	switch kind {
 	case KindInt:
-		return &Vec{kind: KindInt, ints: make([]int64, 0, n), nulls: make([]bool, 0, n)}
+		v.ints = make([]int64, 0, n)
 	case KindFloat:
-		return &Vec{kind: KindFloat, floats: make([]float64, 0, n), nulls: make([]bool, 0, n)}
+		v.floats = make([]float64, 0, n)
+	case KindText:
+		v.strs = make([]string, 0, n)
+	case KindBool:
+		v.bools = make([]bool, 0, n)
 	default:
-		return &Vec{any: make([]Value, 0, n)}
+		v.kind, v.any = KindNull, make([]Value, 0, n)
 	}
+	return v
+}
+
+// broadcast returns val repeated n times without materializing the copies.
+func broadcast(val Value, n int) *Vec {
+	v := NewVec(val.kind, 1)
+	if n > 0 {
+		v.Append(val)
+		v.bcast = n
+	}
+	return v
 }
 
 // Len returns the number of values in the vector.
 func (v *Vec) Len() int {
-	if v.kind == KindNull {
+	if v.bcast > 0 {
+		return v.bcast
+	}
+	switch v.kind {
+	case KindInt:
+		return len(v.ints)
+	case KindFloat:
+		return len(v.floats)
+	case KindText:
+		return len(v.strs)
+	case KindBool:
+		return len(v.bools)
+	default:
 		return len(v.any)
 	}
-	return len(v.nulls)
 }
 
 // At returns the i'th value.
 func (v *Vec) At(i int) Value {
+	if v.bcast > 0 {
+		i = 0
+	}
+	if v.nulls != nil && v.nulls[i] {
+		return Null()
+	}
 	switch v.kind {
 	case KindInt:
-		if v.nulls[i] {
-			return Null()
-		}
 		return Int(v.ints[i])
 	case KindFloat:
-		if v.nulls[i] {
-			return Null()
-		}
 		return Float(v.floats[i])
+	case KindText:
+		return Text(v.strs[i])
+	case KindBool:
+		return Bool(v.bools[i])
 	default:
 		return v.any[i]
 	}
@@ -307,116 +358,129 @@ func (v *Vec) At(i int) Value {
 // Append adds a value, demoting the vector to generic storage when the
 // value's kind does not match the unboxed storage kind.
 func (v *Vec) Append(val Value) {
-	switch v.kind {
-	case KindInt:
-		switch val.kind {
-		case KindInt:
-			v.ints = append(v.ints, val.i)
-			v.nulls = append(v.nulls, false)
-			return
-		case KindNull:
-			v.ints = append(v.ints, 0)
-			v.nulls = append(v.nulls, true)
-			return
-		}
-	case KindFloat:
-		switch val.kind {
-		case KindFloat:
-			v.floats = append(v.floats, val.f)
-			v.nulls = append(v.nulls, false)
-			return
-		case KindNull:
-			v.floats = append(v.floats, 0)
-			v.nulls = append(v.nulls, true)
-			return
-		}
-	default:
+	if v.kind == KindNull {
 		v.any = append(v.any, val)
 		return
 	}
-	v.demote()
-	v.any = append(v.any, val)
+	null := val.kind == KindNull
+	if !null && val.kind != v.kind {
+		v.demote()
+		v.any = append(v.any, val)
+		return
+	}
+	if null && v.nulls == nil {
+		n := v.Len()
+		v.nulls = make([]bool, n, n+1)
+	}
+	if v.nulls != nil {
+		v.nulls = append(v.nulls, null)
+	}
+	switch v.kind { // a NULL stores the zero payload under its mask bit
+	case KindInt:
+		v.ints = append(v.ints, val.i64())
+	case KindFloat:
+		v.floats = append(v.floats, val.f64())
+	case KindText:
+		v.strs = append(v.strs, val.s)
+	case KindBool:
+		v.bools = append(v.bools, val.truth())
+	}
 }
 
 // demote rewrites unboxed storage as generic Values.
 func (v *Vec) demote() {
 	n := v.Len()
-	any := make([]Value, 0, n+1)
-	for i := 0; i < n; i++ {
-		any = append(any, v.At(i))
+	any := make([]Value, n, n+1)
+	for i := range any {
+		any[i] = v.At(i)
 	}
-	v.kind, v.ints, v.floats, v.nulls, v.any = KindNull, nil, nil, nil, any
+	*v = Vec{any: any}
 }
 
-// Gather returns a new vector holding v[idx[0]], v[idx[1]], ... A negative
-// index yields NULL (used for the padding side of outer joins).
-func (v *Vec) Gather(idx []int) *Vec {
-	out := NewVec(v.kind, len(idx))
-	switch v.kind {
-	case KindInt:
-		for _, i := range idx {
-			if i < 0 || v.nulls[i] {
-				out.ints = append(out.ints, 0)
-				out.nulls = append(out.nulls, true)
-			} else {
-				out.ints = append(out.ints, v.ints[i])
-				out.nulls = append(out.nulls, false)
-			}
-		}
-	case KindFloat:
-		for _, i := range idx {
-			if i < 0 || v.nulls[i] {
-				out.floats = append(out.floats, 0)
-				out.nulls = append(out.nulls, true)
-			} else {
-				out.floats = append(out.floats, v.floats[i])
-				out.nulls = append(out.nulls, false)
-			}
-		}
-	default:
-		for _, i := range idx {
-			if i < 0 {
-				out.any = append(out.any, Null())
-			} else {
-				out.any = append(out.any, v.any[i])
-			}
+// gather returns src[idx[0]], src[idx[1]], ... with the zero value for a
+// negative index.
+func gather[T any](src []T, idx []int32) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		if i >= 0 {
+			out[k] = src[i]
 		}
 	}
 	return out
 }
 
-// AppendVec appends all of o's values, with an unboxed bulk copy when both
-// vectors share typed storage.
-func (v *Vec) AppendVec(o *Vec) {
-	if v.kind == o.kind && v.kind != KindNull {
-		switch v.kind {
-		case KindInt:
-			v.ints = append(v.ints, o.ints...)
-		case KindFloat:
-			v.floats = append(v.floats, o.floats...)
-		}
-		v.nulls = append(v.nulls, o.nulls...)
-		return
+// Gather returns a new vector holding v[idx[0]], v[idx[1]], ... A negative
+// index yields NULL (used for the padding side of outer joins).
+func (v *Vec) Gather(idx []int32) *Vec {
+	out := &Vec{kind: v.kind}
+	switch v.kind {
+	case KindInt:
+		out.ints = gather(v.ints, idx)
+	case KindFloat:
+		out.floats = gather(v.floats, idx)
+	case KindText:
+		out.strs = gather(v.strs, idx)
+	case KindBool:
+		out.bools = gather(v.bools, idx)
+	default:
+		out.any = gather(v.any, idx) // the zero Value is NULL
+		return out
 	}
-	for i, n := 0, o.Len(); i < n; i++ {
-		v.Append(o.At(i))
+	for k, i := range idx {
+		if i < 0 || (v.nulls != nil && v.nulls[i]) {
+			if out.nulls == nil {
+				out.nulls = make([]bool, len(idx))
+			}
+			out.nulls[k] = true
+		}
+	}
+	return out
+}
+
+// window points v at src[lo:hi] without copying. Every slice is clipped to
+// capacity hi-lo, so an append through the view reallocates instead of
+// writing into src's storage.
+func (v *Vec) window(src *Vec, lo, hi int) {
+	*v = Vec{kind: src.kind}
+	switch src.kind {
+	case KindInt:
+		v.ints = src.ints[lo:hi:hi]
+	case KindFloat:
+		v.floats = src.floats[lo:hi:hi]
+	case KindText:
+		v.strs = src.strs[lo:hi:hi]
+	case KindBool:
+		v.bools = src.bools[lo:hi:hi]
+	default:
+		v.any = src.any[lo:hi:hi]
+	}
+	if src.nulls != nil {
+		v.nulls = src.nulls[lo:hi:hi]
 	}
 }
 
 // IsNullAt reports whether the i'th value is NULL without boxing it.
 func (v *Vec) IsNullAt(i int) bool {
+	if v.bcast > 0 {
+		i = 0
+	}
 	if v.kind == KindNull {
 		return v.any[i].IsNull()
 	}
-	return v.nulls[i]
+	return v.nulls != nil && v.nulls[i]
 }
 
 // appendKey appends the i'th value's grouping key (Value.key) to dst. The
-// unboxed integer path mirrors Value.key's "\x00I" + decimal form directly.
+// unboxed integer and text paths mirror Value.key's "\x00I" + decimal and
+// "\x00T" + text forms directly.
 func (v *Vec) appendKey(i int, dst []byte) []byte {
-	if v.kind == KindInt && !v.nulls[i] {
-		dst = append(dst, 0, 'I')
-		return strconv.AppendInt(dst, v.ints[i], 10)
+	if v.bcast == 0 && !v.IsNullAt(i) {
+		switch v.kind {
+		case KindInt:
+			return strconv.AppendInt(append(dst, 0, 'I'), v.ints[i], 10)
+		case KindText:
+			return append(append(dst, 0, 'T'), v.strs[i]...)
+		}
 	}
 	return append(dst, v.At(i).key()...)
 }

@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // vexec.go is the vectorized runtime for plans produced by compilePlan: data
 // flows through the operator tree as column batches (vbatch) instead of one
-// row at a time. Scans stream fixed-size chunks and apply pushed-down filters
-// per chunk; hash joins produce index pair lists and gather columns instead
-// of materializing joined rows; aggregates fold typed vectors directly.
+// row at a time. Scans read the table's column image without copying it and
+// gather only the rows its pushed-down filters select; hash joins produce
+// index pair lists and gather columns instead of materializing joined rows;
+// aggregates fold typed vectors directly.
 // Every scalar kernel either reuses the row engine's functions (applyBinary,
 // applyScalarFunc, castValue, ...) or replicates their exact numeric
 // behaviour — including the float64 coercion Value.Compare applies to
@@ -24,22 +26,17 @@ import (
 // row engine, which binds against the live catalog.
 var errPlanStale = errors.New("sqldb: plan compiled against stale catalog")
 
+// errImageStale reports that a scanned table has no column image or changed
+// length since AddTable built it.
+var errImageStale = errors.New("sqldb: table changed since its column image was built")
+
 // ExecVec executes a parsed statement on the vectorized engine without row
 // fallback. It is the entry point the differential test harness drives; the
 // production path (Query) instead runs cached plans with fallback.
 func ExecVec(db *Database, stmt *SelectStmt) (*Result, error) {
-	return ExecVecBatch(db, stmt, 0)
-}
-
-// ExecVecBatch is ExecVec with an explicit scan chunk size (<= 0 selects
-// DefaultBatchSize); benchmarks use it to sweep batch sizes.
-func ExecVecBatch(db *Database, stmt *SelectStmt, batch int) (*Result, error) {
 	p := compilePlan(db, stmt)
 	if p == nil {
 		return nil, fmt.Errorf("%w: statement is not vectorizable", ErrUnsupported)
-	}
-	if batch > 0 {
-		p.batch = batch
 	}
 	return p.run(db)
 }
@@ -93,7 +90,7 @@ func (p *vecPlan) run(db *Database) (*Result, error) {
 	for i, s := range p.scans {
 		names[i] = s.table
 	}
-	tables, ver := db.snapshotTables(names)
+	tables, images, ver := db.snapshotTables(names)
 	if ver != p.version {
 		return nil, errPlanStale
 	}
@@ -101,11 +98,18 @@ func (p *vecPlan) run(db *Database) (*Result, error) {
 		if t == nil || len(t.Columns) != p.scans[i].n {
 			return nil, errPlanStale
 		}
+		// Rows appended or dropped after AddTable break the registration
+		// contract; the image no longer describes the table, so decline and
+		// let the row engine read Rows. No rebuild here: a scan must not
+		// write catalog state other scans are reading.
+		if images[i] == nil || images[i].n != len(t.Rows) {
+			return nil, errImageStale
+		}
 	}
 
 	ctx := &vecCtx{ex: &executor{db: db}, binds: p.binds}
 
-	b, err := p.buildBatch(ctx, tables)
+	b, err := p.buildBatch(ctx, images)
 	if err != nil {
 		return nil, err
 	}
@@ -122,16 +126,16 @@ func (p *vecPlan) run(db *Database) (*Result, error) {
 }
 
 // buildBatch scans and joins the FROM clause into one batch.
-func (p *vecPlan) buildBatch(ctx *vecCtx, tables []*Table) (*vbatch, error) {
+func (p *vecPlan) buildBatch(ctx *vecCtx, images []*tableImage) (*vbatch, error) {
 	if len(p.scans) == 0 {
 		return &vbatch{cols: make([]*Vec, 0)}, nil
 	}
-	left, err := p.scanBatch(ctx, 0, tables[0])
+	left, err := p.scanBatch(ctx, 0, images[0])
 	if err != nil {
 		return nil, err
 	}
 	for ji := range p.joins {
-		right, err := p.scanBatch(ctx, ji+1, tables[ji+1])
+		right, err := p.scanBatch(ctx, ji+1, images[ji+1])
 		if err != nil {
 			return nil, err
 		}
@@ -143,73 +147,96 @@ func (p *vecPlan) buildBatch(ctx *vecCtx, tables []*Table) (*vbatch, error) {
 	return left, nil
 }
 
-// scanBatch streams table rows in chunks of p.batch, materializing the
-// needed slots of scan si and applying its pushed-down filters chunk by
-// chunk, so filtered rows never reach join or aggregation operators.
-func (p *vecPlan) scanBatch(ctx *vecCtx, si int, t *Table) (*vbatch, error) {
+// scanBatch hands operators the needed columns of scan si straight from the
+// table image. With pushed-down filters it evaluates them over windows of
+// windowRows rows, keeps the rows every filter selects, and gathers only
+// those, so filtered rows never reach join or aggregation operators. Pushed
+// filters cannot raise errors (safeExpr), which is what lets each one see the
+// whole window instead of the previous filter's survivors.
+func (p *vecPlan) scanBatch(ctx *vecCtx, si int, img *tableImage) (*vbatch, error) {
 	s := &p.scans[si]
-	out := &vbatch{cols: make([]*Vec, len(p.binds))}
+	out := &vbatch{n: img.n, cols: make([]*Vec, len(p.binds))}
 	for c := 0; c < s.n; c++ {
-		if p.needed[s.base+c] {
-			out.cols[s.base+c] = NewVec(vecKindHint(t.Columns[c].Type), len(t.Rows))
+		if slot := s.base + c; p.needed[slot] {
+			out.cols[slot] = img.cols[c]
 		}
 	}
-	rows := t.Rows
-	for start := 0; start < len(rows); start += p.batch {
-		end := start + p.batch
-		if end > len(rows) {
-			end = len(rows)
-		}
-		chunk := &vbatch{n: end - start, cols: make([]*Vec, len(p.binds))}
-		for c := 0; c < s.n; c++ {
-			slot := s.base + c
-			if !p.needed[slot] {
+	if len(s.pushed) == 0 {
+		return out, nil
+	}
+	win := &vbatch{cols: make([]*Vec, len(p.binds))}
+	var keep, sel, next []int32
+	for lo := 0; lo < img.n; lo += windowRows {
+		hi := min(lo+windowRows, img.n)
+		win.n = hi - lo
+		for slot, cv := range out.cols {
+			if cv == nil {
 				continue
 			}
-			cv := NewVec(vecKindHint(t.Columns[c].Type), end-start)
-			for r := start; r < end; r++ {
-				cv.Append(rows[r][c])
+			if win.cols[slot] == nil {
+				win.cols[slot] = new(Vec)
 			}
-			chunk.cols[slot] = cv
+			win.cols[slot].window(cv, lo, hi)
 		}
 		var err error
-		for _, f := range s.pushed {
-			chunk, err = filterBatch(ctx, chunk, f)
+		for k, f := range s.pushed {
+			if k == 0 {
+				sel, err = selectRows(ctx, win, f, sel[:0])
+			} else if len(sel) > 0 {
+				next, err = selectRows(ctx, win, f, next[:0])
+				sel = intersect(sel, next)
+			}
 			if err != nil {
 				return nil, err
 			}
 		}
-		out.n += chunk.n
-		for slot, cv := range chunk.cols {
-			if cv != nil {
-				out.cols[slot].AppendVec(cv)
-			}
+		for _, i := range sel {
+			keep = append(keep, int32(lo)+i)
 		}
 	}
-	return out, nil
-}
-
-// vecKindHint selects unboxed storage for columns whose observed type is
-// uniformly integral or floating-point.
-func vecKindHint(k Kind) Kind {
-	if k == KindInt || k == KindFloat {
-		return k
+	if len(keep) == img.n {
+		return out, nil
 	}
-	return KindNull
+	return gatherBatch(out, keep), nil
 }
 
-// filterBatch keeps the rows for which f evaluates truthy (Value.AsBool,
-// so NULL filters out — the row engine's WHERE semantics).
-func filterBatch(ctx *vecCtx, b *vbatch, f vexpr) (*vbatch, error) {
+// intersect keeps the elements of a that also occur in b; both ascend.
+func intersect(a, b []int32) []int32 {
+	out := a[:0]
+	for _, x := range a {
+		for len(b) > 0 && b[0] < x {
+			b = b[1:]
+		}
+		if len(b) > 0 && b[0] == x {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// selectRows appends to dst the rows of b for which f evaluates truthy
+// (Value.AsBool, so NULL filters out — the row engine's WHERE semantics).
+func selectRows(ctx *vecCtx, b *vbatch, f vexpr, dst []int32) ([]int32, error) {
+	if c, ok := f.(*vcmp); ok {
+		return c.sel(ctx, b, dst)
+	}
 	fv, err := f.eval(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, 0, b.n)
 	for i := 0; i < b.n; i++ {
 		if fv.At(i).AsBool() {
-			idx = append(idx, i)
+			dst = append(dst, int32(i))
 		}
+	}
+	return dst, nil
+}
+
+// filterBatch keeps the rows f selects.
+func filterBatch(ctx *vecCtx, b *vbatch, f vexpr) (*vbatch, error) {
+	idx, err := selectRows(ctx, b, f, nil)
+	if err != nil {
+		return nil, err
 	}
 	if len(idx) == b.n {
 		return b, nil
@@ -219,7 +246,7 @@ func filterBatch(ctx *vecCtx, b *vbatch, f vexpr) (*vbatch, error) {
 
 // gatherBatch builds a new batch keeping the selected row indices; nil
 // (unneeded) columns stay nil.
-func gatherBatch(b *vbatch, idx []int) *vbatch {
+func gatherBatch(b *vbatch, idx []int32) *vbatch {
 	out := &vbatch{n: len(idx), cols: make([]*Vec, len(b.cols))}
 	for slot, cv := range b.cols {
 		if cv != nil {
@@ -229,71 +256,104 @@ func gatherBatch(b *vbatch, idx []int) *vbatch {
 	return out
 }
 
+// hashMatch resolves a hash join's matches without a slice per key: heads[i]
+// is the first right row whose key equals left row i's (-1 for none, and for
+// a NULL key, which never matches in SQL equality), and next chains each
+// right row to the following one with an equal key, so walking a chain visits
+// matches in the right-scan order joinSets emits them in.
+func hashMatch(leftKey, rightKey *Vec, ln, rn int) (heads, next []int32) {
+	heads, next = make([]int32, ln), make([]int32, rn)
+	if lo, span, ok := denseKeys(leftKey, rightKey); ok {
+		// Surrogate keys (the <entity>_id columns of a normalized schema):
+		// an array indexed by key-lo replaces the hash table.
+		first := make([]int32, span) // right row + 1, so 0 is "absent"
+		for i := rn - 1; i >= 0; i-- {
+			next[i] = -1
+			if !rightKey.IsNullAt(i) {
+				k := rightKey.ints[i] - lo
+				next[i] = first[k] - 1
+				first[k] = int32(i) + 1
+			}
+		}
+		for i, x := range leftKey.ints {
+			heads[i] = -1
+			if k := uint64(x - lo); k < uint64(span) && !leftKey.IsNullAt(i) {
+				heads[i] = first[k] - 1
+			}
+		}
+		return heads, next
+	}
+	if fastJoinKeys(leftKey) && fastJoinKeys(rightKey) {
+		// Typed numeric keys: joinKey reduces every numeric to its float64
+		// image (Float(f).key()), under which two values share a key string
+		// iff they are equal as float64s — I-form below 1e15, bit-exact
+		// F-form above, NaN-bearing vectors excluded by fastJoinKeys. Hashing
+		// the float64 directly is therefore match-identical and skips all
+		// key-string allocation.
+		first := make(map[float64]int32, rn) // right row + 1, so 0 is "absent"
+		for i := rn - 1; i >= 0; i-- {
+			next[i] = -1
+			if !rightKey.IsNullAt(i) {
+				k := numAt(rightKey, i)
+				next[i] = first[k] - 1
+				first[k] = int32(i) + 1
+			}
+		}
+		for i := range heads {
+			heads[i] = -1
+			if !leftKey.IsNullAt(i) {
+				heads[i] = first[numAt(leftKey, i)] - 1
+			}
+		}
+		return heads, next
+	}
+	first := make(map[string]int32, rn)
+	var kb []byte
+	for i := rn - 1; i >= 0; i-- {
+		next[i] = -1
+		if v := rightKey.At(i); !v.IsNull() {
+			kb = appendJoinKey(kb[:0], v)
+			next[i] = first[string(kb)] - 1
+			first[string(kb)] = int32(i) + 1
+		}
+	}
+	for i := range heads {
+		heads[i] = -1
+		if v := leftKey.At(i); !v.IsNull() {
+			kb = appendJoinKey(kb[:0], v)
+			heads[i] = first[string(kb)] - 1 // alloc-free lookup
+		}
+	}
+	return heads, next
+}
+
 // joinBatch joins the accumulated left batch with the freshly scanned right
 // batch under join ji, mirroring joinSets: hash join on the recognized
-// equi-join key (built on the right, probed in left order, NULL keys never
-// matching, LEFT padding with NULLs), nested loop with per-row ON evaluation
-// otherwise.
+// equi-join key (built on the right, probed in left order, LEFT padding with
+// NULLs), nested loop with per-row ON evaluation otherwise. Only the columns
+// a later operator reads are gathered into the joined batch.
 func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, error) {
 	j := &p.joins[ji]
-	var li, ri []int
+	pad := j.kind == "LEFT"
+	var li, ri []int32
 	if j.hash {
-		leftKey, rightKey := left.cols[j.li], right.cols[j.ri]
-		if fastJoinKeys(leftKey) && fastJoinKeys(rightKey) {
-			// Typed numeric keys: joinKey reduces every numeric to its
-			// float64 image (Float(f).key()), under which two values share a
-			// key string iff they are equal as float64s — I-form below 1e15,
-			// bit-exact F-form above, NaN-bearing vectors excluded by
-			// fastJoinKeys. Hashing the float64 directly is therefore
-			// match-identical and skips all key-string allocation.
-			build := make(map[float64][]int, right.n)
-			for i := 0; i < right.n; i++ {
-				if rightKey.nulls[i] {
-					continue // NULL keys never match in SQL equality
-				}
-				k := numAt(rightKey, i)
-				build[k] = append(build[k], i)
+		heads, next := hashMatch(left.cols[j.li], right.cols[j.ri], left.n, right.n)
+		total := 0
+		for _, h := range heads {
+			if h < 0 && pad {
+				total++
 			}
-			for i := 0; i < left.n; i++ {
-				var matches []int
-				if !leftKey.nulls[i] {
-					matches = build[numAt(leftKey, i)]
-				}
-				for _, m := range matches {
-					li = append(li, i)
-					ri = append(ri, m)
-				}
-				if len(matches) == 0 && j.kind == "LEFT" {
-					li = append(li, i)
-					ri = append(ri, -1)
-				}
+			for m := h; m >= 0; m = next[m] {
+				total++
 			}
-		} else {
-			build := make(map[string][]int, right.n)
-			var kb []byte
-			for i := 0; i < right.n; i++ {
-				v := rightKey.At(i)
-				if v.IsNull() {
-					continue // NULL keys never match in SQL equality
-				}
-				kb = appendJoinKey(kb[:0], v)
-				build[string(kb)] = append(build[string(kb)], i)
+		}
+		li, ri = make([]int32, 0, total), make([]int32, 0, total)
+		for i, h := range heads {
+			if h < 0 && pad {
+				li, ri = append(li, int32(i)), append(ri, -1)
 			}
-			for i := 0; i < left.n; i++ {
-				v := leftKey.At(i)
-				var matches []int
-				if !v.IsNull() {
-					kb = appendJoinKey(kb[:0], v)
-					matches = build[string(kb)] // alloc-free lookup
-				}
-				for _, m := range matches {
-					li = append(li, i)
-					ri = append(ri, m)
-				}
-				if len(matches) == 0 && j.kind == "LEFT" {
-					li = append(li, i)
-					ri = append(ri, -1)
-				}
+			for m := h; m >= 0; m = next[m] {
+				li, ri = append(li, int32(i)), append(ri, m)
 			}
 		}
 	} else {
@@ -323,27 +383,55 @@ func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, 
 					}
 				}
 				matched = true
-				li = append(li, i)
-				ri = append(ri, k)
+				li, ri = append(li, int32(i)), append(ri, int32(k))
 			}
-			if !matched && j.kind == "LEFT" {
-				li = append(li, i)
-				ri = append(ri, -1)
+			if !matched && pad {
+				li, ri = append(li, int32(i)), append(ri, -1)
 			}
 		}
 	}
 	out := &vbatch{n: len(li), cols: make([]*Vec, len(p.binds))}
 	for slot, cv := range left.cols {
-		if cv != nil {
+		if cv != nil && j.carry[slot] {
 			out.cols[slot] = cv.Gather(li)
 		}
 	}
 	for slot, cv := range right.cols {
-		if cv != nil {
+		if cv != nil && j.carry[slot] {
 			out.cols[slot] = cv.Gather(ri)
 		}
 	}
 	return out, nil
+}
+
+// denseKeys reports whether both key vectors are unboxed integers and the
+// right side's non-NULL keys span a range [lo, lo+span) small enough to index
+// an array by (at most a few slots per right row). The range must lie
+// strictly inside ±2^53: there int64 equality is float64 equality, which is
+// what joinKey matches on; from 2^53 on distinct integers share a float64
+// image and only the hash paths reproduce that.
+func denseKeys(leftKey, rightKey *Vec) (lo int64, span int, ok bool) {
+	if leftKey.kind != KindInt || rightKey.kind != KindInt {
+		return 0, 0, false
+	}
+	lo, hi, seen := int64(0), int64(0), false
+	for i, x := range rightKey.ints {
+		if rightKey.IsNullAt(i) {
+			continue
+		}
+		if !seen || x < lo {
+			lo = x
+		}
+		if !seen || x > hi {
+			hi = x
+		}
+		seen = true
+	}
+	const exact = 1 << 53
+	if !seen || lo <= -exact || hi >= exact || uint64(hi-lo) >= uint64(4*len(rightKey.ints)+1024) {
+		return 0, 0, false
+	}
+	return lo, int(hi-lo) + 1, true
 }
 
 // fastJoinKeys reports whether the vector's join keys can hash by float64
@@ -371,7 +459,7 @@ func fastJoinKeys(v *Vec) bool {
 // reduce to their float64 image — I-form for integral magnitudes below 1e15,
 // bit-exact F-form otherwise — and everything else uses Value.key.
 func appendJoinKey(dst []byte, v Value) []byte {
-	if f, ok := v.AsFloat(); ok && v.kind != KindBool {
+	if f, ok := v.AsFloat(); ok && v.Kind() != KindBool {
 		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
 			dst = append(dst, 0, 'I')
 			return strconv.AppendInt(dst, int64(f), 10)
@@ -439,10 +527,20 @@ func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch) (*Result, error) {
 	return finishSelect(p.stmt, p.cols, out), nil
 }
 
-// vgroup is one GROUP BY partition: row indices into the filtered batch.
+// vgroup is one GROUP BY partition of the filtered batch: n rows, listed in
+// rows, or every batch row in order when rows is nil.
 type vgroup struct {
 	b    *vbatch
-	rows []int
+	n    int
+	rows []int32
+}
+
+// row returns the batch index of the group's k'th row.
+func (g *vgroup) row(k int) int {
+	if g.rows == nil {
+		return k
+	}
+	return int(g.rows[k])
 }
 
 // runAgg partitions the batch, applies HAVING, and projects each surviving
@@ -452,9 +550,9 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []outRow
-	for _, rows := range groups {
-		g := &vgroup{b: b, rows: rows}
+	out := make([]outRow, 0, len(groups))
+	for gi := range groups {
+		g := &groups[gi]
 		if p.havingG != nil {
 			hv, err := p.havingG.eval(ctx, g)
 			if err != nil {
@@ -464,7 +562,7 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch) (*Result, error) {
 				continue
 			}
 		}
-		row := outRow{}
+		row := outRow{cells: make([]Value, 0, len(p.itemsG)), keys: make([]Value, 0, len(p.orderG))}
 		for _, ig := range p.itemsG {
 			v, err := ig.eval(ctx, g)
 			if err != nil {
@@ -491,13 +589,9 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch) (*Result, error) {
 // partition groups batch rows by the GROUP BY key vectors in first-appearance
 // order. With no GROUP BY the whole batch is one group, even when empty, so
 // aggregates over empty inputs still produce a row.
-func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([][]int, error) {
+func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 	if len(p.groupByV) == 0 {
-		all := make([]int, b.n)
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}, nil
+		return []vgroup{{b: b, n: b.n}}, nil
 	}
 	keyVecs := make([]*Vec, len(p.groupByV))
 	for k, gv := range p.groupByV {
@@ -507,21 +601,36 @@ func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([][]int, error) {
 		}
 		keyVecs[k] = kv
 	}
-	index := make(map[string]int)
-	var groups [][]int
+	// Two passes, so the groups' row lists are slices of one exactly sized
+	// array instead of each growing by doubling.
+	index := make(map[string]int32)
+	gids := make([]int32, b.n)
+	var sizes []int
 	var kb []byte
-	for i := 0; i < b.n; i++ {
+	for i := range gids {
 		kb = kb[:0]
 		for _, kv := range keyVecs {
 			kb = kv.appendKey(i, kb)
 		}
 		gi, ok := index[string(kb)] // alloc-free lookup
 		if !ok {
-			gi = len(groups)
+			gi = int32(len(sizes))
 			index[string(kb)] = gi
-			groups = append(groups, nil)
+			sizes = append(sizes, 0)
 		}
-		groups[gi] = append(groups[gi], i)
+		gids[i] = gi
+		sizes[gi]++
+	}
+	rows := make([]int32, b.n)
+	groups := make([]vgroup, len(sizes))
+	for gi, n := range sizes {
+		groups[gi] = vgroup{b: b, rows: rows[:0:n]}
+		rows = rows[n:]
+	}
+	for i, gi := range gids {
+		g := &groups[gi]
+		g.rows = append(g.rows, int32(i))
+		g.n++
 	}
 	return groups, nil
 }
@@ -540,6 +649,9 @@ func typedNum(v *Vec) bool { return v.kind == KindInt || v.kind == KindFloat }
 // numAt reads a typed vector's value as float64, the representation
 // Value.Compare and applyArith reduce numerics to.
 func numAt(v *Vec, i int) float64 {
+	if v.bcast > 0 {
+		i = 0
+	}
 	if v.kind == KindInt {
 		return float64(v.ints[i])
 	}
@@ -559,14 +671,19 @@ func mapVec(n int, f func(i int) (Value, error)) (*Vec, error) {
 	return out, nil
 }
 
+// boolVec evaluates f element-wise into an unboxed, NULL-free bool vector.
+func boolVec(n int, f func(i int) bool) *Vec {
+	out := &Vec{kind: KindBool, bools: make([]bool, n)}
+	for i := range out.bools {
+		out.bools[i] = f(i)
+	}
+	return out
+}
+
 type vlit struct{ val Value }
 
 func (v *vlit) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	out := NewVec(v.val.Kind(), b.n)
-	for i := 0; i < b.n; i++ {
-		out.Append(v.val)
-	}
-	return out, nil
+	return broadcast(v.val, b.n), nil
 }
 
 type vcol struct{ slot int }
@@ -603,9 +720,7 @@ func (v *vand) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mapVec(b.n, func(i int) (Value, error) {
-		return Bool(lv.At(i).AsBool() && rv.At(i).AsBool()), nil
-	})
+	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() && rv.At(i).AsBool() }), nil
 }
 
 type vor struct{ l, r vexpr }
@@ -619,11 +734,10 @@ func (v *vor) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mapVec(b.n, func(i int) (Value, error) {
-		return Bool(lv.At(i).AsBool() || rv.At(i).AsBool()), nil
-	})
+	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() || rv.At(i).AsBool() }), nil
 }
 
+// vbin is a binary operator other than AND, OR and the comparisons.
 type vbin struct {
 	op   string
 	l, r vexpr
@@ -640,8 +754,6 @@ func (v *vbin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	}
 	if typedNum(lv) && typedNum(rv) {
 		switch v.op {
-		case "=", "<>", "<", "<=", ">", ">=":
-			return cmpKernel(v.op, lv, rv, b.n), nil
 		case "+", "-", "*", "/", "%":
 			return arithKernel(v.op, lv, rv, b.n), nil
 		}
@@ -649,35 +761,104 @@ func (v *vbin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return mapVec(b.n, func(i int) (Value, error) { return applyBinary(v.op, lv.At(i), rv.At(i)) })
 }
 
-// cmpKernel compares two typed numeric vectors. Both operands pass through
-// float64 — the same (lossy above 2^53) reduction Value.Compare applies — so
-// the kernel and the row engine always agree.
-func cmpKernel(op string, lv, rv *Vec, n int) *Vec {
-	out := NewVec(KindNull, n)
-	for i := 0; i < n; i++ {
-		if lv.IsNullAt(i) || rv.IsNullAt(i) {
-			out.any = append(out.any, Bool(false))
-			continue
-		}
-		a, b := numAt(lv, i), numAt(rv, i)
-		var res bool
-		switch op {
-		case "=":
-			res = a == b
-		case "<>":
-			res = a != b
-		case "<":
-			res = a < b
-		case "<=":
-			res = a <= b
-		case ">":
-			res = a > b
-		case ">=":
-			res = a >= b
-		}
-		out.any = append(out.any, Bool(res))
+// vcmp is a comparison. Its native result is the selection of rows where it
+// holds, which is what a filter consumes; eval scatters the selection into a
+// bool vector for every other context. A comparison never yields NULL or an
+// error: applyBinary maps a NULL operand to false and incomparable kinds to
+// op == "<>".
+type vcmp struct {
+	op    string
+	truth [3]bool // whether "l op r" holds, indexed by Compare(l, r)+1
+	l, r  vexpr
+}
+
+// cmpTruth maps each comparison operator to its vcmp.truth table.
+var cmpTruth = map[string][3]bool{
+	"=":  {false, true, false},
+	"<>": {true, false, true},
+	"<":  {true, false, false},
+	"<=": {true, true, false},
+	">":  {false, false, true},
+	">=": {false, true, true},
+}
+
+func (v *vcmp) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	idx, err := v.sel(ctx, b, make([]int32, 0, b.n))
+	if err != nil {
+		return nil, err
 	}
-	return out
+	out := &Vec{kind: KindBool, bools: make([]bool, b.n)}
+	for _, i := range idx {
+		out.bools[i] = true
+	}
+	return out, nil
+}
+
+// cmp3 is Value.Compare's three-way float64 ordering, shifted to index
+// vcmp.truth. Both operands of every numeric comparison pass through float64
+// — the same (lossy above 2^53) reduction Compare applies, NaN comparing
+// "equal" to everything included — so kernel and row engine always agree.
+func cmp3(a, b float64) int {
+	switch {
+	case a < b:
+		return 0
+	case a > b:
+		return 2
+	}
+	return 1
+}
+
+// selNum is the column-versus-scalar numeric kernel.
+func selNum[T int64 | float64](xs []T, nulls []bool, c float64, truth [3]bool, dst []int32) []int32 {
+	for i, x := range xs {
+		if truth[cmp3(float64(x), c)] && (nulls == nil || !nulls[i]) {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
+// sel appends to dst the rows where the comparison holds. A typed column
+// against a broadcast scalar of matching storage (the shape of nearly every
+// pushed-down claim predicate) runs a tight loop over the column's slice;
+// other typed numeric pairs compare through numAt; everything else goes
+// through applyBinary row by row.
+func (v *vcmp) sel(ctx *vecCtx, b *vbatch, dst []int32) ([]int32, error) {
+	lv, err := v.l.eval(ctx, b)
+	if err != nil {
+		return nil, err
+	}
+	rv, err := v.r.eval(ctx, b)
+	if err != nil {
+		return nil, err
+	}
+	scalar := rv.bcast > 0 && lv.bcast == 0 // a typed broadcast is never NULL
+	switch {
+	case scalar && lv.kind == KindText && rv.kind == KindText:
+		lit := rv.strs[0]
+		for i, s := range lv.strs {
+			if v.truth[strings.Compare(s, lit)+1] && (lv.nulls == nil || !lv.nulls[i]) {
+				dst = append(dst, int32(i))
+			}
+		}
+	case scalar && lv.kind == KindInt && typedNum(rv):
+		dst = selNum(lv.ints, lv.nulls, numAt(rv, 0), v.truth, dst)
+	case scalar && lv.kind == KindFloat && typedNum(rv):
+		dst = selNum(lv.floats, lv.nulls, numAt(rv, 0), v.truth, dst)
+	case typedNum(lv) && typedNum(rv):
+		for i := 0; i < b.n; i++ {
+			if !lv.IsNullAt(i) && !rv.IsNullAt(i) && v.truth[cmp3(numAt(lv, i), numAt(rv, i))] {
+				dst = append(dst, int32(i))
+			}
+		}
+	default:
+		for i := 0; i < b.n; i++ {
+			if res, _ := applyBinary(v.op, lv.At(i), rv.At(i)); res.AsBool() {
+				dst = append(dst, int32(i))
+			}
+		}
+	}
+	return dst, nil
 }
 
 // arithKernel mirrors applyArith on typed numeric vectors, including its
@@ -756,16 +937,12 @@ func (v *vbetween) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mapVec(b.n, func(i int) (Value, error) {
+	return boolVec(b.n, func(i int) bool {
 		x := xv.At(i)
 		c1, ok1 := x.Compare(lov.At(i))
 		c2, ok2 := x.Compare(hiv.At(i))
-		res := ok1 && ok2 && c1 >= 0 && c2 <= 0
-		if v.not {
-			res = !res
-		}
-		return Bool(res), nil
-	})
+		return (ok1 && ok2 && c1 >= 0 && c2 <= 0) != v.not
+	}), nil
 }
 
 type vin struct {
@@ -787,7 +964,7 @@ func (v *vin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 		}
 		lvs[k] = lv
 	}
-	return mapVec(b.n, func(i int) (Value, error) {
+	return boolVec(b.n, func(i int) bool {
 		x := xv.At(i)
 		found := false
 		for _, lv := range lvs {
@@ -796,11 +973,8 @@ func (v *vin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 				break
 			}
 		}
-		if v.not {
-			found = !found
-		}
-		return Bool(found), nil
-	})
+		return found != v.not
+	}), nil
 }
 
 type visnull struct {
@@ -813,13 +987,7 @@ func (v *visnull) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mapVec(b.n, func(i int) (Value, error) {
-		res := xv.At(i).IsNull()
-		if v.not {
-			res = !res
-		}
-		return Bool(res), nil
-	})
+	return boolVec(b.n, func(i int) bool { return xv.IsNullAt(i) != v.not }), nil
 }
 
 type vfunc struct {
@@ -926,11 +1094,7 @@ func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if len(res.Rows) == 1 {
 		val = res.Rows[0][0]
 	}
-	out := NewVec(val.Kind(), b.n)
-	for i := 0; i < b.n; i++ {
-		out.Append(val)
-	}
-	return out, nil
+	return broadcast(val, b.n), nil
 }
 
 type vexists struct {
@@ -946,15 +1110,7 @@ func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	found := len(res.Rows) > 0
-	if v.not {
-		found = !found
-	}
-	out := NewVec(KindNull, b.n)
-	for i := 0; i < b.n; i++ {
-		out.any = append(out.any, Bool(found))
-	}
-	return out, nil
+	return broadcast(Bool((len(res.Rows) > 0) != v.not), b.n), nil
 }
 
 type vinsub struct {
@@ -978,7 +1134,7 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if len(res.Cols) != 1 {
 		return nil, fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(res.Cols))
 	}
-	return mapVec(b.n, func(i int) (Value, error) {
+	return boolVec(b.n, func(i int) bool {
 		x := xv.At(i)
 		found := false
 		for _, r := range res.Rows {
@@ -987,11 +1143,8 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 				break
 			}
 		}
-		if v.not {
-			found = !found
-		}
-		return Bool(found), nil
-	})
+		return found != v.not
+	}), nil
 }
 
 // vrowfb is the universal escape hatch: it rebuilds each batch row and
@@ -1027,10 +1180,10 @@ func (v *glit) eval(ctx *vecCtx, g *vgroup) (Value, error) { return v.val, nil }
 type gcolfirst struct{ slot int }
 
 func (v *gcolfirst) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	if len(g.rows) == 0 {
+	if g.n == 0 {
 		return Null(), nil
 	}
-	return g.b.cols[v.slot].At(g.rows[0]), nil
+	return g.b.cols[v.slot].At(g.row(0)), nil
 }
 
 type gunary struct {
@@ -1138,12 +1291,12 @@ type gfirstrow struct{ e Expr }
 
 func (v *gfirstrow) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	row := make([]Value, len(ctx.binds))
-	if len(g.rows) == 0 {
+	if g.n == 0 {
 		for s := range row {
 			row[s] = Null()
 		}
 	} else {
-		r0 := g.rows[0]
+		r0 := g.row(0)
 		for s := range row {
 			row[s] = g.b.cols[s].At(r0)
 		}
@@ -1179,7 +1332,7 @@ func (a *gagg) argVec(ctx *vecCtx, b *vbatch) (*Vec, error) {
 
 func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	if a.f.Star {
-		return Int(int64(len(g.rows))), nil
+		return Int(int64(g.n)), nil
 	}
 	if len(a.f.Args) != 1 {
 		return Null(), fmt.Errorf("%w: %s takes one argument", ErrType, a.f.Name)
@@ -1188,128 +1341,117 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
-	if !a.f.Distinct && typedNum(av) {
-		return typedFold(a.f.Name, av, g.rows)
+	name := a.f.Name
+	if !a.f.Distinct && typedNum(av) && av.bcast == 0 {
+		if av.kind == KindInt {
+			return typedFold(name, av, av.ints, g)
+		}
+		return typedFold(name, av, av.floats, g)
 	}
-	// Generic fold: mirror evalAggregate's collection (non-NULL values in
-	// row order, DISTINCT by grouping key) and folding rules.
-	var vals []Value
+	// Generic fold: mirror evalAggregate's rules over the group's non-NULL
+	// values in row order (DISTINCT by grouping key), folding in place.
 	var seen map[string]bool
 	if a.f.Distinct {
 		seen = make(map[string]bool)
 	}
-	for _, r := range g.rows {
-		v := av.At(r)
+	cnt, sum, allInt, best := 0, 0.0, true, Null()
+	for k := 0; k < g.n; k++ {
+		v := av.At(g.row(k))
 		if v.IsNull() {
 			continue
 		}
 		if a.f.Distinct {
-			k := v.key()
-			if seen[k] {
+			key := v.key()
+			if seen[key] {
 				continue
 			}
-			seen[k] = true
+			seen[key] = true
 		}
-		vals = append(vals, v)
-	}
-	switch a.f.Name {
-	case "COUNT":
-		return Int(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
+		cnt++
+		switch name {
+		case "SUM", "AVG":
 			fv, ok := v.AsFloat()
 			if !ok {
-				return Null(), fmt.Errorf("%w: %s over non-numeric value %q", ErrType, a.f.Name, v.String())
+				return Null(), fmt.Errorf("%w: %s over non-numeric value %q", ErrType, name, v.String())
 			}
-			if v.Kind() != KindInt {
-				allInt = false
-			}
+			allInt = allInt && v.Kind() == KindInt
 			sum += fv
-		}
-		if a.f.Name == "AVG" {
-			return Float(sum / float64(len(vals))), nil
-		}
-		if allInt && sum == math.Trunc(sum) {
-			return Int(int64(sum)), nil
-		}
-		return Float(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
+		case "MIN", "MAX":
+			if cnt == 1 {
+				best = v
+				continue
+			}
 			c, ok := v.Compare(best)
 			if !ok {
-				return Null(), fmt.Errorf("%w: %s over incomparable values", ErrType, a.f.Name)
+				return Null(), fmt.Errorf("%w: %s over incomparable values", ErrType, name)
 			}
-			if (a.f.Name == "MIN" && c < 0) || (a.f.Name == "MAX" && c > 0) {
+			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
 				best = v
 			}
 		}
-		return best, nil
 	}
-	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, a.f.Name)
-}
-
-// typedFold folds an aggregate over an unboxed numeric vector without
-// boxing. All arithmetic goes through float64 — including MIN/MAX
-// comparisons and SUM accumulation over integers — because that is what
-// evalAggregate does via AsFloat/Compare.
-func typedFold(name string, av *Vec, rows []int) (Value, error) {
 	switch name {
 	case "COUNT":
-		n := int64(0)
-		for _, r := range rows {
-			if !av.nulls[r] {
-				n++
-			}
-		}
-		return Int(n), nil
+		return Int(int64(cnt)), nil
 	case "SUM", "AVG":
-		sum := 0.0
-		cnt := 0
-		for _, r := range rows {
-			if av.nulls[r] {
-				continue
-			}
-			sum += numAt(av, r)
-			cnt++
+		return sumResult(name, sum, cnt, allInt), nil
+	case "MIN", "MAX":
+		return best, nil
+	}
+	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, name)
+}
+
+// sumResult finishes SUM and AVG the way evalAggregate does: NULL over no
+// values, AVG always a float, SUM integral when every addend was and the
+// float64 total still is.
+func sumResult(name string, sum float64, cnt int, allInt bool) Value {
+	switch {
+	case cnt == 0:
+		return Null()
+	case name == "AVG":
+		return Float(sum / float64(cnt))
+	case allInt && sum == math.Trunc(sum):
+		return Int(int64(sum))
+	}
+	return Float(sum)
+}
+
+// typedFold folds an aggregate over an unboxed numeric vector (xs is av's
+// storage) without boxing, in one pass that tracks the count, sum, minimum
+// and maximum together. All arithmetic goes through float64 — including
+// MIN/MAX comparisons and SUM accumulation over integers — because that is
+// what evalAggregate does via AsFloat/Compare; like it, MIN and MAX keep the
+// first of equal (or NaN-incomparable) values.
+func typedFold[T int64 | float64](name string, av *Vec, xs []T, g *vgroup) (Value, error) {
+	cnt, sum, lo, hi := 0, 0.0, -1, -1
+	for k := 0; k < g.n; k++ {
+		r := g.row(k)
+		if av.nulls != nil && av.nulls[r] {
+			continue
 		}
+		x := float64(xs[r])
+		sum += x
+		if cnt == 0 || x < float64(xs[lo]) {
+			lo = r
+		}
+		if cnt == 0 || x > float64(xs[hi]) {
+			hi = r
+		}
+		cnt++
+	}
+	switch name {
+	case "COUNT":
+		return Int(int64(cnt)), nil
+	case "SUM", "AVG":
+		return sumResult(name, sum, cnt, av.kind == KindInt), nil
+	case "MIN", "MAX":
 		if cnt == 0 {
 			return Null(), nil
 		}
-		if name == "AVG" {
-			return Float(sum / float64(cnt)), nil
+		if name == "MIN" {
+			return av.At(lo), nil
 		}
-		if av.kind == KindInt && sum == math.Trunc(sum) {
-			return Int(int64(sum)), nil
-		}
-		return Float(sum), nil
-	case "MIN", "MAX":
-		best := -1
-		for _, r := range rows {
-			if av.nulls[r] {
-				continue
-			}
-			if best < 0 {
-				best = r
-				continue
-			}
-			cur, b := numAt(av, r), numAt(av, best)
-			if (name == "MIN" && cur < b) || (name == "MAX" && cur > b) {
-				best = r
-			}
-		}
-		if best < 0 {
-			return Null(), nil
-		}
-		return av.At(best), nil
+		return av.At(hi), nil
 	}
 	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, name)
 }
