@@ -11,18 +11,18 @@
 # (cross-database claim decomposition and routing, DESIGN.md §16), and a
 # short fuzz smoke over the SQL parser/executor, the store's segment decoder,
 # the shard ring, the ingestion type-inference engine, and the claim
-# decomposer/router, the documented-surface gate, and `benchmark-quick`: the
-# repository benchmark's own correctness checks on a twentieth of every
-# workload. Performance is measured by `go run ./benchmark` (see
+# decomposer/router, the documented-surface gate, `gatelint` (every gate
+# below must still select tests), and `benchmark-quick`: the repository
+# benchmark's own correctness checks on a twentieth of every workload. Performance is measured by `go run ./benchmark` (see
 # benchmark/README.md); `make bench` only runs the packages' Go
 # micro-benchmarks, for profiling while working on one.
 
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick bench
+.PHONY: check build vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench
 
-check: build vet race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick
+check: build vet gatelint race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,14 @@ store:
 # open with a package comment.
 doclint:
 	$(GO) test -run 'Doclint' ./cmd/... ./internal/doclint
+
+# Gate-selector lint: `go test -run <regex>` exits 0 when the regex matches
+# nothing, so a gate whose tests were renamed or moved would keep passing
+# while checking nothing. For every gate in this file (each -run regex and
+# each -fuzz target), gatelint asks `go test -list` what the regex selects in
+# each of the gate's packages and fails on any pair that selects no test.
+gatelint:
+	GO=$(GO) $(GO) run ./internal/gatelint Makefile
 
 # SQL differential gate under the race detector (DESIGN.md §12): the
 # old-vs-new harness (stored corpus + >=1000 generated queries through both
@@ -121,7 +129,7 @@ ingest:
 route:
 	$(GO) test -race -run 'Route|Decompose|Combine|Catalog|UnitID' \
 		./internal/route ./internal/agent ./internal/schedule ./internal/data \
-		./cedar ./internal/serve ./cmd/cedar-serve ./cmd/cedar ./internal/exp ./internal/ingest
+		./cedar ./internal/serve ./cmd/cedar-serve ./internal/exp ./internal/ingest
 
 # Each fuzz target gets a short exploratory burst on top of its seed corpus
 # (the seeds alone already run as part of `go test`).

@@ -369,40 +369,42 @@ func advertiseURL(addr string) string {
 }
 
 // registerReplica announces self to the coordinator's ring.
-func registerReplica(coordinator, self string) error {
+func registerReplica(ctx context.Context, coordinator, self string) error {
 	body, err := json.Marshal(serve.ReplicaRequest{URL: self})
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(strings.TrimSuffix(coordinator, "/")+"/v1/replicas", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("registering with coordinator: %w", err)
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("coordinator answered %d to replica registration", resp.StatusCode)
-	}
-	return nil
+	return membershipCall(ctx, http.MethodPost, coordinator, "", body, "registration")
 }
 
 // deregisterReplica withdraws self from the coordinator's ring — the first
 // step of a replica's graceful drain, so new requests rehash immediately
 // while admitted work finishes here.
-func deregisterReplica(coordinator, self string) error {
-	req, err := http.NewRequest(http.MethodDelete,
-		strings.TrimSuffix(coordinator, "/")+"/v1/replicas?url="+url.QueryEscape(self), nil)
+func deregisterReplica(ctx context.Context, coordinator, self string) error {
+	return membershipCall(ctx, http.MethodDelete, coordinator, "?url="+url.QueryEscape(self), nil, "deregistration")
+}
+
+// membershipCall sends one /v1/replicas request to the coordinator. ctx must
+// carry a deadline: a coordinator that accepts the connection and never
+// answers would otherwise hold up startup — or, worse, the SIGTERM drain —
+// forever.
+func membershipCall(ctx context.Context, method, coordinator, query string, body []byte, what string) error {
+	req, err := http.NewRequestWithContext(ctx, method,
+		strings.TrimSuffix(coordinator, "/")+"/v1/replicas"+query, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return fmt.Errorf("deregistering from coordinator: %w", err)
+		return fmt.Errorf("replica %s with coordinator: %w", what, err)
 	}
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("coordinator answered %d to replica deregistration", resp.StatusCode)
+		return fmt.Errorf("coordinator answered %d to replica %s", resp.StatusCode, what)
 	}
 	return nil
 }
@@ -428,7 +430,10 @@ func run(o *serveOptions) error {
 	log.Printf("cedar-serve: listening on %s", o.Addr)
 	self := advertiseURL(o.Addr)
 	if o.ReplicaOf != "" {
-		if err := registerReplica(o.ReplicaOf, self); err != nil {
+		rctx, cancel := context.WithTimeout(ctx, o.DrainTimeout)
+		err := registerReplica(rctx, o.ReplicaOf, self)
+		cancel()
+		if err != nil {
 			return err
 		}
 		log.Printf("cedar-serve: registered as %s with coordinator %s", self, o.ReplicaOf)
@@ -443,13 +448,13 @@ func run(o *serveOptions) error {
 	// accepted, then close the listener so in-flight handlers deliver their
 	// responses before the process exits.
 	log.Printf("cedar-serve: draining (admitted requests finish, new ones get 503)")
+	dctx, cancel := context.WithTimeout(context.Background(), o.DrainTimeout)
+	defer cancel()
 	if o.ReplicaOf != "" {
-		if err := deregisterReplica(o.ReplicaOf, self); err != nil {
+		if err := deregisterReplica(dctx, o.ReplicaOf, self); err != nil {
 			log.Printf("cedar-serve: %v (draining anyway)", err)
 		}
 	}
-	dctx, cancel := context.WithTimeout(context.Background(), o.DrainTimeout)
-	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -401,7 +402,7 @@ func TestShardReplicaSelfRegistration(t *testing.T) {
 		_ = srv.Shutdown(ctx)
 		_ = closeSys()
 	})
-	if err := registerReplica(tier.coordTS.URL, ts.URL); err != nil {
+	if err := registerReplica(context.Background(), tier.coordTS.URL, ts.URL); err != nil {
 		t.Fatal(err)
 	}
 	roster := tier.coord.Replicas()
@@ -409,7 +410,7 @@ func TestShardReplicaSelfRegistration(t *testing.T) {
 		t.Fatalf("roster after self-registration = %+v, want 2 replicas", roster)
 	}
 
-	if err := deregisterReplica(tier.coordTS.URL, ts.URL); err != nil {
+	if err := deregisterReplica(context.Background(), tier.coordTS.URL, ts.URL); err != nil {
 		t.Fatal(err)
 	}
 	if roster = tier.coord.Replicas(); len(roster) != 1 {
@@ -426,5 +427,36 @@ func TestShardReplicaSelfRegistration(t *testing.T) {
 		if got := advertiseURL(in); got != want {
 			t.Errorf("advertiseURL(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// A coordinator that accepts the connection and never answers must not hold a
+// replica's startup or — worse — its SIGTERM drain: registration and
+// deregistration give up when their context's deadline (bounded by
+// -drain-timeout in run) passes.
+func TestShardReplicaMembershipCallsHonorDeadline(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release // never answers while the test runs
+	}))
+	defer hung.Close()
+	defer close(release)
+
+	for name, call := range map[string]func(context.Context, string, string) error{
+		"register":   registerReplica,
+		"deregister": deregisterReplica,
+	} {
+		ctx, cancel := contextWithTimeout(100 * time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- call(ctx, hung.URL, "http://127.0.0.1:1") }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s against a hung coordinator returned nil, want a deadline error", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s against a hung coordinator did not return by its deadline", name)
+		}
+		cancel()
 	}
 }

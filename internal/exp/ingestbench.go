@@ -12,6 +12,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/metrics"
 	"repro/internal/sqldb"
+	"repro/internal/textutil"
 )
 
 // IngestBenchRow reports one (format, row budget) ingestion configuration
@@ -134,8 +135,17 @@ func ingestBenchVerify(seed int64, workers int, db *sqldb.Database, ds *ingest.D
 		sentence, value := sc.Sentence, sc.Value
 		correct := true
 		if i%2 == 1 {
-			wrong := value + "7" // still locatable, never equal to the gold value
-			sentence = strings.Replace(sentence, value, wrong, 1)
+			// Still locatable, never equal to the gold value. The digit goes
+			// into the token claim.New will find, not the first substring: an
+			// entity key may contain the value's digits ahead of it.
+			span, ok := textutil.FindValueSpan(sentence, value)
+			if !ok {
+				return nil, fmt.Errorf("ingestbench claim %s: value %q not in %q", sc.ID, value, sentence)
+			}
+			wrong := value + "7"
+			toks := textutil.Tokenize(sentence)
+			toks[span.End] = strings.Replace(toks[span.End], value, wrong, 1)
+			sentence = strings.Join(toks, " ")
 			value = wrong
 			correct = false
 			falsified++

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/claim"
 	"repro/internal/sqldb"
 	"repro/internal/store"
+	"repro/internal/textutil"
 )
 
 const salesCSV = `region,product,units,revenue,discounted,day
@@ -254,6 +256,77 @@ func TestBuildSurfaceClaims(t *testing.T) {
 	}
 	if filters != len(res.Columns) {
 		t.Fatalf("filter templates = %d, want %d", filters, len(res.Columns))
+	}
+}
+
+// A first row whose numeric cell is also a substring of its entity key
+// ("acct-00000" beside units = 0) must not become the lookup entity: the value
+// would occur in the sentence before its own token, and a consumer that
+// substitutes the first occurrence (ingestbench's falsifier, the benchmark's
+// copy of it) would rewrite the entity instead. Benchmark seed 376 hit this.
+func TestBuildSurfaceLookupAvoidsAmbiguousRow(t *testing.T) {
+	const csv = `account,region,units,revenue
+acct-00000,north,0,10.50
+acct-00001,south,12,20.25
+acct-00002,east,7,31.00
+`
+	res := mustIngest(t, csv, Options{Table: "sales"})
+	db := sqldb.NewDatabase("ingested")
+	db.AddTable(res.Table)
+	s, err := BuildSurface(db, "sales")
+	if err != nil {
+		t.Fatalf("BuildSurface: %v", err)
+	}
+	if s.Entity != "account" {
+		t.Fatalf("entity = %q, want account", s.Entity)
+	}
+	lookups := 0
+	for _, c := range s.Claims {
+		if strings.HasPrefix(c.ID, "sales-lookup-") {
+			lookups++
+			if !strings.HasPrefix(c.Sentence, "acct-00001 ") {
+				t.Errorf("claim %s describes %q, want the first unambiguous row acct-00001", c.ID, c.Sentence)
+			}
+		}
+		// The first textual occurrence of the value is its own token.
+		span, ok := textutil.FindValueSpan(c.Sentence, c.Value)
+		if !ok {
+			t.Fatalf("claim %s: value %q not locatable in %q", c.ID, c.Value, c.Sentence)
+		}
+		toks := textutil.Tokenize(c.Sentence)
+		offset := len(strings.Join(toks[:span.Start], " "))
+		if span.Start > 0 {
+			offset++ // the separating space
+		}
+		offset += strings.Index(toks[span.Start], c.Value)
+		if got := strings.Index(c.Sentence, c.Value); got != offset {
+			t.Errorf("claim %s: value %q first occurs at byte %d of %q, its token starts at %d",
+				c.ID, c.Value, got, c.Sentence, offset)
+		}
+		// The first-substring falsification stays locatable, at the same span.
+		wrong := c.Value + "7"
+		cl, err := claim.New(c.ID, strings.Replace(c.Sentence, c.Value, wrong, 1), wrong, c.Context)
+		if err != nil {
+			t.Errorf("claim %s: falsified claim: %v", c.ID, err)
+		} else if cl.Span != span {
+			t.Errorf("claim %s: falsified span = %+v, want %+v", c.ID, cl.Span, span)
+		}
+	}
+	if lookups != 2 {
+		t.Fatalf("lookup claims = %d, want units and revenue", lookups)
+	}
+
+	// When every row is ambiguous the first non-null entity stands.
+	res = mustIngest(t, "account,units\nacct-10,1\nacct-20,2\n", Options{Table: "tiny"})
+	db.AddTable(res.Table)
+	s, err = BuildSurface(db, "tiny")
+	if err != nil {
+		t.Fatalf("BuildSurface(tiny): %v", err)
+	}
+	for _, c := range s.Claims {
+		if c.ID == "tiny-lookup-units" && !strings.HasPrefix(c.Sentence, "acct-10 ") {
+			t.Errorf("fallback lookup describes %q, want the first row", c.Sentence)
+		}
 	}
 }
 

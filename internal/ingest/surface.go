@@ -83,21 +83,8 @@ func BuildSurface(db *sqldb.Database, tableName string) (*Surface, error) {
 		if err != nil || gold.IsNull() {
 			return
 		}
-		var display string
-		if gold.Kind() == sqldb.KindText {
-			display = gold.Text()
-		} else {
-			f, ok := gold.AsFloat()
-			if !ok {
-				return
-			}
-			prec := 0
-			if f != float64(int64(f)) {
-				prec = 2
-			}
-			display = textutil.FormatNumber(textutil.RoundTo(f, prec))
-		}
-		if display == "" || (spec.FilterVal != "" && display == spec.FilterVal) {
+		display, ok := displayValue(gold)
+		if !ok || display == "" || (spec.FilterVal != "" && display == spec.FilterVal) {
 			return
 		}
 		sentence := nl.RenderSentence(spec, lex, nl.RenderOptions{Value: display})
@@ -121,17 +108,9 @@ func BuildSurface(db *sqldb.Database, tableName string) (*Surface, error) {
 		addClaim(&nl.Spec{Kind: nl.KindCountAll, EntityCol: ent, Noun: noun}, "count_all")
 	}
 
-	// The lookup entity: the first row with a non-null entity value.
 	lookupEntity := ""
 	if ent != "" {
-		if idx := t.ColumnIndex(ent); idx >= 0 {
-			for _, row := range t.Rows {
-				if !row[idx].IsNull() && row[idx].Text() != "" {
-					lookupEntity = row[idx].Text()
-					break
-				}
-			}
-		}
+		lookupEntity = pickLookupEntity(t, t.ColumnIndex(ent))
 	}
 
 	for _, c := range t.Columns {
@@ -169,4 +148,62 @@ func BuildSurface(db *sqldb.Database, tableName string) (*Surface, error) {
 		return nil, fmt.Errorf("ingest: table %q yields no verifiable claims (no usable columns)", tableName)
 	}
 	return s, nil
+}
+
+// displayValue renders a gold scalar the way a claim sentence states it: text
+// verbatim, whole numbers without a fraction, anything else to two decimals.
+func displayValue(v sqldb.Value) (string, bool) {
+	if v.Kind() == sqldb.KindText {
+		return v.Text(), true
+	}
+	f, ok := v.AsFloat()
+	if !ok {
+		return "", false
+	}
+	prec := 0
+	if f != float64(int64(f)) {
+		prec = 2
+	}
+	return textutil.FormatNumber(textutil.RoundTo(f, prec)), true
+}
+
+// pickLookupEntity chooses the row the lookup claims describe: the first row
+// with a non-null entity value whose text contains none of that row's numeric
+// cells as displayed. A lookup sentence opens with the entity, so a value that
+// is also a substring of it ("acct-00000 recorded 0 units.") would occur before
+// its own token, and a consumer substituting the first occurrence would
+// rewrite the entity instead. A lookup reads the first row matching the entity
+// text, so a text that was passed over once stays passed over. When every row
+// is ambiguous the first non-null entity stands.
+func pickLookupEntity(t *sqldb.Table, entIdx int) string {
+	if entIdx < 0 {
+		return ""
+	}
+	first := ""
+	ambiguous := map[string]bool{}
+	for _, row := range t.Rows {
+		if row[entIdx].IsNull() || row[entIdx].Text() == "" {
+			continue
+		}
+		entity := row[entIdx].Text()
+		if first == "" {
+			first = entity
+		}
+		if ambiguous[entity] {
+			continue
+		}
+		for ci, c := range t.Columns {
+			if ci == entIdx || (c.Type != sqldb.KindInt && c.Type != sqldb.KindFloat) {
+				continue
+			}
+			if d, ok := displayValue(row[ci]); ok && d != "" && strings.Contains(entity, d) {
+				ambiguous[entity] = true
+				break
+			}
+		}
+		if !ambiguous[entity] {
+			return entity
+		}
+	}
+	return first
 }

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -79,7 +77,6 @@ type CoordinatorConfig struct {
 // attribution only — never responses.
 type Coordinator struct {
 	cfg    CoordinatorConfig
-	client *http.Client
 	ring   *shard.Ring
 	prober *shard.Prober
 	proxy  *shard.Proxy
@@ -93,8 +90,7 @@ type Coordinator struct {
 	ejections    atomic.Int64
 	readmissions atomic.Int64
 
-	mu       sync.RWMutex
-	draining bool
+	draining atomic.Bool
 	// stopProber cancels the sweep loop; proberDone closes when it exits.
 	stopProber context.CancelFunc
 	proberDone chan struct{}
@@ -124,15 +120,27 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		client:     client,
 		ring:       shard.NewRing(0),
 		res:        &metrics.Resilience{},
 		met:        newServeMetrics(),
 		start:      time.Now(),
 		proberDone: make(chan struct{}),
 	}
+	// The proxy is the only holder of the client: every replica exchange —
+	// routed, broadcast, or health probe — goes through it (DESIGN.md §13).
+	c.proxy = &shard.Proxy{
+		Ring:     c.ring,
+		BaseURL:  func(node string) string { return node },
+		Client:   client,
+		Attempts: cfg.Attempts,
+		OnFailure: func(node string) {
+			c.failovers.Add(1)
+			c.prober.ReportFailure(node)
+		},
+		OnSuccess: func(node string) { c.prober.ReportSuccess(node) },
+	}
 	c.prober = &shard.Prober{
-		Probe:        c.probe,
+		Probe:        c.proxy.Probe,
 		Interval:     cfg.ProbeInterval,
 		FailAfter:    cfg.FailAfter,
 		RecoverAfter: cfg.RecoverAfter,
@@ -145,17 +153,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			c.readmissions.Add(1)
 		},
 		Metrics: c.res,
-	}
-	c.proxy = &shard.Proxy{
-		Ring:     c.ring,
-		BaseURL:  func(node string) string { return node },
-		Client:   client,
-		Attempts: cfg.Attempts,
-		OnFailure: func(node string) {
-			c.failovers.Add(1)
-			c.prober.ReportFailure(node)
-		},
-		OnSuccess: c.prober.ReportSuccess,
 	}
 	for _, url := range cfg.Replicas {
 		c.register(url)
@@ -182,35 +179,16 @@ func (c *Coordinator) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/verify/stream", c.handleVerifyStream)
 	mux.HandleFunc("GET /v1/review", c.handleReviewList)
 	mux.HandleFunc("POST /v1/review/{id}", c.handleReviewResolve)
-	c.coordRoutesDatasets(mux)
+	mux.HandleFunc("POST /v1/datasets", c.handleDatasetBroadcastCreate)
+	mux.HandleFunc("GET /v1/datasets", c.handleDatasetRelay)
+	mux.HandleFunc("GET /v1/datasets/{name}", c.handleDatasetRelay)
+	mux.HandleFunc("DELETE /v1/datasets/{name}", c.handleDatasetBroadcastDelete)
 	mux.HandleFunc("GET /v1/status", c.handleStatus)
 	mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("POST /v1/replicas", c.handleReplicaJoin)
 	mux.HandleFunc("DELETE /v1/replicas", c.handleReplicaLeave)
 	return mux
-}
-
-// probe checks one replica's /healthz. A draining replica answers 503, so a
-// replica beginning graceful shutdown is ejected within FailAfter sweeps and
-// its keyspace rehashes while its in-flight work completes where it is.
-func (c *Coordinator) probe(ctx context.Context, node string) error {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: status %d", resp.StatusCode)
-	}
-	return nil
 }
 
 // register admits one replica (idempotent).
@@ -240,19 +218,13 @@ func (c *Coordinator) Replicas() []ReplicaStatus {
 }
 
 // Draining reports whether the coordinator has stopped admitting work.
-func (c *Coordinator) Draining() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.draining
-}
+func (c *Coordinator) Draining() bool { return c.draining.Load() }
 
 // Shutdown stops admitting requests (503 draining, like Server) and stops
 // the probe loop. The replicas drain themselves; the coordinator holds no
 // queued work of its own. Safe to call more than once.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
+	c.draining.Store(true)
 	c.stopProber()
 	select {
 	case <-c.proberDone:
@@ -260,31 +232,6 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// requestContext applies the configured per-request deadline.
-func (c *Coordinator) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if c.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
-	}
-	return context.WithCancel(r.Context())
-}
-
-// decodeBody strictly decodes a JSON request body into dst, preserving the
-// raw bytes so a valid body can be relayed verbatim.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(dst)
-	}
-	if err != nil {
-		c.met.inc(&c.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("decoding request body: %v", err), 0)
-		return nil, false
-	}
-	return body, true
 }
 
 // rejectDraining answers a request arriving after Shutdown.
@@ -306,8 +253,10 @@ func (c *Coordinator) routeKey(docID string, claims []ClaimInput) ([]byte, strin
 	return c.cfg.RouteKey(docID, claims), docID
 }
 
-// traceRoute records the routing spans of one proxied exchange.
-func (c *Coordinator) traceRoute(docID string, res shard.Result) {
+// bookRoute counts one exchange a replica answered and records its routing
+// spans.
+func (c *Coordinator) bookRoute(docID string, res shard.Result) {
+	c.routed.Add(1)
 	t := c.cfg.Tracer
 	if !t.Enabled() {
 		return
@@ -366,8 +315,10 @@ func (c *Coordinator) renderProxyError(w http.ResponseWriter, err error) {
 	writeError(w, status, det.Code, det.Message, 0)
 }
 
-// relay writes a replica's response verbatim.
-func relay(w http.ResponseWriter, res shard.Result) {
+// relay books a replica's response in the coordinator's counters and writes
+// it verbatim: status and bytes, no re-marshal.
+func (c *Coordinator) relay(w http.ResponseWriter, res shard.Result) {
+	c.countRelay(res.Status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.Status)
 	_, _ = w.Write(res.Body)
@@ -381,13 +332,16 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req VerifyRequest
-	body, ok := c.decodeBody(w, r, &req)
+	body, ok := decodeBody(c.met, w, r, &req)
 	if !ok {
 		return
 	}
-	ctx, cancel := c.requestContext(r)
+	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
 	defer cancel()
-	if c.cfg.Route != nil && c.tryRoutedVerify(ctx, w, started, req) {
+	if c.cfg.Route != nil && c.tryRouted(ctx, w, started, []DocumentInput{{DocID: req.DocID, Claims: req.Claims}},
+		func(docs []DocumentResult, stats BatchStats) any {
+			return VerifyResponse{DocID: docs[0].DocID, Claims: docs[0].Claims, Batch: stats}
+		}) {
 		return
 	}
 	key, docID := c.routeKey(req.DocID, req.Claims)
@@ -396,137 +350,180 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 		c.renderProxyError(w, err)
 		return
 	}
-	c.routed.Add(1)
-	c.traceRoute(docID, res)
-	c.countRelay(res.Status)
+	c.bookRoute(docID, res)
 	if res.Status == http.StatusOK {
 		c.met.recordRequest(time.Since(started))
 	}
-	relay(w, res)
+	c.relay(w, res)
 }
 
-// handleVerifyBatch proxies POST /v1/verify/batch: documents are grouped by
-// owning replica, the sub-batches fan out concurrently, and the responses
-// merge back in the caller's document order with summed batch stats. Every
-// document still rides a replica micro-batch, so fee attribution follows the
-// replica that did the work.
+// handleVerifyBatch answers POST /v1/verify/batch through the scatter:
+// documents fan out by owning replica and merge back in the caller's order
+// with summed batch stats. Every document still rides a replica micro-batch,
+// so fee attribution follows the replica that did the work.
 func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) {
 		return
 	}
 	var req BatchRequest
-	if _, ok := c.decodeBody(w, r, &req); !ok {
+	if _, ok := decodeBody(c.met, w, r, &req); !ok {
 		return
 	}
 	if len(req.Documents) == 0 {
-		c.met.inc(&c.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "batch request has no documents", 0)
+		badRequest(c.met, w, "batch request has no documents")
 		return
 	}
-	ctx, cancel := c.requestContext(r)
+	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
 	defer cancel()
-	if c.cfg.Route != nil && c.tryRoutedVerifyBatch(ctx, w, started, req) {
+	render := func(docs []DocumentResult, stats BatchStats) any {
+		return BatchResponse{Documents: docs, Batch: stats}
+	}
+	if c.cfg.Route != nil && c.tryRouted(ctx, w, started, req.Documents, render) {
 		return
 	}
+	docs, stats, relayRes, err := c.scatterDocs(ctx, req.Documents)
+	if c.scatterFailed(w, relayRes, err) {
+		return
+	}
+	c.met.recordRequest(time.Since(started))
+	writeJSON(w, http.StatusOK, render(docs, stats))
+}
 
+// scatterDocs is the coordinator's one scatter/gather: it partitions the
+// documents by owning replica, sends each replica its sub-batch concurrently
+// through the failover proxy, and merges the verdicts back in the caller's
+// document order with the sub-batch stats summed. Any failed sub-batch fails
+// the whole scatter, and the failure covering the earliest document is the
+// one reported, so the error is stable under re-grouping: a transport failure
+// or a reply with fewer documents or claims than were sent comes back as the
+// error; a replica's own non-OK answer comes back as the shard.Result to
+// relay. Every exchange a replica answered, in a failed scatter too, counts
+// in `routed` and leaves its routing span.
+func (c *Coordinator) scatterDocs(ctx context.Context, docs []DocumentInput) ([]DocumentResult, BatchStats, *shard.Result, error) {
 	// Partition by owner. Assignment is read once per document; a membership
 	// change mid-request is handled by the proxy's failover, not re-grouped.
 	type group struct {
-		idxs  []int
-		docs  []DocumentInput
+		idxs  []int // positions in docs; idxs[0] is the group's earliest
+		sub   BatchRequest
 		key   []byte
 		docID string
+		res   shard.Result
+		err   error
+		reply BatchResponse
 	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 4) // deterministic fan-out order for tests
-	for i, in := range req.Documents {
+	byOwner := make(map[string]*group)
+	var groups []*group // first-seen owner order: deterministic fan-out and sums
+	for i, in := range docs {
 		key, docID := c.routeKey(in.DocID, in.Claims)
 		owner, ok := c.ring.Assign(key)
 		if !ok {
-			c.renderProxyError(w, shard.ErrNoReplicas)
-			return
+			return nil, BatchStats{}, nil, shard.ErrNoReplicas
 		}
-		g := groups[owner]
+		g := byOwner[owner]
 		if g == nil {
 			g = &group{key: key, docID: docID}
-			groups[owner] = g
-			order = append(order, owner)
+			byOwner[owner] = g
+			groups = append(groups, g)
 		}
 		g.idxs = append(g.idxs, i)
-		g.docs = append(g.docs, in)
+		g.sub.Documents = append(g.sub.Documents, in)
 	}
 
-	type outcome struct {
-		firstIdx int
-		res      shard.Result
-		err      error
-		parsed   BatchResponse
-	}
-	outcomes := make([]outcome, len(order))
 	var wg sync.WaitGroup
-	for gi, owner := range order {
-		g := groups[owner]
+	for _, g := range groups {
 		wg.Add(1)
-		go func(gi int, g *group) {
+		go func(g *group) {
 			defer wg.Done()
-			out := outcome{firstIdx: g.idxs[0]}
-			body, err := json.Marshal(BatchRequest{Documents: g.docs})
+			body, err := json.Marshal(g.sub)
 			if err == nil {
-				out.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
+				g.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
 			}
-			if err == nil && out.res.Status == http.StatusOK {
-				err = json.Unmarshal(out.res.Body, &out.parsed)
+			if err == nil && g.res.Status == http.StatusOK {
+				if err = json.Unmarshal(g.res.Body, &g.reply); err == nil {
+					err = checkReply(g.res.Node, g.sub.Documents, g.reply.Documents)
+				}
 			}
-			out.err = err
-			outcomes[gi] = out
-		}(gi, g)
+			g.err = err
+		}(g)
 	}
 	wg.Wait()
 
-	// Any sub-batch failure fails the request; report the failure covering
-	// the earliest document so the error is stable under re-grouping.
-	failed := -1
-	for gi := range outcomes {
-		o := &outcomes[gi]
-		if o.err == nil && o.res.Status == http.StatusOK {
-			continue
+	var failed *group
+	for _, g := range groups {
+		if g.res.Node != "" { // a replica answered, whatever it said
+			c.bookRoute(g.docID, g.res)
 		}
-		if failed < 0 || o.firstIdx < outcomes[failed].firstIdx {
-			failed = gi
+		if (g.err != nil || g.res.Status != http.StatusOK) && (failed == nil || g.idxs[0] < failed.idxs[0]) {
+			failed = g
 		}
 	}
-	if failed >= 0 {
-		o := outcomes[failed]
-		if o.err != nil {
-			c.renderProxyError(w, o.err)
-			return
-		}
-		c.routed.Add(1)
-		c.traceRoute(groups[order[failed]].docID, o.res)
-		c.countRelay(o.res.Status)
-		relay(w, o.res)
-		return
+	switch {
+	case failed == nil:
+	case failed.err != nil:
+		return nil, BatchStats{}, nil, failed.err
+	default:
+		return nil, BatchStats{}, &failed.res, nil
 	}
 
-	merged := BatchResponse{Documents: make([]DocumentResult, len(req.Documents))}
-	for gi, owner := range order {
-		o := outcomes[gi]
-		g := groups[owner]
-		c.routed.Add(1)
-		c.traceRoute(g.docID, o.res)
+	merged := make([]DocumentResult, len(docs))
+	var stats BatchStats
+	for _, g := range groups {
 		for j, idx := range g.idxs {
-			if j < len(o.parsed.Documents) {
-				merged.Documents[idx] = o.parsed.Documents[j]
-			}
+			merged[idx] = g.reply.Documents[j]
 		}
-		merged.Batch.Docs += o.parsed.Batch.Docs
-		merged.Batch.Claims += o.parsed.Batch.Claims
-		merged.Batch.Dollars += o.parsed.Batch.Dollars
-		merged.Batch.Calls += o.parsed.Batch.Calls
+		stats.Docs += g.reply.Batch.Docs
+		stats.Claims += g.reply.Batch.Claims
+		stats.Dollars += g.reply.Batch.Dollars
+		stats.Calls += g.reply.Batch.Calls
 	}
-	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, merged)
+	return merged, stats, nil, nil
+}
+
+// checkReply rejects a sub-batch reply that is shorter than what was sent. A
+// replica answers every document and every claim it admits, so a short reply
+// is a broken replica, and merging it would hand the caller blank verdicts.
+func checkReply(node string, sent []DocumentInput, got []DocumentResult) error {
+	if len(got) != len(sent) {
+		return fmt.Errorf("replica %s returned %d documents for %d", node, len(got), len(sent))
+	}
+	for i, in := range sent {
+		if len(got[i].Claims) != len(in.Claims) {
+			return fmt.Errorf("replica %s returned %d claims for %d in document %q",
+				node, len(got[i].Claims), len(in.Claims), got[i].DocID)
+		}
+	}
+	return nil
+}
+
+// scatterFailed renders a failed scatter — the proxy error, or the replica's
+// own non-OK answer relayed — and reports whether it wrote a response.
+func (c *Coordinator) scatterFailed(w http.ResponseWriter, relayRes *shard.Result, err error) bool {
+	switch {
+	case err != nil:
+		c.renderProxyError(w, err)
+	case relayRes != nil:
+		c.relay(w, *relayRes)
+	default:
+		return false
+	}
+	return true
+}
+
+// broadcast repeats the request — its method and content type, the given URI
+// (the replicas serve the dataset and review routes under the coordinator's
+// own paths) and body — on every live replica under the request deadline,
+// folding the outcomes through visit (see shard.Proxy.Each). It is the shared
+// prologue of those routes. It answers 503 itself on an empty ring and
+// reports whether the fold ran.
+func (c *Coordinator) broadcast(w http.ResponseWriter, r *http.Request, uri string, body []byte, visit func(shard.Result, error) bool) bool {
+	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
+	defer cancel()
+	if err := c.proxy.Each(ctx, r.Method, uri, r.Header.Get("Content-Type"), body, visit); err != nil {
+		c.renderProxyError(w, err)
+		return false
+	}
+	return true
 }
 
 // handleStatus answers GET /v1/status with the coordinator role and the
@@ -556,16 +553,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BreakerSheds:  rs.BreakerSheds,
 		BreakerProbes: rs.BreakerProbes,
 	}
-	replicas := c.Replicas()
-	healthy := 0
-	for _, rep := range replicas {
-		if rep.Healthy {
-			healthy++
-		}
-	}
 	body.Shard = &ShardCounters{
-		Replicas:     len(replicas),
-		Healthy:      healthy,
+		Replicas:     len(c.prober.Tracked()),
+		Healthy:      len(c.prober.Healthy()),
 		Routed:       c.routed.Load(),
 		Failovers:    c.failovers.Load(),
 		Ejections:    c.ejections.Load(),
@@ -589,12 +579,11 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReplicaJoin admits a replica announced via POST /v1/replicas.
 func (c *Coordinator) handleReplicaJoin(w http.ResponseWriter, r *http.Request) {
 	var req ReplicaRequest
-	if _, ok := c.decodeBody(w, r, &req); !ok {
+	if _, ok := decodeBody(c.met, w, r, &req); !ok {
 		return
 	}
 	if req.URL == "" {
-		c.met.inc(&c.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "replica url is required", 0)
+		badRequest(c.met, w, "replica url is required")
 		return
 	}
 	c.register(req.URL)
@@ -607,8 +596,7 @@ func (c *Coordinator) handleReplicaJoin(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) handleReplicaLeave(w http.ResponseWriter, r *http.Request) {
 	url := r.URL.Query().Get("url")
 	if url == "" {
-		c.met.inc(&c.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "replica url query parameter is required", 0)
+		badRequest(c.met, w, "replica url query parameter is required")
 		return
 	}
 	c.deregister(url)

@@ -1,72 +1,51 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
+
+	"repro/internal/shard"
 )
 
 // coordinator_datasets.go fans the /v1/datasets routes out across the
 // replica tier. Unlike verification requests — routed to one owner by shard
 // key — a dataset mutation must reach every replica: ring routing is only
 // deterministic when all replicas hold the same catalog, so a claim over an
-// ingested table verifies identically wherever its key lands. POST relays
-// the raw body to every healthy replica and fails if any replica fails
-// (ingestion is deterministic, so replicas that did succeed hold the same
-// catalog a retry will re-apply idempotently); reads answer from the first
-// healthy replica; DELETE broadcasts and succeeds if any replica knew the
-// dataset.
+// ingested table verifies identically wherever its key lands. Each route is
+// a fold over the one broadcast (Coordinator.broadcast): POST relays the raw
+// body to every live replica and fails if any replica fails (ingestion is
+// deterministic, so replicas that did succeed hold the same catalog a retry
+// will re-apply idempotently); reads answer from the first replica that
+// answers; DELETE succeeds if any replica knew the dataset.
 
-// coordRoutesDatasets registers the dataset routes on the coordinator mux.
-func (c *Coordinator) coordRoutesDatasets(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/datasets", c.handleDatasetBroadcastCreate)
-	mux.HandleFunc("GET /v1/datasets", c.handleDatasetRelayList)
-	mux.HandleFunc("GET /v1/datasets/{name}", c.handleDatasetRelayGet)
-	mux.HandleFunc("DELETE /v1/datasets/{name}", c.handleDatasetBroadcastDelete)
-}
-
-// forward sends one request with an arbitrary method/content type to a
-// replica, returning status and body.
-func (c *Coordinator) forward(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// mutate broadcasts a catalog mutation. It must reach every live replica, so
+// it stops at the first one it cannot reach and answers 502 naming it — hint
+// tells the caller how to converge the replicas already written. each sees
+// every replica's answer and returns false to stop early. mutate reports
+// whether the answer is still the caller's to write.
+func (c *Coordinator) mutate(w http.ResponseWriter, r *http.Request, uri string, body []byte, hint string, each func(shard.Result) bool) bool {
+	var failed error
+	if !c.broadcast(w, r, uri, body, func(res shard.Result, err error) bool {
+		failed = err
+		return err == nil && each(res)
+	}) {
+		return false
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return 0, nil, err
+	if failed != nil {
+		c.met.inc(&c.met.internalErrors)
+		writeError(w, http.StatusBadGateway, CodeInternal, fmt.Sprintf("%v (%s)", failed, hint), 0)
+		return false
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxDatasetBody))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
-}
-
-// relayRaw writes a replica's (status, body) response verbatim.
-func relayRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	return true
 }
 
 // handleDatasetBroadcastCreate answers POST /v1/datasets by replaying the
-// request body on every healthy replica. All replicas must succeed: a
-// partial catalog would break routing determinism, so any failure fails the
-// request (naming the replica), and the caller re-POSTs — ingestion is
-// deterministic, so replicas that already applied it converge idempotently.
+// request body on every live replica. All replicas must succeed: a partial
+// catalog would break routing determinism, so any failure fails the request
+// (naming the replica), and the caller re-POSTs — ingestion is deterministic,
+// so replicas that already applied it converge idempotently.
 func (c *Coordinator) handleDatasetBroadcastCreate(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) {
@@ -74,109 +53,75 @@ func (c *Coordinator) handleDatasetBroadcastCreate(w http.ResponseWriter, r *htt
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxDatasetBody))
 	if err != nil {
-		c.met.inc(&c.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("reading request body: %v", err), 0)
+		badRequest(c.met, w, fmt.Sprintf("reading request body: %v", err))
 		return
 	}
-	replicas := c.healthyReplicas()
-	if len(replicas) == 0 {
-		c.met.inc(&c.met.rejectedDraining)
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "no live replicas", 0)
+	var first, rejected *shard.Result
+	if !c.mutate(w, r, r.URL.RequestURI(), body, "catalog may be partially applied; re-POST to converge",
+		func(res shard.Result) bool {
+			if res.Status != http.StatusOK {
+				// The replica rejected the ingestion (bad data, name collision).
+				// Replicas are deterministic, so the first rejection speaks for
+				// the tier; relay its error envelope.
+				rejected = &res
+			} else if first == nil {
+				first = &res
+			}
+			return rejected == nil
+		}) {
 		return
 	}
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
-	path := "/v1/datasets"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	contentType := r.Header.Get("Content-Type")
-	var first []byte
-	for _, node := range replicas {
-		status, respBody, err := c.forward(ctx, http.MethodPost, node+path, contentType, body)
-		if err != nil {
-			c.met.inc(&c.met.internalErrors)
-			writeError(w, http.StatusBadGateway, CodeInternal,
-				fmt.Sprintf("replica %s: %v (catalog may be partially applied; re-POST to converge)", node, err), 0)
-			return
-		}
-		if status != http.StatusOK {
-			// The replica rejected the ingestion (bad data, name collision).
-			// Replicas are deterministic, so the first rejection speaks for
-			// the tier; relay its error envelope.
-			c.countRelay(status)
-			relayRaw(w, status, respBody)
-			return
-		}
-		if first == nil {
-			first = respBody
-		}
+	if rejected != nil {
+		c.relay(w, *rejected)
+		return
 	}
 	c.met.recordRequest(time.Since(started))
-	relayRaw(w, http.StatusOK, first)
+	c.relay(w, *first)
 }
 
-// handleDatasetRelayList answers GET /v1/datasets from the first healthy
-// replica — every replica holds the same registry when mutations flow
-// through this coordinator.
-func (c *Coordinator) handleDatasetRelayList(w http.ResponseWriter, r *http.Request) {
-	c.relayDatasetGet(w, r, "/v1/datasets")
-}
-
-// handleDatasetRelayGet answers GET /v1/datasets/{name} likewise.
-func (c *Coordinator) handleDatasetRelayGet(w http.ResponseWriter, r *http.Request) {
-	c.relayDatasetGet(w, r, "/v1/datasets/"+url.PathEscape(r.PathValue("name")))
-}
-
-func (c *Coordinator) relayDatasetGet(w http.ResponseWriter, r *http.Request, path string) {
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
-	for _, node := range c.healthyReplicas() {
-		status, body, err := c.forward(ctx, http.MethodGet, node+path, "", nil)
-		if err != nil {
-			continue
+// handleDatasetRelay answers GET /v1/datasets and GET /v1/datasets/{name}
+// from the first live replica that answers — every replica holds the same
+// registry when mutations flow through this coordinator.
+func (c *Coordinator) handleDatasetRelay(w http.ResponseWriter, r *http.Request) {
+	var answer *shard.Result
+	if !c.broadcast(w, r, r.URL.EscapedPath(), nil, func(res shard.Result, err error) bool {
+		if err == nil {
+			answer = &res
 		}
-		c.countRelay(status)
-		relayRaw(w, status, body)
+		return answer == nil // an unreachable replica is skipped
+	}) {
 		return
 	}
-	c.met.inc(&c.met.rejectedDraining)
-	writeError(w, http.StatusServiceUnavailable, CodeDraining, "no live replicas", 0)
+	if answer == nil {
+		c.renderProxyError(w, shard.ErrNoReplicas)
+		return
+	}
+	c.relay(w, *answer)
 }
 
 // handleDatasetBroadcastDelete answers DELETE /v1/datasets/{name} on every
-// healthy replica. Idempotent by construction: the request succeeds if any
+// live replica. Idempotent by construction: the request succeeds if any
 // replica knew the dataset (404s elsewhere mean an earlier partial delete
 // already removed it there), and 404s only if every replica answered 404.
 func (c *Coordinator) handleDatasetBroadcastDelete(w http.ResponseWriter, r *http.Request) {
+	started := time.Now()
 	if c.rejectDraining(w) {
 		return
 	}
-	replicas := c.healthyReplicas()
-	if len(replicas) == 0 {
-		c.met.inc(&c.met.rejectedDraining)
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "no live replicas", 0)
+	var deleted *shard.Result
+	if !c.mutate(w, r, r.URL.EscapedPath(), nil, "delete may be partially applied; re-DELETE to converge",
+		func(res shard.Result) bool {
+			if res.Status == http.StatusOK && deleted == nil {
+				deleted = &res
+			}
+			return true
+		}) {
 		return
-	}
-	ctx, cancel := c.requestContext(r)
-	defer cancel()
-	path := "/v1/datasets/" + url.PathEscape(r.PathValue("name"))
-	var deleted []byte
-	for _, node := range replicas {
-		status, body, err := c.forward(ctx, http.MethodDelete, node+path, "", nil)
-		if err != nil {
-			c.met.inc(&c.met.internalErrors)
-			writeError(w, http.StatusBadGateway, CodeInternal,
-				fmt.Sprintf("replica %s: %v (delete may be partially applied; re-DELETE to converge)", node, err), 0)
-			return
-		}
-		if status == http.StatusOK && deleted == nil {
-			deleted = body
-		}
 	}
 	if deleted == nil {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no dataset with that name", 0)
 		return
 	}
-	relayRaw(w, http.StatusOK, deleted)
+	c.met.recordRequest(time.Since(started))
+	c.relay(w, *deleted)
 }

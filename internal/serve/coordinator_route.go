@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/claim"
@@ -42,22 +39,10 @@ func (c *Coordinator) planRouted(inputs []DocumentInput) (*route.Plan, []*claim.
 	}
 	docs := make([]*claim.Document, 0, len(inputs))
 	for _, in := range inputs {
-		docID := in.DocID
-		if docID == "" {
-			docID = c.cfg.DocID
-		}
-		doc := &claim.Document{ID: docID, Domain: "serve"}
-		for i, ci := range in.Claims {
-			id := ci.ID
-			if id == "" {
-				id = fmt.Sprintf("c%d", i+1)
-			}
-			cl, err := claim.New(id, ci.Sentence, ci.Value, ci.Context)
-			if err != nil {
-				// Let the replica produce the canonical validation error.
-				return nil, nil
-			}
-			doc.Claims = append(doc.Claims, cl)
+		doc, err := buildDocument(in, c.cfg.DocID, nil)
+		if err != nil {
+			// Let the replica produce the canonical validation error.
+			return nil, nil
 		}
 		docs = append(docs, doc)
 	}
@@ -99,95 +84,23 @@ func wireResult(cr ClaimResult) claim.Result {
 	}
 }
 
-// verifyExpanded fans the plan's expanded documents out across the ring —
-// each document routed by its own (routed) fingerprint, grouped per owning
-// replica into one sub-batch each — writes the replica verdicts back into
-// the expanded documents, and returns the summed batch stats. A nil error
-// with a non-nil shard.Result means a replica answered non-OK and its
-// response should be relayed.
+// verifyExpanded sends the plan's expanded documents through the scatter —
+// each routed by its own (routed) fingerprint — writes the replica verdicts
+// back into the expanded documents, recombines them into the caller's, and
+// returns the batch stats. Failures come back as scatterDocs reports them.
 func (c *Coordinator) verifyExpanded(ctx context.Context, plan *route.Plan) (BatchStats, *shard.Result, error) {
-	type group struct {
-		idxs []int // indices into plan.Expanded
-		key  []byte
-	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 4) // deterministic fan-out order
 	wire := make([]DocumentInput, len(plan.Expanded))
 	for i, d := range plan.Expanded {
 		wire[i] = wireDocument(d)
-		key, _ := c.routeKey(d.ID, wire[i].Claims)
-		owner, ok := c.ring.Assign(key)
-		if !ok {
-			return BatchStats{}, nil, shard.ErrNoReplicas
-		}
-		g := groups[owner]
-		if g == nil {
-			g = &group{key: key}
-			groups[owner] = g
-			order = append(order, owner)
-		}
-		g.idxs = append(g.idxs, i)
 	}
-
-	type outcome struct {
-		res    shard.Result
-		err    error
-		parsed BatchResponse
+	results, stats, relayRes, err := c.scatterDocs(ctx, wire)
+	if err != nil || relayRes != nil {
+		return BatchStats{}, relayRes, err
 	}
-	outcomes := make([]outcome, len(order))
-	var wg sync.WaitGroup
-	for gi, owner := range order {
-		g := groups[owner]
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			out := outcome{}
-			docs := make([]DocumentInput, len(g.idxs))
-			for j, idx := range g.idxs {
-				docs[j] = wire[idx]
-			}
-			body, err := json.Marshal(BatchRequest{Documents: docs})
-			if err == nil {
-				out.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
-			}
-			if err == nil && out.res.Status == http.StatusOK {
-				err = json.Unmarshal(out.res.Body, &out.parsed)
-			}
-			out.err = err
-			outcomes[gi] = out
-		}(gi, g)
-	}
-	wg.Wait()
-
-	var stats BatchStats
-	for gi, owner := range order {
-		o := outcomes[gi]
-		if o.err != nil {
-			return BatchStats{}, nil, o.err
+	for i, d := range plan.Expanded {
+		for k, cl := range d.Claims {
+			cl.Result = wireResult(results[i].Claims[k])
 		}
-		if o.res.Status != http.StatusOK {
-			res := o.res
-			return BatchStats{}, &res, nil
-		}
-		g := groups[owner]
-		c.routed.Add(1)
-		c.traceRoute(plan.Expanded[g.idxs[0]].ID, o.res)
-		for j, idx := range g.idxs {
-			if j >= len(o.parsed.Documents) {
-				return BatchStats{}, nil, fmt.Errorf("replica %s returned %d documents for %d", o.res.Node, len(o.parsed.Documents), len(g.idxs))
-			}
-			dst := plan.Expanded[idx]
-			src := o.parsed.Documents[j].Claims
-			for k, cl := range dst.Claims {
-				if k < len(src) {
-					cl.Result = wireResult(src[k])
-				}
-			}
-		}
-		stats.Docs += o.parsed.Batch.Docs
-		stats.Claims += o.parsed.Batch.Claims
-		stats.Dollars += o.parsed.Batch.Dollars
-		stats.Calls += o.parsed.Batch.Calls
 	}
 	// The coordinator made the routing decisions, so it books their fees —
 	// exactly what the library path adds to Report.Dollars.
@@ -204,55 +117,26 @@ func (c *Coordinator) verifyExpanded(ctx context.Context, plan *route.Plan) (Bat
 	return stats, nil, nil
 }
 
-// tryRoutedVerify handles POST /v1/verify when routing applies to the
-// request's claims. It reports whether it wrote a response; false means the
-// request has no routable compound claims and the ordinary relay path should
-// run.
-func (c *Coordinator) tryRoutedVerify(ctx context.Context, w http.ResponseWriter, started time.Time, req VerifyRequest) bool {
-	plan, docs := c.planRouted([]DocumentInput{{DocID: req.DocID, Claims: req.Claims}})
+// tryRouted answers a verification request whose claims routing applies to:
+// the caller's documents come back in caller order, compound-claim verdicts
+// recombined from their routed sub-claims, in the envelope render builds
+// (VerifyResponse or BatchResponse). It reports whether it wrote a response;
+// false means the request has no routable compound claims and the ordinary
+// relay path should run.
+func (c *Coordinator) tryRouted(ctx context.Context, w http.ResponseWriter, started time.Time, inputs []DocumentInput, render func([]DocumentResult, BatchStats) any) bool {
+	plan, docs := c.planRouted(inputs)
 	if plan == nil {
 		return false
 	}
 	stats, relayRes, err := c.verifyExpanded(ctx, plan)
-	if err != nil {
-		c.renderProxyError(w, err)
+	if c.scatterFailed(w, relayRes, err) {
 		return true
 	}
-	if relayRes != nil {
-		c.countRelay(relayRes.Status)
-		relay(w, *relayRes)
-		return true
-	}
-	doc := docs[0]
-	dr := documentResult(doc)
-	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, VerifyResponse{DocID: doc.ID, Claims: dr.Claims, Batch: stats})
-	return true
-}
-
-// tryRoutedVerifyBatch is tryRoutedVerify for POST /v1/verify/batch: the
-// merged response carries the caller's documents in caller order, with
-// compound-claim verdicts recombined from their routed sub-claims.
-func (c *Coordinator) tryRoutedVerifyBatch(ctx context.Context, w http.ResponseWriter, started time.Time, req BatchRequest) bool {
-	plan, docs := c.planRouted(req.Documents)
-	if plan == nil {
-		return false
-	}
-	stats, relayRes, err := c.verifyExpanded(ctx, plan)
-	if err != nil {
-		c.renderProxyError(w, err)
-		return true
-	}
-	if relayRes != nil {
-		c.countRelay(relayRes.Status)
-		relay(w, *relayRes)
-		return true
-	}
-	merged := BatchResponse{Documents: make([]DocumentResult, len(docs)), Batch: stats}
+	results := make([]DocumentResult, len(docs))
 	for i, d := range docs {
-		merged.Documents[i] = documentResult(d)
+		results[i] = documentResult(d)
 	}
 	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, merged)
+	writeJSON(w, http.StatusOK, render(results, stats))
 	return true
 }

@@ -1,18 +1,16 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/review"
+	"repro/internal/shard"
 )
 
 // The coordinator's streaming surface mirrors the replica's: NDJSON
@@ -20,10 +18,11 @@ import (
 // one-document stream — to the replica owning its shard key, up to
 // StreamWindow documents concurrently; events relay back in arrival order
 // with review IDs preserved (they are content fingerprints, identical on
-// every replica). The review surface fans out: GET /v1/review merges every
-// healthy replica's queue into one deterministically ranked list, and
-// POST /v1/review/{id} broadcasts the resolution so a claim rehashed across
-// replicas resolves everywhere it was enqueued.
+// every replica). The review surface is two folds over the one broadcast
+// (Coordinator.broadcast): GET /v1/review merges every live replica's queue
+// into one deterministically ranked list, and POST /v1/review/{id} sends the
+// resolution everywhere so a claim rehashed across replicas resolves wherever
+// it was enqueued.
 
 // streamRelay is the outcome of proxying one streamed document.
 type streamRelay struct {
@@ -43,7 +42,7 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	if c.rejectDraining(w) {
 		return
 	}
-	ctx, cancel := c.requestContext(r)
+	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
 	defer cancel()
 	c.met.inc(&c.met.streams)
 
@@ -51,50 +50,30 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	readerErr := make(chan ErrorDetail, 1)
 	go func() {
 		defer close(results)
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		for index := 0; ; index++ {
-			var in DocumentInput
-			if err := dec.Decode(&in); err != nil {
-				if err == io.EOF {
-					return
-				}
-				c.met.inc(&c.met.badRequests)
-				readerErr <- ErrorDetail{Code: CodeBadRequest,
-					Message: fmt.Sprintf("decoding stream document %d: %v", index, err)}
-				return
-			}
+		readStream(c.met, r, readerErr, func(_ int, in DocumentInput) bool {
 			ch := make(chan streamRelay, 1)
 			select {
 			case results <- ch:
 			case <-ctx.Done():
-				return
+				return false
 			}
-			go func(in DocumentInput) { ch <- c.relayStreamDoc(ctx, in) }(in)
-		}
+			go func() { ch <- c.relayStreamDoc(ctx, in) }()
+			return true
+		})
 	}()
 
-	// Full duplex keeps the request body readable after the first write —
-	// without it, an HTTP/1.x server discards unread input once the response
-	// starts, truncating the stream.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(ev StreamEvent) {
-		_ = enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	emit := streamEmitter(w)
 
 	var sum StreamSummary
 	// Relay summaries report whole-batch totals. Two of this stream's
 	// documents coalesced into one micro-batch on their shared replica would
 	// double-count, so fees sum once per distinct (replica, batch ordinal) —
 	// the ordinals ride back on the relay summary's Batches field.
-	seenBatch := make(map[string]bool)
+	type batchKey struct {
+		node  string
+		batch int64
+	}
+	seenBatch := make(map[batchKey]bool)
 	index := 0
 	for ch := range results {
 		rel := <-ch
@@ -112,10 +91,8 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 		sum.Reviewed += rel.sum.Reviewed
 		fresh := true
 		for _, b := range rel.sum.Batches {
-			key := rel.node + "#" + strconv.FormatInt(b, 10)
-			if seenBatch[key] {
-				fresh = false
-			}
+			key := batchKey{rel.node, b}
+			fresh = fresh && !seenBatch[key]
 			seenBatch[key] = true
 		}
 		if fresh {
@@ -125,15 +102,7 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 		c.met.addStreamDoc()
 		index++
 	}
-	select {
-	case ed := <-readerErr:
-		emit(StreamEvent{Event: "error", Index: index, Error: &ed})
-	default:
-	}
-	if ctx.Err() == nil {
-		c.met.recordRequest(time.Since(started))
-	}
-	emit(StreamEvent{Event: "summary", Index: sum.Docs, Summary: &sum})
+	closeStream(ctx, c.met, started, emit, readerErr, index, &sum)
 }
 
 // relayStreamDoc proxies one streamed document to the replica owning its
@@ -144,45 +113,36 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 func (c *Coordinator) relayStreamDoc(ctx context.Context, in DocumentInput) streamRelay {
 	key, docID := c.routeKey(in.DocID, in.Claims)
 	rel := streamRelay{docID: docID}
-	body, err := json.Marshal(in)
-	if err != nil {
-		c.met.inc(&c.met.internalErrors)
-		rel.errDet = &ErrorDetail{Code: CodeInternal, Message: err.Error()}
-		return rel
-	}
-	body = append(body, '\n')
-	res, err := c.proxy.Do(ctx, key, "/v1/verify/stream", body)
-	if err != nil {
-		_, det := c.proxyErrorDetail(err)
+	fail := func(det ErrorDetail) streamRelay {
 		rel.errDet = &det
 		return rel
 	}
+	body, err := json.Marshal(in)
+	if err != nil {
+		c.met.inc(&c.met.internalErrors)
+		return fail(ErrorDetail{Code: CodeInternal, Message: err.Error()})
+	}
+	res, err := c.proxy.Do(ctx, key, "/v1/verify/stream", append(body, '\n'))
+	if err != nil {
+		_, det := c.proxyErrorDetail(err)
+		return fail(det)
+	}
 	rel.node = res.Node
-	c.routed.Add(1)
-	c.traceRoute(docID, res)
+	c.bookRoute(docID, res)
 	c.countRelay(res.Status)
 	if res.Status != http.StatusOK {
 		var eb ErrorBody
 		if json.Unmarshal(res.Body, &eb) == nil && eb.Error.Code != "" {
-			rel.errDet = &eb.Error
-		} else {
-			rel.errDet = &ErrorDetail{Code: CodeInternal,
-				Message: fmt.Sprintf("replica answered status %d", res.Status)}
+			return fail(eb.Error)
 		}
-		return rel
+		return fail(ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("replica answered status %d", res.Status)})
 	}
-	sc := bufio.NewScanner(bytes.NewReader(res.Body))
-	sc.Buffer(make([]byte, 0, 64<<10), maxBodyBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	for dec := json.NewDecoder(bytes.NewReader(res.Body)); ; {
 		var ev StreamEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			rel.errDet = &ErrorDetail{Code: CodeInternal,
-				Message: fmt.Sprintf("parsing replica stream: %v", err)}
+		if err := dec.Decode(&ev); err == io.EOF {
 			return rel
+		} else if err != nil {
+			return fail(ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("parsing replica stream: %v", err)})
 		}
 		switch ev.Event {
 		case "verdict":
@@ -192,60 +152,46 @@ func (c *Coordinator) relayStreamDoc(ctx context.Context, in DocumentInput) stre
 				rel.sum = *ev.Summary
 			}
 		case "error":
-			det := ErrorDetail{Code: CodeInternal, Message: "replica stream error"}
 			if ev.Error != nil {
-				det = *ev.Error
+				return fail(*ev.Error)
 			}
-			rel.errDet = &det
-			return rel
+			return fail(ErrorDetail{Code: CodeInternal, Message: "replica stream error"})
 		}
 	}
-	if err := sc.Err(); err != nil {
-		rel.errDet = &ErrorDetail{Code: CodeInternal,
-			Message: fmt.Sprintf("reading replica stream: %v", err)}
-	}
-	return rel
 }
 
-// healthyReplicas lists the replicas currently in the ring, in roster order.
-func (c *Coordinator) healthyReplicas() []string {
-	var out []string
-	for _, node := range c.prober.Tracked() {
-		if c.prober.IsHealthy(node) {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
-// handleReviewList answers GET /v1/review by merging every healthy replica's
+// handleReviewList answers GET /v1/review by merging every live replica's
 // pending queue. Item IDs are content fingerprints and the rank order is
 // deterministic, so the merged list is identical however the keyspace is
 // currently sharded; duplicates (a claim enqueued on two replicas across a
-// rehash) collapse by ID.
+// rehash) collapse by ID. A replica that cannot answer fails the request: a
+// partial queue would silently hide its items.
 func (c *Coordinator) handleReviewList(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			c.met.inc(&c.met.badRequests)
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "limit must be a non-negative integer", 0)
-			return
-		}
-		limit = n
+	limit, ok := reviewLimit(c.met, w, r)
+	if !ok {
+		return
 	}
 	var (
-		items []review.Item
-		seen  = map[string]bool{}
-		stats ReviewCounters
+		items  = []review.Item{}
+		seen   = map[string]bool{}
+		stats  ReviewCounters
+		failed error
 	)
-	for _, node := range c.healthyReplicas() {
+	if !c.broadcast(w, r, r.URL.EscapedPath(), nil, func(res shard.Result, err error) bool {
 		var parsed ReviewListResponse
-		if err := c.getJSON(r.Context(), node+"/v1/review", &parsed); err != nil {
-			c.met.inc(&c.met.internalErrors)
-			writeError(w, http.StatusBadGateway, CodeInternal,
-				fmt.Sprintf("replica %s: %v", node, err), 0)
-			return
+		if err == nil {
+			if res.Status != http.StatusOK {
+				err = fmt.Errorf("status %d", res.Status)
+			} else {
+				err = json.Unmarshal(res.Body, &parsed)
+			}
+			if err != nil {
+				err = fmt.Errorf("replica %s: %v", res.Node, err)
+			}
+		}
+		if err != nil {
+			failed = err
+			return false
 		}
 		for _, it := range parsed.Items {
 			if !seen[it.ID] {
@@ -256,101 +202,56 @@ func (c *Coordinator) handleReviewList(w http.ResponseWriter, r *http.Request) {
 		stats.Enqueued += parsed.Stats.Enqueued
 		stats.Resolved += parsed.Stats.Resolved
 		stats.Dropped += parsed.Stats.Dropped
-		if parsed.Stats.OldestAgeMS > stats.OldestAgeMS {
-			stats.OldestAgeMS = parsed.Stats.OldestAgeMS
-		}
-		if parsed.Stats.MaxPriority > stats.MaxPriority {
-			stats.MaxPriority = parsed.Stats.MaxPriority
-		}
+		stats.OldestAgeMS = max(stats.OldestAgeMS, parsed.Stats.OldestAgeMS)
+		stats.MaxPriority = max(stats.MaxPriority, parsed.Stats.MaxPriority)
+		return true
+	}) {
+		return
+	}
+	if failed != nil {
+		c.met.inc(&c.met.internalErrors)
+		writeError(w, http.StatusBadGateway, CodeInternal, failed.Error(), 0)
+		return
 	}
 	review.SortItems(items)
 	if limit > 0 && len(items) > limit {
 		items = items[:limit]
 	}
-	if items == nil {
-		items = []review.Item{}
-	}
 	stats.Depth = len(seen)
 	writeJSON(w, http.StatusOK, ReviewListResponse{Items: items, Stats: stats})
 }
 
-// handleReviewResolve broadcasts POST /v1/review/{id} to every healthy
-// replica: the item lives on the replica that verified the claim, but after
-// a rehash it may be pending on more than one, and resolving everywhere —
+// handleReviewResolve broadcasts POST /v1/review/{id} to every live replica:
+// the item lives on the replica that verified the claim, but after a rehash
+// it may be pending on more than one, and resolving everywhere —
 // idempotently, first resolution wins — keeps the tier agreeing with the
 // human. The first replica that knows the item answers for the tier.
 func (c *Coordinator) handleReviewResolve(w http.ResponseWriter, r *http.Request) {
-	var req ReviewResolveRequest
-	body, ok := c.decodeBody(w, r, &req)
+	_, body, ok := decodeResolve(c.met, w, r)
 	if !ok {
 		return
 	}
-	if !review.ValidResolution(req.Resolution) {
-		c.met.inc(&c.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("resolution must be %q or %q", review.ResolutionConfirmed, review.ResolutionOverturned), 0)
-		return
-	}
-	path := "/v1/review/" + url.PathEscape(r.PathValue("id"))
 	var (
-		resolved  []byte
+		resolved  *shard.Result
 		reachable bool
 	)
-	for _, node := range c.healthyReplicas() {
-		status, respBody, err := c.postJSON(r.Context(), node+path, body)
-		if err != nil {
-			continue
+	if !c.broadcast(w, r, r.URL.EscapedPath(), body, func(res shard.Result, err error) bool {
+		if err == nil {
+			reachable = true
+			if res.Status == http.StatusOK && resolved == nil {
+				resolved = &res
+			}
 		}
-		reachable = true
-		if status == http.StatusOK && resolved == nil {
-			resolved = respBody
-		}
+		return true
+	}) {
+		return
 	}
 	switch {
 	case resolved != nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(resolved)
+		c.relay(w, *resolved)
 	case reachable:
 		writeError(w, http.StatusNotFound, CodeNotFound, "no review item with that id", 0)
 	default:
-		c.met.inc(&c.met.rejectedDraining)
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "no live replicas", 0)
+		c.renderProxyError(w, shard.ErrNoReplicas)
 	}
-}
-
-// getJSON fetches and decodes one replica JSON endpoint.
-func (c *Coordinator) getJSON(ctx context.Context, url string, dst any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(dst)
-}
-
-// postJSON posts one JSON body to a replica, returning status and body.
-func (c *Coordinator) postJSON(ctx context.Context, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
 }

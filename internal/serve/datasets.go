@@ -97,8 +97,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	if mediaType == "multipart/form-data" {
 		mr, ferr := r.MultipartReader()
 		if ferr != nil {
-			s.met.inc(&s.met.badRequests)
-			writeError(w, http.StatusBadRequest, CodeBadRequest, ferr.Error(), 0)
+			badRequest(s.met, w, ferr.Error())
 			return
 		}
 		// Walk parts in order, collecting option values until the file part;
@@ -111,8 +110,7 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			if perr != nil {
-				s.met.inc(&s.met.badRequests)
-				writeError(w, http.StatusBadRequest, CodeBadRequest, perr.Error(), 0)
+				badRequest(s.met, w, perr.Error())
 				return
 			}
 			if part.FormName() == "file" {
@@ -121,15 +119,13 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 			}
 			val, verr := io.ReadAll(io.LimitReader(part, 1024))
 			if verr != nil {
-				s.met.inc(&s.met.badRequests)
-				writeError(w, http.StatusBadRequest, CodeBadRequest, verr.Error(), 0)
+				badRequest(s.met, w, verr.Error())
 				return
 			}
 			fields[part.FormName()] = string(val)
 		}
 		if filePart == nil {
-			s.met.inc(&s.met.badRequests)
-			writeError(w, http.StatusBadRequest, CodeBadRequest, `multipart body needs a "file" field (after any option fields)`, 0)
+			badRequest(s.met, w, `multipart body needs a "file" field (after any option fields)`)
 			return
 		}
 		opts, err = datasetOptions(func(k string) string {
@@ -144,15 +140,13 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 		body = io.LimitReader(r.Body, maxDatasetBody)
 	}
 	if err != nil {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+		badRequest(s.met, w, err.Error())
 		return
 	}
 
 	ds, err := s.cfg.Datasets.IngestFrom(body, opts)
 	if err != nil {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+		badRequest(s.met, w, err.Error())
 		return
 	}
 	if t := s.cfg.Tracer; t.Enabled() {

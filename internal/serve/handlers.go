@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -34,32 +35,37 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// requestContext applies the configured per-request deadline on top of the
-// client's own cancellation.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+// requestContext applies a tier's configured per-request deadline (none when
+// not positive) on top of the client's own cancellation.
+func requestContext(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(r.Context(), timeout)
 	}
 	return context.WithCancel(r.Context())
 }
 
-// decodeBody strictly decodes a JSON request body into dst.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("decoding request body: %v", err), 0)
-		return false
+// decodeBody strictly decodes a JSON request body into dst — the one decoder
+// of both tiers — and returns the raw bytes, so a coordinator can relay a
+// valid body verbatim. A failure is counted on m and answered 400.
+func decodeBody(m *serveMetrics, w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(dst)
 	}
-	return true
+	if err != nil {
+		badRequest(m, w, fmt.Sprintf("decoding request body: %v", err))
+		return nil, false
+	}
+	return body, true
 }
 
 // buildDocuments converts the wire documents of one request.
 func (s *Server) buildDocuments(ins []DocumentInput) ([]*claim.Document, error) {
 	docs := make([]*claim.Document, 0, len(ins))
 	for i, in := range ins {
-		doc, err := s.buildDocument(in)
+		doc, err := buildDocument(in, s.cfg.DocID, s.cfg.DB)
 		if err != nil {
 			return nil, fmt.Errorf("documents[%d]: %w", i, err)
 		}
@@ -88,16 +94,15 @@ func (s *Server) serveDocuments(ctx context.Context, docs []*claim.Document) (Ba
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	var req VerifyRequest
-	if !s.decodeBody(w, r, &req) {
+	if _, ok := decodeBody(s.met, w, r, &req); !ok {
 		return
 	}
-	doc, err := s.buildDocument(DocumentInput{DocID: req.DocID, Claims: req.Claims})
+	doc, err := buildDocument(DocumentInput{DocID: req.DocID, Claims: req.Claims}, s.cfg.DocID, s.cfg.DB)
 	if err != nil {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+		badRequest(s.met, w, err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
 	defer cancel()
 	stats, aerr := s.serveDocuments(ctx, []*claim.Document{doc})
 	if aerr != nil {
@@ -117,21 +122,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if _, ok := decodeBody(s.met, w, r, &req); !ok {
 		return
 	}
 	if len(req.Documents) == 0 {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "batch request has no documents", 0)
+		badRequest(s.met, w, "batch request has no documents")
 		return
 	}
 	docs, err := s.buildDocuments(req.Documents)
 	if err != nil {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
+		badRequest(s.met, w, err.Error())
 		return
 	}
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
 	defer cancel()
 	stats, aerr := s.serveDocuments(ctx, docs)
 	if aerr != nil {

@@ -138,7 +138,7 @@ func feeShare(stats BatchStats) float64 {
 // N's verdicts are being written.
 func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
 	defer cancel()
 	s.met.inc(&s.met.streams)
 
@@ -148,57 +148,32 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	readerErr := make(chan ErrorDetail, 1)
 	go func() {
 		defer close(pending)
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		for index := 0; ; index++ {
-			var in DocumentInput
-			if err := dec.Decode(&in); err != nil {
-				if err == io.EOF {
-					return
-				}
-				s.met.inc(&s.met.badRequests)
-				readerErr <- ErrorDetail{Code: CodeBadRequest,
-					Message: fmt.Sprintf("decoding stream document %d: %v", index, err)}
-				return
-			}
-			doc, err := s.buildDocument(in)
+		readStream(s.met, r, readerErr, func(index int, in DocumentInput) bool {
+			doc, err := buildDocument(in, s.cfg.DocID, s.cfg.DB)
 			if err != nil {
 				s.met.inc(&s.met.badRequests)
 				readerErr <- ErrorDetail{Code: CodeBadRequest,
 					Message: fmt.Sprintf("stream document %d: %v", index, err)}
-				return
+				return false
 			}
 			j, aerr := s.admitStream(ctx, []*claim.Document{doc})
 			if aerr != nil {
 				readerErr <- ErrorDetail{Code: aerr.code, Message: aerr.msg}
-				return
+				return false
 			}
 			select {
 			case pending <- streamPending{j: j, doc: doc, index: index}:
+				return true
 			case <-ctx.Done():
 				// The client is gone (or the deadline hit) with the window
 				// full. The admitted job's done channel is buffered, so the
 				// batch loop finishes it without anyone waiting.
-				return
+				return false
 			}
-		}
+		})
 	}()
 
-	// Headers commit before the first verdict; from here on, failures are
-	// in-band error events, not HTTP statuses. Full duplex keeps the request
-	// body readable after the first write — without it, an HTTP/1.x server
-	// discards unread input once the response starts, truncating the stream.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(ev StreamEvent) {
-		_ = enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	emit := streamEmitter(w)
 
 	var sum StreamSummary
 	// Stream documents may coalesce into shared micro-batches; fee totals
@@ -237,15 +212,23 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 		}
 		s.met.addStreamDoc()
 	}
+	closeStream(ctx, s.met, started, emit, readerErr, sum.Docs, &sum)
+}
+
+// closeStream ends a stream response: the reader's terminal error, if it left
+// one, as an error event at errIndex (read only now that the reader is done —
+// the channel buffer orders the memory accesses); the request booked unless
+// the client left or the deadline hit; then the closing summary.
+func closeStream(ctx context.Context, m *serveMetrics, started time.Time, emit func(StreamEvent), readerErr <-chan ErrorDetail, errIndex int, sum *StreamSummary) {
 	select {
 	case ed := <-readerErr:
-		emit(StreamEvent{Event: "error", Index: sum.Docs, Error: &ed})
+		emit(StreamEvent{Event: "error", Index: errIndex, Error: &ed})
 	default:
 	}
 	if ctx.Err() == nil {
-		s.met.recordRequest(time.Since(started))
+		m.recordRequest(time.Since(started))
 	}
-	emit(StreamEvent{Event: "summary", Index: sum.Docs, Summary: &sum})
+	emit(StreamEvent{Event: "summary", Index: sum.Docs, Summary: sum})
 }
 
 // reviewCounters renders a queue snapshot onto the wire shape shared by
@@ -261,19 +244,83 @@ func reviewCounters(st review.Stats) ReviewCounters {
 	}
 }
 
+// readStream decodes the NDJSON documents of a stream request body, handing
+// each to admit with its arrival index until admit returns false or the body
+// ends. A document that fails to decode ends the stream with a bad_request on
+// readerErr, which holds at most one terminal input-side error.
+func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, admit func(index int, in DocumentInput) bool) {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	for index := 0; ; index++ {
+		var in DocumentInput
+		if err := dec.Decode(&in); err != nil {
+			if err != io.EOF {
+				m.inc(&m.badRequests)
+				readerErr <- ErrorDetail{Code: CodeBadRequest,
+					Message: fmt.Sprintf("decoding stream document %d: %v", index, err)}
+			}
+			return
+		}
+		if !admit(index, in) {
+			return
+		}
+	}
+}
+
+// streamEmitter commits a stream response's headers and returns its event
+// writer: one flushed NDJSON line per event. Headers commit before the first
+// verdict; from here on, failures are in-band error events, not HTTP
+// statuses. Full duplex keeps the request body readable after the first write
+// — without it, an HTTP/1.x server discards unread input once the response
+// starts, truncating the stream.
+func streamEmitter(w http.ResponseWriter) func(StreamEvent) {
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	return func(ev StreamEvent) {
+		_ = enc.Encode(ev)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
+// reviewLimit reads GET /v1/review's ?limit=N (0 = everything), answering 400
+// for anything but a non-negative integer.
+func reviewLimit(m *serveMetrics, w http.ResponseWriter, r *http.Request) (int, bool) {
+	v := r.URL.Query().Get("limit")
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		badRequest(m, w, "limit must be a non-negative integer")
+		return 0, false
+	}
+	return n, true
+}
+
+// decodeResolve decodes and validates the body of POST /v1/review/{id},
+// returning the raw bytes too so a coordinator can broadcast them.
+func decodeResolve(m *serveMetrics, w http.ResponseWriter, r *http.Request) (ReviewResolveRequest, []byte, bool) {
+	var req ReviewResolveRequest
+	body, ok := decodeBody(m, w, r, &req)
+	if ok && !review.ValidResolution(req.Resolution) {
+		badRequest(m, w, fmt.Sprintf("resolution must be %q or %q", review.ResolutionConfirmed, review.ResolutionOverturned))
+		ok = false
+	}
+	return req, body, ok
+}
+
 // handleReviewList answers GET /v1/review: the pending review items in
 // deterministic review order (priority descending, ID ascending), optionally
 // truncated by ?limit=N.
 func (s *Server) handleReviewList(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.met.inc(&s.met.badRequests)
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "limit must be a non-negative integer", 0)
-			return
-		}
-		limit = n
+	limit, ok := reviewLimit(s.met, w, r)
+	if !ok {
+		return
 	}
 	items := s.review.Pending(limit)
 	if items == nil {
@@ -288,14 +335,8 @@ func (s *Server) handleReviewList(w http.ResponseWriter, r *http.Request) {
 // so a retried resolve (e.g. replayed through the failover proxy) cannot
 // flip a verdict twice.
 func (s *Server) handleReviewResolve(w http.ResponseWriter, r *http.Request) {
-	var req ReviewResolveRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if !review.ValidResolution(req.Resolution) {
-		s.met.inc(&s.met.badRequests)
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("resolution must be %q or %q", review.ResolutionConfirmed, review.ResolutionOverturned), 0)
+	req, _, ok := decodeResolve(s.met, w, r)
+	if !ok {
 		return
 	}
 	it, ok := s.review.Resolve(r.PathValue("id"), req.Resolution, req.Note)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/claim"
 	"repro/internal/review"
+	"repro/internal/sqldb"
 )
 
 // Wire types of the cedar-serve HTTP API (documented in docs/CLI.md). The
@@ -234,18 +235,19 @@ const (
 )
 
 // buildDocument converts one wire document into the domain model, defaulting
-// the document ID to the server's database name and claim IDs to their
-// positions — the exact defaults the cedar CLI applies, preserving the
-// CLI/HTTP bit-identity contract.
-func (s *Server) buildDocument(in DocumentInput) (*claim.Document, error) {
+// the document ID to defaultDocID (the serving database's name) and claim IDs
+// to their positions — the exact defaults the cedar CLI applies, preserving
+// the CLI/HTTP bit-identity contract. A replica binds the document to its
+// database; a coordinator planning routes passes none.
+func buildDocument(in DocumentInput, defaultDocID string, db *sqldb.Database) (*claim.Document, error) {
 	if len(in.Claims) == 0 {
 		return nil, fmt.Errorf("document %q has no claims", in.DocID)
 	}
 	docID := in.DocID
 	if docID == "" {
-		docID = s.cfg.DocID
+		docID = defaultDocID
 	}
-	doc := &claim.Document{ID: docID, Domain: "serve", Data: s.cfg.DB}
+	doc := &claim.Document{ID: docID, Domain: "serve", Data: db}
 	for i, ci := range in.Claims {
 		id := ci.ID
 		if id == "" {
@@ -292,4 +294,10 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
 	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
+}
+
+// badRequest counts a malformed request on m and answers it 400.
+func badRequest(m *serveMetrics, w http.ResponseWriter, msg string) {
+	m.inc(&m.badRequests)
+	writeError(w, http.StatusBadRequest, CodeBadRequest, msg, 0)
 }

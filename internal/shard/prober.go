@@ -37,7 +37,8 @@ type Prober struct {
 	RecoverAfter int
 	// OnEject and OnAdmit fire on state transitions — the coordinator wires
 	// them to Ring.Remove and Ring.Add so membership tracks health. Called
-	// without internal locks held.
+	// one at a time, in the order the transitions happened; they must not
+	// call back into the prober.
 	OnEject func(node string)
 	OnAdmit func(node string)
 	// Metrics, when non-nil, receives breaker-counter bookings.
@@ -45,6 +46,11 @@ type Prober struct {
 
 	mu    sync.Mutex
 	state map[string]*replicaState
+	// notify orders the transition callbacks: a transition takes it before
+	// releasing mu, so an eject's Ring.Remove cannot land after the Ring.Add
+	// of the readmission that followed it and strand a healthy replica
+	// outside the ring.
+	notify sync.Mutex
 }
 
 // replicaState is one replica's health counters.
@@ -144,9 +150,11 @@ func (p *Prober) ReportFailure(node string) {
 		st.healthy = false
 		st.failures = 0
 		st.successes = 0
+		p.notify.Lock()
 	}
 	p.mu.Unlock()
 	if tripped {
+		defer p.notify.Unlock()
 		if p.Metrics != nil {
 			p.Metrics.BreakerTrips.Add(1)
 		}
@@ -180,10 +188,14 @@ func (p *Prober) ReportSuccess(node string) {
 		st.healthy = true
 		st.failures = 0
 		st.successes = 0
+		p.notify.Lock()
 	}
 	p.mu.Unlock()
-	if admitted && p.OnAdmit != nil {
-		p.OnAdmit(node)
+	if admitted {
+		defer p.notify.Unlock()
+		if p.OnAdmit != nil {
+			p.OnAdmit(node)
+		}
 	}
 }
 

@@ -8,11 +8,16 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
+	"time"
 )
 
-// maxProxyResponseBytes bounds one replica response the proxy buffers;
+// maxProxyResponseBytes bounds one replica response the proxy buffers — any
+// response: verdicts, dataset summaries, review queues, health probes. It
 // matches the serve layer's request-body cap.
 const maxProxyResponseBytes = 8 << 20
+
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
 
 // ErrNoReplicas is returned when the ring has no live members to route to.
 var ErrNoReplicas = errors.New("shard: no live replicas")
@@ -39,10 +44,13 @@ type Result struct {
 	Body   []byte
 }
 
-// Proxy routes one request body to the replica owning its shard key,
-// failing over along the ring's deterministic successor order when a
-// replica is unreachable or draining. It speaks bytes, not wire structs, so
-// the serve layer's JSON surface passes through untouched — what a replica
+// Proxy is the tier's one way to reach a replica. Every exchange goes through
+// call; two policies decide which replicas it reaches. Do routes one request
+// body to the replica owning its shard key, failing over along the ring's
+// deterministic successor order when a replica is unreachable or draining.
+// Each sends the same request to every live replica in turn. (Probe is call
+// against /healthz, for the Prober.) It speaks bytes, not wire structs, so the
+// serve layer's JSON surface passes through untouched — what a replica
 // answered is exactly what the client sees.
 type Proxy struct {
 	// Ring assigns keys to replica names. Required.
@@ -86,13 +94,9 @@ func (p *Proxy) Do(ctx context.Context, key []byte, path string, body []byte) (R
 	if len(nodes) == 0 {
 		return Result{}, ErrNoReplicas
 	}
-	client := p.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	var lastErr error
 	for hop, node := range nodes {
-		res, delivered, err := p.forward(ctx, client, node, path, body)
+		res, delivered, err := p.call(ctx, node, http.MethodPost, path, "application/json", body)
 		if err != nil {
 			if p.OnFailure != nil {
 				p.OnFailure(node)
@@ -133,11 +137,50 @@ func (p *Proxy) Do(ctx context.Context, key []byte, path string, body []byte) (R
 	return Result{}, fmt.Errorf("shard: all %d replica(s) failed, last: %w", len(nodes), lastErr)
 }
 
-// deliveryTracker wraps a request body so forward can tell whether the
-// transport finished writing the request before a failure. It deliberately
-// exposes only Read: handing net/http a plain io.Reader (not *bytes.Reader)
-// keeps it from deriving GetBody, so the transport cannot silently replay
-// the request on its own — delivery accounting stays with the proxy.
+// Each sends the same request to every live replica, one at a time in roster
+// (sorted) order, and hands each outcome to visit — the replica's response, or
+// the transport error naming it. visit returns false to stop early. Nothing
+// fails over and nothing feeds the breaker: a broadcast is about every
+// replica, so a missing one is the caller's to judge. An empty ring is
+// ErrNoReplicas.
+func (p *Proxy) Each(ctx context.Context, method, path, contentType string, body []byte, visit func(Result, error) bool) error {
+	nodes := p.Ring.Nodes()
+	if len(nodes) == 0 {
+		return ErrNoReplicas
+	}
+	for _, node := range nodes {
+		res, _, err := p.call(ctx, node, method, path, contentType, body)
+		if err != nil {
+			err = fmt.Errorf("replica %s: %w", node, err)
+		}
+		if !visit(res, err) {
+			break
+		}
+	}
+	return nil
+}
+
+// Probe checks one replica's /healthz. A draining replica answers 503, so a
+// replica beginning graceful shutdown is ejected within FailAfter sweeps and
+// its keyspace rehashes while its in-flight work completes where it is.
+func (p *Proxy) Probe(ctx context.Context, node string) error {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	res, _, err := p.call(ctx, node, http.MethodGet, "/healthz", "", nil)
+	if err != nil {
+		return err
+	}
+	if res.Status != http.StatusOK {
+		return fmt.Errorf("healthz: status %d", res.Status)
+	}
+	return nil
+}
+
+// deliveryTracker wraps a request body so call can tell whether the transport
+// finished writing the request before a failure. It deliberately exposes only
+// Read: handing net/http a plain io.Reader (not *bytes.Reader) keeps it from
+// deriving GetBody, so the transport cannot silently replay the request on
+// its own — delivery accounting stays with the proxy.
 type deliveryTracker struct {
 	r    *bytes.Reader
 	sent atomic.Bool
@@ -153,28 +196,38 @@ func (d *deliveryTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// forward issues one POST to one replica. delivered reports whether the
-// request reached the replica before any failure: true once the request body
-// was fully written to the wire or a response status arrived (the replica
-// necessarily read the request to answer), so any later error — connection
-// dying mid-response, body read failing — happened after the replica may
-// have started verifying.
-func (p *Proxy) forward(ctx context.Context, client *http.Client, node, path string, body []byte) (res Result, delivered bool, err error) {
+// call issues one request to one replica: the only place the tier touches the
+// HTTP client. delivered reports whether the request reached the replica
+// before any failure: true once the request body was fully written to the
+// wire or a response status arrived (the replica necessarily read the request
+// to answer), so any later error — connection dying mid-response, body read
+// failing — happened after the replica may have started verifying.
+func (p *Proxy) call(ctx context.Context, node, method, path, contentType string, body []byte) (res Result, delivered bool, err error) {
 	tracker := &deliveryTracker{r: bytes.NewReader(body)}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.BaseURL(node)+path, tracker)
-	if err != nil {
-		return Result{}, false, err
+	var rd io.Reader = http.NoBody // a bodiless request has nothing to track
+	if len(body) > 0 {
+		rd = tracker
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, p.BaseURL(node)+path, rd)
+	if err != nil {
+		return Result{Node: node}, false, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	req.ContentLength = int64(len(body))
+	client := p.Client
+	if client == nil {
+		client = http.DefaultClient
+	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return Result{}, tracker.sent.Load(), err
+		return Result{Node: node}, tracker.sent.Load(), err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyResponseBytes))
 	if err != nil {
-		return Result{}, true, err
+		return Result{Node: node}, true, err
 	}
 	return Result{Node: node, Status: resp.StatusCode, Body: b}, true, nil
 }

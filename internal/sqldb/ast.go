@@ -97,7 +97,14 @@ func (e *UnaryExpr) SQL() string {
 	if e.Op == "NOT" {
 		return "NOT " + e.Expr.SQL()
 	}
-	return e.Op + e.Expr.SQL()
+	// An operand that itself renders with a leading minus (a nested negation)
+	// is parenthesized: "--" opens a line comment, so "- -2" concatenated
+	// would swallow the rest of the statement when the text is re-parsed.
+	operand := e.Expr.SQL()
+	if strings.HasPrefix(operand, "-") {
+		operand = "(" + operand + ")"
+	}
+	return e.Op + operand
 }
 
 // BinaryExpr applies an infix operator: arithmetic, comparison, AND/OR,

@@ -24,6 +24,11 @@ func FuzzParse(f *testing.F) {
 		 a FROM t;`,
 		"SELECT `tick` FROM `t`",
 		`SELECT a FROM t WHERE b IS NOT NULL AND NOT c`,
+		// Nested negation: rendered naively the two minus signs meet and lex
+		// as a line comment.
+		`SELECT - -0`,
+		`SELECT -(-2)`,
+		`SELECT (1 - -2)`,
 		// Shapes the verification prompt template elicits from the models
 		// (see internal/prompts): percentage claims as a ratio of counting
 		// subqueries, aggregates over joins, and correlated filters.

@@ -84,6 +84,10 @@ func TestParseSQLRoundTripProperty(t *testing.T) {
 		`SELECT a FROM t1 JOIN t2 ON t1.x = t2.x WHERE t1.y IN (SELECT z FROM t3)`,
 		`SELECT CASE WHEN a THEN 1 ELSE 2 END, CAST(b AS TEXT) FROM t`,
 		`SELECT (SELECT MAX(x) FROM u) - MIN(y) FROM t`,
+		// Nested unary minus must not render as "--", a line comment.
+		`SELECT - -0`,
+		`SELECT -(-2)`,
+		`SELECT (1 - -2)`,
 	}
 	for _, s := range seeds {
 		st1, err := Parse(s)
@@ -98,6 +102,14 @@ func TestParseSQLRoundTripProperty(t *testing.T) {
 		if r2 := st2.SQL(); r1 != r2 {
 			t.Errorf("not idempotent:\n%s\n%s", r1, r2)
 		}
+	}
+	// A binary minus before a negative operand keeps its spaced rendering.
+	st, err := Parse(`SELECT (1 - -2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SQL(); got != `SELECT (1 - -2)` {
+		t.Errorf("rendered %q, want %q", got, `SELECT (1 - -2)`)
 	}
 }
 
