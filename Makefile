@@ -10,12 +10,13 @@
 # cross-topology verdict identity), the routing determinism gate
 # (cross-database claim decomposition and routing, DESIGN.md §16), and a
 # short fuzz smoke over the SQL parser/executor, the store's segment decoder,
-# the shard ring, the ingestion type-inference engine, and the claim
-# decomposer/router, the documented-surface gate, `gatelint` (every gate
-# below must still select tests), and `benchmark-quick`: the repository
-# benchmark's own correctness checks on a twentieth of every workload. Performance is measured by `go run ./benchmark` (see
-# benchmark/README.md); `make bench` only runs the packages' Go
-# micro-benchmarks, for profiling while working on one.
+# the shard ring, the ingestion type-inference engine, the claim
+# decomposer/router, the prompt-schema memo and the sparse embedding, the
+# documented-surface gate, `gatelint` (every gate below must still select
+# tests), and `benchmark-quick`: the repository benchmark's own correctness
+# checks on a twentieth of every workload. Performance is measured by
+# `go run ./benchmark` (see benchmark/README.md); `make bench` only runs the
+# packages' Go micro-benchmarks, for profiling while working on one.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -45,10 +46,15 @@ chaos:
 
 # Golden-trace determinism gate under the race detector: the sorted JSONL
 # trace of a run must be byte-identical across worker counts, with and
-# without injected faults, plus the tracer's own unit/alloc/race suite.
+# without injected faults, plus the tracer's own unit/alloc/race suite. The
+# simulated model's compiled prompt reading (DESIGN.md §17) promises the same
+# bytes by construction, so its differentials against the code it replaced
+# run here too: the lazy math/rand source, the sparse embedding, the schema
+# memo and the compiled column resolution (every generator corpus), with the
+# 32-goroutine cache stress, the cache-cap churn and the allocation ceilings.
 trace:
-	$(GO) test -race -run 'GoldenTrace|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL' \
-		./internal/core ./internal/trace
+	$(GO) test -race -run 'GoldenTrace|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL|Differential|LazyRand|ColumnCache|CompiledCaches|SchemaMemo|AllocCeiling|FoldedCreateTable' \
+		./internal/core ./internal/trace ./internal/llm ./internal/llm/sim ./internal/nl ./internal/embed
 
 # Persistent-store gate under the race detector (DESIGN.md §11): segment
 # round-trip/recovery units, the crash-recovery truncation sweep (reopen at
@@ -143,6 +149,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzTypeInference$$ -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run NONE -fuzz FuzzDecompose$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzRouteScore$$ -fuzztime $(FUZZTIME) ./internal/route
+	$(GO) test -run NONE -fuzz FuzzSchemaMemo$$ -fuzztime $(FUZZTIME) ./internal/nl
+	$(GO) test -run NONE -fuzz FuzzSparseDot$$ -fuzztime $(FUZZTIME) ./internal/embed
 
 # The benchmark's reference, digest and span checks on 1/20 of every
 # workload's list, untraced then traced: claims returned in order, a sampled

@@ -48,7 +48,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"net/url"
 	"os"
 	"os/signal"
@@ -107,6 +109,8 @@ type serveOptions struct {
 	Replicas      []string
 	ReplicaOf     string
 	ProbeInterval time.Duration
+
+	Pprof string
 }
 
 // defineFlags registers the binary's flags on fs, bound to the returned
@@ -147,6 +151,7 @@ func defineFlags(fs *flag.FlagSet) *serveOptions {
 	fs.Var((*cliutil.URLList)(&o.Replicas), "replicas", "replica base URL for -coordinator mode; repeat (or comma-separate) for more")
 	fs.StringVar(&o.ReplicaOf, "replica-of", "", "coordinator base URL this replica registers with on startup and deregisters from when draining")
 	fs.DurationVar(&o.ProbeInterval, "probe-interval", 500*time.Millisecond, "coordinator health-probe cadence; a replica failing two consecutive probes is ejected and its keyspace rehashed")
+	fs.StringVar(&o.Pprof, "pprof", "", "serve net/http/pprof (/debug/pprof/) on this address, on its own listener, never on -addr; off when empty. Bind it to loopback: profiles expose internals")
 	return o
 }
 
@@ -410,6 +415,14 @@ func membershipCall(ctx context.Context, method, coordinator, query string, body
 }
 
 func run(o *serveOptions) error {
+	if o.Pprof != "" {
+		addr, stop, err := startPprof(o.Pprof)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		log.Printf("cedar-serve: pprof on http://%s/debug/pprof/", addr)
+	}
 	if o.Coordinator {
 		return runCoordinator(o)
 	}
@@ -463,6 +476,34 @@ func run(o *serveOptions) error {
 	}
 	log.Printf("cedar-serve: drained cleanly")
 	return nil
+}
+
+// startPprof serves the runtime profiler on its own listener and mux, so the
+// verification listener never exposes it (the pprof package's registrations
+// on http.DefaultServeMux are unused: every server here has its own
+// handler). It returns the bound address and a stop function that closes the
+// listener and waits for the serving goroutine.
+func startPprof(addr string) (string, func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("-pprof: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln) // returns ErrServerClosed on stop
+	}()
+	return ln.Addr().String(), func() {
+		_ = srv.Close()
+		<-done
+	}, nil
 }
 
 // runCoordinator is run's -coordinator branch: same listener lifecycle and

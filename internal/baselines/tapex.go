@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/claim"
+	"repro/internal/llm"
 	"repro/internal/sqldb"
 )
 
@@ -115,5 +116,5 @@ func (t *TAPEX) claimRNG(c *claim.Claim) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(c.ID))
 	_, _ = h.Write([]byte(c.Sentence))
-	return rand.New(rand.NewSource(t.Seed ^ int64(h.Sum64())))
+	return llm.NewRand(t.Seed ^ int64(h.Sum64()))
 }

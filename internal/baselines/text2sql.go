@@ -113,7 +113,7 @@ func (b *Text2SQL) claimRNG(c *claim.Claim) *rand.Rand {
 	_, _ = h.Write([]byte(b.Label))
 	_, _ = h.Write([]byte(c.ID))
 	_, _ = h.Write([]byte(c.Sentence))
-	return rand.New(rand.NewSource(b.Seed ^ int64(h.Sum64())))
+	return llm.NewRand(b.Seed ^ int64(h.Sum64()))
 }
 
 // mutateQuery perturbs a SQL query into a semantically different but

@@ -9,7 +9,6 @@
 package embed
 
 import (
-	"hash/fnv"
 	"math"
 	"strings"
 	"unicode"
@@ -28,25 +27,120 @@ type Vector [Dim]float64
 // per word) into Dim buckets and L2-normalizes the result. Identical texts
 // embed identically; texts sharing most trigrams land close in cosine space.
 func Embed(text string) Vector {
-	var v Vector
-	for _, gram := range trigrams(text) {
-		h := fnv.New32a()
-		_, _ = h.Write([]byte(gram))
-		idx := int(h.Sum32() % uint32(Dim))
-		v[idx]++
+	s := EmbedSparse(text)
+	return s.Dense()
+}
+
+// Sparse is the embedding of a text holding only its non-zero components,
+// in ascending bucket order. A short phrase touches a few dozen of the Dim
+// buckets, so scoring it against many dense vectors reads a few dozen terms
+// each instead of Dim. The zero Sparse is the embedding of the empty text.
+type Sparse struct {
+	n   int
+	idx [Dim]uint16
+	val [Dim]float64
+}
+
+// FNV-1a, 32 bit, written out so a gram is hashed byte by byte as the text
+// is scanned: no gram string, no hasher.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+func fnvByte(h uint32, c byte) uint32 { return (h ^ uint32(c)) * fnvPrime }
+
+// wordFeatureSeed is the hash state after the "#w:" prefix of a whole-word
+// feature.
+var wordFeatureSeed = fnvByte(fnvByte(fnvByte(fnvOffset, '#'), 'w'), ':')
+
+// EmbedSparse is Embed with the result left sparse: EmbedSparse(t).Dense()
+// equals Embed(t) component for component. Each word of the normalized text
+// contributes a whole-word feature "#w:<word>", which boosts exact token
+// overlap, and the byte trigrams of "^<word>$".
+func EmbedSparse(text string) (s Sparse) {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= 0x80 {
+			// Unicode case mapping and letter classes are Normalize's
+			// business; its output scans like ASCII text below, with every
+			// non-ASCII byte part of a word.
+			text = Normalize(text)
+			break
+		}
 	}
+	var (
+		inWord bool
+		word   uint32 // running hash of "#w:<word>"
+		a, b   byte   // the two bytes of "^<word>" before the current one
+		seen   int    // bytes of "^<word>" scanned so far
+	)
+	for i := 0; i <= len(text); i++ {
+		c := byte(' ') // one separator past the end closes the last word
+		if i < len(text) {
+			c = text[i]
+		}
+		switch {
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9', c >= 0x80:
+		default:
+			if inWord {
+				s.val[word%Dim]++
+				s.val[fnvByte(fnvByte(fnvByte(fnvOffset, a), b), '$')%Dim]++
+				inWord = false
+			}
+			continue
+		}
+		if !inWord {
+			inWord, word, b, seen = true, wordFeatureSeed, '^', 1
+		}
+		word = fnvByte(word, c)
+		if seen++; seen >= 3 {
+			s.val[fnvByte(fnvByte(fnvByte(fnvOffset, a), b), c)%Dim]++
+		}
+		a, b = b, c
+	}
+	// Compact the counts in place, ascending. Summing squares over the
+	// non-zero buckets in bucket order is the dense sum: a skipped bucket
+	// would have added +0.
 	norm := 0.0
-	for _, x := range v {
-		norm += x * x
+	for i, x := range s.val {
+		if x != 0 {
+			norm += x * x
+			s.idx[s.n], s.val[s.n] = uint16(i), x
+			s.n++
+		}
 	}
 	if norm == 0 {
-		return v
+		return s
 	}
 	norm = math.Sqrt(norm)
-	for i := range v {
-		v[i] /= norm
+	for i := 0; i < s.n; i++ {
+		s.val[i] /= norm
+	}
+	return s
+}
+
+// Dense expands the embedding to a Vector.
+func (s *Sparse) Dense() (v Vector) {
+	for i := 0; i < s.n; i++ {
+		v[s.idx[i]] = s.val[i]
 	}
 	return v
+}
+
+// Cosine is Cosine(s.Dense(), *v), bit for bit: the dense loop adds the
+// products in bucket order and the ones skipped here are +0, which leaves a
+// non-negative sum unchanged.
+func (s *Sparse) Cosine(v *Vector) float64 {
+	dot := 0.0
+	for i := 0; i < s.n; i++ {
+		dot += s.val[i] * v[s.idx[i]]
+	}
+	if dot > 1 {
+		dot = 1
+	}
+	return dot
 }
 
 // Cosine returns the cosine similarity of two vectors in [-1, 1] (here
@@ -65,7 +159,8 @@ func Cosine(a, b Vector) float64 {
 
 // Similarity is the convenience composition Cosine(Embed(a), Embed(b)).
 func Similarity(a, b string) float64 {
-	return Cosine(Embed(a), Embed(b))
+	sa, vb := EmbedSparse(a), Embed(b)
+	return sa.Cosine(&vb)
 }
 
 // Normalize lowercases text, maps punctuation to spaces, and collapses
@@ -82,26 +177,4 @@ func Normalize(text string) string {
 		}
 	}
 	return strings.Join(strings.Fields(b.String()), " ")
-}
-
-// trigrams produces padded character trigrams per word of the normalized
-// text, plus whole-word unigram features that boost exact token overlap.
-func trigrams(text string) []string {
-	norm := Normalize(text)
-	if norm == "" {
-		return nil
-	}
-	var grams []string
-	for _, word := range strings.Fields(norm) {
-		grams = append(grams, "#w:"+word)
-		padded := "^" + word + "$"
-		if len(padded) < 3 {
-			grams = append(grams, padded)
-			continue
-		}
-		for i := 0; i+3 <= len(padded); i++ {
-			grams = append(grams, padded[i:i+3])
-		}
-	}
-	return grams
 }

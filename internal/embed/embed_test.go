@@ -1,7 +1,9 @@
 package embed
 
 import (
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,4 +106,128 @@ func TestDeterminism(t *testing.T) {
 	if a != b {
 		t.Error("embedding is not deterministic")
 	}
+}
+
+// embedReference is Embed as it was written before the sparse path: one
+// string per gram, one hasher per gram, a dense vector throughout. The
+// differential tests below hold EmbedSparse, Embed and Sparse.Cosine to it
+// bit for bit.
+func embedReference(text string) Vector {
+	var v Vector
+	for _, gram := range trigramsReference(text) {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(gram))
+		v[int(h.Sum32()%uint32(Dim))]++
+	}
+	norm := 0.0
+	for _, x := range v {
+		norm += x * x
+	}
+	if norm == 0 {
+		return v
+	}
+	norm = math.Sqrt(norm)
+	for i := range v {
+		v[i] /= norm
+	}
+	return v
+}
+
+func trigramsReference(text string) []string {
+	norm := Normalize(text)
+	if norm == "" {
+		return nil
+	}
+	var grams []string
+	for _, word := range strings.Fields(norm) {
+		grams = append(grams, "#w:"+word)
+		padded := "^" + word + "$"
+		if len(padded) < 3 {
+			grams = append(grams, padded)
+			continue
+		}
+		for i := 0; i+3 <= len(padded); i++ {
+			grams = append(grams, padded[i:i+3])
+		}
+	}
+	return grams
+}
+
+// checkSparseAgainstReference compares every public path over (a, b) with
+// the reference by bit pattern, not tolerance.
+func checkSparseAgainstReference(t *testing.T, a, b string) {
+	t.Helper()
+	ra, rb := embedReference(a), embedReference(b)
+	if got := Embed(a); got != ra {
+		t.Fatalf("Embed(%q) differs from the reference", a)
+	}
+	sa := EmbedSparse(a)
+	if got := sa.Dense(); got != ra {
+		t.Fatalf("EmbedSparse(%q).Dense() differs from the reference", a)
+	}
+	for i := 1; i < sa.n; i++ {
+		if sa.idx[i-1] >= sa.idx[i] {
+			t.Fatalf("EmbedSparse(%q): buckets not ascending at %d", a, i)
+		}
+	}
+	want := math.Float64bits(Cosine(ra, rb))
+	if got := math.Float64bits(sa.Cosine(&rb)); got != want {
+		t.Fatalf("Sparse.Cosine(%q, %q) = %x, dense %x", a, b, got, want)
+	}
+	if got := math.Float64bits(Similarity(a, b)); got != want {
+		t.Fatalf("Similarity(%q, %q) = %x, dense %x", a, b, got, want)
+	}
+}
+
+var sparseSeeds = [][2]string{
+	{"fatal accidents between 2000 and 2014", "fatal accidents"},
+	{"Malaysia Airlines", "malaysia  airlines!"},
+	{"", "anything"}, {"", ""}, {"a", "A"}, {"x", "x y z"},
+	{"O'Brien", "o brien"}, {"ABC-123", "abc 123"},
+	{"Zoë Öztürk", "zoe ozturk"}, {"İstanbul ſtraße", "istanbul strasse"},
+	{"a\xffb", "a b"}, {"\xe2\x80", " "}, {"世界 人口", "世界"},
+	{"the the the the the the the the", "the"},
+	{"available seat kilometres flown every week", "available seat miles flown every week"},
+}
+
+func TestDifferentialSparse(t *testing.T) {
+	for _, p := range sparseSeeds {
+		checkSparseAgainstReference(t, p[0], p[1])
+		checkSparseAgainstReference(t, p[1], p[0])
+	}
+	if err := quick.Check(func(a, b string) bool {
+		checkSparseAgainstReference(t, a, b)
+		return true
+	}, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func FuzzSparseDot(f *testing.F) {
+	for _, p := range sparseSeeds {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkSparseAgainstReference(t, a, b)
+	})
+}
+
+var sinkScore float64
+
+func BenchmarkEmbed(b *testing.B) {
+	const phrase = "fatal accidents between 2000 and 2014"
+	v := Embed("fatal accidents between 1985 and 1999")
+	b.Run("sparse+cosine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := EmbedSparse(phrase)
+			sinkScore = s.Cosine(&v)
+		}
+	})
+	b.Run("reference+cosine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkScore = Cosine(embedReference(phrase), v)
+		}
+	})
 }

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strings"
 
@@ -45,7 +43,7 @@ func (m *Model) agentStep(prompt string, req llm.Request) string {
 	if !ok {
 		return finalAnswer("unknown")
 	}
-	schema := nl.ParseSchemaText(base)
+	schema := nl.SchemaOfPrompt(base)
 	if len(schema.Tables) == 0 {
 		return finalAnswer("unknown")
 	}
@@ -102,18 +100,12 @@ func (m *Model) agentStep(prompt string, req llm.Request) string {
 // model and request seeds join the hash so seeded retries sample different
 // trajectories (the runner keeps Request.Seed constant within a run).
 func (m *Model) conversationRNG(base string, req llm.Request) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(m.profile.Name))
-	_, _ = h.Write([]byte(base))
-	fmt.Fprintf(h, "%.4f", req.Temperature)
+	h := fnvAdd(fnvAdd(fnvOffset64, m.profile.Name), base)
+	h = fnvTemperature(h, req.Temperature)
 	if req.Temperature > 0 {
-		_, _ = h.Write([]byte(samplingSalt))
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(m.seed))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(req.Seed))
-		_, _ = h.Write(buf[:])
+		h = m.mixSampling(h, req)
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return llm.NewRand(int64(h))
 }
 
 // singleHop drives claims answerable with one query, recovering from entity

@@ -26,7 +26,7 @@ func (m *Model) oneShot(prompt string, temperature float64, rng *rand.Rand) stri
 	if !ok {
 		return m.refusal()
 	}
-	schema := nl.ParseSchemaText(prompt)
+	schema := nl.SchemaOfPrompt(prompt)
 	if len(schema.Tables) == 0 {
 		return m.refusal()
 	}

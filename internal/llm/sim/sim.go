@@ -15,8 +15,8 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/llm"
@@ -183,13 +183,12 @@ func (m *Model) Complete(req llm.Request) (llm.Response, error) {
 		return llm.Response{}, fmt.Errorf("%w: model %q served by %q", llm.ErrUnknownModel, req.Model, m.profile.Name)
 	}
 	prompt := llm.PromptText(req.Messages)
-	rng := m.rngFor(prompt, req)
 
 	var content string
 	if strings.Contains(prompt, agentMarker) {
 		content = m.agentStep(prompt, req)
 	} else {
-		content = m.oneShot(prompt, req.Temperature, rng)
+		content = m.oneShot(prompt, req.Temperature, m.rngFor(prompt, req))
 	}
 	usage := llm.Usage{
 		PromptTokens:     llm.CountMessageTokens(req.Messages),
@@ -218,18 +217,42 @@ func (m *Model) Complete(req llm.Request) (llm.Response, error) {
 const samplingSalt = "sampling-v1"
 
 func (m *Model) rngFor(prompt string, req llm.Request) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(m.profile.Name))
-	_, _ = h.Write([]byte(prompt))
+	h := fnvAdd(fnvAdd(fnvOffset64, m.profile.Name), prompt)
 	if req.Temperature > 0 {
-		_, _ = h.Write([]byte(samplingSalt))
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(m.seed))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(req.Seed))
-		_, _ = h.Write(buf[:])
-		fmt.Fprintf(h, "%.4f", req.Temperature)
+		h = m.mixSampling(h, req)
+		h = fnvTemperature(h, req.Temperature)
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return llm.NewRand(int64(h))
+}
+
+// FNV-1a, 64 bit, over strings in place: hash/fnv's Write takes a []byte,
+// and converting a prompt to one copied kilobytes per completion. The
+// values are hash/fnv's.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvAdd[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// mixSampling folds in what makes a temperature > 0 stream its own: the
+// salt, the model seed and the request seed.
+func (m *Model) mixSampling(h uint64, req llm.Request) uint64 {
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(m.seed))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(req.Seed))
+	return fnvAdd(fnvAdd(h, samplingSalt), buf[:])
+}
+
+// fnvTemperature folds in the temperature as "%.4f" renders it.
+func fnvTemperature(h uint64, t float64) uint64 {
+	var buf [32]byte
+	return fnvAdd(h, strconv.AppendFloat(buf[:0], t, 'f', 4, 64))
 }
 
 // noise returns the corruption probability at the given temperature, with

@@ -1,6 +1,6 @@
 package llm
 
-import "strings"
+import "unicode"
 
 // CountTokens estimates the token count of text with the standard
 // byte-pair-encoding rule of thumb: roughly one token per four characters,
@@ -11,12 +11,47 @@ func CountTokens(text string) int {
 	if text == "" {
 		return 0
 	}
-	words := len(strings.Fields(text))
+	words := countWords(text)
 	byChars := (len(text) + 3) / 4
 	if words > byChars {
 		return words
 	}
 	return byChars
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// countWords is len(strings.Fields(text)) without the slice: prompts run to
+// kilobytes and every completion counts its prompt, so the word list was a
+// few kilobytes of garbage per call. Like Fields it counts bytes while the
+// text is ASCII and decodes runes only when it is not.
+func countWords(text string) int {
+	words := 0
+	inSpace := uint8(1)
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= 0x80 {
+			return countWordsUnicode(text)
+		}
+		space := asciiSpace[c]
+		words += int(inSpace &^ space)
+		inSpace = space
+	}
+	return words
+}
+
+func countWordsUnicode(text string) int {
+	words := 0
+	inSpace := true
+	for _, r := range text {
+		space := unicode.IsSpace(r)
+		if inSpace && !space {
+			words++
+		}
+		inSpace = space
+	}
+	return words
 }
 
 // CountMessageTokens estimates the prompt tokens of a chat request,

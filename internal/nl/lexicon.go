@@ -38,10 +38,21 @@ type Lexicon struct {
 	Aliases map[string][]string
 	// Units lists the convertible unit pairs.
 	Units []UnitConversion
+
+	// compiled holds the parser's per-column derivations of the fields
+	// above (compile.go). It fills as columns are parsed against, so those
+	// fields must not change once ParseMasked has seen the lexicon.
+	compiled columnCache
 }
 
-// DefaultLexicon returns the lexicon covering the built-in corpus.
-func DefaultLexicon() *Lexicon {
+// DefaultLexicon returns the lexicon covering the built-in corpus: one
+// shared instance, read-only to every caller, so that what the parser
+// compiles from it is compiled once per process rather than once per model.
+func DefaultLexicon() *Lexicon { return defaultLexicon }
+
+var defaultLexicon = newDefaultLexicon()
+
+func newDefaultLexicon() *Lexicon {
 	return &Lexicon{
 		Columns: map[string]ColumnEntry{
 			// 538 airline safety

@@ -4,27 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/textutil"
 )
-
-// variantVecs memoizes embeddings of lexicon-derived variant texts (column
-// phrases, headers, unit-converted phrases). The set is bounded by the
-// lexicon, and profiling shows repeated embedding of these variants
-// dominating parse cost; claims' free-form phrases are embedded once per
-// resolution and not cached.
-var variantVecs sync.Map // string -> embed.Vector
-
-func variantVec(text string) embed.Vector {
-	if v, ok := variantVecs.Load(text); ok {
-		return v.(embed.Vector)
-	}
-	vec := embed.Embed(text)
-	variantVecs.Store(text, vec)
-	return vec
-}
 
 // Candidate is one possible resolution of a phrase to a schema column.
 type Candidate struct {
@@ -62,32 +45,38 @@ const ambiguityMargin = 0.08
 // which is why stronger simulated models (that read context) resolve
 // ambiguity hazards better than weaker ones (that ignore it).
 func ParseMasked(masked string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+	return parseTemplates(masked, schema, &compiledResolver{schema: schema, lex: lex, ctx: ctx})
+}
+
+// parseTemplates matches the sentence against the claim templates, resolving
+// their column and table phrases through r.
+func parseTemplates(masked string, schema *Schema, r resolver) (*Parsed, error) {
 	s := normalizeVerbs(strings.TrimSpace(masked))
 	switch {
 	case strings.HasPrefix(s, cueCountAll):
-		return parseCountAll(s, schema, lex)
+		return parseCountAll(s, r)
 	case strings.HasPrefix(s, cueCount) && !strings.HasPrefix(s, cueCountAll):
-		return parseCount(s, schema, lex, ctx)
+		return parseCount(s, schema, r)
 	case strings.HasPrefix(s, cueSum):
-		return parseSum(s, schema, lex, ctx)
+		return parseSum(s, schema, r)
 	case strings.HasPrefix(s, cueAvg):
-		return parseAvg(s, schema, lex, ctx)
+		return parseAvg(s, schema, r)
 	case strings.HasPrefix(s, cueDiff):
-		return parseAggOnly(s, cueDiff, KindDiff, " was x.", schema, lex, ctx)
+		return parseAggOnly(s, cueDiff, KindDiff, " was x.", r)
 	case strings.HasPrefix(s, cueMax):
-		return parseAggOnly(s, cueMax, KindMax, " recorded was x.", schema, lex, ctx)
+		return parseAggOnly(s, cueMax, KindMax, " recorded was x.", r)
 	case strings.HasPrefix(s, cueMin):
-		return parseAggOnly(s, cueMin, KindMin, " recorded was x.", schema, lex, ctx)
+		return parseAggOnly(s, cueMin, KindMin, " recorded was x.", r)
 	case strings.Contains(s, cuePercent):
-		return parsePercent(s, schema, lex, ctx)
+		return parsePercent(s, schema, r)
 	case strings.Contains(s, cueMode):
-		return parseMode(s, schema, lex, ctx)
+		return parseMode(s, r)
 	case strings.Contains(s, cueArgMax):
-		return parseArg(s, cueArgMax, KindArgMax, schema, lex, ctx)
+		return parseArg(s, cueArgMax, KindArgMax, schema, r)
 	case strings.Contains(s, cueArgMin):
-		return parseArg(s, cueArgMin, KindArgMin, schema, lex, ctx)
+		return parseArg(s, cueArgMin, KindArgMin, schema, r)
 	case strings.Contains(s, cueRecorded):
-		return parseLookup(s, schema, lex, ctx)
+		return parseLookup(s, schema, r)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnparseable, truncateStr(masked, 80))
 }
@@ -116,14 +105,14 @@ func trimSentence(s string) string {
 
 // --- template parsers ---
 
-func parseCountAll(s string, schema *Schema, lex *Lexicon) (*Parsed, error) {
+func parseCountAll(s string, r resolver) (*Parsed, error) {
 	rest := trimSentence(strings.TrimPrefix(s, cueCountAll))
 	// rest = "x <noun>"
 	if !strings.HasPrefix(rest, "x ") {
 		return nil, fmt.Errorf("%w: CountAll without masked value", ErrUnparseable)
 	}
 	noun := strings.TrimPrefix(rest, "x ")
-	table := resolveTable(noun, schema, lex)
+	table := r.table(noun)
 	if table == nil {
 		return nil, fmt.Errorf("%w: no table for noun %q", ErrUnparseable, noun)
 	}
@@ -134,7 +123,7 @@ func parseCountAll(s string, schema *Schema, lex *Lexicon) (*Parsed, error) {
 	return &Parsed{Spec: Spec{Kind: KindCountAll, EntityCol: ent, Noun: noun}}, nil
 }
 
-func parseCount(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseCount(s string, schema *Schema, r resolver) (*Parsed, error) {
 	rest := trimSentence(strings.TrimPrefix(s, cueCount))
 	// rest = "x <noun> recorded <filterphrase> of <fv>"
 	if !strings.HasPrefix(rest, "x ") {
@@ -149,7 +138,7 @@ func parseCount(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, er
 	if !ok {
 		return nil, fmt.Errorf("%w: Count without filter value", ErrUnparseable)
 	}
-	cands := resolveColumn(phrase, schema, lex, ctx)
+	cands := r.column(phrase)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, phrase)
 	}
@@ -166,7 +155,7 @@ func parseCount(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, er
 	return p, nil
 }
 
-func parseSum(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseSum(s string, schema *Schema, r resolver) (*Parsed, error) {
 	rest := trimSentence(strings.TrimPrefix(s, cueSum))
 	// rest = "x <colphrase> were recorded across all <noun>"
 	//      | "x <colphrase> were recorded across <noun> with <filterphrase> of <fv>"
@@ -178,7 +167,7 @@ func parseSum(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: Sum without across clause", ErrUnparseable)
 	}
-	cands := resolveColumn(phrase, schema, lex, ctx)
+	cands := r.column(phrase)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, phrase)
 	}
@@ -198,7 +187,7 @@ func parseSum(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: Sum filter without value", ErrUnparseable)
 	}
-	fc := resolveColumn(fPhrase, schema, lex, ctx)
+	fc := r.column(fPhrase)
 	if len(fc) == 0 {
 		return nil, fmt.Errorf("%w: no filter column for %q", ErrUnparseable, fPhrase)
 	}
@@ -209,7 +198,7 @@ func parseSum(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, erro
 	return p, nil
 }
 
-func parseAvg(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseAvg(s string, schema *Schema, r resolver) (*Parsed, error) {
 	rest := trimSentence(strings.TrimPrefix(s, cueAvg))
 	// rest = "<noun> recorded x <colphrase>"
 	//      | "<noun> with <filterphrase> of <fv> recorded x <colphrase>"
@@ -217,7 +206,7 @@ func parseAvg(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: Avg without masked value", ErrUnparseable)
 	}
-	cands := resolveColumn(tail, schema, lex, ctx)
+	cands := r.column(tail)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, tail)
 	}
@@ -228,7 +217,7 @@ func parseAvg(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, erro
 		if !ok2 {
 			return nil, fmt.Errorf("%w: Avg filter without value", ErrUnparseable)
 		}
-		fc := resolveColumn(fPhrase, schema, lex, ctx)
+		fc := r.column(fPhrase)
 		if len(fc) == 0 {
 			return nil, fmt.Errorf("%w: no filter column for %q", ErrUnparseable, fPhrase)
 		}
@@ -243,14 +232,14 @@ func parseAvg(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, erro
 	return p, nil
 }
 
-func parseAggOnly(s, cue string, kind Kind, suffix string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseAggOnly(s, cue string, kind Kind, suffix string, r resolver) (*Parsed, error) {
 	rest := strings.TrimPrefix(s, cue)
 	idx := strings.LastIndex(rest, suffix)
 	if idx < 0 {
 		return nil, fmt.Errorf("%w: %v without value suffix", ErrUnparseable, kind)
 	}
 	phrase := rest[:idx]
-	cands := resolveColumn(phrase, schema, lex, ctx)
+	cands := r.column(phrase)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, phrase)
 	}
@@ -261,7 +250,7 @@ func parseAggOnly(s, cue string, kind Kind, suffix string, schema *Schema, lex *
 	}, nil
 }
 
-func parsePercent(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parsePercent(s string, schema *Schema, r resolver) (*Parsed, error) {
 	// "About x percent of the <noun> recorded <filterphrase> of <fv>."
 	_, rest, ok := strings.Cut(s, cuePercent)
 	if !ok {
@@ -276,11 +265,11 @@ func parsePercent(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, 
 	if !ok {
 		return nil, fmt.Errorf("%w: Percent without filter value", ErrUnparseable)
 	}
-	fc := resolveColumn(fPhrase, schema, lex, ctx)
+	fc := r.column(fPhrase)
 	if len(fc) == 0 {
 		return nil, fmt.Errorf("%w: no filter column for %q", ErrUnparseable, fPhrase)
 	}
-	table := resolveTable(noun, schema, lex)
+	table := r.table(noun)
 	ent := ""
 	if table != nil {
 		ent = EntityColumnOf(table)
@@ -298,7 +287,7 @@ func parsePercent(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, 
 	}, nil
 }
 
-func parseArg(s, cue string, kind Kind, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseArg(s, cue string, kind Kind, schema *Schema, r resolver) (*Parsed, error) {
 	// "x recorded the highest <colphrase> of all <noun>."
 	_, rest, ok := strings.Cut(s, cue)
 	if !ok {
@@ -309,11 +298,11 @@ func parseArg(s, cue string, kind Kind, schema *Schema, lex *Lexicon, ctx string
 	if !ok {
 		return nil, fmt.Errorf("%w: Arg without noun", ErrUnparseable)
 	}
-	cands := resolveColumn(phrase, schema, lex, ctx)
+	cands := r.column(phrase)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, phrase)
 	}
-	table := resolveTable(noun, schema, lex)
+	table := r.table(noun)
 	ent := ""
 	if table != nil {
 		ent = EntityColumnOf(table)
@@ -331,7 +320,7 @@ func parseArg(s, cue string, kind Kind, schema *Schema, lex *Lexicon, ctx string
 	}, nil
 }
 
-func parseMode(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseMode(s string, r resolver) (*Parsed, error) {
 	// "x is the most common <colphrase> among the <noun>."
 	_, rest, ok := strings.Cut(s, cueMode)
 	if !ok {
@@ -342,7 +331,7 @@ func parseMode(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, err
 	if !ok {
 		phrase = rest
 	}
-	cands := resolveColumn(phrase, schema, lex, ctx)
+	cands := r.column(phrase)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, phrase)
 	}
@@ -353,13 +342,13 @@ func parseMode(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, err
 	}, nil
 }
 
-func parseLookup(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
+func parseLookup(s string, schema *Schema, r resolver) (*Parsed, error) {
 	// "<entity> recorded x <colphrase>."
 	entity, tail, ok := strings.Cut(trimSentence(s), " recorded x ")
 	if !ok {
 		return nil, fmt.Errorf("%w: Lookup without masked value", ErrUnparseable)
 	}
-	cands := resolveColumn(tail, schema, lex, ctx)
+	cands := r.column(tail)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no column for %q", ErrUnparseable, tail)
 	}
@@ -395,36 +384,75 @@ func parseLookup(s string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, e
 
 // --- resolution helpers ---
 
-// resolveColumn ranks all schema columns against a phrase, considering each
-// column's canonical phrase, underspecified short phrase, raw header, and
-// unit-converted phrase variants. When ctx is non-empty, candidates whose
-// distinguishing tokens occur in the context get boosted — the mechanism by
-// which context reading disambiguates "fatal accidents" into the right
-// period column.
-func resolveColumn(phrase string, schema *Schema, lex *Lexicon, ctx string) []Candidate {
+// resolver maps the phrases of one claim to schema columns and tables. The
+// template parsers above are written against it so the differential tests
+// can run them over the uncompiled reference resolution.
+type resolver interface {
+	// column ranks all schema columns against a phrase.
+	column(phrase string) []Candidate
+	// table maps a plural noun to the best-matching schema table.
+	table(noun string) *SchemaTable
+}
+
+// compiledResolver resolves against the lexicon's compiled columns
+// (compile.go). One is built per ParseMasked call.
+type compiledResolver struct {
+	schema *Schema
+	lex    *Lexicon
+	ctx    string
+	// ctxNorm is " "+Normalize(ctx)+" ", built by the first column that
+	// needs a context boost.
+	ctxNorm string
+}
+
+// column considers each column's canonical phrase, underspecified short
+// phrase, raw header, and unit-converted phrase variants. When ctx is
+// non-empty, candidates whose distinguishing tokens occur in the context get
+// boosted — the mechanism by which context reading disambiguates "fatal
+// accidents" into the right period column.
+func (r *compiledResolver) column(phrase string) []Candidate {
 	phrase = strings.TrimSpace(phrase)
 	if phrase == "" {
 		return nil
 	}
-	ctxNorm := " " + embed.Normalize(ctx) + " "
-	phraseVec := embed.Embed(phrase)
-	var cands []Candidate
-	seen := map[string]bool{}
-	for _, t := range schema.Tables {
+	phraseVec := embed.EmbedSparse(phrase)
+	var (
+		cands  []Candidate
+		lowers []string // cands[i]'s column name, lower-cased
+		have   []string // the phrase's normalized tokens, for context boosts
+	)
+	compiled := r.lex.compiled.snapshot()
+	for _, t := range r.schema.Tables {
+	columns:
 		for _, c := range t.Columns {
 			lower := strings.ToLower(c.Name)
-			if seen[lower] {
-				continue
+			cc := compiled[lower]
+			if cc == nil {
+				cc = r.lex.compiled.add(r.lex, lower)
 			}
-			seen[lower] = true
-			best, factor := scoreColumn(phraseVec, c.Name, lex)
+			best, factor := cc.score(&phraseVec)
 			if best <= 0.3 {
 				continue
 			}
-			if ctx != "" {
-				best += contextBoost(phrase, c.Name, lex, ctxNorm)
+			// A name that occurs in several tables counts once, under its
+			// first spelling. Its score depends on the lower-cased name
+			// only, so a repeat can only show up among the candidates.
+			for _, seen := range lowers {
+				if seen == lower {
+					continue columns
+				}
+			}
+			if r.ctx != "" {
+				if r.ctxNorm == "" {
+					r.ctxNorm = " " + embed.Normalize(r.ctx) + " "
+				}
+				if have == nil {
+					have = strings.Fields(embed.Normalize(phrase))
+				}
+				best += cc.contextBoost(have, r.ctxNorm)
 			}
 			cands = append(cands, Candidate{Column: c.Name, Score: best, ConvFactor: factor})
+			lowers = append(lowers, lower)
 		}
 	}
 	// Stable ranking: by score descending, ties by name for determinism.
@@ -443,82 +471,21 @@ func less(a, b Candidate) bool {
 	return a.Column < b.Column
 }
 
-// scoreColumn returns the best similarity between the (pre-embedded)
-// phrase and any verbalization of the column, plus the conversion factor if
-// the best match was a unit-converted variant.
-func scoreColumn(phraseVec embed.Vector, col string, lex *Lexicon) (float64, float64) {
-	variants := []struct {
-		text   string
-		factor float64
-	}{
-		{lex.ColumnPhrase(col), 0},
-		{strings.ReplaceAll(strings.ToLower(col), "_", " "), 0},
-	}
-	if short := lex.ShortPhrase(col); short != "" {
-		variants = append(variants, struct {
-			text   string
-			factor float64
-		}{short, 0})
-	}
-	if baseUnit := lex.ColumnUnit(col); baseUnit != "" {
-		full := lex.ColumnPhrase(col)
-		for _, u := range lex.Units {
-			if u.From == baseUnit && strings.Contains(full, baseUnit) {
-				variants = append(variants, struct {
-					text   string
-					factor float64
-				}{strings.Replace(full, baseUnit, u.To, 1), u.Factor})
-			}
-		}
-	}
-	best, bestFactor := 0.0, 0.0
-	for _, v := range variants {
-		s := embed.Cosine(phraseVec, variantVec(v.text))
-		if s > best {
-			best = s
-			bestFactor = v.factor
-		}
-	}
-	return best, bestFactor
-}
-
-// contextBoost rewards a candidate column whose full-phrase tokens beyond
-// the given phrase occur in the context, e.g. context mentioning "between
-// 2000 and 2014" boosts fatal_accidents_00_14 over fatal_accidents_85_99.
-func contextBoost(phrase, col string, lex *Lexicon, ctxNorm string) float64 {
-	full := embed.Normalize(lex.ColumnPhrase(col))
-	have := map[string]bool{}
-	for _, tok := range strings.Fields(embed.Normalize(phrase)) {
-		have[tok] = true
-	}
-	extra, found := 0, 0
-	for _, tok := range strings.Fields(full) {
-		if have[tok] {
-			continue
-		}
-		extra++
-		if strings.Contains(ctxNorm, " "+tok+" ") {
-			found++
-		}
-	}
-	if extra == 0 || found == 0 {
-		return 0
-	}
-	return 0.2 * float64(found) / float64(extra)
-}
-
 func ambiguous(cands []Candidate) bool {
 	return len(cands) >= 2 && cands[0].Score-cands[1].Score < ambiguityMargin
 }
 
-// resolveTable maps a plural noun to the best-matching schema table.
-func resolveTable(noun string, schema *Schema, lex *Lexicon) *SchemaTable {
+func (r *compiledResolver) table(noun string) *SchemaTable {
+	schema := r.schema
+	nounVec := embed.EmbedSparse(noun)
 	var best *SchemaTable
 	bestScore := 0.0
 	for i := range schema.Tables {
 		t := &schema.Tables[i]
-		score := embed.Similarity(noun, lex.TableNoun(t.Name))
-		if s2 := embed.Similarity(noun, t.Name); s2 > score {
+		vec := embed.Embed(r.lex.TableNoun(t.Name))
+		score := nounVec.Cosine(&vec)
+		vec = embed.Embed(t.Name)
+		if s2 := nounVec.Cosine(&vec); s2 > score {
 			score = s2
 		}
 		if score > bestScore {

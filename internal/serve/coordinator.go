@@ -282,7 +282,7 @@ func (c *Coordinator) countRelay(status int) {
 		c.met.inc(&c.met.rejectedDraining)
 	case http.StatusGatewayTimeout:
 		c.met.inc(&c.met.deadlineExpired)
-	case http.StatusBadRequest:
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		c.met.inc(&c.met.badRequests)
 	case http.StatusInternalServerError:
 		c.met.inc(&c.met.internalErrors)

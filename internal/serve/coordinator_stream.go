@@ -39,7 +39,7 @@ type streamRelay struct {
 // each document's events in arrival order.
 func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
-	if c.rejectDraining(w) {
+	if c.rejectDraining(w) || oversize(c.met, w, r) {
 		return
 	}
 	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,11 +45,45 @@ func requestContext(r *http.Request, timeout time.Duration) (context.Context, co
 	return context.WithCancel(r.Context())
 }
 
+// oversize answers 413 when a request declares a body past maxBodyBytes, so
+// the caller learns the limit before the server reads (or a stream commits
+// its 200). Bodies of undeclared length are caught as they are read, by
+// limitBody.
+func oversize(m *serveMetrics, w http.ResponseWriter, r *http.Request) bool {
+	if r.ContentLength <= maxBodyBytes {
+		return false
+	}
+	tooLarge(m, w)
+	return true
+}
+
+// limitBody caps the request body at maxBodyBytes: reading past it fails
+// with an *http.MaxBytesError (see isTooLarge) instead of ending the body
+// early, which a JSON decoder reports as a syntax error in a valid document.
+// It is given no ResponseWriter to flag: a stream reads its body on another
+// goroutine than the one writing the response.
+func limitBody(r *http.Request) io.Reader {
+	return http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+}
+
+func isTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
 // decodeBody strictly decodes a JSON request body into dst — the one decoder
 // of both tiers — and returns the raw bytes, so a coordinator can relay a
-// valid body verbatim. A failure is counted on m and answered 400.
+// valid body verbatim. A failure is counted on m and answered 400, a body
+// over maxBodyBytes 413.
 func decodeBody(m *serveMetrics, w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	if oversize(m, w, r) {
+		return nil, false
+	}
+	body, err := io.ReadAll(limitBody(r))
+	if isTooLarge(err) {
+		tooLarge(m, w)
+		return nil, false
+	}
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()

@@ -138,6 +138,9 @@ func feeShare(stats BatchStats) float64 {
 // N's verdicts are being written.
 func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
+	if oversize(s.met, w, r) {
+		return
+	}
 	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
 	defer cancel()
 	s.met.inc(&s.met.streams)
@@ -247,14 +250,21 @@ func reviewCounters(st review.Stats) ReviewCounters {
 // readStream decodes the NDJSON documents of a stream request body, handing
 // each to admit with its arrival index until admit returns false or the body
 // ends. A document that fails to decode ends the stream with a bad_request on
-// readerErr, which holds at most one terminal input-side error.
+// readerErr, which holds at most one terminal input-side error; a body that
+// runs past maxBodyBytes ends it with too_large (the documents before the
+// limit were admitted and are answered).
 func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, admit func(index int, in DocumentInput) bool) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(limitBody(r))
 	dec.DisallowUnknownFields()
 	for index := 0; ; index++ {
 		var in DocumentInput
 		if err := dec.Decode(&in); err != nil {
-			if err != io.EOF {
+			switch {
+			case err == io.EOF:
+			case isTooLarge(err):
+				m.inc(&m.badRequests)
+				readerErr <- ErrorDetail{Code: CodeTooLarge, Message: tooLargeMessage}
+			default:
 				m.inc(&m.badRequests)
 				readerErr <- ErrorDetail{Code: CodeBadRequest,
 					Message: fmt.Sprintf("decoding stream document %d: %v", index, err)}

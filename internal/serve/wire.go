@@ -205,8 +205,8 @@ type ReplicaRequest struct {
 
 // ErrorBody is the uniform error envelope: every non-2xx response carries
 // {"error": {"code", "message"}}. Codes are stable strings (docs/CLI.md):
-// bad_request, overloaded, draining, deadline_exceeded, internal, not_found,
-// replica_lost.
+// bad_request, overloaded, draining, deadline_exceeded, internal, too_large,
+// not_found, replica_lost.
 type ErrorBody struct {
 	Error ErrorDetail `json:"error"`
 }
@@ -224,6 +224,10 @@ const (
 	CodeDraining         = "draining"
 	CodeDeadlineExceeded = "deadline_exceeded"
 	CodeInternal         = "internal"
+	// CodeTooLarge answers a verify body over 8 MiB: 413 on the unary and
+	// batch routes and on a stream that declares its length, an in-band
+	// error event on a stream that crosses the limit as it is read.
+	CodeTooLarge = "too_large"
 	// CodeNotFound answers a resolve of an unknown review item.
 	CodeNotFound = "not_found"
 	// CodeReplicaLost reports a replica that failed after a request was
@@ -294,6 +298,16 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
 	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
+}
+
+// tooLargeMessage names the limit an oversize body crossed.
+var tooLargeMessage = fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)
+
+// tooLarge counts an oversize request on m, with the malformed ones, and
+// answers it 413.
+func tooLarge(m *serveMetrics, w http.ResponseWriter) {
+	m.inc(&m.badRequests)
+	writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, tooLargeMessage, 0)
 }
 
 // badRequest counts a malformed request on m and answers it 400.
