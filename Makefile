@@ -52,9 +52,13 @@ chaos:
 # run here too: the lazy math/rand source, the sparse embedding, the schema
 # memo and the compiled column resolution (every generator corpus), with the
 # 32-goroutine cache stress, the cache-cap churn and the allocation ceilings.
+# So does the attempt that executes its query once (DESIGN.md §18): the
+# three-execution attempt it replaced over every generator corpus, method and
+# fault rate, the execution count at the plan cache, the result shapes, and
+# the per-run claim inputs.
 trace:
-	$(GO) test -race -run 'GoldenTrace|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL|Differential|LazyRand|ColumnCache|CompiledCaches|SchemaMemo|AllocCeiling|FoldedCreateTable' \
-		./internal/core ./internal/trace ./internal/llm ./internal/llm/sim ./internal/nl ./internal/embed
+	$(GO) test -race -run 'GoldenTrace|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL|Differential|LazyRand|ColumnCache|CompiledCaches|SchemaMemo|AllocCeiling|FoldedCreateTable|AttemptExecutesOnce|AttemptResultShapes|ClaimInputs' \
+		./internal/core ./internal/trace ./internal/llm ./internal/llm/sim ./internal/nl ./internal/embed ./internal/verify
 
 # Persistent-store gate under the race detector (DESIGN.md §11): segment
 # round-trip/recovery units, the crash-recovery truncation sweep (reopen at
@@ -86,10 +90,11 @@ gatelint:
 # the row oracle and the vectorized executor, bit-identical results and
 # error surfaces), the pushdown row-count property, the plan-cache suite
 # (normalized sharing, invalidation, cap, 32-goroutine mixed
-# prepare/execute/invalidate stress), and the warm-cache verdict/trace
+# prepare/execute/invalidate stress), the Schema() memo under catalog churn
+# (32 readers, never a stale schema), and the warm-cache verdict/trace
 # determinism tests at the pipeline level.
 sqldiff:
-	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches' \
+	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches|SchemaMemo' \
 		./internal/sqldb ./internal/data ./internal/core
 
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring
@@ -147,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzStoreDecode$$ -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run NONE -fuzz FuzzRingAssign$$ -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run NONE -fuzz FuzzTypeInference$$ -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run NONE -fuzz FuzzClassify$$ -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run NONE -fuzz FuzzDecompose$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzRouteScore$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzSchemaMemo$$ -fuzztime $(FUZZTIME) ./internal/nl

@@ -88,11 +88,12 @@ type Result struct {
 	Correct bool
 	// Query is the SQL query used for verification (empty if none).
 	Query string
-	// Executable records that at least one attempted translation executed
-	// to a single-cell result, even if it failed the plausibility gate.
-	// Per Section 4, claims that remain unverified but had executable
-	// queries are marked incorrect; only claims with no executable query
-	// at all default to correct.
+	// Executable records that at least one attempted translation parsed
+	// and ran, even if it failed the plausibility gate: a query whose
+	// result is empty or not a single cell (sqldb.ErrNotScalar) still
+	// counts, one that errors does not. Per Section 4, claims that remain
+	// unverified but had executable queries are marked incorrect; only
+	// claims with no executable query at all default to correct.
 	Executable bool
 	// Method names the verification approach that succeeded.
 	Method string
@@ -117,8 +118,10 @@ func (c *Claim) IsNumeric() bool { return textutil.IsNumeric(c.Value) }
 // ValueType returns the {type} placeholder content for prompt templates:
 // "numeric" for numeric claims and the empty string otherwise, as specified
 // in Section 5.2.
-func (c *Claim) ValueType() string {
-	if c.IsNumeric() {
+func (c *Claim) ValueType() string { return valueType(c.IsNumeric()) }
+
+func valueType(numeric bool) string {
+	if numeric {
 		return "numeric"
 	}
 	return ""
@@ -131,6 +134,32 @@ func (c *Claim) Masked() (sentence, context string) {
 	masked := textutil.MaskSpan(c.Sentence, c.Span)
 	ctx, _ := textutil.MaskInContext(c.Context, c.Sentence, masked)
 	return masked, ctx
+}
+
+// Inputs are the constants of a claim that every verification attempt on it
+// reads: the Algorithm 4 masking, the {type} placeholder and the parsed claim
+// value. They are derived from the claim, never stored on it: a pipeline run
+// derives them once per claim and hands them to that run's attempts through
+// verify.Invocation, so a claim edited between two runs is read afresh and
+// nothing a run computed stays behind on the caller's corpus.
+type Inputs struct {
+	// Masked and MaskedContext are what Masked returns.
+	Masked, MaskedContext string
+	// Numeric reports whether the claim value is numeric; Number is then
+	// its parsed form.
+	Numeric bool
+	Number  textutil.Number
+}
+
+// ValueType is what Claim.ValueType returns.
+func (in *Inputs) ValueType() string { return valueType(in.Numeric) }
+
+// Inputs derives the claim's attempt inputs.
+func (c *Claim) Inputs() Inputs {
+	var in Inputs
+	in.Masked, in.MaskedContext = c.Masked()
+	in.Number, in.Numeric = textutil.ParseNumeric(c.Value)
+	return in
 }
 
 // Document is a text document whose claims refer to an attached relational

@@ -202,8 +202,13 @@ func (p *Pipeline) VerifyDocument(d *claim.Document) {
 	// an attempt's seed does not depend on which claims earlier steps
 	// already verified.
 	index := make(map[*claim.Claim]int, len(d.Claims))
+	// What every attempt on a claim reads off it — masking, value type,
+	// parsed value — is derived here, once per claim for this run, and
+	// dropped with the run: nothing is kept on the caller's claims.
+	inputs := make([]claim.Inputs, len(d.Claims))
 	for i, c := range d.Claims {
 		index[c] = i
+		inputs[i] = c.Inputs()
 	}
 	remaining := append([]*claim.Claim{}, d.Claims...)
 	for _, step := range p.plan.Steps {
@@ -226,13 +231,14 @@ func (p *Pipeline) VerifyDocument(d *claim.Document) {
 						d.ID, strconv.Itoa(index[c]), step.Method, strconv.Itoa(try)),
 					Attempt: trace.Key{Doc: d.ID, Claim: index[c], Method: step.Method, Try: try},
 					Tracer:  p.cfg.Tracer,
+					Inputs:  &inputs[index[c]],
 				}
 			}
 			if sample == nil {
 				s := p.harvestPass(m, remaining, d.Data, invFor)
 				remaining = removeAll(remaining, s)
 				if len(s) > 0 {
-					sample = verify.MakeSample(s[0])
+					sample = verify.MakeSample(s[0], &inputs[index[s[0]]])
 				}
 			}
 			if sample != nil && len(remaining) > 0 {

@@ -1,11 +1,74 @@
 package ingest
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sqldb"
 )
+
+// classifyAllParsers is classify as it was before it looked at a cell's bytes
+// first: every parser tried on every cell. It is the oracle FuzzClassify
+// holds the shape checks to.
+func classifyAllParsers(raw string) (sqldb.Value, ColType) {
+	t := strings.TrimSpace(raw)
+	if nullTokens[strings.ToLower(t)] {
+		return sqldb.Null(), ColUnknown
+	}
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+		return sqldb.Int(i), ColInt
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil {
+		if !strings.ContainsAny(t, "iI") {
+			return sqldb.Float(f), ColFloat
+		}
+	}
+	switch strings.ToLower(t) {
+	case "true", "false":
+		return sqldb.Bool(strings.ToLower(t) == "true"), ColBool
+	}
+	for _, layout := range dateLayouts {
+		if d, err := time.Parse(layout, t); err == nil {
+			return sqldb.Text(d.Format("2006-01-02")), ColDate
+		}
+	}
+	return sqldb.Text(t), ColString
+}
+
+// FuzzClassify holds classify to the all-parsers oracle: a shape check may
+// only skip a parser that would have failed, so value and type must agree on
+// every input.
+func FuzzClassify(f *testing.F) {
+	day := time.Date(2024, time.March, 5, 0, 0, 0, 0, time.UTC)
+	for _, layout := range dateLayouts {
+		f.Add(day.Format(layout))
+		f.Add(strings.ToUpper(day.Format(layout)))
+		f.Add(strings.ReplaceAll(day.Format(layout), " ", "   "))
+	}
+	for tok := range nullTokens {
+		f.Add(tok)
+		f.Add(strings.ToUpper(tok))
+	}
+	for _, s := range []string{
+		"1e3", "+5", "-5", "Inf", "-inf", "+Infinity", "0x1p4", "1_000", ".5", "5.", "-.5e-3",
+		"9223372036854775808", "1e999", "  42  ", "true", "FALSE", "fal\u017fe", "+", "-", ".",
+		"acct-070000", "2024-13-40", "12/31/1999", "1999/12/31", "31 Dec 1999", "Dec 31, 1999",
+		"Dec 31,1999", "December 31, 1999", "2 Jan 20060", "\u0130nf", "\u212aan",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		got, gotType := classify(raw)
+		want, wantType := classifyAllParsers(raw)
+		// NaN never reaches here as a float (its spellings are null tokens
+		// or fail to parse), so == on the values is exact.
+		if got != want || gotType != wantType {
+			t.Fatalf("classify(%q) = %#v, %v; all parsers give %#v, %v", raw, got, gotType, want, wantType)
+		}
+	})
+}
 
 // FuzzTypeInference throws adversarial CSV/JSON at the full ingestion path
 // and checks the invariants that matter downstream: no panics, every kept

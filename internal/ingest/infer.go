@@ -80,31 +80,76 @@ var dateLayouts = []string{
 
 // classify converts one raw cell into its sqldb value and ingest type.
 // Null tokens classify as (NULL, ColUnknown) so they never narrow a column.
+// A parser that fails allocates its error, and most cells of a text column
+// would fail all seven, so each family of parsers runs only on a cell whose
+// bytes could satisfy it.
 func classify(raw string) (sqldb.Value, ColType) {
 	t := strings.TrimSpace(raw)
-	if nullTokens[strings.ToLower(t)] {
+	lower := strings.ToLower(t)
+	if nullTokens[lower] {
 		return sqldb.Null(), ColUnknown
 	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return sqldb.Int(i), ColInt
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
-		// Infinities would otherwise sneak through ParseFloat; treat them as
-		// text so aggregates stay finite. (NaN spellings are null tokens.)
-		if !strings.ContainsAny(t, "iI") {
-			return sqldb.Float(f), ColFloat
+	if numberShaped(t) {
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return sqldb.Int(i), ColInt
+		}
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
+			// Infinities would otherwise sneak through ParseFloat; treat them as
+			// text so aggregates stay finite. (NaN spellings are null tokens.)
+			if !strings.ContainsAny(t, "iI") {
+				return sqldb.Float(f), ColFloat
+			}
 		}
 	}
-	switch strings.ToLower(t) {
+	switch lower {
 	case "true", "false":
-		return sqldb.Bool(strings.ToLower(t) == "true"), ColBool
+		return sqldb.Bool(lower == "true"), ColBool
 	}
-	for _, layout := range dateLayouts {
-		if d, err := time.Parse(layout, t); err == nil {
-			return sqldb.Text(d.Format("2006-01-02")), ColDate
+	if dateShaped(t) {
+		for _, layout := range dateLayouts {
+			if d, err := time.Parse(layout, t); err == nil {
+				return sqldb.Text(d.Format("2006-01-02")), ColDate
+			}
 		}
 	}
 	return sqldb.Text(t), ColString
+}
+
+// numberShaped reports whether t could be a strconv integer or float: after
+// one optional sign, every spelling they accept starts with a digit, a
+// decimal point, or the first letter of "inf", "infinity" or "nan".
+func numberShaped(t string) bool {
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		t = t[1:]
+	}
+	if t == "" {
+		return false
+	}
+	switch c := t[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
+}
+
+// dateShaped reports whether t could match one of dateLayouts. The three
+// numeric layouts are fixed-width with their separators at known offsets;
+// the two with a month name hold at least one space and end in the four
+// digits of the year.
+func dateShaped(t string) bool {
+	n := len(t)
+	if n < 10 {
+		return false
+	}
+	if n == 10 && ((t[4] == '-' || t[4] == '/') && t[7] == t[4] || t[2] == '/' && t[5] == '/') {
+		return true
+	}
+	for i := n - 4; i < n; i++ {
+		if t[i] < '0' || t[i] > '9' {
+			return false
+		}
+	}
+	return strings.IndexByte(t, ' ') >= 0
 }
 
 // mergeColType widens a column's type to cover a newly observed cell type.

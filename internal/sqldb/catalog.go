@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Column describes one column of a table.
@@ -167,6 +168,16 @@ type Database struct {
 	tableVers map[string]uint64
 
 	plans planCache // parsed-plan / prepared-statement cache (stmt_cache.go)
+
+	// schema is the last Schema() rendering and the catalog version it was
+	// rendered at. A reader uses it only while that version is current, so
+	// the version bump in AddTable/RemoveTable is its whole invalidation.
+	schema atomic.Pointer[schemaText]
+}
+
+type schemaText struct {
+	version uint64
+	text    string
 }
 
 // NewDatabase constructs an empty database.
@@ -281,6 +292,11 @@ func (d *Database) stampFor(names []string) uint64 {
 func (d *Database) Tables() []*Table {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.tablesLocked()
+}
+
+// tablesLocked is Tables for a caller already holding d.mu.
+func (d *Database) tablesLocked() []*Table {
 	out := make([]*Table, 0, len(d.order))
 	for _, k := range d.order {
 		out = append(out, d.tables[k])
@@ -301,9 +317,30 @@ func (d *Database) TableNames() []string {
 
 // Schema renders a compact CREATE TABLE description of every table, used to
 // fill the {db_schema} placeholder of the verification prompt templates.
+// Every attempt's prompt carries it, so the text is rendered once per catalog
+// version and shared until the catalog changes. Like the column image, it
+// follows AddTable: a table altered in place shows once it is registered
+// again.
 func (d *Database) Schema() string {
+	d.mu.RLock()
+	version := d.version
+	if m := d.schema.Load(); m != nil && m.version == version {
+		d.mu.RUnlock()
+		return m.text
+	}
+	tables := d.tablesLocked()
+	d.mu.RUnlock()
+	// Rendered from the tables of exactly this version. A slower renderer of
+	// an older version may store after a newer one; its entry then matches
+	// no reader's version and is replaced on the next call.
+	text := renderSchema(tables)
+	d.schema.Store(&schemaText{version: version, text: text})
+	return text
+}
+
+func renderSchema(tables []*Table) string {
 	var b strings.Builder
-	for _, t := range d.Tables() {
+	for _, t := range tables {
 		fmt.Fprintf(&b, "CREATE TABLE \"%s\" (", t.Name)
 		for i, c := range t.Columns {
 			if i > 0 {

@@ -28,6 +28,10 @@ var numberWords = map[string]float64{
 // plain decimals, thousands separators, leading currency symbols, trailing
 // percent signs, magnitude suffixes ("3.2 million"), and spelled-out small
 // numbers ("two"). The boolean result reports whether s denotes a number.
+// Only decimal spellings count: strconv.ParseFloat would also read "Inf",
+// "Infinity", "nan", hex floats ("0x1p4") and Go's digit-separating
+// underscores as numbers, and a claim whose value is the word "Infinity" is
+// a textual claim.
 func ParseNumber(s string) (float64, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -49,11 +53,29 @@ func ParseNumber(s string) (float64, bool) {
 	cleaned = strings.TrimRight(cleaned, "%")
 	cleaned = strings.ReplaceAll(cleaned, ",", "")
 	cleaned = strings.TrimSpace(cleaned)
+	if !decimalSpelling(cleaned) {
+		return 0, false
+	}
 	v, err := strconv.ParseFloat(cleaned, 64)
 	if err != nil {
 		return 0, false
 	}
 	return v, true
+}
+
+// decimalSpelling reports whether s is made only of the bytes a decimal or
+// scientific-notation number is written with. It is what keeps ParseFloat's
+// non-finite, hexadecimal and underscored spellings out; ParseFloat still
+// decides whether the bytes form a number (and rejects one that overflows).
+func decimalSpelling(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', c == '.', c == '+', c == '-', c == 'e', c == 'E':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // IsNumeric reports whether s denotes a numeric claim value under the same
@@ -95,20 +117,40 @@ func RoundTo(x float64, prec int) float64 {
 	return math.Round(x*pow) / pow
 }
 
+// Number is a numeric claim value parsed once: its magnitude and the decimal
+// places its author wrote, which govern the rounding comparison.
+type Number struct {
+	Value     float64
+	Precision int
+}
+
+// ParseNumeric parses s under ParseNumber's rules and keeps its stated
+// precision alongside, so a caller comparing many results against one claim
+// value reads the text once.
+func ParseNumeric(s string) (Number, bool) {
+	v, ok := ParseNumber(s)
+	if !ok {
+		return Number{}, false
+	}
+	return Number{Value: v, Precision: Precision(s)}, true
+}
+
 // RoundMatches implements the claim-validation comparison of Algorithm 3:
 // the query result matches the claim value iff rounding the result to the
 // claim's stated precision yields the claim value. Per Example 4.1 a query
 // result of 3.140 matches claimed "3.1" and "3" but not "3.143", while a
 // result of 3.143 matches "3.14".
-func RoundMatches(claim string, result float64) bool {
-	cv, ok := ParseNumber(claim)
-	if !ok {
-		return false
-	}
-	prec := Precision(claim)
-	rounded := RoundTo(result, prec)
+func (n Number) RoundMatches(result float64) bool {
+	rounded := RoundTo(result, n.Precision)
 	// Compare at the claim's precision to avoid float representation noise.
-	return math.Abs(rounded-cv) < 0.5*math.Pow(10, float64(-prec))*1e-6+1e-9
+	return math.Abs(rounded-n.Value) < 0.5*math.Pow(10, float64(-n.Precision))*1e-6+1e-9
+}
+
+// RoundMatches is Number.RoundMatches for a claim value still in text form;
+// a non-numeric claim matches nothing.
+func RoundMatches(claim string, result float64) bool {
+	n, ok := ParseNumeric(claim)
+	return ok && n.RoundMatches(result)
 }
 
 // SameOrderOfMagnitude implements the plausibility gate of CorrectQuery for

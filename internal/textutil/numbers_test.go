@@ -37,6 +37,33 @@ func TestParseNumber(t *testing.T) {
 	}
 }
 
+// TestParseNumberDecimalSpellingsOnly pins which strconv.ParseFloat
+// spellings are not claim numbers: a claim whose value is the word
+// "Infinity" is textual, and nothing can be in the order of magnitude of +Inf.
+func TestParseNumberDecimalSpellingsOnly(t *testing.T) {
+	for _, s := range []string{
+		"Infinity", "Inf", "inf", "-Inf", "+infinity", "nan", "NaN",
+		"0x1p4", "0X1P-2", "-0x1.8p1", "1_000", "$Inf", "inf%", "1e999",
+	} {
+		if v, ok := ParseNumber(s); ok {
+			t.Errorf("ParseNumber(%q) = %v, true; want a textual value", s, v)
+		}
+		if IsNumeric(s) {
+			t.Errorf("IsNumeric(%q) = true", s)
+		}
+		if RoundMatches(s, math.Inf(1)) {
+			t.Errorf("RoundMatches(%q, +Inf) = true", s)
+		}
+	}
+	for s, want := range map[string]float64{
+		"1e3": 1000, "1E3": 1000, "+5": 5, "-2.5e-1": -0.25, ".5": 0.5, "5.": 5, "$1e3": 1000,
+	} {
+		if v, ok := ParseNumber(s); !ok || v != want {
+			t.Errorf("ParseNumber(%q) = %v, %v; want %v, true", s, v, ok, want)
+		}
+	}
+}
+
 func TestPrecision(t *testing.T) {
 	cases := []struct {
 		in   string

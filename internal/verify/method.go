@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/claim"
@@ -38,6 +37,21 @@ type Invocation struct {
 	Attempt trace.Key
 	// Tracer, when enabled, receives the attempt's terminal outcome span.
 	Tracer *trace.Tracer
+	// Inputs are the claim's attempt inputs (claim.Inputs), derived by the
+	// caller once for every attempt it will make on the claim in this run.
+	// Nil derives them on the spot — profiling, ablations and tests, which
+	// make one attempt per claim.
+	Inputs *claim.Inputs
+}
+
+// inputs returns the claim inputs the invocation carries, deriving them when
+// the caller prepared none.
+func (inv Invocation) inputs(c *claim.Claim) *claim.Inputs {
+	if inv.Inputs != nil {
+		return inv.Inputs
+	}
+	in := c.Inputs()
+	return &in
 }
 
 // Method is one verification approach instantiated with a specific model —
@@ -59,12 +73,14 @@ func Attempt(m Method, c *claim.Claim, db *sqldb.Database, sample *Sample, tempe
 }
 
 // AttemptWith applies one method invocation to one claim, implementing the
-// body of Algorithm 2's loop: translate, gate with CorrectQuery, and on
-// success validate with CorrectClaim and record the outcome on the claim.
-// It mutates only c, so concurrent attempts on distinct claims are safe.
+// body of Algorithm 2's loop: translate, execute the translation once, gate
+// its result for plausibility, and on success validate the claim value
+// against it and record the outcome on the claim. It mutates only c, so
+// concurrent attempts on distinct claims are safe.
 func AttemptWith(m Method, c *claim.Claim, db *sqldb.Database, inv Invocation) bool {
 	c.Result.Attempts++
 	c.Result.Failure = ""
+	inv.Inputs = inv.inputs(c)
 	query, err := m.Translate(c, db, inv)
 	if err != nil {
 		// Transport failures (exhausted retries, open circuits) are recorded
@@ -79,17 +95,18 @@ func AttemptWith(m Method, c *claim.Claim, db *sqldb.Database, inv Invocation) b
 		return false
 	}
 	c.Result.Query = query // last attempted query, kept even on failure
-	// Executable means the query parses and runs; an empty or multi-row
-	// result still counts (it ran, it just cannot match the claimed
-	// value), feeding Section 4's marked-incorrect fallback.
-	if _, err := sqldb.QueryScalar(db, query); err == nil || errors.Is(err, sqldb.ErrNotScalar) {
+	// The database cannot change under one attempt, so one execution feeds
+	// Executable and both gates.
+	res, err := sqldb.QueryScalar(db, query)
+	out := cell{res: res, err: err, value: c.Value, numeric: inv.Inputs.Numeric, number: inv.Inputs.Number}
+	if out.executable() {
 		c.Result.Executable = true
 	}
-	if !CorrectQuery(query, c.Value, db) {
+	if !out.plausible() {
 		inv.outcome(trace.OutcomeImplausible)
 		return false
 	}
-	correct, err := CorrectClaim(query, c.Value, db)
+	correct, err := out.correct()
 	if err != nil {
 		inv.outcome(trace.OutcomeImplausible)
 		return false
@@ -111,22 +128,21 @@ func (inv Invocation) outcome(verdict string) {
 	inv.Tracer.Record(trace.Span{Key: inv.Attempt, Kind: trace.KindOutcome, Outcome: verdict})
 }
 
-// MakeSample converts a successfully verified claim into a few-shot sample.
-func MakeSample(c *claim.Claim) *Sample {
-	masked, _ := c.Masked()
-	return &Sample{MaskedClaim: masked, Query: c.Result.Query}
+// MakeSample converts a successfully verified claim into a few-shot sample;
+// in are the claim's inputs as its attempts read them.
+func MakeSample(c *claim.Claim, in *claim.Inputs) *Sample {
+	return &Sample{MaskedClaim: in.Masked, Query: c.Result.Query}
 }
 
-// baseInputs assembles the prompt ingredients shared by both methods.
-func baseInputs(c *claim.Claim, db *sqldb.Database, masked bool) (claimText, ctx string) {
+// promptInputs assembles the prompt ingredients shared by both methods: the
+// claim text and context (masked unless the ablation turns masking off) and
+// the {type} placeholder.
+func promptInputs(c *claim.Claim, inv Invocation, masked bool) (claimText, ctx, valueType string) {
+	in := inv.inputs(c)
 	if masked {
-		return maskedPair(c)
+		return in.Masked, in.MaskedContext, in.ValueType()
 	}
-	return c.Sentence, c.Context
-}
-
-func maskedPair(c *claim.Claim) (string, string) {
-	return c.Masked()
+	return c.Sentence, c.Context, in.ValueType()
 }
 
 // usageError wraps model invocation failures.

@@ -487,7 +487,8 @@ func TestMakeSampleAndModelNames(t *testing.T) {
 	c := docs[0].Claims[0]
 	cc := *c
 	cc.Result.Query = "SELECT 1"
-	s := MakeSample(&cc)
+	in := cc.Inputs()
+	s := MakeSample(&cc, &in)
 	if s.Query != "SELECT 1" {
 		t.Errorf("sample query = %q", s.Query)
 	}
