@@ -35,6 +35,10 @@ func planCacheTotals(docs []*claim.Document) sqldb.PlanCacheStats {
 		total.VecRuns += st.VecRuns
 		total.RowFallbacks += st.RowFallbacks
 		total.RowOnlyPlans += st.RowOnlyPlans
+		total.IndexBuilds += st.IndexBuilds
+		total.IndexProbes += st.IndexProbes
+		total.FoldHits += st.FoldHits
+		total.IndexJoins += st.IndexJoins
 	}
 	return total
 }
@@ -142,7 +146,10 @@ func TestGoldenTraceUnchangedByWarmPlanCache(t *testing.T) {
 // counts 1 and 8, and requires that the row engine answered none of the
 // pipeline's queries: every one ran on the column image. A vectorized
 // regression that only the silent fallback hid would show here as a count,
-// not as a slowdown someone has to notice.
+// not as a slowdown someone has to notice. The same goes for the access paths
+// on that image: the run's lookups, unfiltered aggregates and lookup joins
+// must have taken them, each index built once however many workers wanted it
+// first, while the profiling corpus (tables of at most 50 rows) took none.
 func TestWarmPlanCacheBigTableNoRowFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	teams := []string{"north", "south", "east", "west", "central", "coastal"}
@@ -203,5 +210,17 @@ func TestWarmPlanCacheBigTableNoRowFallback(t *testing.T) {
 			t.Errorf("workers=%d: the row engine answered %d fallbacks and %d row-only statements; want 0 and 0",
 				workers, after.RowFallbacks, after.RowOnlyPlans)
 		}
+		if after.IndexProbes == before.IndexProbes || after.FoldHits == before.FoldHits || after.IndexJoins == before.IndexJoins {
+			t.Errorf("workers=%d: an access path was not taken: before %+v, after %+v", workers, before, after)
+		}
+	}
+	// One index per probed column: name in the flat table and in its
+	// normalized twin, and the surrogate key of each normalized measure table
+	// the lookup joins walk.
+	if st := planCacheTotals(evalDocs); st.IndexBuilds != 4 {
+		t.Errorf("%d indexes built after two runs, want 4: %+v", st.IndexBuilds, st)
+	}
+	if st := planCacheTotals(profDocs[:8]); st.VecRuns == 0 || st.IndexBuilds+st.IndexProbes+st.FoldHits+st.IndexJoins != 0 {
+		t.Errorf("profiling corpus: %+v, want vectorized runs and no access path on tables this small", st)
 	}
 }

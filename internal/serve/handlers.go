@@ -213,6 +213,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	body.SQL = &SQLCounters{
 		PlanHits: st.Hits, PlanMisses: st.Misses, PlanEntries: st.Entries,
 		VecRuns: st.VecRuns, RowFallbacks: st.RowFallbacks, RowOnlyPlans: st.RowOnlyPlans,
+		IndexBuilds: st.IndexBuilds, IndexProbes: st.IndexProbes, FoldHits: st.FoldHits, IndexJoins: st.IndexJoins,
 	}
 	if s.cfg.Resilience != nil {
 		rs := s.cfg.Resilience()

@@ -140,6 +140,8 @@ type MetricsResponse struct {
 // SQLCounters mirrors sqldb.PlanCacheStats. Every query execution counts in
 // exactly one of VecRuns, RowFallbacks and RowOnlyPlans; a RowFallbacks that
 // moves means the fast path declined or failed and the row engine covered.
+// The last four count the access paths vectorized runs took on column images
+// of more than 1,024 rows; they stay zero on a catalog of smaller tables.
 type SQLCounters struct {
 	PlanHits     uint64 `json:"plan_hits"`
 	PlanMisses   uint64 `json:"plan_misses"`
@@ -147,6 +149,10 @@ type SQLCounters struct {
 	VecRuns      uint64 `json:"vec_runs"`
 	RowFallbacks uint64 `json:"row_fallbacks"`
 	RowOnlyPlans uint64 `json:"row_only_plans"`
+	IndexBuilds  uint64 `json:"index_builds"`
+	IndexProbes  uint64 `json:"index_probes"`
+	FoldHits     uint64 `json:"fold_hits"`
+	IndexJoins   uint64 `json:"index_joins"`
 }
 
 // StreamCounters tallies the streaming surface.

@@ -119,6 +119,9 @@ func mergeKind(cur, next Kind) Kind {
 type tableImage struct {
 	n    int // len(Rows) when the image was built
 	cols []*Vec
+	// paths holds each column's lazily built access paths (access.go); nil
+	// for an image of at most windowRows rows, which is only ever scanned.
+	paths []colPaths
 }
 
 // buildImage transposes t.Rows into typed column vectors, each stored unboxed
@@ -144,6 +147,9 @@ func buildImage(t *Table) *tableImage {
 			v.Append(row[c])
 		}
 		img.cols[c] = v
+	}
+	if img.n > windowRows {
+		img.paths = make([]colPaths, len(img.cols))
 	}
 	return img
 }

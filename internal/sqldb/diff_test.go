@@ -201,12 +201,7 @@ func corpusQueries(t *testing.T) []string {
 			return err
 		}
 		if strings.HasSuffix(path, ".sql") {
-			for _, line := range strings.Split(string(raw), "\n") {
-				line = strings.TrimSpace(line)
-				if line != "" && !strings.HasPrefix(line, "--") {
-					out = append(out, line)
-				}
-			}
+			out = append(out, sqlLines(string(raw))...)
 			return nil
 		}
 		lines := strings.Split(string(raw), "\n")
@@ -233,17 +228,37 @@ func corpusQueries(t *testing.T) []string {
 	return out
 }
 
+// sqlLines returns the queries of a .sql line file: one per line, blank
+// lines and -- comment lines skipped.
+func sqlLines(raw string) []string {
+	var out []string
+	for _, line := range strings.Split(raw, "\n") {
+		line = strings.TrimSpace(line)
+		if line != "" && !strings.HasPrefix(line, "--") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
 // TestDifferentialCorpus runs every stored testdata query through both
-// engines on both fixture catalogs (the corpus' native schema and the
-// generator fixture, whose mismatching schema exercises the error surface).
+// engines on every fixture catalog: the corpus' native schema, the generator
+// fixture, and the access-path fixture whose tables are large enough to be
+// probed rather than scanned (access_test.go). Each query's foreign catalogs
+// exercise the error surface.
 func TestDifferentialCorpus(t *testing.T) {
 	queries := corpusQueries(t)
-	for _, db := range []*Database{fuzzFixtureDB(), diffDB()} {
+	dbs := []*Database{fuzzFixtureDB(), diffDB(), accessDB()}
+	for _, db := range dbs {
 		for _, q := range queries {
 			checkDifferential(t, db, q)
 		}
 	}
-	t.Logf("corpus: %d queries x 2 catalogs", len(queries))
+	t.Logf("corpus: %d queries x %d catalogs", len(queries), len(dbs))
+	for _, db := range dbs[:2] {
+		requireNoAccessPaths(t, db)
+	}
+	requireAccessPaths(t, dbs[2])
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +463,29 @@ func TestDifferentialGenerated(t *testing.T) {
 	if vec < total/2 {
 		t.Errorf("vectorized engine covered only %d/%d generated queries; expected a majority", vec, total)
 	}
+	requireNoAccessPaths(t, db)
+
+	// The same contract past the row-count rule: lookups, unfiltered
+	// aggregates and lookup joins over the access-path fixture. The first
+	// query to want a path builds it (cold), every later one reads it (warm),
+	// and checkDifferential holds each against the row engine.
+	const totalAccess = 500
+	big := accessDB()
+	vec = 0
+	for i := 0; i < totalAccess; i++ {
+		q := g.accessQuery()
+		if _, err := Parse(q); err != nil {
+			t.Fatalf("generator produced unparsable SQL (generator bug): %q: %v", q, err)
+		}
+		if checkDifferential(t, big, q) {
+			vec++
+		}
+	}
+	t.Logf("generated over the access-path fixture: %d queries, vectorized coverage %d", totalAccess, vec)
+	if vec < totalAccess*9/10 { // the rest are SUM or AVG of a text column, an error in both engines
+		t.Errorf("vectorized engine covered only %d/%d access-path queries", vec, totalAccess)
+	}
+	requireAccessPaths(t, big)
 }
 
 // TestDifferentialCatalogChurn re-runs a query mix while tables are replaced

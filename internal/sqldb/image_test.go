@@ -293,29 +293,35 @@ func allocPerQuery(t *testing.T, db *Database, q string) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
-// TestPlanCacheWarmAllocCeiling holds the warm path at 16k rows to at most a
-// fifth of the bytes per query it allocated when every scan transposed
-// Table.Rows into fresh vectors. Measured with allocPerQuery on the parent
-// commit and on the commit that made tables column-resident:
+// TestPlanCacheWarmAllocCeiling holds the warm path at 16k rows to a ceiling
+// on the bytes per query it allocates, measured with allocPerQuery:
 //
-//	filtered SUM            1,639,564 B/query  ->    4,168 B/query
-//	2-table join-aggregate  3,444,355 B/query  ->  665,173 B/query
+//	                        row transposition   column image   access paths
+//	filtered SUM            1,639,564 B/query      4,168          1,128
+//	2-table join-aggregate  3,444,355 B/query    665,173        665,203
+//	lookup join                                   69,992          1,280
 //
-// The filtered SUM allocates its survivors' index list and their gathered
-// argument values. The join-aggregate matches 14k of 16k fact rows: what is
-// left is its match lists, the two gathered columns later operators read,
-// and the groups' row lists (about 600 KB that no storage layout removes),
-// which is why it passes by a few percent rather than by a factor.
+// The filtered SUM used to allocate its survivors' index list window by
+// window; from the equality index it allocates the 13 matching rows and
+// their gathered values. The lookup join used to allocate a 64 KB match
+// table over its 16k-row side before gathering one row; the index join
+// allocates the one pair. The join-aggregate matches 14k of 16k fact rows
+// with both sides unfiltered, so no access path applies: what it allocates is
+// its match lists, the two gathered columns later operators read, and the
+// groups' row lists (about 600 KB that no storage layout removes), which is
+// why it passes by a few percent rather than by a factor.
 func TestPlanCacheWarmAllocCeiling(t *testing.T) {
-	db := benchDB(16000)
+	bench, lookup := benchDB(16000), lookupDB()
 	for _, tc := range []struct {
 		name, q string
-		ceiling uint64 // a fifth of the parent's bytes per query
+		db      *Database
+		ceiling uint64
 	}{
-		{"filtered SUM", `SELECT SUM(v) FROM fact WHERE k = 77`, 1639564 / 5},
-		{"join-aggregate", benchJoinAgg, 3444355 / 5},
+		{"filtered SUM", `SELECT SUM(v) FROM fact WHERE k = 77`, bench, 2 << 10},
+		{"join-aggregate", benchJoinAgg, bench, 3444355 / 5},
+		{"lookup join", benchLookupJoin, lookup, 8 << 10},
 	} {
-		if got := allocPerQuery(t, db, tc.q); got > tc.ceiling {
+		if got := allocPerQuery(t, tc.db, tc.q); got > tc.ceiling {
 			t.Errorf("%s: %d B/query, ceiling %d", tc.name, got, tc.ceiling)
 		} else {
 			t.Logf("%s: %d B/query (ceiling %d)", tc.name, got, tc.ceiling)

@@ -132,7 +132,7 @@ func TestHashJoinMatchesDenseKeys(t *testing.T) {
 	tb.MustAppendRow(Int(p53 - 1))
 	db.AddTable(tb)
 	_, images, _ := db.snapshotTables([]string{"t"})
-	if _, _, ok := denseKeys(images[0].cols[0], images[0].cols[0]); !ok {
+	if _, _, ok := denseKeys(images[0].cols[0], images[0].cols[0], nil); !ok {
 		t.Error("keys just below 2^53 should take the dense path")
 	}
 }

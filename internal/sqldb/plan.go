@@ -20,10 +20,19 @@ const windowRows = 1024
 // planScan describes one FROM/JOIN relation: its slot range in the full
 // working-set layout plus any filter conjuncts pushed below the join.
 type planScan struct {
-	table  string  // catalog table name
-	base   int     // first slot index in the working-set layout
-	n      int     // column count (validated against the live table at exec)
-	pushed []vexpr // pushdown filters, evaluated per scan window
+	table  string   // catalog table name
+	base   int      // first slot index in the working-set layout
+	n      int      // column count (validated against the live table at exec)
+	pushed []vexpr  // pushdown filters, evaluated per scan window
+	eq     []planEq // the pushed filters an equality index can answer, ascending by k
+}
+
+// planEq marks pushed[k] as "column = literal" (in either operand order) over
+// column col of the scan's table, with a non-NULL text or numeric literal:
+// the shape an equality index answers when the image has one (access.go).
+type planEq struct {
+	k, col int
+	lit    Value
 }
 
 // planJoin describes how the i+1'th relation joins the accumulated working
@@ -59,7 +68,6 @@ type vecPlan struct {
 	needed   []bool // slots that must be materialized
 	residual []vexpr
 
-	items      []SelectItem // star-expanded projection
 	cols       []string
 	aggregated bool
 
@@ -129,7 +137,6 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 	if err != nil {
 		return nil
 	}
-	p.items = items
 	p.cols = projectionNames(items)
 	p.aggregated = len(stmt.GroupBy) > 0 || stmt.Having != nil || itemsHaveAggregate(items)
 
@@ -166,7 +173,11 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 				si = c.pushTarget(cj)
 			}
 			if si >= 0 {
-				p.scans[si].pushed = append(p.scans[si].pushed, c.compile(cj))
+				s := &p.scans[si]
+				if col, lit, ok := eqLiteral(cj, p.binds); ok {
+					s.eq = append(s.eq, planEq{k: len(s.pushed), col: col - s.base, lit: lit})
+				}
+				s.pushed = append(s.pushed, c.compile(cj))
 			} else {
 				p.residual = append(p.residual, c.compile(cj))
 			}
@@ -248,6 +259,31 @@ func staticOrderKey(e Expr, items []SelectItem) orderPlan {
 	return orderPlan{cellIdx: -1}
 }
 
+// eqLiteral recognizes a conjunct of the form column = literal or literal =
+// column whose literal is text or a number other than NaN, returning the
+// column's slot.
+func eqLiteral(e Expr, binds []colBind) (slot int, lit Value, ok bool) {
+	be, isBin := e.(*BinaryExpr)
+	if !isBin || be.Op != "=" {
+		return 0, Null(), false
+	}
+	ce, isCol := be.Left.(*ColumnExpr)
+	le, isLit := be.Right.(*LiteralExpr)
+	if !isCol || !isLit {
+		if ce, isCol = be.Right.(*ColumnExpr); !isCol {
+			return 0, Null(), false
+		}
+		if le, isLit = be.Left.(*LiteralExpr); !isLit {
+			return 0, Null(), false
+		}
+	}
+	if f, _ := le.Val.AsFloat(); le.Val.Kind() != KindText && (!le.Val.IsNumeric() || f != f) {
+		return 0, Null(), false
+	}
+	slot, ok = resolveBind(binds, ce.Table, ce.Name)
+	return slot, le.Val, ok
+}
+
 // splitConjuncts flattens a left-associative AND chain into its conjuncts.
 func splitConjuncts(e Expr) []Expr {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {
@@ -316,7 +352,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 	case *InExpr:
 		if v.Sub != nil {
 			if c.uncorrelated(v.Sub) {
-				return &vinsub{x: c.compile(v.Expr), sub: v.Sub, not: v.Not}
+				return &vinsub{x: c.compile(v.Expr), sub: v.Sub, plan: c.subPlan(v.Sub), not: v.Not}
 			}
 			return c.fallback(e)
 		}
@@ -352,12 +388,12 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		return cs
 	case *SubqueryExpr:
 		if c.uncorrelated(v.Stmt) {
-			return &vsub{sub: v.Stmt}
+			return &vsub{sub: v.Stmt, plan: c.subPlan(v.Stmt)}
 		}
 		return c.fallback(e)
 	case *ExistsExpr:
 		if c.uncorrelated(v.Stmt) {
-			return &vexists{sub: v.Stmt, not: v.Not}
+			return &vexists{sub: v.Stmt, plan: c.subPlan(v.Stmt), not: v.Not}
 		}
 		return c.fallback(e)
 	default:
@@ -589,6 +625,28 @@ func safeExpr(e Expr, binds []colBind) bool {
 // correlated; per-row evaluation then reproduces the row engine's errors.
 func (c *planCompiler) uncorrelated(sub *SelectStmt) bool {
 	return c.subLocal(sub, nil)
+}
+
+// subPlan compiles an uncorrelated subquery's own vectorized plan when it
+// reads a table whose image has access paths (access.go), which only a plan
+// can take: each half of a percentage over a large table is then a probe or a
+// memoised fold instead of two row-engine scans. A subquery over tables within
+// one scan window gets nil and runs on the row engine.
+func (c *planCompiler) subPlan(sub *SelectStmt) *vecPlan {
+	if sub.From == nil {
+		return nil
+	}
+	names := []string{sub.From.Name}
+	for _, j := range sub.Joins {
+		names = append(names, j.Table.Name)
+	}
+	_, images, _ := c.db.snapshotTables(names)
+	for _, img := range images {
+		if img != nil && img.paths != nil {
+			return compilePlan(c.db, sub)
+		}
+	}
+	return nil
 }
 
 // subLocal checks sub with the bind lists of enclosing *subqueries* stacked

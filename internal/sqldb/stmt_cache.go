@@ -64,6 +64,9 @@ type planCache struct {
 	misses uint64
 
 	vecRuns, fallbacks, rowOnly atomic.Uint64 // execution outcomes (planEntry.exec)
+
+	// Access paths taken by vectorized runs (access.go).
+	indexBuilds, indexProbes, foldHits, indexJoins atomic.Uint64
 }
 
 // lookup returns a prepared entry for sql, parsing and compiling on miss.
@@ -262,6 +265,13 @@ type PlanCacheStats struct {
 	VecRuns      uint64 // executions the vectorized engine answered
 	RowFallbacks uint64 // executions whose vectorized run errored or declined (stale plan or image), answered by the row engine
 	RowOnlyPlans uint64 // executions of statements that have no vectorized plan
+
+	// Access paths on column images of more than 1,024 rows. All four stay
+	// zero on a database of smaller tables.
+	IndexBuilds uint64 // equality indexes built, at most one per image column
+	IndexProbes uint64 // pushed "column = literal" conjuncts answered from an index instead of a scan
+	FoldHits    uint64 // unfiltered aggregates answered from a column's memoised fold
+	IndexJoins  uint64 // hash joins resolved by walking one side's keys through the other's index
 }
 
 // PlanCacheStats returns cumulative hit/miss and execution-outcome counters
@@ -273,6 +283,8 @@ func (d *Database) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{
 		Hits: c.hits, Misses: c.misses, Entries: len(c.byNorm),
 		VecRuns: c.vecRuns.Load(), RowFallbacks: c.fallbacks.Load(), RowOnlyPlans: c.rowOnly.Load(),
+		IndexBuilds: c.indexBuilds.Load(), IndexProbes: c.indexProbes.Load(),
+		FoldHits: c.foldHits.Load(), IndexJoins: c.indexJoins.Load(),
 	}
 }
 
@@ -296,10 +308,13 @@ func Normalize(sql string) (string, error) {
 }
 
 // ExplainQuery describes how the vectorized engine would execute sql:
-// per-scan pushed-down predicate counts, the join algorithm per join,
-// residual filter count, and the pipeline kind. Statements outside the
-// vectorizable surface report "row-only". Tests use it to assert that
-// predicate pushdown actually occurs.
+// per-scan pushed-down predicate counts and how many of them an equality
+// index can answer (eq), the join algorithm per join and which side's index
+// an index join may walk, residual filter count, and the pipeline kind. The
+// access paths named are the plan's candidates: each is taken only on an
+// image of more than 1,024 rows whose column can be indexed. Statements
+// outside the vectorizable surface report "row-only". Tests use it to assert
+// that predicate pushdown actually occurs.
 func ExplainQuery(db *Database, sql string) (string, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -317,7 +332,7 @@ func (p *vecPlan) explain() string {
 	b.WriteString("vectorized\n")
 	for i, s := range p.scans {
 		if i == 0 {
-			fmt.Fprintf(&b, "scan %s pushed=%d\n", s.table, len(s.pushed))
+			fmt.Fprintf(&b, "scan %s pushed=%d eq=%d\n", s.table, len(s.pushed), len(s.eq))
 			continue
 		}
 		j := p.joins[i-1]
@@ -325,9 +340,31 @@ func (p *vecPlan) explain() string {
 		if j.hash {
 			alg = "hash"
 		}
-		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d\n",
-			strings.ToLower(j.kind), alg, s.table, len(s.pushed))
+		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d eq=%d", strings.ToLower(j.kind), alg, s.table, len(s.pushed), len(s.eq))
+		if sides := p.indexJoinSides(i - 1); sides != "" {
+			fmt.Fprintf(&b, " index-join=%s", sides)
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "residual=%d aggregated=%v\n", len(p.residual), p.aggregated)
 	return b.String()
+}
+
+// indexJoinSides names the sides of join ji whose equality index an index
+// join may walk: a side qualifies while it can still be a whole image column
+// when the join runs, which is to say an unfiltered scan (and, for the left
+// side, the first one, of a join that pads nothing).
+func (p *vecPlan) indexJoinSides(ji int) string {
+	j := p.joins[ji]
+	if !j.hash {
+		return ""
+	}
+	var sides []string
+	if ji == 0 && j.kind != "LEFT" && len(p.scans[0].pushed) == 0 {
+		sides = append(sides, "left")
+	}
+	if len(p.scans[ji+1].pushed) == 0 {
+		sides = append(sides, "right")
+	}
+	return strings.Join(sides, ",")
 }

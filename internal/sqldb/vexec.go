@@ -54,8 +54,9 @@ type vbatch struct {
 // aggregate argument vectors. A fresh ctx per run keeps the shared cached
 // plan immutable and race-free.
 type vecCtx struct {
-	ex    *executor
-	binds []colBind
+	ex     *executor
+	p      *vecPlan
+	images []*tableImage // the scans' table images, parallel to p.scans
 
 	subs map[interface{}]*subMemo
 	aggs map[*gagg]*Vec
@@ -69,12 +70,22 @@ type subMemo struct {
 // subResult executes an uncorrelated subquery at most once per statement
 // execution, keyed by the plan node. Nodes call it only when at least one
 // row reaches them, mirroring the row engine's reachability: a subquery the
-// row engine never evaluates is never evaluated here either.
-func (ctx *vecCtx) subResult(key interface{}, sub *SelectStmt) (*Result, error) {
+// row engine never evaluates is never evaluated here either. The subquery
+// runs on its own vectorized plan (nil when it has none), so it scans column
+// images and takes their access paths like any statement; when that declines,
+// the row engine answers, result or error.
+func (ctx *vecCtx) subResult(key interface{}, sub *SelectStmt, plan *vecPlan) (*Result, error) {
 	if m, ok := ctx.subs[key]; ok {
 		return m.res, m.err
 	}
-	res, err := ctx.ex.execSelect(sub, nil)
+	var res *Result
+	var err error
+	if plan != nil {
+		res, err = plan.run(ctx.ex.db)
+	}
+	if plan == nil || err != nil {
+		res, err = ctx.ex.execSelect(sub, nil)
+	}
 	if ctx.subs == nil {
 		ctx.subs = make(map[interface{}]*subMemo)
 	}
@@ -107,9 +118,9 @@ func (p *vecPlan) run(db *Database) (*Result, error) {
 		}
 	}
 
-	ctx := &vecCtx{ex: &executor{db: db}, binds: p.binds}
+	ctx := &vecCtx{ex: &executor{db: db}, p: p, images: images}
 
-	b, err := p.buildBatch(ctx, images)
+	b, err := p.buildBatch(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -126,16 +137,16 @@ func (p *vecPlan) run(db *Database) (*Result, error) {
 }
 
 // buildBatch scans and joins the FROM clause into one batch.
-func (p *vecPlan) buildBatch(ctx *vecCtx, images []*tableImage) (*vbatch, error) {
+func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 	if len(p.scans) == 0 {
 		return &vbatch{cols: make([]*Vec, 0)}, nil
 	}
-	left, err := p.scanBatch(ctx, 0, images[0])
+	left, err := p.scanBatch(ctx, 0)
 	if err != nil {
 		return nil, err
 	}
 	for ji := range p.joins {
-		right, err := p.scanBatch(ctx, ji+1, images[ji+1])
+		right, err := p.scanBatch(ctx, ji+1)
 		if err != nil {
 			return nil, err
 		}
@@ -152,9 +163,11 @@ func (p *vecPlan) buildBatch(ctx *vecCtx, images []*tableImage) (*vbatch, error)
 // windowRows rows, keeps the rows every filter selects, and gathers only
 // those, so filtered rows never reach join or aggregation operators. Pushed
 // filters cannot raise errors (safeExpr), which is what lets each one see the
-// whole window instead of the previous filter's survivors.
-func (p *vecPlan) scanBatch(ctx *vecCtx, si int, img *tableImage) (*vbatch, error) {
-	s := &p.scans[si]
+// whole window instead of the previous filter's survivors, and a conjunct of
+// the form column = literal be answered from the column's equality index
+// (access.go) with the others run over the index's survivors only.
+func (p *vecPlan) scanBatch(ctx *vecCtx, si int) (*vbatch, error) {
+	s, img := &p.scans[si], ctx.images[si]
 	out := &vbatch{n: img.n, cols: make([]*Vec, len(p.binds))}
 	for c := 0; c < s.n; c++ {
 		if slot := s.base + c; p.needed[slot] {
@@ -162,6 +175,18 @@ func (p *vecPlan) scanBatch(ctx *vecCtx, si int, img *tableImage) (*vbatch, erro
 		}
 	}
 	if len(s.pushed) == 0 {
+		return out, nil
+	}
+	if keep, rest, ok := p.probeScan(ctx, si); ok {
+		if len(keep) < img.n {
+			out = gatherBatch(out, keep)
+		}
+		for _, f := range rest {
+			var err error
+			if out, err = filterBatch(ctx, out, f); err != nil {
+				return nil, err
+			}
+		}
 		return out, nil
 	}
 	win := &vbatch{cols: make([]*Vec, len(p.binds))}
@@ -198,6 +223,34 @@ func (p *vecPlan) scanBatch(ctx *vecCtx, si int, img *tableImage) (*vbatch, erro
 		return out, nil
 	}
 	return gatherBatch(out, keep), nil
+}
+
+// probeScan answers scan si's index-eligible pushed conjuncts from their
+// columns' equality indexes. keep is the intersection of the probed row lists
+// and rest the pushed conjuncts still to be evaluated; ok is false when no
+// conjunct could be probed and the scan should run as a scan.
+func (p *vecPlan) probeScan(ctx *vecCtx, si int) (keep []int32, rest []vexpr, ok bool) {
+	s := &p.scans[si]
+	if len(s.eq) == 0 || ctx.images[si].paths == nil {
+		return nil, nil, false
+	}
+	next := 0 // s.eq ascends by k
+	for k, f := range s.pushed {
+		if next < len(s.eq) && s.eq[next].k == k {
+			e := s.eq[next]
+			next++
+			if rows, probed := ctx.probe(ctx.images[si], e.col, e.lit); probed {
+				if ok {
+					keep = intersect(keep, rows)
+				} else {
+					keep, ok = rows, true
+				}
+				continue
+			}
+		}
+		rest = append(rest, f)
+	}
+	return keep, rest, ok
 }
 
 // intersect keeps the elements of a that also occur in b; both ascend.
@@ -260,10 +313,12 @@ func gatherBatch(b *vbatch, idx []int32) *vbatch {
 // is the first right row whose key equals left row i's (-1 for none, and for
 // a NULL key, which never matches in SQL equality), and next chains each
 // right row to the following one with an equal key, so walking a chain visits
-// matches in the right-scan order joinSets emits them in.
-func hashMatch(leftKey, rightKey *Vec, ln, rn int) (heads, next []int32) {
+// matches in the right-scan order joinSets emits them in. lf and rf are the
+// keys' memoised whole-column folds where they have one (nil otherwise), which
+// spare the key statistics a rescan.
+func hashMatch(leftKey, rightKey *Vec, ln, rn int, lf, rf *colFold) (heads, next []int32) {
 	heads, next = make([]int32, ln), make([]int32, rn)
-	if lo, span, ok := denseKeys(leftKey, rightKey); ok {
+	if lo, span, ok := denseKeys(leftKey, rightKey, rf); ok {
 		// Surrogate keys (the <entity>_id columns of a normalized schema):
 		// an array indexed by key-lo replaces the hash table.
 		first := make([]int32, span) // right row + 1, so 0 is "absent"
@@ -283,7 +338,7 @@ func hashMatch(leftKey, rightKey *Vec, ln, rn int) (heads, next []int32) {
 		}
 		return heads, next
 	}
-	if fastJoinKeys(leftKey) && fastJoinKeys(rightKey) {
+	if fastJoinKeys(leftKey, lf) && fastJoinKeys(rightKey, rf) {
 		// Typed numeric keys: joinKey reduces every numeric to its float64
 		// image (Float(f).key()), under which two values share a key string
 		// iff they are equal as float64s — I-form below 1e15, bit-exact
@@ -327,34 +382,51 @@ func hashMatch(leftKey, rightKey *Vec, ln, rn int) (heads, next []int32) {
 	return heads, next
 }
 
+// hashPairs lists hash join ji's (left row, right row) pairs from a match
+// table over both sides, in joinSets' order, with -1 as the right row of a
+// LEFT join's unmatched left row.
+func (p *vecPlan) hashPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []int32) {
+	j := &p.joins[ji]
+	pad := j.kind == "LEFT"
+	leftKey, rightKey := left.cols[j.li], right.cols[j.ri]
+	lf, _ := ctx.imageFold(j.li, leftKey)
+	rf, _ := ctx.imageFold(j.ri, rightKey)
+	heads, next := hashMatch(leftKey, rightKey, left.n, right.n, lf, rf)
+	total := 0
+	for _, h := range heads {
+		if h < 0 && pad {
+			total++
+		}
+		for m := h; m >= 0; m = next[m] {
+			total++
+		}
+	}
+	li, ri = make([]int32, 0, total), make([]int32, 0, total)
+	for i, h := range heads {
+		if h < 0 && pad {
+			li, ri = append(li, int32(i)), append(ri, -1)
+		}
+		for m := h; m >= 0; m = next[m] {
+			li, ri = append(li, int32(i)), append(ri, m)
+		}
+	}
+	return li, ri
+}
+
 // joinBatch joins the accumulated left batch with the freshly scanned right
-// batch under join ji, mirroring joinSets: hash join on the recognized
-// equi-join key (built on the right, probed in left order, LEFT padding with
-// NULLs), nested loop with per-row ON evaluation otherwise. Only the columns
-// a later operator reads are gathered into the joined batch.
+// batch under join ji, mirroring joinSets: on the recognized equi-join key an
+// index join where one applies (access.go) and a hash join otherwise (built
+// on the right, probed in left order, LEFT padding with NULLs), nested loop
+// with per-row ON evaluation for every other ON clause. Only the columns a
+// later operator reads are gathered into the joined batch.
 func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, error) {
 	j := &p.joins[ji]
 	pad := j.kind == "LEFT"
 	var li, ri []int32
 	if j.hash {
-		heads, next := hashMatch(left.cols[j.li], right.cols[j.ri], left.n, right.n)
-		total := 0
-		for _, h := range heads {
-			if h < 0 && pad {
-				total++
-			}
-			for m := h; m >= 0; m = next[m] {
-				total++
-			}
-		}
-		li, ri = make([]int32, 0, total), make([]int32, 0, total)
-		for i, h := range heads {
-			if h < 0 && pad {
-				li, ri = append(li, int32(i)), append(ri, -1)
-			}
-			for m := h; m >= 0; m = next[m] {
-				li, ri = append(li, int32(i)), append(ri, m)
-			}
+		var indexed bool
+		if li, ri, indexed = p.indexJoin(ctx, left, right, ji); !indexed {
+			li, ri = p.hashPairs(ctx, left, right, ji)
 		}
 	} else {
 		// Nested loop: combined rows are rebuilt and the ON predicate runs
@@ -409,23 +481,32 @@ func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, 
 // an array by (at most a few slots per right row). The range must lie
 // strictly inside ±2^53: there int64 equality is float64 equality, which is
 // what joinKey matches on; from 2^53 on distinct integers share a float64
-// image and only the hash paths reproduce that.
-func denseKeys(leftKey, rightKey *Vec) (lo int64, span int, ok bool) {
+// image and only the hash paths reproduce that. rf, when not nil, is the
+// right key's whole-column fold: its extremes are float64 extremes, which
+// inside ±2^53 are the integer extremes and outside it fail the range test
+// just the same.
+func denseKeys(leftKey, rightKey *Vec, rf *colFold) (lo int64, span int, ok bool) {
 	if leftKey.kind != KindInt || rightKey.kind != KindInt {
 		return 0, 0, false
 	}
 	lo, hi, seen := int64(0), int64(0), false
-	for i, x := range rightKey.ints {
-		if rightKey.IsNullAt(i) {
-			continue
+	if rf != nil {
+		if seen = rf.cnt > 0; seen {
+			lo, hi = rightKey.ints[rf.lo], rightKey.ints[rf.hi]
 		}
-		if !seen || x < lo {
-			lo = x
+	} else {
+		for i, x := range rightKey.ints {
+			if rightKey.IsNullAt(i) {
+				continue
+			}
+			if !seen || x < lo {
+				lo = x
+			}
+			if !seen || x > hi {
+				hi = x
+			}
+			seen = true
 		}
-		if !seen || x > hi {
-			hi = x
-		}
-		seen = true
 	}
 	const exact = 1 << 53
 	if !seen || lo <= -exact || hi >= exact || uint64(hi-lo) >= uint64(4*len(rightKey.ints)+1024) {
@@ -437,12 +518,16 @@ func denseKeys(leftKey, rightKey *Vec) (lo int64, span int, ok bool) {
 // fastJoinKeys reports whether the vector's join keys can hash by float64
 // image: typed int vectors always qualify; typed float vectors qualify unless
 // they carry a NaN, whose joinKey string (bit-exact F-form) matches other
-// identical NaNs while float64 map keys never would.
-func fastJoinKeys(v *Vec) bool {
+// identical NaNs while float64 map keys never would. f, when not nil, is the
+// vector's whole-column fold, which already knows.
+func fastJoinKeys(v *Vec, f *colFold) bool {
 	switch v.kind {
 	case KindInt:
 		return true
 	case KindFloat:
+		if f != nil {
+			return !f.nan
+		}
 		for _, f := range v.floats {
 			if math.IsNaN(f) {
 				return false
@@ -513,14 +598,14 @@ func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch) (*Result, error) {
 	} else {
 		// Table-less SELECT: one row evaluated over no bindings, with no
 		// ORDER BY keys — exactly the row engine's FROM-less branch.
-		en := &env{}
-		row := outRow{}
-		for _, it := range p.items {
-			v, err := ctx.ex.eval(it.Expr, en)
+		one := &vbatch{n: 1}
+		row := outRow{cells: make([]Value, len(p.itemsV))}
+		for k, iv := range p.itemsV {
+			cv, err := iv.eval(ctx, one)
 			if err != nil {
 				return nil, err
 			}
-			row.cells = append(row.cells, v)
+			row.cells[k] = cv.At(0)
 		}
 		out = []outRow{row}
 	}
@@ -819,10 +904,10 @@ func selNum[T int64 | float64](xs []T, nulls []bool, c float64, truth [3]bool, d
 }
 
 // sel appends to dst the rows where the comparison holds. A typed column
-// against a broadcast scalar of matching storage (the shape of nearly every
-// pushed-down claim predicate) runs a tight loop over the column's slice;
-// other typed numeric pairs compare through numAt; everything else goes
-// through applyBinary row by row.
+// against a broadcast scalar of matching storage, in either operand order (the
+// shape of nearly every pushed-down claim predicate), runs a tight loop over
+// the column's slice; other typed numeric pairs compare through numAt;
+// everything else goes through applyBinary row by row.
 func (v *vcmp) sel(ctx *vecCtx, b *vbatch, dst []int32) ([]int32, error) {
 	lv, err := v.l.eval(ctx, b)
 	if err != nil {
@@ -832,19 +917,35 @@ func (v *vcmp) sel(ctx *vecCtx, b *vbatch, dst []int32) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	scalar := rv.bcast > 0 && lv.bcast == 0 // a typed broadcast is never NULL
+	// The column-versus-literal kernels take the literal from either side:
+	// "lit op col" is "col op' lit" with the truth table mirrored.
+	col, lit, truth := lv, rv, v.truth
+	if lv.bcast > 0 {
+		col, lit, truth = rv, lv, [3]bool{truth[2], truth[1], truth[0]}
+	}
+	scalar := lit.bcast > 0 && col.bcast == 0 // a typed broadcast is never NULL
 	switch {
-	case scalar && lv.kind == KindText && rv.kind == KindText:
-		lit := rv.strs[0]
-		for i, s := range lv.strs {
-			if v.truth[strings.Compare(s, lit)+1] && (lv.nulls == nil || !lv.nulls[i]) {
-				dst = append(dst, int32(i))
+	case scalar && col.kind == KindText && lit.kind == KindText:
+		s0 := lit.strs[0]
+		if truth[0] == truth[2] {
+			// = and <> only ask whether the strings are equal, which a length
+			// mismatch settles without reading them.
+			for i, s := range col.strs {
+				if (s == s0) == truth[1] && (col.nulls == nil || !col.nulls[i]) {
+					dst = append(dst, int32(i))
+				}
+			}
+		} else {
+			for i, s := range col.strs {
+				if truth[strings.Compare(s, s0)+1] && (col.nulls == nil || !col.nulls[i]) {
+					dst = append(dst, int32(i))
+				}
 			}
 		}
-	case scalar && lv.kind == KindInt && typedNum(rv):
-		dst = selNum(lv.ints, lv.nulls, numAt(rv, 0), v.truth, dst)
-	case scalar && lv.kind == KindFloat && typedNum(rv):
-		dst = selNum(lv.floats, lv.nulls, numAt(rv, 0), v.truth, dst)
+	case scalar && col.kind == KindInt && typedNum(lit):
+		dst = selNum(col.ints, col.nulls, numAt(lit, 0), truth, dst)
+	case scalar && col.kind == KindFloat && typedNum(lit):
+		dst = selNum(col.floats, col.nulls, numAt(lit, 0), truth, dst)
 	case typedNum(lv) && typedNum(rv):
 		for i := 0; i < b.n; i++ {
 			if !lv.IsNullAt(i) && !rv.IsNullAt(i) && v.truth[cmp3(numAt(lv, i), numAt(rv, i))] {
@@ -1074,13 +1175,16 @@ func (v *vcase) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 // vsub is an uncorrelated scalar subquery: executed once, its single cell is
 // broadcast. The scalar-shape checks mirror the row engine's SubqueryExpr
 // case exactly.
-type vsub struct{ sub *SelectStmt }
+type vsub struct {
+	sub  *SelectStmt
+	plan *vecPlan
+}
 
 func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
 		return NewVec(KindNull, 0), nil
 	}
-	res, err := ctx.subResult(v, v.sub)
+	res, err := ctx.subResult(v, v.sub, v.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1098,15 +1202,16 @@ func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 }
 
 type vexists struct {
-	sub *SelectStmt
-	not bool
+	sub  *SelectStmt
+	plan *vecPlan
+	not  bool
 }
 
 func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
 		return NewVec(KindNull, 0), nil
 	}
-	res, err := ctx.subResult(v, v.sub)
+	res, err := ctx.subResult(v, v.sub, v.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1114,9 +1219,10 @@ func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 }
 
 type vinsub struct {
-	x   vexpr
-	sub *SelectStmt
-	not bool
+	x    vexpr
+	sub  *SelectStmt
+	plan *vecPlan
+	not  bool
 }
 
 func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
@@ -1127,7 +1233,7 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
 		return NewVec(KindNull, 0), nil
 	}
-	res, err := ctx.subResult(v, v.sub)
+	res, err := ctx.subResult(v, v.sub, v.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1153,12 +1259,12 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 type vrowfb struct{ e Expr }
 
 func (v *vrowfb) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	row := make([]Value, len(ctx.binds))
+	row := make([]Value, len(ctx.p.binds))
 	return mapVec(b.n, func(i int) (Value, error) {
 		for s := range row {
 			row[s] = b.cols[s].At(i)
 		}
-		en := &env{binds: ctx.binds, row: row}
+		en := &env{binds: ctx.p.binds, row: row}
 		return ctx.ex.eval(v.e, en)
 	})
 }
@@ -1290,7 +1396,7 @@ func (v *gcase) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 type gfirstrow struct{ e Expr }
 
 func (v *gfirstrow) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	row := make([]Value, len(ctx.binds))
+	row := make([]Value, len(ctx.p.binds))
 	if g.n == 0 {
 		for s := range row {
 			row[s] = Null()
@@ -1301,7 +1407,7 @@ func (v *gfirstrow) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 			row[s] = g.b.cols[s].At(r0)
 		}
 	}
-	en := &env{binds: ctx.binds, row: row}
+	en := &env{binds: ctx.p.binds, row: row}
 	return ctx.ex.eval(v.e, en)
 }
 
@@ -1342,11 +1448,23 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 		return Null(), err
 	}
 	name := a.f.Name
-	if !a.f.Distinct && typedNum(av) && av.bcast == 0 {
-		if av.kind == KindInt {
-			return typedFold(name, av, av.ints, g)
+	if !a.f.Distinct && av.kind != KindNull && av.bcast == 0 {
+		if name == "COUNT" {
+			// The NULL mask of an unboxed vector already says how many values
+			// the group holds.
+			cnt := g.n
+			if av.nulls != nil {
+				for k := 0; k < g.n; k++ {
+					if av.nulls[g.row(k)] {
+						cnt--
+					}
+				}
+			}
+			return Int(int64(cnt)), nil
 		}
-		return typedFold(name, av, av.floats, g)
+		if typedNum(av) {
+			return finishFold(name, av, a.fold(ctx, av, g))
+		}
 	}
 	// Generic fold: mirror evalAggregate's rules over the group's non-NULL
 	// values in row order (DISTINCT by grouping key), folding in place.
@@ -1416,14 +1534,41 @@ func sumResult(name string, sum float64, cnt int, allInt bool) Value {
 	return Float(sum)
 }
 
-// typedFold folds an aggregate over an unboxed numeric vector (xs is av's
-// storage) without boxing, in one pass that tracks the count, sum, minimum
-// and maximum together. All arithmetic goes through float64 — including
-// MIN/MAX comparisons and SUM accumulation over integers — because that is
-// what evalAggregate does via AsFloat/Compare; like it, MIN and MAX keep the
-// first of equal (or NaN-incomparable) values.
-func typedFold[T int64 | float64](name string, av *Vec, xs []T, g *vgroup) (Value, error) {
-	cnt, sum, lo, hi := 0, 0.0, -1, -1
+// fold returns the group's typed fold of av: from the column's memo when the
+// group is a whole, unselected image column (stored by the first such query
+// and the same tuple for every later one), by one pass otherwise.
+func (a *gagg) fold(ctx *vecCtx, av *Vec, g *vgroup) colFold {
+	if c, ok := a.arg.(*vcol); ok && g.rows == nil {
+		if f, fresh := ctx.imageFold(c.slot, av); f != nil {
+			if !fresh {
+				ctx.ex.db.plans.foldHits.Add(1)
+			}
+			return *f
+		}
+	}
+	if av.kind == KindInt {
+		return foldTyped(av, av.ints, g)
+	}
+	return foldTyped(av, av.floats, g)
+}
+
+// colFold is what one pass over a group of an unboxed numeric vector yields
+// for every aggregate at once: the non-NULL count, their sum, the rows of the
+// first minimum and maximum (-1 over no values), and whether a NaN was seen.
+type colFold struct {
+	cnt    int
+	sum    float64
+	lo, hi int
+	nan    bool
+}
+
+// foldTyped folds group g of av (xs is av's storage) without boxing. All
+// arithmetic goes through float64 — including MIN/MAX comparisons and SUM
+// accumulation over integers — because that is what evalAggregate does via
+// AsFloat/Compare; like it, MIN and MAX keep the first of equal (or
+// NaN-incomparable) values.
+func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
+	cnt, sum, lo, hi, nan := 0, 0.0, -1, -1, false
 	for k := 0; k < g.n; k++ {
 		r := g.row(k)
 		if av.nulls != nil && av.nulls[r] {
@@ -1431,6 +1576,7 @@ func typedFold[T int64 | float64](name string, av *Vec, xs []T, g *vgroup) (Valu
 		}
 		x := float64(xs[r])
 		sum += x
+		nan = nan || x != x
 		if cnt == 0 || x < float64(xs[lo]) {
 			lo = r
 		}
@@ -1439,19 +1585,22 @@ func typedFold[T int64 | float64](name string, av *Vec, xs []T, g *vgroup) (Valu
 		}
 		cnt++
 	}
+	return colFold{cnt: cnt, sum: sum, lo: lo, hi: hi, nan: nan}
+}
+
+// finishFold reads one aggregate out of av's fold.
+func finishFold(name string, av *Vec, f colFold) (Value, error) {
 	switch name {
-	case "COUNT":
-		return Int(int64(cnt)), nil
 	case "SUM", "AVG":
-		return sumResult(name, sum, cnt, av.kind == KindInt), nil
+		return sumResult(name, f.sum, f.cnt, av.kind == KindInt), nil
 	case "MIN", "MAX":
-		if cnt == 0 {
+		if f.cnt == 0 {
 			return Null(), nil
 		}
 		if name == "MIN" {
-			return av.At(lo), nil
+			return av.At(f.lo), nil
 		}
-		return av.At(hi), nil
+		return av.At(f.hi), nil
 	}
 	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, name)
 }

@@ -57,3 +57,48 @@ func BenchmarkJoinAggVecWarm(b *testing.B) {
 		}
 	}
 }
+
+// lookupDB is the shape of the repository benchmark's lib-bigtable: a 16k-row
+// table keyed by a unique text name, flat and split into a surrogate-keyed
+// pair, so the three access paths can be profiled without the pipeline.
+func lookupDB() *Database {
+	const n = 16000
+	rng := rand.New(rand.NewSource(11))
+	db := NewDatabase("lookup")
+	sales := NewTable("sales", "name", "units", "revenue")
+	names := NewTable("names", "name_id", "name")
+	units := NewTable("sales_units", "name_id", "units")
+	for i := 0; i < n; i++ {
+		name, u := Text(fmt.Sprintf("acct-%05d", i)), Int(int64(rng.Intn(500)))
+		sales.MustAppendRow(name, u, Float(float64(rng.Intn(1_000_000))/100))
+		names.MustAppendRow(Int(int64(i+1)), name)
+		units.MustAppendRow(Int(int64(i+1)), u)
+	}
+	db.AddTable(sales)
+	db.AddTable(names)
+	db.AddTable(units)
+	return db
+}
+
+const (
+	benchLookup     = `SELECT "units" FROM "sales" WHERE "name" = 'acct-07777'`
+	benchFold       = `SELECT MAX("revenue") FROM "sales"`
+	benchLookupJoin = `SELECT "units" FROM "sales_units" JOIN "names" ON "sales_units"."name_id" = "names"."name_id" WHERE "name" = 'acct-07777'`
+)
+
+func benchWarm(b *testing.B, db *Database, q string) {
+	if _, err := Query(db, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Query(db, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLookupVecWarm(b *testing.B)     { benchWarm(b, lookupDB(), benchLookup) }
+func BenchmarkFoldVecWarm(b *testing.B)       { benchWarm(b, lookupDB(), benchFold) }
+func BenchmarkLookupJoinVecWarm(b *testing.B) { benchWarm(b, lookupDB(), benchLookupJoin) }
