@@ -102,22 +102,21 @@ sqldiff:
 # the replica health prober/breaker, proxy failover, coordinator
 # routing/fan-out/drain-rebalance, the cmd-level multi-replica identity
 # harness (bit-identical verdicts and normalized traces at shard counts
-# {1,2,4,8}, including a mid-load replica kill), and the shardbench schema
-# pin.
+# {1,2,4,8}, including a mid-load replica kill).
 shard:
 	$(GO) test -race -run 'Shard|Ring|Prober|Coordinator|Failover|Rebalance|RouteKey' \
-		./internal/shard ./internal/serve ./cmd/cedar-serve ./internal/exp
+		./internal/shard ./internal/serve ./cmd/cedar-serve
 
 # Streaming gate under the race detector (DESIGN.md §14): the NDJSON
 # stream endpoint's determinism vs batch (arrival order, window size,
-# faults), backpressure/slow-client behavior (a disconnecting client must
-# not wedge the batcher), the review queue (ranking, idempotent resolve,
-# coordinator fan-out/merge), the failover proxy's delivered-detection
-# regression (zero duplicated claims, fees booked once), and streambench's
-# accounting invariants.
+# faults), early delivery (a document's verdicts are read while a later
+# batch still runs), backpressure/slow-client behavior (a disconnecting
+# client must not wedge the batcher), the review queue (ranking,
+# idempotent resolve, coordinator fan-out/merge), and the failover proxy's
+# delivered-detection regression (zero duplicated claims, fees booked once).
 stream:
 	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient' \
-		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve ./internal/exp
+		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve
 
 # Ingestion gate under the race detector (DESIGN.md §15, docs/DATA.md): the
 # CSV/NDJSON/JSON parser and type-inference suites, the deterministic
@@ -125,10 +124,10 @@ stream:
 # restart, base-table protection), the CLI's ingest→verify cold/warm
 # bit-identity, the serving tier's /v1/datasets handlers and coordinator
 # fan-out (direct run vs single replica vs 4-shard coordinator verdict
-# identity), and the ingestbench accounting invariants.
+# identity).
 ingest:
 	$(GO) test -race -run 'Ingest|Dataset|Registry|Surface|Classify|CleanColumn' \
-		./internal/ingest ./cmd/cedar ./cmd/cedar-serve ./internal/exp
+		./internal/ingest ./cmd/cedar ./cmd/cedar-serve
 
 # Routing determinism gate under the race detector (DESIGN.md §16):
 # deterministic compound-claim decomposition, catalog scoring and seeded
@@ -136,11 +135,13 @@ ingest:
 # (bit-identical verdicts, fees, and normalized traces across workers {1,8}
 # × fault rates {0,0.2}), the single-database degenerate byte-identity, the
 # partition property test, the routed serving tier (shard counts {1,4} vs a
-# direct route-enabled replica), and the routebench accounting invariants.
+# direct route-enabled replica), routing accuracy against the corpus's gold
+# labels (≥ 0.9, catalog binding and route.PlanDocuments), and routed F1
+# above home-database F1.
 route:
 	$(GO) test -race -run 'Route|Decompose|Combine|Catalog|UnitID' \
 		./internal/route ./internal/agent ./internal/schedule ./internal/data \
-		./cedar ./internal/serve ./cmd/cedar-serve ./internal/exp ./internal/ingest
+		./cedar ./internal/serve ./cmd/cedar-serve ./internal/ingest
 
 # Each fuzz target gets a short exploratory burst on top of its seed corpus
 # (the seeds alone already run as part of `go test`).

@@ -220,6 +220,55 @@ func TestRoutePartitionInvariant(t *testing.T) {
 	}
 }
 
+// TestRouteBeatsHomeDatabase is routing's reason to exist: on the
+// cross-database corpus, decomposing and routing compound claims must flag
+// more of the planted incorrect conjuncts than verifying each claim whole
+// against its document's home database, and only the routed run may book
+// routing work.
+func TestRouteBeatsHomeDatabase(t *testing.T) {
+	for _, seed := range []int64{7, 11, 31} {
+		corpus, err := data.RouteBench(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profDocs, err := data.AggChecker(seed + 1000003)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(routed bool) Report {
+			sys, err := New(Options{Seed: seed, AccuracyTarget: 0.99, Route: routed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.ProfileOn(profDocs[:8]); err != nil {
+				t.Fatal(err)
+			}
+			if routed {
+				if err := sys.SetCatalog(corpus.Databases...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := sys.Verify(claim.CloneDocuments(corpus.Docs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		routed, home := run(true), run(false)
+		t.Logf("seed %d: routed F1 %.3f, home-db F1 %.3f", seed, routed.Quality.F1, home.Quality.F1)
+		if routed.Quality.F1 <= home.Quality.F1 {
+			t.Errorf("seed %d: routed F1 %.3f not above home-db F1 %.3f", seed, routed.Quality.F1, home.Quality.F1)
+		}
+		if routed.RouteDollars <= 0 || routed.RoutedSubClaims != corpus.SubClaims {
+			t.Errorf("seed %d: routed run booked $%v routing for %d sub-claims, corpus has %d",
+				seed, routed.RouteDollars, routed.RoutedSubClaims, corpus.SubClaims)
+		}
+		if home.RouteDollars != 0 || home.RoutedSubClaims != 0 {
+			t.Errorf("seed %d: home-db run booked routing work: $%v, %d sub-claims", seed, home.RouteDollars, home.RoutedSubClaims)
+		}
+	}
+}
+
 func TestRouteNoCatalog(t *testing.T) {
 	stats := routeTestStats(t)
 	sys, err := New(Options{Seed: 5, Route: true})

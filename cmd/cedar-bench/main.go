@@ -15,14 +15,10 @@
 //	joinbench  §7.3.2   — F1 and cost under schema normalization
 //	fig7       Figure 7 — schedule robustness across domains
 //	modelfit   extended report — modeled vs realized accuracy
-//	servebench serving mode — req/s and latency quantiles under HTTP load
-//	shardbench sharded serving — aggregate throughput vs replica count at 10k clients
-//	storebench persistent store — cold vs warm fees, calls, and hit rate
-//	sqlbench   SQL engine — vectorized executor vs row oracle, plan cache cold vs warm
-//	streambench streamed vs batched delivery — time-to-first-verdict and claims/sec
-//	ingestbench dataset onboarding — CSV/NDJSON ingest throughput, sampling, surface quality
-//	routebench cross-database routing — routing accuracy, routed vs home-db quality and cost
 //	all        run everything above
+//
+// Performance beyond the paper (serving, SQL engine, streaming, ingestion)
+// is measured by `go run ./benchmark`.
 package main
 
 import (
@@ -37,11 +33,12 @@ import (
 	"repro/internal/trace"
 )
 
-type result interface{ Render() string }
-
-// csvResult is implemented by every experiment result (see internal/exp
-// csv.go); -csv switches output to machine-readable series for plotting.
-type csvResult interface{ CSV() string }
+// result is what every experiment returns: a formatted rendering and, for
+// -csv, machine-readable series for plotting (see internal/exp csv.go).
+type result interface {
+	Render() string
+	CSV() string
+}
 
 type experiment struct {
 	name string
@@ -75,27 +72,6 @@ func experiments() []experiment {
 		{"modelfit", "Extended report: modeled vs realized accuracy (independence assumptions)", func(s int64, w int) (result, error) {
 			return exp.ModelFit(s, w)
 		}},
-		{"servebench", "Serving mode: req/s and latency quantiles under concurrent HTTP load", func(s int64, w int) (result, error) {
-			return exp.ServeBench(s, w)
-		}},
-		{"shardbench", "Sharded serving: aggregate throughput vs replica count at 10k concurrent clients", func(s int64, w int) (result, error) {
-			return exp.ShardBench(s, w)
-		}},
-		{"storebench", "Persistent result store: cold vs warm fees, calls, and hit rate", func(s int64, w int) (result, error) {
-			return exp.StoreBench(s, w)
-		}},
-		{"sqlbench", "SQL engine: vectorized executor vs row oracle, plan cache cold vs warm", func(s int64, w int) (result, error) {
-			return exp.SQLBench(s, w)
-		}},
-		{"streambench", "Streamed vs batched delivery: time-to-first-verdict and sustained claims/sec", func(s int64, w int) (result, error) {
-			return exp.StreamBench(s, w)
-		}},
-		{"ingestbench", "Dataset onboarding: CSV/NDJSON ingest throughput, sampling, and surface verification quality", func(s int64, w int) (result, error) {
-			return exp.IngestBench(s, w)
-		}},
-		{"routebench", "Cross-database routing: routing accuracy, routed vs home-db verification quality and cost", func(s int64, w int) (result, error) {
-			return exp.RouteBench(s, w)
-		}},
 	}
 }
 
@@ -112,12 +88,6 @@ type benchOptions struct {
 	TracePath    string
 	TraceSummary bool
 	CacheDir     string
-	StoreJSON    string
-	SQLJSON      string
-	ShardJSON    string
-	StreamJSON   string
-	IngestJSON   string
-	RouteJSON    string
 }
 
 // defineFlags registers the binary's flags on fs, bound to the returned
@@ -136,12 +106,6 @@ func defineFlags(fs *flag.FlagSet) *benchOptions {
 	fs.StringVar(&o.TracePath, "trace", "", "write the final pipeline run's attempt-level trace as sorted JSONL to this file")
 	fs.BoolVar(&o.TraceSummary, "trace-summary", false, "print per-method/per-model trace rollups and the run manifest to stderr")
 	fs.StringVar(&o.CacheDir, "cache-dir", "", "persist temperature-0 completions in this directory; repeated experiment runs answer persisted work at zero fee (DESIGN.md §11)")
-	fs.StringVar(&o.StoreJSON, "store-json", "", "write the storebench result as JSON to this file (e.g. BENCH_store.json)")
-	fs.StringVar(&o.SQLJSON, "sqlbench-json", "", "write the sqlbench result as JSON to this file (e.g. BENCH_sql.json)")
-	fs.StringVar(&o.ShardJSON, "shard-json", "", "write the shardbench result as JSON to this file (e.g. BENCH_shard.json)")
-	fs.StringVar(&o.StreamJSON, "stream-json", "", "write the streambench result as JSON to this file (e.g. BENCH_stream.json)")
-	fs.StringVar(&o.IngestJSON, "ingest-json", "", "write the ingestbench result as JSON to this file (e.g. BENCH_ingest.json)")
-	fs.StringVar(&o.RouteJSON, "route-json", "", "write the routebench result as JSON to this file (e.g. BENCH_route.json)")
 	return o
 }
 
@@ -177,8 +141,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	ran, err := runExperiments(os.Stdout, flag.Arg(0), o.Seed, o.Workers, o.AsCSV,
-		map[string]string{"storebench": o.StoreJSON, "sqlbench": o.SQLJSON, "shardbench": o.ShardJSON, "streambench": o.StreamJSON, "ingestbench": o.IngestJSON, "routebench": o.RouteJSON})
+	ran, err := runExperiments(os.Stdout, flag.Arg(0), o.Seed, o.Workers, o.AsCSV)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cedar-bench:", err)
 		os.Exit(1)
@@ -219,17 +182,9 @@ func exportTrace(tracer *trace.Tracer, path string, summary bool, seed int64, wo
 	return nil
 }
 
-// jsonResult is implemented by results with a machine-readable JSON artifact
-// (storebench via -store-json, sqlbench via -sqlbench-json, shardbench via
-// -shard-json, streambench via -stream-json, ingestbench via -ingest-json,
-// routebench via -route-json).
-type jsonResult interface{ JSON() ([]byte, error) }
-
 // runExperiments executes every experiment matching want ("all" matches
-// each) and writes its rendering to w. jsonPaths maps experiment names to
-// destination files for their JSON artifacts. It reports whether anything
-// matched.
-func runExperiments(w io.Writer, want string, seed int64, workers int, asCSV bool, jsonPaths map[string]string) (bool, error) {
+// each) and writes its rendering to w. It reports whether anything matched.
+func runExperiments(w io.Writer, want string, seed int64, workers int, asCSV bool) (bool, error) {
 	ran := false
 	for _, e := range experiments() {
 		if want != "all" && want != e.name {
@@ -240,23 +195,9 @@ func runExperiments(w io.Writer, want string, seed int64, workers int, asCSV boo
 		if err != nil {
 			return ran, fmt.Errorf("%s: %w", e.name, err)
 		}
-		if path := jsonPaths[e.name]; path != "" {
-			if j, ok := res.(jsonResult); ok {
-				blob, err := j.JSON()
-				if err != nil {
-					return ran, fmt.Errorf("%s: %w", e.name, err)
-				}
-				if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-					return ran, fmt.Errorf("%s: %w", e.name, err)
-				}
-				fmt.Fprintf(os.Stderr, "%s result written to %s\n", e.name, path)
-			}
-		}
 		if asCSV {
-			if c, ok := res.(csvResult); ok {
-				fmt.Fprintf(w, "# %s (seed %d)\n%s", e.name, seed, c.CSV())
-				continue
-			}
+			fmt.Fprintf(w, "# %s (seed %d)\n%s", e.name, seed, res.CSV())
+			continue
 		}
 		fmt.Fprintf(w, "== %s (seed %d) ==\n", e.desc, seed)
 		fmt.Fprintln(w, res.Render())

@@ -9,7 +9,7 @@ import (
 // it must match, render non-empty output, and carry the header line.
 func TestRunExperimentsTable3(t *testing.T) {
 	var b strings.Builder
-	ran, err := runExperiments(&b, "table3", 17, 1, false, nil)
+	ran, err := runExperiments(&b, "table3", 17, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRunExperimentsTable3(t *testing.T) {
 // header plus comma-separated rows.
 func TestRunExperimentsCSV(t *testing.T) {
 	var b strings.Builder
-	ran, err := runExperiments(&b, "table3", 17, 1, true, nil)
+	ran, err := runExperiments(&b, "table3", 17, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func TestRunExperimentsWorkersDeterministic(t *testing.T) {
 		t.Skip("runs full joinbench twice")
 	}
 	var seq, par strings.Builder
-	if _, err := runExperiments(&seq, "joinbench", 17, 1, false, nil); err != nil {
+	if _, err := runExperiments(&seq, "joinbench", 17, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runExperiments(&par, "joinbench", 17, 4, false, nil); err != nil {
+	if _, err := runExperiments(&par, "joinbench", 17, 4, false); err != nil {
 		t.Fatal(err)
 	}
 	if seq.String() != par.String() {
@@ -68,7 +68,7 @@ func TestRunExperimentsWorkersDeterministic(t *testing.T) {
 // instead of erroring, which main turns into a usage message.
 func TestRunExperimentsUnknown(t *testing.T) {
 	var b strings.Builder
-	ran, err := runExperiments(&b, "no-such-experiment", 17, 1, false, nil)
+	ran, err := runExperiments(&b, "no-such-experiment", 17, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

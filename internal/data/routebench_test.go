@@ -95,43 +95,71 @@ func TestRouteBenchDecomposeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRouteBenchRoutingAccuracy is the acceptance gate's accuracy floor:
-// binding every conjunct against the full catalog must hit the gold entry
-// at least 90% of the time.
+// TestRouteBenchRoutingAccuracy is the acceptance gate's accuracy floor, at
+// three corpus seeds and through both ways a conjunct gets bound: the
+// catalog's Bind on each decomposed sub-claim, and route.PlanDocuments, the
+// planner the verification path runs. Each must hit the gold entry at least
+// 90% of the time.
 func TestRouteBenchRoutingAccuracy(t *testing.T) {
-	c := mustRouteBench(t, 7)
-	cat := route.NewCatalog(c.Databases...)
-	if cat.Len() != 6 {
-		t.Fatalf("catalog has %d entries, want 6", cat.Len())
-	}
-	total, correct := 0, 0
-	for _, d := range c.Docs {
-		for i, cl := range d.Claims {
-			gold, ok := c.Gold[cl.ID]
-			if !ok {
-				continue
-			}
-			subs := route.Decompose(cl.Sentence, cl.Value, cl.Context)
-			if len(subs) != len(gold) {
-				t.Fatalf("claim %s: %d subs vs %d gold labels", cl.ID, len(subs), len(gold))
-			}
-			for j, sub := range subs {
-				entry, _, _ := cat.Bind(7, route.DefaultTopK, d.ID, i, j, sub)
-				if entry == nil {
-					t.Fatalf("claim %s sub %d: no binding", cl.ID, j)
+	for _, seed := range []int64{7, 11, 31} {
+		c := mustRouteBench(t, seed)
+		cat := route.NewCatalog(c.Databases...)
+		if cat.Len() != 6 {
+			t.Fatalf("seed %d: catalog has %d entries, want 6", seed, cat.Len())
+		}
+		total, correct := 0, 0
+		for _, d := range c.Docs {
+			for i, cl := range d.Claims {
+				gold, ok := c.Gold[cl.ID]
+				if !ok {
+					continue
 				}
-				total++
-				if entry.Name() == gold[j] {
-					correct++
-				} else {
-					t.Logf("misroute %s sub %d: got %s want %s (%q)", cl.ID, j, entry.Name(), gold[j], sub.Sentence)
+				subs := route.Decompose(cl.Sentence, cl.Value, cl.Context)
+				if len(subs) != len(gold) {
+					t.Fatalf("seed %d claim %s: %d subs vs %d gold labels", seed, cl.ID, len(subs), len(gold))
+				}
+				for j, sub := range subs {
+					entry, _, _ := cat.Bind(seed, route.DefaultTopK, d.ID, i, j, sub)
+					if entry == nil {
+						t.Fatalf("seed %d claim %s sub %d: no binding", seed, cl.ID, j)
+					}
+					total++
+					if entry.Name() == gold[j] {
+						correct++
+					} else {
+						t.Logf("seed %d misroute %s sub %d: got %s want %s (%q)", seed, cl.ID, j, entry.Name(), gold[j], sub.Sentence)
+					}
 				}
 			}
 		}
+		checkRoutingAccuracy(t, seed, "bind", correct, total)
+
+		plan := route.PlanDocuments(c.Docs, cat, route.Options{Seed: seed})
+		total, correct = 0, 0
+		for _, r := range plan.Routed {
+			gold := c.Gold[r.Claim.ID]
+			if len(gold) != len(r.Units) {
+				t.Fatalf("seed %d claim %s: planned %d units, gold has %d", seed, r.Claim.ID, len(r.Units), len(gold))
+			}
+			for j, u := range r.Units {
+				total++
+				if u.Entry.Name() == gold[j] {
+					correct++
+				}
+			}
+		}
+		if total != c.SubClaims {
+			t.Fatalf("seed %d: planned %d sub-claims, corpus has %d", seed, total, c.SubClaims)
+		}
+		checkRoutingAccuracy(t, seed, "plan", correct, total)
 	}
+}
+
+func checkRoutingAccuracy(t *testing.T, seed int64, path string, correct, total int) {
+	t.Helper()
 	acc := float64(correct) / float64(total)
-	t.Logf("routing accuracy %.3f (%d/%d)", acc, correct, total)
+	t.Logf("seed %d %s: routing accuracy %.3f (%d/%d)", seed, path, acc, correct, total)
 	if acc < 0.9 {
-		t.Fatalf("routing accuracy %.3f below the 0.9 acceptance floor", acc)
+		t.Fatalf("seed %d %s: routing accuracy %.3f below the 0.9 acceptance floor", seed, path, acc)
 	}
 }

@@ -41,10 +41,6 @@ type Stack struct {
 	// when the stack was built with ResilienceOptions.Tracer; pipeline runs
 	// thread it into core.Config so spans carry attempt identities.
 	Tracer *trace.Tracer
-	// Caches are the per-model completion caches, present only when the
-	// stack was built with ResilienceOptions.Store; kept so experiments can
-	// report persisted-hit counts.
-	Caches []*llm.Cached
 
 	seed int64
 }
@@ -83,10 +79,9 @@ type ResilienceOptions struct {
 	Store *store.Store
 	// ThrottleScale, when positive, wraps the simulated models in
 	// llm.Throttled so every attempt pays this fraction of its simulated
-	// latency as a real sleep. Wait-bound benchmarks (shardbench) use it to
-	// model provider-latency-bound serving: a replica's throughput is then
-	// capped by awaiting responses, not by CPU, which is what replica
-	// fan-out actually buys back.
+	// latency as a real sleep. The benchmark's serve-wait workload uses it
+	// to model provider-latency-bound serving: a replica's throughput is
+	// then capped by awaiting responses, not by CPU.
 	ThrottleScale float64
 }
 
@@ -94,6 +89,25 @@ type ResilienceOptions struct {
 // cedar-profile commands set it from their flags so every experiment driver
 // picks the knobs up without each driver threading them through.
 var DefaultResilience ResilienceOptions
+
+// ServingResilience is the recommended middleware configuration for serving
+// mode, used as the cedar-serve flag defaults. A batch run can afford to
+// fail a claim and report it; an interactive service should spend tokens to
+// avoid making the caller retry. Hence: two retries (recovers virtually all
+// transient faults at the fault rates measured in EXPERIMENTS.md), a
+// per-call deadline above the slowest method's p99 simulated latency
+// (~2.4s) with backoff headroom, and a hedge just beyond it so tail calls
+// race a backup instead of stalling a whole micro-batch. The breaker stays
+// off by default because its shared state is order-dependent (DESIGN.md
+// §9): enabling it is an explicit operator choice to trade bit-determinism
+// for load shedding.
+func ServingResilience() ResilienceOptions {
+	return ResilienceOptions{
+		Retries:    2,
+		Timeout:    30 * time.Second,
+		HedgeAfter: 5 * time.Second,
+	}
+}
 
 // NewStack builds the method stack over fresh simulated models, applying
 // DefaultResilience.
@@ -108,7 +122,6 @@ func NewStack(seed int64) (*Stack, error) {
 func NewStackResilient(seed int64, ro ResilienceOptions) (*Stack, error) {
 	ledger := llm.NewLedger()
 	res := &metrics.Resilience{}
-	var caches []*llm.Cached
 	client := func(model string) (llm.Client, error) {
 		m, err := sim.New(model, seed)
 		if err != nil {
@@ -136,7 +149,6 @@ func NewStackResilient(seed int64, ro ResilienceOptions) (*Stack, error) {
 			cached := llm.NewCached(c, 0)
 			cached.Tracer = ro.Tracer
 			cached.Persist = ro.Store
-			caches = append(caches, cached)
 			c = cached
 		}
 		if ro.HedgeAfter > 0 {
@@ -180,19 +192,7 @@ func NewStackResilient(seed int64, ro ResilienceOptions) (*Stack, error) {
 		Ledger:     ledger,
 		Resilience: res,
 		Tracer:     ro.Tracer,
-		Caches:     caches,
 	}, nil
-}
-
-// PersistedHits sums disk-store hits across the stack's per-model caches;
-// zero when the stack has no store.
-func (s *Stack) PersistedHits() int64 {
-	var total int64
-	for _, c := range s.Caches {
-		_, hits := c.PersistStats()
-		total += int64(hits)
-	}
-	return total
 }
 
 // Profile estimates method statistics on a held-out corpus.

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -172,6 +173,18 @@ func TestIngestSamplingDeterministic(t *testing.T) {
 	if r1.SampleSeed == 0 || r1.SampleSeed == opts.Seed {
 		t.Fatalf("SampleSeed = %d, want derived value", r1.SampleSeed)
 	}
+	// The same records as NDJSON keep the same reservoir.
+	var nb strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&nb, `{"id":%d,"v":%d}`+"\n", i, i*3)
+	}
+	nd := mustIngest(t, nb.String(), opts)
+	if nd.Format != "ndjson" || nd.RowsKept != r1.RowsKept || nd.RowsTotal != r1.RowsTotal {
+		t.Fatalf("ndjson format=%s kept=%d total=%d, csv kept=%d total=%d", nd.Format, nd.RowsKept, nd.RowsTotal, r1.RowsKept, r1.RowsTotal)
+	}
+	if !reflect.DeepEqual(nd.Table.Rows, r1.Table.Rows) {
+		t.Fatal("ndjson and csv renderings of the same records sampled different rows")
+	}
 }
 
 func TestIngestByteBudgetTruncates(t *testing.T) {
@@ -262,8 +275,8 @@ func TestBuildSurfaceClaims(t *testing.T) {
 // A first row whose numeric cell is also a substring of its entity key
 // ("acct-00000" beside units = 0) must not become the lookup entity: the value
 // would occur in the sentence before its own token, and a consumer that
-// substitutes the first occurrence (ingestbench's falsifier, the benchmark's
-// copy of it) would rewrite the entity instead. Benchmark seed 376 hit this.
+// substitutes the first occurrence (the benchmark's falsifier) would rewrite
+// the entity instead. Benchmark seed 376 hit this.
 func TestBuildSurfaceLookupAvoidsAmbiguousRow(t *testing.T) {
 	const csv = `account,region,units,revenue
 acct-00000,north,0,10.50

@@ -144,6 +144,64 @@ func TestStreamVerifyDeliversVerdictsInOrder(t *testing.T) {
 	}
 }
 
+// A streamed document's verdicts reach the client when its own micro-batch
+// lands, not when the stream's last one does: document 0's verdict is read
+// while document 1's batch is still held inside the backend.
+func TestStreamFirstVerdictBeforeLastBatch(t *testing.T) {
+	be := &gatedBackend{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Backend: be, BatchWait: -1, MaxBatch: 1})
+	body := streamDocLine("d0", "1") + "\n" + streamDocLine("d1", "2") + "\n"
+	// Response headers go out with the first event, so the request cannot
+	// return before document 0's batch is released.
+	respCh := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+		}
+		respCh <- resp
+	}()
+
+	<-be.entered          // document 0's batch
+	be.gate <- struct{}{} // release it alone
+	<-be.entered          // document 1's batch, now held at the gate
+	resp := <-respCh
+	if resp == nil {
+		t.Fatal("stream request failed")
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var first StreamEvent
+	if err := dec.Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Event != "verdict" || first.DocID != "d0" || first.Index != 0 {
+		t.Fatalf("first event = %+v, want document 0's verdict", first)
+	}
+	if done := be.batchSizes(); len(done) != 1 {
+		t.Fatalf("%d batches finished before the first verdict was read, want 1", len(done))
+	}
+
+	close(be.gate) // release document 1
+	evs := []StreamEvent{first}
+	for {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	verdicts, errs, sum := splitEvents(t, evs)
+	if len(errs) != 0 || len(verdicts) != 2 || verdicts[1].DocID != "d1" || verdicts[1].Index != 1 {
+		t.Fatalf("events = %+v, want verdicts for d0 then d1", evs)
+	}
+	if sum.Docs != 2 || sum.Claims != 2 || sum.Calls != 2 || len(sum.Batches) != 2 {
+		t.Errorf("summary = %+v, want 2 docs, 2 claims, 2 calls in 2 batches", sum)
+	}
+}
+
 // The stream window is real backpressure: with the backend wedged, the
 // server stops reading the request body after window+1 admissions instead of
 // buffering the client's backlog, and the admission queue never grows past

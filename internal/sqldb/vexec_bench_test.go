@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// benchDB mirrors the fact/dim shape exp.SQLBench measures, at a fixed
-// cardinality, so `go test -bench` can profile the engines directly.
+// benchDB builds a JoinBench-shaped fact/dim pair at a fixed cardinality,
+// so `go test -bench` can profile the engines directly.
 func benchDB(n int) *Database {
 	rng := rand.New(rand.NewSource(7))
 	db := NewDatabase("bench")
