@@ -22,7 +22,7 @@ var aggCheckerTables = []string{"airlines", "drinks", "so_survey", "housing", "c
 
 // simBenchPrompts renders the one-shot prompt of every AggChecker claim,
 // against the claim's own database or against the eight-table catalog.
-func simBenchPrompts(b *testing.B, eightTables bool) []string {
+func simBenchPrompts(b testing.TB, eightTables bool) []string {
 	b.Helper()
 	docs, err := data.AggChecker(benchSeed)
 	if err != nil {
@@ -74,6 +74,74 @@ func BenchmarkSimComplete(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestSimCompleteAllocCeiling holds sim.Model.Complete on the prompts above to
+// 60 % of the allocations the commit before it read its prompt in place and
+// in one pass spent on them, per completion on average: 24 (one table,
+// gpt-3.5), 41 (one table, gpt-4o), 27 and 45 (eight tables).
+func TestSimCompleteAllocCeiling(t *testing.T) {
+	ceilings := map[string]float64{
+		"one-table/" + llm.ModelGPT35: 14, "one-table/" + llm.ModelGPT4o: 24,
+		"eight-table/" + llm.ModelGPT35: 16, "eight-table/" + llm.ModelGPT4o: 27,
+	}
+	for _, shape := range simBenchShapes {
+		prompts := simBenchPrompts(t, shape.eightTables)
+		for _, name := range []string{llm.ModelGPT35, llm.ModelGPT4o} {
+			model, err := sim.New(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := make([]llm.Request, len(prompts))
+			for i, p := range prompts {
+				reqs[i] = llm.Request{Model: name, Messages: []llm.Message{{Role: llm.RoleUser, Content: p}}}
+			}
+			all := func() {
+				for _, req := range reqs {
+					_, _ = model.Complete(req)
+				}
+			}
+			all() // warm the schema memo and the compiled columns
+			perCompletion := testing.AllocsPerRun(3, all) / float64(len(reqs))
+			if key := shape.name + "/" + name; perCompletion > ceilings[key] {
+				t.Errorf("%s: %.1f allocations per completion, ceiling %.0f", key, perCompletion, ceilings[key])
+			}
+		}
+	}
+}
+
+// BenchmarkOneShotPrompt measures the one-shot prompt as verify.OneShot
+// renders it, per AggChecker claim against its own database, with and
+// without a few-shot sample.
+func BenchmarkOneShotPrompt(b *testing.B) {
+	docs, err := data.AggChecker(benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fills []prompts.Fill
+	for _, d := range docs {
+		for _, c := range d.Claims {
+			masked, ctx := c.Masked()
+			fills = append(fills, prompts.Fill{Claim: masked, ValueType: c.ValueType(), Schema: d.Data.Schema(), Context: ctx})
+		}
+	}
+	sample := &prompts.Example{MaskedClaim: "Aer Lingus recorded x incidents.", Query: `SELECT "incidents_85_99" FROM "airlines" WHERE "airline" = 'Aer Lingus'`}
+	for _, withSample := range []bool{false, true} {
+		name := "no-sample"
+		if withSample {
+			name = "sample"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := fills[i%len(fills)]
+				if withSample {
+					f.Sample = sample
+				}
+				_ = f.OneShot()
+			}
+		})
 	}
 }
 

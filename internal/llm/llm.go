@@ -84,8 +84,12 @@ type Client interface {
 var ErrUnknownModel = errors.New("llm: unknown model")
 
 // PromptText flattens a message list to plain text, the form consumed by
-// token counting and by the simulated models.
+// token counting and by the simulated models. A single message is its own
+// text, returned without a copy; only multi-turn conversations are joined.
 func PromptText(msgs []Message) string {
+	if len(msgs) == 1 {
+		return msgs[0].Content
+	}
 	n := 0
 	for _, m := range msgs {
 		n += len(m.Content) + 1

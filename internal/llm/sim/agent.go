@@ -28,9 +28,9 @@ type histStep struct {
 // the temperature, and — at temperature > 0 — the model and request seeds,
 // so one conversation stays coherent while retries with fresh request seeds
 // differ) and advances according to the observations.
-func (m *Model) agentStep(prompt string, req llm.Request) string {
+func (m *Model) agentStep(layout *prompts.Layout, req llm.Request) string {
 	temperature := req.Temperature
-	base, tail := splitBase(prompt)
+	base, tail := splitBase(layout.Text())
 	rng := m.conversationRNG(base, req)
 
 	// Conversation derailment: the model drops out of the ReAct format and
@@ -39,7 +39,8 @@ func (m *Model) agentStep(prompt string, req llm.Request) string {
 		return "I apologize for the confusion. Let me reconsider the problem from the beginning and think about what the claim is really about."
 	}
 
-	masked, _, ok := prompts.ExtractClaim(base)
+	baseLayout := layout.Prefix(len(base))
+	masked, _, ok := baseLayout.Claim()
 	if !ok {
 		return finalAnswer("unknown")
 	}
@@ -49,9 +50,9 @@ func (m *Model) agentStep(prompt string, req llm.Request) string {
 	}
 	ctx := ""
 	if m.profile.ReadsContext {
-		ctx = prompts.ExtractContext(base)
+		ctx = baseLayout.Context()
 	}
-	hasSample := prompts.HasSample(base)
+	hasSample := baseLayout.HasSample()
 
 	parsed, err := nl.ParseMasked(masked, schema, m.lex, ctx)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // internal/agent does, with explicit visibility into each turn.
 func driveAgent(t *testing.T, m *Model, db *sqldb.Database, maskedClaim, claimValue string) (queries []string, final string) {
 	t.Helper()
-	base := "Run: 0\n" + prompts.Agent(maskedClaim, "numeric", db.Schema(), "", "ctx "+maskedClaim)
+	base := agentPrompt(db, maskedClaim, "ctx "+maskedClaim)
 	messages := []llm.Message{{Role: llm.RoleUser, Content: base}}
 	for iter := 0; iter < 10; iter++ {
 		resp, err := m.Complete(llm.Request{Model: m.Profile().Name, Messages: messages})
@@ -77,7 +77,7 @@ func newCleanModel(t *testing.T, db *sqldb.Database, masked string) *Model {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := "Run: 0\n" + prompts.Agent(masked, "numeric", db.Schema(), "", "ctx "+masked)
+		base := agentPrompt(db, masked, "ctx "+masked)
 		resp, err := m.Complete(llm.Request{Model: llm.ModelGPT41, Messages: []llm.Message{{Role: llm.RoleUser, Content: base}}})
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +160,7 @@ func TestAgentDerailmentRate(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		masked := "Malaysia Airlines recorded x fatal accidents between 2000 and 2014."
-		base := strings.Repeat("pad ", i) + "Run: 0\n" + prompts.Agent(masked, "numeric", db.Schema(), "", "ctx")
+		base := strings.Repeat("pad ", i) + agentPrompt(db, masked, "ctx")
 		resp, err := m.Complete(llm.Request{Model: llm.ModelGPT4o, Messages: []llm.Message{{Role: llm.RoleUser, Content: base}}})
 		if err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestAgentConversationCoherence(t *testing.T) {
 	db := agentDB(t)
 	masked := "Malaysia Airlines recorded x fatal accidents between 2000 and 2014."
 	m := newCleanModel(t, db, masked)
-	base := "Run: 0\n" + prompts.Agent(masked, "numeric", db.Schema(), "", "ctx "+masked)
+	base := agentPrompt(db, masked, "ctx "+masked)
 	first := ""
 	for i := 0; i < 3; i++ {
 		resp, err := m.Complete(llm.Request{Model: llm.ModelGPT41, Messages: []llm.Message{{Role: llm.RoleUser, Content: base}}})

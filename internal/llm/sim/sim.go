@@ -17,10 +17,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 
 	"repro/internal/llm"
 	"repro/internal/nl"
+	"repro/internal/prompts"
 )
 
 // Profile describes one simulated model tier.
@@ -182,16 +183,22 @@ func (m *Model) Complete(req llm.Request) (llm.Response, error) {
 	if req.Model != "" && req.Model != m.profile.Name {
 		return llm.Response{}, fmt.Errorf("%w: model %q served by %q", llm.ErrUnknownModel, req.Model, m.profile.Name)
 	}
-	prompt := llm.PromptText(req.Messages)
+	// The prompt is read in place: one message is its own text, and its
+	// markers are located once for every section the model reads.
+	layout := prompts.Locate(llm.PromptText(req.Messages))
 
 	var content string
-	if strings.Contains(prompt, agentMarker) {
-		content = m.agentStep(prompt, req)
+	var promptTokens int
+	if layout.IsAgent() {
+		content = m.agentStep(&layout, req)
+		promptTokens = llm.CountMessageTokens(req.Messages)
 	} else {
-		content = m.oneShot(prompt, req.Temperature, m.rngFor(prompt, req))
+		var h uint64
+		h, promptTokens = m.readPrompt(req.Messages, layout.Text())
+		content = m.oneShot(&layout, req.Temperature, m.rngFrom(h, req))
 	}
 	usage := llm.Usage{
-		PromptTokens:     llm.CountMessageTokens(req.Messages),
+		PromptTokens:     promptTokens,
 		CompletionTokens: llm.CountTokens(content),
 	}
 	return llm.Response{
@@ -201,23 +208,34 @@ func (m *Model) Complete(req llm.Request) (llm.Response, error) {
 	}, nil
 }
 
-// rngFor returns the randomness source for one completion. At temperature
-// zero the model is deterministic per prompt (like real sampling with
-// temperature 0): the same input always yields the same output, so retrying
-// at temperature 0 cannot change the outcome. At higher temperatures the
-// randomness is derived from (prompt, model seed, request seed,
-// temperature) — splittable seeding instead of a shared stream. Callers
-// that thread a fresh Request.Seed per retry (as the pipeline does, keyed
-// on document, claim, method, and try) get the genuinely-varying retries
-// CEDAR's scheduling relies on (Assumption 1), while concurrent completions
-// can never perturb each other.
+// readPrompt is the one pass a one-shot completion makes over its prompt,
+// the flattened msgs. It returns the FNV-1a hash of the model name and the
+// prompt, which rngFrom seeds the completion from, and the request's prompt
+// tokens, llm.CountMessageTokens(msgs).
+func (m *Model) readPrompt(msgs []llm.Message, prompt string) (h uint64, tokens int) {
+	h, words, ascii := fnvAddWords(fnvAdd(fnvOffset64, m.profile.Name), prompt)
+	if ascii && len(msgs) == 1 {
+		return h, llm.SingleMessageTokens(len(prompt), words)
+	}
+	return h, llm.CountMessageTokens(msgs)
+}
+
 // samplingSalt versions the temperature > 0 sampling streams. Bumping it
 // re-rolls every seeded retry at once (the simulated analog of a provider
 // updating model weights) without disturbing temperature-0 determinism.
 const samplingSalt = "sampling-v1"
 
-func (m *Model) rngFor(prompt string, req llm.Request) *rand.Rand {
-	h := fnvAdd(fnvAdd(fnvOffset64, m.profile.Name), prompt)
+// rngFrom returns the randomness source for one completion from its prompt
+// hash (readPrompt). At temperature zero the model is deterministic per
+// prompt (like real sampling with temperature 0): the same input always
+// yields the same output, so retrying at temperature 0 cannot change the
+// outcome. At higher temperatures the randomness is derived from (prompt,
+// model seed, request seed, temperature) — splittable seeding instead of a
+// shared stream. Callers that thread a fresh Request.Seed per retry (as the
+// pipeline does, keyed on document, claim, method, and try) get the
+// genuinely-varying retries CEDAR's scheduling relies on (Assumption 1),
+// while concurrent completions can never perturb each other.
+func (m *Model) rngFrom(h uint64, req llm.Request) *rand.Rand {
 	if req.Temperature > 0 {
 		h = m.mixSampling(h, req)
 		h = fnvTemperature(h, req.Temperature)
@@ -238,6 +256,31 @@ func fnvAdd[T string | []byte](h uint64, s T) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts: the word boundaries llm.CountTokens counts on ASCII text.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// fnvAddWords is fnvAdd(h, s) that also counts the whitespace-delimited
+// words of s, len(strings.Fields(s)), in the same loop. FNV-1a is a chain of
+// dependent multiplies, so the count's independent work per byte rides in
+// its latency nearly free. A non-ASCII byte ends the count (ascii false,
+// words meaningless): Unicode spaces need decoding, which the caller leaves
+// to llm's exact count.
+func fnvAddWords(h uint64, s string) (hash uint64, words int, ascii bool) {
+	inSpace := uint8(1)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return fnvAdd(h, s[i:]), 0, false
+		}
+		h = (h ^ uint64(c)) * fnvPrime64
+		space := asciiSpace[c]
+		words += int(inSpace &^ space)
+		inSpace = space
+	}
+	return h, words, true
 }
 
 // mixSampling folds in what makes a temperature > 0 stream its own: the

@@ -25,6 +25,13 @@ func oneShotPrompt(db *sqldb.Database, masked string) string {
 	return prompts.OneShot(masked, "numeric", db.Schema(), "", "Some context. "+masked)
 }
 
+// agentPrompt is an agent method's first prompt for a numeric claim at
+// temperature 0.
+func agentPrompt(db *sqldb.Database, masked, context string) string {
+	f := prompts.Fill{Claim: masked, ValueType: "numeric", Schema: db.Schema(), Context: context}
+	return f.Agent("0")
+}
+
 func complete(t *testing.T, m *Model, prompt string, temp float64) string {
 	return completeSeeded(t, m, prompt, temp, 0)
 }
@@ -165,7 +172,7 @@ func TestVerbosityDrivesCompletionTokens(t *testing.T) {
 func TestAgentStepProtocol(t *testing.T) {
 	db := simDB(t)
 	m, _ := New(llm.ModelGPT41, 2)
-	base := "Run: 0\n" + prompts.Agent("Malaysia Airlines recorded x fatal accidents between 2000 and 2014.", "numeric", db.Schema(), "", "ctx")
+	base := agentPrompt(db, "Malaysia Airlines recorded x fatal accidents between 2000 and 2014.", "ctx")
 	content := complete(t, m, base, 0)
 	// First turn: either an action step or a derailment; with seed 2 and
 	// this claim we expect an action.

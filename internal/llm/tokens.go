@@ -8,11 +8,12 @@ import "unicode"
 // full token each). The estimate only needs to be proportional and
 // deterministic — CEDAR's cost model works on relative token volumes.
 func CountTokens(text string) int {
-	if text == "" {
-		return 0
-	}
-	words := countWords(text)
-	byChars := (len(text) + 3) / 4
+	return tokensOf(len(text), countWords(text))
+}
+
+// tokensOf is CountTokens of a text of n bytes holding words words.
+func tokensOf(n, words int) int {
+	byChars := (n + 3) / 4
 	if words > byChars {
 		return words
 	}
@@ -54,12 +55,24 @@ func countWordsUnicode(text string) int {
 	return words
 }
 
+// messageFraming is the per-message overhead chat APIs bill on top of the
+// content's tokens.
+const messageFraming = 4
+
 // CountMessageTokens estimates the prompt tokens of a chat request,
 // including a small per-message framing overhead the way chat APIs bill.
 func CountMessageTokens(msgs []Message) int {
 	total := 0
 	for _, m := range msgs {
-		total += CountTokens(m.Content) + 4
+		total += CountTokens(m.Content) + messageFraming
 	}
 	return total
+}
+
+// SingleMessageTokens is CountMessageTokens of a one-message request whose
+// content is n bytes long and holds words whitespace-delimited words
+// (len(strings.Fields(content))), for a caller that has counted the words on
+// a pass over the content of its own.
+func SingleMessageTokens(n, words int) int {
+	return tokensOf(n, words) + messageFraming
 }

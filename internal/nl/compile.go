@@ -121,7 +121,9 @@ func (c *columnCache) snapshot() map[string]*compiledColumn {
 }
 
 // add compiles and publishes a column another goroutine may have added in
-// the meantime; every caller gets the published one.
+// the meantime; every caller gets the published one. The key is a copy: a
+// lower-case name is often a substring of the prompt it was parsed from,
+// which the cache would otherwise keep alive.
 func (c *columnCache) add(lex *Lexicon, lower string) *compiledColumn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -129,6 +131,7 @@ func (c *columnCache) add(lex *Lexicon, lower string) *compiledColumn {
 	if cc := old[lower]; cc != nil {
 		return cc
 	}
+	lower = strings.Clone(lower)
 	cc := compileColumn(lex, lower)
 	next := make(map[string]*compiledColumn, len(old)+1)
 	if len(old) < columnCacheCap {
@@ -156,6 +159,8 @@ var schemaMemo struct {
 // the Schema is parsed once per distinct block and shared. The returned
 // Schema may be in use by other goroutines and must not be modified. Text
 // whose CREATE TABLE lines are not one contiguous block is parsed afresh.
+// A memoised Schema is parsed from a copy of its block, so that neither its
+// key nor its names keep the first prompt that carried the block alive.
 func SchemaOfPrompt(prompt string) *Schema {
 	block, ok := createTableBlock(prompt)
 	if !ok {
@@ -167,6 +172,7 @@ func SchemaOfPrompt(prompt string) *Schema {
 	if s != nil {
 		return s
 	}
+	block = strings.Clone(block)
 	s = ParseSchemaText(block)
 	schemaMemo.Lock()
 	if prev := schemaMemo.m[block]; prev != nil {
@@ -175,7 +181,7 @@ func SchemaOfPrompt(prompt string) *Schema {
 		if schemaMemo.m == nil || len(schemaMemo.m) >= schemaMemoCap {
 			schemaMemo.m = make(map[string]*Schema)
 		}
-		schemaMemo.m[strings.Clone(block)] = s
+		schemaMemo.m[block] = s
 	}
 	schemaMemo.Unlock()
 	return s

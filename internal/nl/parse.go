@@ -416,16 +416,20 @@ func (r *compiledResolver) column(phrase string) []Candidate {
 		return nil
 	}
 	phraseVec := embed.EmbedSparse(phrase)
+	// Candidates collect on the stack; the result is one exact copy.
 	var (
-		cands  []Candidate
-		lowers []string // cands[i]'s column name, lower-cased
-		have   []string // the phrase's normalized tokens, for context boosts
+		candBuf  [16]Candidate
+		lowerBuf [16]string
+		cands    = candBuf[:0]
+		lowers   = lowerBuf[:0] // cands[i]'s column name, lower-cased
+		have     []string       // the phrase's normalized tokens, for context boosts
 	)
 	compiled := r.lex.compiled.snapshot()
 	for _, t := range r.schema.Tables {
 	columns:
-		for _, c := range t.Columns {
-			lower := strings.ToLower(c.Name)
+		for i := range t.Columns {
+			c := &t.Columns[i]
+			lower := c.lowerName()
 			cc := compiled[lower]
 			if cc == nil {
 				cc = r.lex.compiled.add(r.lex, lower)
@@ -455,13 +459,16 @@ func (r *compiledResolver) column(phrase string) []Candidate {
 			lowers = append(lowers, lower)
 		}
 	}
+	if len(cands) == 0 {
+		return nil
+	}
 	// Stable ranking: by score descending, ties by name for determinism.
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && less(cands[j], cands[j-1]); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
-	return cands
+	return append([]Candidate(nil), cands...)
 }
 
 func less(a, b Candidate) bool {

@@ -22,6 +22,23 @@ import (
 type SchemaColumn struct {
 	Name string
 	Type string // SQL type name, e.g. TEXT, INTEGER, REAL
+
+	// lower is strings.ToLower(Name), which the parsers fill in so that
+	// resolution against a memoised Schema does not lower-case every
+	// column of every parse; empty on a column built by hand.
+	lower string
+}
+
+func newSchemaColumn(name, typ string) SchemaColumn {
+	return SchemaColumn{Name: name, Type: typ, lower: strings.ToLower(name)}
+}
+
+// lowerName is strings.ToLower(c.Name).
+func (c *SchemaColumn) lowerName() string {
+	if c.lower == "" && c.Name != "" {
+		return strings.ToLower(c.Name)
+	}
+	return c.lower
 }
 
 // SchemaTable is one table of a schema.
@@ -53,7 +70,7 @@ func SchemaFromDatabase(db *sqldb.Database) *Schema {
 	for _, t := range db.Tables() {
 		st := SchemaTable{Name: t.Name}
 		for _, c := range t.Columns {
-			st.Columns = append(st.Columns, SchemaColumn{Name: c.Name, Type: c.Type.String()})
+			st.Columns = append(st.Columns, newSchemaColumn(c.Name, c.Type.String()))
 		}
 		s.Tables = append(s.Tables, st)
 	}
@@ -93,7 +110,7 @@ func ParseSchemaText(text string) *Schema {
 			}
 			colName, colType := splitColDef(colDef)
 			if colName != "" {
-				st.Columns = append(st.Columns, SchemaColumn{Name: colName, Type: colType})
+				st.Columns = append(st.Columns, newSchemaColumn(colName, colType))
 			}
 		}
 		s.Tables = append(s.Tables, st)

@@ -108,115 +108,227 @@ var ErrNoColumn = errors.New("nl: column not in schema")
 // be connected by shared key columns.
 var ErrNoJoinPath = errors.New("nl: no join path between tables")
 
-// converted wraps a SQL expression with the spec's unit-conversion factor.
-func (s *Spec) converted(expr string) string {
-	if s.ConvFactor == 0 || s.ConvFactor == 1 {
-		return expr
-	}
-	return fmt.Sprintf("%s * %s", expr, textutil.FormatNumber(s.ConvFactor))
-}
-
 // BuildSQL renders the spec into a SQL query against the given schema,
 // inserting joins when the referenced columns span multiple tables. This is
 // the query-construction knowledge shared by the gold-label generator and
 // the simulated models; what differs between them is which Spec they hold.
+// The query is one allocation of its exact size: writeSQL runs once to
+// measure it and once to write it.
 func BuildSQL(schema *Schema, s *Spec) (string, error) {
-	switch s.Kind {
-	case KindLookup:
-		from, err := joinFor(schema, s.Column, s.EntityCol)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf(`SELECT %s FROM %s WHERE %s = %s`,
-			s.converted(q(s.Column)), from, q(s.EntityCol), quoteText(s.EntityVal)), nil
-	case KindCountAll:
-		if s.EntityCol == "" {
-			return "", fmt.Errorf("%w: CountAll needs an entity column", ErrNoColumn)
-		}
-		from, err := joinFor(schema, s.EntityCol)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf(`SELECT COUNT(%s) FROM %s`, q(s.EntityCol), from), nil
-	case KindCount:
-		from, err := joinFor(schema, s.FilterCol)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf(`SELECT COUNT(*) FROM %s WHERE %s = %s`,
-			from, q(s.FilterCol), s.filterLiteral()), nil
-	case KindSum, KindAvg, KindMin, KindMax:
-		agg := map[Kind]string{KindSum: "SUM", KindAvg: "AVG", KindMin: "MIN", KindMax: "MAX"}[s.Kind]
-		cols := []string{s.Column}
-		if s.FilterCol != "" {
-			cols = append(cols, s.FilterCol)
-		}
-		from, err := joinFor(schema, cols...)
-		if err != nil {
-			return "", err
-		}
-		where := ""
-		if s.FilterCol != "" {
-			where = fmt.Sprintf(" WHERE %s = %s", q(s.FilterCol), s.filterLiteral())
-		}
-		return fmt.Sprintf(`SELECT %s FROM %s%s`,
-			s.converted(fmt.Sprintf("%s(%s)", agg, q(s.Column))), from, where), nil
-	case KindDiff:
-		from, err := joinFor(schema, s.Column)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf(`SELECT %s FROM %s`,
-			s.converted(fmt.Sprintf("MAX(%s) - MIN(%s)", q(s.Column), q(s.Column))), from), nil
-	case KindArgMax, KindArgMin:
-		agg := "MAX"
-		if s.Kind == KindArgMin {
-			agg = "MIN"
-		}
-		from, err := joinFor(schema, s.Column, s.EntityCol)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf(`SELECT %s FROM %s WHERE %s = (SELECT %s(%s) FROM %s)`,
-			q(s.EntityCol), from, q(s.Column), agg, q(s.Column), from), nil
-	case KindMode:
-		from, err := joinFor(schema, s.Column)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf(`SELECT %s FROM %s GROUP BY %s ORDER BY COUNT(*) DESC LIMIT 1`,
-			q(s.Column), from, q(s.Column)), nil
-	case KindPercent:
-		cols := []string{s.FilterCol}
-		if s.EntityCol != "" {
-			cols = append(cols, s.EntityCol)
-		}
-		from, err := joinFor(schema, cols...)
-		if err != nil {
-			return "", err
-		}
-		target := "*"
-		if s.EntityCol != "" {
-			target = q(s.EntityCol)
-		}
-		return fmt.Sprintf(`SELECT (SELECT COUNT(%s) FROM %s WHERE %s = %s) * 100.0 / (SELECT COUNT(%s) FROM %s)`,
-			target, from, q(s.FilterCol), s.filterLiteral(), target, from), nil
+	from, err := s.from(schema)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("nl: unknown spec kind %v", s.Kind)
+	conv := ""
+	switch s.Kind {
+	case KindLookup, KindSum, KindAvg, KindMin, KindMax, KindDiff:
+		if s.ConvFactor != 0 && s.ConvFactor != 1 {
+			conv = textutil.FormatNumber(s.ConvFactor)
+		}
+	}
+	var w sqlWriter
+	s.writeSQL(&w, from, conv)
+	var b strings.Builder
+	b.Grow(w.n)
+	w.b = &b
+	s.writeSQL(&w, from, conv)
+	return b.String(), nil
 }
 
-func (s *Spec) filterLiteral() string {
-	if s.FilterIsText {
-		return quoteText(s.FilterVal)
+// from locates the FROM clause of the spec's query: the tables of the
+// columns its kind reads.
+func (s *Spec) from(schema *Schema) (fromClause, error) {
+	switch s.Kind {
+	case KindLookup, KindArgMax, KindArgMin:
+		return joinFor(schema, s.Column, s.EntityCol)
+	case KindCountAll:
+		if s.EntityCol == "" {
+			return fromClause{}, fmt.Errorf("%w: CountAll needs an entity column", ErrNoColumn)
+		}
+		return joinFor(schema, s.EntityCol)
+	case KindCount:
+		return joinFor(schema, s.FilterCol)
+	case KindSum, KindAvg, KindMin, KindMax:
+		return joinFor(schema, s.Column, s.FilterCol)
+	case KindDiff, KindMode:
+		return joinFor(schema, s.Column)
+	case KindPercent:
+		return joinFor(schema, s.FilterCol, s.EntityCol)
 	}
-	return s.FilterVal
+	return fromClause{}, fmt.Errorf("nl: unknown spec kind %v", s.Kind)
+}
+
+// writeSQL writes the query of a spec whose FROM clause from has located;
+// conv is the rendered unit-conversion factor, empty for none.
+func (s *Spec) writeSQL(w *sqlWriter, from fromClause, conv string) {
+	switch s.Kind {
+	case KindLookup:
+		w.str("SELECT ")
+		w.ident(s.Column)
+		w.conv(conv)
+		w.str(" FROM ")
+		w.from(from)
+		w.str(" WHERE ")
+		w.ident(s.EntityCol)
+		w.str(" = ")
+		w.text(s.EntityVal)
+	case KindCountAll:
+		w.str("SELECT COUNT(")
+		w.ident(s.EntityCol)
+		w.str(") FROM ")
+		w.from(from)
+	case KindCount:
+		w.str("SELECT COUNT(*) FROM ")
+		w.from(from)
+		w.str(" WHERE ")
+		w.ident(s.FilterCol)
+		w.str(" = ")
+		s.filterLiteral(w)
+	case KindSum, KindAvg, KindMin, KindMax:
+		w.str("SELECT ")
+		w.str(aggregateOf[s.Kind])
+		w.str("(")
+		w.ident(s.Column)
+		w.str(")")
+		w.conv(conv)
+		w.str(" FROM ")
+		w.from(from)
+		if s.FilterCol != "" {
+			w.str(" WHERE ")
+			w.ident(s.FilterCol)
+			w.str(" = ")
+			s.filterLiteral(w)
+		}
+	case KindDiff:
+		w.str("SELECT MAX(")
+		w.ident(s.Column)
+		w.str(") - MIN(")
+		w.ident(s.Column)
+		w.str(")")
+		w.conv(conv)
+		w.str(" FROM ")
+		w.from(from)
+	case KindArgMax, KindArgMin:
+		w.str("SELECT ")
+		w.ident(s.EntityCol)
+		w.str(" FROM ")
+		w.from(from)
+		w.str(" WHERE ")
+		w.ident(s.Column)
+		w.str(" = (SELECT ")
+		w.str(aggregateOf[s.Kind])
+		w.str("(")
+		w.ident(s.Column)
+		w.str(") FROM ")
+		w.from(from)
+		w.str(")")
+	case KindMode:
+		w.str("SELECT ")
+		w.ident(s.Column)
+		w.str(" FROM ")
+		w.from(from)
+		w.str(" GROUP BY ")
+		w.ident(s.Column)
+		w.str(" ORDER BY COUNT(*) DESC LIMIT 1")
+	case KindPercent:
+		target := func() {
+			if s.EntityCol != "" {
+				w.ident(s.EntityCol)
+			} else {
+				w.str("*")
+			}
+		}
+		w.str("SELECT (SELECT COUNT(")
+		target()
+		w.str(") FROM ")
+		w.from(from)
+		w.str(" WHERE ")
+		w.ident(s.FilterCol)
+		w.str(" = ")
+		s.filterLiteral(w)
+		w.str(") * 100.0 / (SELECT COUNT(")
+		target()
+		w.str(") FROM ")
+		w.from(from)
+		w.str(")")
+	}
+}
+
+// aggregateOf is the SQL aggregate each aggregating kind applies.
+var aggregateOf = [...]string{
+	KindSum: "SUM", KindAvg: "AVG", KindMin: "MIN", KindMax: "MAX",
+	KindArgMax: "MAX", KindArgMin: "MIN",
+}
+
+func (s *Spec) filterLiteral(w *sqlWriter) {
+	if s.FilterIsText {
+		w.text(s.FilterVal)
+	} else {
+		w.str(s.FilterVal)
+	}
+}
+
+// sqlWriter writes a query into b, or with b nil measures it into n.
+type sqlWriter struct {
+	n int
+	b *strings.Builder
+}
+
+func (w *sqlWriter) str(s string) {
+	if w.b == nil {
+		w.n += len(s)
+	} else {
+		w.b.WriteString(s)
+	}
+}
+
+// ident writes a double-quoted identifier.
+func (w *sqlWriter) ident(name string) {
+	w.str(`"`)
+	w.str(name)
+	w.str(`"`)
+}
+
+// text writes a single-quoted string literal, its quotes doubled.
+func (w *sqlWriter) text(v string) {
+	w.str("'")
+	for {
+		i := strings.IndexByte(v, '\'')
+		if i < 0 {
+			break
+		}
+		w.str(v[:i+1])
+		w.str("'")
+		v = v[i+1:]
+	}
+	w.str(v)
+	w.str("'")
+}
+
+// conv writes the unit-conversion factor that multiplies the expression
+// before it, if there is one.
+func (w *sqlWriter) conv(factor string) {
+	if factor != "" {
+		w.str(" * ")
+		w.str(factor)
+	}
+}
+
+func (w *sqlWriter) from(f fromClause) {
+	if f.chain != "" {
+		w.str(f.chain)
+	} else {
+		w.ident(f.table)
+	}
+}
+
+// fromClause is a FROM clause (without the keyword): one table, or a
+// rendered join chain.
+type fromClause struct {
+	table, chain string
 }
 
 func q(name string) string { return `"` + name + `"` }
-
-func quoteText(v string) string {
-	return "'" + strings.ReplaceAll(v, "'", "''") + "'"
-}
 
 // FromClause builds the FROM/JOIN clause (without the FROM keyword) that
 // covers all the given columns in the schema, joining tables through shared
@@ -224,21 +336,26 @@ func quoteText(v string) string {
 // construction used by BuildSQL, needed by callers that rewrite existing
 // queries against a normalized schema.
 func FromClause(schema *Schema, cols []string) (string, error) {
-	return joinFor(schema, cols...)
+	from, err := joinFor(schema, cols...)
+	if err != nil || from.chain != "" {
+		return from.chain, err
+	}
+	return q(from.table), nil
 }
 
 // joinFor determines the FROM clause covering all the given columns: a
 // single table when one table has them all, otherwise a join chain over
 // tables connected by shared key columns (columns named *_id or id).
-func joinFor(schema *Schema, cols ...string) (string, error) {
-	var needed []string
+func joinFor(schema *Schema, cols ...string) (fromClause, error) {
+	var buf [2]string
+	needed := buf[:0]
 	for _, c := range cols {
 		if c != "" {
 			needed = append(needed, c)
 		}
 	}
 	if len(needed) == 0 {
-		return "", fmt.Errorf("%w: no columns to locate", ErrNoColumn)
+		return fromClause{}, fmt.Errorf("%w: no columns to locate", ErrNoColumn)
 	}
 	// Single-table fast path.
 	for _, t := range schema.Tables {
@@ -250,7 +367,7 @@ func joinFor(schema *Schema, cols ...string) (string, error) {
 			}
 		}
 		if all {
-			return q(t.Name), nil
+			return fromClause{table: t.Name}, nil
 		}
 	}
 	// Multi-table: pick one table per column, then connect them.
@@ -258,7 +375,7 @@ func joinFor(schema *Schema, cols ...string) (string, error) {
 	for _, c := range needed {
 		tabs := schema.TablesWithColumn(c)
 		if len(tabs) == 0 {
-			return "", fmt.Errorf("%w: %q", ErrNoColumn, c)
+			return fromClause{}, fmt.Errorf("%w: %q", ErrNoColumn, c)
 		}
 		home[c] = tabs[0]
 	}
@@ -271,9 +388,10 @@ func joinFor(schema *Schema, cols ...string) (string, error) {
 		}
 	}
 	if len(tables) == 1 {
-		return q(tables[0]), nil
+		return fromClause{table: tables[0]}, nil
 	}
-	return joinChain(schema, tables)
+	chain, err := joinChain(schema, tables)
+	return fromClause{chain: chain}, err
 }
 
 // joinChain builds a FROM clause connecting the given tables through shared

@@ -21,7 +21,8 @@ func TestOneShotStructure(t *testing.T) {
 }
 
 func TestAgentStructure(t *testing.T) {
-	p := Agent("claim x.", "", schemaSQL, "", "ctx")
+	f := Fill{Claim: "claim x.", Schema: schemaSQL, Context: "ctx"}
+	p := f.Agent("0")
 	for _, want := range []string{AgentMarker, ToolUniqueValues, ToolQuery, "Thought:", "Final Answer:"} {
 		if !strings.Contains(p, want) {
 			t.Errorf("agent prompt missing %q", want)
@@ -56,9 +57,9 @@ func TestExtractContext(t *testing.T) {
 }
 
 func TestHasSample(t *testing.T) {
-	with := OneShot("c x.", "", schemaSQL, Sample("m", "SELECT 1"), "ctx")
-	without := OneShot("c x.", "", schemaSQL, "", "ctx")
-	if !HasSample(with) || HasSample(without) {
+	with := Locate(OneShot("c x.", "", schemaSQL, Sample("m", "SELECT 1"), "ctx"))
+	without := Locate(OneShot("c x.", "", schemaSQL, "", "ctx"))
+	if !with.HasSample() || without.HasSample() {
 		t.Error("sample detection")
 	}
 }

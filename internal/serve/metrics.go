@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -135,6 +136,47 @@ type MetricsResponse struct {
 	// reuse and, above all, whether the vectorized engine or the row-engine
 	// fallback did the work. Present only on replicas.
 	SQL *SQLCounters `json:"sql,omitempty"`
+	// Runtime is the process's garbage: what it has allocated and what
+	// collecting it has cost, since startup.
+	Runtime RuntimeCounters `json:"runtime"`
+}
+
+// RuntimeCounters are cumulative Go runtime counters, read from
+// runtime/metrics, which stops no goroutine to read them. Two readings a
+// known number of requests apart give allocation and GC cost per request.
+type RuntimeCounters struct {
+	AllocBytes   uint64  `json:"alloc_bytes"`    // bytes allocated on the heap
+	AllocObjects uint64  `json:"alloc_objects"`  // heap objects allocated
+	GCCycles     uint64  `json:"gc_cycles"`      // completed GC cycles
+	GCCPUSeconds float64 `json:"gc_cpu_seconds"` // estimated CPU time spent collecting
+	// HeapLiveBytes is the heap the last GC cycle marked live.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+}
+
+// runtimeSamples names the runtime/metrics readings behind RuntimeCounters,
+// in its field order.
+var runtimeSamples = [...]string{
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/gc/cycles/total:gc-cycles",
+	"/cpu/classes/gc/total:cpu-seconds",
+	"/gc/heap/live:bytes",
+}
+
+// readRuntime reads the runtime counters.
+func readRuntime() RuntimeCounters {
+	var s [len(runtimeSamples)]metrics.Sample
+	for i, name := range runtimeSamples {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return RuntimeCounters{
+		AllocBytes:    s[0].Value.Uint64(),
+		AllocObjects:  s[1].Value.Uint64(),
+		GCCycles:      s[2].Value.Uint64(),
+		GCCPUSeconds:  s[3].Value.Float64(),
+		HeapLiveBytes: s[4].Value.Uint64(),
+	}
 }
 
 // SQLCounters mirrors sqldb.PlanCacheStats. Every query execution counts in
@@ -251,9 +293,11 @@ type ResilienceCounters struct {
 
 // snapshot renders the metrics wire body.
 func (m *serveMetrics) snapshot() MetricsResponse {
+	rt := readRuntime()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := MetricsResponse{
+		Runtime: rt,
 		Requests: RequestCounters{
 			Received:         m.requests,
 			ShedOverload:     m.shedOverload,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -447,4 +448,28 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestMetricsRuntimeCounters: replica and coordinator /v1/metrics carry the
+// process's runtime counters, and a verification request and a collection
+// between two readings show in them.
+func TestMetricsRuntimeCounters(t *testing.T) {
+	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
+	_, coord := newTestCoordinator(t, CoordinatorConfig{}, a)
+	for _, base := range []string{a.ts.URL, coord.URL} {
+		before := fetchCoordMetrics(t, base).Runtime
+		resp := postVerify(t, base, claimBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200", base, resp.StatusCode)
+		}
+		resp.Body.Close()
+		runtime.GC()
+		after := fetchCoordMetrics(t, base).Runtime
+		if after.AllocBytes <= before.AllocBytes || after.AllocObjects <= before.AllocObjects {
+			t.Errorf("%s: allocation counters did not grow across a request: %+v then %+v", base, before, after)
+		}
+		if after.GCCycles <= before.GCCycles || after.GCCPUSeconds < before.GCCPUSeconds || after.HeapLiveBytes == 0 {
+			t.Errorf("%s: GC counters do not show a collection: %+v then %+v", base, before, after)
+		}
+	}
 }

@@ -82,6 +82,10 @@ func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 	}
 	c.mu.Unlock()
 
+	// A miss keys and parses a copy: the text is often a substring of a
+	// model completion, which the raw key and the parsed identifiers would
+	// otherwise keep alive as long as the entry.
+	sql = strings.Clone(sql)
 	stmt, err := Parse(sql)
 	if err != nil {
 		c.mu.Lock()

@@ -3,6 +3,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Span identifies the position of a claim value inside a claim sentence as a
@@ -29,24 +30,85 @@ func (s Span) Width() int {
 // tokenization.
 func Tokenize(s string) []string { return strings.Fields(s) }
 
+// NextToken returns the first token of s that starts at or after byte
+// offset i, as Tokenize splits s, and the offset just past it; tok is empty
+// when no token is left. It walks the tokens without Tokenize's slice.
+func NextToken(s string, i int) (tok string, end int) {
+	start := -1
+	for i < len(s) {
+		r, w := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				break
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += w
+	}
+	if start < 0 {
+		return "", len(s)
+	}
+	return s[start:i], i
+}
+
 // MaskSpan replaces the tokens covered by span with the single obfuscation
 // token "x", implementing line 5 of Algorithm 4 (Pre_Proc). Punctuation
 // attached to the final masked token is preserved so the masked sentence
-// stays well-formed ("accidents," -> "x,").
+// stays well-formed ("accidents," -> "x,"). The tokens are rejoined by
+// single spaces, in one allocation of the result's exact size.
 func MaskSpan(sentence string, span Span) string {
-	toks := Tokenize(sentence)
-	if !span.Valid() || span.Start >= len(toks) {
+	if !span.Valid() {
 		return sentence
 	}
-	end := span.End
-	if end >= len(toks) {
-		end = len(toks) - 1
+	// Measure: the token count, the bytes of the tokens the span covers and
+	// of all of them, and the last covered token (the span's end, clamped to
+	// the sentence).
+	n, covered, total := 0, 0, 0
+	last := ""
+	for i := 0; ; n++ {
+		tok, next := NextToken(sentence, i)
+		if tok == "" {
+			break
+		}
+		total += len(tok)
+		if n >= span.Start && n <= span.End {
+			covered += len(tok)
+			last = tok
+		}
+		i = next
 	}
-	suffix := trailingPunct(toks[end])
-	masked := append([]string{}, toks[:span.Start]...)
-	masked = append(masked, "x"+suffix)
-	masked = append(masked, toks[end+1:]...)
-	return strings.Join(masked, " ")
+	if span.Start >= n {
+		return sentence
+	}
+	suffix := trailingPunct(last)
+	kept := n - (min(span.End, n-1) - span.Start + 1)
+	var b strings.Builder
+	b.Grow(total - covered + kept + len("x") + len(suffix))
+	for i, k := 0, 0; ; k++ {
+		tok, next := NextToken(sentence, i)
+		if tok == "" {
+			break
+		}
+		i = next
+		switch {
+		case k < span.Start || k > span.End:
+			if k > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(tok)
+		case k == span.Start:
+			if k > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString("x")
+			b.WriteString(suffix)
+		}
+	}
+	return b.String()
 }
 
 // MaskInContext replaces the original claim sentence inside its surrounding

@@ -1,6 +1,8 @@
 package textutil
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,5 +123,77 @@ func TestSpanWidth(t *testing.T) {
 	}
 	if (Span{Start: -1, End: -1}).Width() != 0 {
 		t.Error("invalid span width")
+	}
+}
+
+// referenceMaskSpan is MaskSpan as it was before it wrote its result in one
+// allocation: the token slice, a second slice of the kept tokens, Join.
+func referenceMaskSpan(sentence string, span Span) string {
+	toks := Tokenize(sentence)
+	if !span.Valid() || span.Start >= len(toks) {
+		return sentence
+	}
+	end := span.End
+	if end >= len(toks) {
+		end = len(toks) - 1
+	}
+	suffix := trailingPunct(toks[end])
+	masked := append([]string{}, toks[:span.Start]...)
+	masked = append(masked, "x"+suffix)
+	masked = append(masked, toks[end+1:]...)
+	return strings.Join(masked, " ")
+}
+
+// TestDifferentialMaskSpan holds MaskSpan to the slice-and-join masking over
+// random sentences of ASCII and Unicode spaces, punctuation (trailing, multi-
+// byte, a lone continuation byte) and invalid UTF-8, under every span shape:
+// invalid, out of range, clamped, whole-sentence. NextToken walks the same
+// tokens as Tokenize on each.
+func TestDifferentialMaskSpan(t *testing.T) {
+	alphabet := []string{
+		"a", "Z", "9", "x", "-", "%", "$", ".", ",", "!", "\"", "'", " ", "  ", "\t", "\n", "\v", "\f", "\r",
+		"\u0085", "\u00a0", "\u2003", "\u3000", "\u200b", "\u00e9", "\u00bf", "\u00ab", "\u00bb", "\u00b7", "\u4e16",
+		"\xff", "\xc2", "\xa1", "\xe2\x80",
+	}
+	rng := rand.New(rand.NewSource(11))
+	sentences := []string{"", " ", airlineSentence, "It rose to 42, according to the data.", "a b c"}
+	for i := 0; i < 4000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		sentences = append(sentences, b.String())
+	}
+	for _, s := range sentences {
+		toks := Tokenize(s)
+		var walked []string
+		for i := 0; ; {
+			tok, next := NextToken(s, i)
+			if tok == "" {
+				break
+			}
+			walked = append(walked, tok)
+			i = next
+		}
+		if !reflect.DeepEqual(walked, toks) && len(walked)+len(toks) > 0 {
+			t.Fatalf("NextToken walks %q as %q, Tokenize %q", s, walked, toks)
+		}
+		for start := -1; start <= len(toks)+1; start++ {
+			for end := start - 1; end <= len(toks)+2; end++ {
+				span := Span{Start: start, End: end}
+				if got, want := MaskSpan(s, span), referenceMaskSpan(s, span); got != want {
+					t.Fatalf("MaskSpan(%q, %+v) = %q, want %q", s, span, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMaskSpanAllocCeiling: a masking is one allocation, the result.
+func TestMaskSpanAllocCeiling(t *testing.T) {
+	for _, span := range []Span{{1, 1}, {0, 3}, {16, 40}} {
+		if got := testing.AllocsPerRun(200, func() { _ = MaskSpan(airlineSentence, span) }); got > 1 {
+			t.Errorf("MaskSpan(%+v): %.0f allocations, ceiling 1", span, got)
+		}
 	}
 }

@@ -50,15 +50,10 @@ func (a *Agent) ModelName() string { return a.Model }
 
 // Translate implements Method.
 func (a *Agent) Translate(c *claim.Claim, db *sqldb.Database, inv Invocation) (string, error) {
-	claimText, ctx, valueType := promptInputs(c, inv, a.Mask)
-	sampleBlock := ""
-	if inv.Sample != nil {
-		sampleBlock = prompts.Sample(inv.Sample.MaskedClaim, inv.Sample.Query)
-	}
-	base := prompts.Agent(claimText, valueType, db.Schema(), sampleBlock, ctx)
 	// A per-run nonce makes retries at temperature > 0 sample different
 	// agent trajectories while temperature 0 stays deterministic.
-	base = fmt.Sprintf("Run: %s\n%s", a.nonce(inv), base)
+	fill := promptFill(c, db, inv, a.Mask)
+	base := fill.Agent(a.nonce(inv))
 
 	runner := &agent.Runner{
 		Client:        a.Client,

@@ -6,16 +6,15 @@ import (
 	"repro/internal/claim"
 	"repro/internal/llm"
 	"repro/internal/llm/resilience"
+	"repro/internal/prompts"
 	"repro/internal/sqldb"
 	"repro/internal/trace"
 )
 
 // Sample is a successfully translated claim used for few-shot learning (the
-// {sample} placeholder of Figure 3).
-type Sample struct {
-	MaskedClaim string
-	Query       string
-}
+// {sample} placeholder of Figure 3), in the form the prompt templates write
+// it from.
+type Sample = prompts.Example
 
 // Invocation bundles the per-attempt inputs of one method invocation.
 type Invocation struct {
@@ -134,15 +133,18 @@ func MakeSample(c *claim.Claim, in *claim.Inputs) *Sample {
 	return &Sample{MaskedClaim: in.Masked, Query: c.Result.Query}
 }
 
-// promptInputs assembles the prompt ingredients shared by both methods: the
-// claim text and context (masked unless the ablation turns masking off) and
-// the {type} placeholder.
-func promptInputs(c *claim.Claim, inv Invocation, masked bool) (claimText, ctx, valueType string) {
+// promptFill assembles the template placeholders shared by both methods: the
+// claim text and context (masked unless the ablation turns masking off), the
+// {type} placeholder, the database schema and the few-shot sample.
+func promptFill(c *claim.Claim, db *sqldb.Database, inv Invocation, masked bool) prompts.Fill {
 	in := inv.inputs(c)
+	f := prompts.Fill{ValueType: in.ValueType(), Schema: db.Schema(), Sample: inv.Sample}
 	if masked {
-		return in.Masked, in.MaskedContext, in.ValueType()
+		f.Claim, f.Context = in.Masked, in.MaskedContext
+	} else {
+		f.Claim, f.Context = c.Sentence, c.Context
 	}
-	return c.Sentence, c.Context, in.ValueType()
+	return f
 }
 
 // usageError wraps model invocation failures.

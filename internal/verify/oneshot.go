@@ -37,13 +37,8 @@ func (o *OneShot) ModelName() string { return o.Model }
 
 // Translate implements Method.
 func (o *OneShot) Translate(c *claim.Claim, db *sqldb.Database, inv Invocation) (string, error) {
-	claimText, ctx, valueType := promptInputs(c, inv, o.Mask)
-	sampleBlock := ""
-	if inv.Sample != nil {
-		sampleBlock = prompts.Sample(inv.Sample.MaskedClaim, inv.Sample.Query)
-	}
-	prompt := prompts.OneShot(claimText, valueType, db.Schema(), sampleBlock, ctx)
-	resp, err := singleTurn(o.Client, o.Model, prompt, inv)
+	fill := promptFill(c, db, inv, o.Mask)
+	resp, err := singleTurn(o.Client, o.Model, fill.OneShot(), inv)
 	if err != nil {
 		return "", usageError(o, err)
 	}
