@@ -72,7 +72,8 @@ func (b *Text2SQL) verifyClaim(c *claim.Claim, db *sqldb.Database) {
 	if b.IncludeSampleRows {
 		schemaText += db.SampleRows(3)
 	}
-	prompt := prompts.OneShot(masked, c.ValueType(), schemaText, "", ctx)
+	fill := prompts.Fill{Claim: masked, ValueType: c.ValueType(), Schema: schemaText, Context: ctx}
+	prompt := fill.OneShot()
 	resp, err := b.Client.Complete(llm.Request{
 		Model:    b.Model,
 		Messages: []llm.Message{{Role: llm.RoleUser, Content: prompt}},
