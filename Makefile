@@ -10,7 +10,7 @@
 # cross-topology verdict identity), the routing determinism gate
 # (cross-database claim decomposition and routing, DESIGN.md §16), and a
 # short fuzz smoke over the SQL parser/executor, the store's segment decoder,
-# the shard ring, the ingestion type-inference engine, the claim
+# the shard ring, the ingestion type-inference engine and dataset codec, the claim
 # decomposer/router, the prompt-schema memo, the sparse embedding and the
 # simulated model's fused prompt read, the documented-surface gate,
 # `gatelint` (every gate below must still select tests), and
@@ -131,7 +131,9 @@ stream:
 # restart, base-table protection), the CLI's ingest→verify cold/warm
 # bit-identity, the serving tier's /v1/datasets handlers and coordinator
 # fan-out (direct run vs single replica vs 4-shard coordinator verdict
-# identity).
+# identity), the documented journey's fingerprint, the dataset codec's
+# bounds on corrupt counts, and the CSV path's allocation ceiling and
+# sampled-heap bound.
 ingest:
 	$(GO) test -race -run 'Ingest|Dataset|Registry|Surface|Classify|CleanColumn' \
 		./internal/ingest ./cmd/cedar ./cmd/cedar-serve
@@ -161,6 +163,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzRingAssign$$ -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run NONE -fuzz FuzzTypeInference$$ -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run NONE -fuzz FuzzClassify$$ -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run NONE -fuzz FuzzDatasetCodec$$ -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run NONE -fuzz FuzzDecompose$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzRouteScore$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzSchemaMemo$$ -fuzztime $(FUZZTIME) ./internal/nl

@@ -207,22 +207,29 @@ func NormalizeTable(t *sqldb.Table, dbName string) (*sqldb.Database, error) {
 	key := strings.ToLower(entCol) + "_id"
 
 	db := sqldb.NewDatabase(dbName)
-	entTab := sqldb.NewTable(t.Name, key, entCol)
-	for ri, row := range t.Rows {
-		entTab.MustAppendRow(sqldb.Int(int64(ri+1)), row[entIdx])
-	}
-	db.AddTable(entTab)
+	db.AddTable(keyedColumn(t, entIdx, t.Name, key))
 	for ci, c := range t.Columns {
 		if ci == entIdx {
 			continue
 		}
-		mt := sqldb.NewTable(t.Name+"_"+strings.ToLower(c.Name), key, c.Name)
-		for ri, row := range t.Rows {
-			mt.MustAppendRow(sqldb.Int(int64(ri+1)), row[ci])
-		}
-		db.AddTable(mt)
+		db.AddTable(keyedColumn(t, ci, t.Name+"_"+strings.ToLower(c.Name), key))
 	}
 	return db, nil
+}
+
+// keyedColumn builds the two-column table of the synthetic key (the row's
+// 1-based position) and t's column ci. Its rows are carved from one slab and
+// passed to AppendRow whole, which refines the column kinds without copying.
+func keyedColumn(t *sqldb.Table, ci int, name, key string) *sqldb.Table {
+	tab := sqldb.NewTable(name, key, t.Columns[ci].Name)
+	tab.Rows = make([][]sqldb.Value, 0, len(t.Rows))
+	slab := make([]sqldb.Value, 2*len(t.Rows))
+	for ri, row := range t.Rows {
+		r := slab[2*ri : 2*ri+2 : 2*ri+2]
+		r[0], r[1] = sqldb.Int(int64(ri+1)), row[ci]
+		tab.MustAppendRow(r...)
+	}
+	return tab
 }
 
 // rebuildGold rewrites a gold query produced by nl.BuildSQL against a flat

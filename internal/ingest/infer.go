@@ -69,7 +69,8 @@ var nullTokens = map[string]bool{
 }
 
 // dateLayouts are the accepted date spellings, tried in order. Every layout
-// normalizes to ISO "2006-01-02" for storage.
+// normalizes to ISO "2006-01-02" for storage. classify checks the first by
+// hand (isoDate) and hands only the others to time.Parse.
 var dateLayouts = []string{
 	"2006-01-02",
 	"2006/01/02",
@@ -85,13 +86,21 @@ var dateLayouts = []string{
 // bytes could satisfy it.
 func classify(raw string) (sqldb.Value, ColType) {
 	t := strings.TrimSpace(raw)
-	lower := strings.ToLower(t)
-	if nullTokens[lower] {
-		return sqldb.Null(), ColUnknown
+	// Every null and bool token is ASCII of at most five bytes without a 'k'
+	// or an 'i', the only letters a rune outside ASCII lower-cases into, so
+	// no longer cell can lower-case into one.
+	var lower string
+	if len(t) <= 5 {
+		lower = strings.ToLower(t)
+		if nullTokens[lower] {
+			return sqldb.Null(), ColUnknown
+		}
 	}
 	if numberShaped(t) {
-		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-			return sqldb.Int(i), ColInt
+		if intShaped(t) {
+			if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+				return sqldb.Int(i), ColInt
+			}
 		}
 		if f, err := strconv.ParseFloat(t, 64); err == nil {
 			// Infinities would otherwise sneak through ParseFloat; treat them as
@@ -105,8 +114,11 @@ func classify(raw string) (sqldb.Value, ColType) {
 	case "true", "false":
 		return sqldb.Bool(lower == "true"), ColBool
 	}
+	if isoDate(t) {
+		return sqldb.Text(t), ColDate
+	}
 	if dateShaped(t) {
-		for _, layout := range dateLayouts {
+		for _, layout := range dateLayouts[1:] {
 			if d, err := time.Parse(layout, t); err == nil {
 				return sqldb.Text(d.Format("2006-01-02")), ColDate
 			}
@@ -115,21 +127,81 @@ func classify(raw string) (sqldb.Value, ColType) {
 	return sqldb.Text(t), ColString
 }
 
-// numberShaped reports whether t could be a strconv integer or float: after
-// one optional sign, every spelling they accept starts with a digit, a
-// decimal point, or the first letter of "inf", "infinity" or "nan".
+// numberShaped reports whether t could be a strconv integer or float. After
+// one optional sign, every spelling they accept is "inf", "infinity" or
+// "nan" in any case, or starts with a digit or a decimal point. Such a
+// numeral holds only letters (hex digits, exponent marks), digits, '.', '_'
+// and signs, and a sign past the first byte follows an exponent mark, 'e'
+// or, in hex, 'p'. So a date's '-' after a digit rules both parsers out.
 func numberShaped(t string) bool {
+	body := t
+	if body != "" && (body[0] == '+' || body[0] == '-') {
+		body = body[1:]
+	}
+	if body == "" {
+		return false
+	}
+	switch c := body[0]; {
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return strings.EqualFold(body, "inf") || strings.EqualFold(body, "infinity") || strings.EqualFold(body, "nan")
+	case '0' <= c && c <= '9', c == '.':
+	default:
+		return false
+	}
+	for i := 1; i < len(t); i++ {
+		switch c := t[i]; {
+		case c == '+' || c == '-':
+			if p := t[i-1]; p != 'e' && p != 'E' && p != 'p' && p != 'P' {
+				return false
+			}
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// intShaped reports whether t is what strconv.ParseInt accepts in base 10
+// short of overflow: one optional sign, then one or more ASCII digits.
+func intShaped(t string) bool {
 	if t != "" && (t[0] == '+' || t[0] == '-') {
 		t = t[1:]
 	}
 	if t == "" {
 		return false
 	}
-	switch c := t[0]; {
-	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
-		return true
+	for i := 0; i < len(t); i++ {
+		if t[i] < '0' || t[i] > '9' {
+			return false
+		}
 	}
-	return false
+	return true
+}
+
+// isoDate reports whether time.Parse accepts t under "2006-01-02": four
+// digits of year, '-', a two-digit month 1–12, '-', and a two-digit day that
+// month has, leap years counted. Such a t is already its own normal form.
+func isoDate(t string) bool {
+	if len(t) != 10 || t[4] != '-' || t[7] != '-' {
+		return false
+	}
+	for _, i := range [...]int{0, 1, 2, 3, 5, 6, 8, 9} {
+		if t[i] < '0' || t[i] > '9' {
+			return false
+		}
+	}
+	year := int(t[0]-'0')*1000 + int(t[1]-'0')*100 + int(t[2]-'0')*10 + int(t[3]-'0')
+	month := int(t[5]-'0')*10 + int(t[6]-'0')
+	day := int(t[8]-'0')*10 + int(t[9]-'0')
+	if month < 1 || month > 12 || day < 1 {
+		return false
+	}
+	days := [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}[month-1]
+	if month == 2 && year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+		days = 29
+	}
+	return day <= days
 }
 
 // dateShaped reports whether t could match one of dateLayouts. The three

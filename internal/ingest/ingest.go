@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/sqldb"
@@ -209,6 +210,7 @@ func Ingest(r io.Reader, opts Options) (*Result, error) {
 		t.Columns = append(t.Columns, sqldb.Column{Name: c.name, Type: rows.colTypes[i].sqlKind()})
 	}
 	nulls := make([]int, len(rows.cols))
+	t.Rows = make([][]sqldb.Value, 0, len(kept))
 	for _, row := range kept {
 		// Rows were accumulated before the final column set settled (JSON
 		// objects can introduce keys late); pad to full width.
@@ -284,6 +286,11 @@ type column struct {
 	name string
 }
 
+// slabValues bounds one row slab, so that a slab sized for records that
+// never arrive (blank lines, short rows under a wide header) strands at most
+// this many Values.
+const slabValues = 1 << 14
+
 // rowAccumulator collects parsed rows through the deterministic reservoir:
 // the first cap rows are kept verbatim; each later row replaces a random
 // kept row with probability cap/seen, which yields a uniform sample of the
@@ -296,6 +303,11 @@ type rowAccumulator struct {
 	seen     int
 	cap      int
 	rng      *rand.Rand
+	// slab is the unused tail of the Values the next kept rows are carved
+	// from; lines, the input's line count, bounds the records that can still
+	// come and so the size of the next slab. Both serve slot only.
+	slab  []sqldb.Value
+	lines int
 }
 
 func newRowAccumulator(opts Options) *rowAccumulator {
@@ -320,17 +332,60 @@ func (a *rowAccumulator) columnIndex(name string) int {
 	return i
 }
 
+// admit advances the reservoir past one more scanned row and returns the
+// index in kept the row takes, len(a.kept) meaning appended, or -1 when the
+// sample discards it.
+func (a *rowAccumulator) admit() int {
+	a.seen++
+	if len(a.kept) < a.cap {
+		return len(a.kept)
+	}
+	if j := a.rng.Intn(a.seen); j < a.cap {
+		return j
+	}
+	return -1
+}
+
 // add pushes one parsed row (already aligned to a.cols, possibly shorter)
 // through the reservoir.
 func (a *rowAccumulator) add(row []sqldb.Value) {
-	a.seen++
-	if len(a.kept) < a.cap {
+	switch j := a.admit(); {
+	case j == len(a.kept):
 		a.kept = append(a.kept, row)
-		return
-	}
-	if j := a.rng.Intn(a.seen); j < a.cap {
+	case j >= 0:
 		a.kept[j] = row
 	}
+}
+
+// slot is add for a row not yet built: it returns the storage the row's n
+// Values go into, every one of which the caller must write, or nil when the
+// sample discards the row. The first cap rows are carved from slabs; a later
+// row overwrites the kept row it replaces, so a slab never pins a row the
+// sample let go, nor the cell text such a row referenced.
+func (a *rowAccumulator) slot(n int) []sqldb.Value {
+	j := a.admit()
+	if j < 0 {
+		return nil
+	}
+	if j < len(a.kept) {
+		if old := a.kept[j]; cap(old) >= n {
+			a.kept[j] = old[:n]
+		} else {
+			// Columns widened since this row was carved; empty it so its
+			// slab keeps no text alive.
+			clear(old)
+			a.kept[j] = make([]sqldb.Value, n)
+		}
+		return a.kept[j]
+	}
+	if len(a.slab) < n {
+		rows := min(a.cap-len(a.kept), max(1, a.lines-a.seen+1), max(1, slabValues/n))
+		a.slab = make([]sqldb.Value, rows*n)
+	}
+	row := a.slab[:n:n]
+	a.slab = a.slab[n:]
+	a.kept = append(a.kept, row)
+	return row
 }
 
 // parseCSV ingests CSV content: header detection on the first record,
@@ -344,6 +399,7 @@ func parseCSV(raw []byte, truncated bool, res *Result, acc *rowAccumulator) erro
 			raw = nil
 		}
 	}
+	acc.lines = bytes.Count(raw, []byte{'\n'}) + 1
 	cr := csv.NewReader(bytes.NewReader(raw))
 	cr.FieldsPerRecord = -1
 	cr.LazyQuotes = true
@@ -374,21 +430,27 @@ func parseCSV(raw []byte, truncated bool, res *Result, acc *rowAccumulator) erro
 				acc.columnIndex("col" + fmt.Sprint(len(acc.cols)+1))
 			}
 		}
-		row := make([]sqldb.Value, len(acc.cols))
-		for i := range row {
+		// A discarded row is still classified: every scanned cell widens
+		// its column's type.
+		row := acc.slot(len(acc.cols))
+		for i := range acc.cols {
+			v := sqldb.Null()
 			if i < len(rec) {
-				v, ct := classify(rec[i])
-				row[i] = v
+				var ct ColType
+				v, ct = classify(rec[i])
 				acc.colTypes[i] = mergeColType(acc.colTypes[i], ct)
-			} else {
-				row[i] = sqldb.Null()
+			}
+			if row != nil {
+				row[i] = v
 			}
 		}
-		acc.add(row)
 	}
 	for _, rec := range pending {
 		appendRec(rec)
 	}
+	// Cells are substrings of one string per record, so the record slice
+	// itself can be reused once the first record is consumed.
+	cr.ReuseRecord = true
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -557,17 +619,54 @@ func classifyJSON(raw json.RawMessage) (sqldb.Value, ColType, error) {
 }
 
 // tableFingerprint hashes a table's schema and rows; equal fingerprints mean
-// bit-identical catalogs.
+// bit-identical catalogs. The hashed text is a "table|name|columns|rows"
+// line, a "col|name|kind" line per column and a "kind|text" line per cell,
+// text as Value.String prints it. It is built in one reused buffer and
+// written in blocks, so a cell costs no allocation.
 func tableFingerprint(t *sqldb.Table) string {
+	const block = 4 << 10
 	h := sha256.New()
-	fmt.Fprintf(h, "table|%s|%d|%d\n", strings.ToLower(t.Name), len(t.Columns), len(t.Rows))
+	b := make([]byte, 0, 2*block)
+	b = append(b, "table|"...)
+	b = append(b, strings.ToLower(t.Name)...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(t.Columns)), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(t.Rows)), 10)
+	b = append(b, '\n')
 	for _, c := range t.Columns {
-		fmt.Fprintf(h, "col|%s|%d\n", strings.ToLower(c.Name), int(c.Type))
+		b = append(b, "col|"...)
+		b = append(b, strings.ToLower(c.Name)...)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(c.Type), 10)
+		b = append(b, '\n')
 	}
 	for _, row := range t.Rows {
 		for _, v := range row {
-			fmt.Fprintf(h, "%d|%s\n", int(v.Kind()), v.String())
+			b = strconv.AppendInt(b, int64(v.Kind()), 10)
+			b = append(b, '|')
+			b = appendValue(b, v)
+			b = append(b, '\n')
+		}
+		if len(b) >= block {
+			h.Write(b)
+			b = b[:0]
 		}
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// appendValue appends v's text as Value.String renders it, without the
+// string String allocates for a number.
+func appendValue(b []byte, v sqldb.Value) []byte {
+	switch v.Kind() {
+	case sqldb.KindInt:
+		i, _ := v.AsInt()
+		return strconv.AppendInt(b, i, 10)
+	case sqldb.KindFloat:
+		f, _ := v.AsFloat()
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	return append(b, v.String()...)
 }

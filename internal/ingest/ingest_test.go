@@ -1,12 +1,14 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/claim"
+	"repro/internal/doclint"
 	"repro/internal/sqldb"
 	"repro/internal/store"
 	"repro/internal/textutil"
@@ -367,6 +369,103 @@ func TestDatasetCodecRoundTrip(t *testing.T) {
 		if _, err := decodeDataset(enc[:cut]); err == nil {
 			t.Fatalf("truncated record (%d bytes) decoded without error", cut)
 		}
+	}
+}
+
+// countedRecord encodes a dataset record whose table declares cols INTEGER
+// columns and rows rows, and holds no row bytes at all.
+func countedRecord(cols int, rows uint32) []byte {
+	e := &enc{}
+	e.u8(datasetCodecVer)
+	e.str("t")
+	e.str("csv")
+	e.u64(0)
+	e.u64(0)
+	e.u8(0)
+	e.u64(0)
+	e.str("")
+	e.u32(0)
+	e.str("t")
+	e.u32(uint32(cols))
+	for i := 0; i < cols; i++ {
+		e.str("c")
+		e.u8(uint8(sqldb.KindInt))
+	}
+	e.u32(rows)
+	return e.b
+}
+
+// TestDatasetCodecRejectsImpossibleCounts: a count is bounded by the bytes
+// left in the record. A table of no columns used to take one row per loop
+// turn from nothing, so a 59-byte record decoded into 50 million empty rows,
+// and a manifest's name count sized its slice before a name was read.
+func TestDatasetCodecRejectsImpossibleCounts(t *testing.T) {
+	if r, err := decodeDataset(countedRecord(0, 0)); err != nil || len(r.Table.Rows) != 0 {
+		t.Fatalf("an empty table without columns: %v", err)
+	}
+	for _, rec := range [][]byte{
+		countedRecord(0, 50_000_000),
+		countedRecord(0, 1),
+		countedRecord(1, 1<<32-1),
+		countedRecord(2, 1),
+	} {
+		if r, err := decodeDataset(rec); err == nil {
+			t.Errorf("a %d-byte record decoded into %d rows", len(rec), len(r.Table.Rows))
+		}
+	}
+	// A column count no record could hold, then a name count.
+	rec := countedRecord(0, 0)
+	binary.LittleEndian.PutUint32(rec[len(rec)-8:], 1<<32-1)
+	if _, err := decodeDataset(rec); err == nil {
+		t.Error("a record declaring 2^32-1 table columns decoded")
+	}
+	manifest := encodeManifest(nil)
+	binary.LittleEndian.PutUint32(manifest[1:], 1<<32-1)
+	if _, err := decodeManifest(manifest); err == nil {
+		t.Error("a manifest declaring 2^32-1 names decoded")
+	}
+}
+
+// TestIngestDocsJourneyFingerprint ingests the CSV docs/DATA.md walks
+// through, read from the page itself, and holds the result to what the page
+// shows `cedar ingest` printing: its column table and its fingerprint.
+func TestIngestDocsJourneyFingerprint(t *testing.T) {
+	const fingerprint = "0e25b87bfb62d439"
+	doc, err := doclint.Doc("docs/DATA.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(open, close string) string {
+		i := strings.Index(doc, open)
+		if i < 0 {
+			t.Fatalf("docs/DATA.md has no %q", open)
+		}
+		rest := doc[i+len(open):]
+		return rest[:strings.Index(rest, close)]
+	}
+	res := mustIngest(t, block("```csv\n", "```"), Options{Table: "sales", Seed: 1})
+	if res.Fingerprint != fingerprint {
+		t.Errorf("fingerprint %s, want %s", res.Fingerprint, fingerprint)
+	}
+	if !strings.Contains(doc, "fingerprint: "+fingerprint) {
+		t.Errorf("docs/DATA.md no longer shows fingerprint %s", fingerprint)
+	}
+	var got strings.Builder
+	for _, c := range res.Columns {
+		line := fmt.Sprintf("    %-24s %-7s", c.Name, c.Type)
+		if c.Nulls > 0 {
+			line += fmt.Sprintf(" (%d nulls)", c.Nulls)
+		}
+		got.WriteString(strings.TrimRight(line, " ") + "\n")
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(block("  columns:\n", "  surface:"), "\n") {
+		if line != "" {
+			want.WriteString(strings.TrimRight(line, " \n") + "\n")
+		}
+	}
+	if got.String() != want.String() {
+		t.Errorf("columns:\n%s\ndocs/DATA.md shows:\n%s", got.String(), want.String())
 	}
 }
 

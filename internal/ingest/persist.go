@@ -94,6 +94,21 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
+// count reads an element count and fails unless the bytes left could hold
+// that many elements of at least size bytes each, so a corrupt count can
+// neither loop nor allocate past the record's own length.
+func (d *dec) count(what string, size int) int {
+	n := int(d.u32())
+	if d.err == nil && n > (len(d.b)-d.off)/size {
+		d.err = fmt.Errorf("ingest: corrupt dataset record: %d %s at offset %d, only %d bytes left",
+			n, what, d.off, len(d.b)-d.off)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (d *dec) str() string {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+n > len(d.b) {
@@ -181,18 +196,23 @@ func decodeDataset(b []byte) (*Result, error) {
 	r.HeaderDetected = flags&4 != 0
 	r.SampleSeed = int64(d.u64())
 	r.Fingerprint = d.str()
-	ncols := int(d.u32())
+	// Minimum encoded sizes: a column info is two strings and a u32, a table
+	// column a string and a u8, and a row one kind byte per column.
+	ncols := d.count("column infos", 12)
 	for i := 0; i < ncols && d.err == nil; i++ {
 		r.Columns = append(r.Columns, ColumnInfo{Name: d.str(), Type: d.str(), Nulls: int(d.u32())})
 	}
 	t := &sqldb.Table{Name: d.str()}
-	ntc := int(d.u32())
+	ntc := d.count("table columns", 5)
 	for i := 0; i < ntc && d.err == nil; i++ {
 		name := d.str()
 		kind := sqldb.Kind(d.u8())
 		t.Columns = append(t.Columns, sqldb.Column{Name: name, Type: kind})
 	}
-	nrows := int(d.u32())
+	nrows := d.count("rows", max(ntc, 1))
+	if nrows > 0 && ntc == 0 {
+		return nil, fmt.Errorf("ingest: corrupt dataset record: %d rows without columns", nrows)
+	}
 	for i := 0; i < nrows && d.err == nil; i++ {
 		row := make([]sqldb.Value, ntc)
 		for j := 0; j < ntc; j++ {
@@ -240,7 +260,7 @@ func decodeManifest(b []byte) ([]string, error) {
 	if v := d.u8(); d.err == nil && v != datasetCodecVer {
 		return nil, fmt.Errorf("ingest: manifest version %d, want %d", v, datasetCodecVer)
 	}
-	n := int(d.u32())
+	n := d.count("dataset names", 4)
 	out := make([]string, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, d.str())
