@@ -119,7 +119,11 @@ shard:
 # faults), early delivery (a document's verdicts are read while a later
 # batch still runs), backpressure/slow-client behavior (a disconnecting
 # client must not wedge the batcher), the review queue (ranking,
-# idempotent resolve, coordinator fan-out/merge), and the failover proxy's
+# idempotent resolve, heap eviction against the scan it replaced,
+# coordinator fan-out/merge), the coordinator's relay over one exchange per
+# owner at a time (documents read together share one, a bad document
+# answered alone, owner loss, deadline, draining owner, fees booked exactly
+# once, no goroutine outliving a session), and the failover proxy's
 # delivered-detection regression (zero duplicated claims, fees booked once).
 stream:
 	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient' \

@@ -23,6 +23,7 @@
 package review
 
 import (
+	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -125,7 +126,10 @@ type Stats struct {
 type Queue struct {
 	mu    sync.Mutex
 	cap   int
-	items map[string]*Item
+	items map[string]*pending
+	// victims orders the pending items for eviction, so a full queue finds
+	// its victim in O(log n).
+	victims victimHeap
 	// resolved outlives the pending set so Resolve stays idempotent and a
 	// resolved claim is not silently re-enqueued by later traffic.
 	resolvedItems map[string]*Item
@@ -149,7 +153,7 @@ func NewQueue(capacity int) *Queue {
 	}
 	return &Queue{
 		cap:           capacity,
-		items:         make(map[string]*Item),
+		items:         make(map[string]*pending),
 		resolvedItems: make(map[string]*Item),
 		now:           time.Now,
 	}
@@ -178,35 +182,65 @@ func (q *Queue) Enqueue(it Item) bool {
 	}
 	if existing, ok := q.items[it.ID]; ok {
 		it.enqueuedAt = existing.enqueuedAt
-		*existing = it
+		existing.Item = it
+		heap.Fix(&q.victims, existing.pos)
 		return true
 	}
 	if len(q.items) >= q.cap {
-		victim := q.lowestLocked()
-		if victim == nil || victim.Priority >= it.Priority {
+		victim := q.victims[0]
+		if victim.Priority >= it.Priority {
 			q.dropped++
 			return false
 		}
+		heap.Pop(&q.victims)
 		delete(q.items, victim.ID)
 		q.dropped++
 	}
 	it.enqueuedAt = q.now()
-	q.items[it.ID] = &it
+	p := &pending{Item: it}
+	q.items[it.ID] = p
+	heap.Push(&q.victims, p)
 	q.enqueued++
 	return true
 }
 
-// lowestLocked finds the eviction victim: lowest priority, ties broken by
-// highest ID so the ordering is the exact reverse of Pending's.
-func (q *Queue) lowestLocked() *Item {
-	var victim *Item
-	for _, it := range q.items {
-		if victim == nil || it.Priority < victim.Priority ||
-			(it.Priority == victim.Priority && it.ID > victim.ID) {
-			victim = it
-		}
+// pending is one queued item and its place in the eviction heap.
+type pending struct {
+	Item
+	pos int
+}
+
+// victimHeap is a min-heap of the pending items in eviction order: lowest
+// priority first, ties broken by highest ID, the exact reverse of Pending's
+// order.
+type victimHeap []*pending
+
+func (h victimHeap) Len() int { return len(h) }
+
+func (h victimHeap) Less(i, j int) bool {
+	if h[i].Priority != h[j].Priority {
+		return h[i].Priority < h[j].Priority
 	}
-	return victim
+	return h[i].ID > h[j].ID
+}
+
+func (h victimHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+func (h *victimHeap) Push(x any) {
+	p := x.(*pending)
+	p.pos = len(*h)
+	*h = append(*h, p)
+}
+
+func (h *victimHeap) Pop() any {
+	old := *h
+	p := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return p
 }
 
 // Pending returns up to limit pending items (limit <= 0 returns all) in
@@ -214,8 +248,8 @@ func (q *Queue) lowestLocked() *Item {
 func (q *Queue) Pending(limit int) []Item {
 	q.mu.Lock()
 	out := make([]Item, 0, len(q.items))
-	for _, it := range q.items {
-		out = append(out, *it)
+	for _, p := range q.items {
+		out = append(out, p.Item)
 	}
 	q.mu.Unlock()
 	SortItems(out)
@@ -240,8 +274,8 @@ func SortItems(items []Item) {
 func (q *Queue) Get(id string) (Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if it, ok := q.items[id]; ok {
-		return *it, true
+	if p, ok := q.items[id]; ok {
+		return p.Item, true
 	}
 	if it, ok := q.resolvedItems[id]; ok {
 		return *it, true
@@ -259,11 +293,13 @@ func (q *Queue) Resolve(id, resolution, note string) (Item, bool) {
 	if it, ok := q.resolvedItems[id]; ok {
 		return *it, true
 	}
-	it, ok := q.items[id]
+	p, ok := q.items[id]
 	if !ok {
 		return Item{}, false
 	}
 	delete(q.items, id)
+	heap.Remove(&q.victims, p.pos)
+	it := &p.Item
 	it.Resolution = resolution
 	it.Note = note
 	q.resolvedItems[id] = it
@@ -282,7 +318,7 @@ func (q *Queue) Stats() Stats {
 		Dropped:  q.dropped,
 	}
 	var oldest time.Time
-	for _, it := range q.items {
+	for _, it := range q.victims {
 		if oldest.IsZero() || it.enqueuedAt.Before(oldest) {
 			oldest = it.enqueuedAt
 		}

@@ -249,3 +249,123 @@ func TestReviewDuplicateEnqueueRefreshesPriority(t *testing.T) {
 		t.Fatalf("stats after refresh = %+v, want enqueued=2 depth=2 dropped=0", st)
 	}
 }
+
+// scanQueue is the queue's contract written the slow way: the eviction
+// victim is found by scanning every pending item, as the queue did before it
+// kept a heap. TestReviewEvictionMatchesScan holds the queue to it.
+type scanQueue struct {
+	cap                          int
+	items                        map[string]Item
+	resolved                     map[string]bool
+	enqueued, resolvedN, dropped int64
+}
+
+func (s *scanQueue) enqueue(it Item, now time.Time) bool {
+	it.ID = ItemID(it.DocID, it.ClaimID, it.Sentence, it.Value)
+	if it.Weight <= 0 {
+		it.Weight = 1
+	}
+	it.Priority = Priority(it.Disagreement, it.FeeSunk, it.Weight)
+	if it.Disagreement <= 0 || s.resolved[it.ID] {
+		return false
+	}
+	if old, ok := s.items[it.ID]; ok {
+		it.enqueuedAt = old.enqueuedAt
+		s.items[it.ID] = it
+		return true
+	}
+	if len(s.items) >= s.cap {
+		var victim Item
+		first := true
+		for _, p := range s.items {
+			if first || p.Priority < victim.Priority || (p.Priority == victim.Priority && p.ID > victim.ID) {
+				victim, first = p, false
+			}
+		}
+		s.dropped++
+		if victim.Priority >= it.Priority {
+			return false
+		}
+		delete(s.items, victim.ID)
+	}
+	it.enqueuedAt = now
+	s.items[it.ID] = it
+	s.enqueued++
+	return true
+}
+
+func (s *scanQueue) resolve(id string) bool {
+	if s.resolved[id] {
+		return true
+	}
+	if _, ok := s.items[id]; !ok {
+		return false
+	}
+	delete(s.items, id)
+	s.resolved[id] = true
+	s.resolvedN++
+	return true
+}
+
+func (s *scanQueue) stats(now time.Time) Stats {
+	st := Stats{Depth: len(s.items), Enqueued: s.enqueued, Resolved: s.resolvedN, Dropped: s.dropped}
+	var oldest time.Time
+	for _, it := range s.items {
+		if oldest.IsZero() || it.enqueuedAt.Before(oldest) {
+			oldest = it.enqueuedAt
+		}
+		st.MaxPriority = max(st.MaxPriority, it.Priority)
+	}
+	if !oldest.IsZero() {
+		st.OldestAge = now.Sub(oldest)
+	}
+	return st
+}
+
+// The heap evicts exactly what the scan did: over random enqueue, re-enqueue
+// and resolve sequences, with priority ties common, every Enqueue and Resolve
+// answers alike and Pending and Stats agree after every step.
+func TestReviewEvictionMatchesScan(t *testing.T) {
+	levels := []float64{0, 0.25, 0.5, 1}
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		capacity := 1 + r.Intn(8)
+		q := NewQueue(capacity)
+		clock := time.Unix(1000, 0)
+		q.now = func() time.Time { return clock }
+		ref := &scanQueue{cap: capacity, items: map[string]Item{}, resolved: map[string]bool{}}
+		var ids []string
+		for step := 0; step < 300; step++ {
+			clock = clock.Add(time.Second)
+			claim := fmt.Sprintf("c%d", r.Intn(3*capacity))
+			if r.Intn(4) == 0 {
+				id := ItemID("d", claim, "d "+claim+" sentence", "42")
+				if len(ids) > 0 && r.Intn(2) == 0 {
+					id = ids[r.Intn(len(ids))]
+				}
+				_, got := q.Resolve(id, ResolutionConfirmed, "")
+				if want := ref.resolve(id); got != want {
+					t.Fatalf("seed %d step %d: Resolve(%s) = %v, scan says %v", seed, step, id, got, want)
+				}
+			} else {
+				it := item("d", claim, levels[r.Intn(len(levels))], levels[r.Intn(len(levels))], float64(1+r.Intn(2)))
+				got := q.Enqueue(it)
+				if want := ref.enqueue(it, clock); got != want {
+					t.Fatalf("seed %d step %d: Enqueue(%s) = %v, scan says %v", seed, step, claim, got, want)
+				}
+				ids = append(ids, ItemID(it.DocID, it.ClaimID, it.Sentence, it.Value))
+			}
+			want := make([]Item, 0, len(ref.items))
+			for _, it := range ref.items {
+				want = append(want, it)
+			}
+			SortItems(want)
+			if got := q.Pending(0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: pending diverged:\n got %+v\nwant %+v", seed, step, got, want)
+			}
+			if got, want := q.Stats(), ref.stats(clock); got != want {
+				t.Fatalf("seed %d step %d: stats = %+v, scan says %+v", seed, step, got, want)
+			}
+		}
+	}
+}

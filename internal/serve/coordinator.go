@@ -257,20 +257,26 @@ func (c *Coordinator) routeKey(docID string, claims []ClaimInput) ([]byte, strin
 // spans.
 func (c *Coordinator) bookRoute(docID string, res shard.Result) {
 	c.routed.Add(1)
+	c.traceRoute(docID, res.Node, res.Hops, res.Status)
+}
+
+// traceRoute records one document's routing spans: the failover hops, if it
+// took any, and the replica that answered it with what status.
+func (c *Coordinator) traceRoute(docID, node string, hops, status int) {
 	t := c.cfg.Tracer
 	if !t.Enabled() {
 		return
 	}
 	key := trace.Key{Doc: docID, Method: "route"}
-	if res.Hops > 0 {
+	if hops > 0 {
 		t.Record(trace.Span{Key: key, Kind: trace.KindShardFailover,
-			Detail: fmt.Sprintf("%d hop(s)", res.Hops)})
+			Detail: fmt.Sprintf("%d hop(s)", hops)})
 	}
 	outcome := trace.OutcomeOK
-	if res.Status != http.StatusOK {
+	if status != http.StatusOK {
 		outcome = trace.OutcomeError
 	}
-	t.Record(trace.Span{Key: key, Kind: trace.KindShardRoute, Detail: res.Node, Outcome: outcome})
+	t.Record(trace.Span{Key: key, Kind: trace.KindShardRoute, Detail: node, Outcome: outcome})
 }
 
 // countRelay books the coordinator's view of a relayed replica response.

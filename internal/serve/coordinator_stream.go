@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/review"
@@ -14,29 +13,78 @@ import (
 )
 
 // The coordinator's streaming surface mirrors the replica's: NDJSON
-// documents in, NDJSON events out. Each document is proxied — as its own
-// one-document stream — to the replica owning its shard key, up to
-// StreamWindow documents concurrently; events relay back in arrival order
-// with review IDs preserved (they are content fingerprints, identical on
-// every replica). The review surface is two folds over the one broadcast
+// documents in, NDJSON events out. Each document is routed by the ring as
+// soon as it is read and queued, as the bytes the client sent, for its owner.
+// A session keeps at most one exchange in flight with each replica: a POST
+// /v1/verify/stream carrying every document queued for that replica when it
+// starts. A replica's next exchange starts when its last one ends, or when
+// the session's reader is about to block — on the client's body, on
+// StreamWindow, or at the end — so documents read together reach their
+// replica together, in one exchange instead of one each. A document's events
+// go back once its exchange has ended, because the exchange's closing
+// summary is what carries the fee: a verdict reaches the client only with its
+// fee booked, as when each document was its own exchange, and two of a
+// session's exchanges with one replica never share a micro-batch, so their
+// summaries add up. Events go back in session order, re-indexed, with review
+// IDs preserved (they are content fingerprints, identical on every replica).
+// The review surface is two folds over the one broadcast
 // (Coordinator.broadcast): GET /v1/review merges every live replica's queue
 // into one deterministically ranked list, and POST /v1/review/{id} sends the
 // resolution everywhere so a claim rehashed across replicas resolves wherever
 // it was enqueued.
 
-// streamRelay is the outcome of proxying one streamed document.
-type streamRelay struct {
+// streamDoc is one document of a coordinator stream session, from the read
+// that routed it to the answer the handler emits. The exchange carrying it
+// files its events; the session's lock guards the rest until done is closed,
+// and then the handler reads it.
+type streamDoc struct {
+	index  int
 	docID  string
-	node   string        // the replica that answered (fee-dedup key)
-	events []StreamEvent // verdict events, review IDs preserved
-	sum    StreamSummary // the replica's per-document summary
-	errDet *ErrorDetail  // terminal failure for this document
+	claims int      // verdict events that complete it
+	nodes  []string // failover order, owner first
+	hop    int      // position in nodes of the replica tried now
+	err    error    // why the last replica tried did not take it
+	// off and end bound its bytes in the body of the exchange carrying it.
+	off, end int
+	// node and status are the replica that answered it and its HTTP status
+	// (0: no replica did).
+	node     string
+	status   int
+	verdicts []StreamEvent
+	errDet   *ErrorDetail // terminal failure for this document
+	// fees is the closing summary of the exchange this document was first
+	// in, so that fees add up in session order.
+	fees *StreamSummary
+	done chan struct{}
+}
+
+func (d *streamDoc) answer(det *ErrorDetail) {
+	d.errDet = det
+	close(d.done)
+}
+
+// streamSession is one client stream's traffic to the replicas.
+type streamSession struct {
+	c   *Coordinator
+	ctx context.Context
+	wg  sync.WaitGroup // one per exchange
+
+	mu     sync.Mutex
+	owners map[string]*ownerQueue
+}
+
+// ownerQueue is a session's traffic to one replica: the documents waiting
+// for its next exchange, their bytes, and whether an exchange is in flight.
+type ownerQueue struct {
+	busy bool
+	docs []*streamDoc
+	body []byte
 }
 
 // handleVerifyStream answers POST /v1/verify/stream on the coordinator. A
-// reader goroutine decodes, routes, and dispatches documents — stalling when
-// StreamWindow relays are in flight — while the handler goroutine writes
-// each document's events in arrival order.
+// reader goroutine decodes, validates, routes and queues documents — stalling
+// when StreamWindow of them are unanswered — while the handler goroutine
+// writes each document's events in arrival order.
 func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) || oversize(c.met, w, r) {
@@ -46,18 +94,36 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	defer cancel()
 	c.met.inc(&c.met.streams)
 
-	results := make(chan chan streamRelay, c.cfg.StreamWindow)
+	s := &streamSession{c: c, ctx: ctx, owners: make(map[string]*ownerQueue)}
+	results := make(chan *streamDoc, c.cfg.StreamWindow)
 	readerErr := make(chan ErrorDetail, 1)
 	go func() {
 		defer close(results)
-		readStream(c.met, r, readerErr, func(_ int, in DocumentInput) bool {
-			ch := make(chan streamRelay, 1)
+		defer s.flush()
+		readStream(c.met, r, readerErr, s.flush, func(index int, in DocumentInput, raw []byte) bool {
+			key, docID := c.routeKey(in.DocID, in.Claims)
+			d := &streamDoc{index: index, docID: docID, claims: len(in.Claims), done: make(chan struct{})}
 			select {
-			case results <- ch:
-			case <-ctx.Done():
-				return false
+			case results <- d:
+			default:
+				s.flush()
+				select {
+				case results <- d:
+				case <-ctx.Done():
+					return false
+				}
 			}
-			go func() { ch <- c.relayStreamDoc(ctx, in) }()
+			// A replica ends its whole stream on a document it refuses, so an
+			// exchange only carries documents it will accept.
+			if _, err := buildDocument(in, c.cfg.DocID, nil); err != nil {
+				c.met.inc(&c.met.badRequests)
+				d.answer(&ErrorDetail{Code: CodeBadRequest, Message: fmt.Sprintf("stream document %d: %v", index, err)})
+				return true
+			}
+			d.nodes = c.proxy.Successors(key)
+			s.mu.Lock()
+			s.placeLocked(d, raw)
+			s.mu.Unlock()
 			return true
 		})
 	}()
@@ -65,99 +131,195 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	emit := streamEmitter(w)
 
 	var sum StreamSummary
-	// Relay summaries report whole-batch totals. Two of this stream's
-	// documents coalesced into one micro-batch on their shared replica would
-	// double-count, so fees sum once per distinct (replica, batch ordinal) —
-	// the ordinals ride back on the relay summary's Batches field.
-	type batchKey struct {
-		node  string
-		batch int64
-	}
-	seenBatch := make(map[batchKey]bool)
-	index := 0
-	for ch := range results {
-		rel := <-ch
-		if rel.errDet != nil {
-			emit(StreamEvent{Event: "error", DocID: rel.docID, Index: index, Error: rel.errDet})
-			index++
+	read := 0
+	for d := range results {
+		<-d.done
+		read++
+		if d.fees != nil {
+			sum.Dollars += d.fees.Dollars
+			sum.Calls += d.fees.Calls
+		}
+		if d.status != 0 {
+			c.traceRoute(d.docID, d.node, d.hop, d.status)
+		}
+		if d.errDet != nil {
+			emit(StreamEvent{Event: "error", DocID: d.docID, Index: d.index, Error: d.errDet})
 			continue
 		}
-		for _, ev := range rel.events {
-			ev.Index = index // the stream-global arrival ordinal, not the replica's
+		for _, ev := range d.verdicts {
+			ev.Index = d.index // the session's arrival ordinal, not the replica's
 			emit(ev)
+			if ev.ReviewID != "" {
+				sum.Reviewed++
+			}
 		}
 		sum.Docs++
-		sum.Claims += rel.sum.Claims
-		sum.Reviewed += rel.sum.Reviewed
-		fresh := true
-		for _, b := range rel.sum.Batches {
-			key := batchKey{rel.node, b}
-			fresh = fresh && !seenBatch[key]
-			seenBatch[key] = true
-		}
-		if fresh {
-			sum.Dollars += rel.sum.Dollars
-			sum.Calls += rel.sum.Calls
-		}
+		sum.Claims += len(d.verdicts)
 		c.met.addStreamDoc()
-		index++
 	}
-	closeStream(ctx, c.met, started, emit, readerErr, index, &sum)
+	s.wg.Wait()
+	closeStream(ctx, c.met, started, emit, readerErr, read, &sum)
 }
 
-// relayStreamDoc proxies one streamed document to the replica owning its
-// shard key as a one-document stream, and parses the replica's event lines
-// back. A replica lost after delivery surfaces as a replica_lost error event
-// (the proxy refuses to failover work that may already have run and billed);
-// pre-delivery failures failed over transparently inside the proxy.
-func (c *Coordinator) relayStreamDoc(ctx context.Context, in DocumentInput) streamRelay {
-	key, docID := c.routeKey(in.DocID, in.Claims)
-	rel := streamRelay{docID: docID}
-	fail := func(det ErrorDetail) streamRelay {
-		rel.errDet = &det
-		return rel
+// placeLocked queues d's bytes for the replica at d.hop along its failover
+// order, or answers d once the order has run out.
+func (s *streamSession) placeLocked(d *streamDoc, raw []byte) {
+	if d.hop == len(d.nodes) {
+		err := shard.ErrNoReplicas
+		if d.hop > 0 {
+			err = fmt.Errorf("shard: all %d replica(s) failed, last: %w", len(d.nodes), d.err)
+		}
+		_, det := s.c.proxyErrorDetail(err)
+		d.answer(&det)
+		return
 	}
-	body, err := json.Marshal(in)
-	if err != nil {
-		c.met.inc(&c.met.internalErrors)
-		return fail(ErrorDetail{Code: CodeInternal, Message: err.Error()})
+	node := d.nodes[d.hop]
+	q := s.owners[node]
+	if q == nil {
+		q = &ownerQueue{}
+		s.owners[node] = q
 	}
-	res, err := c.proxy.Do(ctx, key, "/v1/verify/stream", append(body, '\n'))
-	if err != nil {
-		_, det := c.proxyErrorDetail(err)
-		return fail(det)
+	d.off = len(q.body)
+	q.body = append(q.body, raw...)
+	d.end = len(q.body)
+	q.docs = append(q.docs, d)
+}
+
+// flush starts an exchange with each replica that has documents queued and
+// none in flight. The reader calls it before anything that can block, and
+// every exchange as it ends.
+func (s *streamSession) flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flushLocked()
+}
+
+func (s *streamSession) flushLocked() {
+	for node, q := range s.owners {
+		if q.busy || len(q.docs) == 0 {
+			continue
+		}
+		s.wg.Add(1)
+		go s.exchange(node, q.docs, q.body)
+		q.busy, q.docs, q.body = true, nil, nil
 	}
-	rel.node = res.Node
-	c.bookRoute(docID, res)
-	c.countRelay(res.Status)
-	if res.Status != http.StatusOK {
+}
+
+// exchange sends docs to node as one stream request. Once it has ended, each
+// document is answered, or moved on along its failover order if none of its
+// bytes reached node or node was draining, and the session's next exchanges
+// start. Only an answer that ended with its summary books fees.
+func (s *streamSession) exchange(node string, docs []*streamDoc, body []byte) {
+	defer s.wg.Done()
+	x := &exchangeReply{docs: docs}
+	res, taken, err := s.c.proxy.Send(s.ctx, node, "/v1/verify/stream", body, x.line)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil && x.fault == nil {
+		docs[0].fees = x.sum
+	}
+	relayed := false
+	for _, d := range docs {
+		move := func(why error) {
+			d.err = why
+			d.hop++
+			s.placeLocked(d, body[d.off:d.end])
+		}
+		switch {
+		case err != nil && d.end > taken && s.ctx.Err() == nil:
+			move(err)
+		case err != nil && d.end > taken:
+			_, det := s.c.proxyErrorDetail(err)
+			d.answer(&det)
+		case err != nil:
+			// Its claims may have run and been billed, so it never goes
+			// elsewhere.
+			_, det := s.c.proxyErrorDetail(fmt.Errorf("%v: %w", err, shard.ErrAfterDelivery))
+			d.answer(&det)
+		case res.Status == http.StatusServiceUnavailable && d.hop < len(d.nodes)-1:
+			move(fmt.Errorf("replica %s: draining (503)", node))
+		default:
+			relayed = true
+			d.node, d.status = node, res.Status
+			d.answer(x.outcome(d, res))
+		}
+	}
+	if relayed {
+		s.c.routed.Add(1)
+		s.c.countRelay(res.Status)
+	}
+	s.owners[node].busy = false
+	s.flushLocked()
+}
+
+// exchangeReply reads one exchange's answer a line at a time, filing each
+// event under the document the replica numbers it by: its place in the
+// exchange.
+type exchangeReply struct {
+	docs  []*streamDoc
+	sum   *StreamSummary
+	cause *ErrorDetail // the last error event naming no document
+	fault *ErrorDetail // why the relay stopped reading
+}
+
+func (x *exchangeReply) line(line []byte) bool {
+	var ev StreamEvent
+	if err := json.Unmarshal(line, &ev); err != nil {
+		x.fault = &ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("parsing replica stream: %v", err)}
+		return false
+	}
+	switch {
+	case ev.Event == "summary":
+		x.sum = &StreamSummary{}
+		if ev.Summary != nil {
+			x.sum = ev.Summary
+		}
+	case ev.Event == "error" && ev.DocID == "":
+		x.cause = errorOf(ev)
+	case ev.Event != "verdict" && ev.Event != "error":
+	case ev.Index < 0 || ev.Index >= len(x.docs):
+		x.fault = &ErrorDetail{Code: CodeInternal,
+			Message: fmt.Sprintf("parsing replica stream: no document %d in this exchange", ev.Index)}
+		return false
+	case ev.Event == "verdict":
+		d := x.docs[ev.Index]
+		d.verdicts = append(d.verdicts, ev)
+	default:
+		x.docs[ev.Index].errDet = errorOf(ev)
+	}
+	return true
+}
+
+// outcome is what a replica's answer says of d: nil when it carried all of
+// d's verdicts, else d's error.
+func (x *exchangeReply) outcome(d *streamDoc, res shard.Result) *ErrorDetail {
+	switch {
+	case res.Status != http.StatusOK:
 		var eb ErrorBody
 		if json.Unmarshal(res.Body, &eb) == nil && eb.Error.Code != "" {
-			return fail(eb.Error)
+			return &eb.Error
 		}
-		return fail(ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("replica answered status %d", res.Status)})
+		return &ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("replica answered status %d", res.Status)}
+	case x.fault != nil:
+		return x.fault
+	case d.errDet != nil:
+		return d.errDet
+	case len(d.verdicts) == d.claims:
+		return nil
+	case x.cause != nil:
+		return x.cause
 	}
-	for dec := json.NewDecoder(bytes.NewReader(res.Body)); ; {
-		var ev StreamEvent
-		if err := dec.Decode(&ev); err == io.EOF {
-			return rel
-		} else if err != nil {
-			return fail(ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("parsing replica stream: %v", err)})
-		}
-		switch ev.Event {
-		case "verdict":
-			rel.events = append(rel.events, ev)
-		case "summary":
-			if ev.Summary != nil {
-				rel.sum = *ev.Summary
-			}
-		case "error":
-			if ev.Error != nil {
-				return fail(*ev.Error)
-			}
-			return fail(ErrorDetail{Code: CodeInternal, Message: "replica stream error"})
-		}
+	return &ErrorDetail{Code: CodeReplicaLost,
+		Message: fmt.Sprintf("replica %s: stream ended without this document's verdicts", res.Node)}
+}
+
+// errorOf is an error event's failure.
+func errorOf(ev StreamEvent) *ErrorDetail {
+	if ev.Error != nil {
+		return ev.Error
 	}
+	return &ErrorDetail{Code: CodeInternal, Message: "replica stream error"}
 }
 
 // handleReviewList answers GET /v1/review by merging every live replica's

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,14 +173,16 @@ func TestCoordinatorReviewFanoutAndResolve(t *testing.T) {
 	}
 }
 
-// killingReplicaServer wraps a real replica Server: verification requests
-// run to completion against the inner backend — claims verified, fees booked
-// — and then the connection dies without a byte of response. This is the
-// worst post-delivery failure: work done, answer lost.
-func killingReplicaServer(t *testing.T, inner *Server) *httptest.Server {
+// killingReplicaServer wraps a real replica Server: after answering its
+// first spare verification requests, it runs each later one to completion
+// against the inner backend — claims verified, fees booked — and then the
+// connection dies without a byte of response. This is the worst
+// post-delivery failure: work done, answer lost.
+func killingReplicaServer(t *testing.T, inner *Server, spare int32) *httptest.Server {
 	t.Helper()
+	var posts atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
+		if r.Method == http.MethodGet || posts.Add(1) <= spare {
 			inner.ServeHTTP(w, r) // healthz etc. answer normally
 			return
 		}
@@ -219,7 +225,7 @@ func TestCoordinatorStreamNoDuplicateWorkAfterReplicaLoss(t *testing.T) {
 		defer cancel()
 		_ = killerSrv.Shutdown(ctx)
 	})
-	killerTS := killingReplicaServer(t, killerSrv)
+	killerTS := killingReplicaServer(t, killerSrv, 0)
 
 	successorBackend := &countingBackend{tag: "successor"}
 	successor := newReplica(t, Config{Backend: successorBackend, BatchWait: -1})
@@ -293,5 +299,436 @@ func TestCoordinatorStreamFailsOverDeadReplica(t *testing.T) {
 	}
 	if sc, _ := successorBackend.totals(); sc != 1 {
 		t.Errorf("successor verified %d claims, want 1", sc)
+	}
+}
+
+// A draining owner refuses a whole exchange with 503 before reading it, so
+// every document on it moves to its ring successor; a document with no
+// replica left after the draining one gets the refusal itself.
+func TestCoordinatorStreamDrainingOwnerFailsOver(t *testing.T) {
+	drainingTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			fmt.Fprintln(w, "ok")
+			return
+		}
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining", 0)
+	}))
+	t.Cleanup(drainingTS.Close)
+	successorBackend := &countingBackend{tag: "successor"}
+	successor := newReplica(t, Config{Backend: successorBackend, BatchWait: -1})
+	for _, tc := range []struct {
+		attempts int
+		want     string // the method of the verdict, or the error code
+	}{{2, "successor"}, {1, CodeDraining}} {
+		c, ts := newTestCoordinator(t, CoordinatorConfig{Attempts: tc.attempts, ProbeInterval: time.Hour},
+			&replicaFixture{srv: successor.srv, ts: drainingTS}, successor)
+		ids := docsOwnedBy(t, c, drainingTS.URL, 2)
+		body := streamDocLine(ids[0], "1") + "\n" + streamDocLine(ids[1], "2") + "\n"
+		verdicts, errs, sum := splitEvents(t, readEvents(t, postStream(t, ts.URL, body)))
+		var got []string
+		for _, ev := range verdicts {
+			got = append(got, ev.Claim.Method)
+		}
+		for _, ev := range errs {
+			got = append(got, ev.Error.Code)
+		}
+		if len(got) != 2 || got[0] != tc.want || got[1] != tc.want {
+			t.Errorf("attempts %d: documents answered %v, want %s for both (summary %+v)", tc.attempts, got, tc.want, sum)
+		}
+	}
+	if sc, _ := successorBackend.totals(); sc != 2 {
+		t.Errorf("successor verified %d claims, want the 2 moved to it", sc)
+	}
+}
+
+// docsOwnedBy hunts for n document IDs the ring assigns to the given replica.
+func docsOwnedBy(t *testing.T, c *Coordinator, replicaURL string, n int) []string {
+	t.Helper()
+	var ids []string
+	for i := 0; i < 10000 && len(ids) < n; i++ {
+		docID := fmt.Sprintf("doc-%d", i)
+		if owner, ok := c.Owner(testRouteKey(docID, nil)); ok && owner == replicaURL {
+			ids = append(ids, docID)
+		}
+	}
+	if len(ids) < n {
+		t.Fatalf("found %d document IDs routed to %s, want %d", len(ids), replicaURL, n)
+	}
+	return ids
+}
+
+// streamSessions reads how many stream requests a server has received.
+func streamSessions(t *testing.T, url string) int64 {
+	t.Helper()
+	met := fetchCoordMetrics(t, url)
+	if met.Stream == nil {
+		t.Fatalf("%s metrics have no stream section", url)
+	}
+	return met.Stream.Sessions
+}
+
+// Documents read together reach their owner together, not one exchange
+// each: twelve documents over three replicas, read before the session's
+// reader first blocks, are three replica exchanges, each replica sees one
+// stream, and the verdicts still come back in session order.
+func TestCoordinatorStreamOneExchangePerOwner(t *testing.T) {
+	reps := []*replicaFixture{
+		newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1}),
+		newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1}),
+		newReplica(t, Config{Backend: tagBackend("replica-c"), BatchWait: -1}),
+	}
+	c, ts := newTestCoordinator(t, CoordinatorConfig{StreamWindow: 16}, reps...)
+	owned := make([][]string, len(reps))
+	for i, rep := range reps {
+		owned[i] = docsOwnedBy(t, c, rep.ts.URL, 4)
+	}
+	var ids, lines []string
+	for round := 0; round < 4; round++ {
+		for i := range reps {
+			ids = append(ids, owned[i][round])
+			lines = append(lines, streamDocLine(owned[i][round], "1"))
+		}
+	}
+	verdicts, errs, sum := splitEvents(t, readEvents(t, postStream(t, ts.URL, strings.Join(lines, "\n")+"\n")))
+	if len(errs) != 0 || len(verdicts) != len(ids) {
+		t.Fatalf("stream = %d verdicts %+v errors, want %d verdicts", len(verdicts), errs, len(ids))
+	}
+	for i, ev := range verdicts {
+		if ev.DocID != ids[i] || ev.Index != i {
+			t.Errorf("verdict[%d] = doc %q index %d, want %q/%d", i, ev.DocID, ev.Index, ids[i], i)
+		}
+	}
+	if sum.Docs != 12 || sum.Claims != 12 || sum.Calls != 12 || sum.Dollars < 0.12-1e-9 || sum.Dollars > 0.12+1e-9 {
+		t.Errorf("summary = %+v, want docs=claims=calls=12 dollars=0.12", sum)
+	}
+	if routed := fetchCoordMetrics(t, ts.URL).Shard.Routed; routed != int64(len(reps)) {
+		t.Errorf("routed = %d replica exchanges, want %d: one per owner", routed, len(reps))
+	}
+	for _, rep := range reps {
+		if n := streamSessions(t, rep.ts.URL); n != 1 {
+			t.Errorf("replica %s saw %d streams, want 1", rep.ts.URL, n)
+		}
+	}
+}
+
+// The coordinator answers a document a replica would refuse itself, so one
+// bad document cannot end the stream it shares: the good documents around it
+// on the same replica are verified, and the bad ones get their own
+// bad_request naming their place in the session.
+func TestCoordinatorStreamBadDocumentAnsweredAlone(t *testing.T) {
+	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
+	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{}, a, b)
+	ids := docsOwnedBy(t, c, a.ts.URL, 4)
+	body := streamDocLine(ids[0], "1") + "\n" +
+		fmt.Sprintf(`{"doc_id":%q,"claims":[{"sentence":"The value is 1.","value":"7"}]}`, ids[1]) + "\n" +
+		fmt.Sprintf(`{"doc_id":%q,"claims":[]}`, ids[2]) + "\n" +
+		streamDocLine(ids[3], "2") + "\n"
+	verdicts, errs, sum := splitEvents(t, readEvents(t, postStream(t, ts.URL, body)))
+	if len(verdicts) != 2 || verdicts[0].DocID != ids[0] || verdicts[1].DocID != ids[3] || verdicts[1].Index != 3 {
+		t.Fatalf("verdicts = %+v, want documents 0 and 3", verdicts)
+	}
+	want := []string{
+		`stream document 1: claim: value "7" does not occur in sentence "The value is 1."`,
+		fmt.Sprintf(`stream document 2: document %q has no claims`, ids[2]),
+	}
+	if len(errs) != len(want) {
+		t.Fatalf("errors = %+v, want %d bad_request", errs, len(want))
+	}
+	for i, ev := range errs {
+		if ev.DocID != ids[i+1] || ev.Index != i+1 || ev.Error == nil || ev.Error.Code != CodeBadRequest || ev.Error.Message != want[i] {
+			t.Errorf("error[%d] = %+v %+v, want bad_request %q for %s", i, ev, ev.Error, want[i], ids[i+1])
+		}
+	}
+	if sum.Docs != 2 || sum.Claims != 2 || sum.Calls != 2 {
+		t.Errorf("summary = %+v, want the two good documents", sum)
+	}
+	if n := streamSessions(t, a.ts.URL); n != 1 {
+		t.Errorf("owner saw %d streams, want the one it shares", n)
+	}
+}
+
+// An owner lost mid-session keeps the old contract: the document it had
+// answered keeps its verdict and its fee; the two it was running when it died
+// get replica_lost and are never re-run; the document read after its loss is
+// verified on the ring successor; no claim is verified twice, and nothing
+// outlives the session.
+func TestCoordinatorStreamOwnerLossMidSession(t *testing.T) {
+	dyingBackend := &countingBackend{tag: "dying"}
+	dyingSrv, err := New(Config{Backend: dyingBackend, DB: sqldb.NewDatabase("testdb"), BatchWait: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := contextWithTimeout(5 * time.Second)
+		defer cancel()
+		_ = dyingSrv.Shutdown(ctx)
+	})
+	dyingTS := killingReplicaServer(t, dyingSrv, 1)
+	successorBackend := &countingBackend{tag: "successor"}
+	successor := newReplica(t, Config{Backend: successorBackend, BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{ProbeInterval: time.Hour},
+		&replicaFixture{srv: dyingSrv, ts: dyingTS}, successor)
+	ids := docsOwnedBy(t, c, dyingTS.URL, 4)
+	check := checkNoLeak(t)
+
+	pr, pw := io.Pipe()
+	go io.WriteString(pw, streamDocLine(ids[0], "1")+"\n")
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(resp.Body)
+	next := func() StreamEvent {
+		t.Helper()
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	if ev := next(); ev.Event != "verdict" || ev.Index != 0 || ev.Claim == nil || ev.Claim.Method != "dying" {
+		t.Fatalf("event 0 = %+v, want the owner's verdict", ev)
+	}
+	// The next exchange kills the owner after it has run both documents.
+	go io.WriteString(pw, streamDocLine(ids[1], "2")+"\n"+streamDocLine(ids[2], "3")+"\n")
+	for i := 1; i <= 2; i++ {
+		if ev := next(); ev.Event != "error" || ev.Index != i || ev.Error == nil || ev.Error.Code != CodeReplicaLost {
+			t.Fatalf("event %d = %+v, want replica_lost for the delivered document", i, ev)
+		}
+	}
+	// Only now is the last document written: its owner is gone for good, so it
+	// goes to the successor.
+	dyingTS.Close()
+	io.WriteString(pw, streamDocLine(ids[3], "4")+"\n")
+	pw.Close()
+	var evs []StreamEvent
+	for dec.More() {
+		evs = append(evs, next())
+	}
+	resp.Body.Close()
+	verdicts, errs, sum := splitEvents(t, evs)
+	if len(errs) != 0 || len(verdicts) != 1 || verdicts[0].Index != 3 || verdicts[0].Claim.Method != "successor" {
+		t.Fatalf("after the loss: verdicts %+v errors %+v, want document 3 verified by the successor", verdicts, errs)
+	}
+	// The fee of the document relayed before the loss is booked, as the
+	// per-document relay booked it.
+	if sum.Docs != 2 || sum.Claims != 2 || sum.Calls != 2 || sum.Dollars < 0.02-1e-9 || sum.Dollars > 0.02+1e-9 {
+		t.Errorf("summary = %+v, want documents 0 and 3: docs=claims=calls=2 dollars=0.02", sum)
+	}
+	if kc, _ := dyingBackend.totals(); kc != 3 {
+		t.Errorf("dying replica verified %d claims, want the 3 delivered to it", kc)
+	}
+	if sc, _ := successorBackend.totals(); sc != 1 {
+		t.Errorf("successor verified %d claims, want only the undelivered one", sc)
+	}
+	check()
+}
+
+// When the session's deadline cuts it short, what was relayed keeps its fee:
+// the summary books every exchange that ended, and only the document cut off
+// gets an error — even with the client's body still open at the deadline.
+func TestCoordinatorStreamDeadlineKeepsRelayedFees(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
+	b := newReplica(t, Config{Backend: &gatedBackend{gate: gate}, BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{RequestTimeout: 300 * time.Millisecond, ProbeInterval: time.Hour}, a, b)
+	idA, idB := docOwnedBy(t, c, a.ts.URL), docOwnedBy(t, c, b.ts.URL)
+	check := checkNoLeak(t)
+
+	pr, pw := io.Pipe()
+	go io.WriteString(pw, streamDocLine(idA, "1")+"\n"+streamDocLine(idB, "2")+"\n")
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(resp.Body)
+	var evs []StreamEvent
+	for i := 0; i < 2; i++ {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	// Document 1's error came at the deadline; only now does the body end.
+	pw.Close()
+	evs = append(evs, readEvents(t, resp)...)
+	release()
+	verdicts, errs, sum := splitEvents(t, evs)
+	if len(verdicts) != 1 || verdicts[0].Index != 0 || len(errs) != 1 || errs[0].Index != 1 {
+		t.Fatalf("verdicts %+v errors %+v, want document 0 verified and document 1 cut off", verdicts, errs)
+	}
+	if sum.Docs != 1 || sum.Calls != 1 || sum.Dollars < 0.01-1e-9 || sum.Dollars > 0.01+1e-9 {
+		t.Errorf("summary = %+v, want document 0's fee: docs=calls=1 dollars=0.01", sum)
+	}
+	check()
+}
+
+// A session's exchanges with one replica never overlap, so no micro-batch
+// is in two of them and their summaries add up: a document read while its
+// owner still lingers over the previous one's batch waits for that exchange
+// to end instead of joining the batch, and the fee is booked once.
+func TestCoordinatorStreamExchangesNeverShareABatch(t *testing.T) {
+	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: 200 * time.Millisecond})
+	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{}, a, b)
+	ids := docsOwnedBy(t, c, a.ts.URL, 2)
+
+	pr, pw := io.Pipe()
+	type posted struct {
+		resp *http.Response
+		err  error
+	}
+	answer := make(chan posted, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", pr)
+		answer <- posted{resp, err}
+	}()
+	io.WriteString(pw, streamDocLine(ids[0], "1")+"\n")
+	// The second document is read while the first one's batch lingers.
+	waitFor(t, func() bool { return streamSessions(t, a.ts.URL) == 1 }, "the first exchange to reach its owner")
+	io.WriteString(pw, streamDocLine(ids[1], "2")+"\n")
+	pw.Close()
+	got := <-answer
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	verdicts, errs, sum := splitEvents(t, readEvents(t, got.resp))
+	if len(errs) != 0 || len(verdicts) != 2 {
+		t.Fatalf("verdicts %+v errors %+v, want both documents verified", verdicts, errs)
+	}
+	if sum.Docs != 2 || sum.Calls != 2 || sum.Dollars < 0.02-1e-9 || sum.Dollars > 0.02+1e-9 {
+		t.Errorf("summary = %+v, want docs=calls=2 dollars=0.02", sum)
+	}
+	if n := streamSessions(t, a.ts.URL); n != 2 {
+		t.Errorf("owner saw %d streams, want the two exchanges", n)
+	}
+}
+
+// A client that disconnects mid-session closes every owner stream: the
+// replicas finish what they admitted and no goroutine of either tier
+// outlives the session.
+func TestCoordinatorStreamDisconnectLeaksNothing(t *testing.T) {
+	gated := &gatedBackend{entered: make(chan struct{}, 8), gate: make(chan struct{})}
+	a := newReplica(t, Config{Backend: gated, BatchWait: -1, MaxBatch: 1})
+	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{ProbeInterval: time.Hour}, a, b)
+	idsA, idsB := docsOwnedBy(t, c, a.ts.URL, 2), docsOwnedBy(t, c, b.ts.URL, 1)
+	check := checkNoLeak(t)
+
+	pr, pw := io.Pipe()
+	go io.WriteString(pw, streamDocLine(idsA[0], "1")+"\n"+streamDocLine(idsB[0], "2")+"\n"+streamDocLine(idsA[1], "3")+"\n")
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verify/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-gated.entered // the first document's batch is held on its owner
+	cancel()
+	pw.Close()
+	<-done
+	close(gated.gate)
+	waitFor(t, func() bool { return len(gated.batchSizes()) > 0 }, "the owner to finish the batch it admitted")
+	check()
+}
+
+// feeBackend bills each claim by its sentence length in 1/1024 dollars, so a
+// batch's fee depends on what it carried and sums exactly in any order.
+func feeBackend(docs []*claim.Document) (RunStats, error) {
+	st := RunStats{}
+	for _, d := range docs {
+		for _, c := range d.Claims {
+			c.Result.Verified, c.Result.Correct, c.Result.Method = true, true, "fee"
+			st.Claims++
+			st.Calls += 1 + len(c.Sentence)%3
+			st.Dollars += float64(len(c.Sentence)) / 1024
+		}
+	}
+	return st, nil
+}
+
+// The session's fee summary is what the per-document relay booked: over a
+// fixed-seed session, the summary's dollars and calls equal the sum of each
+// document streamed alone to its owner.
+func TestCoordinatorStreamFeesMatchPerDocumentRelay(t *testing.T) {
+	var reps []*replicaFixture
+	for i := 0; i < 3; i++ {
+		reps = append(reps, newReplica(t, Config{Backend: BackendFunc(feeBackend), BatchWait: -1}))
+	}
+	c, ts := newTestCoordinator(t, CoordinatorConfig{}, reps...)
+	r := rand.New(rand.NewSource(29))
+	var lines []string
+	for i := 0; i < 16; i++ {
+		var values []string
+		for k := 0; k <= r.Intn(3); k++ {
+			values = append(values, fmt.Sprint(r.Intn(100000)))
+		}
+		lines = append(lines, streamDocLine(fmt.Sprintf("fee-doc-%d", r.Intn(1e6)), values...))
+	}
+	_, errs, sum := splitEvents(t, readEvents(t, postStream(t, ts.URL, strings.Join(lines, "\n")+"\n")))
+	if len(errs) != 0 {
+		t.Fatalf("session errors: %+v", errs)
+	}
+
+	var want StreamSummary
+	for _, line := range lines {
+		var in DocumentInput
+		if err := json.Unmarshal([]byte(line), &in); err != nil {
+			t.Fatal(err)
+		}
+		owner, _ := c.Owner(testRouteKey(in.DocID, nil))
+		_, errs, alone := splitEvents(t, readEvents(t, postStream(t, owner, line+"\n")))
+		if len(errs) != 0 {
+			t.Fatalf("document %s alone: %+v", in.DocID, errs)
+		}
+		want.Docs += alone.Docs
+		want.Claims += alone.Claims
+		want.Dollars += alone.Dollars
+		want.Calls += alone.Calls
+	}
+	if sum.Docs != want.Docs || sum.Claims != want.Claims || sum.Dollars != want.Dollars || sum.Calls != want.Calls {
+		t.Errorf("session summary = %+v, per-document relay booked %+v", sum, want)
+	}
+}
+
+// The coordinator forwards each document's bytes as the client sent them and
+// adds none. A re-encoding escapes every '<' to six bytes, and a separator
+// added per document is a byte each, so these sessions — one byte under the
+// body cap, all on one owner, with the client's newlines and without any —
+// would reach the replica over the cap and come back too_large.
+func TestCoordinatorStreamRelaysClientBytes(t *testing.T) {
+	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
+	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{}, a, b)
+	ids := docsOwnedBy(t, c, a.ts.URL, 2)
+	for _, sep := range []string{"\n", ""} {
+		doc := func(pad int) string {
+			return fmt.Sprintf(`{"doc_id":%q,"claims":[{"sentence":"%s The answer is 42.","value":"42"}]}`,
+				ids[0], strings.Repeat("<", pad)) + sep
+		}
+		last := streamDocLine(ids[1], "42") + sep
+		body := doc(maxBodyBytes-1-len(doc(0))-len(last)) + last
+		if len(body) != maxBodyBytes-1 {
+			t.Fatalf("session is %d bytes, want %d", len(body), maxBodyBytes-1)
+		}
+		verdicts, errs, sum := splitEvents(t, readEvents(t, postStream(t, ts.URL, body)))
+		if len(errs) != 0 || len(verdicts) != 2 || sum.Docs != 2 {
+			t.Fatalf("separator %q: %d verdicts, errors %+v, summary %+v; want both documents verified",
+				sep, len(verdicts), errs, sum)
+		}
 	}
 }

@@ -76,14 +76,7 @@ func newTestCoordinator(t *testing.T, cfg CoordinatorConfig, replicas ...*replic
 // docOwnedBy hunts for a document ID the ring assigns to the given replica.
 func docOwnedBy(t *testing.T, c *Coordinator, replicaURL string) string {
 	t.Helper()
-	for i := 0; i < 10000; i++ {
-		docID := fmt.Sprintf("doc-%d", i)
-		if owner, ok := c.Owner(testRouteKey(docID, nil)); ok && owner == replicaURL {
-			return docID
-		}
-	}
-	t.Fatalf("no document ID routed to %s", replicaURL)
-	return ""
+	return docsOwnedBy(t, c, replicaURL, 1)[0]
 }
 
 func verifyBody(docID string) string {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -151,7 +152,7 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	readerErr := make(chan ErrorDetail, 1)
 	go func() {
 		defer close(pending)
-		readStream(s.met, r, readerErr, func(index int, in DocumentInput) bool {
+		readStream(s.met, r, readerErr, nil, func(index int, in DocumentInput, _ []byte) bool {
 			doc, err := buildDocument(in, s.cfg.DocID, s.cfg.DB)
 			if err != nil {
 				s.met.inc(&s.met.badRequests)
@@ -248,15 +249,19 @@ func reviewCounters(st review.Stats) ReviewCounters {
 }
 
 // readStream decodes the NDJSON documents of a stream request body, handing
-// each to admit with its arrival index until admit returns false or the body
-// ends. A document that fails to decode ends the stream with a bad_request on
+// each to admit with its arrival index and its bytes as the client sent them
+// (valid until admit returns), until admit returns false or the body ends.
+// idle, when not nil, runs before every read of the body, which may block. A
+// document that fails to decode ends the stream with a bad_request on
 // readerErr, which holds at most one terminal input-side error; a body that
 // runs past maxBodyBytes ends it with too_large (the documents before the
 // limit were admitted and are answered).
-func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, admit func(index int, in DocumentInput) bool) {
-	dec := json.NewDecoder(limitBody(r))
+func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, idle func(), admit func(index int, in DocumentInput, raw []byte) bool) {
+	tap := &rawTap{r: limitBody(r), idle: idle}
+	dec := json.NewDecoder(tap)
 	dec.DisallowUnknownFields()
 	for index := 0; ; index++ {
+		tap.drop(dec.InputOffset())
 		var in DocumentInput
 		if err := dec.Decode(&in); err != nil {
 			switch {
@@ -271,11 +276,61 @@ func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, 
 			}
 			return
 		}
-		if !admit(index, in) {
+		raw := bytes.TrimLeft(tap.upTo(dec.InputOffset()), " \t\r\n")
+		if !admit(index, in, raw) {
 			return
 		}
 	}
 }
+
+// rawTap reads a stream body ahead of its decoder and keeps it from the end
+// of the last document on, so that document's bytes can be handed on
+// untouched. It reads the body only when the decoder has taken everything
+// read so far, calling idle first: that read is the one that may block.
+type rawTap struct {
+	r    io.Reader
+	idle func()
+	buf  []byte // the body from offset base on
+	base int64
+	next int   // buf[next:] is read but not yet handed to the decoder
+	err  error // the body's error, handed on once buf is drained
+}
+
+// tapRead is the least a rawTap asks of the body per read.
+const tapRead = 4 << 10
+
+func (t *rawTap) Read(p []byte) (int, error) {
+	if t.next == len(t.buf) {
+		if t.err != nil {
+			return 0, t.err
+		}
+		if t.idle != nil {
+			t.idle()
+		}
+		if cap(t.buf)-len(t.buf) < tapRead {
+			t.buf = append(make([]byte, 0, 2*cap(t.buf)+tapRead), t.buf...)
+		}
+		n, err := t.r.Read(t.buf[len(t.buf):cap(t.buf)])
+		t.buf, t.err = t.buf[:len(t.buf)+n], err
+		if n == 0 {
+			return 0, err
+		}
+	}
+	n := copy(p, t.buf[t.next:])
+	t.next += n
+	return n, nil
+}
+
+// drop forgets the body before offset off.
+func (t *rawTap) drop(off int64) {
+	k := int(off - t.base)
+	t.buf = t.buf[:copy(t.buf, t.buf[k:])]
+	t.next -= k
+	t.base = off
+}
+
+// upTo returns the body from the last drop to offset off.
+func (t *rawTap) upTo(off int64) []byte { return t.buf[:off-t.base] }
 
 // streamEmitter commits a stream response's headers and returns its event
 // writer: one flushed NDJSON line per event. Headers commit before the first

@@ -139,9 +139,10 @@ type StreamSummary struct {
 	Reviewed int `json:"reviewed"`
 	// Batches lists the distinct micro-batch ordinals (1-based, server-local)
 	// whose totals Dollars and Calls summed, in first-seen order. A consumer
-	// holding several streams against one server — the coordinator's relay
-	// merge — uses it to count a shared batch's fee once, not once per
-	// stream.
+	// holding several streams against one server at once can use it to count
+	// a shared batch's fee once, not once per stream. The coordinator's
+	// relay does not need it: a session's exchanges with one replica never
+	// overlap.
 	Batches []int64 `json:"batches,omitempty"`
 }
 

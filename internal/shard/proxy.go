@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -12,8 +13,9 @@ import (
 )
 
 // maxProxyResponseBytes bounds one replica response the proxy buffers — any
-// response: verdicts, dataset summaries, review queues, health probes. It
-// matches the serve layer's request-body cap.
+// response: verdicts, dataset summaries, review queues, health probes; of a
+// 200 answer to Send, any one line. It matches the serve layer's request-body
+// cap.
 const maxProxyResponseBytes = 8 << 20
 
 // probeTimeout bounds one health probe.
@@ -45,13 +47,14 @@ type Result struct {
 }
 
 // Proxy is the tier's one way to reach a replica. Every exchange goes through
-// call; two policies decide which replicas it reaches. Do routes one request
-// body to the replica owning its shard key, failing over along the ring's
-// deterministic successor order when a replica is unreachable or draining.
-// Each sends the same request to every live replica in turn. (Probe is call
-// against /healthz, for the Prober.) It speaks bytes, not wire structs, so the
-// serve layer's JSON surface passes through untouched — what a replica
-// answered is exactly what the client sees.
+// roundTrip; two policies decide which replicas call reaches. Do routes one
+// request body to the replica owning its shard key, failing over along the
+// ring's deterministic successor order (Successors) when a replica is
+// unreachable or draining. Each sends the same request to every live replica
+// in turn. (Probe is call against /healthz, for the Prober; Send is one of
+// Do's attempts, for a caller that fails over the parts of its body itself.)
+// It speaks bytes, not wire structs, so the serve layer's JSON surface passes
+// through untouched — what a replica answered is exactly what the client sees.
 type Proxy struct {
 	// Ring assigns keys to replica names. Required.
 	Ring *Ring
@@ -86,11 +89,7 @@ func retriable(status int) bool { return status == http.StatusServiceUnavailable
 // transport errors and drain rejections. It returns the first relayable
 // response, or an error when every eligible replica failed.
 func (p *Proxy) Do(ctx context.Context, key []byte, path string, body []byte) (Result, error) {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 3
-	}
-	nodes := p.Ring.AssignN(key, attempts)
+	nodes := p.Successors(key)
 	if len(nodes) == 0 {
 		return Result{}, ErrNoReplicas
 	}
@@ -137,6 +136,56 @@ func (p *Proxy) Do(ctx context.Context, key []byte, path string, body []byte) (R
 	return Result{}, fmt.Errorf("shard: all %d replica(s) failed, last: %w", len(nodes), lastErr)
 }
 
+// Successors is key's failover order: its owner first, then the distinct
+// replicas after it on the ring, Attempts in all (capped by membership).
+func (p *Proxy) Successors(key []byte) []string {
+	attempts := p.Attempts
+	if attempts < 1 {
+		attempts = 3
+	}
+	return p.Ring.AssignN(key, attempts)
+}
+
+// Send posts body to node: one of Do's attempts without the failover, for a
+// body that packs several requests the caller fails over one by one (an
+// NDJSON stream of documents, each with its own successors). It feeds the
+// breaker as Do's attempts do. A 200 answer is handed to visit a line at a
+// time, each under the response cap, until it ends or visit returns false;
+// any other answer is buffered whole into res.Body, as call does. taken is
+// how much of body the transport took before a failure, all of it once a
+// status arrived: a request wholly within it may have run on the replica,
+// and one past it never reached the replica, so it may go to another.
+func (p *Proxy) Send(ctx context.Context, node, path string, body []byte, visit func(line []byte) bool) (res Result, taken int, err error) {
+	res.Node = node
+	tracker, resp, err := p.roundTrip(ctx, node, http.MethodPost, path, "application/x-ndjson", body)
+	if err != nil {
+		taken = int(tracker.taken.Load())
+	} else {
+		res.Status, taken = resp.StatusCode, len(body)
+		if resp.StatusCode == http.StatusOK {
+			lines := bufio.NewScanner(resp.Body)
+			lines.Buffer(nil, maxProxyResponseBytes)
+			for lines.Scan() && visit(lines.Bytes()) {
+			}
+			err = lines.Err()
+		} else {
+			res.Body, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyResponseBytes))
+		}
+		resp.Body.Close()
+	}
+	if err != nil {
+		err = fmt.Errorf("replica %s: %w", node, err)
+	}
+	if err != nil || retriable(res.Status) {
+		if p.OnFailure != nil {
+			p.OnFailure(node)
+		}
+	} else if p.OnSuccess != nil {
+		p.OnSuccess(node)
+	}
+	return res, taken, err
+}
+
 // Each sends the same request to every live replica, one at a time in roster
 // (sorted) order, and hands each outcome to visit — the replica's response, or
 // the transport error naming it. visit returns false to stop early. Nothing
@@ -176,18 +225,20 @@ func (p *Proxy) Probe(ctx context.Context, node string) error {
 	return nil
 }
 
-// deliveryTracker wraps a request body so call can tell whether the transport
-// finished writing the request before a failure. It deliberately exposes only
+// deliveryTracker wraps a request body so the proxy can tell how much of the
+// request the transport took before a failure. It deliberately exposes only
 // Read: handing net/http a plain io.Reader (not *bytes.Reader) keeps it from
 // deriving GetBody, so the transport cannot silently replay the request on
 // its own — delivery accounting stays with the proxy.
 type deliveryTracker struct {
-	r    *bytes.Reader
-	sent atomic.Bool
+	r     *bytes.Reader
+	taken atomic.Int64 // bytes the transport has read
+	sent  atomic.Bool
 }
 
 func (d *deliveryTracker) Read(p []byte) (int, error) {
 	n, err := d.r.Read(p)
+	d.taken.Add(int64(n))
 	if err == io.EOF {
 		// The transport drained the body: the request was fully written to
 		// the wire, so the replica may be processing it.
@@ -196,13 +247,28 @@ func (d *deliveryTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// call issues one request to one replica: the only place the tier touches the
-// HTTP client. delivered reports whether the request reached the replica
-// before any failure: true once the request body was fully written to the
-// wire or a response status arrived (the replica necessarily read the request
-// to answer), so any later error — connection dying mid-response, body read
-// failing — happened after the replica may have started verifying.
+// call sends one request to one replica and buffers its response. delivered
+// reports whether the request reached the replica before any failure: true
+// once the request body was fully written to the wire or a response status
+// arrived (the replica necessarily read the request to answer), so any later
+// error — connection dying mid-response, body read failing — happened after
+// the replica may have started verifying.
 func (p *Proxy) call(ctx context.Context, node, method, path, contentType string, body []byte) (res Result, delivered bool, err error) {
+	tracker, resp, err := p.roundTrip(ctx, node, method, path, contentType, body)
+	if err != nil {
+		return Result{Node: node}, tracker.sent.Load(), err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyResponseBytes))
+	if err != nil {
+		return Result{Node: node}, true, err
+	}
+	return Result{Node: node, Status: resp.StatusCode, Body: b}, true, nil
+}
+
+// roundTrip sends one request to one replica, the only place the tier touches
+// the HTTP client, and returns the tracker of its body with the response.
+func (p *Proxy) roundTrip(ctx context.Context, node, method, path, contentType string, body []byte) (*deliveryTracker, *http.Response, error) {
 	tracker := &deliveryTracker{r: bytes.NewReader(body)}
 	var rd io.Reader = http.NoBody // a bodiless request has nothing to track
 	if len(body) > 0 {
@@ -210,7 +276,7 @@ func (p *Proxy) call(ctx context.Context, node, method, path, contentType string
 	}
 	req, err := http.NewRequestWithContext(ctx, method, p.BaseURL(node)+path, rd)
 	if err != nil {
-		return Result{Node: node}, false, err
+		return tracker, nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -221,13 +287,5 @@ func (p *Proxy) call(ctx context.Context, node, method, path, contentType string
 		client = http.DefaultClient
 	}
 	resp, err := client.Do(req)
-	if err != nil {
-		return Result{Node: node}, tracker.sent.Load(), err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyResponseBytes))
-	if err != nil {
-		return Result{Node: node}, true, err
-	}
-	return Result{Node: node, Status: resp.StatusCode, Body: b}, true, nil
+	return tracker, resp, err
 }
