@@ -195,14 +195,19 @@ func runExperiments(w io.Writer, want string, seed int64, workers int, asCSV boo
 		if err != nil {
 			return ran, fmt.Errorf("%s: %w", e.name, err)
 		}
-		if asCSV {
-			fmt.Fprintf(w, "# %s (seed %d)\n%s", e.name, seed, res.CSV())
-			continue
-		}
-		fmt.Fprintf(w, "== %s (seed %d) ==\n", e.desc, seed)
-		fmt.Fprintln(w, res.Render())
+		e.write(w, res, seed, asCSV)
 	}
 	return ran, nil
+}
+
+// write renders one experiment's result as text or CSV.
+func (e experiment) write(w io.Writer, res result, seed int64, asCSV bool) {
+	if asCSV {
+		fmt.Fprintf(w, "# %s (seed %d)\n%s", e.name, seed, res.CSV())
+		return
+	}
+	fmt.Fprintf(w, "== %s (seed %d) ==\n", e.desc, seed)
+	fmt.Fprintln(w, res.Render())
 }
 
 func usage() {

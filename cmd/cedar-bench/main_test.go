@@ -1,6 +1,10 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,23 +49,53 @@ func TestRunExperimentsCSV(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsWorkersDeterministic runs a verification-bearing
-// experiment at 1 and 4 workers and requires identical reports — the
-// command-level view of the determinism contract.
-func TestRunExperimentsWorkersDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full joinbench twice")
+var update = flag.Bool("update", false, "rewrite testdata/all.txt and all.csv from this build")
+
+// TestGoldenAll pins the paper's Section 7 reproduction: `cedar-bench all`
+// at seed 17, text and -csv, must print testdata/all.txt and all.csv byte
+// for byte at 1 and at 8 workers. Each experiment runs once per worker count
+// and is rendered both ways, as runExperiments renders it. Regenerate with
+// `go test ./cmd/cedar-bench -run GoldenAll -update`, and say in the change
+// why the paper's numbers moved.
+func TestGoldenAll(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		var text, csv strings.Builder
+		for _, e := range experiments() {
+			res, err := e.run(17, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			e.write(&text, res, 17, false)
+			e.write(&csv, res, 17, true)
+		}
+		for _, g := range []struct{ file, got string }{{"all.txt", text.String()}, {"all.csv", csv.String()}} {
+			path := filepath.Join("testdata", g.file)
+			if *update && workers == 1 {
+				if err := os.WriteFile(path, []byte(g.got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.got != string(want) {
+				t.Errorf("workers=%d: output differs from %s%s", workers, path, firstDiff(string(want), g.got))
+			}
+		}
 	}
-	var seq, par strings.Builder
-	if _, err := runExperiments(&seq, "joinbench", 17, 1, false); err != nil {
-		t.Fatal(err)
+}
+
+// firstDiff names the first line where got departs from want.
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf(" at line %d:\n want %q\n  got %q", i+1, wl[i], gl[i])
+		}
 	}
-	if _, err := runExperiments(&par, "joinbench", 17, 4, false); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("joinbench output differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", seq.String(), par.String())
-	}
+	return fmt.Sprintf(": %d lines, want %d", len(gl), len(wl))
 }
 
 // TestRunExperimentsUnknown verifies unknown names report "did not run"

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -78,7 +79,7 @@ func main() {
 		defer st.Close()
 		exp.DefaultResilience.Store = st
 	}
-	if err := run(o.Seed, o.Bench, o.Docs, o.OutPath); err != nil {
+	if err := run(os.Stdout, o.Seed, o.Bench, o.Docs, o.OutPath); err != nil {
 		fmt.Fprintln(os.Stderr, "cedar-profile:", err)
 		os.Exit(1)
 	}
@@ -114,7 +115,9 @@ func exportTrace(tracer *trace.Tracer, path string, summary bool, seed int64) er
 	return nil
 }
 
-func run(seed int64, bench string, nDocs int, out string) error {
+// run profiles nDocs documents of bench and writes the statistics table and
+// the optimal schedules to w; with out set it also saves the statistics.
+func run(w io.Writer, seed int64, bench string, nDocs int, out string) error {
 	docs, err := cedar.Benchmark(bench, seed)
 	if err != nil {
 		return err
@@ -130,26 +133,26 @@ func run(seed int64, bench string, nDocs int, out string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("profiling on %d documents of %s (seed %d):\n\n", len(docs), bench, seed)
-	fmt.Printf("%-16s %10s %12s %14s\n", "Method", "Accuracy", "Cost ($)", "Latency")
+	fmt.Fprintf(w, "profiling on %d documents of %s (seed %d):\n\n", len(docs), bench, seed)
+	fmt.Fprintf(w, "%-16s %10s %12s %14s\n", "Method", "Accuracy", "Cost ($)", "Latency")
 	for _, s := range stats {
-		fmt.Printf("%-16s %10.3f %12.5f %14v\n", s.Name, s.Accuracy, s.Cost, s.Wall.Round(1e6))
+		fmt.Fprintf(w, "%-16s %10.3f %12.5f %14v\n", s.Name, s.Accuracy, s.Cost, s.Wall.Round(1e6))
 	}
 
 	if out != "" {
 		if err := profile.SaveStats(out, stats); err != nil {
 			return err
 		}
-		fmt.Printf("\nstatistics written to %s\n", out)
+		fmt.Fprintf(w, "\nstatistics written to %s\n", out)
 	}
 
-	fmt.Println("\noptimal schedules by accuracy target:")
+	fmt.Fprintln(w, "\noptimal schedules by accuracy target:")
 	for _, target := range []float64{0.5, 0.8, 0.9, 0.95, 0.99} {
 		plan, err := schedule.Plan(stats, 2, target)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %.2f -> %v\n", target, plan)
+		fmt.Fprintf(w, "  %.2f -> %v\n", target, plan)
 	}
 	return nil
 }
