@@ -17,7 +17,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/exp"
 	"repro/internal/llm"
-	"repro/internal/llm/resilience"
 	"repro/internal/llm/sim"
 	"repro/internal/profile"
 	"repro/internal/schedule"
@@ -34,7 +33,7 @@ const benchSeed = 17
 // datasets) and reports CEDAR's AggChecker F1.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Table2(benchSeed, 1)
+		res, err := exp.Table2(benchSeed, 1, verify.Middleware{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +45,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkCosts regenerates the Section 7.2 cost report.
 func BenchmarkCosts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Costs(benchSeed, 1)
+		res, err := exp.Costs(benchSeed, 1, verify.Middleware{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,12 +61,12 @@ func BenchmarkCosts(b *testing.B) {
 // cost ratio between the 99%-threshold CEDAR run and the all-agent run.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig5(benchSeed, 1)
+		res, err := exp.Fig5(benchSeed, 1, verify.Middleware{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		cedarHi := res.Point("cedar@0.99")
-		agent := res.Point(exp.MethodAgent41)
+		agent := res.Point(verify.MethodAgent41)
 		if cedarHi != nil && agent != nil && cedarHi.Dollars > 0 {
 			b.ReportMetric(agent.Dollars/cedarHi.Dollars, "agent-cost-ratio")
 			b.ReportMetric(cedarHi.F1*100, "cedar@0.99-F1")
@@ -78,7 +77,7 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6 regenerates the unit-conversion study.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig6(benchSeed, 1)
+		res, err := exp.Fig6(benchSeed, 1, verify.Middleware{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +100,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkJoinBench regenerates the schema-normalization study.
 func BenchmarkJoinBench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.JoinBench(benchSeed, 1)
+		res, err := exp.JoinBench(benchSeed, 1, verify.Middleware{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +111,7 @@ func BenchmarkJoinBench(b *testing.B) {
 // BenchmarkFig7 regenerates the distribution-shift study.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig7(benchSeed, 1)
+		res, err := exp.Fig7(benchSeed, 1, verify.Middleware{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,7 +429,7 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 // multiple CPUs (GOMAXPROCS); on a single-core host the variants tie, which
 // also demonstrates that the concurrency adds no meaningful overhead.
 func BenchmarkParallelVerification(b *testing.B) {
-	stack, err := exp.NewStack(benchSeed)
+	stack, err := verify.NewStack(benchSeed, verify.Middleware{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -438,7 +437,7 @@ func BenchmarkParallelVerification(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stats, err := stack.Profile(profDocs[:6])
+	stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger, profile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,26 +469,15 @@ func BenchmarkParallelVerification(b *testing.B) {
 // 8 workers reflects what deployment against a hosted API would see even on
 // a single-core host.
 func BenchmarkVerifyParallel(b *testing.B) {
-	const latencyScale = 1e-3
-	ledger := llm.NewLedger()
-	client := func(model string) llm.Client {
-		m, err := sim.New(model, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return &llm.Metered{Client: &llm.Throttled{Client: m, Scale: latencyScale}, Ledger: ledger}
-	}
-	methods := []verify.Method{
-		verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, exp.MethodOneShot35),
-		verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodOneShot4o),
-		verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodAgent4o, benchSeed),
-		verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, exp.MethodAgent41, benchSeed+1),
+	stack, err := verify.NewStack(benchSeed, verify.Middleware{ThrottleScale: 1e-3})
+	if err != nil {
+		b.Fatal(err)
 	}
 	profDocs, err := data.AggChecker(benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	stats, err := profile.Run(methods, profDocs[:6], ledger, profile.Options{})
+	stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger, profile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -500,7 +488,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			p, err := core.New(core.Config{
-				Methods:        methods,
+				Methods:        stack.Methods,
 				Stats:          stats,
 				AccuracyTarget: 0.99,
 				Seed:           benchSeed,
@@ -521,10 +509,11 @@ func BenchmarkVerifyParallel(b *testing.B) {
 
 // BenchmarkVerifyFaulty measures throughput under a hostile provider: the
 // same wait-bound stack as BenchmarkVerifyParallel (latency compressed
-// 1000x), but with deterministic fault injection under the throttle and a
-// retrier above it, at 8 workers. Because Throttled charges failed attempts
-// their latency, the slowdown at higher fault rates is the honest price of
-// retried and rate-limited calls occupying the wire.
+// 1000x), but with deterministic fault injection over the throttle and two
+// retries above it, at 8 workers: the chain verify.NewStack ships. Every
+// attempt the provider processes pays its latency, failed or not, so the
+// slowdown at higher fault rates is the price of retried calls occupying the
+// wire; a rate-limited attempt is rejected before it reaches the throttle.
 func BenchmarkVerifyFaulty(b *testing.B) {
 	const latencyScale = 1e-3
 	base, err := data.AggChecker(benchSeed + 1)
@@ -537,38 +526,16 @@ func BenchmarkVerifyFaulty(b *testing.B) {
 	}
 	for _, rate := range []float64{0, 0.2, 0.5} {
 		b.Run(fmt.Sprintf("fault-rate-%v", rate), func(b *testing.B) {
-			ledger := llm.NewLedger()
-			client := func(model string) llm.Client {
-				m, err := sim.New(model, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var c llm.Client = m
-				if rate > 0 {
-					c = &resilience.Faulty{
-						Client: c,
-						Plan:   resilience.Plan{Seed: llm.SplitSeed(benchSeed, "faults", model), Rate: rate},
-					}
-				}
-				c = &llm.Metered{Client: &llm.Throttled{Client: c, Scale: latencyScale}, Ledger: ledger}
-				return &resilience.Retrier{
-					Client:      c,
-					MaxAttempts: 3,
-					Seed:        llm.SplitSeed(benchSeed, "retry", model),
-				}
+			stack, err := verify.NewStack(benchSeed, verify.Middleware{FaultRate: rate, Retries: 2, ThrottleScale: latencyScale})
+			if err != nil {
+				b.Fatal(err)
 			}
-			methods := []verify.Method{
-				verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, exp.MethodOneShot35),
-				verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodOneShot4o),
-				verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodAgent4o, benchSeed),
-				verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, exp.MethodAgent41, benchSeed+1),
-			}
-			stats, err := profile.Run(methods, profDocs[:6], ledger, profile.Options{})
+			stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger, profile.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			p, err := core.New(core.Config{
-				Methods:        methods,
+				Methods:        stack.Methods,
 				Stats:          stats,
 				AccuracyTarget: 0.99,
 				Seed:           benchSeed,

@@ -29,8 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
-	"repro/internal/llm/resilience"
-	"repro/internal/llm/sim"
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/route"
@@ -157,17 +155,12 @@ type Options struct {
 
 // System is a configured CEDAR instance.
 type System struct {
-	opts    Options
-	methods []verify.Method
-	ledger  *llm.Ledger
-	res     *metrics.Resilience
-	stats   []schedule.MethodStats
-	pipe    *core.Pipeline
-	// store is the persistent result store (nil without Options.CacheDir);
-	// caches are the per-model completion caches wired to it, kept so runs
-	// can report per-run persisted-hit deltas.
-	store  *store.Store
-	caches []*llm.Cached
+	opts  Options
+	stack *verify.Stack
+	stats []schedule.MethodStats
+	pipe  *core.Pipeline
+	// store is the persistent result store (nil without Options.CacheDir).
+	store *store.Store
 	// catalog indexes the routable databases when Options.Route is on;
 	// catalogFP fingerprints their contents into the memo config key.
 	catalog   *route.Catalog
@@ -191,7 +184,8 @@ var ErrNoCatalog = errors.New("cedar: routing enabled but no catalog registered;
 
 // New builds a System with the standard four-method stack of Section 7.1:
 // one-shot translation with GPT-3.5 and GPT-4o, agent-based verification
-// with GPT-4o and GPT-4.1 (simulated models; see internal/llm/sim).
+// with GPT-4o and GPT-4.1 (simulated models; see internal/llm/sim), wrapped
+// in the middleware the options ask for (verify.NewStack).
 func New(opts Options) (*System, error) {
 	if opts.AccuracyTarget == 0 {
 		opts.AccuracyTarget = 0.99
@@ -199,8 +193,6 @@ func New(opts Options) (*System, error) {
 	if opts.AccuracyTarget < 0 || opts.AccuracyTarget > 1 {
 		return nil, fmt.Errorf("cedar: accuracy target %v outside (0, 1]", opts.AccuracyTarget)
 	}
-	ledger := llm.NewLedger()
-	res := &metrics.Resilience{}
 	var st *store.Store
 	if opts.CacheDir != "" {
 		// A persistent store without the in-memory cache layer has nothing to
@@ -212,98 +204,34 @@ func New(opts Options) (*System, error) {
 			return nil, fmt.Errorf("cedar: opening cache dir: %w", err)
 		}
 	}
-	var caches []*llm.Cached
-	// Middleware order, inner to outer: sim → Faulty → Metered → Cached →
-	// Hedged → Retrier → Breaker. Faults sit inside the meter so failed
-	// attempts are billed; the retrier sits outside the cache and hedger so
-	// each retry is a full fresh call; the breaker is outermost so it counts
-	// logical (post-retry) failures and its sheds never reach the retrier.
-	client := func(model string) (llm.Client, error) {
-		m, err := sim.New(model, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		var c llm.Client = m
-		if opts.FaultRate > 0 {
-			c = &resilience.Faulty{
-				Client:  c,
-				Plan:    resilience.Plan{Seed: llm.SplitSeed(opts.Seed, "faults", model), Rate: opts.FaultRate},
-				Metrics: res,
-				Tracer:  opts.Tracer,
-			}
-		}
-		c = &llm.Metered{Client: c, Ledger: ledger, Tracer: opts.Tracer}
-		if opts.CacheResponses {
-			// The cache sits outside the meter so hits are free — in-memory
-			// hits within a run, persisted hits across runs and processes.
-			cached := llm.NewCached(c, 0)
-			cached.Tracer = opts.Tracer
-			cached.Persist = st
-			caches = append(caches, cached)
-			c = cached
-		}
-		if opts.HedgeAfter > 0 {
-			c = &resilience.Hedged{Client: c, After: opts.HedgeAfter, Metrics: res, Tracer: opts.Tracer}
-		}
-		if opts.Retries > 0 || opts.Timeout > 0 {
-			c = &resilience.Retrier{
-				Client:      c,
-				MaxAttempts: opts.Retries + 1,
-				Deadline:    opts.Timeout,
-				Seed:        llm.SplitSeed(opts.Seed, "retry", model),
-				Metrics:     res,
-				Tracer:      opts.Tracer,
-			}
-		}
-		if opts.BreakerThreshold > 0 {
-			c = &resilience.Breaker{Client: c, FailureThreshold: opts.BreakerThreshold, Metrics: res, Tracer: opts.Tracer}
-		}
-		return c, nil
-	}
-	closeStore := func() {
+	stack, err := verify.NewStack(opts.Seed, verify.Middleware{
+		FaultRate:        opts.FaultRate,
+		Retries:          opts.Retries,
+		Timeout:          opts.Timeout,
+		HedgeAfter:       opts.HedgeAfter,
+		BreakerThreshold: opts.BreakerThreshold,
+		Tracer:           opts.Tracer,
+		Store:            st,
+		Cache:            opts.CacheResponses,
+	})
+	if err != nil {
 		if st != nil {
 			st.Close()
 		}
-	}
-	c35, err := client(ModelGPT35)
-	if err != nil {
-		closeStore()
 		return nil, err
 	}
-	c4o, err := client(ModelGPT4o)
-	if err != nil {
-		closeStore()
-		return nil, err
-	}
-	c41, err := client(ModelGPT41)
-	if err != nil {
-		closeStore()
-		return nil, err
-	}
-	return &System{
-		opts:   opts,
-		ledger: ledger,
-		res:    res,
-		store:  st,
-		caches: caches,
-		methods: []verify.Method{
-			verify.NewOneShot(c35, ModelGPT35, "oneshot-gpt3.5"),
-			verify.NewOneShot(c4o, ModelGPT4o, "oneshot-gpt4o"),
-			verify.NewAgent(c4o, ModelGPT4o, "agent-gpt4o", opts.Seed),
-			verify.NewAgent(c41, ModelGPT41, "agent-gpt4.1", opts.Seed+1),
-		},
-	}, nil
+	return &System{opts: opts, stack: stack, store: st}, nil
 }
 
 // ProfileOn estimates per-method success probabilities and costs on a
 // labeled sample of documents and plans the verification schedule for the
 // configured accuracy target.
 func (s *System) ProfileOn(docs []*Document) error {
-	stats, err := profile.Run(s.methods, docs, s.ledger, profile.Options{})
+	stats, err := profile.Run(s.stack.Methods, docs, s.stack.Ledger, profile.Options{})
 	if err != nil {
 		return fmt.Errorf("cedar: profiling: %w", err)
 	}
-	s.ledger.Reset()
+	s.stack.Ledger.Reset()
 	return s.SetStats(stats)
 }
 
@@ -311,7 +239,7 @@ func (s *System) ProfileOn(docs []*Document) error {
 // the schedule.
 func (s *System) SetStats(stats []schedule.MethodStats) error {
 	p, err := core.New(core.Config{
-		Methods:        s.methods,
+		Methods:        s.stack.Methods,
 		Stats:          stats,
 		AccuracyTarget: s.opts.AccuracyTarget,
 		CostBudget:     s.opts.CostBudgetPerClaim,
@@ -386,7 +314,7 @@ func (s *System) RoutedSchedule() string {
 // Resilience snapshots the operational counters of the resilience middleware
 // (attempts, retries, injected faults, hedges, breaker activity) accumulated
 // since the system was built.
-func (s *System) Resilience() metrics.ResilienceSnapshot { return s.res.Snapshot() }
+func (s *System) Resilience() metrics.ResilienceSnapshot { return s.stack.Resilience.Snapshot() }
 
 // TraceManifest assembles the run manifest for a trace of the given corpus:
 // the seed, worker count, corpus size, and the system's full option set. It
@@ -473,7 +401,7 @@ func (s *System) verifyRun(docs []*Document, spans *[]trace.Span) (Report, error
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.ledger.Reset()
+	s.stack.Ledger.Reset()
 	// A trace covers exactly one run: drop spans from profiling or earlier
 	// runs, mirroring the ledger reset.
 	s.opts.Tracer.Reset()
@@ -508,8 +436,8 @@ func (s *System) verifyRun(docs []*Document, spans *[]trace.Span) (Report, error
 	rep := Report{
 		Quality:       metrics.Evaluate(docs),
 		Claims:        claim.TotalClaims(docs),
-		Dollars:       s.ledger.TotalDollars(),
-		Calls:         s.ledger.TotalCalls(),
+		Dollars:       s.stack.Ledger.TotalDollars(),
+		Calls:         s.stack.Ledger.TotalCalls(),
 		PersistedHits: s.persistHits() - prePersist,
 	}
 	if plan != nil {
@@ -531,7 +459,7 @@ func (s *System) verifyRun(docs []*Document, spans *[]trace.Span) (Report, error
 	if spans != nil && s.opts.Tracer.Enabled() {
 		*spans = s.opts.Tracer.Spans()
 	}
-	s.ledger.Reset()
+	s.stack.Ledger.Reset()
 	return rep, nil
 }
 
@@ -539,7 +467,7 @@ func (s *System) verifyRun(docs []*Document, spans *[]trace.Span) (Report, error
 // lifetime counter; Verify reports per-run deltas).
 func (s *System) persistHits() int {
 	total := 0
-	for _, c := range s.caches {
+	for _, c := range s.stack.Caches {
 		_, hits := c.PersistStats()
 		total += hits
 	}

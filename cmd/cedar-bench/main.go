@@ -28,9 +28,11 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/exp"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // result is what every experiment returns: a formatted rendering and, for
@@ -43,35 +45,29 @@ type result interface {
 type experiment struct {
 	name string
 	desc string
-	run  func(seed int64, workers int) (result, error)
+	run  func(seed int64, workers int, mw verify.Middleware) (result, error)
 }
 
 func experiments() []experiment {
 	return []experiment{
-		{"table2", "Table 2: result quality of CEDAR vs baselines", func(s int64, w int) (result, error) {
-			return exp.Table2(s, w)
-		}},
-		{"costs", "Section 7.2: CEDAR verification fees per dataset", func(s int64, w int) (result, error) {
-			return exp.Costs(s, w)
-		}},
-		{"fig5", "Figure 5: cost/throughput vs F1 trade-offs", func(s int64, w int) (result, error) {
-			return exp.Fig5(s, w)
-		}},
-		{"fig6", "Figure 6: F1 change under unit conversions", func(s int64, w int) (result, error) {
-			return exp.Fig6(s, w)
-		}},
-		{"table3", "Table 3: query complexity statistics", func(s int64, _ int) (result, error) {
+		{"table2", "Table 2: result quality of CEDAR vs baselines", adapt(exp.Table2)},
+		{"costs", "Section 7.2: CEDAR verification fees per dataset", adapt(exp.Costs)},
+		{"fig5", "Figure 5: cost/throughput vs F1 trade-offs", adapt(exp.Fig5)},
+		{"fig6", "Figure 6: F1 change under unit conversions", adapt(exp.Fig6)},
+		{"table3", "Table 3: query complexity statistics", func(s int64, _ int, _ verify.Middleware) (result, error) {
 			return exp.Table3(s) // corpus statistics only; nothing to parallelize
 		}},
-		{"joinbench", "Section 7.3.2: schema normalization", func(s int64, w int) (result, error) {
-			return exp.JoinBench(s, w)
-		}},
-		{"fig7", "Figure 7: schedule robustness across domains", func(s int64, w int) (result, error) {
-			return exp.Fig7(s, w)
-		}},
-		{"modelfit", "Extended report: modeled vs realized accuracy (independence assumptions)", func(s int64, w int) (result, error) {
-			return exp.ModelFit(s, w)
-		}},
+		{"joinbench", "Section 7.3.2: schema normalization", adapt(exp.JoinBench)},
+		{"fig7", "Figure 7: schedule robustness across domains", adapt(exp.Fig7)},
+		{"modelfit", "Extended report: modeled vs realized accuracy (independence assumptions)", adapt(exp.ModelFit)},
+	}
+}
+
+// adapt turns a driver returning its own result type into an experiment's
+// run function.
+func adapt[R result](driver func(int64, int, verify.Middleware) (R, error)) func(int64, int, verify.Middleware) (result, error) {
+	return func(seed int64, workers int, mw verify.Middleware) (result, error) {
+		return driver(seed, workers, mw)
 	}
 }
 
@@ -118,15 +114,17 @@ func main() {
 		// ledger), so the exported trace covers the last run executed.
 		tracer = trace.New()
 	}
-	// Experiment drivers build their stacks internally via exp.NewStack, so
-	// the resilience knobs travel through the package default.
-	exp.DefaultResilience = exp.ResilienceOptions{
+	mw := verify.Middleware{
 		FaultRate:        o.FaultRate,
 		Retries:          o.Retries,
 		Timeout:          o.Timeout,
 		HedgeAfter:       o.HedgeAfter,
 		BreakerThreshold: o.Breaker,
 		Tracer:           tracer,
+	}
+	if err := mw.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "cedar-bench:", err)
+		os.Exit(1)
 	}
 	if o.CacheDir != "" {
 		st, err := store.Open(o.CacheDir)
@@ -135,13 +133,13 @@ func main() {
 			os.Exit(1)
 		}
 		defer st.Close()
-		exp.DefaultResilience.Store = st
+		mw.Store = st
 	}
 	if flag.NArg() != 1 {
 		usage()
 		os.Exit(2)
 	}
-	ran, err := runExperiments(os.Stdout, flag.Arg(0), o.Seed, o.Workers, o.AsCSV)
+	ran, err := runExperiments(os.Stdout, flag.Arg(0), o.Seed, o.Workers, mw, o.AsCSV)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cedar-bench:", err)
 		os.Exit(1)
@@ -150,48 +148,23 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err := exportTrace(tracer, o.TracePath, o.TraceSummary, o.Seed, o.Workers); err != nil {
+	if err := cliutil.ExportTrace(tracer, o.TracePath, o.TraceSummary, trace.Manifest{Seed: o.Seed, Workers: o.Workers}); err != nil {
 		fmt.Fprintln(os.Stderr, "cedar-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// exportTrace writes the tracer's JSONL stream and/or text summary.
-func exportTrace(tracer *trace.Tracer, path string, summary bool, seed int64, workers int) error {
-	if tracer == nil {
-		return nil
-	}
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d spans)\n", path, tracer.Len())
-	}
-	if summary {
-		m := trace.Manifest{Seed: seed, Workers: workers}
-		fmt.Fprintf(os.Stderr, "manifest: %s\n%s", m.JSON(), tracer.Summary().Table())
-	}
-	return nil
-}
-
 // runExperiments executes every experiment matching want ("all" matches
-// each) and writes its rendering to w. It reports whether anything matched.
-func runExperiments(w io.Writer, want string, seed int64, workers int, asCSV bool) (bool, error) {
+// each) under the middleware mw and writes its rendering to w. It reports
+// whether anything matched.
+func runExperiments(w io.Writer, want string, seed int64, workers int, mw verify.Middleware, asCSV bool) (bool, error) {
 	ran := false
 	for _, e := range experiments() {
 		if want != "all" && want != e.name {
 			continue
 		}
 		ran = true
-		res, err := e.run(seed, workers)
+		res, err := e.run(seed, workers, mw)
 		if err != nil {
 			return ran, fmt.Errorf("%s: %w", e.name, err)
 		}

@@ -7,13 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/verify"
 )
 
 // TestRunExperimentsTable3 smoke-tests the cheapest experiment end to end:
 // it must match, render non-empty output, and carry the header line.
 func TestRunExperimentsTable3(t *testing.T) {
 	var b strings.Builder
-	ran, err := runExperiments(&b, "table3", 17, 1, false)
+	ran, err := runExperiments(&b, "table3", 17, 1, verify.Middleware{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func TestRunExperimentsTable3(t *testing.T) {
 // header plus comma-separated rows.
 func TestRunExperimentsCSV(t *testing.T) {
 	var b strings.Builder
-	ran, err := runExperiments(&b, "table3", 17, 1, true)
+	ran, err := runExperiments(&b, "table3", 17, 1, verify.Middleware{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestGoldenAll(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var text, csv strings.Builder
 		for _, e := range experiments() {
-			res, err := e.run(17, workers)
+			res, err := e.run(17, workers, verify.Middleware{})
 			if err != nil {
 				t.Fatalf("%s: %v", e.name, err)
 			}
@@ -102,7 +104,7 @@ func firstDiff(want, got string) string {
 // instead of erroring, which main turns into a usage message.
 func TestRunExperimentsUnknown(t *testing.T) {
 	var b strings.Builder
-	ran, err := runExperiments(&b, "no-such-experiment", 17, 1, false)
+	ran, err := runExperiments(&b, "no-such-experiment", 17, 1, verify.Middleware{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

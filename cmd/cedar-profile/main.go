@@ -16,10 +16,9 @@ import (
 	"time"
 
 	"repro/cedar"
-	"repro/internal/exp"
+	"repro/internal/cliutil"
 	"repro/internal/profile"
 	"repro/internal/schedule"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -63,77 +62,46 @@ func main() {
 		tracer = trace.New()
 	}
 	// Profiling under faults shows how provider failures skew the estimated
-	// method statistics — the stack picks the knobs up via the exp default.
-	exp.DefaultResilience = exp.ResilienceOptions{
-		FaultRate: o.FaultRate,
+	// method statistics.
+	opts := cedar.Options{
+		Seed:      o.Seed,
 		Retries:   o.Retries,
 		Timeout:   o.Timeout,
+		FaultRate: o.FaultRate,
+		CacheDir:  o.CacheDir,
 		Tracer:    tracer,
 	}
-	if o.CacheDir != "" {
-		st, err := store.Open(o.CacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cedar-profile:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		exp.DefaultResilience.Store = st
-	}
-	if err := run(os.Stdout, o.Seed, o.Bench, o.Docs, o.OutPath); err != nil {
+	if err := run(os.Stdout, opts, o.Bench, o.Docs, o.OutPath); err != nil {
 		fmt.Fprintln(os.Stderr, "cedar-profile:", err)
 		os.Exit(1)
 	}
-	if err := exportTrace(tracer, o.TracePath, o.TraceSummary, o.Seed); err != nil {
+	if err := cliutil.ExportTrace(tracer, o.TracePath, o.TraceSummary, trace.Manifest{Seed: o.Seed}); err != nil {
 		fmt.Fprintln(os.Stderr, "cedar-profile:", err)
 		os.Exit(1)
 	}
 }
 
-// exportTrace writes the tracer's JSONL stream and/or text summary.
-func exportTrace(tracer *trace.Tracer, path string, summary bool, seed int64) error {
-	if tracer == nil {
-		return nil
+// run profiles nDocs documents of bench on a System built with opts and
+// writes the statistics table and the optimal schedules to w; with out set
+// it also saves the statistics.
+func run(w io.Writer, opts cedar.Options, bench string, nDocs int, out string) error {
+	sys, err := cedar.New(opts)
+	if err != nil {
+		return err
 	}
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d spans)\n", path, tracer.Len())
-	}
-	if summary {
-		m := trace.Manifest{Seed: seed}
-		fmt.Fprintf(os.Stderr, "manifest: %s\n%s", m.JSON(), tracer.Summary().Table())
-	}
-	return nil
-}
-
-// run profiles nDocs documents of bench and writes the statistics table and
-// the optimal schedules to w; with out set it also saves the statistics.
-func run(w io.Writer, seed int64, bench string, nDocs int, out string) error {
-	docs, err := cedar.Benchmark(bench, seed)
+	defer sys.Close()
+	docs, err := cedar.Benchmark(bench, opts.Seed)
 	if err != nil {
 		return err
 	}
 	if nDocs > 0 && nDocs < len(docs) {
 		docs = docs[:nDocs]
 	}
-	stack, err := exp.NewStack(seed)
-	if err != nil {
+	if err := sys.ProfileOn(docs); err != nil {
 		return err
 	}
-	stats, err := stack.Profile(docs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "profiling on %d documents of %s (seed %d):\n\n", len(docs), bench, seed)
+	stats := sys.Stats()
+	fmt.Fprintf(w, "profiling on %d documents of %s (seed %d):\n\n", len(docs), bench, opts.Seed)
 	fmt.Fprintf(w, "%-16s %10s %12s %14s\n", "Method", "Accuracy", "Cost ($)", "Latency")
 	for _, s := range stats {
 		fmt.Fprintf(w, "%-16s %10.3f %12.5f %14v\n", s.Name, s.Accuracy, s.Cost, s.Wall.Round(1e6))

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite testdata/aggchecker-8.txt from 
 // GoldenProfile -update`.
 func TestGoldenProfile(t *testing.T) {
 	var got bytes.Buffer
-	if err := run(&got, 17, cedar.BenchAggChecker, 8, ""); err != nil {
+	if err := run(&got, cedar.Options{Seed: 17}, cedar.BenchAggChecker, 8, ""); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "aggchecker-8.txt")
@@ -43,7 +43,7 @@ func TestGoldenProfile(t *testing.T) {
 // few documents, write the stats file, and check cedar -stats could load it.
 func TestRunWritesLoadableStats(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "stats.json")
-	if err := run(io.Discard, 11, cedar.BenchAggChecker, 4, out); err != nil {
+	if err := run(io.Discard, cedar.Options{Seed: 11}, cedar.BenchAggChecker, 4, out); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := profile.LoadStats(out)
@@ -62,7 +62,7 @@ func TestRunWritesLoadableStats(t *testing.T) {
 
 // TestRunRejectsUnknownBenchmark covers the error path.
 func TestRunRejectsUnknownBenchmark(t *testing.T) {
-	if err := run(io.Discard, 11, "no-such-benchmark", 4, ""); err == nil {
+	if err := run(io.Discard, cedar.Options{Seed: 11}, "no-such-benchmark", 4, ""); err == nil {
 		t.Error("expected error for unknown benchmark")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,6 +48,21 @@ func testOptions(t *testing.T, csvPath string) *serveOptions {
 
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
+}
+
+// TestNegativeRetriesRejected: -retries -1 under the default -timeout used
+// to build a retrier with no attempt budget, which retries twice by default.
+// The server must refuse to start instead, naming the knob.
+func TestNegativeRetriesRejected(t *testing.T) {
+	fs := flag.NewFlagSet("cedar-serve", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse([]string{"-csv", writeCSVFixture(t), "-retries", "-1"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, _, err := newServer(o)
+	if err == nil || !strings.Contains(err.Error(), "Retries") {
+		t.Fatalf("newServer with -retries -1 = (%v, %v), want an error naming Retries", srv, err)
+	}
 }
 
 var testClaims = []serve.ClaimInput{

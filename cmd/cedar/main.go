@@ -215,24 +215,8 @@ func run(o runOptions) error {
 	if err != nil {
 		return err
 	}
-	if tracer != nil {
-		if o.TracePath != "" {
-			f, err := os.Create(o.TracePath)
-			if err != nil {
-				return err
-			}
-			if err := tracer.WriteJSONL(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "trace written to %s (%d spans)\n", o.TracePath, tracer.Len())
-		}
-		if o.TraceSummary {
-			fmt.Fprintf(os.Stderr, "manifest: %s\n%s", sys.TraceManifest([]*cedar.Document{doc}).JSON(), tracer.Summary().Table())
-		}
+	if err := cliutil.ExportTrace(tracer, o.TracePath, o.TraceSummary, sys.TraceManifest([]*cedar.Document{doc})); err != nil {
+		return err
 	}
 	if o.HTMLPath != "" {
 		page, err := report.Render([]*cedar.Document{doc}, report.Summary{

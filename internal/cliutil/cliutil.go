@@ -1,7 +1,8 @@
 // Package cliutil holds the small pieces of command-line plumbing shared by
-// the cedar binaries — repeated-flag collection and CSV database loading —
-// so cmd/cedar and cmd/cedar-serve build byte-identical databases (and
-// therefore byte-identical verification runs) from the same flags.
+// the cedar binaries — repeated-flag collection, CSV database loading and
+// trace export — so cmd/cedar and cmd/cedar-serve build byte-identical
+// databases (and therefore byte-identical verification runs) from the same
+// flags.
 package cliutil
 
 import (
@@ -11,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/sqldb"
+	"repro/internal/trace"
 )
 
 // CSVList collects repeated -csv flags so multi-table (join) databases can
@@ -91,4 +93,32 @@ func LoadDatabase(paths []string, tableName string) (db *sqldb.Database, dbName 
 		db.AddTable(table)
 	}
 	return db, dbName, nil
+}
+
+// ExportTrace implements the -trace and -trace-summary flags: it writes the
+// tracer's spans as sorted JSONL to path when path is set, and prints the
+// manifest and the per-method/per-model rollups to stderr when summary is
+// set. A nil tracer (neither flag given) exports nothing.
+func ExportTrace(tracer *trace.Tracer, path string, summary bool, m trace.Manifest) error {
+	if tracer == nil {
+		return nil
+	}
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := tracer.WriteJSONL(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "trace written to %s (%d spans)\n", path, tracer.Len())
+	}
+	if summary {
+		fmt.Fprintf(os.Stderr, "manifest: %s\n%s", m.JSON(), tracer.Summary().Table())
+	}
+	return nil
 }

@@ -12,65 +12,20 @@ import (
 	"repro/internal/llm/sim"
 	"repro/internal/metrics"
 	"repro/internal/schedule"
-	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
-// chaosKnobs configure the resilience middleware of a test stack.
-type chaosKnobs struct {
-	faultRate  float64
-	retries    int
-	hedgeAfter time.Duration
-	// tracer, when non-nil, is wired through every middleware layer so chaos
-	// runs produce attempt-level traces (the golden-trace determinism gate).
-	tracer *trace.Tracer
-}
-
-// resilientStack builds the standard four-method stack with fault injection
-// and resilient middleware, mirroring cedar.New's wiring: sim → Faulty →
-// Metered → Hedged → Retrier (inner to outer). The breaker is deliberately
-// absent — its shared state is order-dependent, so it gets its own tests
-// instead of a seat in the determinism matrix.
-func resilientStack(t testing.TB, seed int64, k chaosKnobs) ([]verify.Method, *llm.Ledger) {
+// resilientStack builds the stack cedar ships (verify.NewStack) with fault
+// injection, retries and optionally a hedge and a tracer. The breaker is
+// deliberately absent — its shared state is order-dependent, so it gets its
+// own tests instead of a seat in the determinism matrix.
+func resilientStack(t testing.TB, seed int64, mw verify.Middleware) ([]verify.Method, *llm.Ledger) {
 	t.Helper()
-	ledger := llm.NewLedger()
-	res := &metrics.Resilience{}
-	client := func(model string) llm.Client {
-		m, err := sim.New(model, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c llm.Client = m
-		if k.faultRate > 0 {
-			c = &resilience.Faulty{
-				Client:  c,
-				Plan:    resilience.Plan{Seed: llm.SplitSeed(seed, "faults", model), Rate: k.faultRate},
-				Metrics: res,
-				Tracer:  k.tracer,
-			}
-		}
-		c = &llm.Metered{Client: c, Ledger: ledger, Tracer: k.tracer}
-		if k.hedgeAfter > 0 {
-			c = &resilience.Hedged{Client: c, After: k.hedgeAfter, Metrics: res, Tracer: k.tracer}
-		}
-		if k.retries > 0 {
-			c = &resilience.Retrier{
-				Client:      c,
-				MaxAttempts: k.retries + 1,
-				Seed:        llm.SplitSeed(seed, "retry", model),
-				Metrics:     res,
-				Tracer:      k.tracer,
-			}
-		}
-		return c
+	s, err := verify.NewStack(seed, mw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	methods := []verify.Method{
-		verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, "oneshot-gpt3.5"),
-		verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, "oneshot-gpt4o"),
-		verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, "agent-gpt4o", seed),
-		verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, "agent-gpt4.1", seed+1),
-	}
-	return methods, ledger
+	return s.Methods, s.Ledger
 }
 
 // TestChaosDeterministicAcrossWorkerCounts is the chaos matrix: fault rate ×
@@ -87,13 +42,13 @@ func TestChaosDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, rate := range []float64{0, 0.05, 0.2, 0.5} {
 		rate := rate
 		t.Run(fmt.Sprintf("rate=%v", rate), func(t *testing.T) {
-			k := chaosKnobs{faultRate: rate, retries: 2}
+			mw := verify.Middleware{FaultRate: rate, Retries: 2}
 			if rate == 0.2 {
 				// One cell exercises hedging on top of faults + retries.
-				k.hedgeAfter = 2 * time.Second
+				mw.HedgeAfter = 2 * time.Second
 			}
 			build := func(t testing.TB, seed int64) ([]verify.Method, *llm.Ledger) {
-				return resilientStack(t, seed, k)
+				return resilientStack(t, seed, mw)
 			}
 			gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
 
@@ -198,7 +153,7 @@ func TestQualityPartitionProperty(t *testing.T) {
 		rate := rate
 		t.Run(fmt.Sprintf("rate=%v", rate), func(t *testing.T) {
 			build := func(t testing.TB, seed int64) ([]verify.Method, *llm.Ledger) {
-				return resilientStack(t, seed, chaosKnobs{faultRate: rate, retries: 1})
+				return resilientStack(t, seed, verify.Middleware{FaultRate: rate, Retries: 1})
 			}
 			snap := snapshotRunWith(t, 404, 4, gen, profDocs, build)
 			assertQualityPartition(t, snap)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/claim"
 	"repro/internal/data"
 	"repro/internal/llm"
-	"repro/internal/llm/sim"
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/schedule"
@@ -15,24 +14,14 @@ import (
 
 // stack builds the standard four-method CEDAR stack of Section 7.1 —
 // one-shot with GPT-3.5 and GPT-4o, agents with GPT-4o and GPT-4.1 — over
-// fresh sim models metered into one ledger.
+// fresh sim models metered into one ledger, with no other middleware.
 func stack(t testing.TB, seed int64) ([]verify.Method, *llm.Ledger) {
 	t.Helper()
-	ledger := llm.NewLedger()
-	client := func(model string) llm.Client {
-		m, err := sim.New(model, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &llm.Metered{Client: m, Ledger: ledger}
+	s, err := verify.NewStack(seed, verify.Middleware{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	methods := []verify.Method{
-		verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, "oneshot-gpt3.5"),
-		verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, "oneshot-gpt4o"),
-		verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, "agent-gpt4o", seed),
-		verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, "agent-gpt4.1", seed+1),
-	}
-	return methods, ledger
+	return s.Methods, s.Ledger
 }
 
 func TestPipelineEndToEnd(t *testing.T) {

@@ -117,7 +117,7 @@ func TestVerifyDeterministicAcrossWorkerCounts(t *testing.T) {
 				return docs[8:20], docs[:8]
 			},
 			build: func(t testing.TB, seed int64) ([]verify.Method, *llm.Ledger) {
-				return resilientStack(t, seed, chaosKnobs{faultRate: 0.2, retries: 2})
+				return resilientStack(t, seed, verify.Middleware{FaultRate: 0.2, Retries: 2})
 			},
 		},
 	}

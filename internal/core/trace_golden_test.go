@@ -10,6 +10,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // tracedRun executes one full profiled pipeline run with attempt-level
@@ -20,7 +21,7 @@ import (
 func tracedRun(t *testing.T, seed int64, workers int, faultRate float64, gen func() []*claim.Document, profDocs []*claim.Document) ([]byte, *trace.Tracer, int) {
 	t.Helper()
 	tracer := trace.New()
-	methods, ledger := resilientStack(t, seed, chaosKnobs{faultRate: faultRate, retries: 2, tracer: tracer})
+	methods, ledger := resilientStack(t, seed, verify.Middleware{FaultRate: faultRate, Retries: 2, Tracer: tracer})
 	stats, err := profile.Run(methods, profDocs, ledger, profile.Options{})
 	if err != nil {
 		t.Fatal(err)

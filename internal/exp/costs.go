@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/claim"
+	"repro/internal/verify"
 )
 
 // CostsRow reports CEDAR's verification fees on one dataset at the 99%
@@ -27,7 +28,7 @@ type CostsResult struct {
 // models are simulated and the corpora synthetic); the shape to check is
 // AggChecker >> TabFact and WikiText, since AggChecker has ~4x the claims
 // and the hardest ones.
-func Costs(seed int64, workers int) (*CostsResult, error) {
+func Costs(seed int64, workers int, mw verify.Middleware) (*CostsResult, error) {
 	res := &CostsResult{}
 	for _, ds := range standardDatasets() {
 		evalDocs, err := ds.gen(seed)
@@ -41,7 +42,7 @@ func Costs(seed int64, workers int) (*CostsResult, error) {
 		if len(profDocs) > 8 {
 			profDocs = profDocs[:8]
 		}
-		stack, err := NewStack(seed)
+		stack, err := NewStackResilient(seed, mw)
 		if err != nil {
 			return nil, err
 		}

@@ -12,83 +12,35 @@ import (
 	"repro/internal/claim"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/llm"
-	"repro/internal/llm/resilience"
-	"repro/internal/llm/sim"
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/schedule"
-	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
-// Stack bundles the standard CEDAR verification methods of Section 7.1 —
-// one-shot with GPT-3.5 and GPT-4o, agents with GPT-4o and GPT-4.1 — with
-// the ledger metering all of them.
+// Stack is the verification stack (verify.NewStack) plus what the
+// experiment drivers need to run it: a worker count and the tracer its
+// middleware records into.
 type Stack struct {
-	Methods []verify.Method
-	Ledger  *llm.Ledger
-	// Resilience accumulates operational counters from the resilience
-	// middleware when the stack was built with nontrivial ResilienceOptions.
-	Resilience *metrics.Resilience
+	*verify.Stack
 	// Workers bounds concurrent claim verification in pipeline runs; values
 	// < 2 run sequentially. Results are identical for any worker count (the
 	// splittable seeding of internal/core), so experiments may parallelize
 	// freely without perturbing reported numbers.
 	Workers int
-	// Tracer is the attempt-level span recorder wired through the middleware
-	// when the stack was built with ResilienceOptions.Tracer; pipeline runs
-	// thread it into core.Config so spans carry attempt identities.
+	// Tracer is the attempt-level span recorder the stack's middleware
+	// records into (Middleware.Tracer); pipeline runs thread it into
+	// core.Config so spans carry attempt identities.
 	Tracer *trace.Tracer
 
 	seed int64
 }
 
-// Canonical method labels used across experiments.
-const (
-	MethodOneShot35 = "oneshot-gpt3.5"
-	MethodOneShot4o = "oneshot-gpt4o"
-	MethodAgent4o   = "agent-gpt4o"
-	MethodAgent41   = "agent-gpt4.1"
-)
-
-// ResilienceOptions configure the optional resilience middleware of an
-// experiment stack, mirroring the knobs of cedar.Options.
-type ResilienceOptions struct {
-	// FaultRate injects deterministic transport failures at this per-attempt
-	// probability; 0 disables injection.
-	FaultRate float64
-	// Retries is the number of additional attempts per failed retryable call.
-	Retries int
-	// Timeout bounds one logical call's simulated wall time across retries.
-	Timeout time.Duration
-	// HedgeAfter races a backup completion once the primary exceeds this
-	// simulated latency.
-	HedgeAfter time.Duration
-	// BreakerThreshold trips a per-model circuit breaker after this many
-	// consecutive failures (order-dependent; see resilience.Breaker).
-	BreakerThreshold int
-	// Tracer, when non-nil, records attempt-level spans from every middleware
-	// layer (see internal/trace); nil disables tracing.
-	Tracer *trace.Tracer
-	// Store, when non-nil, installs a temperature-0 completion cache backed
-	// by this persistent result store between the meter and the hedger —
-	// the same position cedar.New wires it (DESIGN.md §11). Cached hits,
-	// in-memory or persisted, are never billed.
-	Store *store.Store
-	// ThrottleScale, when positive, wraps the simulated models in
-	// llm.Throttled so every attempt pays this fraction of its simulated
-	// latency as a real sleep. The benchmark's serve-wait workload uses it
-	// to model provider-latency-bound serving: a replica's throughput is
-	// then capped by awaiting responses, not by CPU.
-	ThrottleScale float64
-}
-
-// DefaultResilience is applied by NewStack; the cedar-bench and
-// cedar-profile commands set it from their flags so every experiment driver
-// picks the knobs up without each driver threading them through.
-var DefaultResilience ResilienceOptions
+// ResilienceOptions is verify.Middleware under the name the benchmark's
+// system builders (benchmark/systems.go, benchmark/run.go) still use; the
+// drivers take a verify.Middleware. It goes once the benchmark does too.
+type ResilienceOptions = verify.Middleware
 
 // ServingResilience is the recommended middleware configuration for serving
 // mode, used as the cedar-serve flag defaults. A batch run can afford to
@@ -101,98 +53,22 @@ var DefaultResilience ResilienceOptions
 // off by default because its shared state is order-dependent (DESIGN.md
 // §9): enabling it is an explicit operator choice to trade bit-determinism
 // for load shedding.
-func ServingResilience() ResilienceOptions {
-	return ResilienceOptions{
+func ServingResilience() verify.Middleware {
+	return verify.Middleware{
 		Retries:    2,
 		Timeout:    30 * time.Second,
 		HedgeAfter: 5 * time.Second,
 	}
 }
 
-// NewStack builds the method stack over fresh simulated models, applying
-// DefaultResilience.
-func NewStack(seed int64) (*Stack, error) {
-	return NewStackResilient(seed, DefaultResilience)
-}
-
-// NewStackResilient builds the method stack with explicit resilience knobs.
-// Middleware order matches cedar.New: sim → Faulty → Metered → [Cached] →
-// Hedged → Retrier → Breaker (inner to outer), so failed attempts are billed,
-// cache hits are free, and the breaker sees logical post-retry outcomes.
-func NewStackResilient(seed int64, ro ResilienceOptions) (*Stack, error) {
-	ledger := llm.NewLedger()
-	res := &metrics.Resilience{}
-	client := func(model string) (llm.Client, error) {
-		m, err := sim.New(model, seed)
-		if err != nil {
-			return nil, err
-		}
-		var c llm.Client = m
-		if ro.ThrottleScale > 0 {
-			// Innermost, directly over the model: every attempt — including
-			// ones a fault injector or retrier will discard — pays its wire
-			// time, matching how bench_test.go measures worker speedups.
-			c = &llm.Throttled{Client: c, Scale: ro.ThrottleScale, Tracer: ro.Tracer}
-		}
-		if ro.FaultRate > 0 {
-			c = &resilience.Faulty{
-				Client:  c,
-				Plan:    resilience.Plan{Seed: llm.SplitSeed(seed, "faults", model), Rate: ro.FaultRate},
-				Metrics: res,
-				Tracer:  ro.Tracer,
-			}
-		}
-		c = &llm.Metered{Client: c, Ledger: ledger, Tracer: ro.Tracer}
-		if ro.Store != nil {
-			// Outside the meter so hits — in-memory or persisted — are free,
-			// matching cedar.New's placement.
-			cached := llm.NewCached(c, 0)
-			cached.Tracer = ro.Tracer
-			cached.Persist = ro.Store
-			c = cached
-		}
-		if ro.HedgeAfter > 0 {
-			c = &resilience.Hedged{Client: c, After: ro.HedgeAfter, Metrics: res, Tracer: ro.Tracer}
-		}
-		if ro.Retries > 0 || ro.Timeout > 0 {
-			c = &resilience.Retrier{
-				Client:      c,
-				MaxAttempts: ro.Retries + 1,
-				Deadline:    ro.Timeout,
-				Seed:        llm.SplitSeed(seed, "retry", model),
-				Metrics:     res,
-				Tracer:      ro.Tracer,
-			}
-		}
-		if ro.BreakerThreshold > 0 {
-			c = &resilience.Breaker{Client: c, FailureThreshold: ro.BreakerThreshold, Metrics: res, Tracer: ro.Tracer}
-		}
-		return c, nil
-	}
-	c35, err := client(llm.ModelGPT35)
+// NewStackResilient builds an experiment stack over verify.NewStack with
+// the given middleware. The benchmark's replicas are built with it too.
+func NewStackResilient(seed int64, mw verify.Middleware) (*Stack, error) {
+	vs, err := verify.NewStack(seed, mw)
 	if err != nil {
 		return nil, err
 	}
-	c4o, err := client(llm.ModelGPT4o)
-	if err != nil {
-		return nil, err
-	}
-	c41, err := client(llm.ModelGPT41)
-	if err != nil {
-		return nil, err
-	}
-	return &Stack{
-		seed: seed,
-		Methods: []verify.Method{
-			verify.NewOneShot(c35, llm.ModelGPT35, MethodOneShot35),
-			verify.NewOneShot(c4o, llm.ModelGPT4o, MethodOneShot4o),
-			verify.NewAgent(c4o, llm.ModelGPT4o, MethodAgent4o, seed),
-			verify.NewAgent(c41, llm.ModelGPT41, MethodAgent41, seed+1),
-		},
-		Ledger:     ledger,
-		Resilience: res,
-		Tracer:     ro.Tracer,
-	}, nil
+	return &Stack{Stack: vs, Tracer: mw.Tracer, seed: seed}, nil
 }
 
 // Profile estimates method statistics on a held-out corpus.

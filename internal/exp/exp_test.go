@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/metrics"
+	"repro/internal/verify"
 )
 
 // TestTable2Shape verifies the headline result: CEDAR has the best F1 on
@@ -14,7 +15,7 @@ import (
 // AggChecker baseline does not support textual claims, and P1/P2 trail due
 // to low precision.
 func TestTable2Shape(t *testing.T) {
-	res, err := Table2(17, 1)
+	res, err := Table2(17, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestCostsShape(t *testing.T) {
-	res, err := Costs(19, 1)
+	res, err := Costs(19, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestCostsShape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5(23, 1)
+	res, err := Fig5(23, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFig5Shape(t *testing.T) {
 	// comes off the Pareto frontier); realized dollars may wiggle between
 	// near-equal schedules but must stay loosely aligned.
 	var prevPlanned, prevDollars float64 = -1, -1
-	for _, th := range Fig5Thresholds {
+	for _, th := range Fig5Thresholds() {
 		p := res.Point(pointLabel(th))
 		if p == nil {
 			t.Fatalf("missing point for threshold %v", th)
@@ -110,7 +111,7 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// CEDAR at 99% must dominate the strongest single-stage agent on cost
 	// with comparable-or-better F1 (the Figure 5 headline).
-	agent := res.Point(MethodAgent41)
+	agent := res.Point(verify.MethodAgent41)
 	if agent == nil {
 		t.Fatal("missing single-stage agent point")
 	}
@@ -122,7 +123,7 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// Throughput: the cheap one-shot single stage processes claims faster
 	// than the agent stage.
-	oneshot := res.Point(MethodOneShot35)
+	oneshot := res.Point(verify.MethodOneShot35)
 	if oneshot.ThroughputPerHour <= agent.ThroughputPerHour {
 		t.Errorf("one-shot throughput %v must exceed agent %v", oneshot.ThroughputPerHour, agent.ThroughputPerHour)
 	}
@@ -146,7 +147,7 @@ func pointLabel(th float64) string {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(29, 1)
+	res, err := Fig6(29, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestJoinBenchShape(t *testing.T) {
-	res, err := JoinBench(37, 1)
+	res, err := JoinBench(37, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestJoinBenchShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7(41, 1)
+	res, err := Fig7(41, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +244,12 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestModelFitShape(t *testing.T) {
-	res, err := ModelFit(43, 1)
+	res, err := ModelFit(43, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", res.Render())
-	if len(res.Points) != len(Fig5Thresholds) {
+	if len(res.Points) != len(Fig5Thresholds()) {
 		t.Fatalf("points = %d", len(res.Points))
 	}
 	for _, p := range res.Points {
@@ -272,12 +273,12 @@ func TestCSVEmitters(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCSV(t, t3.CSV(), "dataset", 4)
-	jb, err := JoinBench(47, 1)
+	jb, err := JoinBench(47, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, jb.CSV(), "schema", 2)
-	f6, err := Fig6(47, 1)
+	f6, err := Fig6(47, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,23 +338,22 @@ func TestStackResilientDeterministic(t *testing.T) {
 	}
 }
 
-// NewStack must honor the package default the commands set from flags.
-func TestDefaultResilienceApplied(t *testing.T) {
-	old := DefaultResilience
-	defer func() { DefaultResilience = old }()
-	DefaultResilience = ResilienceOptions{FaultRate: 1, Retries: 0}
-	stack, err := NewStack(23)
+// TestDriverTakesMiddleware checks that a driver runs under the middleware
+// it is handed, which is how cedar-bench's flags reach the experiments: with
+// every attempt faulted, JoinBench must not reproduce its fault-free run.
+func TestDriverTakesMiddleware(t *testing.T) {
+	clean, err := JoinBench(23, 1, verify.Middleware{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs, err := data.AggChecker(23)
+	faulty, err := JoinBench(23, 1, verify.Middleware{FaultRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stack.Profile(docs[:2]); err != nil {
-		t.Fatal(err)
+	if *faulty == *clean {
+		t.Errorf("FaultRate 1 left JoinBench unchanged: %+v", *faulty)
 	}
-	if stack.Resilience.Snapshot().Faults == 0 {
-		t.Error("DefaultResilience fault plan ignored by NewStack")
+	if faulty.FlatF1 != 0 || faulty.NormalizedF1 != 0 {
+		t.Errorf("every attempt faulted, yet F1 %.2f / %.2f", faulty.FlatF1, faulty.NormalizedF1)
 	}
 }

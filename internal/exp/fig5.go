@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/claim"
 	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/verify"
 )
 
 // Fig5Point is one point of Figure 5's cost-quality and throughput-quality
@@ -35,23 +37,23 @@ type Fig5Result struct {
 }
 
 // Fig5Thresholds is the accuracy-threshold sweep of the multi-stage curve.
-var Fig5Thresholds = []float64{0.5, 0.7, 0.8, 0.9, 0.95, 0.99}
+func Fig5Thresholds() []float64 { return []float64{0.5, 0.7, 0.8, 0.9, 0.95, 0.99} }
 
 // Fig5 sweeps CEDAR's accuracy threshold and runs each verification method
 // as a single-stage baseline (two tries, matching the retry budget the
 // scheduler typically assigns).
-func Fig5(seed int64, workers int) (*Fig5Result, error) {
-	evalDocs, err := claimSource(seed)
+func Fig5(seed int64, workers int, mw verify.Middleware) (*Fig5Result, error) {
+	evalDocs, err := data.AggChecker(seed)
 	if err != nil {
 		return nil, err
 	}
-	profDocs, err := claimSource(profileSeed(seed))
+	profDocs, err := data.AggChecker(profileSeed(seed))
 	if err != nil {
 		return nil, err
 	}
 	profDocs = profDocs[:8]
 
-	stack, err := NewStack(seed)
+	stack, err := NewStackResilient(seed, mw)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +64,7 @@ func Fig5(seed int64, workers int) (*Fig5Result, error) {
 	}
 
 	res := &Fig5Result{}
-	for _, th := range Fig5Thresholds {
+	for _, th := range Fig5Thresholds() {
 		docs := claim.CloneDocuments(evalDocs)
 		q, rc, p, err := stack.RunCEDAR(stats, th, docs)
 		if err != nil {
@@ -93,17 +95,6 @@ func Fig5(seed int64, workers int) (*Fig5Result, error) {
 	}
 	return res, nil
 }
-
-func claimSource(seed int64) ([]*claim.Document, error) {
-	docs, err := aggCheckerGen(seed)
-	if err != nil {
-		return nil, err
-	}
-	return docs, nil
-}
-
-// aggCheckerGen is indirected for tests that shrink the corpus.
-var aggCheckerGen = standardDatasets()[0].gen
 
 // Point returns the named point, or nil.
 func (r *Fig5Result) Point(label string) *Fig5Point {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/claim"
 	"repro/internal/data"
 	"repro/internal/metrics"
+	"repro/internal/verify"
 )
 
 // Fig6Doc is one bar of Figure 6: the F1 change on one document when its
@@ -33,7 +34,7 @@ type Fig6Result struct {
 // draw is statistically fragile; the overall scores aggregate three
 // replica corpora (60 claims) while the per-document bars show the first
 // replica, matching the paper's 8 documents.
-func Fig6(seed int64, workers int) (*Fig6Result, error) {
+func Fig6(seed int64, workers int, mw verify.Middleware) (*Fig6Result, error) {
 	var aligned, converted []*claim.Document
 	for r := int64(0); r < 3; r++ {
 		a, err := data.UnitConv(seed+r, true)
@@ -61,7 +62,7 @@ func Fig6(seed int64, workers int) (*Fig6Result, error) {
 	}
 	profDocs := append(profAligned, profConverted...)
 
-	stack, err := NewStack(seed)
+	stack, err := NewStackResilient(seed, mw)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/claim"
 	"repro/internal/data"
 	"repro/internal/schedule"
+	"repro/internal/verify"
 )
 
 // Fig7Point is one marker of Figure 7: a schedule profiled on one document
@@ -29,7 +30,7 @@ type Fig7Result struct {
 // Fig7 profiles CEDAR's methods on eight single documents (two per
 // AggChecker domain), plans one schedule per profile, and applies every
 // schedule to every domain's evaluation claims.
-func Fig7(seed int64, workers int) (*Fig7Result, error) {
+func Fig7(seed int64, workers int, mw verify.Middleware) (*Fig7Result, error) {
 	docs, err := data.AggChecker(seed)
 	if err != nil {
 		return nil, err
@@ -43,7 +44,7 @@ func Fig7(seed int64, workers int) (*Fig7Result, error) {
 		byDomain[d.Domain] = append(byDomain[d.Domain], d)
 	}
 
-	stack, err := NewStack(seed)
+	stack, err := NewStackResilient(seed, mw)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/claim"
 	"repro/internal/data"
+	"repro/internal/verify"
 )
 
 // JoinBenchResult reproduces Section 7.3.2: normalizing the schemas keeps
@@ -22,7 +23,7 @@ type JoinBenchResult struct {
 
 // JoinBench runs CEDAR at the 99% threshold over the same claims on flat
 // and normalized databases.
-func JoinBench(seed int64, workers int) (*JoinBenchResult, error) {
+func JoinBench(seed int64, workers int, mw verify.Middleware) (*JoinBenchResult, error) {
 	flat, normalized, err := data.JoinBench(seed)
 	if err != nil {
 		return nil, err
@@ -32,7 +33,7 @@ func JoinBench(seed int64, workers int) (*JoinBenchResult, error) {
 		return nil, err
 	}
 
-	stack, err := NewStack(seed)
+	stack, err := NewStackResilient(seed, mw)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/claim"
+	"repro/internal/data"
+	"repro/internal/verify"
 )
 
 // ModelFitPoint compares the scheduler's modeled verification probability
@@ -28,17 +30,17 @@ type ModelFitResult struct {
 
 // ModelFit sweeps accuracy thresholds on the AggChecker corpus, recording
 // modeled vs realized verification rates per planned schedule.
-func ModelFit(seed int64, workers int) (*ModelFitResult, error) {
-	evalDocs, err := claimSource(seed)
+func ModelFit(seed int64, workers int, mw verify.Middleware) (*ModelFitResult, error) {
+	evalDocs, err := data.AggChecker(seed)
 	if err != nil {
 		return nil, err
 	}
-	profDocs, err := claimSource(profileSeed(seed))
+	profDocs, err := data.AggChecker(profileSeed(seed))
 	if err != nil {
 		return nil, err
 	}
 	profDocs = profDocs[:8]
-	stack, err := NewStack(seed)
+	stack, err := NewStackResilient(seed, mw)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +50,7 @@ func ModelFit(seed int64, workers int) (*ModelFitResult, error) {
 		return nil, err
 	}
 	res := &ModelFitResult{}
-	for _, th := range Fig5Thresholds {
+	for _, th := range Fig5Thresholds() {
 		docs := claim.CloneDocuments(evalDocs)
 		_, _, p, err := stack.RunCEDAR(stats, th, docs)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/llm/sim"
 	"repro/internal/metrics"
+	"repro/internal/verify"
 )
 
 // Table2Row is one (dataset, system) cell group of Table 2.
@@ -30,12 +31,9 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// Systems compared in Table 2, in column order.
-var table2Systems = []string{"CEDAR", "AggC", "TAPEX", "P1", "P2"}
-
 // Table2 runs the comparison. The accuracy threshold for CEDAR is the
 // paper's default of 99%.
-func Table2(seed int64, workers int) (*Table2Result, error) {
+func Table2(seed int64, workers int, mw verify.Middleware) (*Table2Result, error) {
 	res := &Table2Result{}
 	for _, ds := range standardDatasets() {
 		evalDocs, err := ds.gen(seed)
@@ -51,7 +49,7 @@ func Table2(seed int64, workers int) (*Table2Result, error) {
 		}
 
 		// CEDAR at the 99% accuracy threshold.
-		stack, err := NewStack(seed)
+		stack, err := NewStackResilient(seed, mw)
 		if err != nil {
 			return nil, err
 		}
@@ -113,12 +111,14 @@ func (r *Table2Result) Row(dataset, system string) *Table2Row {
 func (r *Table2Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: Comparing result quality of CEDAR and baselines.\n")
-	fmt.Fprintf(&b, "%-12s %-10s %8s %8s %8s %8s %8s\n", "Dataset", "Metric", table2Systems[0], table2Systems[1], table2Systems[2], table2Systems[3], table2Systems[4])
+	// The systems compared, in column order.
+	systems := []string{"CEDAR", "AggC", "TAPEX", "P1", "P2"}
+	fmt.Fprintf(&b, "%-12s %-10s %8s %8s %8s %8s %8s\n", "Dataset", "Metric", systems[0], systems[1], systems[2], systems[3], systems[4])
 	datasets := []string{"AggChecker", "TabFact", "WikiText"}
 	for _, ds := range datasets {
 		for _, metric := range []string{"Precision", "Recall", "F1 score"} {
 			fmt.Fprintf(&b, "%-12s %-10s", ds, metric)
-			for _, sys := range table2Systems {
+			for _, sys := range systems {
 				row := r.Row(ds, sys)
 				if row == nil || !row.Supported {
 					fmt.Fprintf(&b, " %8s", "-")

@@ -1,10 +1,11 @@
-package sim
+package sim_test
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/llm/sim"
 	"repro/internal/prompts"
 	"repro/internal/sqldb"
 	"repro/internal/verify"
@@ -13,7 +14,7 @@ import (
 // driveAgent plays a full conversation between a sim model and real tools,
 // returning every issued query and the final answer. It mirrors what
 // internal/agent does, with explicit visibility into each turn.
-func driveAgent(t *testing.T, m *Model, db *sqldb.Database, maskedClaim, claimValue string) (queries []string, final string) {
+func driveAgent(t *testing.T, m *sim.Model, db *sqldb.Database, maskedClaim, claimValue string) (queries []string, final string) {
 	t.Helper()
 	base := agentPrompt(db, maskedClaim, "ctx "+maskedClaim)
 	messages := []llm.Message{{Role: llm.RoleUser, Content: base}}
@@ -56,6 +57,14 @@ func driveAgent(t *testing.T, m *Model, db *sqldb.Database, maskedClaim, claimVa
 	return nil, ""
 }
 
+// agentPrompt is an agent method's first prompt for a numeric claim at
+// temperature 0. The test lives outside package sim because it drives the
+// model with package verify's tools, and verify builds its stacks on sim.
+func agentPrompt(db *sqldb.Database, masked, context string) string {
+	f := prompts.Fill{Claim: masked, ValueType: "numeric", Schema: db.Schema(), Context: context}
+	return f.Agent("0")
+}
+
 func agentDB(t testing.TB) *sqldb.Database {
 	t.Helper()
 	db := sqldb.NewDatabase("airlinesafety")
@@ -70,10 +79,10 @@ func agentDB(t testing.TB) *sqldb.Database {
 // newCleanModel returns a GPT-4.1 model whose conversation for the given
 // base does not derail (scanning seeds). Tests of specific recovery flows
 // need a non-derailed trajectory.
-func newCleanModel(t *testing.T, db *sqldb.Database, masked string) *Model {
+func newCleanModel(t *testing.T, db *sqldb.Database, masked string) *sim.Model {
 	t.Helper()
 	for seed := int64(1); seed < 60; seed++ {
-		m, err := New(llm.ModelGPT41, seed)
+		m, err := sim.New(llm.ModelGPT41, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +161,7 @@ func TestAgentMultiHopDiff(t *testing.T) {
 // the configured probability across many distinct conversations.
 func TestAgentDerailmentRate(t *testing.T) {
 	db := agentDB(t)
-	m, err := New(llm.ModelGPT4o, 123)
+	m, err := sim.New(llm.ModelGPT4o, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
