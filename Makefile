@@ -98,10 +98,11 @@ gatelint:
 # error surfaces), the pushdown row-count property, the plan-cache suite
 # (normalized sharing, invalidation, cap, 32-goroutine mixed
 # prepare/execute/invalidate stress), the Schema() memo under catalog churn
-# (32 readers, never a stale schema), and the warm-cache verdict/trace
-# determinism tests at the pipeline level.
+# (32 readers, never a stale schema), the warm-cache verdict/trace
+# determinism tests at the pipeline level, and the allocation ceiling of a
+# warm one-cell QueryScalar on a document-sized table.
 sqldiff:
-	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches|SchemaMemo' \
+	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches|SchemaMemo|QueryScalar' \
 		./internal/sqldb ./internal/data ./internal/core
 
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring

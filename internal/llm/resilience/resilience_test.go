@@ -225,6 +225,28 @@ func TestRetrierRecoversAndAccumulates(t *testing.T) {
 	}
 }
 
+// fixedClient answers every request with the same response and allocates
+// nothing.
+type fixedClient struct{ resp llm.Response }
+
+func (c fixedClient) Complete(llm.Request) (llm.Response, error) { return c.resp, nil }
+
+// A call that succeeds at once never reads its request key, so a Retrier
+// around a client must allocate no more than the client: hashing the prompt
+// is paid at the first retry, not on every call.
+func TestRetrierSuccessAllocatesNothing(t *testing.T) {
+	inner := fixedClient{llm.Response{Content: "answer", Latency: time.Second}}
+	r := &Retrier{Client: inner, MaxAttempts: 3, Seed: 9, Metrics: &metrics.Resilience{}}
+	req := llm.Request{Model: llm.ModelGPT4o, Seed: 3, Messages: []llm.Message{
+		{Role: "system", Content: "You translate claims into SQL."},
+		{Role: "user", Content: "Malaysia Airlines recorded 2 fatal accidents between 2000 and 2014."},
+	}}
+	base := testing.AllocsPerRun(200, func() { _, _ = inner.Complete(req) })
+	if got := testing.AllocsPerRun(200, func() { _, _ = r.Complete(req) }); got > base {
+		t.Errorf("a successful call through the retrier allocates %.0f times, its client %.0f", got, base)
+	}
+}
+
 func TestRetrierStopsOnPermanent(t *testing.T) {
 	c := &scriptClient{fn: func(int, llm.Request) (llm.Response, error) {
 		return llm.Response{}, fmt.Errorf("bad request: %w", ErrPermanent)

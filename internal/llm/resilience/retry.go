@@ -54,7 +54,7 @@ func (r *Retrier) Complete(req llm.Request) (llm.Response, error) {
 	if attempts < 1 {
 		attempts = 3
 	}
-	key := requestKey(req)
+	var key uint64 // the request's identity, for jitter; hashed at the first retry
 	var elapsed time.Duration
 	var resp llm.Response
 	var err error
@@ -78,6 +78,9 @@ func (r *Retrier) Complete(req llm.Request) (llm.Response, error) {
 			return resp, fmt.Errorf("%w: %v elapsed of %v deadline (last: %v)", ErrTimeout, elapsed, r.Deadline, err)
 		}
 		if attempt < attempts-1 {
+			if attempt == 0 {
+				key = requestKey(req)
+			}
 			d := r.backoff(key, attempt)
 			elapsed += d
 			if r.Deadline > 0 && elapsed >= r.Deadline {

@@ -256,18 +256,17 @@ func (d *Database) Version() uint64 {
 	return d.version
 }
 
-// snapshotTables resolves the named tables, their column images and their
-// combined change stamp in one atomic step, so a concurrent AddTable cannot
-// hand an executor a table whose schema differs from the plan it is about to
-// run, or an image built from another table's rows. The stamp is the maximum
+// snapshotTables resolves the named tables and their column images into
+// tables and images (each as long as names) and returns their combined change
+// stamp, all in one atomic step, so a concurrent AddTable cannot hand an
+// executor a table whose schema differs from the plan it is about to run, or
+// an image built from another table's rows. The stamp is the maximum
 // per-table version over names: it moves only when one of the named tables
 // changes, so churn on unrelated tables does not stale plans compiled
 // against this set.
-func (d *Database) snapshotTables(names []string) ([]*Table, []*tableImage, uint64) {
+func (d *Database) snapshotTables(names []string, tables []*Table, images []*tableImage) uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	tables := make([]*Table, len(names))
-	images := make([]*tableImage, len(names))
 	var stamp uint64
 	for i, n := range names {
 		key := strings.ToLower(n)
@@ -276,7 +275,7 @@ func (d *Database) snapshotTables(names []string) ([]*Table, []*tableImage, uint
 			stamp = v
 		}
 	}
-	return tables, images, stamp
+	return stamp
 }
 
 // stampFor returns the combined change stamp of the named tables: the

@@ -16,9 +16,14 @@ type Result struct {
 // Scalar extracts the single cell of a 1x1 result.
 func (r *Result) Scalar() (Value, error) {
 	if len(r.Cols) != 1 || len(r.Rows) != 1 {
-		return Null(), fmt.Errorf("%w: got %d column(s) x %d row(s)", ErrNotScalar, len(r.Cols), len(r.Rows))
+		return Null(), notScalar(len(r.Cols), len(r.Rows))
 	}
 	return r.Rows[0][0], nil
+}
+
+// notScalar is the error of a result that is not one cell.
+func notScalar(cols, rows int) error {
+	return fmt.Errorf("%w: got %d column(s) x %d row(s)", ErrNotScalar, cols, rows)
 }
 
 // String renders the result as a compact pipe-separated table.
@@ -77,13 +82,29 @@ func Query(db *Database, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pe.exec(db)
+	if out, ok := pe.run(db, nil); ok {
+		return pe.vp.result(out), nil
+	}
+	return pe.rowExec(db)
 }
 
 // QueryScalar executes sql and returns its single-cell result. Queries used
-// for claim verification must produce exactly one cell (Definition 2.4).
+// for claim verification must produce exactly one cell (Definition 2.4), so
+// the cell is the vectorized plan's output itself: no Result is built unless
+// the row engine has to answer.
 func QueryScalar(db *Database, sql string) (Value, error) {
-	res, err := Query(db, sql)
+	pe, err := db.plans.lookup(db, sql)
+	if err != nil {
+		return Null(), err
+	}
+	var one [1]Value
+	if out, ok := pe.run(db, one[:0]); ok {
+		if w := len(pe.vp.cols); w != 1 || out.n != 1 {
+			return Null(), notScalar(w, out.n)
+		}
+		return out.first(), nil
+	}
+	res, err := pe.rowExec(db)
 	if err != nil {
 		return Null(), err
 	}
@@ -244,11 +265,46 @@ type outRow struct {
 	keys  []Value // ORDER BY keys
 }
 
-// finishSelect applies the statement tail — DISTINCT, ORDER BY, OFFSET,
-// LIMIT — and assembles the final result. Both engines share this code so
-// ordering, deduplication, and truncation semantics cannot diverge.
+// finishSelect applies the statement tail and assembles the row engine's
+// result.
 func finishSelect(stmt *SelectStmt, cols []string, out []outRow) *Result {
-	if stmt.Distinct {
+	tail := tailOf(stmt)
+	out = tail.apply(out)
+	res := &Result{Cols: cols}
+	for _, r := range out {
+		res.Rows = append(res.Rows, r.cells)
+	}
+	return res
+}
+
+// selectTail is what a SELECT does after projection: DISTINCT, ORDER BY (in
+// the keys' directions), OFFSET and LIMIT. Both engines apply it through
+// apply, so ordering, deduplication and truncation semantics cannot diverge.
+type selectTail struct {
+	distinct      bool
+	desc          []bool // per ORDER BY key
+	offset, limit int    // limit < 0: none
+}
+
+func tailOf(stmt *SelectStmt) selectTail {
+	t := selectTail{distinct: stmt.Distinct, offset: stmt.Offset, limit: stmt.Limit}
+	if len(stmt.OrderBy) > 0 {
+		t.desc = make([]bool, len(stmt.OrderBy))
+		for k, o := range stmt.OrderBy {
+			t.desc[k] = o.Desc
+		}
+	}
+	return t
+}
+
+// none reports whether the tail leaves every row where it is.
+func (t *selectTail) none() bool {
+	return !t.distinct && len(t.desc) == 0 && t.offset <= 0 && t.limit < 0
+}
+
+// apply runs the tail over the projected rows.
+func (t *selectTail) apply(out []outRow) []outRow {
+	if t.distinct {
 		seen := make(map[string]bool)
 		dedup := out[:0:0]
 		for _, r := range out {
@@ -264,9 +320,9 @@ func finishSelect(stmt *SelectStmt, cols []string, out []outRow) *Result {
 		out = dedup
 	}
 
-	if len(stmt.OrderBy) > 0 {
+	if len(t.desc) > 0 {
 		sort.SliceStable(out, func(i, j int) bool {
-			for k, o := range stmt.OrderBy {
+			for k, desc := range t.desc {
 				c, ok := out[i].keys[k].Compare(out[j].keys[k])
 				if !ok {
 					// NULLs sort first ascending.
@@ -274,7 +330,7 @@ func finishSelect(stmt *SelectStmt, cols []string, out []outRow) *Result {
 					if in == jn {
 						continue
 					}
-					if o.Desc {
+					if desc {
 						return jn
 					}
 					return in
@@ -282,7 +338,7 @@ func finishSelect(stmt *SelectStmt, cols []string, out []outRow) *Result {
 				if c == 0 {
 					continue
 				}
-				if o.Desc {
+				if desc {
 					return c > 0
 				}
 				return c < 0
@@ -291,22 +347,17 @@ func finishSelect(stmt *SelectStmt, cols []string, out []outRow) *Result {
 		})
 	}
 
-	if stmt.Offset > 0 {
-		if stmt.Offset >= len(out) {
+	if t.offset > 0 {
+		if t.offset >= len(out) {
 			out = nil
 		} else {
-			out = out[stmt.Offset:]
+			out = out[t.offset:]
 		}
 	}
-	if stmt.Limit >= 0 && stmt.Limit < len(out) {
-		out = out[:stmt.Limit]
+	if t.limit >= 0 && t.limit < len(out) {
+		out = out[:t.limit]
 	}
-
-	res := &Result{Cols: cols}
-	for _, r := range out {
-		res.Rows = append(res.Rows, r.cells)
-	}
-	return res
+	return out
 }
 
 // orderKey evaluates an ORDER BY expression, resolving bare names that match

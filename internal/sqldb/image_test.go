@@ -51,14 +51,20 @@ func edgeDB() *Database {
 	return db
 }
 
+// imageOf returns the column image the catalog holds for the named table.
+func imageOf(db *Database, name string) *tableImage {
+	images := make([]*tableImage, 1)
+	db.snapshotTables([]string{name}, make([]*Table, 1), images)
+	return images[0]
+}
+
 // checkImages asserts that every table's image is bit-equal to its Rows.
 // Value is comparable and holds float payloads as bits, so == distinguishes
 // NaN payloads and signed zeros instead of hiding them.
 func checkImages(t *testing.T, db *Database) {
 	t.Helper()
 	for _, tab := range db.Tables() {
-		_, images, _ := db.snapshotTables([]string{tab.Name})
-		img := images[0]
+		img := imageOf(db, tab.Name)
 		if img == nil || img.n != len(tab.Rows) || len(img.cols) != len(tab.Columns) {
 			t.Fatalf("%s.%s: image missing or misshapen: %+v", db.Name, tab.Name, img)
 		}
@@ -83,7 +89,7 @@ func TestDifferentialImageRoundTrip(t *testing.T) {
 		checkImages(t, db)
 	}
 	// Storage is chosen per column from its cells, not its declared type.
-	_, images, _ := edgeDB().snapshotTables([]string{"edge"})
+	images := []*tableImage{imageOf(edgeDB(), "edge")}
 	want := []Kind{KindInt, KindFloat, KindText, KindBool, KindNull, KindNull, KindNull}
 	for c, col := range images[0].cols {
 		if col.kind != want[c] {
@@ -91,7 +97,7 @@ func TestDifferentialImageRoundTrip(t *testing.T) {
 		}
 	}
 	// A column without NULLs carries no mask.
-	_, images, _ = diffDB().snapshotTables([]string{"t2"})
+	images = []*tableImage{imageOf(diffDB(), "t2")}
 	if tag := images[0].cols[2]; tag.kind != KindText || tag.nulls != nil {
 		t.Errorf("t2.tag: kind %v, mask %v; want unboxed text without a mask", tag.kind, tag.nulls)
 	}

@@ -5,11 +5,13 @@ import "strings"
 // plan.go compiles parsed SELECT statements into vectorized plans: column
 // references are bound to working-set slot positions once, WHERE conjuncts
 // that provably cannot raise errors are pushed down into table scans, joins
-// are classified as hash or nested-loop, and uncorrelated subqueries are
-// marked for evaluate-once execution. Compilation never fails: statements
-// (or sub-expressions) outside the vectorizable surface compile to row-engine
+// are classified as hash or nested-loop, and every uncorrelated subquery gets
+// its own plan, run once per execution of the statement. Compilation never
+// fails: expressions outside the vectorizable surface compile to row-engine
 // fallback nodes, and a nil plan means "run the whole statement on the row
-// engine". The compiled plan is immutable and safe for concurrent execution.
+// engine" — the answer for RIGHT joins, unknown tables, malformed
+// projections, and statements with a subquery that has no plan of its own.
+// The compiled plan is immutable and safe for concurrent execution.
 
 // windowRows is how many rows of a table image a filtered scan evaluates its
 // pushed-down predicates over at a time. It bounds the predicates'
@@ -20,7 +22,6 @@ const windowRows = 1024
 // planScan describes one FROM/JOIN relation: its slot range in the full
 // working-set layout plus any filter conjuncts pushed below the join.
 type planScan struct {
-	table  string   // catalog table name
 	base   int      // first slot index in the working-set layout
 	n      int      // column count (validated against the live table at exec)
 	pushed []vexpr  // pushdown filters, evaluated per scan window
@@ -40,7 +41,7 @@ type planEq struct {
 // original ON expression for the row-engine nested-loop mirror.
 type planJoin struct {
 	kind      string // "INNER", "CROSS", "LEFT"
-	on        Expr   // nil for CROSS
+	on        Expr   // a nested-loop join's ON clause; nil for CROSS and hash joins
 	hash      bool
 	li, ri    int    // key slots (full layout) when hash
 	leftWidth int    // slots visible to the ON clause from the left side
@@ -59,17 +60,30 @@ type orderPlan struct {
 
 // vecPlan is a compiled, immutable, concurrently executable query plan.
 type vecPlan struct {
-	stmt    *SelectStmt
 	version uint64 // catalog version the plan was bound against
 
+	names    []string // the scans' catalog table names, parallel to scans
 	scans    []planScan
 	joins    []planJoin
-	binds    []colBind
-	needed   []bool // slots that must be materialized
+	width    int       // working-set slots
+	binds    []colBind // the slots' names, kept only for row-fallback nodes
+	needed   []bool    // slots that must be materialized
 	residual []vexpr
 
 	cols       []string
 	aggregated bool
+	tail       selectTail
+
+	// rowNodes records a row-fallback node anywhere in the plan, its
+	// subqueries' plans included: a vrowfb or gfirstrow node, or a
+	// nested-loop join, each evaluating the AST on the row engine.
+	rowNodes bool
+	// selAgg and selRows say that the final stage reads every column it
+	// needs at the rows a scan selected, so the survivors of a scan that
+	// neither joins nor meets a residual filter are never gathered: an
+	// aggregate without GROUP BY whose aggregates take a bare column (or *),
+	// or a projection of bare columns and literals.
+	selAgg, selRows bool
 
 	// Non-aggregated pipeline.
 	itemsV []vexpr
@@ -84,10 +98,10 @@ type vecPlan struct {
 
 // compilePlan binds stmt against db's current catalog. It returns nil when
 // the statement must run entirely on the row engine (RIGHT joins, unknown
-// tables, or malformed projections — the row engine then produces its
-// canonical error).
+// tables, malformed projections, or a subquery that has no plan — the row
+// engine then produces its canonical answer or error).
 func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
-	p := &vecPlan{stmt: stmt}
+	p := &vecPlan{tail: tailOf(stmt)}
 
 	var names []string
 	if stmt.From != nil {
@@ -101,8 +115,9 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 	} else if len(stmt.Joins) > 0 {
 		return nil
 	}
-	tables, _, version := db.snapshotTables(names)
-	p.version = version
+	tables := make([]*Table, len(names))
+	p.version = db.snapshotTables(names, tables, make([]*tableImage, len(names)))
+	p.names = names
 	for _, t := range tables {
 		if t == nil {
 			return nil
@@ -112,7 +127,7 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 	// Working-set layout: mirror buildFrom/scanTable bind order exactly.
 	if stmt.From != nil {
 		addScan := func(ref TableRef, t *Table) {
-			s := planScan{table: ref.Name, base: len(p.binds), n: len(t.Columns)}
+			s := planScan{base: len(p.binds), n: len(t.Columns)}
 			eff := ref.EffectiveName()
 			for _, c := range t.Columns {
 				p.binds = append(p.binds, colBind{table: eff, name: c.Name})
@@ -123,11 +138,13 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 		for i, j := range stmt.Joins {
 			leftWidth := len(p.binds)
 			addScan(j.Table, tables[i+1])
-			pj := planJoin{kind: j.Kind, on: j.On, leftWidth: leftWidth}
+			pj := planJoin{kind: j.Kind, leftWidth: leftWidth}
 			if li, ri, ok := equiJoinColumns(j.On,
 				&workingSet{binds: p.binds[:leftWidth]},
 				&workingSet{binds: p.binds[leftWidth:]}); ok {
 				pj.hash, pj.li, pj.ri = true, li, leftWidth+ri
+			} else {
+				pj.on = j.On
 			}
 			p.joins = append(p.joins, pj)
 		}
@@ -236,7 +253,40 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 		}
 	}
 	p.needed = c.needed
+	if c.declined {
+		return nil
+	}
+	p.rowNodes = p.rowNodes || c.needsAll
+	p.width = len(p.binds)
+	if !p.rowNodes {
+		p.binds = nil
+	}
+	p.selAgg = len(p.groupByV) == 0 && !c.denseAgg
+	p.selRows = allRowFree(p.itemsV)
+	for _, o := range p.orderV {
+		p.selRows = p.selRows && (o.cellIdx >= 0 || rowFree(o.ev))
+	}
 	return p
+}
+
+// rowFree reports whether e reads nothing but a stored column or a literal:
+// the expressions whose value at any row of a scan's image is its value at
+// that row of the scan, selected or not.
+func rowFree(e vexpr) bool {
+	switch e.(type) {
+	case *vcol, *vlit:
+		return true
+	}
+	return false
+}
+
+func allRowFree(es []vexpr) bool {
+	for _, e := range es {
+		if !rowFree(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // staticOrderKey resolves the row engine's orderKey shortcuts at plan time:
@@ -312,6 +362,8 @@ type planCompiler struct {
 	p        *vecPlan
 	needed   []bool
 	needsAll bool
+	declined bool // a subquery has no plan: the statement is row-only
+	denseAgg bool // an aggregate's argument is more than a bare column
 }
 
 // fallback lowers e to per-row evaluation on the row engine: the node
@@ -352,7 +404,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 	case *InExpr:
 		if v.Sub != nil {
 			if c.uncorrelated(v.Sub) {
-				return &vinsub{x: c.compile(v.Expr), sub: v.Sub, plan: c.subPlan(v.Sub), not: v.Not}
+				return &vinsub{x: c.compile(v.Expr), plan: c.subPlan(v.Sub), not: v.Not}
 			}
 			return c.fallback(e)
 		}
@@ -388,12 +440,12 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		return cs
 	case *SubqueryExpr:
 		if c.uncorrelated(v.Stmt) {
-			return &vsub{sub: v.Stmt, plan: c.subPlan(v.Stmt)}
+			return &vsub{plan: c.subPlan(v.Stmt)}
 		}
 		return c.fallback(e)
 	case *ExistsExpr:
 		if c.uncorrelated(v.Stmt) {
-			return &vexists{sub: v.Stmt, plan: c.subPlan(v.Stmt), not: v.Not}
+			return &vexists{plan: c.subPlan(v.Stmt), not: v.Not}
 		}
 		return c.fallback(e)
 	default:
@@ -420,9 +472,10 @@ func (c *planCompiler) compileGroup(e Expr) gexpr {
 		return &gcolfirst{slot: slot}
 	case *FuncExpr:
 		if v.IsAggregate() {
-			g := &gagg{f: v}
+			g := &gagg{name: v.Name, star: v.Star, distinct: v.Distinct, nargs: len(v.Args)}
 			if !v.Star && len(v.Args) == 1 {
 				g.arg = c.compile(v.Args[0])
+				c.denseAgg = c.denseAgg || !rowFree(g.arg)
 			}
 			return g
 		}
@@ -627,26 +680,20 @@ func (c *planCompiler) uncorrelated(sub *SelectStmt) bool {
 	return c.subLocal(sub, nil)
 }
 
-// subPlan compiles an uncorrelated subquery's own vectorized plan when it
-// reads a table whose image has access paths (access.go), which only a plan
-// can take: each half of a percentage over a large table is then a probe or a
-// memoised fold instead of two row-engine scans. A subquery over tables within
-// one scan window gets nil and runs on the row engine.
+// subPlan compiles an uncorrelated subquery's own plan, whatever the size of
+// the tables it reads: a subquery over a scan window runs on the same kernels
+// as the statement around it, and one over a larger image takes its access
+// paths (access.go), so each half of a percentage is a scan, a probe or a
+// memoised fold. A subquery without a plan declines the whole statement,
+// which the row engine then answers.
 func (c *planCompiler) subPlan(sub *SelectStmt) *vecPlan {
-	if sub.From == nil {
+	sp := compilePlan(c.db, sub)
+	if sp == nil {
+		c.declined = true
 		return nil
 	}
-	names := []string{sub.From.Name}
-	for _, j := range sub.Joins {
-		names = append(names, j.Table.Name)
-	}
-	_, images, _ := c.db.snapshotTables(names)
-	for _, img := range images {
-		if img != nil && img.paths != nil {
-			return compilePlan(c.db, sub)
-		}
-	}
-	return nil
+	c.p.rowNodes = c.p.rowNodes || sp.rowNodes
+	return sp
 }
 
 // subLocal checks sub with the bind lists of enclosing *subqueries* stacked

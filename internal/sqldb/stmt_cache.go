@@ -25,10 +25,12 @@ import (
 // LRU would buy nothing over the simple scheme).
 const planCacheCap = 512
 
-// planEntry is one cached prepared statement: the parsed AST, its normalized
-// text, the (lowercased, sorted) tables the statement references, the
-// combined change stamp of those tables at compile time, and the compiled
-// vectorized plan (nil when the statement is row-only).
+// planEntry is one cached prepared statement: its normalized text, the
+// (lowercased, sorted) tables the statement references, the combined change
+// stamp of those tables at compile time, the compiled vectorized plan (nil
+// when the statement is row-only), and the parsed AST the row engine falls
+// back to. An entry whose plan has no row-fallback node drops the AST, the
+// larger half of a small entry, and parses norm again on the rare fallback.
 type planEntry struct {
 	stmt    *SelectStmt
 	norm    string
@@ -37,22 +39,38 @@ type planEntry struct {
 	vp      *vecPlan
 }
 
-// exec runs the entry: the vectorized plan when present, with unconditional
-// fallback to the row-engine oracle on any vectorized-execution error. The
-// fallback guarantees callers observe exactly the row engine's results and
-// error surface regardless of what the vectorized engine covers; the
-// counters say which of the three ways each execution went.
-func (pe *planEntry) exec(db *Database) (*Result, error) {
+// run executes the entry's vectorized plan, appending its output cells to dst
+// (see vecPlan.run). ok is false when the row engine has to answer instead —
+// the statement is row-only or the vectorized run errored or declined — and
+// the caller then calls rowExec, which guarantees callers observe exactly the
+// row engine's results and error surface regardless of what the vectorized
+// engine covers. The counters say which of the three ways each execution
+// went.
+func (pe *planEntry) run(db *Database, dst []Value) (out output, ok bool) {
 	c := &db.plans
 	if pe.vp == nil {
 		c.rowOnly.Add(1)
-	} else if res, err := pe.vp.run(db); err == nil {
-		c.vecRuns.Add(1)
-		return res, nil
-	} else {
-		c.fallbacks.Add(1)
+		return output{}, false
 	}
-	return Exec(db, pe.stmt)
+	out, err := pe.vp.run(db, dst)
+	if err != nil {
+		c.fallbacks.Add(1)
+		return output{}, false
+	}
+	c.vecRuns.Add(1)
+	return out, true
+}
+
+// rowExec answers the entry on the row engine.
+func (pe *planEntry) rowExec(db *Database) (*Result, error) {
+	stmt := pe.stmt
+	if stmt == nil {
+		var err error
+		if stmt, err = Parse(pe.norm); err != nil {
+			return nil, err
+		}
+	}
+	return Exec(db, stmt)
 }
 
 // planCache caches planEntries per database.
@@ -94,6 +112,9 @@ func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 		return nil, err
 	}
 	norm := stmt.SQL()
+	if norm == sql {
+		norm = sql // the two keys share one string
+	}
 
 	c.mu.Lock()
 	if e, ok := c.byNorm[norm]; ok && e.version == db.stampFor(e.tables) {
@@ -113,6 +134,9 @@ func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 	tables := tablesOf(stmt)
 	stamp := db.stampFor(tables)
 	e := &planEntry{stmt: stmt, norm: norm, tables: tables, version: stamp, vp: compilePlan(db, stmt)}
+	if e.vp != nil && !e.vp.rowNodes {
+		e.stmt = nil
+	}
 	if db.stampFor(tables) != stamp {
 		// The catalog changed between the stamp read and compilation; serve
 		// the entry uncached. Its execution falls back to the row engine via
@@ -336,7 +360,7 @@ func (p *vecPlan) explain() string {
 	b.WriteString("vectorized\n")
 	for i, s := range p.scans {
 		if i == 0 {
-			fmt.Fprintf(&b, "scan %s pushed=%d eq=%d\n", s.table, len(s.pushed), len(s.eq))
+			fmt.Fprintf(&b, "scan %s pushed=%d eq=%d\n", p.names[i], len(s.pushed), len(s.eq))
 			continue
 		}
 		j := p.joins[i-1]
@@ -344,7 +368,7 @@ func (p *vecPlan) explain() string {
 		if j.hash {
 			alg = "hash"
 		}
-		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d eq=%d", strings.ToLower(j.kind), alg, s.table, len(s.pushed), len(s.eq))
+		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d eq=%d", strings.ToLower(j.kind), alg, p.names[i], len(s.pushed), len(s.eq))
 		if sides := p.indexJoinSides(i - 1); sides != "" {
 			fmt.Fprintf(&b, " index-join=%s", sides)
 		}

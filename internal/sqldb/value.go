@@ -279,10 +279,11 @@ type Vec struct {
 	bools  []bool
 	nulls  []bool  // NULL mask parallel to unboxed storage; nil while no NULL was stored
 	any    []Value // generic storage
-	// bcast > 0 marks an expression result that is its one stored element
-	// repeated bcast times (a literal, a scalar subquery). Batch columns are
-	// never broadcast, so Append, Gather and window do not handle it.
-	bcast int
+	// konst marks a constant: an expression result (a literal, a subquery's
+	// scalar) whose one stored element stands for every row of the batch it
+	// was evaluated over. Batch columns are never constant, so Append, Gather
+	// and window do not handle it.
+	konst bool
 }
 
 // NewVec returns an empty vector with unboxed storage for kind (KindNull
@@ -304,21 +305,17 @@ func NewVec(kind Kind, n int) *Vec {
 	return v
 }
 
-// broadcast returns val repeated n times without materializing the copies.
-func broadcast(val Value, n int) *Vec {
-	v := NewVec(val.kind, 1)
-	if n > 0 {
-		v.Append(val)
-		v.bcast = n
-	}
-	return v
+// setConst makes v the constant val, keeping the capacity of v's storage so
+// that a vector reused for one constant after another stops allocating.
+func (v *Vec) setConst(val Value) {
+	*v = Vec{kind: val.kind, ints: v.ints[:0], floats: v.floats[:0], strs: v.strs[:0],
+		bools: v.bools[:0], any: v.any[:0]}
+	v.Append(val)
+	v.konst = true
 }
 
-// Len returns the number of values in the vector.
+// Len returns the number of values the vector stores: one for a constant.
 func (v *Vec) Len() int {
-	if v.bcast > 0 {
-		return v.bcast
-	}
 	switch v.kind {
 	case KindInt:
 		return len(v.ints)
@@ -335,7 +332,7 @@ func (v *Vec) Len() int {
 
 // At returns the i'th value.
 func (v *Vec) At(i int) Value {
-	if v.bcast > 0 {
+	if v.konst {
 		i = 0
 	}
 	if v.nulls != nil && v.nulls[i] {
@@ -461,7 +458,7 @@ func (v *Vec) window(src *Vec, lo, hi int) {
 
 // IsNullAt reports whether the i'th value is NULL without boxing it.
 func (v *Vec) IsNullAt(i int) bool {
-	if v.bcast > 0 {
+	if v.konst {
 		i = 0
 	}
 	if v.kind == KindNull {
@@ -474,7 +471,7 @@ func (v *Vec) IsNullAt(i int) bool {
 // unboxed integer and text paths mirror Value.key's "\x00I" + decimal and
 // "\x00T" + text forms directly.
 func (v *Vec) appendKey(i int, dst []byte) []byte {
-	if v.bcast == 0 && !v.IsNullAt(i) {
+	if !v.konst && !v.IsNullAt(i) {
 		switch v.kind {
 		case KindInt:
 			return strconv.AppendInt(append(dst, 0, 'I'), v.ints[i], 10)

@@ -6,14 +6,18 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // vexec.go is the vectorized runtime for plans produced by compilePlan: data
 // flows through the operator tree as column batches (vbatch) instead of one
 // row at a time. Scans read the table's column image without copying it and
-// gather only the rows its pushed-down filters select; hash joins produce
-// index pair lists and gather columns instead of materializing joined rows;
-// aggregates fold typed vectors directly.
+// hand on the rows its pushed-down filters select as a selection, gathered
+// only for an operator that needs dense columns; hash joins produce index
+// pair lists and gather columns instead of materializing joined rows;
+// aggregates fold typed vectors directly, over a scan's selection when they
+// can. The final stage yields cells: Query wraps them in a Result, and
+// QueryScalar takes the one cell.
 // Every scalar kernel either reuses the row engine's functions (applyBinary,
 // applyScalarFunc, castValue, ...) or replicates their exact numeric
 // behaviour — including the float64 coercion Value.Compare applies to
@@ -38,7 +42,45 @@ func ExecVec(db *Database, stmt *SelectStmt) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: statement is not vectorizable", ErrUnsupported)
 	}
-	return p.run(db)
+	out, err := p.run(db, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.result(out), nil
+}
+
+// output is what a plan's final stage yields: n rows of len(vecPlan.cols)
+// cells, stored flat in cells, row after row, or — once a statement tail has
+// reordered them — as rows.
+type output struct {
+	cells []Value
+	rows  []outRow
+	n     int
+}
+
+// first returns the first cell of the first row; n must be positive.
+func (o *output) first() Value {
+	if o.rows != nil {
+		return o.rows[0].cells[0]
+	}
+	return o.cells[0]
+}
+
+// result wraps a run's output as a Result.
+func (p *vecPlan) result(o output) *Result {
+	res := &Result{Cols: p.cols}
+	if o.n > 0 {
+		w := len(p.cols)
+		res.Rows = make([][]Value, o.n)
+		for i := range res.Rows {
+			if o.rows != nil {
+				res.Rows[i] = o.rows[i].cells
+			} else {
+				res.Rows[i] = o.cells[i*w : (i+1)*w : (i+1)*w]
+			}
+		}
+	}
+	return res
 }
 
 // vbatch is a horizontal slice of the working set in columnar form. cols is
@@ -47,99 +89,188 @@ func ExecVec(db *Database, stmt *SelectStmt) (*Result, error) {
 type vbatch struct {
 	n    int
 	cols []*Vec
+	// sel, when not nil, lists the rows of cols that make up the batch
+	// (n == len(sel)): a scan's survivors, not gathered. Only the final stages
+	// the plan marks selAgg or selRows read rows through row(); everything
+	// else takes dense().
+	sel []int32
 }
 
-// vecCtx carries per-execution state: the row-engine executor used by
-// fallback nodes and subqueries, and memos for evaluate-once subqueries and
-// aggregate argument vectors. A fresh ctx per run keeps the shared cached
-// plan immutable and race-free.
+// row returns the column index of the batch's i'th row.
+func (b *vbatch) row(i int) int {
+	if b.sel == nil {
+		return i
+	}
+	return int(b.sel[i])
+}
+
+// dense returns b with every column index a row: b itself, or its selection
+// gathered into a new batch.
+func (b *vbatch) dense() *vbatch {
+	if b.sel == nil {
+		return b
+	}
+	return gatherBatch(b, b.sel)
+}
+
+// vecCtx carries one execution's state: the row-engine executor fallback
+// nodes evaluate with, the scans' table images, and scratch space — scan
+// batches and selections, constants, the one group of an ungrouped
+// aggregate — that a run takes from idleCtxs and hands back, so a warm query
+// reuses the previous run's instead of allocating its own. The cached plan
+// stays immutable and race-free, and nothing a run returns points into its
+// ctx.
 type vecCtx struct {
-	ex     *executor
+	ex     executor
 	p      *vecPlan
 	images []*tableImage // the scans' table images, parallel to p.scans
 
-	subs map[interface{}]*subMemo
-	aggs map[*gagg]*Vec
+	tabBuf [4]*Table
+	imgBuf [4]*tableImage
+	scans  []vscan // per scan: its batch and selection buffers
+	consts []*Vec  // constant vectors; the first nconst are in use
+	nconst int
+	items  []*Vec    // runRows' projected vectors
+	none   vbatch    // the empty working set of a table-less SELECT
+	unit   vbatch    // the one row a table-less SELECT projects
+	group  [1]vgroup // the one group of an aggregate without GROUP BY
+	cell   [1]Value  // a scalar subquery's output
+	aggs   map[*gagg]*Vec
 }
 
-type subMemo struct {
-	res *Result
-	err error
+// vscan is one scan's reusable batch and selection buffers.
+type vscan struct {
+	b         vbatch
+	sel, next []int32
 }
 
-// subResult executes an uncorrelated subquery at most once per statement
-// execution, keyed by the plan node. Nodes call it only when at least one
-// row reaches them, mirroring the row engine's reachability: a subquery the
-// row engine never evaluates is never evaluated here either. The subquery
-// runs on its own vectorized plan (nil when it has none), so it scans column
-// images and takes their access paths like any statement; when that declines,
-// the row engine answers, result or error.
-func (ctx *vecCtx) subResult(key interface{}, sub *SelectStmt, plan *vecPlan) (*Result, error) {
-	if m, ok := ctx.subs[key]; ok {
-		return m.res, m.err
-	}
-	var res *Result
-	var err error
-	if plan != nil {
-		res, err = plan.run(ctx.ex.db)
-	}
-	if plan == nil || err != nil {
-		res, err = ctx.ex.execSelect(sub, nil)
-	}
-	if ctx.subs == nil {
-		ctx.subs = make(map[interface{}]*subMemo)
-	}
-	ctx.subs[key] = &subMemo{res: res, err: err}
-	return res, err
+// idleCtxs holds the contexts of finished runs for the next runs to take:
+// about as many as ran at once, a subquery's run included. It is a locked
+// stack rather than a sync.Pool, which under the race detector drops a
+// random quarter of what it is handed, so that a warm query allocates the
+// same in every build.
+var idleCtxs struct {
+	sync.Mutex
+	ctxs []*vecCtx
 }
 
-// run executes the plan against db. Any returned error means "the vectorized
-// engine cannot produce the row engine's result here" — the caller falls
-// back; it never means the query itself is known to fail.
-func (p *vecPlan) run(db *Database) (*Result, error) {
-	names := make([]string, len(p.scans))
-	for i, s := range p.scans {
-		names[i] = s.table
+const (
+	maxIdleCtxs = 64
+	// maxIdleSel bounds the selection buffers an idle ctx keeps: a scan of a
+	// large image allocates its own rather than pinning one.
+	maxIdleSel = windowRows
+)
+
+// takeCtx returns an idle ctx, or a new one.
+func takeCtx() *vecCtx {
+	idleCtxs.Lock()
+	if n := len(idleCtxs.ctxs); n > 0 {
+		ctx := idleCtxs.ctxs[n-1]
+		idleCtxs.ctxs[n-1] = nil
+		idleCtxs.ctxs = idleCtxs.ctxs[:n-1]
+		idleCtxs.Unlock()
+		return ctx
 	}
-	tables, images, ver := db.snapshotTables(names)
-	if ver != p.version {
-		return nil, errPlanStale
+	idleCtxs.Unlock()
+	return &vecCtx{unit: vbatch{n: 1}}
+}
+
+// release drops what the run referenced and hands ctx back to idleCtxs.
+func (ctx *vecCtx) release() {
+	clear(ctx.tabBuf[:])
+	clear(ctx.imgBuf[:])
+	for i := range ctx.scans {
+		sc := &ctx.scans[i]
+		clear(sc.b.cols)
+		sc.b.sel = nil
+		if cap(sc.sel) > maxIdleSel || cap(sc.next) > maxIdleSel {
+			sc.sel, sc.next = nil, nil
+		}
+	}
+	clear(ctx.items)
+	ctx.ex.db, ctx.p, ctx.images, ctx.nconst, ctx.aggs = nil, nil, nil, 0, nil
+	ctx.group[0], ctx.cell[0] = vgroup{}, Value{}
+	idleCtxs.Lock()
+	if len(idleCtxs.ctxs) < maxIdleCtxs {
+		idleCtxs.ctxs = append(idleCtxs.ctxs, ctx)
+	}
+	idleCtxs.Unlock()
+}
+
+// konst returns val as a constant vector, reusing one of ctx's.
+func (ctx *vecCtx) konst(val Value) *Vec {
+	if ctx.nconst == len(ctx.consts) {
+		ctx.consts = append(ctx.consts, new(Vec))
+	}
+	v := ctx.consts[ctx.nconst]
+	ctx.nconst++
+	v.setConst(val)
+	return v
+}
+
+// noRows is the value of an expression over a batch of no rows.
+var noRows = new(Vec)
+
+// run executes the plan against db. A statement without a tail appends its
+// output cells to dst, so a caller expecting one cell can pass room for it.
+// Any returned error means "the vectorized engine cannot produce the row
+// engine's result here" — the caller falls back; it never means the query
+// itself is known to fail.
+func (p *vecPlan) run(db *Database, dst []Value) (output, error) {
+	ctx := takeCtx()
+	defer ctx.release()
+	ctx.ex.db, ctx.p = db, p
+
+	k := len(p.names)
+	tables, images := ctx.tabBuf[:], ctx.imgBuf[:]
+	if k > len(tables) {
+		tables, images = make([]*Table, k), make([]*tableImage, k)
+	}
+	tables, images = tables[:k], images[:k]
+	if db.snapshotTables(p.names, tables, images) != p.version {
+		return output{}, errPlanStale
 	}
 	for i, t := range tables {
 		if t == nil || len(t.Columns) != p.scans[i].n {
-			return nil, errPlanStale
+			return output{}, errPlanStale
 		}
 		// Rows appended or dropped after AddTable break the registration
 		// contract; the image no longer describes the table, so decline and
 		// let the row engine read Rows. No rebuild here: a scan must not
 		// write catalog state other scans are reading.
 		if images[i] == nil || images[i].n != len(t.Rows) {
-			return nil, errImageStale
+			return output{}, errImageStale
 		}
 	}
-
-	ctx := &vecCtx{ex: &executor{db: db}, p: p, images: images}
+	ctx.images = images
+	for len(ctx.scans) < len(p.scans) {
+		ctx.scans = append(ctx.scans, vscan{})
+	}
 
 	b, err := p.buildBatch(ctx)
 	if err != nil {
-		return nil, err
+		return output{}, err
+	}
+	if len(p.residual) > 0 {
+		b = b.dense()
 	}
 	for _, f := range p.residual {
 		b, err = filterBatch(ctx, b, f)
 		if err != nil {
-			return nil, err
+			return output{}, err
 		}
 	}
 	if p.aggregated {
-		return p.runAgg(ctx, b)
+		return p.runAgg(ctx, b, dst)
 	}
-	return p.runRows(ctx, b)
+	return p.runRows(ctx, b, dst)
 }
 
-// buildBatch scans and joins the FROM clause into one batch.
+// buildBatch scans and joins the FROM clause into one batch. A join reads
+// both sides dense.
 func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 	if len(p.scans) == 0 {
-		return &vbatch{cols: make([]*Vec, 0)}, nil
+		return &ctx.none, nil
 	}
 	left, err := p.scanBatch(ctx, 0)
 	if err != nil {
@@ -150,7 +281,7 @@ func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		left, err = p.joinBatch(ctx, left, right, ji)
+		left, err = p.joinBatch(ctx, left.dense(), right.dense(), ji)
 		if err != nil {
 			return nil, err
 		}
@@ -160,15 +291,21 @@ func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 
 // scanBatch hands operators the needed columns of scan si straight from the
 // table image. With pushed-down filters it evaluates them over windows of
-// windowRows rows, keeps the rows every filter selects, and gathers only
-// those, so filtered rows never reach join or aggregation operators. Pushed
-// filters cannot raise errors (safeExpr), which is what lets each one see the
-// whole window instead of the previous filter's survivors, and a conjunct of
-// the form column = literal be answered from the column's equality index
+// windowRows rows — over the image columns themselves when the image is one
+// window — and keeps the rows every filter selects as the batch's selection,
+// so filtered rows never reach join or aggregation operators. Pushed filters
+// cannot raise errors (safeExpr), which is what lets each one see the whole
+// window instead of the previous filter's survivors, and a conjunct of the
+// form column = literal be answered from the column's equality index
 // (access.go) with the others run over the index's survivors only.
 func (p *vecPlan) scanBatch(ctx *vecCtx, si int) (*vbatch, error) {
-	s, img := &p.scans[si], ctx.images[si]
-	out := &vbatch{n: img.n, cols: make([]*Vec, len(p.binds))}
+	s, img, sc := &p.scans[si], ctx.images[si], &ctx.scans[si]
+	out := &sc.b
+	out.n, out.sel = img.n, nil
+	if cap(out.cols) < p.width {
+		out.cols = make([]*Vec, p.width)
+	}
+	out.cols = out.cols[:p.width]
 	for c := 0; c < s.n; c++ {
 		if slot := s.base + c; p.needed[slot] {
 			out.cols[slot] = img.cols[c]
@@ -177,22 +314,48 @@ func (p *vecPlan) scanBatch(ctx *vecCtx, si int) (*vbatch, error) {
 	if len(s.pushed) == 0 {
 		return out, nil
 	}
-	if keep, rest, ok := p.probeScan(ctx, si); ok {
+	keep, rest, probed := p.probeScan(ctx, si)
+	if !probed {
+		var err error
+		if keep, err = filterScan(ctx, s.pushed, out, sc); err != nil {
+			return nil, err
+		}
+	} else if len(rest) > 0 {
+		b := out
 		if len(keep) < img.n {
-			out = gatherBatch(out, keep)
+			b = gatherBatch(out, keep)
 		}
 		for _, f := range rest {
 			var err error
-			if out, err = filterBatch(ctx, out, f); err != nil {
+			if b, err = filterBatch(ctx, b, f); err != nil {
 				return nil, err
 			}
 		}
-		return out, nil
+		return b, nil
 	}
-	win := &vbatch{cols: make([]*Vec, len(p.binds))}
-	var keep, sel, next []int32
-	for lo := 0; lo < img.n; lo += windowRows {
-		hi := min(lo+windowRows, img.n)
+	if len(keep) < img.n {
+		if keep == nil {
+			keep = []int32{} // a selection of no rows is still a selection
+		}
+		out.sel, out.n = keep, len(keep)
+	}
+	return out, nil
+}
+
+// filterScan returns the rows of the whole-image batch out that every pushed
+// filter selects, in sc's buffer. An image of one window is filtered in
+// place; a larger one window by window, over views of its columns.
+func filterScan(ctx *vecCtx, pushed []vexpr, out *vbatch, sc *vscan) ([]int32, error) {
+	if out.n <= windowRows {
+		keep, err := selectPushed(ctx, pushed, out, sc.sel, &sc.next)
+		sc.sel = keep
+		return keep, err
+	}
+	win := &vbatch{cols: make([]*Vec, len(out.cols))}
+	keep := sc.sel[:0]
+	var sel, next []int32
+	for lo := 0; lo < out.n; lo += windowRows {
+		hi := min(lo+windowRows, out.n)
 		win.n = hi - lo
 		for slot, cv := range out.cols {
 			if cv == nil {
@@ -204,25 +367,34 @@ func (p *vecPlan) scanBatch(ctx *vecCtx, si int) (*vbatch, error) {
 			win.cols[slot].window(cv, lo, hi)
 		}
 		var err error
-		for k, f := range s.pushed {
-			if k == 0 {
-				sel, err = selectRows(ctx, win, f, sel[:0])
-			} else if len(sel) > 0 {
-				next, err = selectRows(ctx, win, f, next[:0])
-				sel = intersect(sel, next)
-			}
-			if err != nil {
-				return nil, err
-			}
+		if sel, err = selectPushed(ctx, pushed, win, sel, &next); err != nil {
+			return nil, err
 		}
 		for _, i := range sel {
 			keep = append(keep, int32(lo)+i)
 		}
 	}
-	if len(keep) == img.n {
-		return out, nil
+	sc.sel = keep
+	return keep, nil
+}
+
+// selectPushed returns, in sel's storage, the rows of b that every pushed
+// filter selects; next is the scratch the second and later filters select
+// into.
+func selectPushed(ctx *vecCtx, pushed []vexpr, b *vbatch, sel []int32, next *[]int32) ([]int32, error) {
+	var err error
+	for k, f := range pushed {
+		if k == 0 {
+			sel, err = selectRows(ctx, b, f, sel[:0])
+		} else if len(sel) > 0 {
+			*next, err = selectRows(ctx, b, f, (*next)[:0])
+			sel = intersect(sel, *next)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return gatherBatch(out, keep), nil
+	return sel, nil
 }
 
 // probeScan answers scan si's index-eligible pushed conjuncts from their
@@ -462,7 +634,7 @@ func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, 
 			}
 		}
 	}
-	out := &vbatch{n: len(li), cols: make([]*Vec, len(p.binds))}
+	out := &vbatch{n: len(li), cols: make([]*Vec, p.width)}
 	for slot, cv := range left.cols {
 		if cv != nil && j.carry[slot] {
 			out.cols[slot] = cv.Gather(li)
@@ -555,61 +727,80 @@ func appendJoinKey(dst []byte, v Value) []byte {
 	return append(dst, v.key()...)
 }
 
-// runRows projects a non-aggregated batch into result rows and applies the
-// shared statement tail.
-func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch) (*Result, error) {
-	var out []outRow
-	if len(p.scans) > 0 {
-		cells := make([]*Vec, len(p.itemsV))
-		for k, iv := range p.itemsV {
-			cv, err := iv.eval(ctx, b)
-			if err != nil {
-				return nil, err
-			}
-			cells[k] = cv
+// runRows projects a non-aggregated batch: straight into dst, or through the
+// statement tail when it has one.
+func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
+	tableLess := len(p.scans) == 0
+	if tableLess {
+		// Table-less SELECT: one row evaluated over no bindings, with no
+		// ORDER BY keys — exactly the row engine's FROM-less branch.
+		b = &ctx.unit
+	} else if !p.selRows {
+		b = b.dense()
+	}
+	if cap(ctx.items) < len(p.itemsV) {
+		ctx.items = make([]*Vec, len(p.itemsV))
+	}
+	cells := ctx.items[:len(p.itemsV)]
+	for k, iv := range p.itemsV {
+		cv, err := iv.eval(ctx, b)
+		if err != nil {
+			return output{}, err
 		}
-		keys := make([]*Vec, len(p.orderV))
+		cells[k] = cv
+	}
+	if p.tail.none() {
+		for i := 0; i < b.n; i++ {
+			r := b.row(i)
+			for _, cv := range cells {
+				dst = append(dst, cv.At(r))
+			}
+		}
+		return output{cells: dst, n: b.n}, nil
+	}
+	var keys []*Vec
+	if !tableLess {
+		keys = make([]*Vec, len(p.orderV))
 		for k, op := range p.orderV {
 			if op.cellIdx < 0 {
 				kv, err := op.ev.eval(ctx, b)
 				if err != nil {
-					return nil, err
+					return output{}, err
 				}
 				keys[k] = kv
 			}
 		}
-		for i := 0; i < b.n; i++ {
-			r := outRow{cells: make([]Value, len(cells))}
-			for k := range cells {
-				r.cells[k] = cells[k].At(i)
-			}
-			if len(p.orderV) > 0 {
-				r.keys = make([]Value, len(p.orderV))
-				for k, op := range p.orderV {
-					if op.cellIdx >= 0 {
-						r.keys[k] = r.cells[op.cellIdx]
-					} else {
-						r.keys[k] = keys[k].At(i)
-					}
+	}
+	w := len(cells)
+	flat := make([]Value, b.n*w)
+	out := make([]outRow, b.n)
+	for i := range out {
+		r, row := b.row(i), &out[i]
+		row.cells = flat[i*w : (i+1)*w : (i+1)*w]
+		for k, cv := range cells {
+			row.cells[k] = cv.At(r)
+		}
+		if len(keys) > 0 {
+			row.keys = make([]Value, len(keys))
+			for k, op := range p.orderV {
+				if op.cellIdx >= 0 {
+					row.keys[k] = row.cells[op.cellIdx]
+				} else {
+					row.keys[k] = keys[k].At(r)
 				}
 			}
-			out = append(out, r)
 		}
-	} else {
-		// Table-less SELECT: one row evaluated over no bindings, with no
-		// ORDER BY keys — exactly the row engine's FROM-less branch.
-		one := &vbatch{n: 1}
-		row := outRow{cells: make([]Value, len(p.itemsV))}
-		for k, iv := range p.itemsV {
-			cv, err := iv.eval(ctx, one)
-			if err != nil {
-				return nil, err
-			}
-			row.cells[k] = cv.At(0)
-		}
-		out = []outRow{row}
 	}
-	return finishSelect(p.stmt, p.cols, out), nil
+	return p.finish(out), nil
+}
+
+// finish applies the statement tail to the projected rows.
+func (p *vecPlan) finish(out []outRow) output {
+	out = p.tail.apply(out)
+	if out == nil {
+		out = []outRow{}
+	}
+	return output{rows: out, n: len(out)}
 }
 
 // vgroup is one GROUP BY partition of the filtered batch: n rows, listed in
@@ -629,29 +820,45 @@ func (g *vgroup) row(k int) int {
 }
 
 // runAgg partitions the batch, applies HAVING, and projects each surviving
-// group.
-func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch) (*Result, error) {
+// group: straight into dst, or through the statement tail when it has one.
+func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
+	if !p.selAgg {
+		b = b.dense()
+	}
 	groups, err := p.partition(ctx, b)
 	if err != nil {
-		return nil, err
+		return output{}, err
 	}
-	out := make([]outRow, 0, len(groups))
+	direct := p.tail.none()
+	var out []outRow
+	n := 0
 	for gi := range groups {
 		g := &groups[gi]
 		if p.havingG != nil {
 			hv, err := p.havingG.eval(ctx, g)
 			if err != nil {
-				return nil, err
+				return output{}, err
 			}
 			if !hv.AsBool() {
 				continue
 			}
 		}
+		if direct {
+			for _, ig := range p.itemsG {
+				v, err := ig.eval(ctx, g)
+				if err != nil {
+					return output{}, err
+				}
+				dst = append(dst, v)
+			}
+			n++
+			continue
+		}
 		row := outRow{cells: make([]Value, 0, len(p.itemsG)), keys: make([]Value, 0, len(p.orderG))}
 		for _, ig := range p.itemsG {
 			v, err := ig.eval(ctx, g)
 			if err != nil {
-				return nil, err
+				return output{}, err
 			}
 			row.cells = append(row.cells, v)
 		}
@@ -661,14 +868,17 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch) (*Result, error) {
 			} else {
 				v, err := op.gv.eval(ctx, g)
 				if err != nil {
-					return nil, err
+					return output{}, err
 				}
 				row.keys = append(row.keys, v)
 			}
 		}
 		out = append(out, row)
 	}
-	return finishSelect(p.stmt, p.cols, out), nil
+	if direct {
+		return output{cells: dst, n: n}, nil
+	}
+	return p.finish(out), nil
 }
 
 // partition groups batch rows by the GROUP BY key vectors in first-appearance
@@ -676,7 +886,8 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch) (*Result, error) {
 // aggregates over empty inputs still produce a row.
 func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 	if len(p.groupByV) == 0 {
-		return []vgroup{{b: b, n: b.n}}, nil
+		ctx.group[0] = vgroup{b: b, n: b.n, rows: b.sel}
+		return ctx.group[:], nil
 	}
 	keyVecs := make([]*Vec, len(p.groupByV))
 	for k, gv := range p.groupByV {
@@ -734,7 +945,7 @@ func typedNum(v *Vec) bool { return v.kind == KindInt || v.kind == KindFloat }
 // numAt reads a typed vector's value as float64, the representation
 // Value.Compare and applyArith reduce numerics to.
 func numAt(v *Vec, i int) float64 {
-	if v.bcast > 0 {
+	if v.konst {
 		i = 0
 	}
 	if v.kind == KindInt {
@@ -768,7 +979,7 @@ func boolVec(n int, f func(i int) bool) *Vec {
 type vlit struct{ val Value }
 
 func (v *vlit) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	return broadcast(v.val, b.n), nil
+	return ctx.konst(v.val), nil
 }
 
 type vcol struct{ slot int }
@@ -786,6 +997,13 @@ func (v *vunary) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	xv, err := v.x.eval(ctx, b)
 	if err != nil {
 		return nil, err
+	}
+	if xv.konst && b.n > 0 {
+		r, err := applyUnary(v.op, xv.At(0))
+		if err != nil {
+			return nil, err
+		}
+		return ctx.konst(r), nil
 	}
 	return mapVec(b.n, func(i int) (Value, error) { return applyUnary(v.op, xv.At(i)) })
 }
@@ -822,7 +1040,8 @@ func (v *vor) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() || rv.At(i).AsBool() }), nil
 }
 
-// vbin is a binary operator other than AND, OR and the comparisons.
+// vbin is a binary operator other than AND, OR and the comparisons. Over two
+// constants it is a constant, computed once by the row engine's applyBinary.
 type vbin struct {
 	op   string
 	l, r vexpr
@@ -836,6 +1055,13 @@ func (v *vbin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	rv, err := v.r.eval(ctx, b)
 	if err != nil {
 		return nil, err
+	}
+	if lv.konst && rv.konst && b.n > 0 {
+		r, err := applyBinary(v.op, lv.At(0), rv.At(0))
+		if err != nil {
+			return nil, err
+		}
+		return ctx.konst(r), nil
 	}
 	if typedNum(lv) && typedNum(rv) {
 		switch v.op {
@@ -904,7 +1130,7 @@ func selNum[T int64 | float64](xs []T, nulls []bool, c float64, truth [3]bool, d
 }
 
 // sel appends to dst the rows where the comparison holds. A typed column
-// against a broadcast scalar of matching storage, in either operand order (the
+// against a constant of matching storage, in either operand order (the
 // shape of nearly every pushed-down claim predicate), runs a tight loop over
 // the column's slice; other typed numeric pairs compare through numAt;
 // everything else goes through applyBinary row by row.
@@ -920,10 +1146,10 @@ func (v *vcmp) sel(ctx *vecCtx, b *vbatch, dst []int32) ([]int32, error) {
 	// The column-versus-literal kernels take the literal from either side:
 	// "lit op col" is "col op' lit" with the truth table mirrored.
 	col, lit, truth := lv, rv, v.truth
-	if lv.bcast > 0 {
+	if lv.konst {
 		col, lit, truth = rv, lv, [3]bool{truth[2], truth[1], truth[0]}
 	}
-	scalar := lit.bcast > 0 && col.bcast == 0 // a typed broadcast is never NULL
+	scalar := lit.konst && !col.konst // a typed constant is never NULL
 	switch {
 	case scalar && col.kind == KindText && lit.kind == KindText:
 		s0 := lit.strs[0]
@@ -1172,55 +1398,53 @@ func (v *vcase) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	})
 }
 
-// vsub is an uncorrelated scalar subquery: executed once, its single cell is
-// broadcast. The scalar-shape checks mirror the row engine's SubqueryExpr
-// case exactly.
-type vsub struct {
-	sub  *SelectStmt
-	plan *vecPlan
-}
+// vsub is an uncorrelated scalar subquery: its plan runs once, and its one
+// cell is a constant. The scalar-shape checks mirror the row engine's
+// SubqueryExpr case exactly. A plan node is evaluated at most once per
+// execution of its plan (pushed filters, the only per-window evaluations,
+// hold no subquery), so the subquery runs at most once per execution of the
+// statement, and only when a row reaches it — the row engine's reachability.
+type vsub struct{ plan *vecPlan }
 
 func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
-		return NewVec(KindNull, 0), nil
+		return noRows, nil
 	}
-	res, err := ctx.subResult(v, v.sub, v.plan)
+	out, err := v.plan.run(ctx.ex.db, ctx.cell[:0])
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Cols) != 1 {
-		return nil, fmt.Errorf("%w: scalar subquery with %d columns", ErrNotScalar, len(res.Cols))
+	if len(v.plan.cols) != 1 {
+		return nil, fmt.Errorf("%w: scalar subquery with %d columns", ErrNotScalar, len(v.plan.cols))
 	}
 	val := Null()
-	if len(res.Rows) > 1 {
-		return nil, fmt.Errorf("%w: scalar subquery returned %d rows", ErrNotScalar, len(res.Rows))
+	if out.n > 1 {
+		return nil, fmt.Errorf("%w: scalar subquery returned %d rows", ErrNotScalar, out.n)
 	}
-	if len(res.Rows) == 1 {
-		val = res.Rows[0][0]
+	if out.n == 1 {
+		val = out.first()
 	}
-	return broadcast(val, b.n), nil
+	return ctx.konst(val), nil
 }
 
 type vexists struct {
-	sub  *SelectStmt
 	plan *vecPlan
 	not  bool
 }
 
 func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
-		return NewVec(KindNull, 0), nil
+		return noRows, nil
 	}
-	res, err := ctx.subResult(v, v.sub, v.plan)
+	out, err := v.plan.run(ctx.ex.db, ctx.cell[:0])
 	if err != nil {
 		return nil, err
 	}
-	return broadcast(Bool((len(res.Rows) > 0) != v.not), b.n), nil
+	return ctx.konst(Bool((out.n > 0) != v.not)), nil
 }
 
 type vinsub struct {
 	x    vexpr
-	sub  *SelectStmt
 	plan *vecPlan
 	not  bool
 }
@@ -1231,19 +1455,20 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 		return nil, err
 	}
 	if b.n == 0 {
-		return NewVec(KindNull, 0), nil
+		return noRows, nil
 	}
-	res, err := ctx.subResult(v, v.sub, v.plan)
+	out, err := v.plan.run(ctx.ex.db, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Cols) != 1 {
-		return nil, fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(res.Cols))
+	if len(v.plan.cols) != 1 {
+		return nil, fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(v.plan.cols))
 	}
+	set := v.plan.result(out).Rows
 	return boolVec(b.n, func(i int) bool {
 		x := xv.At(i)
 		found := false
-		for _, r := range res.Rows {
+		for _, r := range set {
 			if x.Equal(r[0]) {
 				found = true
 				break
@@ -1413,15 +1638,20 @@ func (v *gfirstrow) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 
 // gagg folds an aggregate over the group. The argument expression is
 // evaluated once over the whole batch (memoized across groups and across the
-// HAVING/items/ORDER BY positions that reference aggregates) and each group
-// indexes into it; typed vectors take unboxed fold paths that reproduce
-// evalAggregate's float64 arithmetic exactly.
+// HAVING/items/ORDER BY positions that reference aggregates; a bare column is
+// the batch's own) and each group indexes into it; typed vectors take unboxed
+// fold paths that reproduce evalAggregate's float64 arithmetic exactly.
 type gagg struct {
-	f   *FuncExpr
-	arg vexpr
+	name           string
+	star, distinct bool
+	nargs          int
+	arg            vexpr
 }
 
 func (a *gagg) argVec(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	if c, ok := a.arg.(*vcol); ok {
+		return b.cols[c.slot], nil
+	}
 	if av, ok := ctx.aggs[a]; ok {
 		return av, nil
 	}
@@ -1437,18 +1667,18 @@ func (a *gagg) argVec(ctx *vecCtx, b *vbatch) (*Vec, error) {
 }
 
 func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	if a.f.Star {
+	if a.star {
 		return Int(int64(g.n)), nil
 	}
-	if len(a.f.Args) != 1 {
-		return Null(), fmt.Errorf("%w: %s takes one argument", ErrType, a.f.Name)
+	if a.nargs != 1 {
+		return Null(), fmt.Errorf("%w: %s takes one argument", ErrType, a.name)
 	}
 	av, err := a.argVec(ctx, g.b)
 	if err != nil {
 		return Null(), err
 	}
-	name := a.f.Name
-	if !a.f.Distinct && av.kind != KindNull && av.bcast == 0 {
+	name := a.name
+	if !a.distinct && av.kind != KindNull && !av.konst {
 		if name == "COUNT" {
 			// The NULL mask of an unboxed vector already says how many values
 			// the group holds.
@@ -1469,7 +1699,7 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	// Generic fold: mirror evalAggregate's rules over the group's non-NULL
 	// values in row order (DISTINCT by grouping key), folding in place.
 	var seen map[string]bool
-	if a.f.Distinct {
+	if a.distinct {
 		seen = make(map[string]bool)
 	}
 	cnt, sum, allInt, best := 0, 0.0, true, Null()
@@ -1478,7 +1708,7 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 		if v.IsNull() {
 			continue
 		}
-		if a.f.Distinct {
+		if a.distinct {
 			key := v.key()
 			if seen[key] {
 				continue

@@ -394,8 +394,10 @@ func TestClaimInputsMatchAccessors(t *testing.T) {
 // the pipeline prepares them. The attempt that executed its query three
 // times, rendered the schema and masked the claim itself spent 141 (key
 // lookup) and 102 (aggregate) allocations on these two claims; executing
-// once, 67 and 52. With the prompt rendered once at its exact size and read
-// in one pass, they are the ceilings below.
+// once, 67 and 52; with the prompt rendered once at its exact size and read
+// in one pass, 38 and 26. With the query's one cell read straight from its
+// plan, no Result built and the execution's scratch space reused, they are
+// the ceilings below.
 func TestAttemptAllocCeiling(t *testing.T) {
 	docs, err := data.AggChecker(70)
 	if err != nil {
@@ -412,8 +414,8 @@ func TestAttemptAllocCeiling(t *testing.T) {
 		query   string
 		ceiling float64
 	}{
-		{0, `SELECT "spirit_servings" FROM "drinks" WHERE "country" = 'India'`, 38},
-		{2, `SELECT AVG("total_litres_of_pure_alcohol") FROM "drinks"`, 26},
+		{0, `SELECT "spirit_servings" FROM "drinks" WHERE "country" = 'India'`, 12},
+		{2, `SELECT AVG("total_litres_of_pure_alcohol") FROM "drinks"`, 12},
 	} {
 		c := d.Claims[tc.claim]
 		in := c.Inputs()
