@@ -40,10 +40,12 @@ race:
 
 # Race-mode pass over the fault-injection and resilience suites: the chaos
 # determinism matrix, the breaker state machine (unit + 32-goroutine
-# stress), retrier/hedge accounting, and the failed-attempt billing fixes.
+# stress), retrier/hedge accounting, the failed-attempt billing fixes, and
+# the fee type every bill is booked in (exact dollar round trip and JSON,
+# and the lint that no fee is summed as a float64).
 chaos:
-	$(GO) test -race -run 'Chaos|Breaker|Retrier|Hedge|Fault|Throttled|Metered|Resilience' \
-		./internal/core ./internal/llm/resilience ./internal/llm ./cedar
+	$(GO) test -race -run 'Chaos|Breaker|Retrier|Hedge|Fault|Throttled|Metered|Resilience|FeeRoundTrip|FeeJSON|FeesAreIntegers' \
+		./internal/core ./internal/llm/resilience ./internal/llm ./cedar ./internal/fee
 
 # Golden-trace determinism gate under the race detector: the sorted JSONL
 # trace of a run must be byte-identical across worker counts, with and
@@ -99,10 +101,11 @@ gatelint:
 # (normalized sharing, invalidation, cap, 32-goroutine mixed
 # prepare/execute/invalidate stress), the Schema() memo under catalog churn
 # (32 readers, never a stale schema), the warm-cache verdict/trace
-# determinism tests at the pipeline level, and the allocation ceiling of a
-# warm one-cell QueryScalar on a document-sized table.
+# determinism tests at the pipeline level, the allocation ceiling of a warm
+# one-cell QueryScalar on a document-sized table, and exact integer
+# arithmetic and SUM (ErrOverflow past int64) on every engine path.
 sqldiff:
-	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches|SchemaMemo|QueryScalar' \
+	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches|SchemaMemo|QueryScalar|IntegerOverflow' \
 		./internal/sqldb ./internal/data ./internal/core
 
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring
@@ -124,10 +127,11 @@ shard:
 # coordinator fan-out/merge), the coordinator's relay over one exchange per
 # owner at a time (documents read together share one, a bad document
 # answered alone, owner loss, deadline, draining owner, fees booked exactly
-# once, no goroutine outliving a session), and the failover proxy's
-# delivered-detection regression (zero duplicated claims, fees booked once).
+# once, no goroutine outliving a session), the failover proxy's
+# delivered-detection regression (zero duplicated claims, fees booked once),
+# and a replica's fee total that is exact in any order of its batches.
 stream:
-	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient' \
+	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact' \
 		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve
 
 # Ingestion gate under the race detector (DESIGN.md §15, docs/DATA.md): the

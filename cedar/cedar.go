@@ -303,7 +303,7 @@ func (s *System) RoutedSchedule() string {
 	if mt <= 0 {
 		mt = 2
 	}
-	rs := schedule.RouteStage{Fee: route.DefaultFee, Accuracy: route.DefaultAccuracy}
+	rs := schedule.RouteStage{Fee: route.DefaultFee.Dollars(), Accuracy: route.DefaultAccuracy}
 	plan, err := schedule.PlanRouted(s.stats, mt, s.opts.AccuracyTarget, rs)
 	if err != nil {
 		return s.Schedule()
@@ -433,18 +433,19 @@ func (s *System) verifyRun(docs []*Document, spans *[]trace.Span) (Report, error
 	if plan != nil {
 		plan.Recombine()
 	}
+	fees := s.stack.Ledger.TotalFee()
 	rep := Report{
 		Quality:       metrics.Evaluate(docs),
 		Claims:        claim.TotalClaims(docs),
-		Dollars:       s.stack.Ledger.TotalDollars(),
 		Calls:         s.stack.Ledger.TotalCalls(),
 		PersistedHits: s.persistHits() - prePersist,
 	}
 	if plan != nil {
 		rep.RoutedSubClaims = plan.SubClaims
-		rep.RouteDollars = plan.Fee
-		rep.Dollars += plan.Fee
+		rep.RouteDollars = plan.Fee.Dollars()
+		fees += plan.Fee
 	}
+	rep.Dollars = fees.Dollars()
 	rep.MemoHits, rep.MemoMismatches = s.memoPass(runDocs)
 	for _, d := range docs {
 		for _, c := range d.Claims {

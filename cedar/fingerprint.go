@@ -109,7 +109,7 @@ func (s *System) configFingerprint() [32]byte {
 	if o.Route {
 		f.str("route")
 		f.u64(uint64(o.RouteTopK))
-		f.f64(route.DefaultFee)
+		f.f64(route.DefaultFee.Dollars())
 		f.f64(route.DefaultAccuracy)
 		f.buf = append(f.buf, s.catalogFP...)
 	}

@@ -3,10 +3,10 @@ package cedar
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/claim"
+	"repro/internal/fee"
 	"repro/internal/trace"
 )
 
@@ -61,6 +61,7 @@ func streamSessionRun(t *testing.T, workers int, faultRate float64, profDocs, ev
 		t.Fatalf("streamed %d documents, got %d outcomes", len(order), len(outcomes))
 	}
 	var report Report
+	var fees fee.Fee
 	for i, o := range outcomes {
 		if o.Err != nil {
 			t.Fatalf("outcome %d: %v", i, o.Err)
@@ -69,11 +70,12 @@ func streamSessionRun(t *testing.T, workers int, faultRate float64, profDocs, ev
 			t.Fatalf("outcome %d delivered out of arrival order (index %d)", i, o.Index)
 		}
 		report.Claims += o.Report.Claims
-		report.Dollars += o.Report.Dollars
+		fees += fee.FromDollars(o.Report.Dollars)
 		report.Calls += o.Report.Calls
 		report.Verified += o.Report.Verified
 		report.Flagged += o.Report.Flagged
 	}
+	report.Dollars = fees.Dollars()
 	// Quality over the full annotated corpus, like a batch run reports it.
 	report.Quality = Evaluate(docs)
 
@@ -152,7 +154,7 @@ func TestStreamMatchesBatchDeterminism(t *testing.T) {
 						t.Errorf("stream/%s accounting diverged: claims %d vs %d, calls %d vs %d", name,
 							batch.report.Claims, streamed.report.Claims, batch.report.Calls, streamed.report.Calls)
 					}
-					if math.Abs(batch.report.Dollars-streamed.report.Dollars) > 1e-9 {
+					if batch.report.Dollars != streamed.report.Dollars {
 						t.Errorf("stream/%s fees diverged: $%v vs $%v", name, batch.report.Dollars, streamed.report.Dollars)
 					}
 					if got := normalizedJSONL(t, streamed.spans); !bytes.Equal(batchTrace, got) {

@@ -179,7 +179,7 @@ func TestServedMatchesDirectRun(t *testing.T) {
 			t.Errorf("claim %s served %+v, direct run %+v", c.ID, got, want)
 		}
 	}
-	if served.Batch.Claims != rep.Claims || served.Batch.Dollars != rep.Dollars || served.Batch.Calls != rep.Calls {
+	if served.Batch.Claims != rep.Claims || served.Batch.Dollars.Dollars() != rep.Dollars || served.Batch.Calls != rep.Calls {
 		t.Errorf("served batch totals %+v, direct run claims=%d dollars=%v calls=%d",
 			served.Batch, rep.Claims, rep.Dollars, rep.Calls)
 	}
@@ -312,7 +312,7 @@ func TestServeWarmRestart(t *testing.T) {
 		t.Errorf("verdicts changed across restart:\n cold %+v\n warm %+v", cold.Claims, warm.Claims)
 	}
 	if warm.Batch.Dollars >= cold.Batch.Dollars {
-		t.Errorf("warm restart cost $%.4f, not below cold $%.4f", warm.Batch.Dollars, cold.Batch.Dollars)
+		t.Errorf("warm restart cost $%.4f, not below cold $%.4f", warm.Batch.Dollars.Dollars(), cold.Batch.Dollars.Dollars())
 	}
 	if warm.Batch.Calls >= cold.Batch.Calls {
 		t.Errorf("warm restart made %d calls, not below cold %d", warm.Batch.Calls, cold.Batch.Calls)

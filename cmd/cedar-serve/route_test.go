@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fee"
 	"repro/internal/serve"
 )
 
@@ -148,7 +148,7 @@ func TestRoutedServingMatchesDirect(t *testing.T) {
 	client := &http.Client{Timeout: 60 * time.Second}
 	directVerdicts := make(map[string][]serve.ClaimResult, len(reqs))
 	directCounts := make(map[string][3]int, len(reqs))
-	directDollars := 0.0
+	var directDollars fee.Fee
 	for _, req := range reqs {
 		resp, code := postShardVerify(t, client, direct.URL, req)
 		if code != http.StatusOK {
@@ -160,7 +160,7 @@ func TestRoutedServingMatchesDirect(t *testing.T) {
 	}
 
 	tier := bootShardTier(t, airlinesCSV, 4, routedTune(drinksCSV))
-	coordDollars := 0.0
+	var coordDollars fee.Fee
 	coordVerdicts := make(map[string][]serve.ClaimResult, len(reqs))
 	for _, req := range reqs {
 		resp, code := postShardVerify(t, client, tier.coordTS.URL, req)
@@ -181,9 +181,9 @@ func TestRoutedServingMatchesDirect(t *testing.T) {
 	}
 	// Fee identity: the coordinator books the routing fees its own planner
 	// decided, the replicas book the unit verification — together exactly the
-	// library path's ledger (tolerance covers float summation order only).
-	if math.Abs(directDollars-coordDollars) > 1e-9 {
-		t.Errorf("routed fees diverge across topologies: direct $%.10f, coordinator $%.10f", directDollars, coordDollars)
+	// library path's ledger, to the nanodollar.
+	if directDollars != coordDollars {
+		t.Errorf("routed fees diverge across topologies: direct %d, coordinator %d nanodollars", directDollars, coordDollars)
 	}
 }
 

@@ -3,13 +3,13 @@ package main
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fee"
 	"repro/internal/serve"
 )
 
@@ -84,7 +84,7 @@ func TestStreamedMatchesUnaryRuns(t *testing.T) {
 	}
 
 	// The reference: each document POSTed unary against the same server.
-	var unaryDollars float64
+	var unaryDollars fee.Fee
 	var unaryCalls int
 	for _, d := range docs {
 		body, err := json.Marshal(serve.VerifyRequest{DocID: d.DocID, Claims: d.Claims})
@@ -115,7 +115,7 @@ func TestStreamedMatchesUnaryRuns(t *testing.T) {
 		unaryDollars += out.Batch.Dollars
 		unaryCalls += out.Batch.Calls
 	}
-	if math.Abs(sum.Dollars-unaryDollars) > 1e-9 {
+	if sum.Dollars != unaryDollars {
 		t.Errorf("stream dollars = %v, unary total %v", sum.Dollars, unaryDollars)
 	}
 	if sum.Calls != unaryCalls {

@@ -59,9 +59,9 @@ func TestLedgerConcurrentRecording(t *testing.T) {
 	if got, w := ledger.TotalUsage(), want.TotalUsage(); got != w {
 		t.Errorf("usage = %+v, want %+v", got, w)
 	}
-	// Fees must be bit-identical to the serial booking, not merely close:
-	// Record recomputes from accumulated integer token counts.
-	if got, w := ledger.TotalDollars(), want.TotalDollars(); got != w {
+	// Fees must equal the serial booking exactly: they are whole
+	// nanodollars, so the total does not depend on booking order.
+	if got, w := ledger.TotalFee(), want.TotalFee(); got != w {
 		t.Errorf("dollars = %v, want %v", got, w)
 	}
 	if got, w := ledger.TotalWall(), want.TotalWall(); got != w {
@@ -146,7 +146,7 @@ func TestMeteredConcurrentBilling(t *testing.T) {
 	if got := ledger.TotalUsage(); got != wantUsage {
 		t.Errorf("usage = %+v, want %+v", got, wantUsage)
 	}
-	if got, want := ledger.TotalDollars(), PriceFor(ModelGPT4o).Cost(wantUsage); got != want {
+	if got, want := ledger.TotalFee(), PriceFor(ModelGPT4o).Cost(wantUsage); got != want {
 		t.Errorf("dollars = %v, want %v", got, want)
 	}
 }

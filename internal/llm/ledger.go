@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fee"
 	"repro/internal/trace"
 )
 
@@ -19,11 +20,11 @@ type Ledger struct {
 
 // LedgerEntry is the accumulated record for one model.
 type LedgerEntry struct {
-	Model   string
-	Calls   int
-	Usage   Usage
-	Dollars float64
-	Wall    time.Duration
+	Model string
+	Calls int
+	Usage Usage
+	Fee   fee.Fee
+	Wall  time.Duration
 }
 
 // NewLedger constructs an empty ledger.
@@ -40,69 +41,44 @@ func (l *Ledger) Record(model string, u Usage, latency time.Duration) {
 		e = &LedgerEntry{Model: model}
 		l.byModel[model] = e
 	}
-	e.Calls++
-	e.Usage = e.Usage.Add(u)
-	// Recompute the fee from the accumulated usage instead of summing
-	// per-call fees: Cost is linear in token counts, so the value is the
-	// same, but it no longer depends on the floating-point order in which
-	// concurrent completions land — a prerequisite for bit-identical fee
-	// totals under claim-level parallelism.
-	e.Dollars = PriceFor(model).Cost(e.Usage)
-	e.Wall += latency
+	e.add(LedgerEntry{Calls: 1, Usage: u, Fee: PriceFor(model).Cost(u), Wall: latency})
 }
 
-// TotalDollars returns the accumulated fee across all models. Models are
-// summed in name order so the float result is identical run to run (map
-// iteration order would reorder the additions).
-func (l *Ledger) TotalDollars() float64 {
+func (e *LedgerEntry) add(o LedgerEntry) {
+	e.Calls += o.Calls
+	e.Usage = e.Usage.Add(o.Usage)
+	e.Fee += o.Fee
+	e.Wall += o.Wall
+}
+
+// total sums the entries of every model. Every field is an integer, so the
+// totals do not depend on the order the models are visited in.
+func (l *Ledger) total() LedgerEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.byModel))
-	for name := range l.byModel {
-		names = append(names, name)
+	var t LedgerEntry
+	for _, e := range l.byModel {
+		t.add(*e)
 	}
-	sort.Strings(names)
-	total := 0.0
-	for _, name := range names {
-		total += l.byModel[name].Dollars
-	}
-	return total
+	return t
 }
+
+// TotalFee returns the accumulated fee across all models.
+func (l *Ledger) TotalFee() fee.Fee { return l.total().Fee }
+
+// TotalDollars renders TotalFee in dollars.
+func (l *Ledger) TotalDollars() float64 { return l.TotalFee().Dollars() }
 
 // TotalCalls returns the number of completions booked.
-func (l *Ledger) TotalCalls() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.byModel {
-		n += e.Calls
-	}
-	return n
-}
+func (l *Ledger) TotalCalls() int { return l.total().Calls }
 
 // TotalWall returns the accumulated simulated wall time. Multi-stage
 // verification is sequential per claim, so summed latency is the simulated
 // elapsed time used to derive throughput.
-func (l *Ledger) TotalWall() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var w time.Duration
-	for _, e := range l.byModel {
-		w += e.Wall
-	}
-	return w
-}
+func (l *Ledger) TotalWall() time.Duration { return l.total().Wall }
 
 // TotalUsage returns the accumulated token usage across models.
-func (l *Ledger) TotalUsage() Usage {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var u Usage
-	for _, e := range l.byModel {
-		u = u.Add(e.Usage)
-	}
-	return u
-}
+func (l *Ledger) TotalUsage() Usage { return l.total().Usage }
 
 // Entries returns per-model records sorted by model name.
 func (l *Ledger) Entries() []LedgerEntry {
@@ -128,7 +104,7 @@ func (l *Ledger) String() string {
 	var b strings.Builder
 	for _, e := range l.Entries() {
 		fmt.Fprintf(&b, "%-20s calls=%-5d prompt=%-8d completion=%-8d $%.4f\n",
-			e.Model, e.Calls, e.Usage.PromptTokens, e.Usage.CompletionTokens, e.Dollars)
+			e.Model, e.Calls, e.Usage.PromptTokens, e.Usage.CompletionTokens, e.Fee.Dollars())
 	}
 	fmt.Fprintf(&b, "total: $%.4f over %d calls", l.TotalDollars(), l.TotalCalls())
 	return b.String()

@@ -1,7 +1,6 @@
 package llm
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -37,10 +36,10 @@ func TestCountTokensMonotoneProperty(t *testing.T) {
 }
 
 func TestPricingCost(t *testing.T) {
-	p := Pricing{InPer1K: 1.0, OutPer1K: 2.0}
+	p := Pricing{InPerToken: 1_000_000, OutPerToken: 2_000_000}
 	got := p.Cost(Usage{PromptTokens: 500, CompletionTokens: 250})
-	if math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("cost = %v want 1.0", got)
+	if got != 1_000_000_000 || got.Dollars() != 1 {
+		t.Errorf("cost = %d nanodollars want 1e9", got)
 	}
 }
 
@@ -64,14 +63,14 @@ func TestModelPricesOrdered(t *testing.T) {
 	cheap := DefaultPricing[ModelGPT35]
 	for _, m := range []string{ModelGPT4o, ModelGPT41} {
 		p := DefaultPricing[m]
-		if p.InPer1K <= cheap.InPer1K || p.OutPer1K <= cheap.OutPer1K {
+		if p.InPerToken <= cheap.InPerToken || p.OutPerToken <= cheap.OutPerToken {
 			t.Errorf("%s not more expensive than GPT-3.5", m)
 		}
 	}
 }
 
 func TestPriceForUnknownModel(t *testing.T) {
-	if PriceFor("mystery").InPer1K <= 0 {
+	if PriceFor("mystery").InPerToken <= 0 {
 		t.Error("unknown model must get a non-zero fallback price")
 	}
 }
@@ -85,9 +84,9 @@ func TestLedger(t *testing.T) {
 	if l.TotalCalls() != 3 {
 		t.Errorf("calls = %d", l.TotalCalls())
 	}
-	wantDollars := 0.0005 + 0.0015 + 0.0025 + 0.01 + 0.00025
-	if math.Abs(l.TotalDollars()-wantDollars) > 1e-9 {
-		t.Errorf("dollars = %v want %v", l.TotalDollars(), wantDollars)
+	// $0.0005 + $0.0015 + $0.0025 + $0.01 + $0.00025, to the nanodollar.
+	if l.TotalFee() != 14_750_000 || l.TotalDollars() != 0.01475 {
+		t.Errorf("fee = %d nanodollars ($%v) want 14750000 ($0.01475)", l.TotalFee(), l.TotalDollars())
 	}
 	if l.TotalWall() != 4*time.Second {
 		t.Errorf("wall = %v", l.TotalWall())

@@ -1,21 +1,25 @@
 package llm
 
-import "time"
+import (
+	"time"
 
-// Pricing is a model's fee schedule in dollars per 1,000 tokens, plus its
-// simulated generation speed for the throughput axis of Figure 5.
+	"repro/internal/fee"
+)
+
+// Pricing is a model's fee schedule per token, plus its simulated
+// generation speed for the throughput axis of Figure 5.
 type Pricing struct {
-	InPer1K  float64 // $ per 1K prompt tokens
-	OutPer1K float64 // $ per 1K completion tokens
+	InPerToken  fee.Fee // per prompt token
+	OutPerToken fee.Fee // per completion token
 	// TokensPerSecond is the simulated completion speed. Larger models
 	// stream slower; latency also includes PerCallOverhead.
 	TokensPerSecond float64
 	PerCallOverhead time.Duration
 }
 
-// Cost returns the dollar fee of a usage record under this schedule.
-func (p Pricing) Cost(u Usage) float64 {
-	return float64(u.PromptTokens)/1000*p.InPer1K + float64(u.CompletionTokens)/1000*p.OutPer1K
+// Cost returns the fee of a usage record under this schedule.
+func (p Pricing) Cost(u Usage) fee.Fee {
+	return fee.Fee(u.PromptTokens)*p.InPerToken + fee.Fee(u.CompletionTokens)*p.OutPerToken
 }
 
 // Latency returns the simulated wall time of a completion under this
@@ -40,11 +44,11 @@ const (
 	ModelGPT41 = "sim-gpt-4.1"
 )
 
-// DefaultPricing is the fee schedule per canonical model.
+// DefaultPricing is the fee schedule per canonical model (500 = $0.0005/1K).
 var DefaultPricing = map[string]Pricing{
-	ModelGPT35: {InPer1K: 0.0005, OutPer1K: 0.0015, TokensPerSecond: 120, PerCallOverhead: 300 * time.Millisecond},
-	ModelGPT4o: {InPer1K: 0.0025, OutPer1K: 0.0100, TokensPerSecond: 70, PerCallOverhead: 500 * time.Millisecond},
-	ModelGPT41: {InPer1K: 0.0020, OutPer1K: 0.0080, TokensPerSecond: 50, PerCallOverhead: 600 * time.Millisecond},
+	ModelGPT35: {InPerToken: 500, OutPerToken: 1500, TokensPerSecond: 120, PerCallOverhead: 300 * time.Millisecond},
+	ModelGPT4o: {InPerToken: 2500, OutPerToken: 10000, TokensPerSecond: 70, PerCallOverhead: 500 * time.Millisecond},
+	ModelGPT41: {InPerToken: 2000, OutPerToken: 8000, TokensPerSecond: 50, PerCallOverhead: 600 * time.Millisecond},
 }
 
 // PriceFor returns the fee schedule of a model name, defaulting to the

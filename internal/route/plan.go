@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/claim"
+	"repro/internal/fee"
 	"repro/internal/trace"
 )
 
@@ -63,7 +64,7 @@ type Plan struct {
 	// reused a deduplicated unit.
 	SubClaims int
 	// Fee is the total routing cost: fee × SubClaims.
-	Fee float64
+	Fee fee.Fee
 }
 
 // PlanDocuments decomposes and routes every compound claim of docs against
@@ -165,7 +166,7 @@ func (p *Plan) routeSubs(doc *claim.Document, claimIdx int, subs []SubClaim, cat
 	// Fees book only for fully-routed claims: a claim that falls back to
 	// passthrough pays nothing.
 	p.SubClaims += len(out)
-	p.Fee += opts.fee() * float64(len(out))
+	p.Fee += opts.fee() * fee.Fee(len(out))
 	return out
 }
 

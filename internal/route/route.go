@@ -18,17 +18,20 @@
 // bit-identical verdicts (the `make route` gate).
 package route
 
-import "repro/internal/trace"
+import (
+	"repro/internal/fee"
+	"repro/internal/trace"
+)
 
 // DefaultTopK is the number of top-scoring catalog candidates the routing
 // stage considers per sub-claim.
 const DefaultTopK = 3
 
 // DefaultFee is the priced cost of one routing decision (one sub-claim
-// scored and bound), in the same simulated dollars as model fees. Routing
-// uses embeddings and the catalog only — far cheaper than a verification
-// call — but it is not free, and the DP scheduler prices it (schedule.RouteStage).
-const DefaultFee = 0.0001
+// scored and bound), $0.0001 in the same simulated money as model fees. It
+// is far cheaper than a verification call — routing uses embeddings and the
+// catalog only — but not free, and the DP scheduler prices it (schedule.RouteStage).
+const DefaultFee fee.Fee = 100_000
 
 // DefaultAccuracy is the modeled probability that the routing stage binds a
 // sub-claim to the right table — the "wrong-routing risk" the scheduler
@@ -46,7 +49,7 @@ type Options struct {
 	// TopK bounds the candidate set handed to the routing pick.
 	TopK int
 	// Fee is booked per sub-claim routing decision; <= 0 means DefaultFee.
-	Fee float64
+	Fee fee.Fee
 	// Tracer, when non-nil, records route_score/route_pick spans under the
 	// parent claim's identity. Both kinds are dropped by
 	// trace.ReplayNormalize: the routing transcript is a property of how the
@@ -61,7 +64,7 @@ func (o Options) topK() int {
 	return o.TopK
 }
 
-func (o Options) fee() float64 {
+func (o Options) fee() fee.Fee {
 	if o.Fee <= 0 {
 		return DefaultFee
 	}

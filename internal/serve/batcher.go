@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/claim"
+	"repro/internal/fee"
 	"repro/internal/trace"
 )
 
@@ -115,7 +116,7 @@ func (s *Server) runBatch(batch []*job) {
 		return
 	}
 	stats, err := s.cfg.Backend.VerifyDocuments(docs)
-	bs := BatchStats{Docs: len(docs), Claims: stats.Claims, Dollars: stats.Dollars, Calls: stats.Calls}
+	bs := BatchStats{Docs: len(docs), Claims: stats.Claims, Dollars: fee.FromDollars(stats.Dollars), Calls: stats.Calls}
 	if err == nil {
 		s.met.recordBatch(bs)
 		s.harvestTrace()

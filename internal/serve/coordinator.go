@@ -419,7 +419,7 @@ func (c *Coordinator) scatterDocs(ctx context.Context, docs []DocumentInput) ([]
 		reply BatchResponse
 	}
 	byOwner := make(map[string]*group)
-	var groups []*group // first-seen owner order: deterministic fan-out and sums
+	var groups []*group // first-seen owner order: deterministic fan-out
 	for i, in := range docs {
 		key, docID := c.routeKey(in.DocID, in.Claims)
 		owner, ok := c.ring.Assign(key)

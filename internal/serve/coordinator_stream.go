@@ -52,10 +52,7 @@ type streamDoc struct {
 	status   int
 	verdicts []StreamEvent
 	errDet   *ErrorDetail // terminal failure for this document
-	// fees is the closing summary of the exchange this document was first
-	// in, so that fees add up in session order.
-	fees *StreamSummary
-	done chan struct{}
+	done     chan struct{}
 }
 
 func (d *streamDoc) answer(det *ErrorDetail) {
@@ -71,6 +68,7 @@ type streamSession struct {
 
 	mu     sync.Mutex
 	owners map[string]*ownerQueue
+	fees   StreamSummary // Dollars and Calls of the exchanges that ended with a summary
 }
 
 // ownerQueue is a session's traffic to one replica: the documents waiting
@@ -135,10 +133,6 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	for d := range results {
 		<-d.done
 		read++
-		if d.fees != nil {
-			sum.Dollars += d.fees.Dollars
-			sum.Calls += d.fees.Calls
-		}
 		if d.status != 0 {
 			c.traceRoute(d.docID, d.node, d.hop, d.status)
 		}
@@ -158,6 +152,7 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 		c.met.addStreamDoc()
 	}
 	s.wg.Wait()
+	sum.Dollars, sum.Calls = s.fees.Dollars, s.fees.Calls
 	closeStream(ctx, c.met, started, emit, readerErr, read, &sum)
 }
 
@@ -216,8 +211,9 @@ func (s *streamSession) exchange(node string, docs []*streamDoc, body []byte) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err == nil && x.fault == nil {
-		docs[0].fees = x.sum
+	if err == nil && x.fault == nil && x.sum != nil {
+		s.fees.Dollars += x.sum.Dollars
+		s.fees.Calls += x.sum.Calls
 	}
 	relayed := false
 	for _, d := range docs {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/claim"
+	"repro/internal/fee"
 	"repro/internal/sqldb"
 )
 
@@ -88,7 +89,7 @@ func TestCoordinatorStreamRoutesAndMergesInOrder(t *testing.T) {
 	// Calls and fees are exact: 1 call at $0.01 per claim, booked once even
 	// when two relayed documents coalesce into one replica micro-batch.
 	if sum.Docs != 3 || sum.Claims != 3 || sum.Calls != 3 ||
-		sum.Dollars < 0.03-1e-9 || sum.Dollars > 0.03+1e-9 {
+		sum.Dollars != 30_000_000 {
 		t.Errorf("summary = %+v, want docs=3 claims=3 calls=3 dollars=0.03", sum)
 	}
 }
@@ -398,7 +399,7 @@ func TestCoordinatorStreamOneExchangePerOwner(t *testing.T) {
 			t.Errorf("verdict[%d] = doc %q index %d, want %q/%d", i, ev.DocID, ev.Index, ids[i], i)
 		}
 	}
-	if sum.Docs != 12 || sum.Claims != 12 || sum.Calls != 12 || sum.Dollars < 0.12-1e-9 || sum.Dollars > 0.12+1e-9 {
+	if sum.Docs != 12 || sum.Claims != 12 || sum.Calls != 12 || sum.Dollars != 120_000_000 {
 		t.Errorf("summary = %+v, want docs=claims=calls=12 dollars=0.12", sum)
 	}
 	if routed := fetchCoordMetrics(t, ts.URL).Shard.Routed; routed != int64(len(reps)) {
@@ -514,7 +515,7 @@ func TestCoordinatorStreamOwnerLossMidSession(t *testing.T) {
 	}
 	// The fee of the document relayed before the loss is booked, as the
 	// per-document relay booked it.
-	if sum.Docs != 2 || sum.Claims != 2 || sum.Calls != 2 || sum.Dollars < 0.02-1e-9 || sum.Dollars > 0.02+1e-9 {
+	if sum.Docs != 2 || sum.Claims != 2 || sum.Calls != 2 || sum.Dollars != 20_000_000 {
 		t.Errorf("summary = %+v, want documents 0 and 3: docs=claims=calls=2 dollars=0.02", sum)
 	}
 	if kc, _ := dyingBackend.totals(); kc != 3 {
@@ -563,7 +564,7 @@ func TestCoordinatorStreamDeadlineKeepsRelayedFees(t *testing.T) {
 	if len(verdicts) != 1 || verdicts[0].Index != 0 || len(errs) != 1 || errs[0].Index != 1 {
 		t.Fatalf("verdicts %+v errors %+v, want document 0 verified and document 1 cut off", verdicts, errs)
 	}
-	if sum.Docs != 1 || sum.Calls != 1 || sum.Dollars < 0.01-1e-9 || sum.Dollars > 0.01+1e-9 {
+	if sum.Docs != 1 || sum.Calls != 1 || sum.Dollars != 10_000_000 {
 		t.Errorf("summary = %+v, want document 0's fee: docs=calls=1 dollars=0.01", sum)
 	}
 	check()
@@ -602,7 +603,7 @@ func TestCoordinatorStreamExchangesNeverShareABatch(t *testing.T) {
 	if len(errs) != 0 || len(verdicts) != 2 {
 		t.Fatalf("verdicts %+v errors %+v, want both documents verified", verdicts, errs)
 	}
-	if sum.Docs != 2 || sum.Calls != 2 || sum.Dollars < 0.02-1e-9 || sum.Dollars > 0.02+1e-9 {
+	if sum.Docs != 2 || sum.Calls != 2 || sum.Dollars != 20_000_000 {
 		t.Errorf("summary = %+v, want docs=calls=2 dollars=0.02", sum)
 	}
 	if n := streamSessions(t, a.ts.URL); n != 2 {
@@ -646,18 +647,20 @@ func TestCoordinatorStreamDisconnectLeaksNothing(t *testing.T) {
 	check()
 }
 
-// feeBackend bills each claim by its sentence length in 1/1024 dollars, so a
-// batch's fee depends on what it carried and sums exactly in any order.
+// feeBackend bills each claim by its sentence length in microdollars, so a
+// batch's fee depends on what it carried.
 func feeBackend(docs []*claim.Document) (RunStats, error) {
 	st := RunStats{}
+	var total fee.Fee
 	for _, d := range docs {
 		for _, c := range d.Claims {
 			c.Result.Verified, c.Result.Correct, c.Result.Method = true, true, "fee"
 			st.Claims++
 			st.Calls += 1 + len(c.Sentence)%3
-			st.Dollars += float64(len(c.Sentence)) / 1024
+			total += fee.Fee(len(c.Sentence)) * 1000
 		}
 	}
+	st.Dollars = total.Dollars()
 	return st, nil
 }
 

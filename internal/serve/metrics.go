@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fee"
 	"repro/internal/trace"
 )
 
@@ -30,7 +31,7 @@ type serveMetrics struct {
 	batches int64
 	docs    int64
 	claims  int64
-	dollars float64
+	dollars fee.Fee
 	calls   int64
 
 	// streams counts POST /v1/verify/stream sessions; streamDocs the
@@ -47,7 +48,7 @@ type serveMetrics struct {
 type methodAgg struct {
 	attempts, errors         int64
 	promptTokens, compTokens int64
-	fee                      float64
+	fee                      fee.Fee
 	lat                      *window
 }
 
@@ -249,7 +250,7 @@ type VerifyCounters struct {
 	Batches int64   `json:"batches"`
 	Docs    int64   `json:"docs"`
 	Claims  int64   `json:"claims"`
-	Dollars float64 `json:"dollars"`
+	Dollars fee.Fee `json:"dollars"`
 	Calls   int64   `json:"calls"`
 }
 
@@ -268,7 +269,7 @@ type MethodMetrics struct {
 	Errors           int64   `json:"errors"`
 	PromptTokens     int64   `json:"ptok"`
 	CompletionTokens int64   `json:"ctok"`
-	Fee              float64 `json:"fee"`
+	Fee              fee.Fee `json:"fee"`
 	// SimLatencyMS quantiles cover the method's recent attempts' simulated
 	// per-attempt latency (what the tracer's rollups report).
 	SimLatencyMS LatencyQuantiles `json:"sim_latency_ms"`

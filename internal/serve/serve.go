@@ -57,6 +57,8 @@ type RunStats struct {
 	// Claims is the number of claims the run verified.
 	Claims int
 	// Dollars is the run's simulated LLM fee; Calls its model invocations.
+	// The batcher books Dollars as the nearest whole nanodollar
+	// (fee.FromDollars), which is exact for a fee rendered from one.
 	Dollars float64
 	Calls   int
 }

@@ -417,6 +417,43 @@ func TestStatusAndMetrics(t *testing.T) {
 	}
 }
 
+// A replica's cumulative fee is the same whatever order its batches land
+// in: booked as float64 dollars, $0.1 + $0.2 + $0.3 read 0.6000000000000001
+// one way and 0.6 the other.
+func TestMetricsFeesExactInAnyOrder(t *testing.T) {
+	var got []string
+	for _, order := range [][]float64{{0.1, 0.2, 0.3}, {0.3, 0.2, 0.1}} {
+		fees := order
+		be := BackendFunc(func(docs []*claim.Document) (RunStats, error) {
+			st := RunStats{Claims: claim.TotalClaims(docs), Dollars: fees[0], Calls: 1}
+			fees = fees[1:]
+			return st, nil
+		})
+		_, ts := newTestServer(t, Config{Backend: be, BatchWait: -1})
+		for range order {
+			resp := postVerify(t, ts.URL, claimBody)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, want 200", resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var met struct {
+			Verify struct {
+				Dollars json.RawMessage `json:"dollars"`
+			} `json:"verify"`
+		}
+		decodeInto(t, resp, &met)
+		got = append(got, string(met.Verify.Dollars))
+	}
+	if got[0] != "0.6" || got[1] != "0.6" {
+		t.Errorf("verify.dollars = %s booked in one order, %s in the other; want 0.6 both ways", got[0], got[1])
+	}
+}
+
 func TestBackendErrorAnswers500(t *testing.T) {
 	be := BackendFunc(func(docs []*claim.Document) (RunStats, error) {
 		return RunStats{}, fmt.Errorf("model meltdown")

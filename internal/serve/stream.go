@@ -128,7 +128,7 @@ func feeShare(stats BatchStats) float64 {
 	if stats.Claims <= 0 {
 		return 0
 	}
-	return stats.Dollars / float64(stats.Claims)
+	return stats.Dollars.Dollars() / float64(stats.Claims)
 }
 
 // handleVerifyStream answers POST /v1/verify/stream. A reader goroutine

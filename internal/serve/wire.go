@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/claim"
+	"repro/internal/fee"
 	"repro/internal/review"
 	"repro/internal/sqldb"
 )
@@ -85,7 +86,7 @@ type BatchStats struct {
 	// Claims is the total number of claims across those documents.
 	Claims int `json:"claims"`
 	// Dollars is the batch run's simulated LLM fee.
-	Dollars float64 `json:"dollars"`
+	Dollars fee.Fee `json:"dollars"`
 	// Calls is the batch run's model invocation count.
 	Calls int `json:"calls"`
 }
@@ -133,7 +134,7 @@ type StreamSummary struct {
 	Docs   int `json:"docs"`
 	Claims int `json:"claims"`
 	// Dollars and Calls total the batch runs that carried those documents.
-	Dollars float64 `json:"dollars"`
+	Dollars fee.Fee `json:"dollars"`
 	Calls   int     `json:"calls"`
 	// Reviewed counts this stream's claims enqueued for human review.
 	Reviewed int `json:"reviewed"`

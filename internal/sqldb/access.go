@@ -54,13 +54,7 @@ func (cp *colPaths) index(col *Vec) (ix *eqIndex, fresh bool) {
 // on first use; fresh reports that this call did.
 func (cp *colPaths) folded(col *Vec) (f *colFold, fresh bool) {
 	cp.foldOnce.Do(func() {
-		all := &vgroup{n: col.Len()}
-		var cf colFold
-		if col.kind == KindInt {
-			cf = foldTyped(col, col.ints, all)
-		} else {
-			cf = foldTyped(col, col.floats, all)
-		}
+		cf := foldCol(col, &vgroup{n: col.Len()})
 		cp.fold, fresh = &cf, true
 	})
 	return cp.fold, fresh

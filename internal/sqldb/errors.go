@@ -19,4 +19,7 @@ var (
 	ErrType = errors.New("sqldb: type error")
 	// ErrUnsupported indicates a recognized but unimplemented SQL feature.
 	ErrUnsupported = errors.New("sqldb: unsupported SQL feature")
+	// ErrOverflow indicates integer arithmetic or an integer SUM whose exact
+	// result does not fit in an int64.
+	ErrOverflow = errors.New("sqldb: integer overflow")
 )

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -760,69 +761,90 @@ func (g *groupEnv) evalAggregate(f *FuncExpr) (Value, error) {
 	if len(f.Args) != 1 {
 		return Null(), fmt.Errorf("%w: %s takes one argument", ErrType, f.Name)
 	}
-	var vals []Value
-	seen := make(map[string]bool)
-	for _, row := range g.rows {
+	// Every argument is evaluated before any is folded, so an evaluation
+	// error outranks a fold's type error.
+	vals := make([]Value, len(g.rows))
+	for i, row := range g.rows {
 		e := &env{binds: g.ws.binds, row: row, parent: g.outer}
 		v, err := g.ex.eval(f.Args[0], e)
 		if err != nil {
 			return Null(), err
 		}
-		if v.IsNull() {
-			continue
-		}
-		if f.Distinct {
-			k := v.key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
+		vals[i] = v
 	}
-	switch f.Name {
-	case "COUNT":
-		return Int(int64(len(vals))), nil
+	agg := aggFold{name: f.Name, distinct: f.Distinct}
+	for _, v := range vals {
+		if err := agg.add(v); err != nil {
+			return Null(), err
+		}
+	}
+	return agg.result()
+}
+
+// aggFold folds one aggregate over a group's values in row order, for both
+// engines: NULLs skipped, DISTINCT by grouping key, SUM and AVG in a numSum,
+// MIN and MAX keeping the first of equal values.
+type aggFold struct {
+	name     string
+	distinct bool
+	seen     map[string]bool // DISTINCT's keys
+	cnt      int
+	sum      numSum
+	best     Value
+}
+
+func (a *aggFold) add(v Value) error {
+	if v.IsNull() {
+		return nil
+	}
+	if a.distinct {
+		k := v.key()
+		if a.seen[k] {
+			return nil
+		}
+		if a.seen == nil {
+			a.seen = make(map[string]bool)
+		}
+		a.seen[k] = true
+	}
+	a.cnt++
+	switch a.name {
 	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
+		if v.Kind() == KindInt {
+			a.sum.addInt(v.i64())
+			return nil
 		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
-			fv, ok := v.AsFloat()
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s over non-numeric value %q", ErrType, f.Name, v.String())
-			}
-			if v.Kind() != KindInt {
-				allInt = false
-			}
-			sum += fv
+		f, ok := v.AsFloat()
+		if !ok {
+			return fmt.Errorf("%w: %s over non-numeric value %q", ErrType, a.name, v.String())
 		}
-		if f.Name == "AVG" {
-			return Float(sum / float64(len(vals))), nil
-		}
-		if allInt && sum == math.Trunc(sum) {
-			return Int(int64(sum)), nil
-		}
-		return Float(sum), nil
+		a.sum.addFloat(f)
 	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
+		if a.cnt == 1 {
+			a.best = v
+			return nil
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := v.Compare(best)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s over incomparable values", ErrType, f.Name)
-			}
-			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
-				best = v
-			}
+		c, ok := v.Compare(a.best)
+		if !ok {
+			return fmt.Errorf("%w: %s over incomparable values", ErrType, a.name)
 		}
-		return best, nil
+		if (a.name == "MIN" && c < 0) || (a.name == "MAX" && c > 0) {
+			a.best = v
+		}
 	}
-	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, f.Name)
+	return nil
+}
+
+func (a *aggFold) result() (Value, error) {
+	switch a.name {
+	case "COUNT":
+		return Int(int64(a.cnt)), nil
+	case "SUM", "AVG":
+		return a.sum.result(a.name, a.cnt)
+	case "MIN", "MAX":
+		return a.best, nil
+	}
+	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, a.name)
 }
 
 // eval evaluates an expression in row context.
@@ -1078,44 +1100,106 @@ func applyArith(op string, l, r Value) (Value, error) {
 	if !ok1 || !ok2 {
 		return Null(), fmt.Errorf("%w: %s %s %s", ErrType, l.Kind(), op, r.Kind())
 	}
-	bothInt := l.Kind() == KindInt && r.Kind() == KindInt
+	if l.Kind() == KindInt && r.Kind() == KindInt {
+		return intArith(op, l.i64(), r.i64())
+	}
+	return floatArith(op, lf, rf), nil
+}
+
+// intArith applies an arithmetic operator to two integers exactly, failing
+// with ErrOverflow where the result does not fit in an int64, as DuckDB does
+// for BIGINT. Division by zero yields NULL, and division yields a float
+// unless the divisor divides exactly (DuckDB's division, so percentage
+// queries like COUNT(...)*100.0/COUNT(...) behave as expected).
+func intArith(op string, a, b int64) (Value, error) {
+	var c int64
+	overflow := false
 	switch op {
 	case "+":
-		if bothInt {
-			return Int(int64(lf) + int64(rf)), nil
-		}
-		return Float(lf + rf), nil
+		c = a + b
+		overflow = (c^a)&(c^b) < 0
 	case "-":
-		if bothInt {
-			return Int(int64(lf) - int64(rf)), nil
-		}
-		return Float(lf - rf), nil
+		c = a - b
+		overflow = (a^b)&(a^c) < 0
 	case "*":
-		if bothInt {
-			return Int(int64(lf) * int64(rf)), nil
-		}
-		return Float(lf * rf), nil
-	case "/":
-		if rf == 0 {
+		c = a * b
+		overflow = a != 0 && (c/a != b || (a == -1 && b == math.MinInt64))
+	case "/", "%":
+		switch {
+		case b == 0:
 			return Null(), nil
+		case op == "%":
+			return Int(a % b), nil
+		case a%b != 0:
+			return Float(float64(a) / float64(b)), nil
 		}
-		// Match DuckDB: division always yields a float, so percentage
-		// queries like COUNT(...)*100.0/COUNT(...) behave as expected;
-		// integer division of exact multiples stays integral.
-		if bothInt && int64(lf)%int64(rf) == 0 {
-			return Int(int64(lf) / int64(rf)), nil
-		}
-		return Float(lf / rf), nil
-	case "%":
-		if rf == 0 {
-			return Null(), nil
-		}
-		if bothInt {
-			return Int(int64(lf) % int64(rf)), nil
-		}
-		return Float(math.Mod(lf, rf)), nil
+		c = a / b
+		overflow = a == math.MinInt64 && b == -1
 	}
-	return Null(), fmt.Errorf("%w: operator %q", ErrUnsupported, op)
+	if overflow {
+		return Null(), fmt.Errorf("%w: %d %s %d", ErrOverflow, a, op, b)
+	}
+	return Int(c), nil
+}
+
+// floatArith applies an arithmetic operator in float64, the operands of any
+// pair that is not two integers. Division or modulo by zero yields NULL.
+func floatArith(op string, a, b float64) Value {
+	switch op {
+	case "+":
+		return Float(a + b)
+	case "-":
+		return Float(a - b)
+	case "*":
+		return Float(a * b)
+	}
+	if b == 0 {
+		return Null()
+	}
+	if op == "/" {
+		return Float(a / b)
+	}
+	return Float(math.Mod(a, b))
+}
+
+// numSum accumulates SUM and AVG for both engines. AVG, and a SUM with any
+// non-integer addend, come from the float64 total. A SUM of integers comes
+// from an exact 128-bit total, so it does not depend on the order of the
+// addends, and fails with ErrOverflow only when the result does not fit in
+// an int64.
+type numSum struct {
+	f     float64
+	hi    int64  // high word of the integer total
+	lo    uint64 // low word of the integer total
+	mixed bool   // some addend was not an integer
+}
+
+func (s *numSum) addInt(x int64) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64(x), 0)
+	s.hi += x>>63 + int64(carry)
+	s.f += float64(x)
+}
+
+func (s *numSum) addFloat(x float64) {
+	s.f += x
+	s.mixed = true
+}
+
+// result finishes aggregate name over cnt addends: NULL over none, AVG
+// always a float.
+func (s *numSum) result(name string, cnt int) (Value, error) {
+	switch {
+	case cnt == 0:
+		return Null(), nil
+	case name == "AVG":
+		return Float(s.f / float64(cnt)), nil
+	case s.mixed:
+		return Float(s.f), nil
+	case s.hi != int64(s.lo)>>63:
+		return Null(), fmt.Errorf("%w: SUM of %d integers", ErrOverflow, cnt)
+	}
+	return Int(int64(s.lo)), nil
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively

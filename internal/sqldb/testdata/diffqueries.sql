@@ -1,8 +1,9 @@
 -- Curated differential corpus: each line runs through the row oracle, the
 -- vectorized engine, and the cached Query path on both fixture catalogs.
 -- Lines target known divergence hazards: NULL semantics, lossy float64
--- coercion above 2^53, mixed-kind columns, empty-input aggregates,
--- outer-join padding, correlated subqueries, and ORDER BY resolution.
+-- coercion above 2^53, integer overflow, mixed-kind columns, empty-input
+-- aggregates, outer-join padding, correlated subqueries, and ORDER BY
+-- resolution.
 SELECT id, n FROM t1
 SELECT DISTINCT id FROM t1 ORDER BY 1 DESC
 SELECT id, n, f FROM t1 WHERE n > 0 AND f < 10
@@ -47,3 +48,6 @@ SELECT a.airline, r.population FROM airlines a JOIN regions r ON a.region = r.re
 SELECT a.airline, r.population FROM airlines a LEFT JOIN regions r ON a.region = r.region ORDER BY 1
 SELECT region, SUM(fatal_accidents) FROM airlines GROUP BY region ORDER BY 1
 SELECT COUNT(*) FROM airlines WHERE region IS NULL
+SELECT 9223372036854775806 + 1
+SELECT 4611686018427387904 * 2
+SELECT SUM(CASE WHEN k = 1 THEN 9223372036854775807 WHEN k = 2 THEN 4611686018427387904 END) FROM t3

@@ -943,7 +943,7 @@ type vexpr interface {
 func typedNum(v *Vec) bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // numAt reads a typed vector's value as float64, the representation
-// Value.Compare and applyArith reduce numerics to.
+// Value.Compare reduces numerics to.
 func numAt(v *Vec, i int) float64 {
 	if v.konst {
 		i = 0
@@ -952,6 +952,14 @@ func numAt(v *Vec, i int) float64 {
 		return float64(v.ints[i])
 	}
 	return v.floats[i]
+}
+
+// intAt reads an integer vector's value.
+func intAt(v *Vec, i int) int64 {
+	if v.konst {
+		i = 0
+	}
+	return v.ints[i]
 }
 
 // mapVec evaluates f element-wise into a generic vector.
@@ -1066,7 +1074,7 @@ func (v *vbin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if typedNum(lv) && typedNum(rv) {
 		switch v.op {
 		case "+", "-", "*", "/", "%":
-			return arithKernel(v.op, lv, rv, b.n), nil
+			return arithKernel(v.op, lv, rv, b.n)
 		}
 	}
 	return mapVec(b.n, func(i int) (Value, error) { return applyBinary(v.op, lv.At(i), rv.At(i)) })
@@ -1188,10 +1196,10 @@ func (v *vcmp) sel(ctx *vecCtx, b *vbatch, dst []int32) ([]int32, error) {
 	return dst, nil
 }
 
-// arithKernel mirrors applyArith on typed numeric vectors, including its
-// int64(float64(x)) round-trips for the both-integer branches and the
-// divide-by-zero-yields-NULL rule.
-func arithKernel(op string, lv, rv *Vec, n int) *Vec {
+// arithKernel applies applyArith's rules to typed numeric vectors: exact
+// int64 arithmetic (intArith) when both sides are integers, float64
+// (floatArith) otherwise.
+func arithKernel(op string, lv, rv *Vec, n int) (*Vec, error) {
 	bothInt := lv.kind == KindInt && rv.kind == KindInt
 	hint := KindFloat
 	if bothInt {
@@ -1199,51 +1207,20 @@ func arithKernel(op string, lv, rv *Vec, n int) *Vec {
 	}
 	out := NewVec(hint, n)
 	for i := 0; i < n; i++ {
-		if lv.IsNullAt(i) || rv.IsNullAt(i) {
+		switch {
+		case lv.IsNullAt(i) || rv.IsNullAt(i):
 			out.Append(Null())
-			continue
-		}
-		lf, rf := numAt(lv, i), numAt(rv, i)
-		switch op {
-		case "+":
-			if bothInt {
-				out.Append(Int(int64(lf) + int64(rf)))
-			} else {
-				out.Append(Float(lf + rf))
+		case bothInt:
+			v, err := intArith(op, intAt(lv, i), intAt(rv, i))
+			if err != nil {
+				return nil, err
 			}
-		case "-":
-			if bothInt {
-				out.Append(Int(int64(lf) - int64(rf)))
-			} else {
-				out.Append(Float(lf - rf))
-			}
-		case "*":
-			if bothInt {
-				out.Append(Int(int64(lf) * int64(rf)))
-			} else {
-				out.Append(Float(lf * rf))
-			}
-		case "/":
-			switch {
-			case rf == 0:
-				out.Append(Null())
-			case bothInt && int64(lf)%int64(rf) == 0:
-				out.Append(Int(int64(lf) / int64(rf)))
-			default:
-				out.Append(Float(lf / rf))
-			}
-		case "%":
-			switch {
-			case rf == 0:
-				out.Append(Null())
-			case bothInt:
-				out.Append(Int(int64(lf) % int64(rf)))
-			default:
-				out.Append(Float(math.Mod(lf, rf)))
-			}
+			out.Append(v)
+		default:
+			out.Append(floatArith(op, numAt(lv, i), numAt(rv, i)))
 		}
 	}
-	return out
+	return out, nil
 }
 
 type vbetween struct {
@@ -1696,72 +1673,14 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 			return finishFold(name, av, a.fold(ctx, av, g))
 		}
 	}
-	// Generic fold: mirror evalAggregate's rules over the group's non-NULL
-	// values in row order (DISTINCT by grouping key), folding in place.
-	var seen map[string]bool
-	if a.distinct {
-		seen = make(map[string]bool)
-	}
-	cnt, sum, allInt, best := 0, 0.0, true, Null()
+	// Generic fold: evalAggregate's, over the group's values in row order.
+	agg := aggFold{name: name, distinct: a.distinct}
 	for k := 0; k < g.n; k++ {
-		v := av.At(g.row(k))
-		if v.IsNull() {
-			continue
-		}
-		if a.distinct {
-			key := v.key()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		cnt++
-		switch name {
-		case "SUM", "AVG":
-			fv, ok := v.AsFloat()
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s over non-numeric value %q", ErrType, name, v.String())
-			}
-			allInt = allInt && v.Kind() == KindInt
-			sum += fv
-		case "MIN", "MAX":
-			if cnt == 1 {
-				best = v
-				continue
-			}
-			c, ok := v.Compare(best)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s over incomparable values", ErrType, name)
-			}
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
+		if err := agg.add(av.At(g.row(k))); err != nil {
+			return Null(), err
 		}
 	}
-	switch name {
-	case "COUNT":
-		return Int(int64(cnt)), nil
-	case "SUM", "AVG":
-		return sumResult(name, sum, cnt, allInt), nil
-	case "MIN", "MAX":
-		return best, nil
-	}
-	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, name)
-}
-
-// sumResult finishes SUM and AVG the way evalAggregate does: NULL over no
-// values, AVG always a float, SUM integral when every addend was and the
-// float64 total still is.
-func sumResult(name string, sum float64, cnt int, allInt bool) Value {
-	switch {
-	case cnt == 0:
-		return Null()
-	case name == "AVG":
-		return Float(sum / float64(cnt))
-	case allInt && sum == math.Trunc(sum):
-		return Int(int64(sum))
-	}
-	return Float(sum)
+	return agg.result()
 }
 
 // fold returns the group's typed fold of av: from the column's memo when the
@@ -1776,6 +1695,11 @@ func (a *gagg) fold(ctx *vecCtx, av *Vec, g *vgroup) colFold {
 			return *f
 		}
 	}
+	return foldCol(av, g)
+}
+
+// foldCol folds group g of the typed numeric vector av.
+func foldCol(av *Vec, g *vgroup) colFold {
 	if av.kind == KindInt {
 		return foldTyped(av, av.ints, g)
 	}
@@ -1787,25 +1711,30 @@ func (a *gagg) fold(ctx *vecCtx, av *Vec, g *vgroup) colFold {
 // first minimum and maximum (-1 over no values), and whether a NaN was seen.
 type colFold struct {
 	cnt    int
-	sum    float64
+	sum    numSum
 	lo, hi int
 	nan    bool
 }
 
-// foldTyped folds group g of av (xs is av's storage) without boxing. All
-// arithmetic goes through float64 — including MIN/MAX comparisons and SUM
-// accumulation over integers — because that is what evalAggregate does via
-// AsFloat/Compare; like it, MIN and MAX keep the first of equal (or
-// NaN-incomparable) values.
+// foldTyped folds group g of av (xs is av's storage) without boxing. MIN/MAX
+// comparisons go through float64 because that is what evalAggregate does
+// via Compare; like it, MIN and MAX keep the first of equal (or
+// NaN-incomparable) values. SUM and AVG accumulate as evalAggregate does, in
+// a numSum.
 func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
-	cnt, sum, lo, hi, nan := 0, 0.0, -1, -1, false
+	cnt, lo, hi, nan := 0, -1, -1, false
+	var sum numSum
 	for k := 0; k < g.n; k++ {
 		r := g.row(k)
 		if av.nulls != nil && av.nulls[r] {
 			continue
 		}
 		x := float64(xs[r])
-		sum += x
+		if av.kind == KindInt {
+			sum.addInt(int64(xs[r]))
+		} else {
+			sum.addFloat(x)
+		}
 		nan = nan || x != x
 		if cnt == 0 || x < float64(xs[lo]) {
 			lo = r
@@ -1822,7 +1751,7 @@ func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
 func finishFold(name string, av *Vec, f colFold) (Value, error) {
 	switch name {
 	case "SUM", "AVG":
-		return sumResult(name, f.sum, f.cnt, av.kind == KindInt), nil
+		return f.sum.result(name, f.cnt)
 	case "MIN", "MAX":
 		if f.cnt == 0 {
 			return Null(), nil

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/fee"
 )
 
 // Rollup accumulates the attempt spans of one group (a method or a model):
@@ -17,7 +19,7 @@ type Rollup struct {
 	Errors           int           `json:"errors"`
 	PromptTokens     int           `json:"ptok"`
 	CompletionTokens int           `json:"ctok"`
-	Fee              float64       `json:"fee"`
+	Fee              fee.Fee       `json:"fee"`
 	P50              time.Duration `json:"p50_ns"`
 	P95              time.Duration `json:"p95_ns"`
 	P99              time.Duration `json:"p99_ns"`
@@ -42,18 +44,16 @@ type OutcomeCount struct {
 type Summary struct {
 	Spans    int            `json:"spans"`
 	Attempts int            `json:"attempts"`
-	Fee      float64        `json:"fee"`
+	Fee      fee.Fee        `json:"fee"`
 	ByMethod []Rollup       `json:"by_method"`
 	ByModel  []Rollup       `json:"by_model"`
 	Outcomes []OutcomeCount `json:"outcomes"`
 	Kinds    []KindCount    `json:"kinds"`
 }
 
-// Aggregate folds a span stream into a Summary. Spans are processed in the
-// canonical sorted order produced by Tracer.Spans, so floating-point fee
-// accumulation is order-stable and the summary is as deterministic as the
-// trace itself. Anonymous attempt spans (zero Key, e.g. profiling traffic)
-// roll up under the method name "(untracked)".
+// Aggregate folds a span stream into a Summary. Anonymous attempt spans
+// (zero Key, e.g. profiling traffic) roll up under the method name
+// "(untracked)".
 func Aggregate(spans []Span) Summary {
 	sum := Summary{Spans: len(spans)}
 	byMethod := map[string]*Rollup{}
@@ -147,7 +147,7 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 // tallies, and event counts.
 func (s Summary) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d spans, %d model attempts, $%.4f total fee\n", s.Spans, s.Attempts, s.Fee)
+	fmt.Fprintf(&b, "trace: %d spans, %d model attempts, $%.4f total fee\n", s.Spans, s.Attempts, s.Fee.Dollars())
 	writeRollups := func(title string, rs []Rollup) {
 		if len(rs) == 0 {
 			return
@@ -156,7 +156,7 @@ func (s Summary) Table() string {
 			title, "attempts", "errs", "ptok", "ctok", "fee($)", "p50", "p95", "p99")
 		for _, r := range rs {
 			fmt.Fprintf(&b, "%-18s %8d %6d %9d %9d %10.4f %10v %10v %10v\n",
-				r.Name, r.Attempts, r.Errors, r.PromptTokens, r.CompletionTokens, r.Fee,
+				r.Name, r.Attempts, r.Errors, r.PromptTokens, r.CompletionTokens, r.Fee.Dollars(),
 				r.P50.Round(time.Millisecond), r.P95.Round(time.Millisecond), r.P99.Round(time.Millisecond))
 		}
 	}

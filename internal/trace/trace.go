@@ -33,6 +33,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/fee"
 )
 
 // Key identifies one pipeline attempt: which document, which claim (by its
@@ -165,7 +167,7 @@ type Span struct {
 	// Token and fee accounting of one completion (KindAttempt only).
 	PromptTokens     int     `json:"ptok,omitempty"`
 	CompletionTokens int     `json:"ctok,omitempty"`
-	Fee              float64 `json:"fee,omitempty"`
+	Fee              fee.Fee `json:"fee,omitempty"`
 	// Latency is simulated wall time: the completion's latency for attempts,
 	// the backoff wait for retries, the scaled sleep for throttle events.
 	Latency time.Duration `json:"lat_ns,omitempty"`

@@ -130,11 +130,11 @@ func TestAggregateRollups(t *testing.T) {
 	k := func(c int) Key { return Key{Doc: "d", Claim: c, Method: "oneshot-gpt3.5", Try: 0} }
 	for c := 0; c < 4; c++ {
 		tr.Record(Span{Key: k(c), Kind: KindAttempt, Model: "gpt35",
-			PromptTokens: 100, CompletionTokens: 10, Fee: 0.001,
+			PromptTokens: 100, CompletionTokens: 10, Fee: 1_000_000,
 			Latency: time.Duration(c+1) * time.Second, Outcome: OutcomeOK})
 	}
 	tr.Record(Span{Key: k(3), Kind: KindFault, Outcome: "transient"})
-	tr.Record(Span{Key: k(3), Kind: KindAttempt, Model: "gpt35", Fee: 0.002,
+	tr.Record(Span{Key: k(3), Kind: KindAttempt, Model: "gpt35", Fee: 2_000_000,
 		Latency: 10 * time.Second, Outcome: OutcomeError})
 	for c := 0; c < 3; c++ {
 		tr.Record(Span{Key: k(c), Kind: KindOutcome, Outcome: OutcomeVerified})
@@ -155,8 +155,8 @@ func TestAggregateRollups(t *testing.T) {
 	if m.PromptTokens != 400 || m.CompletionTokens != 40 {
 		t.Errorf("token totals %d/%d", m.PromptTokens, m.CompletionTokens)
 	}
-	if got := m.Fee; got < 0.0059 || got > 0.0061 {
-		t.Errorf("fee = %v", got)
+	if got := m.Fee; got != 6_000_000 {
+		t.Errorf("fee = %d nanodollars, want 6000000", got)
 	}
 	// Latencies {1s,2s,3s,4s,10s}: nearest-rank p50 = 3s, p95 = p99 = 10s.
 	if m.P50 != 3*time.Second || m.P95 != 10*time.Second || m.P99 != 10*time.Second {
@@ -204,7 +204,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	tr := New()
 	tr.Record(Span{Key: Key{Doc: "d", Claim: 1, Method: "m", Try: 0}, Kind: KindAttempt,
 		Model: "gpt", Temperature: 0.25, Seed: -12345, PromptTokens: 9, CompletionTokens: 4,
-		Fee: 0.0001, Latency: 1500 * time.Millisecond, Outcome: OutcomeOK})
+		Fee: 100_000, Latency: 1500 * time.Millisecond, Outcome: OutcomeOK})
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -226,18 +226,18 @@ func TestReplayNormalize(t *testing.T) {
 	k := Key{Doc: "d", Claim: 1, Method: "oneshot", Try: 1}
 	other := Key{Doc: "d", Claim: 2, Method: "oneshot", Try: 1}
 	cold := []Span{
-		{Key: k, Seq: 0, Kind: KindAttempt, Model: "m", Fee: 0.5, Outcome: OutcomeOK},
+		{Key: k, Seq: 0, Kind: KindAttempt, Model: "m", Fee: 500_000_000, Outcome: OutcomeOK},
 		{Key: k, Seq: 1, Kind: KindOutcome, Outcome: OutcomeVerified},
 		{Key: other, Seq: 0, Kind: KindCacheHit, Model: "m"},
-		{Key: other, Seq: 1, Kind: KindAttempt, Model: "m", Fee: 0.5, Outcome: OutcomeOK},
+		{Key: other, Seq: 1, Kind: KindAttempt, Model: "m", Fee: 500_000_000, Outcome: OutcomeOK},
 		{Key: other, Seq: 2, Kind: KindOutcome, Outcome: OutcomeVerified},
 	}
 	warm := []Span{
-		{Key: k, Seq: 0, Kind: KindPersistHit, Model: "m", Fee: 0.5, Outcome: OutcomeOK},
+		{Key: k, Seq: 0, Kind: KindPersistHit, Model: "m", Fee: 500_000_000, Outcome: OutcomeOK},
 		{Key: k, Seq: 1, Kind: KindOutcome, Outcome: OutcomeVerified},
 		{Key: other, Seq: 0, Kind: KindCacheWait, Model: "m", Outcome: OutcomeOK},
 		{Key: other, Seq: 1, Kind: KindMemoMismatch, Outcome: OutcomeError},
-		{Key: other, Seq: 2, Kind: KindPersistHit, Model: "m", Fee: 0.5, Outcome: OutcomeOK},
+		{Key: other, Seq: 2, Kind: KindPersistHit, Model: "m", Fee: 500_000_000, Outcome: OutcomeOK},
 		{Key: other, Seq: 3, Kind: KindOutcome, Outcome: OutcomeVerified},
 		// Arrival-order noise from a streamed run: dropped like routing spans.
 		{Key: Key{Doc: "d", Method: "stream"}, Seq: 0, Kind: KindStreamAdmit, Detail: "arrival=3"},
