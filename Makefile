@@ -64,10 +64,16 @@ chaos:
 # token count against hash/fnv and CountMessageTokens, the one-allocation
 # masking and query rendering against theirs, the memos
 # releasing the text they were filled from, and the allocation ceilings.
+# And the envelope's (DESIGN.md §21): the schema resolvers' phrase memo
+# against the reference resolution on every generator corpus and an
+# eight-table catalog, bit for bit, cold and warm, with its 32-goroutine
+# stress across the cap flushes; the tracer's reset reusing its storage; and
+# the allocation ceilings of a warm parse, a replica's unary request and a
+# relayed stream event.
 trace:
 	$(GO) test -race -run 'GoldenTrace|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL|Differential|LazyRand|ColumnCache|CompiledCaches|SchemaMemo|AllocCeiling|FoldedCreateTable|AttemptExecutesOnce|AttemptResultShapes|ClaimInputs' \
 		./internal/core ./internal/trace ./internal/llm ./internal/llm/sim ./internal/nl ./internal/embed ./internal/verify \
-		./internal/prompts ./internal/textutil
+		./internal/prompts ./internal/textutil ./internal/serve
 
 # Persistent-store gate under the race detector (DESIGN.md §11): segment
 # round-trip/recovery units, the crash-recovery truncation sweep (reopen at
@@ -129,9 +135,13 @@ shard:
 # answered alone, owner loss, deadline, draining owner, fees booked exactly
 # once, no goroutine outliving a session), the failover proxy's
 # delivered-detection regression (zero duplicated claims, fees booked once),
-# and a replica's fee total that is exact in any order of its batches.
+# and a replica's fee total that is exact in any order of its batches. With
+# them, the wire (DESIGN.md §21): the tier's response bytes against their
+# golden, the codec against encoding/json's bytes and decodes, a verify body
+# with trailing data answered 400 on both tiers, and a stream in one
+# micro-batch written with at most two flushes.
 stream:
-	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact' \
+	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact|TierGolden|TrailingData|WireEncode|WireCodec' \
 		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve
 
 # Ingestion gate under the race detector (DESIGN.md §15, docs/DATA.md): the
@@ -178,6 +188,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzSchemaMemo$$ -fuzztime $(FUZZTIME) ./internal/nl
 	$(GO) test -run NONE -fuzz FuzzSparseDot$$ -fuzztime $(FUZZTIME) ./internal/embed
 	$(GO) test -run NONE -fuzz FuzzPromptTokens$$ -fuzztime $(FUZZTIME) ./internal/llm/sim
+	$(GO) test -run NONE -fuzz FuzzWireCodec$$ -fuzztime $(FUZZTIME) ./internal/serve
 
 # The benchmark's reference, digest and span checks on 1/20 of every
 # workload's list, untraced then traced: claims returned in order, a sampled

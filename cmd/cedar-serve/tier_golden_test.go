@@ -71,6 +71,9 @@ func tierCases() []tierCase {
 		{"400 no claims", "POST", "/v1/verify", `{"doc_id":"g-empty","claims":[]}`},
 		{"400 null body", "POST", "/v1/verify", `null`},
 		{"400 bad claim", "POST", "/v1/verify", `{"doc_id":"g-badclaim","claims":[{"sentence":"No value here.","value":"42"}]}`},
+		{"400 trailing data", "POST", "/v1/verify", doc("g-trail", agg) + " garbage"},
+		{"400 two documents", "POST", "/v1/verify", doc("g-two-a", agg) + doc("g-two-b", good)},
+		{"400 batch trailing data", "POST", "/v1/verify/batch", `{"documents":[` + doc("g-trail-b", agg) + `]}` + "\n{}\n"},
 		{"400 batch without documents", "POST", "/v1/verify/batch", `{"documents":[]}`},
 		{"413 declared", "POST", "/v1/verify", `{"claims":[{"sentence":"The answer is 42.` + strings.Repeat(" ", 8<<20) + `","value":"42"}]}`},
 		{"413 stream declared", "POST", "/v1/verify/stream", `{"claims":[{"sentence":"The answer is 42.` + strings.Repeat(" ", 8<<20) + `","value":"42"}]}` + "\n"},

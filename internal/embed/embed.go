@@ -167,6 +167,38 @@ func Similarity(a, b string) float64 {
 // whitespace — the token normal form shared by embedding and the simulated
 // model's entity matching.
 func Normalize(text string) string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= 0x80 {
+			return normalizeUnicode(text)
+		}
+	}
+	// ASCII: the letters and digits are [A-Za-z0-9], and every other run of
+	// bytes becomes one space, none at either end — what normalizeUnicode
+	// computes, in one allocation.
+	var b strings.Builder
+	b.Grow(len(text))
+	gap := false
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		switch {
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		default:
+			gap = true
+			continue
+		}
+		if gap && b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		gap = false
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// normalizeUnicode is Normalize for text with bytes outside ASCII.
+func normalizeUnicode(text string) string {
 	var b strings.Builder
 	for _, r := range strings.ToLower(text) {
 		switch {

@@ -3,6 +3,7 @@ package embed
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,4 +231,36 @@ func BenchmarkEmbed(b *testing.B) {
 			sinkScore = Cosine(embedReference(phrase), v)
 		}
 	})
+}
+
+// TestDifferentialNormalizeASCII holds Normalize's one-allocation ASCII path
+// to the general one (normalizeUnicode, the code it shortcuts) on every
+// ASCII byte alone and on random ASCII texts weighted toward the separators
+// and letters that matter.
+func TestDifferentialNormalizeASCII(t *testing.T) {
+	texts := []string{"", " ", "   a  ", "A-b_C", "\x00\x7f", "Between 2000 and 2014, Aer Lingus flew."}
+	for c := 0; c < 0x80; c++ {
+		texts = append(texts, string(rune(c)), "x"+string(rune(c))+"Y")
+	}
+	rng := rand.New(rand.NewSource(53))
+	const alphabet = "aZ09 \t\n.,-_'\"()!?/\\\x00\x1f\x7f"
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(40))
+		for j := range b {
+			if rng.Intn(3) == 0 {
+				b[j] = byte(rng.Intn(0x80))
+			} else {
+				b[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		texts = append(texts, string(b))
+	}
+	for _, text := range texts {
+		if got, want := Normalize(text), normalizeUnicode(text); got != want {
+			t.Fatalf("Normalize(%q) = %q, want %q", text, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Normalize("Between 2000 and 2014, Aer Lingus flew.") }); n > 1 {
+		t.Errorf("Normalize of ASCII text: %.0f allocations, want 1", n)
+	}
 }

@@ -1,6 +1,7 @@
 package nl
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,10 @@ import (
 // A claim changes from call to call; the lexicon and the schema it is parsed
 // against do not. This file holds what the parser derives from the static
 // side, built once and shared read-only: a column's verbalisations as
-// embedded vectors (per lexicon), and the Schema of a prompt's CREATE TABLE
-// block (per distinct block).
+// embedded vectors (per lexicon), the Schema of a prompt's CREATE TABLE
+// block (per distinct block), and a schema's resolution under a lexicon —
+// its distinct columns, its tables' embedded nouns and names, and the
+// phrases and nouns already resolved against them (per schema and lexicon).
 
 // compiledColumn is everything resolveColumn needs to know about one column
 // name under one lexicon.
@@ -152,6 +155,15 @@ const schemaMemoCap = 256
 var schemaMemo struct {
 	sync.RWMutex
 	m map[string]*Schema
+	// memoised holds the values of m.
+	memoised map[*Schema]bool
+}
+
+// isMemoisedSchema reports whether s is a Schema SchemaOfPrompt handed out.
+func isMemoisedSchema(s *Schema) bool {
+	schemaMemo.RLock()
+	defer schemaMemo.RUnlock()
+	return schemaMemo.memoised[s]
 }
 
 // SchemaOfPrompt is ParseSchemaText(prompt) for readers that only read the
@@ -180,8 +192,10 @@ func SchemaOfPrompt(prompt string) *Schema {
 	} else {
 		if schemaMemo.m == nil || len(schemaMemo.m) >= schemaMemoCap {
 			schemaMemo.m = make(map[string]*Schema)
+			schemaMemo.memoised = make(map[*Schema]bool)
 		}
 		schemaMemo.m[block] = s
+		schemaMemo.memoised[s] = true
 	}
 	schemaMemo.Unlock()
 	return s
@@ -243,4 +257,283 @@ func hasCreateTablePrefix(line string) bool {
 		}
 	}
 	return true
+}
+
+// resolverCap bounds the schemas with a resolver, phraseCap and nounCap the
+// phrases and nouns one resolver remembers. Each is flushed whole at its cap
+// and refills from traffic. A serving catalog is one schema, and its claims'
+// phrases are few — verbalisations of its columns and their hazards — since
+// a claim's entity and value are not part of them.
+const (
+	resolverCap = 256
+	phraseCap   = 2048
+	nounCap     = 256
+)
+
+// schemaResolver is a schema's column and table resolution under one
+// lexicon. Everything but the two memos is fixed when it is built; the memos
+// hold what phrase and table compute, which depends on nothing else.
+type schemaResolver struct {
+	// schema is a copy of the schema it resolves against, names and all,
+	// which a memo hit is checked against.
+	schema *Schema
+	// columns are the schema's distinct lower-case column names in the order
+	// resolution meets them, each under its first spelling.
+	columns []resolverColumn
+	// nounVecs[i] and nameVecs[i] embed table i's plural noun and name.
+	nounVecs, nameVecs []embed.Vector
+	// fallback is the table a noun matching none resolves to: the first
+	// with an entity column, else the first (-1: no tables).
+	fallback int
+
+	mu      sync.RWMutex
+	phrases map[string]*phraseCands
+	nouns   map[string]int
+}
+
+type resolverColumn struct {
+	name string
+	cc   *compiledColumn
+}
+
+// phraseCands is one phrase resolved against a schema before any context.
+type phraseCands struct {
+	// ranked are the columns scoring over 0.3, ranked: the answer to a
+	// parse without context, shared by every such parse. columns[i] is
+	// ranked[i]'s compiled column, for the context boost.
+	ranked  []Candidate
+	columns []*compiledColumn
+	// have lists the phrase's normalized tokens.
+	have []string
+}
+
+// resolverKey identifies a schema by content: every prompt over one database
+// parses its own Schema, and a parse of the same CREATE TABLE text resolves
+// the same way.
+type resolverKey struct {
+	hash uint64 // schemaHash of the schema
+	lex  *Lexicon
+}
+
+var resolvers struct {
+	sync.RWMutex
+	m map[resolverKey]*schemaResolver
+	// byPointer finds the resolver of a Schema SchemaOfPrompt memoised
+	// without hashing it: those are shared by every prompt over their
+	// block, and hold nothing of the prompt that first carried it.
+	byPointer map[pointerKey]*schemaResolver
+}
+
+type pointerKey struct {
+	schema *Schema
+	lex    *Lexicon
+}
+
+var schemaSeed = maphash.MakeSeed()
+
+// schemaHash hashes everything resolution reads of a schema: table names,
+// column names and types, in order.
+func schemaHash(s *Schema) uint64 {
+	var h maphash.Hash
+	h.SetSeed(schemaSeed)
+	for i := range s.Tables {
+		t := &s.Tables[i]
+		h.WriteString(t.Name)
+		h.WriteByte(0)
+		for j := range t.Columns {
+			h.WriteString(t.Columns[j].Name)
+			h.WriteByte(0)
+			h.WriteString(t.Columns[j].Type)
+			h.WriteByte(0)
+		}
+		h.WriteByte(1)
+	}
+	return h.Sum64()
+}
+
+// sameSchema reports whether two schemas agree in everything schemaHash
+// hashes.
+func sameSchema(a, b *Schema) bool {
+	if len(a.Tables) != len(b.Tables) {
+		return false
+	}
+	for i := range a.Tables {
+		ta, tb := &a.Tables[i], &b.Tables[i]
+		if ta.Name != tb.Name || len(ta.Columns) != len(tb.Columns) {
+			return false
+		}
+		for j := range ta.Columns {
+			if ta.Columns[j].Name != tb.Columns[j].Name || ta.Columns[j].Type != tb.Columns[j].Type {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// resolverOf returns the resolver of schema under lex, building it on first
+// use. It keeps a copy of the schema, not the schema: a Schema's names are
+// often substrings of the prompt it was parsed from.
+func resolverOf(schema *Schema, lex *Lexicon) *schemaResolver {
+	pkey := pointerKey{schema, lex}
+	resolvers.RLock()
+	sr := resolvers.byPointer[pkey]
+	resolvers.RUnlock()
+	if sr != nil {
+		return sr
+	}
+	key := resolverKey{schemaHash(schema), lex}
+	resolvers.RLock()
+	sr = resolvers.m[key]
+	resolvers.RUnlock()
+	if sr == nil || !sameSchema(sr.schema, schema) {
+		sr = newSchemaResolver(schema, lex)
+	}
+	memoised := isMemoisedSchema(schema)
+	resolvers.Lock()
+	if prev := resolvers.m[key]; prev != nil && sameSchema(prev.schema, schema) {
+		sr = prev
+	} else {
+		if resolvers.m == nil || len(resolvers.m) >= resolverCap {
+			resolvers.m = make(map[resolverKey]*schemaResolver)
+		}
+		resolvers.m[key] = sr // a hash collision replaces the other schema's
+	}
+	if memoised {
+		if resolvers.byPointer == nil || len(resolvers.byPointer) >= resolverCap {
+			resolvers.byPointer = make(map[pointerKey]*schemaResolver)
+		}
+		resolvers.byPointer[pkey] = sr
+	}
+	resolvers.Unlock()
+	return sr
+}
+
+// cloneSchema copies a schema and every name in it.
+func cloneSchema(s *Schema) *Schema {
+	c := &Schema{Tables: make([]SchemaTable, len(s.Tables))}
+	for i, t := range s.Tables {
+		ct := SchemaTable{Name: strings.Clone(t.Name), Columns: make([]SchemaColumn, len(t.Columns))}
+		for j, col := range t.Columns {
+			ct.Columns[j] = newSchemaColumn(strings.Clone(col.Name), strings.Clone(col.Type))
+		}
+		c.Tables[i] = ct
+	}
+	return c
+}
+
+func newSchemaResolver(schema *Schema, lex *Lexicon) *schemaResolver {
+	schema = cloneSchema(schema)
+	sr := &schemaResolver{
+		schema:   schema,
+		nounVecs: make([]embed.Vector, len(schema.Tables)),
+		nameVecs: make([]embed.Vector, len(schema.Tables)),
+		fallback: -1,
+		phrases:  make(map[string]*phraseCands),
+		nouns:    make(map[string]int),
+	}
+	compiled := lex.compiled.snapshot()
+	seen := make(map[string]bool)
+	for ti := range schema.Tables {
+		t := &schema.Tables[ti]
+		sr.nounVecs[ti] = embed.Embed(lex.TableNoun(t.Name))
+		sr.nameVecs[ti] = embed.Embed(t.Name)
+		for i := range t.Columns {
+			c := &t.Columns[i]
+			lower := c.lowerName()
+			if seen[lower] {
+				continue
+			}
+			seen[lower] = true
+			cc := compiled[lower]
+			if cc == nil {
+				cc = lex.compiled.add(lex, lower)
+			}
+			sr.columns = append(sr.columns, resolverColumn{name: c.Name, cc: cc})
+		}
+	}
+	for i := range schema.Tables {
+		if EntityColumnOf(&schema.Tables[i]) != "" {
+			sr.fallback = i
+			break
+		}
+	}
+	if sr.fallback < 0 && len(schema.Tables) > 0 {
+		sr.fallback = 0
+	}
+	return sr
+}
+
+// phrase returns the phrase's resolution, computing it on a miss. The memo
+// key is a copy: a phrase is a substring of the prompt it was parsed from.
+func (sr *schemaResolver) phrase(phrase string) *phraseCands {
+	sr.mu.RLock()
+	pc := sr.phrases[phrase]
+	sr.mu.RUnlock()
+	if pc != nil {
+		return pc
+	}
+	pc = sr.resolvePhrase(phrase)
+	sr.mu.Lock()
+	if len(sr.phrases) >= phraseCap {
+		sr.phrases = make(map[string]*phraseCands)
+	}
+	sr.phrases[strings.Clone(phrase)] = pc
+	sr.mu.Unlock()
+	return pc
+}
+
+func (sr *schemaResolver) resolvePhrase(phrase string) *phraseCands {
+	vec := embed.EmbedSparse(phrase)
+	pc := &phraseCands{have: strings.Fields(embed.Normalize(phrase))}
+	for _, col := range sr.columns {
+		best, factor := col.cc.score(&vec)
+		if best <= 0.3 {
+			continue
+		}
+		pc.ranked = append(pc.ranked, Candidate{Column: col.name, Score: best, ConvFactor: factor})
+		pc.columns = append(pc.columns, col.cc)
+	}
+	rank(pc.ranked, pc.columns)
+	pc.ranked = pc.ranked[:len(pc.ranked):len(pc.ranked)] // an append by a caller copies
+	return pc
+}
+
+// table maps a plural noun to the index of the best-matching table, or -1
+// when the schema has none.
+func (sr *schemaResolver) table(noun string) int {
+	sr.mu.RLock()
+	i, ok := sr.nouns[noun]
+	sr.mu.RUnlock()
+	if ok {
+		return i
+	}
+	i = sr.resolveTable(noun)
+	sr.mu.Lock()
+	if len(sr.nouns) >= nounCap {
+		sr.nouns = make(map[string]int)
+	}
+	sr.nouns[strings.Clone(noun)] = i
+	sr.mu.Unlock()
+	return i
+}
+
+func (sr *schemaResolver) resolveTable(noun string) int {
+	nounVec := embed.EmbedSparse(noun)
+	best, bestScore := -1, 0.0
+	for i := range sr.nounVecs {
+		score := nounVec.Cosine(&sr.nounVecs[i])
+		if s2 := nounVec.Cosine(&sr.nameVecs[i]); s2 > score {
+			score = s2
+		}
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	if bestScore <= 0.2 {
+		// Fall back to the first table with an entity column, the way a
+		// model defaults to "the main table".
+		return sr.fallback
+	}
+	return best
 }

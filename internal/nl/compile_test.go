@@ -222,9 +222,13 @@ func TestCompiledCachesStress(t *testing.T) {
 // TestParseMaskedAllocCeiling pins the allocation count of a warm parse. The
 // uncompiled resolution spent 27 allocations without context and 71 with on
 // the one-table schema, 52 and 96 on eight tables; compiled, 8 and 22
-// whatever the schema's width. With candidates gathered on the stack and
-// each text normalised once per parse, they are the ceilings below; the
-// context's are embed.Normalize's, a dozen per call.
+// whatever the schema's width; with candidates gathered on the stack and
+// each text normalised once per parse, 3 and 17. With the phrase's
+// resolution memoised per schema (the parse without context shares its
+// candidates, the per-call resolver is pooled) and embed.Normalize's ASCII
+// path down to one allocation, they are the ceilings below, at most 60 % of
+// those: the result, and with context the normalised context and the
+// boosted candidates.
 func TestParseMaskedAllocCeiling(t *testing.T) {
 	lex := DefaultLexicon()
 	one := ParseSchemaText(airlineSchemaText)
@@ -242,8 +246,8 @@ func TestParseMaskedAllocCeiling(t *testing.T) {
 		ctx     string
 		ceiling float64
 	}{
-		{"one table", one, "", 3}, {"one table, context", one, ctx, 17},
-		{"eight tables", eight, "", 3}, {"eight tables, context", eight, ctx, 17},
+		{"one table", one, "", 1}, {"one table, context", one, ctx, 4},
+		{"eight tables", eight, "", 1}, {"eight tables, context", eight, ctx, 4},
 	} {
 		if _, err := ParseMasked(masked, tc.schema, lex, tc.ctx); err != nil {
 			t.Fatal(err)
@@ -252,6 +256,60 @@ func TestParseMaskedAllocCeiling(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocations per parse, ceiling %.0f", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// TestCompiledCachesResolverStress runs the schema resolvers' memos from 32
+// goroutines: half parse a small hot set, the other half push enough fresh
+// phrases through one shared schema and enough fresh schemas to flush the
+// phrase memo and the resolver memo at their caps while the hot half reads.
+// Every answer is checked against the reference. Meaningful under -race.
+func TestCompiledCachesResolverStress(t *testing.T) {
+	lex := privateLexicon()
+	hot := awkwardSchema()
+	shared := churnSchema("shared", 0, 4)
+	const workers = 32
+	perWorker := phraseCap/(workers/2) + 16 // the churning half overflows the phrase cap
+	if n := resolverCap/(workers/2) + 4; n > perWorker {
+		perWorker = n
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				schema, masked := hot, awkwardClaims[(w+i)%len(awkwardClaims)]
+				if w%2 == 1 {
+					schema, masked = shared, fmt.Sprintf("Acme recorded x shared metric %d by %d.", i, w)
+					if i%8 == 0 {
+						schema = churnSchema(fmt.Sprintf("w%d_%d", w, i), 0, 2)
+					}
+				}
+				for _, ctx := range []string{"", "by the shared metric"} {
+					got, err := ParseMasked(masked, schema, lex, ctx)
+					want, wantErr := referenceParseMasked(masked, schema, lex, ctx)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+						t.Errorf("worker %d round %d: got %+v, %v; want %+v, %v", w, i, got, err, want, wantErr)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	sr := resolverOf(shared, lex)
+	sr.mu.RLock()
+	n := len(sr.phrases)
+	sr.mu.RUnlock()
+	if pushed := workers / 2 * perWorker; n == 0 || n >= pushed || n > phraseCap {
+		t.Errorf("shared schema remembers %d phrases of %d pushed, want 1..%d after a flush", n, pushed, phraseCap)
+	}
+	resolvers.RLock()
+	n = len(resolvers.m)
+	resolvers.RUnlock()
+	if n == 0 || n > resolverCap {
+		t.Errorf("%d resolvers, want 1..%d", n, resolverCap)
 	}
 }
 
@@ -309,4 +367,28 @@ func TestColumnCacheReleasesSchemaText(t *testing.T) {
 	}
 	awaitRelease(t, released, "the compiled-column cache")
 	runtime.KeepAlive(lex)
+}
+
+// TestCompiledCachesReleaseClaimText: a phrase or noun remembered by a
+// schema's resolver must not keep the claim text it was cut from alive.
+func TestCompiledCachesReleaseClaimText(t *testing.T) {
+	lex := privateLexicon()
+	schema := ParseSchemaText(airlineSchemaText)
+	var released []<-chan struct{}
+	func() {
+		for _, format := range []string{
+			"Aer Lingus recorded x fatal accidents of run %d.",
+			"x recorded the highest fatal accidents of all carriers of run %d.",
+		} {
+			masked := fmt.Sprintf(format, time.Now().UnixNano())
+			released = append(released, releaseOnCollect(masked))
+			if _, err := ParseMasked(masked, schema, lex, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	for _, r := range released {
+		awaitRelease(t, r, "the resolver memo")
+	}
+	runtime.KeepAlive(schema)
 }

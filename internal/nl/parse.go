@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/textutil"
@@ -43,10 +44,22 @@ const ambiguityMargin = 0.08
 // Parsed spec against the given schema. ctx is the masked context paragraph;
 // when non-empty it is used to disambiguate underspecified column phrases,
 // which is why stronger simulated models (that read context) resolve
-// ambiguity hazards better than weaker ones (that ignore it).
+// ambiguity hazards better than weaker ones (that ignore it). The schema must
+// not be modified once parsed against: what resolution derives from it is
+// memoised (compile.go). The candidate lists of the result may be shared
+// with other parses and must not be modified either.
 func ParseMasked(masked string, schema *Schema, lex *Lexicon, ctx string) (*Parsed, error) {
-	return parseTemplates(masked, schema, &compiledResolver{schema: schema, lex: lex, ctx: ctx})
+	r := resolverPool.Get().(*compiledResolver)
+	*r = compiledResolver{sr: resolverOf(schema, lex), schema: schema, ctx: ctx}
+	p, err := parseTemplates(masked, schema, r)
+	*r = compiledResolver{}
+	resolverPool.Put(r)
+	return p, err
 }
+
+// resolverPool recycles the per-parse resolvers, which escape through the
+// resolver interface.
+var resolverPool = sync.Pool{New: func() any { return new(compiledResolver) }}
 
 // parseTemplates matches the sentence against the claim templates, resolving
 // their column and table phrases through r.
@@ -394,11 +407,12 @@ type resolver interface {
 	table(noun string) *SchemaTable
 }
 
-// compiledResolver resolves against the lexicon's compiled columns
-// (compile.go). One is built per ParseMasked call.
+// compiledResolver resolves against a schemaResolver (compile.go): the
+// phrase's scores come from its memo, and only the context boost and the
+// ranking run per call.
 type compiledResolver struct {
+	sr     *schemaResolver
 	schema *Schema
-	lex    *Lexicon
 	ctx    string
 	// ctxNorm is " "+Normalize(ctx)+" ", built by the first column that
 	// needs a context boost.
@@ -415,60 +429,38 @@ func (r *compiledResolver) column(phrase string) []Candidate {
 	if phrase == "" {
 		return nil
 	}
-	phraseVec := embed.EmbedSparse(phrase)
-	// Candidates collect on the stack; the result is one exact copy.
-	var (
-		candBuf  [16]Candidate
-		lowerBuf [16]string
-		cands    = candBuf[:0]
-		lowers   = lowerBuf[:0] // cands[i]'s column name, lower-cased
-		have     []string       // the phrase's normalized tokens, for context boosts
-	)
-	compiled := r.lex.compiled.snapshot()
-	for _, t := range r.schema.Tables {
-	columns:
-		for i := range t.Columns {
-			c := &t.Columns[i]
-			lower := c.lowerName()
-			cc := compiled[lower]
-			if cc == nil {
-				cc = r.lex.compiled.add(r.lex, lower)
-			}
-			best, factor := cc.score(&phraseVec)
-			if best <= 0.3 {
-				continue
-			}
-			// A name that occurs in several tables counts once, under its
-			// first spelling. Its score depends on the lower-cased name
-			// only, so a repeat can only show up among the candidates.
-			for _, seen := range lowers {
-				if seen == lower {
-					continue columns
-				}
-			}
-			if r.ctx != "" {
-				if r.ctxNorm == "" {
-					r.ctxNorm = " " + embed.Normalize(r.ctx) + " "
-				}
-				if have == nil {
-					have = strings.Fields(embed.Normalize(phrase))
-				}
-				best += cc.contextBoost(have, r.ctxNorm)
-			}
-			cands = append(cands, Candidate{Column: c.Name, Score: best, ConvFactor: factor})
-			lowers = append(lowers, lower)
-		}
-	}
-	if len(cands) == 0 {
+	pc := r.sr.phrase(phrase)
+	if len(pc.ranked) == 0 {
 		return nil
 	}
-	// Stable ranking: by score descending, ties by name for determinism.
+	if r.ctx == "" {
+		return pc.ranked
+	}
+	if r.ctxNorm == "" {
+		r.ctxNorm = " " + embed.Normalize(r.ctx) + " "
+	}
+	// Candidates collect on the stack; the result is one exact copy.
+	var candBuf [16]Candidate
+	cands := append(candBuf[:0], pc.ranked...)
+	for i := range cands {
+		cands[i].Score += pc.columns[i].contextBoost(pc.have, r.ctxNorm)
+	}
+	rank(cands, nil)
+	return append([]Candidate(nil), cands...)
+}
+
+// rank sorts candidates by score descending, ties by name for determinism,
+// carrying cols (when not nil) along. No two candidates share a name, so the
+// order does not depend on the order they came in.
+func rank(cands []Candidate, cols []*compiledColumn) {
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && less(cands[j], cands[j-1]); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
+			if cols != nil {
+				cols[j], cols[j-1] = cols[j-1], cols[j]
+			}
 		}
 	}
-	return append([]Candidate(nil), cands...)
 }
 
 func less(a, b Candidate) bool {
@@ -483,34 +475,10 @@ func ambiguous(cands []Candidate) bool {
 }
 
 func (r *compiledResolver) table(noun string) *SchemaTable {
-	schema := r.schema
-	nounVec := embed.EmbedSparse(noun)
-	var best *SchemaTable
-	bestScore := 0.0
-	for i := range schema.Tables {
-		t := &schema.Tables[i]
-		vec := embed.Embed(r.lex.TableNoun(t.Name))
-		score := nounVec.Cosine(&vec)
-		vec = embed.Embed(t.Name)
-		if s2 := nounVec.Cosine(&vec); s2 > score {
-			score = s2
-		}
-		if score > bestScore {
-			bestScore = score
-			best = t
-		}
+	if i := r.sr.table(noun); i >= 0 {
+		return &r.schema.Tables[i]
 	}
-	if bestScore <= 0.2 && len(schema.Tables) > 0 {
-		// Fall back to the first table with an entity column, the way a
-		// model defaults to "the main table".
-		for i := range schema.Tables {
-			if EntityColumnOf(&schema.Tables[i]) != "" {
-				return &schema.Tables[i]
-			}
-		}
-		return &schema.Tables[0]
-	}
-	return best
+	return nil
 }
 
 func firstEntityColumn(schema *Schema) string {

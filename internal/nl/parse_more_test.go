@@ -112,7 +112,7 @@ func TestResolveTableFallback(t *testing.T) {
 	lex := DefaultLexicon()
 	// A noun that matches nothing falls back to a table with an entity
 	// column rather than nil.
-	tab := (&compiledResolver{schema: schema, lex: lex}).table("zzzzqq")
+	tab := (&compiledResolver{sr: resolverOf(schema, lex), schema: schema}).table("zzzzqq")
 	if tab == nil || tab.Name != "airlines" {
 		t.Errorf("fallback table = %+v", tab)
 	}

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -182,6 +183,7 @@ func (q *Queue) Enqueue(it Item) bool {
 	}
 	if existing, ok := q.items[it.ID]; ok {
 		it.enqueuedAt = existing.enqueuedAt
+		it.keepText()
 		existing.Item = it
 		heap.Fix(&q.victims, existing.pos)
 		return true
@@ -197,11 +199,24 @@ func (q *Queue) Enqueue(it Item) bool {
 		q.dropped++
 	}
 	it.enqueuedAt = q.now()
+	it.keepText()
 	p := &pending{Item: it}
 	q.items[it.ID] = p
 	heap.Push(&q.victims, p)
 	q.enqueued++
 	return true
+}
+
+// keepText copies the item's text, in one allocation, before the queue
+// keeps it: the strings a caller hands in may share memory with the whole
+// request they were read from, which a long-lived queue entry would
+// otherwise keep alive.
+func (it *Item) keepText() {
+	text := strings.Join([]string{it.DocID, it.ClaimID, it.Sentence, it.Value}, "")
+	for _, f := range []*string{&it.DocID, &it.ClaimID, &it.Sentence, &it.Value} {
+		n := len(*f)
+		*f, text = text[:n], text[n:]
+	}
 }
 
 // pending is one queued item and its place in the eviction heap.

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func item(doc, cl string, disagreement, fee, weight float64) Item {
@@ -367,5 +370,32 @@ func TestReviewEvictionMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: stats = %+v, scan says %+v", seed, step, got, want)
 			}
 		}
+	}
+}
+
+// TestReviewQueueReleasesRequestText: a queued item's text may arrive as
+// substrings of the whole request it was decoded from; the queue keeps
+// copies, so a long-lived entry does not keep that request alive.
+func TestReviewQueueReleasesRequestText(t *testing.T) {
+	q := NewQueue(0)
+	released := make(chan struct{})
+	func() {
+		body := fmt.Sprintf(`{"doc_id":"doc-%d","claims":[{"id":"c1","sentence":"The value is 42.","value":"42"}]}%s`,
+			time.Now().UnixNano(), strings.Repeat(" ", 256))
+		runtime.SetFinalizer(unsafe.StringData(body), func(*byte) { close(released) })
+		at := func(s string) string { i := strings.Index(body, s); return body[i : i+len(s)] }
+		if !q.Enqueue(Item{DocID: at("doc-"), ClaimID: at("c1"), Sentence: at("The value is 42."), Value: at("42"), Disagreement: 1}) {
+			t.Fatal("item not enqueued")
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queue keeps the request its item's text came from alive")
+	}
+	if items := q.Pending(0); len(items) != 1 || items[0].Sentence != "The value is 42." {
+		t.Fatalf("pending = %+v", items)
 	}
 }

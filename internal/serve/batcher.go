@@ -10,19 +10,24 @@ import (
 )
 
 // job is one admitted request waiting for a micro-batch slot: the
-// request's documents, its context (deadline + client disconnect), and the
-// channel its batch outcome is delivered on.
+// request's documents, its context (deadline + client disconnect), and its
+// batch outcome.
 type job struct {
 	docs []*claim.Document
 	ctx  context.Context
-	// done receives exactly one jobResult; buffered so the batch loop never
-	// blocks on a handler that already gave up.
-	done chan jobResult
+	// deadline, when not zero, is when the request stops waiting: the
+	// configured timeout of a unary or batch request, which is not part
+	// of ctx.
+	deadline time.Time
+	// res is the batch outcome, written once by the batch loop before it
+	// closes done; closing never blocks on a handler that already gave up.
+	res  jobResult
+	done chan struct{}
 }
 
 // jobResult is the batch outcome delivered to one job's handler. The job's
 // documents are annotated in place by the backend; the handler reads them
-// only after receiving this (the channel send orders the memory accesses).
+// only after done closes (the close orders the memory accesses).
 type jobResult struct {
 	stats BatchStats
 	// batch numbers the micro-batch run the job rode in (1-based; zero on
@@ -34,7 +39,34 @@ type jobResult struct {
 }
 
 func newJob(ctx context.Context, docs []*claim.Document) *job {
-	return &job{docs: docs, ctx: ctx, done: make(chan jobResult, 1)}
+	return &job{docs: docs, ctx: ctx, done: make(chan struct{})}
+}
+
+// finish delivers the job's batch outcome.
+func (j *job) finish(res jobResult) {
+	j.res = res
+	close(j.done)
+}
+
+// expired reports why the job's request stopped waiting, if it has.
+func (j *job) expired() error {
+	if err := j.ctx.Err(); err != nil {
+		return err
+	}
+	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// finished reports whether the job's outcome has been delivered.
+func (j *job) finished() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // batchLoop is the single goroutine that converts the admitted-request
@@ -105,8 +137,8 @@ func (s *Server) runBatch(batch []*job) {
 	live := batch[:0]
 	var docs []*claim.Document
 	for _, j := range batch {
-		if err := j.ctx.Err(); err != nil {
-			j.done <- jobResult{err: err}
+		if err := j.expired(); err != nil {
+			j.finish(jobResult{err: err})
 			continue
 		}
 		live = append(live, j)
@@ -123,7 +155,7 @@ func (s *Server) runBatch(batch []*job) {
 	}
 	s.batchSeq++ // only written here, on the single batch-loop goroutine
 	for _, j := range live {
-		j.done <- jobResult{stats: bs, batch: s.batchSeq, err: err}
+		j.finish(jobResult{stats: bs, batch: s.batchSeq, err: err})
 	}
 }
 

@@ -338,15 +338,16 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req VerifyRequest
-	body, ok := decodeBody(c.met, w, r, &req)
+	body, ok := decodeBody(c.met, w, r, func(b []byte) error { return decodeVerify(b, &req) })
 	if !ok {
 		return
 	}
 	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
 	defer cancel()
 	if c.cfg.Route != nil && c.tryRouted(ctx, w, started, []DocumentInput{{DocID: req.DocID, Claims: req.Claims}},
-		func(docs []DocumentResult, stats BatchStats) any {
-			return VerifyResponse{DocID: docs[0].DocID, Claims: docs[0].Claims, Batch: stats}
+		func(b []byte, docs []DocumentResult, stats BatchStats) []byte {
+			resp := VerifyResponse{DocID: docs[0].DocID, Claims: docs[0].Claims, Batch: stats}
+			return resp.appendJSON(b)
 		}) {
 		return
 	}
@@ -373,7 +374,7 @@ func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req BatchRequest
-	if _, ok := decodeBody(c.met, w, r, &req); !ok {
+	if !decodeRequest(c.met, w, r, func(b []byte) error { return decodeBatch(b, &req) }) {
 		return
 	}
 	if len(req.Documents) == 0 {
@@ -382,8 +383,9 @@ func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) 
 	}
 	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
 	defer cancel()
-	render := func(docs []DocumentResult, stats BatchStats) any {
-		return BatchResponse{Documents: docs, Batch: stats}
+	render := func(b []byte, docs []DocumentResult, stats BatchStats) []byte {
+		resp := BatchResponse{Documents: docs, Batch: stats}
+		return resp.appendJSON(b)
 	}
 	if c.cfg.Route != nil && c.tryRouted(ctx, w, started, req.Documents, render) {
 		return
@@ -393,7 +395,7 @@ func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, render(docs, stats))
+	writeWire(w, http.StatusOK, func(b []byte) []byte { return render(b, docs, stats) })
 }
 
 // scatterDocs is the coordinator's one scatter/gather: it partitions the
@@ -585,7 +587,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReplicaJoin admits a replica announced via POST /v1/replicas.
 func (c *Coordinator) handleReplicaJoin(w http.ResponseWriter, r *http.Request) {
 	var req ReplicaRequest
-	if _, ok := decodeBody(c.met, w, r, &req); !ok {
+	if !decodeRequest(c.met, w, r, func(b []byte) error { return decodeJSON(b, &req) }) {
 		return
 	}
 	if req.URL == "" {

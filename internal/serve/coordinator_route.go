@@ -119,11 +119,11 @@ func (c *Coordinator) verifyExpanded(ctx context.Context, plan *route.Plan) (Bat
 
 // tryRouted answers a verification request whose claims routing applies to:
 // the caller's documents come back in caller order, compound-claim verdicts
-// recombined from their routed sub-claims, in the envelope render builds
-// (VerifyResponse or BatchResponse). It reports whether it wrote a response;
-// false means the request has no routable compound claims and the ordinary
-// relay path should run.
-func (c *Coordinator) tryRouted(ctx context.Context, w http.ResponseWriter, started time.Time, inputs []DocumentInput, render func([]DocumentResult, BatchStats) any) bool {
+// recombined from their routed sub-claims, in the envelope render appends
+// to its buffer (a VerifyResponse or BatchResponse). It reports whether it
+// wrote a response; false means the request has no routable compound claims
+// and the ordinary relay path should run.
+func (c *Coordinator) tryRouted(ctx context.Context, w http.ResponseWriter, started time.Time, inputs []DocumentInput, render func([]byte, []DocumentResult, BatchStats) []byte) bool {
 	plan, docs := c.planRouted(inputs)
 	if plan == nil {
 		return false
@@ -137,6 +137,6 @@ func (c *Coordinator) tryRouted(ctx context.Context, w http.ResponseWriter, star
 		results[i] = documentResult(d)
 	}
 	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, render(results, stats))
+	writeWire(w, http.StatusOK, func(b []byte) []byte { return render(b, results, stats) })
 	return true
 }

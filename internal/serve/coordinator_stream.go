@@ -126,23 +126,38 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 		})
 	}()
 
-	emit := streamEmitter(w)
+	sw := newStreamWriter(w)
 
 	var sum StreamSummary
 	read := 0
-	for d := range results {
-		<-d.done
+	for {
+		// Events are flushed only before the handler waits: on the reader
+		// here, on the document's exchange below.
+		if len(results) == 0 {
+			sw.flush()
+		}
+		d, ok := <-results
+		if !ok {
+			break
+		}
+		select {
+		case <-d.done:
+		default:
+			sw.flush()
+			<-d.done
+		}
 		read++
 		if d.status != 0 {
 			c.traceRoute(d.docID, d.node, d.hop, d.status)
 		}
 		if d.errDet != nil {
-			emit(StreamEvent{Event: "error", DocID: d.docID, Index: d.index, Error: d.errDet})
+			sw.emit(&StreamEvent{Event: "error", DocID: d.docID, Index: d.index, Error: d.errDet})
 			continue
 		}
-		for _, ev := range d.verdicts {
+		for i := range d.verdicts {
+			ev := &d.verdicts[i]
 			ev.Index = d.index // the session's arrival ordinal, not the replica's
-			emit(ev)
+			sw.emit(ev)
 			if ev.ReviewID != "" {
 				sum.Reviewed++
 			}
@@ -153,7 +168,7 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	}
 	s.wg.Wait()
 	sum.Dollars, sum.Calls = s.fees.Dollars, s.fees.Calls
-	closeStream(ctx, c.met, started, emit, readerErr, read, &sum)
+	closeStream(ctx, c.met, started, sw, readerErr, read, &sum)
 }
 
 // placeLocked queues d's bytes for the replica at d.hop along its failover
@@ -261,9 +276,13 @@ type exchangeReply struct {
 
 func (x *exchangeReply) line(line []byte) bool {
 	var ev StreamEvent
-	if err := json.Unmarshal(line, &ev); err != nil {
-		x.fault = &ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("parsing replica stream: %v", err)}
-		return false
+	if !decodeStreamEvent(line, &ev) {
+		slow := new(StreamEvent) // ev itself stays off the heap
+		if err := json.Unmarshal(line, slow); err != nil {
+			x.fault = &ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("parsing replica stream: %v", err)}
+			return false
+		}
+		ev = *slow
 	}
 	switch {
 	case ev.Event == "summary":

@@ -735,3 +735,69 @@ func TestCoordinatorStreamRelaysClientBytes(t *testing.T) {
 		}
 	}
 }
+
+// The coordinator twin of TestStreamFirstVerdictBeforeLastBatch: a verdict
+// the coordinator has relayed reaches the client while the session waits on
+// the client's next document. The client here sends that document only once
+// it has read the first verdict, so a relay that held its events until the
+// end of the session would never finish.
+func TestCoordinatorStreamFirstVerdictBeforeLastBatch(t *testing.T) {
+	be := &gatedBackend{entered: make(chan struct{}, 2), gate: make(chan struct{})}
+	rep := newReplica(t, Config{Backend: be, BatchWait: -1, MaxBatch: 1})
+	_, ts := newTestCoordinator(t, CoordinatorConfig{}, rep)
+	body, send := io.Pipe()
+	defer send.Close()
+	respCh := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", body)
+		if err != nil {
+			t.Error(err)
+		}
+		respCh <- resp
+	}()
+	if _, err := io.WriteString(send, streamDocLine("d0", "1")+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	<-be.entered          // document 0's batch
+	be.gate <- struct{}{} // release it
+	resp := <-respCh
+	if resp == nil {
+		t.Fatal("stream request failed")
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var first StreamEvent
+	if err := dec.Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Event != "verdict" || first.DocID != "d0" || first.Index != 0 {
+		t.Fatalf("first event = %+v, want document 0's verdict", first)
+	}
+	if done := be.batchSizes(); len(done) != 1 {
+		t.Fatalf("%d batches finished before the first verdict was read, want 1", len(done))
+	}
+
+	if _, err := io.WriteString(send, streamDocLine("d1", "2")+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	<-be.entered // document 1's batch, held at the gate
+	close(be.gate)
+	send.Close()
+	evs := []StreamEvent{first}
+	for {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	verdicts, errs, sum := splitEvents(t, evs)
+	if len(errs) != 0 || len(verdicts) != 2 || verdicts[1].DocID != "d1" || verdicts[1].Index != 1 {
+		t.Fatalf("events = %+v, want verdicts for d0 then d1", evs)
+	}
+	if sum.Docs != 2 || sum.Claims != 2 || sum.Calls != 2 {
+		t.Errorf("summary = %+v, want 2 docs, 2 claims, 2 calls", sum)
+	}
+}

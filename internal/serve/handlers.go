@@ -3,11 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/claim"
@@ -71,29 +71,53 @@ func isTooLarge(err error) bool {
 	return errors.As(err, &mbe)
 }
 
-// decodeBody strictly decodes a JSON request body into dst — the one decoder
-// of both tiers — and returns the raw bytes, so a coordinator can relay a
-// valid body verbatim. A failure is counted on m and answered 400, a body
-// over maxBodyBytes 413.
-func decodeBody(m *serveMetrics, w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
+// decodeBody strictly reads a JSON request body — through decode, which is
+// the wire codec (codec.go) on the verify routes and decodeJSON elsewhere —
+// and returns the raw bytes, so a coordinator can relay a valid body
+// verbatim. Only whitespace may follow the body's JSON value. A failure is
+// counted on m and answered 400, a body over maxBodyBytes 413.
+func decodeBody(m *serveMetrics, w http.ResponseWriter, r *http.Request, decode func([]byte) error) ([]byte, bool) {
 	if oversize(m, w, r) {
 		return nil, false
 	}
 	body, err := io.ReadAll(limitBody(r))
-	if isTooLarge(err) {
+	return body, decoded(m, w, body, err, decode)
+}
+
+// bodyBufs recycles the request bodies decodeRequest reads.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeRequest is decodeBody for a handler that does not keep the body: it
+// is read into a pooled buffer, which is recycled once decoded (decoded
+// strings never share its memory).
+func decodeRequest(m *serveMetrics, w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
+	if oversize(m, w, r) {
+		return false
+	}
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(limitBody(r))
+	ok := decoded(m, w, buf.Bytes(), err, decode)
+	if buf.Cap() <= maxPooledBuf {
+		bodyBufs.Put(buf)
+	}
+	return ok
+}
+
+// decoded decodes a body read with err, answering a failure.
+func decoded(m *serveMetrics, w http.ResponseWriter, body []byte, err error, decode func([]byte) error) bool {
+	if err != nil && isTooLarge(err) {
 		tooLarge(m, w)
-		return nil, false
+		return false
 	}
 	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(dst)
+		err = decode(body)
 	}
 	if err != nil {
 		badRequest(m, w, fmt.Sprintf("decoding request body: %v", err))
-		return nil, false
+		return false
 	}
-	return body, true
+	return true
 }
 
 // buildDocuments converts the wire documents of one request.
@@ -110,14 +134,22 @@ func (s *Server) buildDocuments(ins []DocumentInput) ([]*claim.Document, error) 
 }
 
 // serveDocuments is the shared verification path of both POST routes:
-// admit the documents as one job, wait for its micro-batch, and return the
-// batch stats. A non-nil apiError was already counted and must be rendered.
-func (s *Server) serveDocuments(ctx context.Context, docs []*claim.Document) (BatchStats, *apiError) {
-	j, aerr := s.admit(ctx, docs)
+// admit the documents as one job under the request's context and the
+// configured timeout, wait for its micro-batch, and return the batch stats.
+// A non-nil apiError was already counted and must be rendered. The timeout
+// is the job's deadline rather than a context of its own: nothing downstream
+// of a replica needs one, and a timer context costs a request five
+// allocations.
+func (s *Server) serveDocuments(r *http.Request, docs []*claim.Document) (BatchStats, *apiError) {
+	var deadline time.Time
+	if s.cfg.RequestTimeout > 0 {
+		deadline = time.Now().Add(s.cfg.RequestTimeout)
+	}
+	j, aerr := s.admit(r.Context(), deadline, docs)
 	if aerr != nil {
 		return BatchStats{}, aerr
 	}
-	res, aerr := s.await(ctx, j)
+	res, aerr := s.await(r.Context(), j)
 	if aerr != nil {
 		return BatchStats{}, aerr
 	}
@@ -129,7 +161,7 @@ func (s *Server) serveDocuments(ctx context.Context, docs []*claim.Document) (Ba
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	var req VerifyRequest
-	if _, ok := decodeBody(s.met, w, r, &req); !ok {
+	if !decodeRequest(s.met, w, r, func(b []byte) error { return decodeVerify(b, &req) }) {
 		return
 	}
 	doc, err := buildDocument(DocumentInput{DocID: req.DocID, Claims: req.Claims}, s.cfg.DocID, s.cfg.DB)
@@ -137,17 +169,17 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		badRequest(s.met, w, err.Error())
 		return
 	}
-	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
-	defer cancel()
-	stats, aerr := s.serveDocuments(ctx, []*claim.Document{doc})
+	docs := []*claim.Document{doc}
+	stats, aerr := s.serveDocuments(r, docs)
 	if aerr != nil {
 		s.renderError(w, aerr)
 		return
 	}
-	s.reviewDocuments([]*claim.Document{doc}, stats)
-	dr := documentResult(doc)
+	s.reviewDocuments(docs, stats)
 	s.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, VerifyResponse{DocID: dr.DocID, Claims: dr.Claims, Batch: stats})
+	var claims [8]ClaimResult // on the stack for documents of up to eight claims
+	resp := VerifyResponse{DocID: doc.ID, Claims: appendClaimResults(claims[:0], doc), Batch: stats}
+	writeWire(w, http.StatusOK, resp.appendJSON)
 }
 
 // handleVerifyBatch answers POST /v1/verify/batch: several documents
@@ -157,7 +189,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	var req BatchRequest
-	if _, ok := decodeBody(s.met, w, r, &req); !ok {
+	if !decodeRequest(s.met, w, r, func(b []byte) error { return decodeBatch(b, &req) }) {
 		return
 	}
 	if len(req.Documents) == 0 {
@@ -169,9 +201,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(s.met, w, err.Error())
 		return
 	}
-	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
-	defer cancel()
-	stats, aerr := s.serveDocuments(ctx, docs)
+	stats, aerr := s.serveDocuments(r, docs)
 	if aerr != nil {
 		s.renderError(w, aerr)
 		return
@@ -182,7 +212,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		out.Documents = append(out.Documents, documentResult(d))
 	}
 	s.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, out)
+	writeWire(w, http.StatusOK, out.appendJSON)
 }
 
 // handleStatus answers GET /v1/status with the serving state.

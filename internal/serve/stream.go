@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -170,44 +171,56 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 				return true
 			case <-ctx.Done():
 				// The client is gone (or the deadline hit) with the window
-				// full. The admitted job's done channel is buffered, so the
-				// batch loop finishes it without anyone waiting.
+				// full. The batch loop finishes the admitted job without
+				// anyone waiting: closing its done channel never blocks.
 				return false
 			}
 		})
 	}()
 
-	emit := streamEmitter(w)
+	sw := newStreamWriter(w)
 
 	var sum StreamSummary
 	// Stream documents may coalesce into shared micro-batches; fee totals
 	// are summed once per distinct batch, not once per document.
 	seenBatch := make(map[int64]bool)
-	for p := range pending {
+	for {
+		// Events are flushed only before the handler waits: on the reader
+		// here, on the batch below.
+		if len(pending) == 0 {
+			sw.flush()
+		}
+		p, ok := <-pending
+		if !ok {
+			break
+		}
+		if !p.j.finished() {
+			sw.flush()
+		}
 		res, aerr := s.await(ctx, p.j)
 		if aerr != nil {
-			emit(StreamEvent{Event: "error", DocID: p.doc.ID, Index: p.index,
+			sw.emit(&StreamEvent{Event: "error", DocID: p.doc.ID, Index: p.index,
 				Error: &ErrorDetail{Code: aerr.code, Message: aerr.msg}})
 			if ctx.Err() != nil {
 				// Client gone or stream deadline hit: stop writing. Jobs still
-				// pending complete in the batch loop against their buffered
-				// done channels — a dead client never wedges the batcher.
+				// pending complete in the batch loop, whose close of their
+				// done channels never blocks — a dead client never wedges the
+				// batcher.
 				break
 			}
 			continue
 		}
 		fee := feeShare(res.stats)
-		dr := documentResult(p.doc)
-		for ci := range dr.Claims {
-			cr := dr.Claims[ci]
-			id := s.reviewVerdict(p.doc, p.doc.Claims[ci], fee)
+		for _, c := range p.doc.Claims {
+			cr := claimResult(c)
+			id := s.reviewVerdict(p.doc, c, fee)
 			if id != "" {
 				sum.Reviewed++
 			}
-			emit(StreamEvent{Event: "verdict", DocID: dr.DocID, Index: p.index, Claim: &cr, ReviewID: id})
+			sw.emit(&StreamEvent{Event: "verdict", DocID: p.doc.ID, Index: p.index, Claim: &cr, ReviewID: id})
 		}
 		sum.Docs++
-		sum.Claims += len(dr.Claims)
+		sum.Claims += len(p.doc.Claims)
 		if !seenBatch[res.batch] {
 			seenBatch[res.batch] = true
 			sum.Dollars += res.stats.Dollars
@@ -216,23 +229,24 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 		}
 		s.met.addStreamDoc()
 	}
-	closeStream(ctx, s.met, started, emit, readerErr, sum.Docs, &sum)
+	closeStream(ctx, s.met, started, sw, readerErr, sum.Docs, &sum)
 }
 
 // closeStream ends a stream response: the reader's terminal error, if it left
 // one, as an error event at errIndex (read only now that the reader is done —
 // the channel buffer orders the memory accesses); the request booked unless
-// the client left or the deadline hit; then the closing summary.
-func closeStream(ctx context.Context, m *serveMetrics, started time.Time, emit func(StreamEvent), readerErr <-chan ErrorDetail, errIndex int, sum *StreamSummary) {
+// the client left or the deadline hit; then the closing summary, flushed.
+func closeStream(ctx context.Context, m *serveMetrics, started time.Time, sw *streamWriter, readerErr <-chan ErrorDetail, errIndex int, sum *StreamSummary) {
 	select {
 	case ed := <-readerErr:
-		emit(StreamEvent{Event: "error", Index: errIndex, Error: &ed})
+		sw.emit(&StreamEvent{Event: "error", Index: errIndex, Error: &ed})
 	default:
 	}
 	if ctx.Err() == nil {
 		m.recordRequest(time.Since(started))
 	}
-	emit(StreamEvent{Event: "summary", Index: sum.Docs, Summary: sum})
+	sw.emit(&StreamEvent{Event: "summary", Index: sum.Docs, Summary: sum})
+	sw.flush()
 }
 
 // reviewCounters renders a queue snapshot onto the wire shape shared by
@@ -256,12 +270,33 @@ func reviewCounters(st review.Stats) ReviewCounters {
 // readerErr, which holds at most one terminal input-side error; a body that
 // runs past maxBodyBytes ends it with too_large (the documents before the
 // limit were admitted and are answered).
+//
+// Documents are read by the wire codec while it accepts them. The first one
+// it declines, and everything after it, goes through a json.Decoder, which
+// then also words any error: the stream reads as it did when the decoder
+// read all of it.
 func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, idle func(), admit func(index int, in DocumentInput, raw []byte) bool) {
 	tap := &rawTap{r: limitBody(r), idle: idle}
+	index := 0
+	for ; ; index++ {
+		raw, err := tap.nextObject()
+		if err == io.EOF {
+			return
+		}
+		var in DocumentInput
+		if err != nil || !decodeDocument(raw, &in) {
+			break
+		}
+		if !admit(index, in, raw) {
+			return
+		}
+		tap.consume(len(raw))
+	}
 	dec := json.NewDecoder(tap)
 	dec.DisallowUnknownFields()
-	for index := 0; ; index++ {
-		tap.drop(dec.InputOffset())
+	base := tap.base + int64(tap.next)
+	for ; ; index++ {
+		tap.drop(base + dec.InputOffset())
 		var in DocumentInput
 		if err := dec.Decode(&in); err != nil {
 			switch {
@@ -276,43 +311,54 @@ func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, 
 			}
 			return
 		}
-		raw := bytes.TrimLeft(tap.upTo(dec.InputOffset()), " \t\r\n")
+		raw := bytes.TrimLeft(tap.upTo(base+dec.InputOffset()), " \t\r\n")
 		if !admit(index, in, raw) {
 			return
 		}
 	}
 }
 
-// rawTap reads a stream body ahead of its decoder and keeps it from the end
-// of the last document on, so that document's bytes can be handed on
-// untouched. It reads the body only when the decoder has taken everything
-// read so far, calling idle first: that read is the one that may block.
+// rawTap reads a stream body and keeps it from the end of the last document
+// on, so that document's bytes can be handed on untouched. The codec reads
+// documents from buf directly (nextObject); once it declines one, the tap is
+// a json.Decoder's reader. Either way it reads the body only when everything
+// read so far has been taken, calling idle first: that read is the one that
+// may block.
 type rawTap struct {
 	r    io.Reader
 	idle func()
 	buf  []byte // the body from offset base on
 	base int64
-	next int   // buf[next:] is read but not yet handed to the decoder
+	next int   // buf[next:] is read but not yet taken
 	err  error // the body's error, handed on once buf is drained
+	// scan is how far nextObject has looked past next for the end of the
+	// object it is reading, and depth and inString the state it reached.
+	scan, depth int
+	inString    bool
 }
 
 // tapRead is the least a rawTap asks of the body per read.
 const tapRead = 4 << 10
 
+// fill reads more of the body onto buf, calling idle first.
+func (t *rawTap) fill() (int, error) {
+	if t.err != nil {
+		return 0, t.err
+	}
+	if t.idle != nil {
+		t.idle()
+	}
+	if cap(t.buf)-len(t.buf) < tapRead {
+		t.buf = append(make([]byte, 0, 2*cap(t.buf)+tapRead), t.buf...)
+	}
+	n, err := t.r.Read(t.buf[len(t.buf):cap(t.buf)])
+	t.buf, t.err = t.buf[:len(t.buf)+n], err
+	return n, err
+}
+
 func (t *rawTap) Read(p []byte) (int, error) {
 	if t.next == len(t.buf) {
-		if t.err != nil {
-			return 0, t.err
-		}
-		if t.idle != nil {
-			t.idle()
-		}
-		if cap(t.buf)-len(t.buf) < tapRead {
-			t.buf = append(make([]byte, 0, 2*cap(t.buf)+tapRead), t.buf...)
-		}
-		n, err := t.r.Read(t.buf[len(t.buf):cap(t.buf)])
-		t.buf, t.err = t.buf[:len(t.buf)+n], err
-		if n == 0 {
+		if n, err := t.fill(); n == 0 {
 			return 0, err
 		}
 	}
@@ -332,24 +378,116 @@ func (t *rawTap) drop(off int64) {
 // upTo returns the body from the last drop to offset off.
 func (t *rawTap) upTo(off int64) []byte { return t.buf[:off-t.base] }
 
-// streamEmitter commits a stream response's headers and returns its event
-// writer: one flushed NDJSON line per event. Headers commit before the first
-// verdict; from here on, failures are in-band error events, not HTTP
-// statuses. Full duplex keeps the request body readable after the first write
-// — without it, an HTTP/1.x server discards unread input once the response
-// starts, truncating the stream.
-func streamEmitter(w http.ResponseWriter) func(StreamEvent) {
+// nextObject skips the whitespace before the next document and returns the
+// bytes of the JSON object that starts there, reading the body until its
+// closing brace: the span a json.Decoder would read for it, found by
+// matching brackets outside strings. It returns io.EOF at the end of a body
+// with no document left, and a non-nil error to hand the stream to the
+// decoder: the next value is no object, holds a byte no JSON value outside
+// a string can, or the body failed or ended within it. The whitespace is
+// taken; the object is not until consume.
+func (t *rawTap) nextObject() ([]byte, error) {
+	for {
+		for t.next < len(t.buf) && isSpace(t.buf[t.next]) {
+			t.next++
+		}
+		if t.next < len(t.buf) {
+			break
+		}
+		t.drop(t.base + int64(t.next))
+		if n, err := t.fill(); n == 0 && err != nil {
+			return nil, err
+		}
+	}
+	if t.buf[t.next] != '{' {
+		return nil, errDeclined
+	}
+	t.scan, t.depth, t.inString = t.next, 0, false
+	for {
+		for ; t.scan < len(t.buf); t.scan++ {
+			c := t.buf[t.scan]
+			if t.inString {
+				switch c {
+				case '\\':
+					// Skip the escaped byte; past the end of buf, the scan
+					// resumes after it once more is read.
+					t.scan++
+				case '"':
+					t.inString = false
+				}
+				continue
+			}
+			switch c {
+			case '"':
+				t.inString = true
+			case '{', '[':
+				t.depth++
+			case '}', ']':
+				t.depth--
+				if t.depth == 0 {
+					t.scan++
+					return t.buf[t.next:t.scan], nil
+				}
+			case ' ', '\t', '\n', '\r', ':', ',', '-', '+', '.',
+				'0', '1', '2', '3', '4', '5', '6', '7', '8', '9',
+				'a', 'e', 'f', 'l', 'n', 'r', 's', 't', 'u', 'E':
+			default:
+				return nil, errDeclined
+			}
+		}
+		if n, err := t.fill(); n == 0 && err != nil {
+			return nil, errDeclined
+		}
+	}
+}
+
+// consume takes the n bytes nextObject returned and forgets them.
+func (t *rawTap) consume(n int) {
+	t.next += n
+	t.drop(t.base + int64(t.next))
+}
+
+// errDeclined hands a stream to the json.Decoder.
+var errDeclined = errors.New("serve: declined by the wire codec")
+
+// streamWriter writes a stream response's NDJSON events into the response's
+// buffer and sends them on flush, which the handlers call only before they
+// wait — on the request body's reader or on a batch — and after the summary.
+type streamWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	buf     []byte // one event's bytes, in scratch unless the event is larger
+	dirty   bool   // written since the last flush
+	scratch [1024]byte
+}
+
+// newStreamWriter commits a stream response's headers: from here on,
+// failures are in-band error events, not HTTP statuses. Full duplex keeps the
+// request body readable after the first write — without it, an HTTP/1.x
+// server discards unread input once the response starts, truncating the
+// stream. The headers go out with the first flush.
+func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	return func(ev StreamEvent) {
-		_ = enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	sw := &streamWriter{w: w, flusher: flusher}
+	sw.buf = sw.scratch[:0]
+	return sw
+}
+
+func (sw *streamWriter) emit(ev *StreamEvent) {
+	sw.buf = ev.appendJSON(sw.buf[:0])
+	_, _ = sw.w.Write(sw.buf)
+	sw.dirty = true
+}
+
+// flush sends the events written since the last flush, if any.
+func (sw *streamWriter) flush() {
+	if sw.dirty && sw.flusher != nil {
+		sw.flusher.Flush()
 	}
+	sw.dirty = false
 }
 
 // reviewLimit reads GET /v1/review's ?limit=N (0 = everything), answering 400
@@ -371,7 +509,7 @@ func reviewLimit(m *serveMetrics, w http.ResponseWriter, r *http.Request) (int, 
 // returning the raw bytes too so a coordinator can broadcast them.
 func decodeResolve(m *serveMetrics, w http.ResponseWriter, r *http.Request) (ReviewResolveRequest, []byte, bool) {
 	var req ReviewResolveRequest
-	body, ok := decodeBody(m, w, r, &req)
+	body, ok := decodeBody(m, w, r, func(b []byte) error { return decodeJSON(b, &req) })
 	if ok && !review.ValidResolution(req.Resolution) {
 		badRequest(m, w, fmt.Sprintf("resolution must be %q or %q", review.ResolutionConfirmed, review.ResolutionOverturned))
 		ok = false

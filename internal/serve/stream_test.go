@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -512,4 +513,69 @@ func TestStreamRejectsWhileDraining(t *testing.T) {
 	if len(verdicts) != 0 || len(errs) != 1 || errs[0].Error.Code != CodeDraining {
 		t.Fatalf("draining stream = %d verdicts, errors %+v; want one draining error", len(verdicts), errs)
 	}
+}
+
+// flushCounter is a ResponseWriter that counts its flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestStreamOneBatchFlushes: a stream writer flushes only before its handler
+// waits, not once per event. A stream whose documents all land in one
+// micro-batch is written with at most two flushes, on the replica and on a
+// coordinator relaying it through one exchange; it used to take one per
+// event.
+func TestStreamOneBatchFlushes(t *testing.T) {
+	const docs = 4
+	var lines []string
+	for i := 0; i < docs; i++ {
+		lines = append(lines, streamDocLine(fmt.Sprintf("f%d", i), "1", "2"))
+	}
+	body := strings.Join(lines, "\n") + "\n"
+	cfg := Config{BatchWait: 5 * time.Second, MaxBatch: docs, StreamWindow: docs}
+
+	be := &gatedBackend{}
+	cfg.Backend = be
+	srv, _ := newTestServer(t, cfg)
+	fc := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(fc, httptest.NewRequest(http.MethodPost, "/v1/verify/stream", strings.NewReader(body)))
+	checkOneBatchStream(t, "replica", be, fc, docs)
+
+	be = &gatedBackend{}
+	cfg.Backend = be
+	rep := newReplica(t, cfg)
+	c, _ := newTestCoordinator(t, CoordinatorConfig{StreamWindow: docs}, rep)
+	fc = &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	c.ServeHTTP(fc, httptest.NewRequest(http.MethodPost, "/v1/verify/stream", strings.NewReader(body)))
+	checkOneBatchStream(t, "coordinator", be, fc, docs)
+}
+
+func checkOneBatchStream(t *testing.T, tier string, be *gatedBackend, fc *flushCounter, docs int) {
+	t.Helper()
+	if sizes := be.batchSizes(); len(sizes) != 1 || sizes[0] != docs {
+		t.Fatalf("%s: batches %v, want one of %d documents", tier, sizes, docs)
+	}
+	var evs []StreamEvent
+	dec := json.NewDecoder(fc.Body)
+	for dec.More() {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	verdicts, errs, sum := splitEvents(t, evs)
+	if len(verdicts) != 2*docs || len(errs) != 0 || sum.Docs != docs {
+		t.Fatalf("%s: events %+v, want %d verdicts and a summary", tier, evs, 2*docs)
+	}
+	if fc.flushes > 2 {
+		t.Errorf("%s: %d flushes for %d events in one batch, want at most 2", tier, fc.flushes, len(evs))
+	}
+	t.Logf("%s: %d events, %d flushes", tier, len(evs), fc.flushes)
 }

@@ -270,22 +270,33 @@ func buildDocument(in DocumentInput, defaultDocID string, db *sqldb.Database) (*
 
 // documentResult snapshots a verified document's claim annotations.
 func documentResult(doc *claim.Document) DocumentResult {
-	out := DocumentResult{DocID: doc.ID, Claims: make([]ClaimResult, 0, len(doc.Claims))}
-	for _, c := range doc.Claims {
-		out.Claims = append(out.Claims, ClaimResult{
-			ID:       c.ID,
-			Correct:  c.Result.Correct,
-			Verified: c.Result.Verified,
-			Method:   c.Result.Method,
-			Query:    c.Result.Query,
-			Attempts: c.Result.Attempts,
-			Failure:  c.Result.Failure,
-		})
-	}
-	return out
+	return DocumentResult{DocID: doc.ID, Claims: appendClaimResults(make([]ClaimResult, 0, len(doc.Claims)), doc)}
 }
 
-// writeJSON writes a JSON response body with the given status.
+// appendClaimResults appends a verified document's claim annotations to dst.
+func appendClaimResults(dst []ClaimResult, doc *claim.Document) []ClaimResult {
+	for _, c := range doc.Claims {
+		dst = append(dst, claimResult(c))
+	}
+	return dst
+}
+
+// claimResult snapshots one verified claim's annotation.
+func claimResult(c *claim.Claim) ClaimResult {
+	return ClaimResult{
+		ID:       c.ID,
+		Correct:  c.Result.Correct,
+		Verified: c.Result.Verified,
+		Method:   c.Result.Method,
+		Query:    c.Result.Query,
+		Attempts: c.Result.Attempts,
+		Failure:  c.Result.Failure,
+	}
+}
+
+// writeJSON writes a JSON response body with the given status through
+// encoding/json: the routes off the verify path (metrics, review, datasets,
+// status, replicas) answer with it, the verify path with writeWire.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -299,7 +310,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 		secs := int64((retryAfter + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
-	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
+	body := ErrorBody{Error: ErrorDetail{Code: code, Message: msg}}
+	writeWire(w, status, body.appendJSON)
 }
 
 // tooLargeMessage names the limit an oversize body crossed.

@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -257,5 +261,35 @@ func TestFingerprintFieldBoundaries(t *testing.T) {
 	}
 	if string(Fingerprint("x")) != string(Fingerprint("x")) {
 		t.Fatal("fingerprint not deterministic")
+	}
+}
+
+// TestRingFingerprintMatchesStreamed holds Fingerprint, which hashes its
+// length-prefixed fields as one buffer, to the same fields written to a
+// SHA-256 one at a time, over field counts and lengths either side of its
+// stack buffer, and pins its allocations.
+func TestRingFingerprintMatchesStreamed(t *testing.T) {
+	streamed := func(fields ...string) []byte {
+		h := sha256.New()
+		var n [8]byte
+		for _, f := range fields {
+			binary.LittleEndian.PutUint64(n[:], uint64(len(f)))
+			h.Write(n[:])
+			h.Write([]byte(f))
+		}
+		return h.Sum(nil)
+	}
+	cases := [][]string{nil, {""}, {"", ""}, {"a", "bc"}, {"ab", "c"}, {"cfg", "doc-7"}}
+	for _, n := range []int{1, 100, 495, 496, 497, 600, 5000} {
+		cases = append(cases, []string{strings.Repeat("x", n)}, []string{"tag", strings.Repeat("é", n/2), "v"})
+	}
+	for _, fields := range cases {
+		if got, want := Fingerprint(fields...), streamed(fields...); !bytes.Equal(got, want) {
+			t.Fatalf("Fingerprint(%q) = %x, want %x", fields, got, want)
+		}
+	}
+	fields := []string{"cfg", "doc-1", "Malaysia Airlines recorded 2 fatal accidents between 2000 and 2014.", "2", ""}
+	if n := testing.AllocsPerRun(100, func() { _ = Fingerprint(fields...) }); n > 1 {
+		t.Errorf("%.0f allocations per key, want 1", n)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -242,14 +243,18 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// Reset discards all recorded spans and sequence state.
+// Reset discards all recorded spans and sequence state. It keeps the span
+// slice's capacity and the sequence map's buckets, which a tracer reset at
+// every micro-batch would otherwise reallocate each time; the spans' fields
+// are cleared so the text they held is not kept alive.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.spans = nil
-	t.seq = make(map[Key]int)
+	clear(t.spans)
+	t.spans = t.spans[:0]
+	clear(t.seq)
 	t.mu.Unlock()
 }
 
@@ -265,7 +270,17 @@ func (t *Tracer) Spans() []Span {
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	// One tracer numbers each Key's spans apart, so no two spans are equal
+	// under Less and any sort gives this order; this one allocates nothing.
+	slices.SortFunc(out, func(a, b Span) int {
+		switch {
+		case a.Less(b):
+			return -1
+		case b.Less(a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

@@ -264,3 +264,32 @@ func TestReplayNormalize(t *testing.T) {
 		t.Error("ReplayNormalize mutated its input")
 	}
 }
+
+// TestTracerResetReusesStorage: a tracer reset at every micro-batch keeps its
+// span slice and sequence map, so a batch of the same shape as the last
+// records without allocating, and starts its sequences from zero again.
+func TestTracerResetReusesStorage(t *testing.T) {
+	tr := New()
+	keys := []Key{{Doc: "a", Method: "m"}, {Doc: "b", Method: "m"}, {Doc: "c", Claim: 1}}
+	batch := func() {
+		tr.Reset()
+		for i := 0; i < 40; i++ {
+			tr.Record(Span{Key: keys[i%len(keys)], Kind: KindAttempt})
+		}
+	}
+	batch()
+	if n := testing.AllocsPerRun(50, batch); n != 0 {
+		t.Errorf("%.0f allocations per reset and batch, want 0", n)
+	}
+	spans := tr.Spans()
+	if len(spans) != 40 {
+		t.Fatalf("%d spans after reset, want 40", len(spans))
+	}
+	next := map[Key]int{}
+	for _, s := range spans { // canonical order: each key's spans by sequence
+		if s.Seq != next[s.Key] {
+			t.Fatalf("span %+v: seq %d, want %d", s.Key, s.Seq, next[s.Key])
+		}
+		next[s.Key]++
+	}
+}
