@@ -141,7 +141,7 @@ shard:
 # with trailing data answered 400 on both tiers, and a stream in one
 # micro-batch written with at most two flushes.
 stream:
-	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact|TierGolden|TrailingData|WireEncode|WireCodec' \
+	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact|TierGolden|TrailingData|WireEncode|WireFiller|WireCodec' \
 		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve
 
 # Ingestion gate under the race detector (DESIGN.md §15, docs/DATA.md): the

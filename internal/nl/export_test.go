@@ -4,11 +4,3 @@ package nl
 // the external test package, which can import internal/data where this one
 // cannot.
 var ReferenceParseMasked = referenceParseMasked
-
-// FlushResolverMemo drops every schema resolver and its phrase memo, so the
-// next parses run cold.
-func FlushResolverMemo() {
-	resolvers.Lock()
-	resolvers.m, resolvers.byPointer = nil, nil
-	resolvers.Unlock()
-}

@@ -14,6 +14,7 @@ package nl
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sqldb"
 )
@@ -62,6 +63,10 @@ func (t *SchemaTable) HasColumn(name string) bool {
 // the {db_schema} prompt placeholder.
 type Schema struct {
 	Tables []SchemaTable
+
+	// resolvers holds the schema's resolution under each lexicon it has
+	// been parsed with (compile.go), built by the first parse under it.
+	resolvers atomic.Pointer[[]*schemaResolver]
 }
 
 // SchemaFromDatabase extracts the Schema of an in-memory database.

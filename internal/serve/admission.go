@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/claim"
 )
@@ -26,10 +24,9 @@ type apiError struct {
 //     instead of letting the backlog grow without limit.
 //
 // Admission is the only gate: once admit returns a job, the batch loop
-// guarantees a result (or the request's own context or deadline expiring).
-func (s *Server) admit(ctx context.Context, deadline time.Time, docs []*claim.Document) (*job, *apiError) {
+// guarantees a result (or the request's own context expiring).
+func (s *Server) admit(ctx context.Context, docs []*claim.Document) (*job, *apiError) {
 	j := newJob(ctx, docs)
-	j.deadline = deadline
 	// The read lock spans the draining check and the send so Shutdown's
 	// close(queue) cannot interleave; the send is non-blocking, so the lock
 	// is held only momentarily and a full queue becomes shed, not blocking.
@@ -50,15 +47,9 @@ func (s *Server) admit(ctx context.Context, deadline time.Time, docs []*claim.Do
 	}
 }
 
-// await blocks until the job's batch completes or the request context or
-// the job's deadline expires, mapping each outcome to its HTTP shape.
+// await blocks until the job's batch completes or the request context
+// expires, mapping each outcome to its HTTP shape.
 func (s *Server) await(ctx context.Context, j *job) (jobResult, *apiError) {
-	var expire <-chan time.Time
-	if !j.deadline.IsZero() {
-		t := startTimer(time.Until(j.deadline))
-		defer stopTimer(t)
-		expire = t.C
-	}
 	select {
 	case <-j.done:
 		res := j.res
@@ -75,37 +66,10 @@ func (s *Server) await(ctx context.Context, j *job) (jobResult, *apiError) {
 		}
 		return res, nil
 	case <-ctx.Done():
-	case <-expire:
+		// The batch is running (or about to): the claims will be verified
+		// and billed, but this caller is no longer waiting for them.
+		s.met.inc(&s.met.deadlineExpired)
+		return jobResult{}, &apiError{status: http.StatusGatewayTimeout, code: CodeDeadlineExceeded,
+			msg: "request deadline expired while its batch was in flight"}
 	}
-	// The batch is running (or about to): the claims will be verified and
-	// billed, but this caller is no longer waiting for them.
-	s.met.inc(&s.met.deadlineExpired)
-	return jobResult{}, &apiError{status: http.StatusGatewayTimeout, code: CodeDeadlineExceeded,
-		msg: "request deadline expired while its batch was in flight"}
-}
-
-// timers recycles await's deadline timers: a unary request's wait would
-// otherwise allocate one, with its channel, every time.
-var timers = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
-// startTimer returns a stopped, drained timer from the pool, started for d.
-func startTimer(d time.Duration) *time.Timer {
-	t := timers.Get().(*time.Timer)
-	t.Reset(d)
-	return t
-}
-
-// stopTimer stops t, drains a tick nobody received, and pools it.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timers.Put(t)
 }

@@ -15,10 +15,6 @@ import (
 type job struct {
 	docs []*claim.Document
 	ctx  context.Context
-	// deadline, when not zero, is when the request stops waiting: the
-	// configured timeout of a unary or batch request, which is not part
-	// of ctx.
-	deadline time.Time
 	// res is the batch outcome, written once by the batch loop before it
 	// closes done; closing never blocks on a handler that already gave up.
 	res  jobResult
@@ -46,17 +42,6 @@ func newJob(ctx context.Context, docs []*claim.Document) *job {
 func (j *job) finish(res jobResult) {
 	j.res = res
 	close(j.done)
-}
-
-// expired reports why the job's request stopped waiting, if it has.
-func (j *job) expired() error {
-	if err := j.ctx.Err(); err != nil {
-		return err
-	}
-	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
-		return context.DeadlineExceeded
-	}
-	return nil
 }
 
 // finished reports whether the job's outcome has been delivered.
@@ -137,12 +122,18 @@ func (s *Server) runBatch(batch []*job) {
 	live := batch[:0]
 	var docs []*claim.Document
 	for _, j := range batch {
-		if err := j.expired(); err != nil {
+		if err := j.ctx.Err(); err != nil {
 			j.finish(jobResult{err: err})
 			continue
 		}
 		live = append(live, j)
-		docs = append(docs, j.docs...)
+		if docs == nil {
+			// A batch of one job runs on the job's own slice; the capacity
+			// cap makes a second job's append copy it.
+			docs = j.docs[:len(j.docs):len(j.docs)]
+		} else {
+			docs = append(docs, j.docs...)
+		}
 	}
 	if len(docs) == 0 {
 		return

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -38,49 +40,159 @@ var wireTexts = []string{
 // wireFees cover both float formats encoding/json picks for a dollar amount.
 var wireFees = []fee.Fee{0, 1, 9, 10, 999, 1000, 183_000, 865_500, 1e9, 123_456_789_012, -1, -2_500, 1 << 50}
 
+// wireEncoders are the codec's encoders, each with the wire type it
+// encodes; encode appends what json.Encoder writes for the value it is
+// given a pointer to, trailing newline included.
+var wireEncoders = []struct {
+	typ    reflect.Type
+	encode func(v any) []byte
+}{
+	{reflect.TypeOf(ClaimResult{}), func(v any) []byte { return append(v.(*ClaimResult).appendJSON(nil), '\n') }},
+	{reflect.TypeOf(BatchStats{}), func(v any) []byte { return append(v.(*BatchStats).appendJSON(nil), '\n') }},
+	{reflect.TypeOf(VerifyResponse{}), func(v any) []byte { return v.(*VerifyResponse).appendJSON(nil) }},
+	{reflect.TypeOf(BatchResponse{}), func(v any) []byte { return v.(*BatchResponse).appendJSON(nil) }},
+	{reflect.TypeOf(ErrorDetail{}), func(v any) []byte { return append(v.(*ErrorDetail).appendJSON(nil), '\n') }},
+	{reflect.TypeOf(ErrorBody{}), func(v any) []byte { return v.(*ErrorBody).appendJSON(nil) }},
+	{reflect.TypeOf(StreamSummary{}), func(v any) []byte { return append(v.(*StreamSummary).appendJSON(nil), '\n') }},
+	{reflect.TypeOf(StreamEvent{}), func(v any) []byte { return v.(*StreamEvent).appendJSON(nil) }},
+}
+
+// wireInts are the non-zero values an integer field is filled with.
+var wireInts = []int64{1, -1, 7, 1000, 1 << 40, math.MaxInt64, math.MinInt64}
+
+var feeType = reflect.TypeOf(fee.Fee(0))
+
+// wireFiller fills a value of a wire type by reflection. Every exported
+// field, however deep, is set by its kind — a string from texts, a fee from
+// wireFees, an integer from wireInts, a slice to one or two filled
+// elements, a pointer to a filled value — or, with probability zero, left
+// at its zero value (a slice then also comes out empty but not nil). With
+// zero at 0 every field is on the wire, so a field added to a type and not
+// to its encoder makes json.Encoder's bytes differ from the codec's; a kind
+// it has no rule for fails the test.
+type wireFiller struct {
+	t     testing.TB
+	rng   *rand.Rand
+	texts []string // non-empty
+	zero  float64
+}
+
+func (f *wireFiller) fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
+			if field := v.Field(i); f.rng.Float64() < f.zero {
+				field.SetZero()
+				if field.Kind() == reflect.Slice && f.rng.Intn(2) == 0 {
+					field.Set(reflect.MakeSlice(field.Type(), 0, 0))
+				}
+			} else {
+				f.fill(field)
+			}
+		}
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		f.fill(p.Elem())
+		v.Set(p)
+	case reflect.Slice:
+		n := 1 + f.rng.Intn(2)
+		s := reflect.MakeSlice(v.Type(), n, n)
+		for i := 0; i < n; i++ {
+			f.fill(s.Index(i))
+		}
+		v.Set(s)
+	case reflect.String:
+		v.SetString(f.texts[f.rng.Intn(len(f.texts))])
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		if v.Type() == feeType {
+			v.SetInt(int64(wireFees[1+f.rng.Intn(len(wireFees)-1)]))
+		} else {
+			v.SetInt(wireInts[f.rng.Intn(len(wireInts))])
+		}
+	default:
+		f.t.Fatalf("wireFiller has no rule for %s", v.Type())
+	}
+}
+
+// checkWireEncode fills n values of every wire type at each zero chance and
+// holds the codec's encoder of each to json.Encoder's bytes.
+func checkWireEncode(t testing.TB, rng *rand.Rand, texts []string, n int) {
+	t.Helper()
+	for _, zero := range []float64{0, 0.5, 1} {
+		f := &wireFiller{t: t, rng: rng, texts: texts, zero: zero}
+		for _, enc := range wireEncoders {
+			for i := 0; i < n; i++ {
+				v := reflect.New(enc.typ)
+				f.fill(v.Elem())
+				if got, want := enc.encode(v.Interface()), encodeJSON(t, v.Interface()); !bytes.Equal(got, want) {
+					t.Fatalf("%s (zero chance %v):\n got %s\nwant %s", enc.typ, zero, got, want)
+				}
+			}
+		}
+	}
+}
+
+// nonEmpty is texts without the empty string.
+func nonEmpty(texts []string) []string {
+	var out []string
+	for _, s := range texts {
+		if s != "" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestWireEncodeMatchesEncodingJSON holds every encoder of the codec to
-// json.Encoder's bytes over the escaping texts, the fee formats, zero and
-// omitted fields, and nil against empty slices.
+// json.Encoder's bytes over values filled by reflection from the escaping
+// texts and the fee formats, with every field set, with none, and mixed.
 func TestWireEncodeMatchesEncodingJSON(t *testing.T) {
-	check := func(name string, v any, got []byte) {
-		t.Helper()
-		if want := encodeJSON(t, v); !bytes.Equal(got, want) {
-			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
-		}
-	}
-	for i, text := range wireTexts {
-		f := wireFees[i%len(wireFees)]
-		claims := []ClaimResult{
-			{ID: text, Correct: true, Verified: true, Method: text, Query: text, Attempts: i, Failure: text},
-			{ID: text},
-		}
-		stats := BatchStats{Docs: i, Claims: 2 * i, Dollars: f, Calls: i + 1}
-		vr := VerifyResponse{DocID: text, Claims: claims, Batch: stats}
-		check("VerifyResponse", vr, vr.appendJSON(nil))
-		for _, docs := range [][]DocumentResult{nil, {}, {{DocID: text, Claims: claims}, {DocID: text}}} {
-			br := BatchResponse{Documents: docs, Batch: stats}
-			check("BatchResponse", br, br.appendJSON(nil))
-		}
-		eb := ErrorBody{Error: ErrorDetail{Code: text, Message: text}}
-		check("ErrorBody", eb, eb.appendJSON(nil))
-		for _, batches := range [][]int64{nil, {}, {1, 7, 1 << 40}} {
-			sum := StreamSummary{Docs: i, Claims: i, Dollars: f, Calls: i, Reviewed: i, Batches: batches}
-			ev := StreamEvent{Event: "summary", Index: i, Summary: &sum}
-			check("StreamEvent summary", ev, ev.appendJSON(nil))
-		}
-		for _, ev := range []StreamEvent{
-			{Event: "verdict", DocID: text, Index: -i, Claim: &claims[0], ReviewID: text},
-			{Event: "error", DocID: text, Index: i, Error: &eb.Error},
-			{Event: text},
-		} {
-			check("StreamEvent", ev, ev.appendJSON(nil))
-		}
-	}
+	checkWireEncode(t, rand.New(rand.NewSource(1)), nonEmpty(wireTexts), 200)
 	for _, f := range wireFees {
 		for _, g := range []fee.Fee{f, -f, f * 1000, f * 1_000_000} {
 			stats := BatchStats{Dollars: g}
-			check(fmt.Sprintf("fee %d", g), stats, append(stats.appendJSON(nil), '\n'))
+			if got, want := append(stats.appendJSON(nil), '\n'), encodeJSON(t, stats); !bytes.Equal(got, want) {
+				t.Errorf("fee %d:\n got %s\nwant %s", g, got, want)
+			}
 		}
+	}
+}
+
+// TestWireFillerSetsEveryField: with no zero chance, every exported field of
+// every wire type, however deep, comes out non-zero, so the encoder test
+// above sees each on the wire.
+func TestWireFillerSetsEveryField(t *testing.T) {
+	f := &wireFiller{t: t, rng: rand.New(rand.NewSource(2)), texts: nonEmpty(wireTexts)}
+	var check func(path string, v reflect.Value)
+	check = func(path string, v reflect.Value) {
+		if v.IsZero() {
+			t.Errorf("%s is zero", path)
+			return
+		}
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					check(path+"."+v.Type().Field(i).Name, v.Field(i))
+				}
+			}
+		case reflect.Pointer:
+			check(path, v.Elem())
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				check(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		}
+	}
+	for _, enc := range wireEncoders {
+		v := reflect.New(enc.typ).Elem()
+		f.fill(v)
+		check(enc.typ.Name(), v)
 	}
 }
 
@@ -123,6 +235,13 @@ func FuzzWireCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWireDecode(t, data)
 		checkStreamRead(t, data)
+		// The input also seeds the encoders' values and is one of their texts.
+		texts := nonEmpty(append([]string{string(data)}, wireTexts...))
+		seed := int64(len(data))
+		for _, c := range data {
+			seed = seed*31 + int64(c)
+		}
+		checkWireEncode(t, rand.New(rand.NewSource(seed)), texts, 2)
 	})
 }
 

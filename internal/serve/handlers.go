@@ -134,22 +134,14 @@ func (s *Server) buildDocuments(ins []DocumentInput) ([]*claim.Document, error) 
 }
 
 // serveDocuments is the shared verification path of both POST routes:
-// admit the documents as one job under the request's context and the
-// configured timeout, wait for its micro-batch, and return the batch stats.
-// A non-nil apiError was already counted and must be rendered. The timeout
-// is the job's deadline rather than a context of its own: nothing downstream
-// of a replica needs one, and a timer context costs a request five
-// allocations.
-func (s *Server) serveDocuments(r *http.Request, docs []*claim.Document) (BatchStats, *apiError) {
-	var deadline time.Time
-	if s.cfg.RequestTimeout > 0 {
-		deadline = time.Now().Add(s.cfg.RequestTimeout)
-	}
-	j, aerr := s.admit(r.Context(), deadline, docs)
+// admit the documents as one job, wait for its micro-batch, and return the
+// batch stats. A non-nil apiError was already counted and must be rendered.
+func (s *Server) serveDocuments(ctx context.Context, docs []*claim.Document) (BatchStats, *apiError) {
+	j, aerr := s.admit(ctx, docs)
 	if aerr != nil {
 		return BatchStats{}, aerr
 	}
-	res, aerr := s.await(r.Context(), j)
+	res, aerr := s.await(ctx, j)
 	if aerr != nil {
 		return BatchStats{}, aerr
 	}
@@ -169,8 +161,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		badRequest(s.met, w, err.Error())
 		return
 	}
+	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
+	defer cancel()
 	docs := []*claim.Document{doc}
-	stats, aerr := s.serveDocuments(r, docs)
+	stats, aerr := s.serveDocuments(ctx, docs)
 	if aerr != nil {
 		s.renderError(w, aerr)
 		return
@@ -201,7 +195,9 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(s.met, w, err.Error())
 		return
 	}
-	stats, aerr := s.serveDocuments(r, docs)
+	ctx, cancel := requestContext(r, s.cfg.RequestTimeout)
+	defer cancel()
+	stats, aerr := s.serveDocuments(ctx, docs)
 	if aerr != nil {
 		s.renderError(w, aerr)
 		return
