@@ -101,10 +101,13 @@ gatelint:
 	GO=$(GO) $(GO) run ./internal/gatelint Makefile
 
 # SQL differential gate under the race detector (DESIGN.md §12): the
-# old-vs-new harness (stored corpus + >=1000 generated queries through both
-# the row oracle and the vectorized executor, bit-identical results and
-# error surfaces), the pushdown row-count property, the plan-cache suite
-# (normalized sharing, invalidation, cap, 32-goroutine mixed
+# one-engine contract — every stored corpus line (diffqueries.sql,
+# accessqueries.sql, the fuzz seed corpora) and >=1000 generated queries
+# through the row-at-a-time oracle (oracle_test.go), ExecVec and the cached
+# Query path, which must each answer exactly what the oracle answers, result
+# or error text alike — the pushdown row-count property over the data
+# generators' catalogs (an external test of internal/sqldb), the plan-cache
+# suite (normalized sharing, invalidation, cap, 32-goroutine mixed
 # prepare/execute/invalidate stress), the Schema() memo under catalog churn
 # (32 readers, never a stale schema), the warm-cache verdict/trace
 # determinism tests at the pipeline level, the allocation ceiling of a warm
@@ -112,7 +115,7 @@ gatelint:
 # arithmetic and SUM (ErrOverflow past int64) on every engine path.
 sqldiff:
 	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches|SchemaMemo|QueryScalar|IntegerOverflow' \
-		./internal/sqldb ./internal/data ./internal/core
+		./internal/sqldb ./internal/core
 
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring
 # determinism/minimal-movement units and the 32-goroutine membership stress,
@@ -138,8 +141,9 @@ shard:
 # and a replica's fee total that is exact in any order of its batches. With
 # them, the wire (DESIGN.md §21): the tier's response bytes against their
 # golden, the codec against encoding/json's bytes and decodes, a verify body
-# with trailing data answered 400 on both tiers, and a stream in one
-# micro-batch written with at most two flushes.
+# with trailing data answered 400 on both tiers, a stream in one
+# micro-batch written with at most two flushes, and a stream that stops
+# reading its body early leaving no panic in either tier's server log.
 stream:
 	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact|TierGolden|TrailingData|WireEncode|WireFiller|WireCodec' \
 		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve

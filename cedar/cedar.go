@@ -83,8 +83,6 @@ type Options struct {
 	// an expected per-claim dollar budget instead of an accuracy target —
 	// the inverse knob for deployments with a hard spending limit.
 	CostBudgetPerClaim float64
-	// MaxTries bounds retries per method in the schedule (default 2).
-	MaxTries int
 	// CacheResponses enables a temperature-0 completion cache in front of
 	// each model: repeated deterministic prompts are answered locally and
 	// incur no fees. Off by default to keep cost accounting comparable to
@@ -243,7 +241,6 @@ func (s *System) SetStats(stats []schedule.MethodStats) error {
 		Stats:          stats,
 		AccuracyTarget: s.opts.AccuracyTarget,
 		CostBudget:     s.opts.CostBudgetPerClaim,
-		MaxTries:       s.opts.MaxTries,
 		Seed:           s.opts.Seed,
 		Workers:        s.opts.Workers,
 		Tracer:         s.opts.Tracer,
@@ -299,12 +296,8 @@ func (s *System) RoutedSchedule() string {
 	if !s.opts.Route {
 		return s.Schedule()
 	}
-	mt := s.opts.MaxTries
-	if mt <= 0 {
-		mt = 2
-	}
 	rs := schedule.RouteStage{Fee: route.DefaultFee.Dollars(), Accuracy: route.DefaultAccuracy}
-	plan, err := schedule.PlanRouted(s.stats, mt, s.opts.AccuracyTarget, rs)
+	plan, err := schedule.PlanRouted(s.stats, core.MaxTries, s.opts.AccuracyTarget, rs)
 	if err != nil {
 		return s.Schedule()
 	}
@@ -536,15 +529,6 @@ func (s *System) Close() error {
 // callers can share it — the dataset registry persists ingested catalogs
 // into the same store under its own key prefix.
 func (s *System) Store() *store.Store { return s.store }
-
-// StoreStats snapshots the persistent store's activity counters (zero Stats
-// without Options.CacheDir).
-func (s *System) StoreStats() store.Stats {
-	if s.store == nil {
-		return store.Stats{}
-	}
-	return s.store.Stats()
-}
 
 // VerifyClaims verifies one batch of claims against a database as a single
 // request-scoped run. It wraps the claims in a document whose ID seeds

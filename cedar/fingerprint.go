@@ -96,7 +96,7 @@ func (s *System) configFingerprint() [32]byte {
 	f.u64(uint64(o.Seed))
 	f.f64(o.AccuracyTarget)
 	f.f64(o.CostBudgetPerClaim)
-	f.u64(uint64(o.MaxTries))
+	f.u64(0) // the retired MaxTries option, always 0: keeps existing verdict memos' keys
 	f.u64(uint64(o.Retries))
 	f.u64(uint64(o.Timeout))
 	f.u64(uint64(o.HedgeAfter))

@@ -131,13 +131,6 @@ func (st *Stream) Submit(doc *Document) error {
 	return nil
 }
 
-// SubmitClaims is Submit for a bare claim batch: it wraps the claims in a
-// request document exactly as System.VerifyClaims does, so a streamed
-// submission reproduces the unary entry points bit for bit.
-func (st *Stream) SubmitClaims(docID string, db *Database, claims []*Claim) error {
-	return st.Submit(&Document{ID: docID, Domain: "request", Data: db, Claims: claims})
-}
-
 // Results returns the session's outcome channel. Outcomes arrive in
 // submission order and the channel closes once Close has been called and
 // every admitted document has been delivered.

@@ -35,13 +35,6 @@ type Config struct {
 	// budget (an extension beyond the paper, which only takes accuracy
 	// targets). When set, AccuracyTarget is ignored.
 	CostBudget float64
-	// MaxTries bounds retries per method in the schedule (default 2).
-	MaxTries int
-	// RetryTemperature returns the model temperature for the i-th try of
-	// a method. The default follows Section 7.1: temperature 0 for the
-	// first invocation, then 0.25 for one-shot methods and 0.5 for agent
-	// methods.
-	RetryTemperature func(methodName string, try int) float64
 	// Seed is the base of the splittable seeding scheme: every model
 	// invocation gets llm.SplitSeed(Seed, docID, claimIndex, method, try),
 	// so temperature > 0 retries are reproducible per attempt identity and
@@ -59,7 +52,12 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// DefaultRetryTemperature is the Section 7.1 temperature ladder.
+// MaxTries bounds the retries per method a planned schedule may use.
+const MaxTries = 2
+
+// DefaultRetryTemperature is the Section 7.1 temperature ladder: temperature
+// 0 for a method's first invocation, then 0.25 for one-shot methods and 0.5
+// for agent methods.
 func DefaultRetryTemperature(methodName string, try int) float64 {
 	if try == 0 {
 		return 0
@@ -72,10 +70,9 @@ func DefaultRetryTemperature(methodName string, try int) float64 {
 
 // Pipeline is a planned multi-stage verifier.
 type Pipeline struct {
-	cfg      Config
-	plan     *schedule.Schedule
-	byName   map[string]verify.Method
-	tempFunc func(string, int) float64
+	cfg    Config
+	plan   *schedule.Schedule
+	byName map[string]verify.Method
 	// sem bounds in-flight claim attempts across all documents when
 	// cfg.Workers > 1; nil means fully sequential passes.
 	sem chan struct{}
@@ -91,16 +88,12 @@ func New(cfg Config) (*Pipeline, error) {
 	if len(cfg.Methods) == 0 {
 		return nil, fmt.Errorf("core: no verification methods configured")
 	}
-	maxTries := cfg.MaxTries
-	if maxTries <= 0 {
-		maxTries = 2
-	}
 	var plan *schedule.Schedule
 	var err error
 	if cfg.CostBudget > 0 {
-		plan, err = schedule.PlanBudget(cfg.Stats, maxTries, cfg.CostBudget)
+		plan, err = schedule.PlanBudget(cfg.Stats, MaxTries, cfg.CostBudget)
 	} else {
-		plan, err = schedule.Plan(cfg.Stats, maxTries, cfg.AccuracyTarget)
+		plan, err = schedule.Plan(cfg.Stats, MaxTries, cfg.AccuracyTarget)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: planning schedule: %w", err)
@@ -120,13 +113,9 @@ func NewWithSchedule(cfg Config, plan *schedule.Schedule) (*Pipeline, error) {
 
 func newWithSchedule(cfg Config, plan *schedule.Schedule) (*Pipeline, error) {
 	p := &Pipeline{
-		cfg:      cfg,
-		plan:     plan,
-		byName:   make(map[string]verify.Method, len(cfg.Methods)),
-		tempFunc: cfg.RetryTemperature,
-	}
-	if p.tempFunc == nil {
-		p.tempFunc = DefaultRetryTemperature
+		cfg:    cfg,
+		plan:   plan,
+		byName: make(map[string]verify.Method, len(cfg.Methods)),
 	}
 	if cfg.Workers > 1 {
 		p.sem = make(chan struct{}, cfg.Workers)
@@ -220,7 +209,7 @@ func (p *Pipeline) VerifyDocument(d *claim.Document) {
 		// per step, harvested from the step's first success.
 		var sample *verify.Sample
 		for try := 0; try < step.Tries && len(remaining) > 0; try++ {
-			temp := p.tempFunc(step.Method, try)
+			temp := DefaultRetryTemperature(step.Method, try)
 			// invFor binds an attempt's full identity: the seed split from
 			// (doc, claim index, method, try) and the matching trace key, so
 			// the span stream lines up one-to-one with seeded invocations.

@@ -33,8 +33,6 @@ func planCacheTotals(docs []*claim.Document) sqldb.PlanCacheStats {
 		total.Misses += st.Misses
 		total.Entries += st.Entries
 		total.VecRuns += st.VecRuns
-		total.RowFallbacks += st.RowFallbacks
-		total.RowOnlyPlans += st.RowOnlyPlans
 		total.IndexBuilds += st.IndexBuilds
 		total.IndexProbes += st.IndexProbes
 		total.FoldHits += st.FoldHits
@@ -143,13 +141,11 @@ func TestGoldenTraceUnchangedByWarmPlanCache(t *testing.T) {
 // TestWarmPlanCacheBigTableNoRowFallback verifies the benchmark's
 // lib-bigtable shape — a 16,000-row CSV onboarded through ingest, its claim
 // surface with every second claim falsified, flat and normalized — at worker
-// counts 1 and 8, and requires that the row engine answered none of the
-// pipeline's queries: every one ran on the column image. A vectorized
-// regression that only the silent fallback hid would show here as a count,
-// not as a slowdown someone has to notice. The same goes for the access paths
-// on that image: the run's lookups, unfiltered aggregates and lookup joins
-// must have taken them, each index built once however many workers wanted it
-// first, while the profiling corpus (tables of at most 50 rows) took none.
+// counts 1 and 8, and requires every claim's query to have run on its plan
+// over the column image, and the access paths on that image to have been
+// taken: the run's lookups, unfiltered aggregates and lookup joins, each
+// index built once however many workers wanted it first, while the profiling
+// corpus (tables of at most 50 rows) took none.
 func TestWarmPlanCacheBigTableNoRowFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	teams := []string{"north", "south", "east", "west", "central", "coastal"}
@@ -205,10 +201,6 @@ func TestWarmPlanCacheBigTableNoRowFallback(t *testing.T) {
 		if after.VecRuns-before.VecRuns < uint64(len(snap.results)) {
 			t.Errorf("workers=%d: %d vectorized runs for %d claims; the run is not exercising Query",
 				workers, after.VecRuns-before.VecRuns, len(snap.results))
-		}
-		if after.RowFallbacks != 0 || after.RowOnlyPlans != 0 {
-			t.Errorf("workers=%d: the row engine answered %d fallbacks and %d row-only statements; want 0 and 0",
-				workers, after.RowFallbacks, after.RowOnlyPlans)
 		}
 		if after.IndexProbes == before.IndexProbes || after.FoldHits == before.FoldHits || after.IndexJoins == before.IndexJoins {
 			t.Errorf("workers=%d: an access path was not taken: before %+v, after %+v", workers, before, after)

@@ -2,6 +2,7 @@ package doclint
 
 import (
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,8 +58,14 @@ func TestRepoRootFindsGoMod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(root) != "repo" {
-		t.Errorf("RepoRoot = %q, want the checkout directory", root)
+	// The checkout may live in a directory of any name; its go.mod is what
+	// identifies it.
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(string(mod), "\n"); strings.TrimSpace(first) != "module repro" {
+		t.Errorf("RepoRoot = %q, whose go.mod declares %q, want the checkout's (module repro)", root, first)
 	}
 }
 

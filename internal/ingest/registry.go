@@ -41,9 +41,6 @@ func NewRegistry(db *sqldb.Database, st *store.Store, defaults Options) *Registr
 	return &Registry{db: db, st: st, defaults: defaults, byName: make(map[string]*Dataset)}
 }
 
-// Defaults returns the registry's default ingestion budgets.
-func (r *Registry) Defaults() Options { return r.defaults }
-
 // fill merges the registry defaults into opts.
 func (r *Registry) fill(opts Options) Options {
 	if opts.SampleRows <= 0 {

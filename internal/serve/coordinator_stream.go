@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/review"
@@ -95,10 +96,11 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	s := &streamSession{c: c, ctx: ctx, owners: make(map[string]*ownerQueue)}
 	results := make(chan *streamDoc, c.cfg.StreamWindow)
 	readerErr := make(chan ErrorDetail, 1)
+	var ended atomic.Bool // the body was read to its end
 	go func() {
 		defer close(results)
 		defer s.flush()
-		readStream(c.met, r, readerErr, s.flush, func(index int, in DocumentInput, raw []byte) bool {
+		ended.Store(readStream(c.met, r, readerErr, s.flush, func(index int, in DocumentInput, raw []byte) bool {
 			key, docID := c.routeKey(in.DocID, in.Claims)
 			d := &streamDoc{index: index, docID: docID, claims: len(in.Claims), done: make(chan struct{})}
 			select {
@@ -123,7 +125,7 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 			s.placeLocked(d, raw)
 			s.mu.Unlock()
 			return true
-		})
+		}))
 	}()
 
 	sw := newStreamWriter(w)
@@ -168,7 +170,7 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 	}
 	s.wg.Wait()
 	sum.Dollars, sum.Calls = s.fees.Dollars, s.fees.Calls
-	closeStream(ctx, c.met, started, sw, readerErr, read, &sum)
+	closeStream(ctx, c.met, started, sw, readerErr, read, &sum, ended.Load())
 }
 
 // placeLocked queues d's bytes for the replica at d.hop along its failover

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -64,6 +65,17 @@ func oversize(m *serveMetrics, w http.ResponseWriter, r *http.Request) bool {
 // goroutine than the one writing the response.
 func limitBody(r *http.Request) io.Reader {
 	return http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+}
+
+// closeAfterReply has net/http close the connection once the response is
+// written, rather than read on the rest of a body a stream stopped reading:
+// read after the handler returns, a remainder that ends restarts the
+// connection's background read after net/http has aborted it, and the next
+// request's read on that connection panics ("invalid concurrent Body.Read
+// call"). It is what a MaxBytesReader given w does when a body crosses its
+// limit, and like that it must run on the handler's goroutine.
+func closeAfterReply(w http.ResponseWriter) {
+	_, _ = http.MaxBytesReader(w, io.NopCloser(strings.NewReader(" ")), 0).Read(make([]byte, 1))
 }
 
 func isTooLarge(err error) bool {
@@ -238,7 +250,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.DB.PlanCacheStats()
 	body.SQL = &SQLCounters{
 		PlanHits: st.Hits, PlanMisses: st.Misses, PlanEntries: st.Entries,
-		VecRuns: st.VecRuns, RowFallbacks: st.RowFallbacks, RowOnlyPlans: st.RowOnlyPlans,
+		VecRuns:     st.VecRuns,
 		IndexBuilds: st.IndexBuilds, IndexProbes: st.IndexProbes, FoldHits: st.FoldHits, IndexJoins: st.IndexJoins,
 	}
 	if s.cfg.Resilience != nil {

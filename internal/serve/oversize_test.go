@@ -2,9 +2,13 @@ package serve
 
 import (
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // oversizeClaims is a well-formed verify body one claim too long: before the
@@ -111,5 +115,69 @@ func TestCoordinatorRelaysReplica413(t *testing.T) {
 	status, body = do(t, "POST", tier.ts.URL+"/v1/verify/batch", `{"documents":[`+claimBody+`]}`)
 	if status != http.StatusRequestEntityTooLarge || body != envelope {
 		t.Fatalf("batch relayed %d %q, want 413 %q", status, body, envelope)
+	}
+}
+
+// lockedLog is a server ErrorLog's sink, written by connection goroutines.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// A stream that stops reading its body early — here at the size limit —
+// returns with the rest of the body unread. Delaying the handler's return
+// lets the client's last bytes arrive first, which is how net/http used to
+// log a recovered "invalid concurrent Body.Read call" panic: it read the
+// remainder after the handler, reached the body's end after aborting the
+// connection's background read, so the end started a new one, and the next
+// request's read on that connection panicked. On both tiers the answer must
+// be complete and the server's log free of panics.
+func TestStreamEarlyStopLeavesNoServerPanic(t *testing.T) {
+	replica := newReplica(t, Config{Backend: &gatedBackend{}, BatchWait: -1})
+	coord, _ := newTestCoordinator(t, CoordinatorConfig{}, replica)
+	for _, tier := range []struct {
+		name string
+		h    http.Handler
+	}{{"replica", replica.srv}, {"coordinator", coord}} {
+		t.Run(tier.name, func(t *testing.T) {
+			var errs lockedLog
+			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				tier.h.ServeHTTP(w, r)
+				time.Sleep(20 * time.Millisecond)
+			}))
+			ts.Config.ErrorLog = log.New(&errs, "", 0)
+			ts.Start()
+			body := streamDocLine("d0", "1") + "\n" + oversizeClaims() + "\n"
+			for i := 0; i < 3; i++ {
+				// A connection of its own: the server may close it after
+				// the reply, and a client reusing it would race that close.
+				tr := &http.Transport{}
+				resp, err := (&http.Client{Transport: tr}).Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", chunked(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, errEvents, sum := splitEvents(t, readEvents(t, resp))
+				tr.CloseIdleConnections()
+				if len(errEvents) != 1 || errEvents[0].Error.Code != CodeTooLarge || sum.Docs != 1 {
+					t.Fatalf("request %d: errors %+v, summary %+v; want one too_large and docs=1", i, errEvents, sum)
+				}
+			}
+			ts.Close()
+			if log := errs.String(); strings.Contains(log, "panic serving") {
+				t.Fatalf("server log:\n%s", log)
+			}
+		})
 	}
 }

@@ -377,12 +377,17 @@ func TestStatusAndMetrics(t *testing.T) {
 		}
 		resp.Body.Close()
 		// The fake backend runs no SQL; stand in for it. The third query
-		// finds the table grown since registration and falls back.
+		// finds the table grown since registration and answers from the
+		// grown rows.
 		if i == 2 {
 			tab.MustAppendRow(sqldb.Int(2))
 		}
-		if _, err := sqldb.Query(db, "SELECT COUNT(*) FROM t"); err != nil {
+		n, err := sqldb.QueryScalar(db, "SELECT COUNT(*) FROM t")
+		if err != nil {
 			t.Fatal(err)
+		}
+		if want := sqldb.Int(int64(1 + i/2)); n != want {
+			t.Fatalf("query %d: COUNT(*) = %v, want %v", i, n, want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/status")
@@ -412,7 +417,7 @@ func TestStatusAndMetrics(t *testing.T) {
 	if met.Resilience != nil {
 		t.Errorf("resilience section present without a snapshot source: %+v", met.Resilience)
 	}
-	if want := (SQLCounters{PlanHits: 2, PlanMisses: 1, PlanEntries: 1, VecRuns: 2, RowFallbacks: 1}); met.SQL == nil || *met.SQL != want {
+	if want := (SQLCounters{PlanHits: 2, PlanMisses: 1, PlanEntries: 1, VecRuns: 3}); met.SQL == nil || *met.SQL != want {
 		t.Errorf("sql counters = %+v, want %+v", met.SQL, want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/claim"
@@ -151,9 +152,10 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	// readerErr holds at most one terminal input-side error, read only after
 	// pending closes (the channel buffer orders the memory accesses).
 	readerErr := make(chan ErrorDetail, 1)
+	var ended atomic.Bool // the body was read to its end
 	go func() {
 		defer close(pending)
-		readStream(s.met, r, readerErr, nil, func(index int, in DocumentInput, _ []byte) bool {
+		ended.Store(readStream(s.met, r, readerErr, nil, func(index int, in DocumentInput, _ []byte) bool {
 			doc, err := buildDocument(in, s.cfg.DocID, s.cfg.DB)
 			if err != nil {
 				s.met.inc(&s.met.badRequests)
@@ -175,7 +177,7 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 				// anyone waiting: closing its done channel never blocks.
 				return false
 			}
-		})
+		}))
 	}()
 
 	sw := newStreamWriter(w)
@@ -229,14 +231,16 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 		}
 		s.met.addStreamDoc()
 	}
-	closeStream(ctx, s.met, started, sw, readerErr, sum.Docs, &sum)
+	closeStream(ctx, s.met, started, sw, readerErr, sum.Docs, &sum, ended.Load())
 }
 
 // closeStream ends a stream response: the reader's terminal error, if it left
 // one, as an error event at errIndex (read only now that the reader is done —
 // the channel buffer orders the memory accesses); the request booked unless
-// the client left or the deadline hit; then the closing summary, flushed.
-func closeStream(ctx context.Context, m *serveMetrics, started time.Time, sw *streamWriter, readerErr <-chan ErrorDetail, errIndex int, sum *StreamSummary) {
+// the client left or the deadline hit; then the closing summary, flushed. A
+// stream whose body was not read to its end closes its connection after the
+// reply (closeAfterReply).
+func closeStream(ctx context.Context, m *serveMetrics, started time.Time, sw *streamWriter, readerErr <-chan ErrorDetail, errIndex int, sum *StreamSummary, ended bool) {
 	select {
 	case ed := <-readerErr:
 		sw.emit(&StreamEvent{Event: "error", Index: errIndex, Error: &ed})
@@ -247,6 +251,9 @@ func closeStream(ctx context.Context, m *serveMetrics, started time.Time, sw *st
 	}
 	sw.emit(&StreamEvent{Event: "summary", Index: sum.Docs, Summary: sum})
 	sw.flush()
+	if !ended {
+		closeAfterReply(sw.w)
+	}
 }
 
 // reviewCounters renders a queue snapshot onto the wire shape shared by
@@ -265,6 +272,8 @@ func reviewCounters(st review.Stats) ReviewCounters {
 // readStream decodes the NDJSON documents of a stream request body, handing
 // each to admit with its arrival index and its bytes as the client sent them
 // (valid until admit returns), until admit returns false or the body ends.
+// It reports whether the body was read to its end, which a stream that
+// stops early may still have done in its last read.
 // idle, when not nil, runs before every read of the body, which may block. A
 // document that fails to decode ends the stream with a bad_request on
 // readerErr, which holds at most one terminal input-side error; a body that
@@ -275,8 +284,9 @@ func reviewCounters(st review.Stats) ReviewCounters {
 // it declines, and everything after it, goes through a json.Decoder, which
 // then also words any error: the stream reads as it did when the decoder
 // read all of it.
-func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, idle func(), admit func(index int, in DocumentInput, raw []byte) bool) {
+func readStream(m *serveMetrics, r *http.Request, readerErr chan<- ErrorDetail, idle func(), admit func(index int, in DocumentInput, raw []byte) bool) (ended bool) {
 	tap := &rawTap{r: limitBody(r), idle: idle}
+	defer func() { ended = tap.err == io.EOF }()
 	index := 0
 	for ; ; index++ {
 		raw, err := tap.nextObject()

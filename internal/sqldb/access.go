@@ -192,7 +192,7 @@ func (ctx *vecCtx) probe(img *tableImage, c int, lit Value) (rows []int32, ok bo
 	if ix == nil {
 		return nil, false
 	}
-	ctx.ex.db.plans.indexProbes.Add(1)
+	ctx.db.plans.indexProbes.Add(1)
 	var head int32
 	if col.kind == KindText {
 		_, head = ix.findText(lit.Text())
@@ -206,7 +206,7 @@ func (ctx *vecCtx) probe(img *tableImage, c int, lit Value) (rows []int32, ok bo
 func (ctx *vecCtx) index(cp *colPaths, col *Vec) *eqIndex {
 	ix, fresh := cp.index(col)
 	if fresh {
-		ctx.ex.db.plans.indexBuilds.Add(1)
+		ctx.db.plans.indexBuilds.Add(1)
 	}
 	return ix
 }
@@ -308,6 +308,6 @@ func (p *vecPlan) indexJoin(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []
 	default:
 		return nil, nil, false
 	}
-	ctx.ex.db.plans.indexJoins.Add(1)
+	ctx.db.plans.indexJoins.Add(1)
 	return li, ri, true
 }

@@ -174,13 +174,6 @@ func TestCastValueAll(t *testing.T) {
 
 func TestCatalogHelpers(t *testing.T) {
 	db := aggDB(t)
-	if db.TotalRows() != 5 {
-		t.Errorf("TotalRows = %d", db.TotalRows())
-	}
-	cols := db.AllColumnNames()
-	if len(cols) != 3 || cols[0] != "price" {
-		t.Errorf("AllColumnNames = %v", cols)
-	}
 	names := db.TableNames()
 	if len(names) != 1 || names[0] != "sales" {
 		t.Errorf("TableNames = %v", names)

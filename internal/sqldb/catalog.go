@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,9 +112,9 @@ func mergeKind(cur, next Kind) Kind {
 
 // tableImage is a table's column-resident form: one immutable vector per
 // column, built from Rows when the table is registered. Rows stay the
-// construction and interchange surface (and the row engine's input); the
-// image is what vectorized scans read, as slice views, so the row-to-column
-// layout change is paid once per table instead of once per query.
+// construction and interchange surface; the image is what scans read, as
+// slice views, so the row-to-column layout change is paid once per table
+// instead of once per query.
 type tableImage struct {
 	n    int // len(Rows) when the image was built
 	cols []*Vec
@@ -126,25 +125,26 @@ type tableImage struct {
 
 // buildImage transposes t.Rows into typed column vectors, each stored unboxed
 // under the kind of its first non-NULL cell and demoted to generic storage if
-// a later cell disagrees. A table with a ragged row gets no image: only the
-// row engine reads it.
+// a later cell disagrees. A row shorter than the column list (only a caller
+// writing Rows directly can make one) reads NULL past its end.
 func buildImage(t *Table) *tableImage {
-	for _, row := range t.Rows {
-		if len(row) != len(t.Columns) {
-			return nil
+	cell := func(row []Value, c int) Value {
+		if c < len(row) {
+			return row[c]
 		}
+		return Null()
 	}
 	img := &tableImage{n: len(t.Rows), cols: make([]*Vec, len(t.Columns))}
 	for c := range img.cols {
 		kind := KindNull
 		for _, row := range t.Rows {
-			if kind = row[c].Kind(); kind != KindNull {
+			if kind = cell(row, c).Kind(); kind != KindNull {
 				break
 			}
 		}
 		v := NewVec(kind, len(t.Rows))
 		for _, row := range t.Rows {
-			v.Append(row[c])
+			v.Append(cell(row, c))
 		}
 		img.cols[c] = v
 	}
@@ -156,9 +156,9 @@ func buildImage(t *Table) *tableImage {
 
 // Database is a named collection of tables. Catalog reads and writes are
 // safe for concurrent use; the tables themselves must not be mutated after
-// registration: queries read the column image AddTable built, and a table
-// that changed since is served by the row engine until it is registered
-// again (see vecPlan.run).
+// registration: queries read the column image AddTable built, and a query
+// that finds a table's row count changed since rebuilds the image from the
+// live rows first (see vecPlan.run).
 type Database struct {
 	Name string
 
@@ -215,6 +215,19 @@ func (d *Database) AddTable(t *Table) {
 	d.tableVers[key] = d.version
 	d.mu.Unlock()
 	d.plans.invalidate(key)
+}
+
+// refreshImage rebuilds t's column image from its live rows, as AddTable
+// does, and publishes it if t is still the registered table of its name.
+func (d *Database) refreshImage(t *Table) *tableImage {
+	img := buildImage(t)
+	key := strings.ToLower(t.Name)
+	d.mu.Lock()
+	if d.tables[key] == t {
+		d.images[key] = img
+	}
+	d.mu.Unlock()
+	return img
 }
 
 // RemoveTable drops the named table (case-insensitive) and invalidates
@@ -380,32 +393,6 @@ func (d *Database) SampleRows(n int) string {
 		}
 	}
 	return b.String()
-}
-
-// TotalRows returns the number of rows across all tables, a size signal used
-// by the TAPEX-style baseline whose flattening degrades with table size.
-func (d *Database) TotalRows() int {
-	n := 0
-	for _, t := range d.Tables() {
-		n += len(t.Rows)
-	}
-	return n
-}
-
-// AllColumnNames returns the sorted union of column names across tables.
-func (d *Database) AllColumnNames() []string {
-	set := make(map[string]bool)
-	for _, t := range d.Tables() {
-		for _, c := range t.Columns {
-			set[c.Name] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LoadCSV reads a table from CSV data: the first record provides column

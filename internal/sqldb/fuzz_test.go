@@ -5,43 +5,46 @@ import (
 	"testing"
 )
 
+// parseSeeds is FuzzParse's seed corpus. Like every fuzz seed corpus it
+// also runs through the differential contract (TestDifferentialCorpus).
+var parseSeeds = []string{
+	`SELECT * FROM t`,
+	`SELECT "a b" FROM "t t" WHERE x = 'y''z'`,
+	`SELECT COUNT(DISTINCT a), SUM(b) FROM t GROUP BY c HAVING COUNT(*) > 1`,
+	`SELECT a FROM t1 JOIN t2 ON t1.x = t2.x LEFT JOIN t3 ON t2.y = t3.y`,
+	`SELECT (SELECT MAX(v) FROM u) - MIN(w) FROM t ORDER BY 1 DESC LIMIT 5 OFFSET 2`,
+	`SELECT CASE WHEN a BETWEEN 1 AND 2 THEN 'x' ELSE 'y' END FROM t`,
+	`SELECT CAST(a AS REAL) / 0, b % 3, -c FROM t WHERE d IN (1, 2) OR e LIKE '%q%'`,
+	`SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k)`,
+	`SELECT 1e9, .5, 'unicode ✓'`,
+	`SELECT -- comment
+		 a FROM t;`,
+	"SELECT `tick` FROM `t`",
+	`SELECT a FROM t WHERE b IS NOT NULL AND NOT c`,
+	// Nested negation: rendered naively the two minus signs meet and lex
+	// as a line comment.
+	`SELECT - -0`,
+	`SELECT -(-2)`,
+	`SELECT (1 - -2)`,
+	// Shapes the verification prompt template elicits from the models
+	// (see internal/prompts): percentage claims as a ratio of counting
+	// subqueries, aggregates over joins, and correlated filters.
+	`SELECT (SELECT COUNT(a) FROM t WHERE b = 1) * 100.0 / (SELECT COUNT(a) FROM t)`,
+	`SELECT SUM(t1.b) FROM t1 JOIN t2 ON t1.k = t2.k WHERE t2.region = 'EU'`,
+	`SELECT COUNT(*) FROM orders o JOIN items i ON o.id = i.order_id GROUP BY o.id HAVING SUM(i.qty) > 10`,
+	`SELECT AVG(v) FROM t WHERE k IN (SELECT k FROM u WHERE u.flag = 1)`,
+	`SELECT (SELECT COUNT(x) FROM t WHERE y = 'a' AND z = 'b') * 100.0 / (SELECT COUNT(x) FROM t WHERE z = 'b')`,
+	`)(*&^%$#@!`,
+	`SELECT`,
+	``,
+}
+
 // FuzzParse drives the lexer/parser with arbitrary input; the invariant is
 // "no panics, and whatever parses renders back to SQL that parses again".
 // The seed corpus covers every statement shape; `go test` runs the seeds,
 // `go test -fuzz=FuzzParse ./internal/sqldb` explores further.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		`SELECT * FROM t`,
-		`SELECT "a b" FROM "t t" WHERE x = 'y''z'`,
-		`SELECT COUNT(DISTINCT a), SUM(b) FROM t GROUP BY c HAVING COUNT(*) > 1`,
-		`SELECT a FROM t1 JOIN t2 ON t1.x = t2.x LEFT JOIN t3 ON t2.y = t3.y`,
-		`SELECT (SELECT MAX(v) FROM u) - MIN(w) FROM t ORDER BY 1 DESC LIMIT 5 OFFSET 2`,
-		`SELECT CASE WHEN a BETWEEN 1 AND 2 THEN 'x' ELSE 'y' END FROM t`,
-		`SELECT CAST(a AS REAL) / 0, b % 3, -c FROM t WHERE d IN (1, 2) OR e LIKE '%q%'`,
-		`SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k)`,
-		`SELECT 1e9, .5, 'unicode ✓'`,
-		`SELECT -- comment
-		 a FROM t;`,
-		"SELECT `tick` FROM `t`",
-		`SELECT a FROM t WHERE b IS NOT NULL AND NOT c`,
-		// Nested negation: rendered naively the two minus signs meet and lex
-		// as a line comment.
-		`SELECT - -0`,
-		`SELECT -(-2)`,
-		`SELECT (1 - -2)`,
-		// Shapes the verification prompt template elicits from the models
-		// (see internal/prompts): percentage claims as a ratio of counting
-		// subqueries, aggregates over joins, and correlated filters.
-		`SELECT (SELECT COUNT(a) FROM t WHERE b = 1) * 100.0 / (SELECT COUNT(a) FROM t)`,
-		`SELECT SUM(t1.b) FROM t1 JOIN t2 ON t1.k = t2.k WHERE t2.region = 'EU'`,
-		`SELECT COUNT(*) FROM orders o JOIN items i ON o.id = i.order_id GROUP BY o.id HAVING SUM(i.qty) > 10`,
-		`SELECT AVG(v) FROM t WHERE k IN (SELECT k FROM u WHERE u.flag = 1)`,
-		`SELECT (SELECT COUNT(x) FROM t WHERE y = 'a' AND z = 'b') * 100.0 / (SELECT COUNT(x) FROM t WHERE z = 'b')`,
-		`)(*&^%$#@!`,
-		`SELECT`,
-		``,
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -56,8 +59,22 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// querySeeds is FuzzQuery's seed corpus.
+var querySeeds = []string{
+	`SELECT a, SUM(b) FROM t GROUP BY a ORDER BY 2 DESC`,
+	`SELECT COUNT(*) FROM t t1 JOIN t t2 ON t1.b = t2.b`,
+	`SELECT b / 0, b % 0 FROM t`,
+	`SELECT MAX(a) FROM t WHERE c IS NULL`,
+	`SELECT DISTINCT a FROM t WHERE b BETWEEN -5 AND 5`,
+	`SELECT CASE WHEN a = 'x' THEN b END FROM t LIMIT 2 OFFSET 9`,
+	`SELECT CASE WHEN a IS NULL THEN -a ELSE b END FROM t`,
+	`SELECT b FROM t WHERE EXISTS (SELECT 1 FROM t u WHERE u.b = t.b + 1)`,
+	`SELECT COUNT(*) FROM t x JOIN t y ON x.b < y.b AND -y.a IS NULL`,
+}
+
 // FuzzQuery additionally executes parsed statements against a fixed
-// database; the invariant is "no panics" regardless of query semantics.
+// database through Query, the plan cache included: the answer must be the
+// row oracle's, result or error text alike, and nothing may panic.
 func FuzzQuery(f *testing.F) {
 	db := NewDatabase("fz")
 	tab := NewTable("t", "a", "b", "c")
@@ -65,15 +82,7 @@ func FuzzQuery(f *testing.F) {
 	tab.MustAppendRow(Text("y"), Int(2), Null())
 	tab.MustAppendRow(Null(), Int(3), Float(-2.5))
 	db.AddTable(tab)
-	seeds := []string{
-		`SELECT a, SUM(b) FROM t GROUP BY a ORDER BY 2 DESC`,
-		`SELECT COUNT(*) FROM t t1 JOIN t t2 ON t1.b = t2.b`,
-		`SELECT b / 0, b % 0 FROM t`,
-		`SELECT MAX(a) FROM t WHERE c IS NULL`,
-		`SELECT DISTINCT a FROM t WHERE b BETWEEN -5 AND 5`,
-		`SELECT CASE WHEN a = 'x' THEN b END FROM t LIMIT 2 OFFSET 9`,
-	}
-	for _, s := range seeds {
+	for _, s := range querySeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -81,11 +90,28 @@ func FuzzQuery(f *testing.F) {
 			return // bound worst-case cross products
 		}
 		res, err := Query(db, src)
-		if err != nil {
+		stmt, perr := Parse(src)
+		if perr != nil {
+			if err == nil || err.Error() != perr.Error() {
+				t.Fatalf("Query does not answer the parser's error:\ninput: %q\nparse err: %v\nquery err: %v", src, perr, err)
+			}
 			return
 		}
-		_ = res.String()
+		want, wantErr := Exec(db, stmt)
+		sameAnswer(t, src, "Query", want, wantErr, res, err)
 	})
+}
+
+// execSeeds is FuzzParseAndExec's seed corpus, minted on fuzzFixtureDB.
+var execSeeds = []string{
+	`SELECT COUNT(*) FROM airlines WHERE fatal_accidents = 0`,
+	`SELECT (SELECT COUNT(airline) FROM airlines WHERE region = 'EU') * 100.0 / (SELECT COUNT(airline) FROM airlines)`,
+	`SELECT SUM(a.fatal_accidents) FROM airlines a JOIN regions r ON a.region = r.region WHERE r.population > 1000`,
+	`SELECT airline FROM airlines WHERE region IN (SELECT region FROM regions WHERE population < 1000)`,
+	`SELECT MAX(population) - MIN(population) FROM regions`,
+	`SELECT r.region, COUNT(*) FROM airlines a JOIN regions r ON a.region = r.region GROUP BY r.region ORDER BY 2 DESC`,
+	`SELECT airline FROM airlines a WHERE EXISTS (SELECT 1 FROM regions r WHERE r.region = a.region AND r.population > 1000)`,
+	`SELECT airline, CASE WHEN region IS NULL THEN -airline END FROM airlines`,
 }
 
 // FuzzParseAndExec separates the two stages FuzzQuery fuses: whatever Parse
@@ -93,29 +119,11 @@ func FuzzQuery(f *testing.F) {
 // and the statement's rendered SQL must execute to the same rows — so the
 // parse/render/execute triangle stays consistent on fuzzer-mangled inputs.
 // It doubles as a differential fuzz target: every statement also runs through
-// the vectorized engine, which must never succeed where the row oracle fails
-// and must agree bit-for-bit when both succeed.
+// ExecVec, which must answer exactly what the row oracle answers, result or
+// error text alike.
 func FuzzParseAndExec(f *testing.F) {
-	db := NewDatabase("catalog")
-	airlines := NewTable("airlines", "airline", "region", "fatal_accidents")
-	airlines.MustAppendRow(Text("Aer Lingus"), Text("EU"), Int(0))
-	airlines.MustAppendRow(Text("Malaysia Airlines"), Text("ASIA"), Int(2))
-	airlines.MustAppendRow(Text("Qantas"), Null(), Int(0))
-	db.AddTable(airlines)
-	regions := NewTable("regions", "region", "population")
-	regions.MustAppendRow(Text("EU"), Float(744.7))
-	regions.MustAppendRow(Text("ASIA"), Float(4561.0))
-	db.AddTable(regions)
-
-	seeds := []string{
-		`SELECT COUNT(*) FROM airlines WHERE fatal_accidents = 0`,
-		`SELECT (SELECT COUNT(airline) FROM airlines WHERE region = 'EU') * 100.0 / (SELECT COUNT(airline) FROM airlines)`,
-		`SELECT SUM(a.fatal_accidents) FROM airlines a JOIN regions r ON a.region = r.region WHERE r.population > 1000`,
-		`SELECT airline FROM airlines WHERE region IN (SELECT region FROM regions WHERE population < 1000)`,
-		`SELECT MAX(population) - MIN(population) FROM regions`,
-		`SELECT r.region, COUNT(*) FROM airlines a JOIN regions r ON a.region = r.region GROUP BY r.region ORDER BY 2 DESC`,
-	}
-	for _, s := range seeds {
+	db := fuzzFixtureDB()
+	for _, s := range execSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -128,14 +136,9 @@ func FuzzParseAndExec(f *testing.F) {
 		}
 		res, err := Exec(db, stmt)
 		vecRes, vecErr := ExecVec(db, stmt)
+		sameAnswer(t, src, "ExecVec", res, err, vecRes, vecErr)
 		if err != nil {
-			if vecErr == nil {
-				t.Fatalf("vectorized engine succeeded where the row oracle fails:\ninput: %q\nrow err: %v\nvec: %s", src, err, vecRes.String())
-			}
 			return // semantic rejection is fine; panics are not
-		}
-		if vecErr == nil && res.String() != vecRes.String() {
-			t.Fatalf("engines disagree:\ninput: %q\nrow:\n%s\nvec:\n%s", src, res.String(), vecRes.String())
 		}
 		rendered := stmt.SQL()
 		res2, err := Query(db, rendered)

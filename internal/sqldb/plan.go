@@ -1,17 +1,21 @@
 package sqldb
 
-import "strings"
+import (
+	"fmt"
+	"strings"
+)
 
 // plan.go compiles parsed SELECT statements into vectorized plans: column
 // references are bound to working-set slot positions once, WHERE conjuncts
 // that provably cannot raise errors are pushed down into table scans, joins
-// are classified as hash or nested-loop, and every uncorrelated subquery gets
-// its own plan, run once per execution of the statement. Compilation never
-// fails: expressions outside the vectorizable surface compile to row-engine
-// fallback nodes, and a nil plan means "run the whole statement on the row
-// engine" — the answer for RIGHT joins, unknown tables, malformed
-// projections, and statements with a subquery that has no plan of its own.
-// The compiled plan is immutable and safe for concurrent execution.
+// are classified as hash or nested-loop, and every subquery gets its own
+// plan, run once per execution of the statement or, when it reads the
+// enclosing row, once per enclosing row. Compilation is total: every
+// statement the parser accepts gets a plan, and a name that does not resolve,
+// an aggregate outside aggregate context or a * outside the select list
+// compiles to a node that raises the row engine's error when a row reaches
+// it. A table or join the row engine would refuse ends the plan with that
+// refusal. The compiled plan is immutable and safe for concurrent execution.
 
 // windowRows is how many rows of a table image a filtered scan evaluates its
 // pushed-down predicates over at a time. It bounds the predicates'
@@ -37,24 +41,25 @@ type planEq struct {
 }
 
 // planJoin describes how the i+1'th relation joins the accumulated working
-// set. Hash joins carry the two bound key slots; everything else keeps the
-// original ON expression for the row-engine nested-loop mirror.
+// set: a hash join on two bound key slots, or a nested loop over the compiled
+// ON predicate (none for CROSS).
 type planJoin struct {
 	kind      string // "INNER", "CROSS", "LEFT"
-	on        Expr   // a nested-loop join's ON clause; nil for CROSS and hash joins
+	on        vexpr  // a nested-loop join's ON clause; nil for CROSS and hash joins
+	onNeed    []bool // the slots on reads
 	hash      bool
 	li, ri    int    // key slots (full layout) when hash
-	leftWidth int    // slots visible to the ON clause from the left side
+	leftWidth int    // slots of the left side; the ON clause also sees the right table's
 	carry     []bool // slots an operator after this join reads
 }
 
-// orderPlan is one compiled ORDER BY key. Exactly one of the three fields is
-// active: cellIdx >= 0 reuses an already-projected cell (alias or ordinal
-// reference, resolved at plan time exactly like the row engine's orderKey);
-// otherwise ev (non-aggregated) or gv (aggregated) evaluates the key.
+// orderPlan is one compiled ORDER BY key. An alias or ordinal reference
+// reuses the projected cell cellIdx (resolved at plan time exactly like the
+// row engine's orderKey). Otherwise an aggregated plan evaluates gv, and a
+// non-aggregated one evaluates the key as itemsV[cellIdx], after the items;
+// a table-less SELECT evaluates no key (cellIdx -1).
 type orderPlan struct {
 	cellIdx int
-	ev      vexpr
 	gv      gexpr
 }
 
@@ -62,22 +67,23 @@ type orderPlan struct {
 type vecPlan struct {
 	version uint64 // catalog version the plan was bound against
 
-	names    []string // the scans' catalog table names, parallel to scans
+	names    []string // the FROM and JOIN table names; the first len(scans) are scanned
 	scans    []planScan
 	joins    []planJoin
-	width    int       // working-set slots
-	binds    []colBind // the slots' names, kept only for row-fallback nodes
-	needed   []bool    // slots that must be materialized
+	width    int    // working-set slots
+	needed   []bool // slots that must be materialized
 	residual []vexpr
+
+	// fail, when set, is the error the row engine stops with after the
+	// WHERE filter: a table it does not hold or a RIGHT JOIN (the working
+	// set then ends before that relation and there is no WHERE), or a
+	// qualified * naming no table.
+	fail func(*Database) error
 
 	cols       []string
 	aggregated bool
 	tail       selectTail
 
-	// rowNodes records a row-fallback node anywhere in the plan, its
-	// subqueries' plans included: a vrowfb or gfirstrow node, or a
-	// nested-loop join, each evaluating the AST on the row engine.
-	rowNodes bool
 	// selAgg and selRows say that the final stage reads every column it
 	// needs at the rows a scan selected, so the survivors of a scan that
 	// neither joins nor meets a residual filter are never gathered: an
@@ -85,7 +91,7 @@ type vecPlan struct {
 	// or a projection of bare columns and literals.
 	selAgg, selRows bool
 
-	// Non-aggregated pipeline.
+	// Non-aggregated pipeline: the items, then the keys orderV evaluates.
 	itemsV []vexpr
 	orderV []orderPlan
 
@@ -96,110 +102,99 @@ type vecPlan struct {
 	orderG   []orderPlan
 }
 
-// compilePlan binds stmt against db's current catalog. It returns nil when
-// the statement must run entirely on the row engine (RIGHT joins, unknown
-// tables, malformed projections, or a subquery that has no plan — the row
-// engine then produces its canonical answer or error).
+// planCompiler carries one statement's compilation state. A subquery's
+// compiler reaches the enclosing statement's through up, which is where the
+// names it cannot resolve itself are looked up, as the row engine's env does
+// through its parent.
+type planCompiler struct {
+	db       *Database
+	p        *vecPlan
+	binds    []colBind // the working set's slots, in FROM order
+	vis      int       // how many of binds the expression being compiled sees
+	needed   []bool
+	denseAgg bool // an aggregate's argument is more than a bare column
+
+	up    *planCompiler // the enclosing statement's compiler, for a subquery
+	upVis int           // how many of up's binds the subquery sees
+	corr  int           // outermost enclosing level a reference reads; 0 for none
+}
+
+// compilePlan binds stmt against db's current catalog.
 func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
+	return (&planCompiler{db: db}).compileStmt(stmt)
+}
+
+// compileStmt lowers stmt in the row engine's order: the FROM relations and
+// their joins, WHERE, * expansion, then the projection.
+func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 	p := &vecPlan{tail: tailOf(stmt)}
-
-	var names []string
+	c.p = p
+	var refs []TableRef
 	if stmt.From != nil {
-		names = append(names, stmt.From.Name)
+		refs = append(refs, *stmt.From)
 		for _, j := range stmt.Joins {
-			if j.Kind == "RIGHT" {
-				return nil
-			}
-			names = append(names, j.Table.Name)
+			refs = append(refs, j.Table)
 		}
-	} else if len(stmt.Joins) > 0 {
-		return nil
 	}
-	tables := make([]*Table, len(names))
-	p.version = db.snapshotTables(names, tables, make([]*tableImage, len(names)))
-	p.names = names
-	for _, t := range tables {
+	p.names = make([]string, len(refs))
+	for i, r := range refs {
+		p.names[i] = r.Name
+	}
+	tables := make([]*Table, len(refs))
+	p.version = c.db.snapshotTables(p.names, tables, make([]*tableImage, len(refs)))
+
+	// Working-set layout: buildFrom's bind order, up to the first relation
+	// the row engine refuses.
+	for i, t := range tables {
+		if i > 0 && stmt.Joins[i-1].Kind == "RIGHT" {
+			p.fail = constFail(fmt.Errorf("%w: RIGHT JOIN", ErrUnsupported))
+			break
+		}
 		if t == nil {
-			return nil
+			name := refs[i].Name // the error lists the live catalog's tables
+			p.fail = func(db *Database) error {
+				return fmt.Errorf("%w: %q (available: %s)", ErrUnknownTable, name, strings.Join(db.TableNames(), ", "))
+			}
+			break
+		}
+		p.scans = append(p.scans, planScan{base: len(c.binds), n: len(t.Columns)})
+		for _, col := range t.Columns {
+			c.binds = append(c.binds, colBind{table: refs[i].EffectiveName(), name: col.Name})
 		}
 	}
-
-	// Working-set layout: mirror buildFrom/scanTable bind order exactly.
-	if stmt.From != nil {
-		addScan := func(ref TableRef, t *Table) {
-			s := planScan{base: len(p.binds), n: len(t.Columns)}
-			eff := ref.EffectiveName()
-			for _, c := range t.Columns {
-				p.binds = append(p.binds, colBind{table: eff, name: c.Name})
-			}
-			p.scans = append(p.scans, s)
+	p.width = len(c.binds)
+	c.vis = p.width
+	c.needed = make([]bool, p.width)
+	for ji := 0; ji+1 < len(p.scans); ji++ {
+		j, right := stmt.Joins[ji], p.scans[ji+1]
+		pj := planJoin{kind: j.Kind, leftWidth: right.base}
+		if li, ri, ok := equiJoinColumns(j.On, c.binds[:right.base], c.binds[right.base:right.base+right.n]); ok {
+			pj.hash, pj.li, pj.ri = true, li, right.base+ri
+		} else if j.On != nil {
+			// An ON clause sees the tables joined so far and its own; the
+			// slots it reads are recorded apart, since only its join needs
+			// them.
+			outer := c.needed
+			c.needed, c.vis = make([]bool, p.width), right.base+right.n
+			pj.on = c.compile(j.On)
+			pj.onNeed, c.needed, c.vis = c.needed, outer, p.width
 		}
-		addScan(*stmt.From, tables[0])
-		for i, j := range stmt.Joins {
-			leftWidth := len(p.binds)
-			addScan(j.Table, tables[i+1])
-			pj := planJoin{kind: j.Kind, leftWidth: leftWidth}
-			if li, ri, ok := equiJoinColumns(j.On,
-				&workingSet{binds: p.binds[:leftWidth]},
-				&workingSet{binds: p.binds[leftWidth:]}); ok {
-				pj.hash, pj.li, pj.ri = true, li, leftWidth+ri
-			} else {
-				pj.on = j.On
-			}
-			p.joins = append(p.joins, pj)
-		}
+		p.joins = append(p.joins, pj)
+	}
+	if p.fail != nil {
+		return c.finish()
 	}
 
-	items, err := expandStars(stmt.Items, p.binds)
+	if stmt.Where != nil {
+		c.compileWhere(stmt)
+	}
+	items, err := expandStars(stmt.Items, c.binds)
 	if err != nil {
-		return nil
+		p.fail = constFail(err)
+		return c.finish()
 	}
 	p.cols = projectionNames(items)
 	p.aggregated = len(stmt.GroupBy) > 0 || stmt.Having != nil || itemsHaveAggregate(items)
-
-	c := &planCompiler{db: db, p: p, needed: make([]bool, len(p.binds))}
-
-	// WHERE: split the top-level AND chain. Conjuncts are pushed into scans
-	// only when the *entire* filter and every non-hash ON clause is in the
-	// error-free expression subset — otherwise early filtering could skip
-	// rows on which the row engine would have raised an error, and the two
-	// engines would diverge on which queries fail at all.
-	if stmt.Where != nil {
-		conjuncts := splitConjuncts(stmt.Where)
-		pushdownOK := true
-		for _, cj := range conjuncts {
-			if !safeExpr(cj, p.binds) {
-				pushdownOK = false
-				break
-			}
-		}
-		if pushdownOK {
-			for ji, j := range p.joins {
-				// An ON clause sees the binds of the tables joined so far
-				// plus its own right table.
-				onEnd := p.scans[ji+1].base + p.scans[ji+1].n
-				if !j.hash && j.on != nil && !safeExpr(j.on, p.binds[:onEnd]) {
-					pushdownOK = false
-					break
-				}
-			}
-		}
-		for _, cj := range conjuncts {
-			si := -1
-			if pushdownOK {
-				si = c.pushTarget(cj)
-			}
-			if si >= 0 {
-				s := &p.scans[si]
-				if col, lit, ok := eqLiteral(cj, p.binds); ok {
-					s.eq = append(s.eq, planEq{k: len(s.pushed), col: col - s.base, lit: lit})
-				}
-				s.pushed = append(s.pushed, c.compile(cj))
-			} else {
-				p.residual = append(p.residual, c.compile(cj))
-			}
-		}
-	}
 
 	if p.aggregated {
 		for _, g := range stmt.GroupBy {
@@ -224,48 +219,74 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 		}
 		for _, o := range stmt.OrderBy {
 			op := staticOrderKey(o.Expr, items)
-			if op.cellIdx < 0 {
-				op.ev = c.compile(o.Expr)
+			if op.cellIdx < 0 && stmt.From != nil {
+				op.cellIdx = len(p.itemsV)
+				p.itemsV = append(p.itemsV, c.compile(o.Expr))
 			}
 			p.orderV = append(p.orderV, op)
 		}
 	}
+	return c.finish()
+}
 
-	// Nested-loop joins and row-engine fallback nodes rebuild full rows, so
-	// every slot must be materialized; otherwise scan only referenced slots.
-	for _, j := range p.joins {
-		if !j.hash {
-			c.needsAll = true
+// constFail is a plan failure that does not depend on the catalog.
+func constFail(err error) func(*Database) error {
+	return func(*Database) error { return err }
+}
+
+// compileWhere splits WHERE's top-level AND chain. Conjuncts are pushed into
+// scans only when the *entire* filter and every nested-loop ON clause is in
+// the error-free expression subset — otherwise early filtering could skip
+// rows on which the row engine would have raised an error, and the two would
+// diverge on which queries fail at all.
+func (c *planCompiler) compileWhere(stmt *SelectStmt) {
+	p := c.p
+	conjuncts := splitConjuncts(stmt.Where)
+	pushdownOK := true
+	for _, cj := range conjuncts {
+		pushdownOK = pushdownOK && safeExpr(cj, c.binds)
+	}
+	for ji, j := range p.joins {
+		right := p.scans[ji+1]
+		if pushdownOK && !j.hash && j.on != nil && !safeExpr(stmt.Joins[ji].On, c.binds[:right.base+right.n]) {
+			pushdownOK = false
 		}
 	}
-	if c.needsAll {
-		for i := range c.needed {
-			c.needed[i] = true
+	for _, cj := range conjuncts {
+		si := -1
+		if pushdownOK {
+			si = c.pushTarget(cj)
+		}
+		if si >= 0 {
+			s := &p.scans[si]
+			if col, lit, ok := eqLiteral(cj, c.binds); ok {
+				s.eq = append(s.eq, planEq{k: len(s.pushed), col: col - s.base, lit: lit})
+			}
+			s.pushed = append(s.pushed, c.compile(cj))
+		} else {
+			p.residual = append(p.residual, c.compile(cj))
 		}
 	}
-	// A join carries forward what the expressions read plus the keys of the
-	// joins after it; its own keys are dead once it has matched.
+}
+
+// finish settles which slots each scan materializes and each join carries.
+// A join carries forward what the expressions read plus what the joins after
+// it read; its own keys and ON slots are dead once it has matched.
+func (c *planCompiler) finish() *vecPlan {
+	p := c.p
 	for ji := len(p.joins) - 1; ji >= 0; ji-- {
 		j := &p.joins[ji]
 		j.carry = append([]bool(nil), c.needed...)
 		if j.hash {
 			c.needed[j.li], c.needed[j.ri] = true, true
 		}
+		for s, on := range j.onNeed {
+			c.needed[s] = c.needed[s] || on
+		}
 	}
 	p.needed = c.needed
-	if c.declined {
-		return nil
-	}
-	p.rowNodes = p.rowNodes || c.needsAll
-	p.width = len(p.binds)
-	if !p.rowNodes {
-		p.binds = nil
-	}
 	p.selAgg = len(p.groupByV) == 0 && !c.denseAgg
 	p.selRows = allRowFree(p.itemsV)
-	for _, o := range p.orderV {
-		p.selRows = p.selRows && (o.cellIdx >= 0 || rowFree(o.ev))
-	}
 	return p
 }
 
@@ -356,37 +377,15 @@ func resolveBind(binds []colBind, table, name string) (int, bool) {
 	return 0, false
 }
 
-// planCompiler carries shared state while lowering expressions.
-type planCompiler struct {
-	db       *Database
-	p        *vecPlan
-	needed   []bool
-	needsAll bool
-	declined bool // a subquery has no plan: the statement is row-only
-	denseAgg bool // an aggregate's argument is more than a bare column
-}
-
-// fallback lowers e to per-row evaluation on the row engine: the node
-// gathers each row of the batch into an env and delegates to executor.eval,
-// so any expression shape stays supported with identical semantics.
-func (c *planCompiler) fallback(e Expr) vexpr {
-	c.needsAll = true
-	return &vrowfb{e: e}
-}
-
-// compile lowers a row-context expression. It is total: unsupported or
-// unresolvable shapes become row-engine fallback nodes.
+// compile lowers a row-context expression. It is total: a name that
+// resolves nowhere, an aggregate and a * all compile to the row engine's
+// error, raised when a row reaches the node.
 func (c *planCompiler) compile(e Expr) vexpr {
 	switch v := e.(type) {
 	case *LiteralExpr:
 		return &vlit{val: v.Val}
 	case *ColumnExpr:
-		slot, ok := resolveBind(c.p.binds, v.Table, v.Name)
-		if !ok {
-			return c.fallback(e)
-		}
-		c.needed[slot] = true
-		return &vcol{slot: slot}
+		return c.column(v)
 	case *UnaryExpr:
 		return &vunary{op: v.Op, x: c.compile(v.Expr)}
 	case *BinaryExpr:
@@ -403,10 +402,8 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		return &vbetween{x: c.compile(v.Expr), lo: c.compile(v.Lo), hi: c.compile(v.Hi), not: v.Not}
 	case *InExpr:
 		if v.Sub != nil {
-			if c.uncorrelated(v.Sub) {
-				return &vinsub{x: c.compile(v.Expr), plan: c.subPlan(v.Sub), not: v.Not}
-			}
-			return c.fallback(e)
+			x := c.compile(v.Expr)
+			return &vinsub{x: x, sub: c.subquery(v.Sub), not: v.Not}
 		}
 		in := &vin{x: c.compile(v.Expr), not: v.Not}
 		for _, it := range v.List {
@@ -417,9 +414,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		return &visnull{x: c.compile(v.Expr), not: v.Not}
 	case *FuncExpr:
 		if v.IsAggregate() {
-			// Aggregate outside aggregate context: let the row engine raise
-			// its canonical error if (and only if) a row reaches it.
-			return c.fallback(e)
+			return &verr{fmt.Errorf("%w: aggregate %s outside aggregate context", ErrType, v.Name)}
 		}
 		fn := &vfunc{name: v.Name}
 		for _, a := range v.Args {
@@ -439,37 +434,55 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		}
 		return cs
 	case *SubqueryExpr:
-		if c.uncorrelated(v.Stmt) {
-			return &vsub{plan: c.subPlan(v.Stmt)}
-		}
-		return c.fallback(e)
+		return &vsub{sub: c.subquery(v.Stmt)}
 	case *ExistsExpr:
-		if c.uncorrelated(v.Stmt) {
-			return &vexists{plan: c.subPlan(v.Stmt), not: v.Not}
-		}
-		return c.fallback(e)
-	default:
-		return c.fallback(e)
+		return &vexists{sub: c.subquery(v.Stmt), not: v.Not}
+	case *StarExpr:
+		return &verr{fmt.Errorf("%w: * outside SELECT list", ErrSyntax)}
 	}
+	return &verr{fmt.Errorf("%w: unhandled expression %T", ErrUnsupported, e)}
+}
+
+// column binds a column reference the way env.lookup resolves it: against
+// the slots this expression sees, then against each enclosing statement's
+// (a correlated reference), innermost first.
+func (c *planCompiler) column(v *ColumnExpr) vexpr {
+	if slot, ok := resolveBind(c.binds[:c.vis], v.Table, v.Name); ok {
+		c.needed[slot] = true
+		return &vcol{slot: slot}
+	}
+	level := 1
+	for cur := c; cur.up != nil; cur = cur.up {
+		if slot, ok := resolveBind(cur.up.binds[:cur.upVis], v.Table, v.Name); ok {
+			cur.up.needed[slot] = true
+			c.corr = max(c.corr, level)
+			return &vouter{level: level, slot: slot}
+		}
+		level++
+	}
+	return &verr{fmt.Errorf("%w: %q", ErrUnknownColumn, v.SQL())}
+}
+
+// subquery compiles a subquery's own plan, whatever the size of the tables
+// it reads: a subquery over a scan window runs on the same kernels as the
+// statement around it, and one over a larger image takes its access paths
+// (access.go). It is correlated when it, or a subquery inside it, reads a row
+// of this statement or of one enclosing it.
+func (c *planCompiler) subquery(stmt *SelectStmt) subq {
+	sc := &planCompiler{db: c.db, up: c, upVis: c.vis}
+	p := sc.compileStmt(stmt)
+	c.corr = max(c.corr, sc.corr-1)
+	return subq{plan: p, corr: sc.corr > 0}
 }
 
 // compileGroup lowers an aggregate-context expression, mirroring
 // groupEnv.eval's dispatch: aggregate calls fold over the group, the
-// recognized scalar shapes recurse, and every other node evaluates against
-// the group's first row on the row engine.
+// recognized scalar shapes recurse, and every other node evaluates as a
+// row-context expression over the group's first row.
 func (c *planCompiler) compileGroup(e Expr) gexpr {
 	switch v := e.(type) {
 	case *LiteralExpr:
 		return &glit{val: v.Val}
-	case *ColumnExpr:
-		// groupEnv delegates bare columns to the first row's env; binding
-		// the slot statically is the same lookup done once.
-		slot, ok := resolveBind(c.p.binds, v.Table, v.Name)
-		if !ok {
-			return c.gdefault(e)
-		}
-		c.needed[slot] = true
-		return &gcolfirst{slot: slot}
 	case *FuncExpr:
 		if v.IsAggregate() {
 			g := &gagg{name: v.Name, star: v.Star, distinct: v.Distinct, nargs: len(v.Args)}
@@ -500,14 +513,8 @@ func (c *planCompiler) compileGroup(e Expr) gexpr {
 			cs.els = c.compileGroup(v.Else)
 		}
 		return cs
-	default:
-		return c.gdefault(e)
 	}
-}
-
-func (c *planCompiler) gdefault(e Expr) gexpr {
-	c.needsAll = true
-	return &gfirstrow{e: e}
+	return &gfirst{x: c.compile(e)}
 }
 
 // pushTarget returns the index of the single scan whose slots cover every
@@ -517,7 +524,7 @@ func (c *planCompiler) gdefault(e Expr) gexpr {
 // filter.
 func (c *planCompiler) pushTarget(e Expr) int {
 	slots := map[int]bool{}
-	if !collectSlots(e, c.p.binds, slots) || len(slots) == 0 {
+	if !collectSlots(e, c.binds, slots) || len(slots) == 0 {
 		return -1
 	}
 	for si, s := range c.p.scans {
@@ -668,159 +675,4 @@ func safeExpr(e Expr, binds []colBind) bool {
 	default:
 		return false
 	}
-}
-
-// uncorrelated reports whether every column reference inside sub (and its
-// nested subqueries) resolves against the subquery chain's own FROM tables,
-// i.e. the subquery never reads the enclosing query's row. Uncorrelated
-// subqueries are evaluated once per statement execution instead of once per
-// outer row. Unknown tables or unresolvable names conservatively count as
-// correlated; per-row evaluation then reproduces the row engine's errors.
-func (c *planCompiler) uncorrelated(sub *SelectStmt) bool {
-	return c.subLocal(sub, nil)
-}
-
-// subPlan compiles an uncorrelated subquery's own plan, whatever the size of
-// the tables it reads: a subquery over a scan window runs on the same kernels
-// as the statement around it, and one over a larger image takes its access
-// paths (access.go), so each half of a percentage is a scan, a probe or a
-// memoised fold. A subquery without a plan declines the whole statement,
-// which the row engine then answers.
-func (c *planCompiler) subPlan(sub *SelectStmt) *vecPlan {
-	sp := compilePlan(c.db, sub)
-	if sp == nil {
-		c.declined = true
-		return nil
-	}
-	c.p.rowNodes = c.p.rowNodes || sp.rowNodes
-	return sp
-}
-
-// subLocal checks sub with the bind lists of enclosing *subqueries* stacked
-// below it (the outer statement's binds are deliberately absent: resolving
-// against them is what correlation means).
-func (c *planCompiler) subLocal(sub *SelectStmt, outer [][]colBind) bool {
-	binds, ok := c.subBinds(sub)
-	if !ok {
-		return false
-	}
-	stack := append([][]colBind{binds}, outer...)
-	resolve := func(table, name string) bool {
-		for _, bs := range stack {
-			if _, ok := resolveBind(bs, table, name); ok {
-				return true
-			}
-		}
-		return false
-	}
-	var exprLocal func(e Expr) bool
-	exprLocal = func(e Expr) bool {
-		switch v := e.(type) {
-		case nil:
-			return true
-		case *LiteralExpr, *StarExpr:
-			return true
-		case *ColumnExpr:
-			return resolve(v.Table, v.Name)
-		case *UnaryExpr:
-			return exprLocal(v.Expr)
-		case *BinaryExpr:
-			return exprLocal(v.Left) && exprLocal(v.Right)
-		case *BetweenExpr:
-			return exprLocal(v.Expr) && exprLocal(v.Lo) && exprLocal(v.Hi)
-		case *InExpr:
-			if !exprLocal(v.Expr) {
-				return false
-			}
-			for _, it := range v.List {
-				if !exprLocal(it) {
-					return false
-				}
-			}
-			if v.Sub != nil {
-				return c.subLocal(v.Sub, stack)
-			}
-			return true
-		case *IsNullExpr:
-			return exprLocal(v.Expr)
-		case *FuncExpr:
-			for _, a := range v.Args {
-				if !exprLocal(a) {
-					return false
-				}
-			}
-			return true
-		case *CastExpr:
-			return exprLocal(v.Expr)
-		case *CaseExpr:
-			for _, w := range v.Whens {
-				if !exprLocal(w.Cond) || !exprLocal(w.Then) {
-					return false
-				}
-			}
-			if v.Else != nil {
-				return exprLocal(v.Else)
-			}
-			return true
-		case *SubqueryExpr:
-			return c.subLocal(v.Stmt, stack)
-		case *ExistsExpr:
-			return c.subLocal(v.Stmt, stack)
-		default:
-			return false
-		}
-	}
-	if !exprLocal(sub.Where) || !exprLocal(sub.Having) {
-		return false
-	}
-	for _, it := range sub.Items {
-		if !exprLocal(it.Expr) {
-			return false
-		}
-	}
-	for _, j := range sub.Joins {
-		if !exprLocal(j.On) {
-			return false
-		}
-	}
-	for _, g := range sub.GroupBy {
-		if !exprLocal(g) {
-			return false
-		}
-	}
-	for _, o := range sub.OrderBy {
-		if !exprLocal(o.Expr) {
-			return false
-		}
-	}
-	return true
-}
-
-// subBinds builds the bind list a subquery's FROM clause would produce, or
-// reports failure for unknown tables.
-func (c *planCompiler) subBinds(sub *SelectStmt) ([]colBind, bool) {
-	if sub.From == nil {
-		return nil, true
-	}
-	var binds []colBind
-	add := func(ref TableRef) bool {
-		t := c.db.Table(ref.Name)
-		if t == nil {
-			return false
-		}
-		eff := ref.EffectiveName()
-		for _, col := range t.Columns {
-			binds = append(binds, colBind{table: eff, name: col.Name})
-		}
-		return true
-	}
-	if !add(*sub.From) {
-		return nil, false
-	}
-	for _, j := range sub.Joins {
-		if !add(j.Table) {
-			return nil, false
-		}
-	}
-	return binds, true
 }

@@ -1,4 +1,4 @@
-package data
+package sqldb_test
 
 import (
 	"fmt"
@@ -7,15 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/claim"
+	"repro/internal/data"
 	"repro/internal/sqldb"
 )
 
-// pushdown_test.go is the predicate-pushdown property test: for generated
-// safe filters over every table of the JoinBench schemas (flat and
-// normalized), the vectorized engine with pushdown enabled must return
-// exactly the row oracle's row count — and ExplainQuery must confirm the
-// predicate actually pushed into the scan, so the property is not vacuously
-// tested against the fallback path.
+// pushdown_test.go is the predicate-pushdown property test over the data
+// generators' catalogs: for generated safe filters over every table of the
+// JoinBench schemas (flat and normalized), the vectorized engine with
+// pushdown enabled must return exactly the row oracle's row count — and
+// ExplainQuery must confirm the predicate actually pushed into the scan, so
+// the property is not vacuously tested on a residual filter. It is an
+// external test so it can import internal/data, which imports sqldb; the
+// oracle (oracle_test.go) is visible to it as sqldb.Exec.
 
 func quoteIdent(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
@@ -84,7 +87,7 @@ func uniqueDatabases(docs []*claim.Document) []*sqldb.Database {
 // the scan never changes the number (or content) of surviving rows relative
 // to the row-at-a-time oracle, across every table of both JoinBench layouts.
 func TestPushdownPreservesRowCounts(t *testing.T) {
-	flat, normalized, err := JoinBench(512)
+	flat, normalized, err := data.JoinBench(512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +197,9 @@ func TestPushdownPreservesRowCounts(t *testing.T) {
 }
 
 // TestDifferentialImageRoundTripGenerators checks the column image of every
-// generator database from outside sqldb: a vectorized SELECT * (ExecVec never
-// falls back) projects the image's vectors cell by cell, so its result must be
-// bit-equal to Table.Rows. Value is comparable and carries floats as bits,
+// generator database from outside sqldb: a vectorized SELECT * projects the
+// image's vectors cell by cell, so its result must be bit-equal to
+// Table.Rows. Value is comparable and carries floats as bits,
 // so != tells NaN payloads and signed zeros apart.
 func TestDifferentialImageRoundTripGenerators(t *testing.T) {
 	var docs []*claim.Document
@@ -207,16 +210,16 @@ func TestDifferentialImageRoundTripGenerators(t *testing.T) {
 		}
 		docs = append(docs, ds...)
 	}
-	add(AggChecker(31))
-	add(TabFact(31))
-	add(WikiText(31))
-	add(UnitConv(31, true))
-	add(UnitConv(31, false))
-	flat, norm, err := JoinBench(31)
+	add(data.AggChecker(31))
+	add(data.TabFact(31))
+	add(data.WikiText(31))
+	add(data.UnitConv(31, true))
+	add(data.UnitConv(31, false))
+	flat, norm, err := data.JoinBench(31)
 	add(flat, err)
 	add(norm, nil)
 	dbs := uniqueDatabases(docs)
-	rb, err := RouteBench(31)
+	rb, err := data.RouteBench(31)
 	if err != nil {
 		t.Fatal(err)
 	}

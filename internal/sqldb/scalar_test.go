@@ -78,7 +78,7 @@ var smallSubqueries = []string{
 	`SELECT (SELECT "beer_servings", "wine_servings" FROM "drinks" WHERE "country" = 'Atlantis')`,
 	`SELECT COUNT(*) FROM "drinks" WHERE "beer_servings" IN (SELECT "beer_servings", "wine_servings" FROM "drinks")`,
 	`SELECT "country" FROM "drinks" WHERE "beer_servings" = (SELECT "beer_servings" FROM "drinks" WHERE "beer_servings" = 0)`,
-	// Errors and shapes the vectorized engine declines.
+	// Errors, an unknown table and a correlated subquery.
 	`SELECT (SELECT SUM("country") FROM "drinks")`,
 	`SELECT (SELECT COUNT(*) FROM "nowhere")`,
 	`SELECT "country" FROM "drinks" d WHERE "beer_servings" = (SELECT MAX("beer_servings") FROM "drinks" e WHERE e."country" = d."country")`,
@@ -94,21 +94,16 @@ var smallSubqueries = []string{
 }
 
 // TestDifferentialSmallTableSubqueries holds every small-table subquery
-// shape to the row oracle through Query and QueryScalar alike, and requires
-// the vectorized engine to answer each one the row engine answers: no
-// subquery reaches the row engine for its table's size.
+// shape to the row oracle through Query and QueryScalar alike.
 func TestDifferentialSmallTableSubqueries(t *testing.T) {
 	db := drinksDB()
 	for _, q := range smallSubqueries {
-		vec := checkDifferential(t, db, q)
+		checkDifferential(t, db, q)
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 		rowRes, rowErr := Exec(db, stmt)
-		if rowErr == nil && !vec {
-			t.Errorf("the row engine answered a query the vectorized engine declined:\nsql: %q", q)
-		}
 
 		// QueryScalar, warm and cold, against the oracle's Result.Scalar.
 		want, wantErr := Null(), rowErr
@@ -133,11 +128,10 @@ func TestDifferentialSmallTableSubqueries(t *testing.T) {
 	requireNoAccessPaths(t, db)
 }
 
-// TestDifferentialSubqueryPlans pins which statements get a vectorized plan:
-// a subquery over a small table compiles to its own plan, one whose own plan
-// declines makes the whole statement row-only, and a subquery that reads the
-// outer row or an unknown table stays a row-fallback node inside a
-// vectorized plan.
+// TestDifferentialSubqueryPlans pins the plans of statements with
+// subqueries: every subquery compiles to its own plan, one the row engine
+// would refuse included, and only a refusal in the statement's own FROM
+// clause shows in its explanation.
 func TestDifferentialSubqueryPlans(t *testing.T) {
 	db := drinksDB()
 	for _, tc := range []struct {
@@ -150,7 +144,9 @@ func TestDifferentialSubqueryPlans(t *testing.T) {
 		{`SELECT (SELECT COUNT(*) FROM "nowhere")`, "vectorized\nresidual=0 aggregated=false\n"},
 		{`SELECT "country" FROM "drinks" d WHERE "beer_servings" = (SELECT MAX("beer_servings") FROM "drinks" e WHERE e."country" = d."country")`,
 			"vectorized\nscan drinks pushed=0 eq=0\nresidual=1 aggregated=false\n"},
-		{`SELECT (SELECT a."country" FROM "drinks" a RIGHT JOIN "drinks" b ON a."country" = b."country")`, "row-only\n"},
+		{`SELECT (SELECT a."country" FROM "drinks" a RIGHT JOIN "drinks" b ON a."country" = b."country")`, "vectorized\nresidual=0 aggregated=false\n"},
+		{`SELECT a."country" FROM "drinks" a RIGHT JOIN "drinks" b ON a."country" = b."country"`,
+			"vectorized\nscan drinks pushed=0 eq=0\nresidual=0 aggregated=false\nfails: sqldb: unsupported SQL feature: RIGHT JOIN\n"},
 	} {
 		got, err := ExplainQuery(db, tc.sql)
 		if err != nil {

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,50 +28,29 @@ const planCacheCap = 512
 
 // planEntry is one cached prepared statement: its normalized text, the
 // (lowercased, sorted) tables the statement references, the combined change
-// stamp of those tables at compile time, the compiled vectorized plan (nil
-// when the statement is row-only), and the parsed AST the row engine falls
-// back to. An entry whose plan has no row-fallback node drops the AST, the
-// larger half of a small entry, and parses norm again on the rare fallback.
+// stamp of those tables at compile time, and the compiled plan.
 type planEntry struct {
-	stmt    *SelectStmt
 	norm    string
 	tables  []string
 	version uint64
 	vp      *vecPlan
 }
 
-// run executes the entry's vectorized plan, appending its output cells to dst
-// (see vecPlan.run). ok is false when the row engine has to answer instead —
-// the statement is row-only or the vectorized run errored or declined — and
-// the caller then calls rowExec, which guarantees callers observe exactly the
-// row engine's results and error surface regardless of what the vectorized
-// engine covers. The counters say which of the three ways each execution
-// went.
-func (pe *planEntry) run(db *Database, dst []Value) (out output, ok bool) {
-	c := &db.plans
-	if pe.vp == nil {
-		c.rowOnly.Add(1)
-		return output{}, false
-	}
-	out, err := pe.vp.run(db, dst)
-	if err != nil {
-		c.fallbacks.Add(1)
-		return output{}, false
-	}
-	c.vecRuns.Add(1)
-	return out, true
-}
-
-// rowExec answers the entry on the row engine.
-func (pe *planEntry) rowExec(db *Database) (*Result, error) {
-	stmt := pe.stmt
-	if stmt == nil {
-		var err error
-		if stmt, err = Parse(pe.norm); err != nil {
-			return nil, err
+// exec runs sql's plan, appending its output cells to dst (see vecPlan.run).
+// A plan the catalog changed under is looked up again, which compiles it
+// against the live catalog, and rerun.
+func (c *planCache) exec(db *Database, sql string, dst []Value) (*vecPlan, output, error) {
+	for {
+		pe, err := c.lookup(db, sql)
+		if err != nil {
+			return nil, output{}, err
+		}
+		out, err := pe.vp.run(db, nil, dst)
+		if !errors.Is(err, errPlanStale) {
+			c.runs.Add(1)
+			return pe.vp, out, err
 		}
 	}
-	return Exec(db, stmt)
 }
 
 // planCache caches planEntries per database.
@@ -81,7 +61,7 @@ type planCache struct {
 	hits   uint64
 	misses uint64
 
-	vecRuns, fallbacks, rowOnly atomic.Uint64 // execution outcomes (planEntry.exec)
+	runs atomic.Uint64 // executions (planCache.exec)
 
 	// Access paths taken by vectorized runs (access.go).
 	indexBuilds, indexProbes, foldHits, indexJoins atomic.Uint64
@@ -133,16 +113,13 @@ func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 
 	tables := tablesOf(stmt)
 	stamp := db.stampFor(tables)
-	e := &planEntry{stmt: stmt, norm: norm, tables: tables, version: stamp, vp: compilePlan(db, stmt)}
-	if e.vp != nil && !e.vp.rowNodes {
-		e.stmt = nil
-	}
+	e := &planEntry{norm: norm, tables: tables, version: stamp, vp: compilePlan(db, stmt)}
 	if db.stampFor(tables) != stamp {
 		// The catalog changed between the stamp read and compilation; serve
-		// the entry uncached. Its execution falls back to the row engine via
-		// the stale-plan guard, and the next lookup recompiles. The full
-		// table set is compared (not vp.version, which stamps only the scan
-		// tables) so a racing change to a subquery table is caught too.
+		// the entry uncached. If the plan is stale its run says so and exec
+		// looks it up again. The full table set is compared (not vp.version,
+		// which stamps only the FROM tables) so a racing change to a
+		// subquery table is caught too.
 		return e, nil
 	}
 	c.mu.Lock()
@@ -282,17 +259,13 @@ func collectExprTables(e Expr, set map[string]bool) {
 	}
 }
 
-// PlanCacheStats is a snapshot of a database's plan-cache counters. Every
-// Query execution is counted once in exactly one of VecRuns, RowFallbacks and
-// RowOnlyPlans.
+// PlanCacheStats is a snapshot of a database's plan-cache counters.
 type PlanCacheStats struct {
 	Hits    uint64
 	Misses  uint64
 	Entries int
 
-	VecRuns      uint64 // executions the vectorized engine answered
-	RowFallbacks uint64 // executions whose vectorized run errored or declined (stale plan or image), answered by the row engine
-	RowOnlyPlans uint64 // executions of statements that have no vectorized plan
+	VecRuns uint64 // Query and QueryScalar executions, each answered by its vectorized plan
 
 	// Access paths on column images of more than 1,024 rows. All four stay
 	// zero on a database of smaller tables.
@@ -310,7 +283,7 @@ func (d *Database) PlanCacheStats() PlanCacheStats {
 	defer c.mu.Unlock()
 	return PlanCacheStats{
 		Hits: c.hits, Misses: c.misses, Entries: len(c.byNorm),
-		VecRuns: c.vecRuns.Load(), RowFallbacks: c.fallbacks.Load(), RowOnlyPlans: c.rowOnly.Load(),
+		VecRuns:     c.runs.Load(),
 		IndexBuilds: c.indexBuilds.Load(), IndexProbes: c.indexProbes.Load(),
 		FoldHits: c.foldHits.Load(), IndexJoins: c.indexJoins.Load(),
 	}
@@ -338,24 +311,20 @@ func Normalize(sql string) (string, error) {
 // ExplainQuery describes how the vectorized engine would execute sql:
 // per-scan pushed-down predicate counts and how many of them an equality
 // index can answer (eq), the join algorithm per join and which side's index
-// an index join may walk, residual filter count, and the pipeline kind. The
-// access paths named are the plan's candidates: each is taken only on an
-// image of more than 1,024 rows whose column can be indexed. Statements
-// outside the vectorizable surface report "row-only". Tests use it to assert
-// that predicate pushdown actually occurs.
+// an index join may walk, residual filter count, the pipeline kind, and the
+// error a plan ends with when the row engine would refuse its FROM clause or
+// its select list. The access paths named are the plan's candidates: each is
+// taken only on an image of more than 1,024 rows whose column can be indexed.
+// Tests use it to assert that predicate pushdown actually occurs.
 func ExplainQuery(db *Database, sql string) (string, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return "", err
 	}
-	p := compilePlan(db, stmt)
-	if p == nil {
-		return "row-only\n", nil
-	}
-	return p.explain(), nil
+	return compilePlan(db, stmt).explain(db), nil
 }
 
-func (p *vecPlan) explain() string {
+func (p *vecPlan) explain(db *Database) string {
 	var b strings.Builder
 	b.WriteString("vectorized\n")
 	for i, s := range p.scans {
@@ -375,6 +344,9 @@ func (p *vecPlan) explain() string {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "residual=%d aggregated=%v\n", len(p.residual), p.aggregated)
+	if p.fail != nil {
+		fmt.Fprintf(&b, "fails: %v\n", p.fail(db))
+	}
 	return b.String()
 }
 

@@ -1,10 +1,10 @@
 // Package sqldb implements the relational substrate CEDAR executes
 // verification queries against. It is a self-contained, in-memory SQL engine
 // (the paper uses DuckDB) with a lexer, recursive-descent parser, and a
-// tree-walking evaluator covering the query surface exercised by the paper's
-// workloads: aggregates, WHERE predicates, inner joins, GROUP BY/HAVING,
-// scalar and IN subqueries (including correlated ones), ORDER BY/LIMIT,
-// arithmetic, CAST, and a set of scalar functions.
+// vectorized executor over column images covering the query surface
+// exercised by the paper's workloads: aggregates, WHERE predicates, inner
+// joins, GROUP BY/HAVING, scalar and IN subqueries (including correlated
+// ones), ORDER BY/LIMIT, arithmetic, CAST, and a set of scalar functions.
 package sqldb
 
 import (

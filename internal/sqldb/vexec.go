@@ -18,35 +18,34 @@ import (
 // aggregates fold typed vectors directly, over a scan's selection when they
 // can. The final stage yields cells: Query wraps them in a Result, and
 // QueryScalar takes the one cell.
-// Every scalar kernel either reuses the row engine's functions (applyBinary,
-// applyScalarFunc, castValue, ...) or replicates their exact numeric
-// behaviour — including the float64 coercion Value.Compare applies to
-// integers — so that when vectorized execution succeeds its result is
-// bit-identical to the row engine's. When it fails, callers fall back to the
-// row engine, which reproduces the canonical error.
+//
+// The answer is the row-at-a-time one (DESIGN.md §12). The kernels share the
+// row functions' arithmetic (applyBinary, castValue, aggFold, ...), so a
+// stage evaluated eagerly over the whole batch computes the row engine's
+// values, and can only add errors: operands no row reaches, expressions run
+// in batch order. A stage that fails is replayed one row at a time through
+// the same compiled nodes (vexpr.row), in the row engine's order and with
+// its short-circuits; the replay's values or first error are the answer.
 
 // errPlanStale reports that the catalog changed after the plan was compiled.
-// Executors treat it like any vectorized-execution error: fall back to the
-// row engine, which binds against the live catalog.
+// The statement is compiled again and rerun against the live catalog.
 var errPlanStale = errors.New("sqldb: plan compiled against stale catalog")
 
-// errImageStale reports that a scanned table has no column image or changed
-// length since AddTable built it.
-var errImageStale = errors.New("sqldb: table changed since its column image was built")
-
-// ExecVec executes a parsed statement on the vectorized engine without row
-// fallback. It is the entry point the differential test harness drives; the
-// production path (Query) instead runs cached plans with fallback.
+// ExecVec compiles and executes a parsed statement, bypassing the plan
+// cache. It is the entry point the differential tests drive; Query runs the
+// same plans from the cache.
 func ExecVec(db *Database, stmt *SelectStmt) (*Result, error) {
-	p := compilePlan(db, stmt)
-	if p == nil {
-		return nil, fmt.Errorf("%w: statement is not vectorizable", ErrUnsupported)
+	for {
+		p := compilePlan(db, stmt)
+		out, err := p.run(db, nil, nil)
+		if errors.Is(err, errPlanStale) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		return p.result(out), nil
 	}
-	out, err := p.run(db, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.result(out), nil
 }
 
 // output is what a plan's final stage yields: n rows of len(vecPlan.cols)
@@ -113,17 +112,19 @@ func (b *vbatch) dense() *vbatch {
 	return gatherBatch(b, b.sel)
 }
 
-// vecCtx carries one execution's state: the row-engine executor fallback
-// nodes evaluate with, the scans' table images, and scratch space — scan
-// batches and selections, constants, the one group of an ungrouped
-// aggregate — that a run takes from idleCtxs and hands back, so a warm query
-// reuses the previous run's instead of allocating its own. The cached plan
-// stays immutable and race-free, and nothing a run returns points into its
-// ctx.
+// vecCtx carries one execution's state: the database, the enclosing row a
+// correlated subquery's run reads, the scans' table images, and scratch
+// space — scan batches and selections, constants, the one group of an
+// ungrouped aggregate — that a run takes from idleCtxs and hands back, so a
+// warm query reuses the previous run's instead of allocating its own. The
+// cached plan stays immutable and race-free, and nothing a run returns points
+// into its ctx.
 type vecCtx struct {
-	ex     executor
+	db     *Database
 	p      *vecPlan
+	outer  *outerRow     // the enclosing row of a correlated subquery's run
 	images []*tableImage // the scans' table images, parallel to p.scans
+	replay bool          // the per-group stage is being replayed (gagg.eval)
 
 	tabBuf [4]*Table
 	imgBuf [4]*tableImage
@@ -136,6 +137,14 @@ type vecCtx struct {
 	group  [1]vgroup // the one group of an aggregate without GROUP BY
 	cell   [1]Value  // a scalar subquery's output
 	aggs   map[*gagg]*Vec
+}
+
+// outerRow is the enclosing row a correlated subquery's run reads its outer
+// references from: row r of batch b, itself enclosed by up.
+type outerRow struct {
+	b  *vbatch
+	r  int
+	up *outerRow
 }
 
 // vscan is one scan's reusable batch and selection buffers.
@@ -188,7 +197,7 @@ func (ctx *vecCtx) release() {
 		}
 	}
 	clear(ctx.items)
-	ctx.ex.db, ctx.p, ctx.images, ctx.nconst, ctx.aggs = nil, nil, nil, 0, nil
+	ctx.db, ctx.p, ctx.outer, ctx.images, ctx.nconst, ctx.aggs, ctx.replay = nil, nil, nil, nil, 0, nil, false
 	ctx.group[0], ctx.cell[0] = vgroup{}, Value{}
 	idleCtxs.Lock()
 	if len(idleCtxs.ctxs) < maxIdleCtxs {
@@ -211,15 +220,14 @@ func (ctx *vecCtx) konst(val Value) *Vec {
 // noRows is the value of an expression over a batch of no rows.
 var noRows = new(Vec)
 
-// run executes the plan against db. A statement without a tail appends its
-// output cells to dst, so a caller expecting one cell can pass room for it.
-// Any returned error means "the vectorized engine cannot produce the row
-// engine's result here" — the caller falls back; it never means the query
-// itself is known to fail.
-func (p *vecPlan) run(db *Database, dst []Value) (output, error) {
+// run executes the plan against db; outer is the enclosing row of a
+// correlated subquery's run, nil otherwise. A statement without a tail
+// appends its output cells to dst, so a caller expecting one cell can pass
+// room for it. errPlanStale means the catalog changed since compilation.
+func (p *vecPlan) run(db *Database, outer *outerRow, dst []Value) (output, error) {
 	ctx := takeCtx()
 	defer ctx.release()
-	ctx.ex.db, ctx.p = db, p
+	ctx.db, ctx.p, ctx.outer = db, p, outer
 
 	k := len(p.names)
 	tables, images := ctx.tabBuf[:], ctx.imgBuf[:]
@@ -230,16 +238,16 @@ func (p *vecPlan) run(db *Database, dst []Value) (output, error) {
 	if db.snapshotTables(p.names, tables, images) != p.version {
 		return output{}, errPlanStale
 	}
-	for i, t := range tables {
-		if t == nil || len(t.Columns) != p.scans[i].n {
+	for i, s := range p.scans {
+		t := tables[i]
+		if t == nil || len(t.Columns) != s.n {
 			return output{}, errPlanStale
 		}
 		// Rows appended or dropped after AddTable break the registration
-		// contract; the image no longer describes the table, so decline and
-		// let the row engine read Rows. No rebuild here: a scan must not
-		// write catalog state other scans are reading.
-		if images[i] == nil || images[i].n != len(t.Rows) {
-			return output{}, errImageStale
+		// contract; the image no longer describes the table, so it is built
+		// again from the live rows.
+		if images[i].n != len(t.Rows) {
+			images[i] = db.refreshImage(t)
 		}
 	}
 	ctx.images = images
@@ -252,18 +260,80 @@ func (p *vecPlan) run(db *Database, dst []Value) (output, error) {
 		return output{}, err
 	}
 	if len(p.residual) > 0 {
-		b = b.dense()
-	}
-	for _, f := range p.residual {
-		b, err = filterBatch(ctx, b, f)
-		if err != nil {
+		if b, err = filterStage(ctx, b.dense(), p.residual); err != nil {
 			return output{}, err
 		}
+	}
+	if p.fail != nil {
+		return output{}, p.fail(db)
 	}
 	if p.aggregated {
 		return p.runAgg(ctx, b, dst)
 	}
 	return p.runRows(ctx, b, dst)
+}
+
+// filterStage keeps the rows of b every filter selects, filter after filter
+// over the previous one's survivors. If one fails, the stage is replayed.
+func filterStage(ctx *vecCtx, b *vbatch, filters []vexpr) (*vbatch, error) {
+	fb := b
+	var err error
+	for _, f := range filters {
+		if fb, err = filterBatch(ctx, fb, f); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		return fb, nil
+	}
+	keep, err := replayFilter(ctx, b, filters)
+	if err != nil {
+		return nil, err
+	}
+	return gatherBatch(b, keep), nil
+}
+
+// replayFilter is a failed filter stage run again the row engine's way: row
+// by row, each row's conjuncts in order up to the first that rejects it. The
+// rows kept, or the first error, are the stage's answer.
+func replayFilter(ctx *vecCtx, b *vbatch, filters []vexpr) ([]int32, error) {
+	var keep []int32
+	for i := 0; i < b.n; i++ {
+		ok := true
+		for _, f := range filters {
+			v, err := f.row(ctx, b, b.row(i))
+			if err != nil {
+				return nil, err
+			}
+			if ok = v.AsBool(); !ok {
+				break
+			}
+		}
+		if ok {
+			keep = append(keep, int32(i))
+		}
+	}
+	return keep, nil
+}
+
+// replayVecs is a failed projection stage run again the row engine's way:
+// row by row, each row's expressions in order. It returns one vector per
+// expression, indexed like b's rows, or the first error.
+func replayVecs(ctx *vecCtx, b *vbatch, exprs []vexpr) ([]*Vec, error) {
+	vecs := make([]*Vec, len(exprs))
+	for k := range vecs {
+		vecs[k] = NewVec(KindNull, b.n)
+	}
+	for i := 0; i < b.n; i++ {
+		for k, e := range exprs {
+			v, err := e.row(ctx, b, b.row(i))
+			if err != nil {
+				return nil, err
+			}
+			vecs[k].Append(v)
+		}
+	}
+	return vecs, nil
 }
 
 // buildBatch scans and joins the FROM clause into one batch. A join reads
@@ -588,12 +658,11 @@ func (p *vecPlan) hashPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []
 // joinBatch joins the accumulated left batch with the freshly scanned right
 // batch under join ji, mirroring joinSets: on the recognized equi-join key an
 // index join where one applies (access.go) and a hash join otherwise (built
-// on the right, probed in left order, LEFT padding with NULLs), nested loop
-// with per-row ON evaluation for every other ON clause. Only the columns a
-// later operator reads are gathered into the joined batch.
+// on the right, probed in left order, LEFT padding with NULLs), a nested loop
+// over the compiled ON clause for every other join. Only the columns a later
+// operator reads are gathered into the joined batch.
 func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, error) {
 	j := &p.joins[ji]
-	pad := j.kind == "LEFT"
 	var li, ri []int32
 	if j.hash {
 		var indexed bool
@@ -601,37 +670,9 @@ func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, 
 			li, ri = p.hashPairs(ctx, left, right, ji)
 		}
 	} else {
-		// Nested loop: combined rows are rebuilt and the ON predicate runs
-		// on the row engine, over exactly the binds visible at this join
-		// depth (matching env.lookup's scoping in joinSets).
-		rightEnd := p.scans[ji+1].base + p.scans[ji+1].n
-		binds := p.binds[:rightEnd]
-		row := make([]Value, rightEnd)
-		for i := 0; i < left.n; i++ {
-			matched := false
-			for k := 0; k < right.n; k++ {
-				if j.on != nil {
-					for s := 0; s < j.leftWidth; s++ {
-						row[s] = left.cols[s].At(i)
-					}
-					for s := j.leftWidth; s < rightEnd; s++ {
-						row[s] = right.cols[s].At(k)
-					}
-					en := &env{binds: binds, row: row}
-					v, err := ctx.ex.eval(j.on, en)
-					if err != nil {
-						return nil, err
-					}
-					if !v.AsBool() {
-						continue
-					}
-				}
-				matched = true
-				li, ri = append(li, int32(i)), append(ri, int32(k))
-			}
-			if !matched && pad {
-				li, ri = append(li, int32(i)), append(ri, -1)
-			}
+		var err error
+		if li, ri, err = p.loopPairs(ctx, left, right, ji); err != nil {
+			return nil, err
 		}
 	}
 	out := &vbatch{n: len(li), cols: make([]*Vec, p.width)}
@@ -646,6 +687,62 @@ func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, 
 		}
 	}
 	return out, nil
+}
+
+// loopPairs lists nested-loop join ji's (left row, right row) pairs in
+// joinSets' order, left-major, with -1 as the right row of a LEFT join's
+// unmatched left row. The ON clause runs as a filter stage over windows of
+// whole left rows' candidate pairs, so a window that fails is replayed pair
+// by pair before any later pair is looked at: the first error is the row
+// engine's.
+func (p *vecPlan) loopPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []int32, err error) {
+	j := &p.joins[ji]
+	per := max(windowRows/max(right.n, 1), 1) // left rows per window
+	var pl, pr []int32
+	for i0 := 0; i0 < left.n; i0 += per {
+		i1 := min(i0+per, left.n)
+		pl, pr = pl[:0], pr[:0]
+		for i := i0; i < i1; i++ {
+			for k := 0; k < right.n; k++ {
+				pl, pr = append(pl, int32(i)), append(pr, int32(k))
+			}
+		}
+		var keep []int32
+		if j.on == nil { // CROSS: every pair
+			keep = make([]int32, len(pl))
+			for x := range keep {
+				keep[x] = int32(x)
+			}
+		} else {
+			pb := &vbatch{n: len(pl), cols: make([]*Vec, p.width)}
+			for s, need := range j.onNeed {
+				switch {
+				case !need:
+				case s < j.leftWidth:
+					pb.cols[s] = left.cols[s].Gather(pl)
+				default:
+					pb.cols[s] = right.cols[s].Gather(pr)
+				}
+			}
+			nconst := ctx.nconst // the window's constants die with it
+			if keep, err = selectRows(ctx, pb, j.on, nil); err != nil {
+				if keep, err = replayFilter(ctx, pb, []vexpr{j.on}); err != nil {
+					return nil, nil, err
+				}
+			}
+			ctx.nconst = nconst
+		}
+		for i, next := i0, 0; i < i1; i++ {
+			matched := false
+			for end := int32((i - i0 + 1) * right.n); next < len(keep) && keep[next] < end; next++ {
+				li, ri, matched = append(li, int32(i)), append(ri, pr[keep[next]]), true
+			}
+			if !matched && j.kind == "LEFT" {
+				li, ri = append(li, int32(i)), append(ri, -1)
+			}
+		}
+	}
+	return li, ri, nil
 }
 
 // denseKeys reports whether both key vectors are unboxed integers and the
@@ -728,10 +825,10 @@ func appendJoinKey(dst []byte, v Value) []byte {
 }
 
 // runRows projects a non-aggregated batch: straight into dst, or through the
-// statement tail when it has one.
+// statement tail when it has one. The stage evaluates the items and then the
+// ORDER BY keys that are not an item, the row engine's order within a row.
 func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
-	tableLess := len(p.scans) == 0
-	if tableLess {
+	if len(p.scans) == 0 {
 		// Table-less SELECT: one row evaluated over no bindings, with no
 		// ORDER BY keys — exactly the row engine's FROM-less branch.
 		b = &ctx.unit
@@ -741,52 +838,41 @@ func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 	if cap(ctx.items) < len(p.itemsV) {
 		ctx.items = make([]*Vec, len(p.itemsV))
 	}
-	cells := ctx.items[:len(p.itemsV)]
+	vecs := ctx.items[:len(p.itemsV)]
 	for k, iv := range p.itemsV {
 		cv, err := iv.eval(ctx, b)
 		if err != nil {
-			return output{}, err
+			b = b.dense()
+			if vecs, err = replayVecs(ctx, b, p.itemsV); err != nil {
+				return output{}, err
+			}
+			break
 		}
-		cells[k] = cv
+		vecs[k] = cv
 	}
+	w := len(p.cols)
 	if p.tail.none() {
 		for i := 0; i < b.n; i++ {
 			r := b.row(i)
-			for _, cv := range cells {
+			for _, cv := range vecs[:w] {
 				dst = append(dst, cv.At(r))
 			}
 		}
 		return output{cells: dst, n: b.n}, nil
 	}
-	var keys []*Vec
-	if !tableLess {
-		keys = make([]*Vec, len(p.orderV))
-		for k, op := range p.orderV {
-			if op.cellIdx < 0 {
-				kv, err := op.ev.eval(ctx, b)
-				if err != nil {
-					return output{}, err
-				}
-				keys[k] = kv
-			}
-		}
-	}
-	w := len(cells)
 	flat := make([]Value, b.n*w)
 	out := make([]outRow, b.n)
 	for i := range out {
 		r, row := b.row(i), &out[i]
 		row.cells = flat[i*w : (i+1)*w : (i+1)*w]
-		for k, cv := range cells {
-			row.cells[k] = cv.At(r)
+		for k := range row.cells {
+			row.cells[k] = vecs[k].At(r)
 		}
-		if len(keys) > 0 {
-			row.keys = make([]Value, len(keys))
+		if len(p.orderV) > 0 {
+			row.keys = make([]Value, len(p.orderV))
 			for k, op := range p.orderV {
 				if op.cellIdx >= 0 {
-					row.keys[k] = row.cells[op.cellIdx]
-				} else {
-					row.keys[k] = keys[k].At(r)
+					row.keys[k] = vecs[op.cellIdx].At(r)
 				}
 			}
 		}
@@ -819,8 +905,10 @@ func (g *vgroup) row(k int) int {
 	return int(g.rows[k])
 }
 
-// runAgg partitions the batch, applies HAVING, and projects each surviving
-// group: straight into dst, or through the statement tail when it has one.
+// runAgg partitions the batch and projects the groups. The per-group stage
+// runs HAVING, the items and the ORDER BY keys group by group, as the row
+// engine does; if it fails, it is replayed with every aggregate folding its
+// group's arguments row by row (gagg.eval).
 func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 	if !p.selAgg {
 		b = b.dense()
@@ -829,6 +917,17 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
+	out, err := p.projectGroups(ctx, groups, dst)
+	if err != nil {
+		ctx.replay = true
+		out, err = p.projectGroups(ctx, groups, dst)
+	}
+	return out, err
+}
+
+// projectGroups applies HAVING and projects each surviving group: straight
+// into dst, or through the statement tail when it has one.
+func (p *vecPlan) projectGroups(ctx *vecCtx, groups []vgroup, dst []Value) (output, error) {
 	direct := p.tail.none()
 	var out []outRow
 	n := 0
@@ -893,7 +992,10 @@ func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 	for k, gv := range p.groupByV {
 		kv, err := gv.eval(ctx, b)
 		if err != nil {
-			return nil, err
+			if keyVecs, err = replayVecs(ctx, b, p.groupByV); err != nil {
+				return nil, err
+			}
+			break
 		}
 		keyVecs[k] = kv
 	}
@@ -934,9 +1036,13 @@ func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 // ---------------------------------------------------------------------------
 // Row-context vectorized expressions.
 
-// vexpr evaluates to one value per batch row.
+// vexpr evaluates to one value per batch row. eval is the stage's eager
+// batch evaluation; row evaluates the expression at column index r of b
+// alone, exactly as the row engine's eval would: AND, OR and CASE evaluate
+// only the operands the row reaches, everything else its operands in order.
 type vexpr interface {
 	eval(ctx *vecCtx, b *vbatch) (*Vec, error)
+	row(ctx *vecCtx, b *vbatch, r int) (Value, error)
 }
 
 // typedNum reports whether the vector has unboxed numeric storage.
@@ -990,11 +1096,47 @@ func (v *vlit) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return ctx.konst(v.val), nil
 }
 
+func (v *vlit) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return v.val, nil }
+
 type vcol struct{ slot int }
 
 func (v *vcol) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return b.cols[v.slot], nil
 }
+
+func (v *vcol) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return b.cols[v.slot].At(r), nil }
+
+// vouter reads slot of the enclosing row level statements out: a correlated
+// subquery's reference to the row it runs for, a constant over its batch.
+type vouter struct{ level, slot int }
+
+func (v *vouter) value(ctx *vecCtx) Value {
+	o := ctx.outer
+	for l := 1; l < v.level; l++ {
+		o = o.up
+	}
+	return o.b.cols[v.slot].At(o.r)
+}
+
+func (v *vouter) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	return ctx.konst(v.value(ctx)), nil
+}
+
+func (v *vouter) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return v.value(ctx), nil }
+
+// verr is an expression the row engine fails on whenever a row reaches it: an
+// unresolvable name, an aggregate outside aggregate context, a misplaced *.
+// Over no rows it fails nothing.
+type verr struct{ err error }
+
+func (v *verr) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	if b.n == 0 {
+		return noRows, nil
+	}
+	return nil, v.err
+}
+
+func (v *verr) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return Null(), v.err }
 
 type vunary struct {
 	op string
@@ -1016,10 +1158,18 @@ func (v *vunary) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return mapVec(b.n, func(i int) (Value, error) { return applyUnary(v.op, xv.At(i)) })
 }
 
+func (v *vunary) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	x, err := v.x.row(ctx, b, r)
+	if err != nil {
+		return Null(), err
+	}
+	return applyUnary(v.op, x)
+}
+
 // vand and vor evaluate both sides over the whole batch; the row engine
 // short-circuits per row, but since its result is Bool(l) op Bool(r) with
 // AsBool(NULL)=false, eager evaluation yields identical values — it can only
-// add errors, which trigger row fallback.
+// add errors, which replay the stage.
 type vand struct{ l, r vexpr }
 
 func (v *vand) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
@@ -1032,6 +1182,20 @@ func (v *vand) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 		return nil, err
 	}
 	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() && rv.At(i).AsBool() }), nil
+}
+
+func (v *vand) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	return shortCircuit(ctx, b, r, v.l, v.r, false)
+}
+
+// shortCircuit is the row engine's AND (stop on false) and OR (stop on true).
+func shortCircuit(ctx *vecCtx, b *vbatch, r int, x, y vexpr, stopOn bool) (Value, error) {
+	l, err := x.row(ctx, b, r)
+	if err != nil || l.AsBool() == stopOn {
+		return Bool(stopOn), err
+	}
+	rv, err := y.row(ctx, b, r)
+	return Bool(rv.AsBool()), err
 }
 
 type vor struct{ l, r vexpr }
@@ -1048,8 +1212,12 @@ func (v *vor) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() || rv.At(i).AsBool() }), nil
 }
 
+func (v *vor) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	return shortCircuit(ctx, b, r, v.l, v.r, true)
+}
+
 // vbin is a binary operator other than AND, OR and the comparisons. Over two
-// constants it is a constant, computed once by the row engine's applyBinary.
+// constants it is a constant, computed once by applyBinary.
 type vbin struct {
 	op   string
 	l, r vexpr
@@ -1078,6 +1246,23 @@ func (v *vbin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 		}
 	}
 	return mapVec(b.n, func(i int) (Value, error) { return applyBinary(v.op, lv.At(i), rv.At(i)) })
+}
+
+func (v *vbin) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	return binaryRow(ctx, b, r, v.op, v.l, v.r)
+}
+
+// binaryRow evaluates both operands at row r, then applies op.
+func binaryRow(ctx *vecCtx, b *vbatch, r int, op string, x, y vexpr) (Value, error) {
+	l, err := x.row(ctx, b, r)
+	if err != nil {
+		return Null(), err
+	}
+	rv, err := y.row(ctx, b, r)
+	if err != nil {
+		return Null(), err
+	}
+	return applyBinary(op, l, rv)
 }
 
 // vcmp is a comparison. Its native result is the selection of rows where it
@@ -1111,6 +1296,10 @@ func (v *vcmp) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 		out.bools[i] = true
 	}
 	return out, nil
+}
+
+func (v *vcmp) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	return binaryRow(ctx, b, r, v.op, v.l, v.r)
 }
 
 // cmp3 is Value.Compare's three-way float64 ordering, shifted to index
@@ -1241,12 +1430,33 @@ func (v *vbetween) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return boolVec(b.n, func(i int) bool {
-		x := xv.At(i)
-		c1, ok1 := x.Compare(lov.At(i))
-		c2, ok2 := x.Compare(hiv.At(i))
-		return (ok1 && ok2 && c1 >= 0 && c2 <= 0) != v.not
-	}), nil
+	return boolVec(b.n, func(i int) bool { return between(xv.At(i), lov.At(i), hiv.At(i)) != v.not }), nil
+}
+
+func between(x, lo, hi Value) bool {
+	c1, ok1 := x.Compare(lo)
+	c2, ok2 := x.Compare(hi)
+	return ok1 && ok2 && c1 >= 0 && c2 <= 0
+}
+
+func (v *vbetween) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	vals, err := rowArgs(ctx, b, r, v.x, v.lo, v.hi)
+	if err != nil {
+		return Null(), err
+	}
+	return Bool(between(vals[0], vals[1], vals[2]) != v.not), nil
+}
+
+// rowArgs evaluates es at row r in order, up to the first error.
+func rowArgs(ctx *vecCtx, b *vbatch, r int, es ...vexpr) ([]Value, error) {
+	vals := make([]Value, len(es))
+	for k, e := range es {
+		var err error
+		if vals[k], err = e.row(ctx, b, r); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }
 
 type vin struct {
@@ -1281,6 +1491,24 @@ func (v *vin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	}), nil
 }
 
+func (v *vin) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	vals, err := rowArgs(ctx, b, r, append([]vexpr{v.x}, v.list...)...)
+	if err != nil {
+		return Null(), err
+	}
+	return Bool(member(vals[0], vals[1:]) != v.not), nil
+}
+
+// member reports whether x equals one of set.
+func member(x Value, set []Value) bool {
+	for _, c := range set {
+		if x.Equal(c) {
+			return true
+		}
+	}
+	return false
+}
+
 type visnull struct {
 	x   vexpr
 	not bool
@@ -1292,6 +1520,11 @@ func (v *visnull) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 		return nil, err
 	}
 	return boolVec(b.n, func(i int) bool { return xv.IsNullAt(i) != v.not }), nil
+}
+
+func (v *visnull) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	x, err := v.x.row(ctx, b, r)
+	return Bool(x.IsNull() != v.not), err
 }
 
 type vfunc struct {
@@ -1317,6 +1550,14 @@ func (v *vfunc) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	})
 }
 
+func (v *vfunc) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	args, err := rowArgs(ctx, b, r, v.args...)
+	if err != nil {
+		return Null(), err
+	}
+	return applyScalarFunc(v.name, args)
+}
+
 type vcast struct {
 	x    vexpr
 	kind Kind
@@ -1330,9 +1571,17 @@ func (v *vcast) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return mapVec(b.n, func(i int) (Value, error) { return castValue(xv.At(i), v.kind) })
 }
 
+func (v *vcast) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	x, err := v.x.row(ctx, b, r)
+	if err != nil {
+		return Null(), err
+	}
+	return castValue(x, v.kind)
+}
+
 // vcase evaluates every arm over the batch, then selects per row. The row
 // engine stops at the first truthy WHEN; eager arm evaluation selects the
-// same value and can only add errors (→ row fallback).
+// same value and can only add errors, which replay the stage.
 type vcase struct {
 	conds []vexpr
 	thens []vexpr
@@ -1375,58 +1624,99 @@ func (v *vcase) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	})
 }
 
-// vsub is an uncorrelated scalar subquery: its plan runs once, and its one
-// cell is a constant. The scalar-shape checks mirror the row engine's
-// SubqueryExpr case exactly. A plan node is evaluated at most once per
-// execution of its plan (pushed filters, the only per-window evaluations,
-// hold no subquery), so the subquery runs at most once per execution of the
-// statement, and only when a row reaches it — the row engine's reachability.
-type vsub struct{ plan *vecPlan }
+func (v *vcase) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	for k, cond := range v.conds {
+		c, err := cond.row(ctx, b, r)
+		if err != nil {
+			return Null(), err
+		}
+		if c.AsBool() {
+			return v.thens[k].row(ctx, b, r)
+		}
+	}
+	if v.els != nil {
+		return v.els.row(ctx, b, r)
+	}
+	return Null(), nil
+}
 
-func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+// subq is a subquery operand. An uncorrelated one runs once per execution,
+// when a row first reaches it (a replay runs it per row it reaches); a
+// correlated one runs once per enclosing row, its outer references reading
+// that row.
+type subq struct {
+	plan *vecPlan
+	corr bool
+}
+
+// run runs the subquery for row r of b.
+func (s subq) run(ctx *vecCtx, b *vbatch, r int, dst []Value) (output, error) {
+	var outer *outerRow
+	if s.corr {
+		outer = &outerRow{b: b, r: r, up: ctx.outer}
+	}
+	return s.plan.run(ctx.db, outer, dst)
+}
+
+// vecOf evaluates a subquery node over b: once for an uncorrelated node, as
+// a constant, and row by row for a correlated one.
+func vecOf(ctx *vecCtx, b *vbatch, s subq, e vexpr) (*Vec, error) {
 	if b.n == 0 {
 		return noRows, nil
 	}
-	out, err := v.plan.run(ctx.ex.db, ctx.cell[:0])
-	if err != nil {
-		return nil, err
+	if !s.corr {
+		val, err := e.row(ctx, b, b.row(0))
+		if err != nil {
+			return nil, err
+		}
+		return ctx.konst(val), nil
 	}
-	if len(v.plan.cols) != 1 {
-		return nil, fmt.Errorf("%w: scalar subquery with %d columns", ErrNotScalar, len(v.plan.cols))
+	return mapVec(b.n, func(i int) (Value, error) { return e.row(ctx, b, b.row(i)) })
+}
+
+// vsub is a scalar subquery. The scalar-shape checks mirror the row engine's
+// SubqueryExpr case exactly.
+type vsub struct{ sub subq }
+
+func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return vecOf(ctx, b, v.sub, v) }
+
+func (v *vsub) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	out, err := v.sub.run(ctx, b, r, ctx.cell[:0])
+	switch {
+	case err != nil:
+		return Null(), err
+	case len(v.sub.plan.cols) != 1:
+		return Null(), fmt.Errorf("%w: scalar subquery with %d columns", ErrNotScalar, len(v.sub.plan.cols))
+	case out.n > 1:
+		return Null(), fmt.Errorf("%w: scalar subquery returned %d rows", ErrNotScalar, out.n)
+	case out.n == 1:
+		return out.first(), nil
 	}
-	val := Null()
-	if out.n > 1 {
-		return nil, fmt.Errorf("%w: scalar subquery returned %d rows", ErrNotScalar, out.n)
-	}
-	if out.n == 1 {
-		val = out.first()
-	}
-	return ctx.konst(val), nil
+	return Null(), nil
 }
 
 type vexists struct {
-	plan *vecPlan
-	not  bool
+	sub subq
+	not bool
 }
 
-func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	if b.n == 0 {
-		return noRows, nil
-	}
-	out, err := v.plan.run(ctx.ex.db, ctx.cell[:0])
-	if err != nil {
-		return nil, err
-	}
-	return ctx.konst(Bool((out.n > 0) != v.not)), nil
+func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return vecOf(ctx, b, v.sub, v) }
+
+func (v *vexists) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	out, err := v.sub.run(ctx, b, r, ctx.cell[:0])
+	return Bool((out.n > 0) != v.not), err
 }
 
 type vinsub struct {
-	x    vexpr
-	plan *vecPlan
-	not  bool
+	x   vexpr
+	sub subq
+	not bool
 }
 
 func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	if v.sub.corr {
+		return vecOf(ctx, b, v.sub, v)
+	}
 	xv, err := v.x.eval(ctx, b)
 	if err != nil {
 		return nil, err
@@ -1434,41 +1724,39 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
 		return noRows, nil
 	}
-	out, err := v.plan.run(ctx.ex.db, nil)
+	set, err := v.set(ctx, b, 0)
 	if err != nil {
 		return nil, err
 	}
-	if len(v.plan.cols) != 1 {
-		return nil, fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(v.plan.cols))
-	}
-	set := v.plan.result(out).Rows
-	return boolVec(b.n, func(i int) bool {
-		x := xv.At(i)
-		found := false
-		for _, r := range set {
-			if x.Equal(r[0]) {
-				found = true
-				break
-			}
-		}
-		return found != v.not
-	}), nil
+	return boolVec(b.n, func(i int) bool { return member(xv.At(i), set) != v.not }), nil
 }
 
-// vrowfb is the universal escape hatch: it rebuilds each batch row and
-// evaluates the original expression on the row engine, preserving exact
-// semantics (correlated subqueries, ambiguous shapes, canonical errors).
-type vrowfb struct{ e Expr }
+func (v *vinsub) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	x, err := v.x.row(ctx, b, r)
+	if err != nil {
+		return Null(), err
+	}
+	set, err := v.set(ctx, b, r)
+	if err != nil {
+		return Null(), err
+	}
+	return Bool(member(x, set) != v.not), nil
+}
 
-func (v *vrowfb) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	row := make([]Value, len(ctx.p.binds))
-	return mapVec(b.n, func(i int) (Value, error) {
-		for s := range row {
-			row[s] = b.cols[s].At(i)
-		}
-		en := &env{binds: ctx.p.binds, row: row}
-		return ctx.ex.eval(v.e, en)
-	})
+// set runs the subquery for row r of b and returns its one column.
+func (v *vinsub) set(ctx *vecCtx, b *vbatch, r int) ([]Value, error) {
+	out, err := v.sub.run(ctx, b, r, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(v.sub.plan.cols) != 1 {
+		return nil, fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(v.sub.plan.cols))
+	}
+	set := make([]Value, out.n)
+	for i, row := range v.sub.plan.result(out).Rows {
+		set[i] = row[0]
+	}
+	return set, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1483,16 +1771,25 @@ type glit struct{ val Value }
 
 func (v *glit) eval(ctx *vecCtx, g *vgroup) (Value, error) { return v.val, nil }
 
-// gcolfirst reads a column from the group's first row (all-NULL for an empty
-// group), the row engine's semantics for bare columns under aggregation.
-type gcolfirst struct{ slot int }
+// gfirst evaluates a row-context expression under aggregation, as the row
+// engine's groupEnv does for every shape it does not fold (a bare column
+// first among them): over the group's first row, or over a row of NULLs when
+// the group is empty.
+type gfirst struct{ x vexpr }
 
-func (v *gcolfirst) eval(ctx *vecCtx, g *vgroup) (Value, error) {
+func (v *gfirst) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	if g.n == 0 {
-		return Null(), nil
+		nulls := &vbatch{n: 1, cols: make([]*Vec, ctx.p.width)}
+		for s := range nulls.cols {
+			nulls.cols[s] = nullVec
+		}
+		return v.x.row(ctx, nulls, 0)
 	}
-	return g.b.cols[v.slot].At(g.row(0)), nil
+	return v.x.row(ctx, g.b, g.row(0))
 }
+
+// nullVec is the constant NULL. It is shared, and nothing writes to it.
+var nullVec = &Vec{any: []Value{Null()}, konst: true}
 
 type gunary struct {
 	op string
@@ -1593,26 +1890,6 @@ func (v *gcase) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	return Null(), nil
 }
 
-// gfirstrow mirrors groupEnv.eval's default branch: evaluate the expression
-// on the row engine against the group's first row (all-NULL when empty).
-type gfirstrow struct{ e Expr }
-
-func (v *gfirstrow) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	row := make([]Value, len(ctx.p.binds))
-	if g.n == 0 {
-		for s := range row {
-			row[s] = Null()
-		}
-	} else {
-		r0 := g.row(0)
-		for s := range row {
-			row[s] = g.b.cols[s].At(r0)
-		}
-	}
-	en := &env{binds: ctx.p.binds, row: row}
-	return ctx.ex.eval(v.e, en)
-}
-
 // gagg folds an aggregate over the group. The argument expression is
 // evaluated once over the whole batch (memoized across groups and across the
 // HAVING/items/ORDER BY positions that reference aggregates; a bare column is
@@ -1650,6 +1927,9 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	if a.nargs != 1 {
 		return Null(), fmt.Errorf("%w: %s takes one argument", ErrType, a.name)
 	}
+	if ctx.replay {
+		return a.replay(ctx, g)
+	}
 	av, err := a.argVec(ctx, g.b)
 	if err != nil {
 		return Null(), err
@@ -1683,6 +1963,26 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	return agg.result()
 }
 
+// replay folds the group the row engine's way: the argument evaluated at
+// each of the group's rows in order, every one before any is folded, so an
+// evaluation error outranks a fold's type error.
+func (a *gagg) replay(ctx *vecCtx, g *vgroup) (Value, error) {
+	vals := make([]Value, g.n)
+	for k := range vals {
+		var err error
+		if vals[k], err = a.arg.row(ctx, g.b, g.row(k)); err != nil {
+			return Null(), err
+		}
+	}
+	agg := aggFold{name: a.name, distinct: a.distinct}
+	for _, v := range vals {
+		if err := agg.add(v); err != nil {
+			return Null(), err
+		}
+	}
+	return agg.result()
+}
+
 // fold returns the group's typed fold of av: from the column's memo when the
 // group is a whole, unselected image column (stored by the first such query
 // and the same tuple for every later one), by one pass otherwise.
@@ -1690,7 +1990,7 @@ func (a *gagg) fold(ctx *vecCtx, av *Vec, g *vgroup) colFold {
 	if c, ok := a.arg.(*vcol); ok && g.rows == nil {
 		if f, fresh := ctx.imageFold(c.slot, av); f != nil {
 			if !fresh {
-				ctx.ex.db.plans.foldHits.Add(1)
+				ctx.db.plans.foldHits.Add(1)
 			}
 			return *f
 		}
