@@ -1,5 +1,5 @@
 # Development targets for the CEDAR reproduction. `make check` is the full
-# verification gate: build, vet, the complete test suite under the race
+# verification gate: build, gofmt, vet, the complete test suite under the race
 # detector, the chaos suite (fault injection + resilience middleware), the
 # golden-trace determinism gate, the persistent-store gate (crash-recovery
 # sweep + cross-process determinism), the SQL differential gate (vectorized
@@ -22,12 +22,16 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check build vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench
+.PHONY: check build fmt vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench
 
-check: build vet gatelint race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick
+check: build fmt vet gatelint race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint benchmark-quick
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "not gofmt-clean:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -87,8 +91,13 @@ store:
 
 # Documented-surface gate: every flag each binary registers must appear in
 # its docs/CLI.md section (each cmd package walks its own FlagSet), every
-# cedar-serve route must be in the API reference, and every package must
-# open with a package comment.
+# cedar-serve route must be in the API reference, every package must open
+# with a package comment, and EXPERIMENTS.md's seed-17 tables must match the
+# cedar-bench golden. It also runs the reachability census
+# (TestDoclintReachable): every top-level function, method and type of a
+# non-test file is reached from a main, an init, a package-level variable or
+# package cedar's exported API, or is kept by a census entry naming the test
+# that needs it.
 doclint:
 	$(GO) test -run 'Doclint' ./cmd/... ./internal/doclint
 
@@ -107,7 +116,7 @@ gatelint:
 # Query path, which must each answer exactly what the oracle answers, result
 # or error text alike — the pushdown row-count property over the data
 # generators' catalogs (an external test of internal/sqldb), the plan-cache
-# suite (normalized sharing, invalidation, cap, 32-goroutine mixed
+# suite (invalidation, cap, 32-goroutine mixed
 # prepare/execute/invalidate stress), the Schema() memo under catalog churn
 # (32 readers, never a stale schema), the warm-cache verdict/trace
 # determinism tests at the pipeline level, the allocation ceiling of a warm
@@ -151,7 +160,7 @@ stream:
 # Ingestion gate under the race detector (DESIGN.md §15, docs/DATA.md): the
 # CSV/NDJSON/JSON parser and type-inference suites, the deterministic
 # reservoir sampler, dataset persistence round-trips (encode/decode, store
-# restart, base-table protection), the CLI's ingest→verify cold/warm
+# restart, a deleted dataset staying deleted, base-table protection), the CLI's ingest→verify cold/warm
 # bit-identity, the serving tier's /v1/datasets handlers and coordinator
 # fan-out (direct run vs single replica vs 4-shard coordinator verdict
 # identity), the documented journey's fingerprint, the dataset codec's

@@ -437,7 +437,7 @@ func BenchmarkParallelVerification(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger, profile.Options{})
+	stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger, profile.Options{})
+	stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func BenchmarkVerifyFaulty(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger, profile.Options{})
+			stats, err := profile.Run(stack.Methods, profDocs[:6], stack.Ledger)
 			if err != nil {
 				b.Fatal(err)
 			}

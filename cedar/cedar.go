@@ -225,7 +225,7 @@ func New(opts Options) (*System, error) {
 // labeled sample of documents and plans the verification schedule for the
 // configured accuracy target.
 func (s *System) ProfileOn(docs []*Document) error {
-	stats, err := profile.Run(s.stack.Methods, docs, s.stack.Ledger, profile.Options{})
+	stats, err := profile.Run(s.stack.Methods, docs, s.stack.Ledger)
 	if err != nil {
 		return fmt.Errorf("cedar: profiling: %w", err)
 	}

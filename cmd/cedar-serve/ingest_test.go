@@ -103,7 +103,7 @@ func TestIngestedDatasetServingIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := ingest.NewRegistry(db, nil, ingest.Options{Seed: 1})
-	ds, err := reg.IngestBytes([]byte(salesFixtureCSV), ingest.Options{Table: "sales"})
+	ds, err := reg.IngestFrom(strings.NewReader(salesFixtureCSV), ingest.Options{Table: "sales"})
 	if err != nil {
 		t.Fatal(err)
 	}

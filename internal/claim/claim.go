@@ -63,9 +63,6 @@ type Gold struct {
 	Query string
 	// Correct is whether the claim is actually correct.
 	Correct bool
-	// Difficulty in [0,1] summarizes how hard translation is expected to
-	// be; used only for corpus statistics, never by verification.
-	Difficulty float64
 }
 
 // Terminal Result.Method labels for claims no method verified.
@@ -183,26 +180,6 @@ func (d *Document) String() string {
 	return fmt.Sprintf("doc %s (%s): %d claims over db %s", d.ID, d.Domain, len(d.Claims), d.Data.Name)
 }
 
-// Text assembles the document's readable article body: each claim's context
-// paragraph, deduplicated in order (claims generated from the same
-// paragraph share it). This is the "text document" of Definition 2.1 as a
-// reader would see it.
-func (d *Document) Text() string {
-	seen := make(map[string]bool)
-	var paras []string
-	for _, c := range d.Claims {
-		p := c.Context
-		if p == "" {
-			p = c.Sentence
-		}
-		if !seen[p] {
-			seen[p] = true
-			paras = append(paras, p)
-		}
-	}
-	return strings.Join(paras, "\n\n")
-}
-
 // CloneDocuments deep-copies a corpus (documents and claims, sharing the
 // immutable databases) so multiple systems can verify the same benchmark
 // without seeing each other's annotations.
@@ -219,20 +196,6 @@ func CloneDocuments(docs []*Document) []*Document {
 		out = append(out, &nd)
 	}
 	return out
-}
-
-// CountIncorrect returns how many claims are incorrect under the gold
-// labels, a corpus statistic used by benchmark reports.
-func CountIncorrect(docs []*Document) int {
-	n := 0
-	for _, d := range docs {
-		for _, c := range d.Claims {
-			if !c.Gold.Correct {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // TotalClaims returns the number of claims across documents.

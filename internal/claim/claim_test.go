@@ -87,9 +87,6 @@ func TestCorpusCounts(t *testing.T) {
 	if TotalClaims(docs) != 3 {
 		t.Errorf("TotalClaims = %d", TotalClaims(docs))
 	}
-	if CountIncorrect(docs) != 2 {
-		t.Errorf("CountIncorrect = %d", CountIncorrect(docs))
-	}
 }
 
 func TestDocumentString(t *testing.T) {
@@ -97,24 +94,5 @@ func TestDocumentString(t *testing.T) {
 	s := d.String()
 	if !strings.Contains(s, "x") || !strings.Contains(s, "1 claims") {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestDocumentText(t *testing.T) {
-	d := &Document{Claims: []*Claim{
-		{Sentence: "S1.", Context: "Intro. S1. More."},
-		{Sentence: "S2.", Context: "Intro. S1. More."}, // shared paragraph
-		{Sentence: "S3.", Context: "Second para. S3."},
-		{Sentence: "S4."}, // no context: sentence stands alone
-	}}
-	text := d.Text()
-	if strings.Count(text, "Intro. S1. More.") != 1 {
-		t.Errorf("shared paragraph duplicated:\n%s", text)
-	}
-	if !strings.Contains(text, "Second para.") || !strings.Contains(text, "S4.") {
-		t.Errorf("missing paragraphs:\n%s", text)
-	}
-	if strings.Count(text, "\n\n") != 2 {
-		t.Errorf("paragraph separation wrong:\n%q", text)
 	}
 }

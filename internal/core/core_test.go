@@ -33,7 +33,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	evalDocs := docs[8:28]
 
 	methods, ledger := stack(t, 101)
-	stats, err := profile.Run(methods, profDocs, ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAccuracyTargetTradesCost(t *testing.T) {
 	}
 	profDocs := docs[:8]
 	methods, ledger := stack(t, 202)
-	stats, err := profile.Run(methods, profDocs, ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMultiStageCheaperThanBestSingleStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := profile.Run(methods, profDocs[:8], ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs[:8], ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCostBudgetPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := profile.Run(methods, profDocs[:8], ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs[:8], ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestVerifyDocumentsParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := profile.Run(methods, profDocs[:8], ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs[:8], ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestPipelineInvariants(t *testing.T) {
 			}
 		}
 		methods, ledger := stack(t, seed)
-		stats, err := profile.Run(methods, docs[:2], ledger, profile.Options{})
+		stats, err := profile.Run(methods, docs[:2], ledger)
 		if err != nil {
 			t.Fatal(err)
 		}

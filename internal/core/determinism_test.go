@@ -34,7 +34,7 @@ func snapshotRun(t *testing.T, seed int64, workers int, gen func() []*claim.Docu
 func snapshotRunWith(t *testing.T, seed int64, workers int, gen func() []*claim.Document, profDocs []*claim.Document, build stackBuilder) runSnapshot {
 	t.Helper()
 	methods, ledger := build(t, seed)
-	stats, err := profile.Run(methods, profDocs, ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func tracedRun(t *testing.T, seed int64, workers int, faultRate float64, gen fun
 	t.Helper()
 	tracer := trace.New()
 	methods, ledger := resilientStack(t, seed, verify.Middleware{FaultRate: faultRate, Retries: 2, Tracer: tracer})
-	stats, err := profile.Run(methods, profDocs, ledger, profile.Options{})
+	stats, err := profile.Run(methods, profDocs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/claim"
@@ -441,6 +440,3 @@ func stripQualifiers(stmt *sqldb.SelectStmt) {
 		visitExpr(o.Expr)
 	}
 }
-
-// seededRNG is a convenience for tests and examples.
-func seededRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -314,12 +314,3 @@ func BuildDatabase(name string, rng *rand.Rand, rows int, tables ...string) (*sq
 	}
 	return db, nil
 }
-
-// TableNames returns the names of all corpus tables.
-func TableNames() []string {
-	out := make([]string, 0, len(corpusTables))
-	for n := range corpusTables {
-		out = append(out, n)
-	}
-	return out
-}

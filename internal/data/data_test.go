@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -37,8 +38,8 @@ func validateGold(t *testing.T, docs []*claim.Document) {
 						c.ID, c.Value, v.Text(), got, c.Gold.Correct)
 				}
 			}
-			if textutil.SpanText(c.Sentence, c.Span) == "" {
-				t.Errorf("%s: empty span text in %q", c.ID, c.Sentence)
+			if !c.Span.Valid() || c.Span.End >= len(textutil.Tokenize(c.Sentence)) {
+				t.Errorf("%s: span %+v outside %q", c.ID, c.Span, c.Sentence)
 			}
 			if !strings.Contains(c.Context, c.Sentence) {
 				t.Errorf("%s: context does not contain sentence", c.ID)
@@ -79,7 +80,14 @@ func TestAggCheckerShape(t *testing.T) {
 			t.Errorf("domain %s has %d docs", dom, domains[dom])
 		}
 	}
-	inc := claim.CountIncorrect(docs)
+	inc := 0
+	for _, d := range docs {
+		for _, c := range d.Claims {
+			if !c.Gold.Correct {
+				inc++
+			}
+		}
+	}
 	if inc < 25 || inc > 95 {
 		t.Errorf("incorrect claims = %d, want near 15%% of 392", inc)
 	}
@@ -215,7 +223,7 @@ func TestNormalizeTableTableCount(t *testing.T) {
 	total := 0
 	for _, name := range []string{"airlines", "drinks", "so_survey"} {
 		spec := corpusTables[name]
-		tab := BuildTable(spec, seededRNG(1), 0)
+		tab := BuildTable(spec, rand.New(rand.NewSource(1)), 0)
 		db, err := NormalizeTable(tab, name+"_n")
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +236,7 @@ func TestNormalizeTableTableCount(t *testing.T) {
 }
 
 func TestBuildDatabaseUnknownTable(t *testing.T) {
-	if _, err := BuildDatabase("x", seededRNG(1), 0, "nope"); err == nil {
+	if _, err := BuildDatabase("x", rand.New(rand.NewSource(1)), 0, "nope"); err == nil {
 		t.Error("expected error for unknown table")
 	}
 }
@@ -277,7 +285,7 @@ func TestGenerateHazardRates(t *testing.T) {
 
 func TestNormalizeErrors(t *testing.T) {
 	// Multi-table document rejected.
-	db, err := BuildDatabase("multi", seededRNG(1), 0, "airlines", "drinks")
+	db, err := BuildDatabase("multi", rand.New(rand.NewSource(1)), 0, "airlines", "drinks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +301,10 @@ func TestNormalizeErrors(t *testing.T) {
 }
 
 func TestTableNamesComplete(t *testing.T) {
-	names := TableNames()
-	if len(names) != len(corpusTables) {
-		t.Errorf("TableNames = %d entries want %d", len(names), len(corpusTables))
+	for name := range corpusTables {
+		if _, err := BuildDatabase("db", rand.New(rand.NewSource(1)), 3, name); err != nil {
+			t.Errorf("corpus table %s: %v", name, err)
+		}
 	}
 }
 

@@ -178,27 +178,13 @@ func (g *generator) genClaim(id string, db *sqldb.Database, schema *nl.Schema, t
 	}
 	context := strings.Join(parts, " ")
 
-	difficulty := kind.Difficulty()
-	if entityDisplay != "" {
-		difficulty += 0.2
-	}
-	if colPhrase != "" {
-		difficulty += 0.15
-	}
-	if difficulty > 1 {
-		difficulty = 1
-	}
 	return &claim.Claim{
 		ID:       id,
 		Sentence: sentence,
 		Span:     span,
 		Context:  context,
 		Value:    display,
-		Gold: claim.Gold{
-			Query:      goldSQL,
-			Correct:    correct,
-			Difficulty: difficulty,
-		},
+		Gold:     claim.Gold{Query: goldSQL, Correct: correct},
 	}, nil
 }
 

@@ -132,7 +132,7 @@ func RouteBench(seed int64) (*RouteBenchCorpus, error) {
 			if err != nil {
 				return nil, fmt.Errorf("data: routebench compound claim %s: %w", id, err)
 			}
-			c.Gold = claim.Gold{Query: strings.Join(queries, "; "), Correct: correct, Difficulty: 0.8}
+			c.Gold = claim.Gold{Query: strings.Join(queries, "; "), Correct: correct}
 			doc.Claims = append(doc.Claims, c)
 			corpus.Gold[id] = gold
 			corpus.SubClaims += len(gold)

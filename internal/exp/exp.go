@@ -73,7 +73,7 @@ func NewStackResilient(seed int64, mw verify.Middleware) (*Stack, error) {
 
 // Profile estimates method statistics on a held-out corpus.
 func (s *Stack) Profile(profDocs []*claim.Document) ([]schedule.MethodStats, error) {
-	return profile.Run(s.Methods, profDocs, s.Ledger, profile.Options{})
+	return profile.Run(s.Methods, profDocs, s.Ledger)
 }
 
 // RunCEDAR plans a schedule at the accuracy target, verifies the documents,

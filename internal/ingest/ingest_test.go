@@ -397,8 +397,7 @@ func countedRecord(cols int, rows uint32) []byte {
 
 // TestDatasetCodecRejectsImpossibleCounts: a count is bounded by the bytes
 // left in the record. A table of no columns used to take one row per loop
-// turn from nothing, so a 59-byte record decoded into 50 million empty rows,
-// and a manifest's name count sized its slice before a name was read.
+// turn from nothing, so a 59-byte record decoded into 50 million empty rows.
 func TestDatasetCodecRejectsImpossibleCounts(t *testing.T) {
 	if r, err := decodeDataset(countedRecord(0, 0)); err != nil || len(r.Table.Rows) != 0 {
 		t.Fatalf("an empty table without columns: %v", err)
@@ -418,11 +417,6 @@ func TestDatasetCodecRejectsImpossibleCounts(t *testing.T) {
 	binary.LittleEndian.PutUint32(rec[len(rec)-8:], 1<<32-1)
 	if _, err := decodeDataset(rec); err == nil {
 		t.Error("a record declaring 2^32-1 table columns decoded")
-	}
-	manifest := encodeManifest(nil)
-	binary.LittleEndian.PutUint32(manifest[1:], 1<<32-1)
-	if _, err := decodeManifest(manifest); err == nil {
-		t.Error("a manifest declaring 2^32-1 names decoded")
 	}
 }
 
@@ -489,8 +483,8 @@ func TestRegistryPersistRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	// Warm restart: a fresh registry over a fresh DB restores both datasets
-	// in order with identical fingerprints.
+	// Warm restart: a fresh registry over a fresh DB restores both datasets,
+	// in the order they are asked for, with identical fingerprints.
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -498,44 +492,70 @@ func TestRegistryPersistRoundTrip(t *testing.T) {
 	defer st2.Close()
 	db2 := sqldb.NewDatabase("d")
 	reg2 := NewRegistry(db2, st2, Options{})
-	n, err := reg2.LoadPersisted()
-	if err != nil {
-		t.Fatalf("LoadPersisted: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("restored %d datasets, want 2", n)
+	for _, name := range []string{"sales", "pairs"} {
+		if _, err := reg2.LoadDataset(name); err != nil {
+			t.Fatalf("LoadDataset(%s): %v", name, err)
+		}
 	}
 	list := reg2.List()
 	if len(list) != 2 || list[0].Info.Name != "sales" || list[1].Info.Name != "pairs" {
 		t.Fatalf("restore order wrong: %v", list)
 	}
-	if list[0].Info.Fingerprint != res.Fingerprint {
+	if list[0].Info.Fingerprint != res.Fingerprint || list[1].Info.Fingerprint != res2.Fingerprint {
 		t.Fatal("restored fingerprint differs")
 	}
 	if db2.Table("sales") == nil || db2.Table("pairs") == nil {
 		t.Fatal("restored tables missing from catalog")
 	}
+}
 
-	// Delete persists: after another restart the dataset stays gone.
-	if ok, err := reg2.Delete("sales"); !ok || err != nil {
+// TestDatasetDeleteSurvivesRestart: a deleted dataset stays deleted after
+// the store is reopened, its neighbours still restore, and the name can be
+// registered again. Deletion used to rewrite a manifest that no restore
+// path read, so LoadDataset brought the deleted table back.
+func TestDatasetDeleteSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	reopen := func() (*store.Store, *Registry) {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st, NewRegistry(sqldb.NewDatabase("d"), st, Options{})
+	}
+	st, reg := reopen()
+	res := mustIngest(t, salesCSV, Options{Table: "sales"})
+	pairs := mustIngest(t, `[{"name":"x","n":1},{"name":"y","n":2}]`, Options{Table: "pairs"})
+	for _, r := range []*Result{res, pairs} {
+		if _, err := reg.Add(r); err != nil {
+			t.Fatalf("Add %s: %v", r.Name, err)
+		}
+	}
+	if ok, err := reg.Delete("Sales"); !ok || err != nil {
 		t.Fatalf("Delete: ok=%v err=%v", ok, err)
 	}
-	if db2.Table("sales") != nil {
-		t.Fatal("deleted table still in catalog")
+	st.Close()
+
+	st, reg = reopen()
+	if ds, err := reg.LoadDataset("sales"); err == nil || !strings.Contains(err.Error(), "not found") {
+		t.Fatalf("LoadDataset(sales) after delete and restart = %v, %v; want not found", ds, err)
 	}
-	st2.Close()
-	st3, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("reopen 2: %v", err)
+	if reg.Get("sales") != nil || reg.db.Table("sales") != nil {
+		t.Fatal("a failed restore left the deleted dataset registered")
 	}
-	defer st3.Close()
-	db3 := sqldb.NewDatabase("d")
-	reg3 := NewRegistry(db3, st3, Options{})
-	if n, err := reg3.LoadPersisted(); err != nil || n != 1 {
-		t.Fatalf("after delete: restored %d (%v), want 1", n, err)
+	if ds, err := reg.LoadDataset("pairs"); err != nil || ds.Info.Fingerprint != pairs.Fingerprint {
+		t.Fatalf("LoadDataset(pairs) = %v, %v; the undeleted dataset must restore", ds, err)
 	}
-	if reg3.Get("sales") != nil {
-		t.Fatal("deleted dataset resurrected")
+	if _, err := reg.Add(res); err != nil {
+		t.Fatalf("re-Add after delete: %v", err)
+	}
+	st.Close()
+
+	_, reg = reopen()
+	ds, err := reg.LoadDataset("sales")
+	if err != nil || ds.Info.Fingerprint != res.Fingerprint {
+		t.Fatalf("LoadDataset(sales) after re-Add = %v, %v", ds, err)
 	}
 }
 

@@ -8,19 +8,17 @@ import (
 	"repro/internal/sqldb"
 )
 
-// persist.go encodes ingested catalogs for internal/store. Records live
-// under the "d\x00" key prefix (completions use "c\x00", verdict memos
-// "m\x00"); a manifest record lists the registered dataset names in
-// ingestion order, and deletion rewrites the manifest — the store is
-// append-only with last-write-wins semantics, so absence from the manifest
-// is the tombstone. The codec is length-prefixed and versioned; a decoded
-// table is bit-identical to the encoded one (column kinds are restored
-// explicitly, not re-inferred), which is what makes cold-vs-warm verdicts
-// reproduce.
+// persist.go encodes ingested catalogs for internal/store. Each dataset is
+// one record under the "d\x00" key prefix (completions use "c\x00", verdict
+// memos "m\x00"). The store is append-only with last-write-wins semantics,
+// so deletion overwrites the dataset's record with an empty value, the
+// tombstone, and a later Add overwrites that. The codec is length-prefixed
+// and versioned; a decoded table is bit-identical to the encoded one (column
+// kinds are restored explicitly, not re-inferred), which is what makes
+// cold-vs-warm verdicts reproduce.
 
 const (
 	datasetPrefix   = "d\x00"
-	manifestKey     = "d\x00\x00manifest"
 	datasetCodecVer = 1
 )
 
@@ -241,32 +239,4 @@ func decodeDataset(b []byte) (*Result, error) {
 	r.Table = t
 	r.RowsKept = len(t.Rows)
 	return r, nil
-}
-
-// encodeManifest serializes the ordered dataset name list.
-func encodeManifest(names []string) []byte {
-	e := &enc{}
-	e.u8(datasetCodecVer)
-	e.u32(uint32(len(names)))
-	for _, n := range names {
-		e.str(n)
-	}
-	return e.b
-}
-
-// decodeManifest restores the ordered dataset name list.
-func decodeManifest(b []byte) ([]string, error) {
-	d := &dec{b: b}
-	if v := d.u8(); d.err == nil && v != datasetCodecVer {
-		return nil, fmt.Errorf("ingest: manifest version %d, want %d", v, datasetCodecVer)
-	}
-	n := d.count("dataset names", 4)
-	out := make([]string, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, d.str())
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return out, nil
 }

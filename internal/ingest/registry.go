@@ -55,12 +55,6 @@ func (r *Registry) fill(opts Options) Options {
 	return opts
 }
 
-// IngestBytes ingests raw request bytes via Ingest (with the registry
-// defaults filling unset budgets) and registers the result.
-func (r *Registry) IngestBytes(data []byte, opts Options) (*Dataset, error) {
-	return r.IngestFrom(strings.NewReader(string(data)), opts)
-}
-
 // IngestFrom ingests from a reader (with the registry defaults filling
 // unset budgets) and registers the result. It is the one-call path the
 // serve handlers use; the reader is consumed at most MaxBytes+1 bytes.
@@ -101,9 +95,6 @@ func (r *Registry) Add(res *Result) (*Dataset, error) {
 		if err := r.st.Put(datasetKey(res.Name), encodeDataset(res)); err != nil {
 			return nil, fmt.Errorf("ingest: persist %s: %w", res.Name, err)
 		}
-		if err := r.writeManifestLocked(); err != nil {
-			return nil, err
-		}
 	}
 	return ds, nil
 }
@@ -126,9 +117,10 @@ func (r *Registry) List() []*Dataset {
 	return out
 }
 
-// Delete removes a dataset from the registry and the catalog, and rewrites
-// the persisted manifest so the dataset stays gone after a restart. It
-// reports whether the dataset existed; base tables are not deletable.
+// Delete removes a dataset from the registry and the catalog, and
+// overwrites its persisted record with a tombstone so the dataset stays gone
+// after a restart. It reports whether the dataset existed; base tables are
+// not deletable.
 func (r *Registry) Delete(name string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -145,48 +137,16 @@ func (r *Registry) Delete(name string) (bool, error) {
 	}
 	r.db.RemoveTable(name)
 	if r.st != nil {
-		if err := r.writeManifestLocked(); err != nil {
-			return true, err
+		if err := r.st.Put(datasetKey(name), nil); err != nil {
+			return true, fmt.Errorf("ingest: persist deletion of %s: %w", name, err)
 		}
 	}
 	return true, nil
 }
 
-// LoadPersisted restores every manifest-listed dataset from the store into
-// the registry and catalog, in manifest (= original ingestion) order so the
-// rebuilt catalog fingerprints identically. Missing or undecodable records
-// are errors: a half-restored catalog would silently change verdicts.
-func (r *Registry) LoadPersisted() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.st == nil {
-		return 0, nil
-	}
-	raw, ok := r.st.Get([]byte(manifestKey))
-	if !ok {
-		return 0, nil
-	}
-	names, err := decodeManifest(raw)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, name := range names {
-		if _, already := r.byName[strings.ToLower(name)]; already {
-			continue
-		}
-		if err := r.loadLocked(name); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// LoadDataset restores one named dataset from the store. Unlike
-// LoadPersisted it pulls in only what the caller asked for, so a run that
-// names specific datasets does not change its database fingerprint when
-// unrelated datasets share the store.
+// LoadDataset restores one named dataset from the store. It pulls in only
+// what the caller asked for, so a run that names specific datasets does not
+// change its database fingerprint when unrelated datasets share the store.
 func (r *Registry) LoadDataset(name string) (*Dataset, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -207,7 +167,7 @@ func (r *Registry) LoadDataset(name string) (*Dataset, error) {
 func (r *Registry) loadLocked(name string) error {
 	key := strings.ToLower(name)
 	rec, ok := r.st.Get(datasetKey(name))
-	if !ok {
+	if !ok || len(rec) == 0 { // an empty record is a deletion's tombstone
 		return fmt.Errorf("ingest: dataset %q not found in store", name)
 	}
 	res, err := decodeDataset(rec)
@@ -224,18 +184,5 @@ func (r *Registry) loadLocked(name string) error {
 	}
 	r.byName[key] = &Dataset{Info: res, Surface: surface}
 	r.order = append(r.order, key)
-	return nil
-}
-
-// writeManifestLocked persists the current dataset name list (display case
-// preserved via each dataset's Info.Name).
-func (r *Registry) writeManifestLocked() error {
-	names := make([]string, 0, len(r.order))
-	for _, k := range r.order {
-		names = append(names, r.byName[k].Info.Name)
-	}
-	if err := r.st.Put([]byte(manifestKey), encodeManifest(names)); err != nil {
-		return fmt.Errorf("ingest: persist manifest: %w", err)
-	}
 	return nil
 }

@@ -22,7 +22,7 @@ func TestRouteAcrossIngestedAndCompiledTables(t *testing.T) {
 
 	reg := NewRegistry(db, nil, Options{Seed: 5})
 	const drinksCSV = "country,beer_servings,wine_servings\nFrance,127,370\nGermany,346,175\n"
-	ds, err := reg.IngestBytes([]byte(drinksCSV), Options{Table: "drinks"})
+	ds, err := reg.IngestFrom(strings.NewReader(drinksCSV), Options{Table: "drinks"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDatasetDeleteEvictsCrossTablePlans(t *testing.T) {
 
 	reg := NewRegistry(db, nil, Options{Seed: 5})
 	const salesByRegion = "region,units\nnorth,12\nsouth,7\n"
-	if _, err := reg.IngestBytes([]byte(salesByRegion), Options{Table: "sales"}); err != nil {
+	if _, err := reg.IngestFrom(strings.NewReader(salesByRegion), Options{Table: "sales"}); err != nil {
 		t.Fatal(err)
 	}
 

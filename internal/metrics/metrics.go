@@ -93,11 +93,3 @@ func (r RunCost) Throughput() float64 {
 	}
 	return float64(r.Claims) / r.Wall.Hours()
 }
-
-// CostPerClaim returns average dollars per claim.
-func (r RunCost) CostPerClaim() float64 {
-	if r.Claims == 0 {
-		return 0
-	}
-	return r.Dollars / float64(r.Claims)
-}

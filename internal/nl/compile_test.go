@@ -321,12 +321,12 @@ func awaitRelease(t *testing.T, released <-chan struct{}, what string) {
 	}
 }
 
-// releaseOnCollect sets a finalizer on text's backing array that closes the
-// returned channel once text is unreachable. text must be a fresh heap string
+// releaseOnCollect registers a cleanup on text's backing array that closes
+// the returned channel once text is unreachable. text must be a fresh heap string
 // longer than 16 bytes, so that the array is an allocation of its own.
 func releaseOnCollect(text string) <-chan struct{} {
 	released := make(chan struct{})
-	runtime.SetFinalizer(unsafe.StringData(text), func(*byte) { close(released) })
+	runtime.AddCleanup(unsafe.StringData(text), func(ch chan struct{}) { close(ch) }, released)
 	return released
 }
 

@@ -220,23 +220,6 @@ func (l *Lexicon) AliasesFor(value string) []string {
 	return l.Aliases[strings.ToLower(value)]
 }
 
-// Conversion looks up the factor converting a value stored in fromUnit to
-// toUnit. ok is false when the pair is not convertible.
-func (l *Lexicon) Conversion(fromUnit, toUnit string) (float64, bool) {
-	if fromUnit == toUnit {
-		return 1, true
-	}
-	for _, u := range l.Units {
-		if u.From == fromUnit && u.To == toUnit {
-			return u.Factor, true
-		}
-		if u.From == toUnit && u.To == fromUnit {
-			return 1 / u.Factor, true
-		}
-	}
-	return 0, false
-}
-
 // ConvertedUnitFor returns the alternative unit a column's values can be
 // expressed in, with the factor, or ok=false for unitless columns.
 func (l *Lexicon) ConvertedUnitFor(col string) (unit string, factor float64, ok bool) {

@@ -268,20 +268,14 @@ func TestParseUnparseable(t *testing.T) {
 
 func TestLexiconConversions(t *testing.T) {
 	lex := DefaultLexicon()
-	f, ok := lex.Conversion("kilometres", "miles")
-	if !ok || f < 0.62 || f > 0.63 {
-		t.Errorf("km->miles = %v %v", f, ok)
+	if unit, f, ok := lex.ConvertedUnitFor("avail_seat_km_per_week"); !ok || unit != "miles" || f < 0.62 || f > 0.63 {
+		t.Errorf("km column converts to %q x%v (%v), want miles x0.621", unit, f, ok)
 	}
-	// Reverse direction derived automatically.
-	f, ok = lex.Conversion("miles", "kilometres")
-	if !ok || f < 1.6 || f > 1.61 {
-		t.Errorf("miles->km = %v %v", f, ok)
+	if unit, f, ok := lex.ConvertedUnitFor("area_km2"); !ok || unit != "square miles" || f < 0.38 || f > 0.39 {
+		t.Errorf("km² column converts to %q x%v (%v), want square miles x0.386", unit, f, ok)
 	}
-	if _, ok := lex.Conversion("kilometres", "gallons"); ok {
-		t.Error("nonsense conversion accepted")
-	}
-	if f, ok := lex.Conversion("feet", "feet"); !ok || f != 1 {
-		t.Error("identity conversion")
+	if unit, _, ok := lex.ConvertedUnitFor("airline"); ok {
+		t.Errorf("unitless column converts to %q", unit)
 	}
 }
 
@@ -317,14 +311,11 @@ func TestEntityColumnOf(t *testing.T) {
 	}
 }
 
-func TestKindStringAndDifficulty(t *testing.T) {
+func TestKindString(t *testing.T) {
 	if KindLookup.String() != "Lookup" || KindPercent.String() != "Percent" {
 		t.Error("kind names")
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind name")
-	}
-	if KindLookup.Difficulty() >= KindPercent.Difficulty() {
-		t.Error("difficulty ordering")
 	}
 }

@@ -128,22 +128,6 @@ func TestCutLast(t *testing.T) {
 	}
 }
 
-func TestDifficultyMonotonicity(t *testing.T) {
-	// Every kind has a difficulty in (0, 1]; hard kinds above easy ones.
-	for k := KindLookup; k <= KindMode; k++ {
-		d := k.Difficulty()
-		if d <= 0 || d > 1 {
-			t.Errorf("difficulty(%v) = %v", k, d)
-		}
-	}
-	if KindPercent.Difficulty() <= KindCount.Difficulty() {
-		t.Error("Percent must be harder than Count")
-	}
-	if Kind(99).Difficulty() != 0.5 {
-		t.Error("unknown kind default difficulty")
-	}
-}
-
 func TestFirstEntityColumn(t *testing.T) {
 	db := filterDB(t)
 	if got := firstEntityColumn(SchemaFromDatabase(db)); got != "airline" {

@@ -22,10 +22,6 @@ type RenderOptions struct {
 	// EntityDisplay overrides the surface form of Spec.EntityVal (e.g. an
 	// alias that does not occur in the data). Empty uses Spec.EntityVal.
 	EntityDisplay string
-	// FilterPhrase overrides the phrase for Spec.FilterCol.
-	FilterPhrase string
-	// FilterDisplay overrides the surface form of Spec.FilterVal.
-	FilterDisplay string
 	// Verb selects the claim verb ("recorded", "had", "reported"); empty
 	// uses the canonical "recorded".
 	Verb string
@@ -57,13 +53,9 @@ func RenderSentence(spec *Spec, lex *Lexicon, opt RenderOptions) string {
 	if colPhrase == "" {
 		colPhrase = lex.ColumnPhrase(spec.Column)
 	}
-	filterPhrase := opt.FilterPhrase
-	if filterPhrase == "" && spec.FilterCol != "" {
+	var filterPhrase string
+	if spec.FilterCol != "" {
 		filterPhrase = lex.ColumnPhrase(spec.FilterCol)
-	}
-	filterVal := opt.FilterDisplay
-	if filterVal == "" {
-		filterVal = spec.FilterVal
 	}
 	entity := opt.EntityDisplay
 	if entity == "" {
@@ -81,17 +73,17 @@ func RenderSentence(spec *Spec, lex *Lexicon, opt RenderOptions) string {
 	case KindCountAll:
 		return fmt.Sprintf("%s%s %s.", cueCountAll, v, noun)
 	case KindCount:
-		return fmt.Sprintf("%s%s %s %s %s of %s.", cueCount, v, noun, verb, filterPhrase, filterVal)
+		return fmt.Sprintf("%s%s %s %s %s of %s.", cueCount, v, noun, verb, filterPhrase, spec.FilterVal)
 	case KindSum:
 		if spec.FilterCol != "" {
 			return fmt.Sprintf("%s%s %s were recorded across %s with %s of %s.",
-				cueSum, v, colPhrase, noun, filterPhrase, filterVal)
+				cueSum, v, colPhrase, noun, filterPhrase, spec.FilterVal)
 		}
 		return fmt.Sprintf("%s%s %s were recorded across all %s.", cueSum, v, colPhrase, noun)
 	case KindAvg:
 		if spec.FilterCol != "" {
 			return fmt.Sprintf("%s%s with %s of %s %s %s %s.",
-				cueAvg, noun, filterPhrase, filterVal, verb, v, colPhrase)
+				cueAvg, noun, filterPhrase, spec.FilterVal, verb, v, colPhrase)
 		}
 		return fmt.Sprintf("%s%s %s %s %s.", cueAvg, noun, verb, v, colPhrase)
 	case KindMin:
@@ -105,7 +97,7 @@ func RenderSentence(spec *Spec, lex *Lexicon, opt RenderOptions) string {
 	case KindArgMin:
 		return fmt.Sprintf("%s%s%s of all %s.", v, cueArgMin, colPhrase, noun)
 	case KindPercent:
-		return fmt.Sprintf("About %s%s%s %s %s of %s.", v, cuePercent, noun, verb, filterPhrase, filterVal)
+		return fmt.Sprintf("About %s%s%s %s %s of %s.", v, cuePercent, noun, verb, filterPhrase, spec.FilterVal)
 	case KindMode:
 		return fmt.Sprintf("%s%s%s among the %s.", v, cueMode, colPhrase, noun)
 	}

@@ -52,28 +52,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Difficulty returns a rough translation-difficulty score in [0,1] per kind.
-func (k Kind) Difficulty() float64 {
-	switch k {
-	case KindLookup, KindCountAll:
-		return 0.15
-	case KindCount, KindSum, KindAvg:
-		return 0.3
-	case KindMin, KindMax:
-		return 0.35
-	case KindDiff:
-		return 0.55
-	case KindArgMax, KindArgMin:
-		return 0.6
-	case KindPercent:
-		return 0.7
-	case KindMode:
-		return 0.65
-	default:
-		return 0.5
-	}
-}
-
 // Spec is the semantic core of a claim: which relation of the data the
 // claimed value denotes. A Spec plus a schema determines a SQL query; a Spec
 // plus a lexicon determines an English sentence.

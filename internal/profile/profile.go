@@ -52,19 +52,11 @@ func LoadStats(path string) ([]schedule.MethodStats, error) {
 	return stats, nil
 }
 
-// Options configure a profiling run.
-type Options struct {
-	// Temperature used for profiling attempts (0 matches the first try of
-	// the production schedule).
-	Temperature float64
-	// MaxClaims caps the number of claims profiled per method (0 = all).
-	MaxClaims int
-}
-
 // Run profiles each method over the documents and returns scheduler stats.
-// The ledger must be the one metering the methods' clients; it is reset
-// around each method so fees attribute correctly.
-func Run(methods []verify.Method, docs []*claim.Document, ledger *llm.Ledger, opts Options) ([]schedule.MethodStats, error) {
+// Every attempt runs at temperature 0, as the first try of the production
+// schedule does. The ledger must be the one metering the methods' clients;
+// it is reset around each method so fees attribute correctly.
+func Run(methods []verify.Method, docs []*claim.Document, ledger *llm.Ledger) ([]schedule.MethodStats, error) {
 	if len(methods) == 0 {
 		return nil, fmt.Errorf("profile: no methods")
 	}
@@ -75,12 +67,9 @@ func Run(methods []verify.Method, docs []*claim.Document, ledger *llm.Ledger, op
 		var wall time.Duration
 		for _, d := range docs {
 			for _, c := range d.Claims {
-				if opts.MaxClaims > 0 && attempts >= opts.MaxClaims {
-					break
-				}
 				cc := *c // never mutate the profiling corpus
 				attempts++
-				if verify.Attempt(m, &cc, d.Data, nil, opts.Temperature) {
+				if verify.Attempt(m, &cc, d.Data, nil, 0) {
 					successes++
 				}
 			}

@@ -38,7 +38,7 @@ func testSetup(t *testing.T, seed int64) ([]verify.Method, *llm.Ledger, []*claim
 
 func TestRunProducesUsableStats(t *testing.T) {
 	methods, ledger, docs := testSetup(t, 9)
-	stats, err := Run(methods, docs, ledger, Options{})
+	stats, err := Run(methods, docs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunProducesUsableStats(t *testing.T) {
 
 func TestRunDoesNotMutateCorpus(t *testing.T) {
 	methods, ledger, docs := testSetup(t, 10)
-	if _, err := Run(methods, docs, ledger, Options{}); err != nil {
+	if _, err := Run(methods, docs, ledger); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range docs {
@@ -81,29 +81,13 @@ func TestRunDoesNotMutateCorpus(t *testing.T) {
 	}
 }
 
-func TestRunMaxClaims(t *testing.T) {
-	methods, ledger, docs := testSetup(t, 11)
-	stats, err := Run(methods, docs, ledger, Options{MaxClaims: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With only 5 claims the accuracy estimate is a multiple of 1/5
-	// (after clamping).
-	for _, s := range stats {
-		scaled := s.Accuracy * 5
-		if s.Accuracy != 0.995 && s.Accuracy != 0.01 && scaled != float64(int(scaled+0.5)) {
-			t.Errorf("%s accuracy %v not consistent with 5 claims", s.Name, s.Accuracy)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	_, ledger, docs := testSetup(t, 12)
-	if _, err := Run(nil, docs, ledger, Options{}); err == nil {
+	if _, err := Run(nil, docs, ledger); err == nil {
 		t.Error("expected error with no methods")
 	}
 	methods, ledger2, _ := testSetup(t, 13)
-	if _, err := Run(methods, nil, ledger2, Options{}); err == nil {
+	if _, err := Run(methods, nil, ledger2); err == nil {
 		t.Error("expected error with empty corpus")
 	}
 }
@@ -120,7 +104,7 @@ func (failingMethod) Translate(*claim.Claim, *sqldb.Database, verify.Invocation)
 
 func TestRunClampsDegenerateStats(t *testing.T) {
 	_, ledger, docs := testSetup(t, 14)
-	stats, err := Run([]verify.Method{failingMethod{}}, docs, ledger, Options{})
+	stats, err := Run([]verify.Method{failingMethod{}}, docs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +118,7 @@ func TestRunClampsDegenerateStats(t *testing.T) {
 
 func TestSaveLoadStats(t *testing.T) {
 	methods, ledger, docs := testSetup(t, 15)
-	stats, err := Run(methods, docs, ledger, Options{})
+	stats, err := Run(methods, docs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

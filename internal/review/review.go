@@ -285,19 +285,6 @@ func SortItems(items []Item) {
 	})
 }
 
-// Get returns one item, pending or resolved.
-func (q *Queue) Get(id string) (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if p, ok := q.items[id]; ok {
-		return p.Item, true
-	}
-	if it, ok := q.resolvedItems[id]; ok {
-		return *it, true
-	}
-	return Item{}, false
-}
-
 // Resolve records the human verdict for one item and removes it from the
 // pending set. Resolve is idempotent: resolving an already-resolved item
 // returns it with its first resolution intact — later calls, whatever they

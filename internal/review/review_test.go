@@ -382,7 +382,7 @@ func TestReviewQueueReleasesRequestText(t *testing.T) {
 	func() {
 		body := fmt.Sprintf(`{"doc_id":"doc-%d","claims":[{"id":"c1","sentence":"The value is 42.","value":"42"}]}%s`,
 			time.Now().UnixNano(), strings.Repeat(" ", 256))
-		runtime.SetFinalizer(unsafe.StringData(body), func(*byte) { close(released) })
+		runtime.AddCleanup(unsafe.StringData(body), func(ch chan struct{}) { close(ch) }, released)
 		at := func(s string) string { i := strings.Index(body, s); return body[i : i+len(s)] }
 		if !q.Enqueue(Item{DocID: at("doc-"), ClaimID: at("c1"), Sentence: at("The value is 42."), Value: at("42"), Disagreement: 1}) {
 			t.Fatal("item not enqueued")

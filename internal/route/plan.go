@@ -166,7 +166,7 @@ func (p *Plan) routeSubs(doc *claim.Document, claimIdx int, subs []SubClaim, cat
 	// Fees book only for fully-routed claims: a claim that falls back to
 	// passthrough pays nothing.
 	p.SubClaims += len(out)
-	p.Fee += opts.fee() * fee.Fee(len(out))
+	p.Fee += DefaultFee * fee.Fee(len(out))
 	return out
 }
 

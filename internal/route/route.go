@@ -41,15 +41,13 @@ const DefaultFee fee.Fee = 100_000
 const DefaultAccuracy = 0.96
 
 // Options configure planning. The zero value is usable: TopK defaults to
-// DefaultTopK and Fee to DefaultFee.
+// DefaultTopK. Every sub-claim routing decision books DefaultFee.
 type Options struct {
 	// Seed drives the routing stage's tie-breaking; it must match across
 	// topologies (library, replica, coordinator) for identical bindings.
 	Seed int64
 	// TopK bounds the candidate set handed to the routing pick.
 	TopK int
-	// Fee is booked per sub-claim routing decision; <= 0 means DefaultFee.
-	Fee fee.Fee
 	// Tracer, when non-nil, records route_score/route_pick spans under the
 	// parent claim's identity. Both kinds are dropped by
 	// trace.ReplayNormalize: the routing transcript is a property of how the
@@ -62,11 +60,4 @@ func (o Options) topK() int {
 		return DefaultTopK
 	}
 	return o.TopK
-}
-
-func (o Options) fee() fee.Fee {
-	if o.Fee <= 0 {
-		return DefaultFee
-	}
-	return o.Fee
 }

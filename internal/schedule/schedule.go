@@ -63,15 +63,6 @@ func (s *Schedule) DistinctMethods() int {
 	return n
 }
 
-// TotalTries sums tries across steps.
-func (s *Schedule) TotalTries() int {
-	n := 0
-	for _, st := range s.Steps {
-		n += st.Tries
-	}
-	return n
-}
-
 // String renders the schedule compactly: "m1 x2 -> m2 x1".
 func (s *Schedule) String() string {
 	var parts []string

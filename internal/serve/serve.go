@@ -226,10 +226,6 @@ func (s *Server) Draining() bool {
 // QueueDepth returns the number of requests admitted but not yet batched.
 func (s *Server) QueueDepth() int { return len(s.queue) }
 
-// Review exposes the server's review queue (never nil after New). Test and
-// cmd hook; HTTP clients use GET /v1/review and POST /v1/review/{id}.
-func (s *Server) Review() *review.Queue { return s.review }
-
 // Shutdown drains the server gracefully: new requests are rejected with 503
 // immediately, every request already admitted is verified and answered, and
 // Shutdown returns once the batch loop has exited — or with ctx's error if

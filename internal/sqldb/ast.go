@@ -249,19 +249,13 @@ type SubqueryExpr struct{ Stmt *SelectStmt }
 // SQL implements Expr.
 func (e *SubqueryExpr) SQL() string { return "(" + e.Stmt.SQL() + ")" }
 
-// ExistsExpr is `EXISTS (subquery)`.
+// ExistsExpr is `EXISTS (subquery)`. `NOT EXISTS` parses as NOT over it.
 type ExistsExpr struct {
 	Stmt *SelectStmt
-	Not  bool
 }
 
 // SQL implements Expr.
-func (e *ExistsExpr) SQL() string {
-	if e.Not {
-		return "NOT EXISTS (" + e.Stmt.SQL() + ")"
-	}
-	return "EXISTS (" + e.Stmt.SQL() + ")"
-}
+func (e *ExistsExpr) SQL() string { return "EXISTS (" + e.Stmt.SQL() + ")" }
 
 // SelectItem is one projection of a SELECT list with an optional alias.
 type SelectItem struct {

@@ -42,8 +42,8 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Query parses and executes a SELECT statement against db. Parsed plans are
-// cached on the database keyed by normalized query text (stmt_cache.go), and
+// Query parses and executes a SELECT statement against db. Compiled plans
+// are cached on the database keyed by the query text (stmt_cache.go), and
 // every statement runs on the vectorized engine: its answer, result or error,
 // is the one the row-at-a-time semantics of DESIGN.md §12 define.
 func Query(db *Database, sql string) (*Result, error) {

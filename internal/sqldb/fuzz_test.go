@@ -152,11 +152,12 @@ func FuzzParseAndExec(f *testing.F) {
 	})
 }
 
-// FuzzPlanCacheKey attacks the plan cache's normalized keying with pairs of
-// statements: two statements that normalize to the same text must share one
-// plan entry (the prepared-statement sharing guarantee), and two that
-// normalize differently must never collide into one entry (key injectivity —
-// a collision would silently run the wrong plan).
+// FuzzPlanCacheKey attacks the plan cache's keying with pairs of
+// statements, often two spellings of one statement, over one database. Each
+// spelling's cached answer, result or error text, must be the answer of its
+// own statement's uncached plan (ExecVec): a key that ran another
+// statement's plan would show here. A re-lookup must return the entry the
+// first one cached.
 func FuzzPlanCacheKey(f *testing.F) {
 	pairs := [][2]string{
 		{`SELECT a FROM t`, `SELECT  a  FROM  t`},
@@ -175,37 +176,36 @@ func FuzzPlanCacheKey(f *testing.F) {
 		if len(a) > 300 || len(b) > 300 {
 			return
 		}
-		na, errA := Normalize(a)
-		nb, errB := Normalize(b)
-		if errA != nil || errB != nil {
-			return // unparsable input is never cached; nothing to key
-		}
 		db := NewDatabase("fz")
 		tab := NewTable("t", "a", "b", "c")
 		tab.MustAppendRow(Text("x"), Int(1), Float(1.5))
 		db.AddTable(tab)
 
-		ea, err := db.plans.lookup(db, a)
-		if err != nil {
-			t.Fatalf("lookup(%q) failed after Normalize succeeded: %v", a, err)
+		answer := func(res *Result, err error) string {
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			return res.String()
 		}
-		eb, err := db.plans.lookup(db, b)
-		if err != nil {
-			t.Fatalf("lookup(%q) failed after Normalize succeeded: %v", b, err)
-		}
-		if ea.norm != na || eb.norm != nb {
-			t.Fatalf("cached entry norm drifted from Normalize:\nentry a: %q vs %q\nentry b: %q vs %q", ea.norm, na, eb.norm, nb)
-		}
-		if na == nb && ea != eb {
-			t.Fatalf("equal normalized text did not share a plan:\na: %q\nb: %q\nnorm: %q", a, b, na)
-		}
-		if na != nb && ea == eb {
-			t.Fatalf("plan cache collision:\na: %q -> %q\nb: %q -> %q", a, na, b, nb)
-		}
-		// Re-looking up a must hit the same normalized plan.
-		ea2, err := db.plans.lookup(db, a)
-		if err != nil || ea2.norm != na {
-			t.Fatalf("re-lookup of %q: err=%v norm=%q want %q", a, err, ea2.norm, na)
+		for _, q := range []string{a, b, a} {
+			stmt, err := Parse(q)
+			var want string
+			if err != nil {
+				want = answer(nil, err)
+			} else {
+				want = answer(ExecVec(db, stmt))
+			}
+			if got := answer(Query(db, q)); got != want {
+				t.Fatalf("cached answer to %q:\n%s\nuncached:\n%s", q, got, want)
+			}
+			if err != nil {
+				continue // unparsable input is never cached
+			}
+			e1, err1 := db.plans.lookup(db, q)
+			e2, err2 := db.plans.lookup(db, q)
+			if err1 != nil || err2 != nil || e1 != e2 {
+				t.Fatalf("re-lookup of %q returned another entry (%v, %v)", q, err1, err2)
+			}
 		}
 	})
 }

@@ -569,11 +569,7 @@ func (ex *executor) eval(e Expr, en *env) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		found := len(res.Rows) > 0
-		if v.Not {
-			found = !found
-		}
-		return Bool(found), nil
+		return Bool(len(res.Rows) > 0), nil
 	case *StarExpr:
 		return Null(), fmt.Errorf("%w: * outside SELECT list", ErrSyntax)
 	}

@@ -436,7 +436,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 	case *SubqueryExpr:
 		return &vsub{sub: c.subquery(v.Stmt)}
 	case *ExistsExpr:
-		return &vexists{sub: c.subquery(v.Stmt), not: v.Not}
+		return &vexists{sub: c.subquery(v.Stmt)}
 	case *StarExpr:
 		return &verr{fmt.Errorf("%w: * outside SELECT list", ErrSyntax)}
 	}

@@ -10,27 +10,26 @@ import (
 )
 
 // stmt_cache.go is the parsed-plan / prepared-statement cache. Plans are
-// keyed twice: by the raw query text (the fast path — a repeated query skips
-// the lexer and parser entirely) and by the normalized rendering of the
-// parsed statement (stmt.SQL()), so differently spelled but structurally
-// identical queries share one compiled plan. Entries record the tables they
-// reference (including subqueries) and the combined change stamp of those
-// tables at compile time; AddTable/RemoveTable drop only the entries that
-// reference the changed table, and a stamp mismatch at lookup or execution
-// time forces recompilation, so no query ever runs against a plan bound to
-// a previous schema while catalog churn on unrelated tables leaves plans
-// cached. All operations are safe under concurrent verify workers.
+// keyed by the query text, so a repeated query skips the lexer, the parser
+// and the planner entirely; two spellings of one statement are two entries,
+// whose plans are equal because compilation is deterministic. Entries record
+// the tables they reference (including subqueries) and the combined change
+// stamp of those tables at compile time; AddTable/RemoveTable drop only the
+// entries that reference the changed table, and a stamp mismatch at lookup
+// or execution time forces recompilation, so no query ever runs against a
+// plan bound to a previous schema while catalog churn on unrelated tables
+// leaves plans cached. All operations are safe under concurrent verify
+// workers.
 
 // planCacheCap bounds the cache; reaching it flushes wholesale (the verify
 // workloads cycle through a small set of template-generated queries, so an
 // LRU would buy nothing over the simple scheme).
 const planCacheCap = 512
 
-// planEntry is one cached prepared statement: its normalized text, the
-// (lowercased, sorted) tables the statement references, the combined change
-// stamp of those tables at compile time, and the compiled plan.
+// planEntry is one cached prepared statement: the (lowercased, sorted)
+// tables the statement references, the combined change stamp of those
+// tables at compile time, and the compiled plan.
 type planEntry struct {
-	norm    string
 	tables  []string
 	version uint64
 	vp      *vecPlan
@@ -55,11 +54,10 @@ func (c *planCache) exec(db *Database, sql string, dst []Value) (*vecPlan, outpu
 
 // planCache caches planEntries per database.
 type planCache struct {
-	mu     sync.Mutex
-	byRaw  map[string]*planEntry
-	byNorm map[string]*planEntry
-	hits   uint64
-	misses uint64
+	mu      sync.Mutex
+	entries map[string]*planEntry // by query text
+	hits    uint64
+	misses  uint64
 
 	runs atomic.Uint64 // executions (planCache.exec)
 
@@ -73,47 +71,25 @@ type planCache struct {
 // stamp it was compiled at.
 func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 	c.mu.Lock()
-	if e, ok := c.byRaw[sql]; ok && e.version == db.stampFor(e.tables) {
+	if e, ok := c.entries[sql]; ok && e.version == db.stampFor(e.tables) {
 		c.hits++
-		c.mu.Unlock()
-		return e, nil
-	}
-	c.mu.Unlock()
-
-	// A miss keys and parses a copy: the text is often a substring of a
-	// model completion, which the raw key and the parsed identifiers would
-	// otherwise keep alive as long as the entry.
-	sql = strings.Clone(sql)
-	stmt, err := Parse(sql)
-	if err != nil {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
-		return nil, err
-	}
-	norm := stmt.SQL()
-	if norm == sql {
-		norm = sql // the two keys share one string
-	}
-
-	c.mu.Lock()
-	if e, ok := c.byNorm[norm]; ok && e.version == db.stampFor(e.tables) {
-		// A new raw spelling of an already-compiled plan: register the alias
-		// and share the entry.
-		c.hits++
-		c.ensureMaps()
-		if len(c.byRaw) < planCacheCap {
-			c.byRaw[sql] = e
-		}
 		c.mu.Unlock()
 		return e, nil
 	}
 	c.misses++
 	c.mu.Unlock()
 
+	// A miss keys and parses a copy: the text is often a substring of a
+	// model completion, which the key and the parsed identifiers would
+	// otherwise keep alive as long as the entry.
+	sql = strings.Clone(sql)
+	stmt, err := Parse(sql)
+	if err != nil {
+		return nil, err
+	}
 	tables := tablesOf(stmt)
 	stamp := db.stampFor(tables)
-	e := &planEntry{norm: norm, tables: tables, version: stamp, vp: compilePlan(db, stmt)}
+	e := &planEntry{tables: tables, version: stamp, vp: compilePlan(db, stmt)}
 	if db.stampFor(tables) != stamp {
 		// The catalog changed between the stamp read and compilation; serve
 		// the entry uncached. If the plan is stale its run says so and exec
@@ -123,33 +99,19 @@ func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 		return e, nil
 	}
 	c.mu.Lock()
-	if len(c.byRaw) >= planCacheCap || len(c.byNorm) >= planCacheCap {
-		c.flushLocked()
+	if c.entries == nil || len(c.entries) >= planCacheCap {
+		c.entries = make(map[string]*planEntry)
 	}
-	c.ensureMaps()
-	c.byRaw[sql] = e
-	c.byNorm[norm] = e
+	c.entries[sql] = e
 	c.mu.Unlock()
 	return e, nil
 }
 
-func (c *planCache) ensureMaps() {
-	if c.byRaw == nil {
-		c.byRaw = make(map[string]*planEntry)
-		c.byNorm = make(map[string]*planEntry)
-	}
-}
-
-// flush drops every cached plan (cap overflow, explicit invalidation).
+// flush drops every cached plan (explicit invalidation).
 func (c *planCache) flush() {
 	c.mu.Lock()
-	c.flushLocked()
+	c.entries = nil
 	c.mu.Unlock()
-}
-
-func (c *planCache) flushLocked() {
-	c.byRaw = nil
-	c.byNorm = nil
 }
 
 // invalidate drops the cached plans that reference the given (lowercased)
@@ -159,14 +121,9 @@ func (c *planCache) flushLocked() {
 func (c *planCache) invalidate(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for raw, e := range c.byRaw {
+	for sql, e := range c.entries {
 		if e.references(table) {
-			delete(c.byRaw, raw)
-		}
-	}
-	for norm, e := range c.byNorm {
-		if e.references(table) {
-			delete(c.byNorm, norm)
+			delete(c.entries, sql)
 		}
 	}
 }
@@ -276,13 +233,13 @@ type PlanCacheStats struct {
 }
 
 // PlanCacheStats returns cumulative hit/miss and execution-outcome counters
-// and the current entry count (distinct normalized plans).
+// and the current entry count (cached query texts).
 func (d *Database) PlanCacheStats() PlanCacheStats {
 	c := &d.plans
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return PlanCacheStats{
-		Hits: c.hits, Misses: c.misses, Entries: len(c.byNorm),
+		Hits: c.hits, Misses: c.misses, Entries: len(c.entries),
 		VecRuns:     c.runs.Load(),
 		IndexBuilds: c.indexBuilds.Load(), IndexProbes: c.indexProbes.Load(),
 		FoldHits: c.foldHits.Load(), IndexJoins: c.indexJoins.Load(),
@@ -295,17 +252,6 @@ func (d *Database) PlanCacheStats() PlanCacheStats {
 // the changed table.
 func (d *Database) InvalidatePlans() {
 	d.plans.flush()
-}
-
-// Normalize parses sql and renders it back to canonical text — the plan
-// cache's sharing key. Two queries normalize equal iff they parse to
-// structurally identical statements.
-func Normalize(sql string) (string, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	return stmt.SQL(), nil
 }
 
 // ExplainQuery describes how the vectorized engine would execute sql:

@@ -1697,14 +1697,13 @@ func (v *vsub) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 
 type vexists struct {
 	sub subq
-	not bool
 }
 
 func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return vecOf(ctx, b, v.sub, v) }
 
 func (v *vexists) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	out, err := v.sub.run(ctx, b, r, ctx.cell[:0])
-	return Bool((out.n > 0) != v.not), err
+	return Bool(out.n > 0), err
 }
 
 type vinsub struct {

@@ -17,14 +17,6 @@ type Span struct {
 // Valid reports whether the span denotes a non-empty in-order token range.
 func (s Span) Valid() bool { return s.Start >= 0 && s.End >= s.Start }
 
-// Width returns the number of tokens covered by the span.
-func (s Span) Width() int {
-	if !s.Valid() {
-		return 0
-	}
-	return s.End - s.Start + 1
-}
-
 // Tokenize splits a sentence into whitespace-delimited tokens. Token
 // indices returned by FindValueSpan and consumed by MaskSpan refer to this
 // tokenization.
@@ -151,23 +143,6 @@ func FindValueSpan(sentence, value string) (Span, bool) {
 		}
 	}
 	return Span{Start: -1, End: -1}, false
-}
-
-// SpanText returns the raw text covered by span in the sentence.
-func SpanText(sentence string, span Span) string {
-	toks := Tokenize(sentence)
-	if !span.Valid() || span.Start >= len(toks) {
-		return ""
-	}
-	end := span.End
-	if end >= len(toks) {
-		end = len(toks) - 1
-	}
-	out := make([]string, 0, end-span.Start+1)
-	for _, t := range toks[span.Start : end+1] {
-		out = append(out, strings.TrimFunc(t, isPunct))
-	}
-	return strings.Join(out, " ")
 }
 
 func tokenEquals(tok, want string, exact bool) bool {

@@ -31,8 +31,8 @@ func TestFindValueSpanMultiToken(t *testing.T) {
 	if !ok || span.Start != 3 || span.End != 4 {
 		t.Fatalf("got %+v, %v", span, ok)
 	}
-	if got := SpanText(s, span); got != "Lewis Hamilton" {
-		t.Errorf("SpanText = %q", got)
+	if got := strings.Join(Tokenize(s)[span.Start:span.End+1], " "); got != "Lewis Hamilton" {
+		t.Errorf("span text = %q", got)
 	}
 }
 
@@ -114,15 +114,6 @@ func TestMaskSpanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpanWidth(t *testing.T) {
-	if (Span{Start: 2, End: 4}).Width() != 3 {
-		t.Error("width of 3-token span")
-	}
-	if (Span{Start: -1, End: -1}).Width() != 0 {
-		t.Error("invalid span width")
 	}
 }
 
