@@ -329,6 +329,67 @@ func (g *qgen) agg(cols []string) string {
 	}
 }
 
+// aggTerm generates an aggregate-context expression over cols, grouped by
+// key ("" for a whole-table aggregate): aggregates, the key and literals under
+// unary -/NOT, arithmetic, comparisons, AND/OR, CASE, CAST, scalar functions,
+// BETWEEN, IN and IS NULL. Some leaves raise errors — SUM over text, a CAST
+// of text to a number, an integer overflow — so that which error a statement
+// answers, and whether a short-circuit spares one, is held to the oracle too.
+func (g *qgen) aggTerm(cols []string, key string, depth int) string {
+	if depth <= 0 || g.rng.Intn(4) == 0 {
+		switch n := g.rng.Intn(12); {
+		case n < 6:
+			return g.agg(cols)
+		case n < 8 && key != "":
+			return key
+		case n < 10:
+			return g.lit()
+		case n == 10 && cols[0] == "id" && len(cols) > 2:
+			return g.pick("SUM(s)", "CAST(MAX(s) AS INTEGER)", "(MAX(n) * 4611686018427387904)")
+		}
+		return "(COUNT(*) - 9223372036854775807 - 2)"
+	}
+	sub := func() string { return g.aggTerm(cols, key, depth-1) }
+	switch g.rng.Intn(11) {
+	case 0:
+		return fmt.Sprintf("(%s(%s))", g.pick("-", "NOT "), sub())
+	case 1:
+		return fmt.Sprintf("(%s %s %s)", sub(), g.pick("+", "-", "*", "/", "%"), sub())
+	case 2:
+		return fmt.Sprintf("(%s %s %s)", sub(), g.pick("=", "<>", "<", "<=", ">", ">="), sub())
+	case 3:
+		return fmt.Sprintf("(%s %s %s)", sub(), g.pick("AND", "OR"), sub())
+	case 4:
+		return fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END", sub(), sub(), sub())
+	case 5:
+		return fmt.Sprintf("CAST(%s AS %s)", sub(), g.pick("INTEGER", "REAL", "TEXT"))
+	case 6:
+		return fmt.Sprintf("%s(%s)", g.pick("ABS", "LOWER", "LENGTH", "ROUND"), sub())
+	case 7:
+		return fmt.Sprintf("COALESCE(%s, %s)", sub(), sub())
+	case 8:
+		return fmt.Sprintf("(%s %sBETWEEN %s AND %s)", sub(), g.pick("", "NOT "), g.lit(), sub())
+	case 9:
+		return fmt.Sprintf("(%s %sIN (%s, %s))", sub(), g.pick("", "NOT "), g.lit(), sub())
+	default:
+		return fmt.Sprintf("(%s IS %sNULL)", sub(), g.pick("", "NOT "))
+	}
+}
+
+// aggOrder generates an aggregated statement's ORDER BY: none, an item's
+// ordinal, or an aggregate-context key that is not an item.
+func (g *qgen) aggOrder(cols []string, key string) string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return ""
+	case 1:
+		return " ORDER BY 2 DESC"
+	case 2:
+		return " ORDER BY 1"
+	}
+	return fmt.Sprintf(" ORDER BY %s%s, 1", g.aggTerm(cols, key, 1), g.pick("", " DESC"))
+}
+
 func (g *qgen) tail(ncols int) string {
 	var b strings.Builder
 	if g.rng.Intn(3) == 0 {
@@ -381,23 +442,26 @@ func (g *qgen) query() string {
 		return "SELECT a.id, t3.k FROM t1 a CROSS JOIN t3 WHERE " + g.pred([]string{"a.id", "t3.k", "t3.flag"}, 1) + g.tail(2)
 	case 4: // grouped aggregation
 		key := g.col(t1)
-		q := fmt.Sprintf("SELECT %s, %s FROM t1", key, g.agg(t1))
+		q := fmt.Sprintf("SELECT %s, %s FROM t1", key, g.aggTerm(t1, key, 2))
 		if g.rng.Intn(2) == 0 {
 			q += " WHERE " + g.pred(t1, 1)
 		}
 		q += " GROUP BY " + key
 		if g.rng.Intn(2) == 0 {
-			q += " HAVING " + fmt.Sprintf("%s %s %s", g.agg(t1), g.pick(">", "<", ">=", "="), g.lit())
+			q += " HAVING " + g.aggTerm(t1, key, 2)
 		}
-		return q + g.pick("", " ORDER BY 2 DESC", " ORDER BY 1")
+		return q + g.aggOrder(t1, key)
 	case 5: // global aggregate, sometimes over the empty table
 		tab, cols := "t1", t1
 		if g.rng.Intn(4) == 0 {
 			tab, cols = "empty", []string{"id", "w"}
 		}
-		q := fmt.Sprintf("SELECT %s, %s FROM %s", g.agg(cols), g.agg(cols), tab)
+		q := fmt.Sprintf("SELECT %s, %s FROM %s", g.aggTerm(cols, "", 2), g.aggTerm(cols, "", 1), tab)
 		if g.rng.Intn(3) == 0 {
 			q += " WHERE " + g.pred(cols, 1)
+		}
+		if g.rng.Intn(4) == 0 {
+			q += " HAVING " + g.aggTerm(cols, "", 1)
 		}
 		return q
 	case 6: // IN / EXISTS subqueries (correlated and not)

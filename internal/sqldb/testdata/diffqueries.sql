@@ -128,3 +128,16 @@ SELECT "id" BETWEEN MIN("n") AND 3 FROM "t1" GROUP BY "id"
 SELECT id IN (1, 2), n IS NULL, COUNT(*) FROM t1 GROUP BY id ORDER BY 3, 1
 SELECT id IN (1, 2), COUNT(*) FROM empty
 SELECT EXISTS (SELECT 1 FROM t2 WHERE t2.id = t1.id), COUNT(*) FROM t1 GROUP BY id
+-- Aggregate context, stage by stage: HAVING, then the items, then the ORDER BY
+-- keys, group by group in first-appearance order; AND, OR and CASE evaluate
+-- only the operands a group reaches. Group 1 (id 0) fails in its second item
+-- before group 2 (id 1) fails in its first.
+SELECT CASE WHEN id = 1 THEN SUM(s) ELSE 0 END, CASE WHEN id = 0 THEN CAST(MAX(s) AS INTEGER) ELSE 0 END FROM t1 GROUP BY id
+SELECT id, COUNT(*) FROM t1 GROUP BY id HAVING COUNT(*) > 0 OR SUM(s) > 0 ORDER BY 1
+SELECT id, CASE WHEN COUNT(*) > 100 THEN SUM(s) WHEN MAX(n) > 0 THEN MAX(n) ELSE -MIN(n) END FROM t1 GROUP BY id ORDER BY 1
+SELECT w, id, COUNT(*), MAX(w) FROM empty
+SELECT s, MAX(n), s IS NULL FROM t1 WHERE id > 100
+SELECT id FROM t1 GROUP BY id ORDER BY SUM(n) DESC, id
+SELECT id, COUNT(*) FROM t1 GROUP BY id ORDER BY MAX(f) - MIN(f), 1
+SELECT id, MAX(n + COUNT(*)) FROM t1 GROUP BY id
+SELECT id, MAX(n) FROM t1 GROUP BY id HAVING SUM(COUNT(*)) > 0
