@@ -318,8 +318,9 @@ func (ex *executor) groupRows(stmt *SelectStmt, ws *workingSet, outer *env) ([][
 }
 
 // groupEnv evaluates expressions in aggregate context: aggregate calls fold
-// over the group's rows; other expressions evaluate against the group's
-// first row.
+// over the group's rows, column references and subqueries evaluate against
+// the group's first row, and every other operator applies to its operands'
+// aggregate-context values.
 type groupEnv struct {
 	ex    *executor
 	ws    *workingSet
@@ -407,6 +408,16 @@ func (g *groupEnv) eval(e Expr) (Value, error) {
 			return g.eval(v.Else)
 		}
 		return Null(), nil
+	case *BetweenExpr:
+		return evalBetween(v, g.eval)
+	case *InExpr:
+		return g.ex.evalIn(v, g.eval, g.firstEnv())
+	case *IsNullExpr:
+		x, err := g.eval(v.Expr)
+		if err != nil {
+			return Null(), err
+		}
+		return Bool(x.IsNull() != v.Not), nil
 	default:
 		return g.ex.eval(e, g.firstEnv())
 	}
@@ -485,27 +496,9 @@ func (ex *executor) eval(e Expr, en *env) (Value, error) {
 		}
 		return applyBinary(v.Op, l, r)
 	case *BetweenExpr:
-		x, err := ex.eval(v.Expr, en)
-		if err != nil {
-			return Null(), err
-		}
-		lo, err := ex.eval(v.Lo, en)
-		if err != nil {
-			return Null(), err
-		}
-		hi, err := ex.eval(v.Hi, en)
-		if err != nil {
-			return Null(), err
-		}
-		c1, ok1 := x.Compare(lo)
-		c2, ok2 := x.Compare(hi)
-		res := ok1 && ok2 && c1 >= 0 && c2 <= 0
-		if v.Not {
-			res = !res
-		}
-		return Bool(res), nil
+		return evalBetween(v, func(x Expr) (Value, error) { return ex.eval(x, en) })
 	case *InExpr:
-		return ex.evalIn(v, en)
+		return ex.evalIn(v, func(x Expr) (Value, error) { return ex.eval(x, en) }, en)
 	case *IsNullExpr:
 		x, err := ex.eval(v.Expr, en)
 		if err != nil {
@@ -576,8 +569,33 @@ func (ex *executor) eval(e Expr, en *env) (Value, error) {
 	return Null(), fmt.Errorf("%w: unhandled expression %T", ErrUnsupported, e)
 }
 
-func (ex *executor) evalIn(v *InExpr, en *env) (Value, error) {
-	x, err := ex.eval(v.Expr, en)
+// evalBetween evaluates x BETWEEN lo AND hi, its operands through eval.
+func evalBetween(v *BetweenExpr, eval func(Expr) (Value, error)) (Value, error) {
+	x, err := eval(v.Expr)
+	if err != nil {
+		return Null(), err
+	}
+	lo, err := eval(v.Lo)
+	if err != nil {
+		return Null(), err
+	}
+	hi, err := eval(v.Hi)
+	if err != nil {
+		return Null(), err
+	}
+	c1, ok1 := x.Compare(lo)
+	c2, ok2 := x.Compare(hi)
+	res := ok1 && ok2 && c1 >= 0 && c2 <= 0
+	if v.Not {
+		res = !res
+	}
+	return Bool(res), nil
+}
+
+// evalIn evaluates x IN (...), the operand and a list's items through eval;
+// a subquery runs in en.
+func (ex *executor) evalIn(v *InExpr, eval func(Expr) (Value, error), en *env) (Value, error) {
+	x, err := eval(v.Expr)
 	if err != nil {
 		return Null(), err
 	}
@@ -595,7 +613,7 @@ func (ex *executor) evalIn(v *InExpr, en *env) (Value, error) {
 		}
 	} else {
 		for _, item := range v.List {
-			c, err := ex.eval(item, en)
+			c, err := eval(item)
 			if err != nil {
 				return Null(), err
 			}

@@ -10,12 +10,16 @@ import (
 // that provably cannot raise errors are pushed down into table scans, joins
 // are classified as hash or nested-loop, and every subquery gets its own
 // plan, run once per execution of the statement or, when it reads the
-// enclosing row, once per enclosing row. Compilation is total: every
-// statement the parser accepts gets a plan, and a name that does not resolve,
-// an aggregate outside aggregate context or a * outside the select list
-// compiles to a node that raises the row engine's error when a row reaches
-// it. A table or join the row engine would refuse ends the plan with that
-// refusal. The compiled plan is immutable and safe for concurrent execution.
+// enclosing row, once per enclosing row. Row context and aggregate context
+// compile to one tree of vexpr nodes: in aggregate context an aggregate call
+// is a leaf folding the group and a column reference a leaf reading the
+// group's first row, and every operator is the node it is in row context.
+// Compilation is total: every statement the parser accepts gets a plan, and a
+// name that does not resolve, an aggregate outside aggregate context or a *
+// outside the select list compiles to a node that raises the row engine's
+// error when a row reaches it. A table or join the row engine would refuse
+// ends the plan with that refusal. The compiled plan is immutable and safe
+// for concurrent execution.
 
 // windowRows is how many rows of a table image a filtered scan evaluates its
 // pushed-down predicates over at a time. It bounds the predicates'
@@ -53,16 +57,6 @@ type planJoin struct {
 	carry     []bool // slots an operator after this join reads
 }
 
-// orderPlan is one compiled ORDER BY key. An alias or ordinal reference
-// reuses the projected cell cellIdx (resolved at plan time exactly like the
-// row engine's orderKey). Otherwise an aggregated plan evaluates gv, and a
-// non-aggregated one evaluates the key as itemsV[cellIdx], after the items;
-// a table-less SELECT evaluates no key (cellIdx -1).
-type orderPlan struct {
-	cellIdx int
-	gv      gexpr
-}
-
 // vecPlan is a compiled, immutable, concurrently executable query plan.
 type vecPlan struct {
 	version uint64 // catalog version the plan was bound against
@@ -91,15 +85,16 @@ type vecPlan struct {
 	// or a projection of bare columns and literals.
 	selAgg, selRows bool
 
-	// Non-aggregated pipeline: the items, then the keys orderV evaluates.
+	// itemsV is the items, then the ORDER BY keys that are not an item; it
+	// and having are in aggregate context when the plan is aggregated.
 	itemsV []vexpr
-	orderV []orderPlan
+	// orderV holds each ORDER BY key's index in itemsV: an alias or ordinal
+	// reference is the item's (resolved at plan time exactly like the row
+	// engine's orderKey). A table-less SELECT evaluates no key (-1).
+	orderV []int
 
-	// Aggregated pipeline.
 	groupByV []vexpr
-	itemsG   []gexpr
-	havingG  gexpr
-	orderG   []orderPlan
+	having   vexpr
 }
 
 // planCompiler carries one statement's compilation state. A subquery's
@@ -113,6 +108,8 @@ type planCompiler struct {
 	vis      int       // how many of binds the expression being compiled sees
 	needed   []bool
 	denseAgg bool // an aggregate's argument is more than a bare column
+	agg      bool // expressions are compiled in aggregate context
+	reads    int  // nodes compiled so far that read a row: see compile
 
 	up    *planCompiler // the enclosing statement's compiler, for a subquery
 	upVis int           // how many of up's binds the subquery sees
@@ -196,35 +193,23 @@ func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 	p.cols = projectionNames(items)
 	p.aggregated = len(stmt.GroupBy) > 0 || stmt.Having != nil || itemsHaveAggregate(items)
 
-	if p.aggregated {
-		for _, g := range stmt.GroupBy {
-			p.groupByV = append(p.groupByV, c.compile(g))
+	for _, g := range stmt.GroupBy {
+		p.groupByV = append(p.groupByV, c.compile(g))
+	}
+	c.agg = p.aggregated
+	if stmt.Having != nil {
+		p.having = c.compile(stmt.Having)
+	}
+	for _, it := range items {
+		p.itemsV = append(p.itemsV, c.compile(it.Expr))
+	}
+	for _, o := range stmt.OrderBy {
+		k := staticOrderKey(o.Expr, items)
+		if k < 0 && (stmt.From != nil || p.aggregated) {
+			k = len(p.itemsV)
+			p.itemsV = append(p.itemsV, c.compile(o.Expr))
 		}
-		if stmt.Having != nil {
-			p.havingG = c.compileGroup(stmt.Having)
-		}
-		for _, it := range items {
-			p.itemsG = append(p.itemsG, c.compileGroup(it.Expr))
-		}
-		for _, o := range stmt.OrderBy {
-			op := staticOrderKey(o.Expr, items)
-			if op.cellIdx < 0 {
-				op.gv = c.compileGroup(o.Expr)
-			}
-			p.orderG = append(p.orderG, op)
-		}
-	} else {
-		for _, it := range items {
-			p.itemsV = append(p.itemsV, c.compile(it.Expr))
-		}
-		for _, o := range stmt.OrderBy {
-			op := staticOrderKey(o.Expr, items)
-			if op.cellIdx < 0 && stmt.From != nil {
-				op.cellIdx = len(p.itemsV)
-				p.itemsV = append(p.itemsV, c.compile(o.Expr))
-			}
-			p.orderV = append(p.orderV, op)
-		}
+		p.orderV = append(p.orderV, k)
 	}
 	return c.finish()
 }
@@ -312,22 +297,22 @@ func allRowFree(es []vexpr) bool {
 
 // staticOrderKey resolves the row engine's orderKey shortcuts at plan time:
 // a bare name matching a projection alias, or a literal ordinal within range,
-// reuses the already-computed cell. cellIdx is -1 when the key needs its own
+// reuses the already-computed cell. It returns -1 when the key needs its own
 // evaluation.
-func staticOrderKey(e Expr, items []SelectItem) orderPlan {
+func staticOrderKey(e Expr, items []SelectItem) int {
 	if ce, ok := e.(*ColumnExpr); ok && ce.Table == "" {
 		for i, it := range items {
 			if strings.EqualFold(it.Alias, ce.Name) {
-				return orderPlan{cellIdx: i}
+				return i
 			}
 		}
 	}
 	if le, ok := e.(*LiteralExpr); ok {
 		if n, ok := le.Val.AsInt(); ok && n >= 1 && int(n) <= len(items) {
-			return orderPlan{cellIdx: int(n) - 1}
+			return int(n) - 1
 		}
 	}
-	return orderPlan{cellIdx: -1}
+	return -1
 }
 
 // eqLiteral recognizes a conjunct of the form column = literal or literal =
@@ -377,15 +362,38 @@ func resolveBind(binds []colBind, table, name string) (int, bool) {
 	return 0, false
 }
 
-// compile lowers a row-context expression. It is total: a name that
-// resolves nowhere, an aggregate and a * all compile to the row engine's
-// error, raised when a row reaches the node.
+// compile lowers an expression: in row context, or in aggregate context
+// while c.agg is set, where an aggregate call folds the group and a column
+// reference or a subquery reads the group's first row, as the row engine's
+// groupEnv does, and every other node is the row-context one. A node that
+// reads no row — over literals, outer references and uncorrelated subqueries
+// only — is wrapped in vconst: its value is the same at every row. Lowering
+// is total: a name that resolves nowhere, an aggregate outside aggregate
+// context and a * all compile to the row engine's error, raised when a row
+// reaches the node.
 func (c *planCompiler) compile(e Expr) vexpr {
+	reads := c.reads
+	x := c.lower(e)
+	switch x.(type) {
+	case *vlit, *vouter, *verr:
+		return x
+	}
+	if c.reads == reads {
+		return &vconst{x}
+	}
+	return x
+}
+
+func (c *planCompiler) lower(e Expr) vexpr {
 	switch v := e.(type) {
 	case *LiteralExpr:
 		return &vlit{val: v.Val}
 	case *ColumnExpr:
-		return c.column(v)
+		x := c.column(v)
+		if col, ok := x.(*vcol); ok && c.agg {
+			return &gfirst{slot: col.slot}
+		}
+		return x
 	case *UnaryExpr:
 		return &vunary{op: v.Op, x: c.compile(v.Expr)}
 	case *BinaryExpr:
@@ -414,7 +422,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		return &visnull{x: c.compile(v.Expr), not: v.Not}
 	case *FuncExpr:
 		if v.IsAggregate() {
-			return &verr{fmt.Errorf("%w: aggregate %s outside aggregate context", ErrType, v.Name)}
+			return c.aggregate(v)
 		}
 		fn := &vfunc{name: v.Name}
 		for _, a := range v.Args {
@@ -436,7 +444,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 	case *SubqueryExpr:
 		return &vsub{sub: c.subquery(v.Stmt)}
 	case *ExistsExpr:
-		return &vexists{sub: c.subquery(v.Stmt)}
+		return &vsub{sub: c.subquery(v.Stmt), exists: true}
 	case *StarExpr:
 		return &verr{fmt.Errorf("%w: * outside SELECT list", ErrSyntax)}
 	}
@@ -449,6 +457,7 @@ func (c *planCompiler) compile(e Expr) vexpr {
 func (c *planCompiler) column(v *ColumnExpr) vexpr {
 	if slot, ok := resolveBind(c.binds[:c.vis], v.Table, v.Name); ok {
 		c.needed[slot] = true
+		c.reads++
 		return &vcol{slot: slot}
 	}
 	level := 1
@@ -467,54 +476,34 @@ func (c *planCompiler) column(v *ColumnExpr) vexpr {
 // it reads: a subquery over a scan window runs on the same kernels as the
 // statement around it, and one over a larger image takes its access paths
 // (access.go). It is correlated when it, or a subquery inside it, reads a row
-// of this statement or of one enclosing it.
+// of this statement or of one enclosing it; in aggregate context that row is
+// the group's first.
 func (c *planCompiler) subquery(stmt *SelectStmt) subq {
 	sc := &planCompiler{db: c.db, up: c, upVis: c.vis}
 	p := sc.compileStmt(stmt)
 	c.corr = max(c.corr, sc.corr-1)
-	return subq{plan: p, corr: sc.corr > 0}
+	if sc.corr > 0 {
+		c.reads++
+	}
+	return subq{plan: p, corr: sc.corr > 0, first: c.agg}
 }
 
-// compileGroup lowers an aggregate-context expression, mirroring
-// groupEnv.eval's dispatch: aggregate calls fold over the group, the
-// recognized scalar shapes recurse, and every other node evaluates as a
-// row-context expression over the group's first row.
-func (c *planCompiler) compileGroup(e Expr) gexpr {
-	switch v := e.(type) {
-	case *LiteralExpr:
-		return &glit{val: v.Val}
-	case *FuncExpr:
-		if v.IsAggregate() {
-			g := &gagg{name: v.Name, star: v.Star, distinct: v.Distinct, nargs: len(v.Args)}
-			if !v.Star && len(v.Args) == 1 {
-				g.arg = c.compile(v.Args[0])
-				c.denseAgg = c.denseAgg || !rowFree(g.arg)
-			}
-			return g
-		}
-		fn := &gscalar{name: v.Name}
-		for _, a := range v.Args {
-			fn.args = append(fn.args, c.compileGroup(a))
-		}
-		return fn
-	case *UnaryExpr:
-		return &gunary{op: v.Op, x: c.compileGroup(v.Expr)}
-	case *BinaryExpr:
-		return &gbin{op: v.Op, l: c.compileGroup(v.Left), r: c.compileGroup(v.Right)}
-	case *CastExpr:
-		return &gcast{x: c.compileGroup(v.Expr), kind: v.Type}
-	case *CaseExpr:
-		cs := &gcase{}
-		for _, w := range v.Whens {
-			cs.conds = append(cs.conds, c.compileGroup(w.Cond))
-			cs.thens = append(cs.thens, c.compileGroup(w.Then))
-		}
-		if v.Else != nil {
-			cs.els = c.compileGroup(v.Else)
-		}
-		return cs
+// aggregate lowers an aggregate call: outside aggregate context the row
+// engine's error, inside it a fold over the group of its argument, which is
+// compiled in row context.
+func (c *planCompiler) aggregate(v *FuncExpr) vexpr {
+	if !c.agg {
+		return &verr{fmt.Errorf("%w: aggregate %s outside aggregate context", ErrType, v.Name)}
 	}
-	return &gfirst{x: c.compile(e)}
+	g := &gagg{name: v.Name, star: v.Star, distinct: v.Distinct, nargs: len(v.Args)}
+	if !v.Star && len(v.Args) == 1 {
+		c.agg = false
+		g.arg = c.compile(v.Args[0])
+		c.agg = true
+		c.denseAgg = c.denseAgg || !rowFree(g.arg)
+	}
+	c.reads++
+	return g
 }
 
 // pushTarget returns the index of the single scan whose slots cover every

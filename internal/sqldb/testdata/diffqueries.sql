@@ -141,3 +141,15 @@ SELECT id FROM t1 GROUP BY id ORDER BY SUM(n) DESC, id
 SELECT id, COUNT(*) FROM t1 GROUP BY id ORDER BY MAX(f) - MIN(f), 1
 SELECT id, MAX(n + COUNT(*)) FROM t1 GROUP BY id
 SELECT id, MAX(n) FROM t1 GROUP BY id HAVING SUM(COUNT(*)) > 0
+-- BETWEEN, IN and IS NULL fold the aggregates in their operands like every
+-- other operator; only column references and subqueries read the group's
+-- first row. Each answer below equals the sqlite3 CLI's over t1's id and n
+-- (a bool as 1/0 there).
+SELECT id, COUNT(*) FROM t1 GROUP BY id HAVING COUNT(*) BETWEEN 1 AND 3 ORDER BY id
+SELECT id, COUNT(n) IN (1, 3) FROM t1 GROUP BY id ORDER BY id
+SELECT id, SUM(n) FROM t1 GROUP BY id HAVING SUM(n) IS NOT NULL ORDER BY id
+SELECT id, COUNT(*) FROM t1 GROUP BY id HAVING COUNT(*) - 2 IN (SELECT 2) ORDER BY id
+SELECT id, COUNT(*) IN (SELECT COUNT(*) FROM t1 AS x WHERE x.id = t1.id) FROM t1 GROUP BY id ORDER BY id
+SELECT id, MAX(n) FROM t1 WHERE n IS NOT NULL GROUP BY id HAVING NOT MAX(n) BETWEEN 0 AND 40 ORDER BY id
+SELECT id, SUM(n) IS NULL, MIN(n) NOT BETWEEN -10 AND 10 FROM t1 WHERE id <> 3 GROUP BY id ORDER BY id
+SELECT COUNT(*) BETWEEN 20 AND 30, SUM(n) IS NULL, MAX(id) NOT IN (SELECT 9) FROM t1

@@ -19,13 +19,17 @@ import (
 // can. The final stage yields cells: Query wraps them in a Result, and
 // QueryScalar takes the one cell.
 //
-// The answer is the row-at-a-time one (DESIGN.md §12). The kernels share the
-// row functions' arithmetic (applyBinary, castValue, aggFold, ...), so a
-// stage evaluated eagerly over the whole batch computes the row engine's
-// values, and can only add errors: operands no row reaches, expressions run
-// in batch order. A stage that fails is replayed one row at a time through
-// the same compiled nodes (vexpr.row), in the row engine's order and with
-// its short-circuits; the replay's values or first error are the answer.
+// The answer is the row-at-a-time one (DESIGN.md §12). Every node has one
+// semantics, its row method: the row engine's, short-circuits included. A
+// few nodes also have a batch kernel for the shapes claim queries run —
+// columns, literals, arithmetic, comparisons as selections, subqueries, the
+// typed aggregate folds — which shares the row functions' arithmetic
+// (applyBinary, aggFold, ...) and so computes the same values, but may raise
+// an error no row reaches: it runs operands over every row, in batch order.
+// Every other node's batch value is its row method run row by row (rowVec),
+// or once when it reads no row (vconst). A stage that fails is replayed one
+// row at a time through the same nodes' row methods, in the row engine's
+// order; the replay's values or first error are the answer.
 
 // errPlanStale reports that the catalog changed after the plan was compiled.
 // The statement is compiled again and rerun against the live catalog.
@@ -124,7 +128,8 @@ type vecCtx struct {
 	p      *vecPlan
 	outer  *outerRow     // the enclosing row of a correlated subquery's run
 	images []*tableImage // the scans' table images, parallel to p.scans
-	replay bool          // the per-group stage is being replayed (gagg.eval)
+	replay bool          // the per-group stage is being replayed (gagg.row)
+	groups []vgroup      // the groups an aggregated plan projects
 
 	tabBuf [4]*Table
 	imgBuf [4]*tableImage
@@ -137,6 +142,7 @@ type vecCtx struct {
 	group  [1]vgroup // the one group of an aggregate without GROUP BY
 	cell   [1]Value  // a scalar subquery's output
 	aggs   map[*gagg]*Vec
+	memos  []subMemo // the uncorrelated subqueries' values
 }
 
 // outerRow is the enclosing row a correlated subquery's run reads its outer
@@ -197,7 +203,9 @@ func (ctx *vecCtx) release() {
 		}
 	}
 	clear(ctx.items)
-	ctx.db, ctx.p, ctx.outer, ctx.images, ctx.nconst, ctx.aggs, ctx.replay = nil, nil, nil, nil, 0, nil, false
+	clear(ctx.memos)
+	ctx.memos = ctx.memos[:0]
+	ctx.db, ctx.p, ctx.outer, ctx.images, ctx.nconst, ctx.aggs, ctx.replay, ctx.groups = nil, nil, nil, nil, 0, nil, false, nil
 	ctx.group[0], ctx.cell[0] = vgroup{}, Value{}
 	idleCtxs.Lock()
 	if len(idleCtxs.ctxs) < maxIdleCtxs {
@@ -870,9 +878,9 @@ func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 		}
 		if len(p.orderV) > 0 {
 			row.keys = make([]Value, len(p.orderV))
-			for k, op := range p.orderV {
-				if op.cellIdx >= 0 {
-					row.keys[k] = vecs[op.cellIdx].At(r)
+			for k, ci := range p.orderV {
+				if ci >= 0 {
+					row.keys[k] = vecs[ci].At(r)
 				}
 			}
 		}
@@ -908,7 +916,7 @@ func (g *vgroup) row(k int) int {
 // runAgg partitions the batch and projects the groups. The per-group stage
 // runs HAVING, the items and the ORDER BY keys group by group, as the row
 // engine does; if it fails, it is replayed with every aggregate folding its
-// group's arguments row by row (gagg.eval).
+// group's arguments row by row (gagg.row).
 func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 	if !p.selAgg {
 		b = b.dense()
@@ -917,24 +925,26 @@ func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 	if err != nil {
 		return output{}, err
 	}
-	out, err := p.projectGroups(ctx, groups, dst)
+	ctx.groups = groups
+	out, err := p.projectGroups(ctx, dst)
 	if err != nil {
 		ctx.replay = true
-		out, err = p.projectGroups(ctx, groups, dst)
+		out, err = p.projectGroups(ctx, dst)
 	}
 	return out, err
 }
 
 // projectGroups applies HAVING and projects each surviving group: straight
-// into dst, or through the statement tail when it has one.
-func (p *vecPlan) projectGroups(ctx *vecCtx, groups []vgroup, dst []Value) (output, error) {
+// into dst, or through the statement tail when it has one. Group gi is row gi
+// of the aggregate-context nodes, which read it through ctx.groups and are
+// handed no batch.
+func (p *vecPlan) projectGroups(ctx *vecCtx, dst []Value) (output, error) {
 	direct := p.tail.none()
 	var out []outRow
 	n := 0
-	for gi := range groups {
-		g := &groups[gi]
-		if p.havingG != nil {
-			hv, err := p.havingG.eval(ctx, g)
+	for gi := range ctx.groups {
+		if p.having != nil {
+			hv, err := p.having.row(ctx, nil, gi)
 			if err != nil {
 				return output{}, err
 			}
@@ -943,33 +953,23 @@ func (p *vecPlan) projectGroups(ctx *vecCtx, groups []vgroup, dst []Value) (outp
 			}
 		}
 		if direct {
-			for _, ig := range p.itemsG {
-				v, err := ig.eval(ctx, g)
-				if err != nil {
-					return output{}, err
-				}
-				dst = append(dst, v)
+			var err error
+			if dst, err = p.groupItems(ctx, gi, dst); err != nil {
+				return output{}, err
 			}
 			n++
 			continue
 		}
-		row := outRow{cells: make([]Value, 0, len(p.itemsG)), keys: make([]Value, 0, len(p.orderG))}
-		for _, ig := range p.itemsG {
-			v, err := ig.eval(ctx, g)
-			if err != nil {
-				return output{}, err
-			}
-			row.cells = append(row.cells, v)
+		cells, err := p.groupItems(ctx, gi, make([]Value, 0, len(p.itemsV)))
+		if err != nil {
+			return output{}, err
 		}
-		for _, op := range p.orderG {
-			if op.cellIdx >= 0 {
-				row.keys = append(row.keys, row.cells[op.cellIdx])
-			} else {
-				v, err := op.gv.eval(ctx, g)
-				if err != nil {
-					return output{}, err
-				}
-				row.keys = append(row.keys, v)
+		w := len(p.cols)
+		row := outRow{cells: cells[:w:w]}
+		if len(p.orderV) > 0 {
+			row.keys = make([]Value, len(p.orderV))
+			for k, ci := range p.orderV {
+				row.keys[k] = cells[ci]
 			}
 		}
 		out = append(out, row)
@@ -978,6 +978,19 @@ func (p *vecPlan) projectGroups(ctx *vecCtx, groups []vgroup, dst []Value) (outp
 		return output{cells: dst, n: n}, nil
 	}
 	return p.finish(out), nil
+}
+
+// groupItems appends group gi's items, then its ORDER BY keys that are not
+// an item, to dst.
+func (p *vecPlan) groupItems(ctx *vecCtx, gi int, dst []Value) ([]Value, error) {
+	for _, e := range p.itemsV {
+		v, err := e.row(ctx, nil, gi)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
 }
 
 // partition groups batch rows by the GROUP BY key vectors in first-appearance
@@ -1036,13 +1049,43 @@ func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 // ---------------------------------------------------------------------------
 // Row-context vectorized expressions.
 
-// vexpr evaluates to one value per batch row. eval is the stage's eager
-// batch evaluation; row evaluates the expression at column index r of b
-// alone, exactly as the row engine's eval would: AND, OR and CASE evaluate
-// only the operands the row reaches, everything else its operands in order.
+// vexpr evaluates to one value per row. row evaluates the expression at
+// column index r of b alone, exactly as the row engine's eval would: AND, OR
+// and CASE evaluate only the operands the row reaches, everything else its
+// operands in order. In aggregate context r is a group of ctx.groups (and b
+// is nil). eval is the stage's batch evaluation: a kernel for the shapes
+// claim queries run, rowVec for the rest.
 type vexpr interface {
 	eval(ctx *vecCtx, b *vbatch) (*Vec, error)
 	row(ctx *vecCtx, b *vbatch, r int) (Value, error)
+}
+
+// rowVec is the batch evaluation of every node without a kernel of its own:
+// its row method, row by row in batch order. Over no rows it evaluates
+// nothing.
+func rowVec(ctx *vecCtx, b *vbatch, e vexpr) (*Vec, error) {
+	if b.n == 0 {
+		return noRows, nil
+	}
+	return mapVec(b.n, func(i int) (Value, error) { return e.row(ctx, b, b.row(i)) })
+}
+
+// vconst is a node that reads no row: its operands are literals, outer
+// references, uncorrelated subqueries and nodes over nothing else, so its
+// value is the same at every row of an execution. Its batch value is one
+// constant vector, evaluated at the first row, which is what lets a
+// comparison against it run a typed column-versus-scalar kernel.
+type vconst struct{ vexpr }
+
+func (v *vconst) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	if b.n == 0 {
+		return noRows, nil
+	}
+	val, err := v.row(ctx, b, b.row(0))
+	if err != nil {
+		return nil, err
+	}
+	return ctx.konst(val), nil
 }
 
 // typedNum reports whether the vector has unboxed numeric storage.
@@ -1079,15 +1122,6 @@ func mapVec(n int, f func(i int) (Value, error)) (*Vec, error) {
 		out.any = append(out.any, v)
 	}
 	return out, nil
-}
-
-// boolVec evaluates f element-wise into an unboxed, NULL-free bool vector.
-func boolVec(n int, f func(i int) bool) *Vec {
-	out := &Vec{kind: KindBool, bools: make([]bool, n)}
-	for i := range out.bools {
-		out.bools[i] = f(i)
-	}
-	return out
 }
 
 type vlit struct{ val Value }
@@ -1129,12 +1163,7 @@ func (v *vouter) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return v.va
 // Over no rows it fails nothing.
 type verr struct{ err error }
 
-func (v *verr) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	if b.n == 0 {
-		return noRows, nil
-	}
-	return nil, v.err
-}
+func (v *verr) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *verr) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return Null(), v.err }
 
@@ -1143,20 +1172,7 @@ type vunary struct {
 	x  vexpr
 }
 
-func (v *vunary) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	xv, err := v.x.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	if xv.konst && b.n > 0 {
-		r, err := applyUnary(v.op, xv.At(0))
-		if err != nil {
-			return nil, err
-		}
-		return ctx.konst(r), nil
-	}
-	return mapVec(b.n, func(i int) (Value, error) { return applyUnary(v.op, xv.At(i)) })
-}
+func (v *vunary) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vunary) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	x, err := v.x.row(ctx, b, r)
@@ -1166,23 +1182,9 @@ func (v *vunary) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	return applyUnary(v.op, x)
 }
 
-// vand and vor evaluate both sides over the whole batch; the row engine
-// short-circuits per row, but since its result is Bool(l) op Bool(r) with
-// AsBool(NULL)=false, eager evaluation yields identical values — it can only
-// add errors, which replay the stage.
 type vand struct{ l, r vexpr }
 
-func (v *vand) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	lv, err := v.l.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := v.r.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() && rv.At(i).AsBool() }), nil
-}
+func (v *vand) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vand) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	return shortCircuit(ctx, b, r, v.l, v.r, false)
@@ -1200,24 +1202,14 @@ func shortCircuit(ctx *vecCtx, b *vbatch, r int, x, y vexpr, stopOn bool) (Value
 
 type vor struct{ l, r vexpr }
 
-func (v *vor) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	lv, err := v.l.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := v.r.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return boolVec(b.n, func(i int) bool { return lv.At(i).AsBool() || rv.At(i).AsBool() }), nil
-}
+func (v *vor) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vor) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	return shortCircuit(ctx, b, r, v.l, v.r, true)
 }
 
-// vbin is a binary operator other than AND, OR and the comparisons. Over two
-// constants it is a constant, computed once by applyBinary.
+// vbin is a binary operator other than AND, OR and the comparisons. Its
+// kernel runs typed numeric arithmetic unboxed.
 type vbin struct {
 	op   string
 	l, r vexpr
@@ -1231,13 +1223,6 @@ func (v *vbin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	rv, err := v.r.eval(ctx, b)
 	if err != nil {
 		return nil, err
-	}
-	if lv.konst && rv.konst && b.n > 0 {
-		r, err := applyBinary(v.op, lv.At(0), rv.At(0))
-		if err != nil {
-			return nil, err
-		}
-		return ctx.konst(r), nil
 	}
 	if typedNum(lv) && typedNum(rv) {
 		switch v.op {
@@ -1265,10 +1250,10 @@ func binaryRow(ctx *vecCtx, b *vbatch, r int, op string, x, y vexpr) (Value, err
 	return applyBinary(op, l, rv)
 }
 
-// vcmp is a comparison. Its native result is the selection of rows where it
-// holds, which is what a filter consumes; eval scatters the selection into a
-// bool vector for every other context. A comparison never yields NULL or an
-// error: applyBinary maps a NULL operand to false and incomparable kinds to
+// vcmp is a comparison. Its kernel is the selection of rows where it holds,
+// which is what a filter consumes (selectRows); in every other context it
+// evaluates row by row. A comparison never yields NULL or an error:
+// applyBinary maps a NULL operand to false and incomparable kinds to
 // op == "<>".
 type vcmp struct {
 	op    string
@@ -1286,17 +1271,7 @@ var cmpTruth = map[string][3]bool{
 	">=": {false, true, true},
 }
 
-func (v *vcmp) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	idx, err := v.sel(ctx, b, make([]int32, 0, b.n))
-	if err != nil {
-		return nil, err
-	}
-	out := &Vec{kind: KindBool, bools: make([]bool, b.n)}
-	for _, i := range idx {
-		out.bools[i] = true
-	}
-	return out, nil
-}
+func (v *vcmp) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vcmp) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	return binaryRow(ctx, b, r, v.op, v.l, v.r)
@@ -1417,46 +1392,30 @@ type vbetween struct {
 	not       bool
 }
 
-func (v *vbetween) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	xv, err := v.x.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	lov, err := v.lo.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	hiv, err := v.hi.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return boolVec(b.n, func(i int) bool { return between(xv.At(i), lov.At(i), hiv.At(i)) != v.not }), nil
-}
-
-func between(x, lo, hi Value) bool {
-	c1, ok1 := x.Compare(lo)
-	c2, ok2 := x.Compare(hi)
-	return ok1 && ok2 && c1 >= 0 && c2 <= 0
-}
+func (v *vbetween) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vbetween) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
-	vals, err := rowArgs(ctx, b, r, v.x, v.lo, v.hi)
+	var buf [3]Value
+	vals, err := rowArgs(ctx, b, r, buf[:0], v.x, v.lo, v.hi)
 	if err != nil {
 		return Null(), err
 	}
-	return Bool(between(vals[0], vals[1], vals[2]) != v.not), nil
+	c1, ok1 := vals[0].Compare(vals[1])
+	c2, ok2 := vals[0].Compare(vals[2])
+	return Bool((ok1 && ok2 && c1 >= 0 && c2 <= 0) != v.not), nil
 }
 
-// rowArgs evaluates es at row r in order, up to the first error.
-func rowArgs(ctx *vecCtx, b *vbatch, r int, es ...vexpr) ([]Value, error) {
-	vals := make([]Value, len(es))
-	for k, e := range es {
-		var err error
-		if vals[k], err = e.row(ctx, b, r); err != nil {
+// rowArgs appends the values of es at row r to dst, evaluated in order up to
+// the first error.
+func rowArgs(ctx *vecCtx, b *vbatch, r int, dst []Value, es ...vexpr) ([]Value, error) {
+	for _, e := range es {
+		v, err := e.row(ctx, b, r)
+		if err != nil {
 			return nil, err
 		}
+		dst = append(dst, v)
 	}
-	return vals, nil
+	return dst, nil
 }
 
 type vin struct {
@@ -1465,38 +1424,19 @@ type vin struct {
 	not  bool
 }
 
-func (v *vin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	xv, err := v.x.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	lvs := make([]*Vec, len(v.list))
-	for k, le := range v.list {
-		lv, err := le.eval(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		lvs[k] = lv
-	}
-	return boolVec(b.n, func(i int) bool {
-		x := xv.At(i)
-		found := false
-		for _, lv := range lvs {
-			if x.Equal(lv.At(i)) {
-				found = true
-				break
-			}
-		}
-		return found != v.not
-	}), nil
-}
+func (v *vin) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vin) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
-	vals, err := rowArgs(ctx, b, r, append([]vexpr{v.x}, v.list...)...)
+	x, err := v.x.row(ctx, b, r)
 	if err != nil {
 		return Null(), err
 	}
-	return Bool(member(vals[0], vals[1:]) != v.not), nil
+	var buf [8]Value
+	set, err := rowArgs(ctx, b, r, buf[:0], v.list...)
+	if err != nil {
+		return Null(), err
+	}
+	return Bool(member(x, set) != v.not), nil
 }
 
 // member reports whether x equals one of set.
@@ -1514,13 +1454,7 @@ type visnull struct {
 	not bool
 }
 
-func (v *visnull) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	xv, err := v.x.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return boolVec(b.n, func(i int) bool { return xv.IsNullAt(i) != v.not }), nil
-}
+func (v *visnull) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *visnull) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	x, err := v.x.row(ctx, b, r)
@@ -1532,26 +1466,11 @@ type vfunc struct {
 	args []vexpr
 }
 
-func (v *vfunc) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	avs := make([]*Vec, len(v.args))
-	for k, ae := range v.args {
-		av, err := ae.eval(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		avs[k] = av
-	}
-	argv := make([]Value, len(v.args))
-	return mapVec(b.n, func(i int) (Value, error) {
-		for k := range avs {
-			argv[k] = avs[k].At(i)
-		}
-		return applyScalarFunc(v.name, argv)
-	})
-}
+func (v *vfunc) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vfunc) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
-	args, err := rowArgs(ctx, b, r, v.args...)
+	var buf [4]Value
+	args, err := rowArgs(ctx, b, r, buf[:0], v.args...)
 	if err != nil {
 		return Null(), err
 	}
@@ -1563,13 +1482,7 @@ type vcast struct {
 	kind Kind
 }
 
-func (v *vcast) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	xv, err := v.x.eval(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return mapVec(b.n, func(i int) (Value, error) { return castValue(xv.At(i), v.kind) })
-}
+func (v *vcast) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vcast) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	x, err := v.x.row(ctx, b, r)
@@ -1579,50 +1492,13 @@ func (v *vcast) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	return castValue(x, v.kind)
 }
 
-// vcase evaluates every arm over the batch, then selects per row. The row
-// engine stops at the first truthy WHEN; eager arm evaluation selects the
-// same value and can only add errors, which replay the stage.
 type vcase struct {
 	conds []vexpr
 	thens []vexpr
 	els   vexpr
 }
 
-func (v *vcase) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
-	cvs := make([]*Vec, len(v.conds))
-	tvs := make([]*Vec, len(v.thens))
-	for k := range v.conds {
-		cv, err := v.conds[k].eval(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		cvs[k] = cv
-		tv, err := v.thens[k].eval(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		tvs[k] = tv
-	}
-	var ev *Vec
-	if v.els != nil {
-		var err error
-		ev, err = v.els.eval(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mapVec(b.n, func(i int) (Value, error) {
-		for k := range cvs {
-			if cvs[k].At(i).AsBool() {
-				return tvs[k].At(i), nil
-			}
-		}
-		if ev != nil {
-			return ev.At(i), nil
-		}
-		return Null(), nil
-	})
-}
+func (v *vcase) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vcase) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	for k, cond := range v.conds {
@@ -1641,69 +1517,80 @@ func (v *vcase) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 }
 
 // subq is a subquery operand. An uncorrelated one runs once per execution,
-// when a row first reaches it (a replay runs it per row it reaches); a
-// correlated one runs once per enclosing row, its outer references reading
-// that row.
+// when a row first reaches it, and every later row reads its memo
+// (ctx.once); a correlated one runs once per enclosing row, its outer
+// references reading that row — in aggregate context (first) the group's
+// first row.
 type subq struct {
-	plan *vecPlan
-	corr bool
+	plan        *vecPlan
+	corr, first bool
 }
 
 // run runs the subquery for row r of b.
 func (s subq) run(ctx *vecCtx, b *vbatch, r int, dst []Value) (output, error) {
 	var outer *outerRow
 	if s.corr {
+		if s.first {
+			b, r = ctx.first(r)
+		}
 		outer = &outerRow{b: b, r: r, up: ctx.outer}
 	}
 	return s.plan.run(ctx.db, outer, dst)
 }
 
-// vecOf evaluates a subquery node over b: once for an uncorrelated node, as
-// a constant, and row by row for a correlated one.
-func vecOf(ctx *vecCtx, b *vbatch, s subq, e vexpr) (*Vec, error) {
-	if b.n == 0 {
-		return noRows, nil
-	}
-	if !s.corr {
-		val, err := e.row(ctx, b, b.row(0))
-		if err != nil {
-			return nil, err
-		}
-		return ctx.konst(val), nil
-	}
-	return mapVec(b.n, func(i int) (Value, error) { return e.row(ctx, b, b.row(i)) })
+// subMemo is what a subquery node computed: the value of a scalar or EXISTS
+// subquery, an IN subquery's column, or the error it raised.
+type subMemo struct {
+	node vexpr
+	val  Value
+	set  []Value
+	err  error
 }
 
-// vsub is a scalar subquery. The scalar-shape checks mirror the row engine's
-// SubqueryExpr case exactly.
-type vsub struct{ sub subq }
+// once returns what node computes over subquery s: computed for every row
+// when s is correlated, and once per execution when it is not.
+func (ctx *vecCtx) once(node vexpr, s subq, compute func() subMemo) subMemo {
+	if s.corr {
+		return compute()
+	}
+	for _, m := range ctx.memos {
+		if m.node == node {
+			return m
+		}
+	}
+	m := compute()
+	m.node = node
+	ctx.memos = append(ctx.memos, m)
+	return m
+}
 
-func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return vecOf(ctx, b, v.sub, v) }
+// vsub is a scalar subquery, or with exists an EXISTS test. The scalar-shape
+// checks mirror the row engine's SubqueryExpr case exactly.
+type vsub struct {
+	sub    subq
+	exists bool
+}
+
+func (v *vsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *vsub) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
-	out, err := v.sub.run(ctx, b, r, ctx.cell[:0])
-	switch {
-	case err != nil:
-		return Null(), err
-	case len(v.sub.plan.cols) != 1:
-		return Null(), fmt.Errorf("%w: scalar subquery with %d columns", ErrNotScalar, len(v.sub.plan.cols))
-	case out.n > 1:
-		return Null(), fmt.Errorf("%w: scalar subquery returned %d rows", ErrNotScalar, out.n)
-	case out.n == 1:
-		return out.first(), nil
-	}
-	return Null(), nil
-}
-
-type vexists struct {
-	sub subq
-}
-
-func (v *vexists) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return vecOf(ctx, b, v.sub, v) }
-
-func (v *vexists) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
-	out, err := v.sub.run(ctx, b, r, ctx.cell[:0])
-	return Bool(out.n > 0), err
+	m := ctx.once(v, v.sub, func() subMemo {
+		out, err := v.sub.run(ctx, b, r, ctx.cell[:0])
+		switch {
+		case err != nil:
+			return subMemo{err: err}
+		case v.exists:
+			return subMemo{val: Bool(out.n > 0)}
+		case len(v.sub.plan.cols) != 1:
+			return subMemo{err: fmt.Errorf("%w: scalar subquery with %d columns", ErrNotScalar, len(v.sub.plan.cols))}
+		case out.n > 1:
+			return subMemo{err: fmt.Errorf("%w: scalar subquery returned %d rows", ErrNotScalar, out.n)}
+		case out.n == 1:
+			return subMemo{val: out.first()}
+		}
+		return subMemo{}
+	})
+	return m.val, m.err
 }
 
 type vinsub struct {
@@ -1712,9 +1599,10 @@ type vinsub struct {
 	not bool
 }
 
+// eval tests an uncorrelated subquery's set against the whole operand vector.
 func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if v.sub.corr {
-		return vecOf(ctx, b, v.sub, v)
+		return rowVec(ctx, b, v)
 	}
 	xv, err := v.x.eval(ctx, b)
 	if err != nil {
@@ -1727,7 +1615,11 @@ func (v *vinsub) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return boolVec(b.n, func(i int) bool { return member(xv.At(i), set) != v.not }), nil
+	out := &Vec{kind: KindBool, bools: make([]bool, b.n)}
+	for i := range out.bools {
+		out.bools[i] = member(xv.At(i), set) != v.not
+	}
+	return out, nil
 }
 
 func (v *vinsub) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
@@ -1742,151 +1634,55 @@ func (v *vinsub) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	return Bool(member(x, set) != v.not), nil
 }
 
-// set runs the subquery for row r of b and returns its one column.
+// set returns the subquery's one column for row r of b.
 func (v *vinsub) set(ctx *vecCtx, b *vbatch, r int) ([]Value, error) {
-	out, err := v.sub.run(ctx, b, r, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(v.sub.plan.cols) != 1 {
-		return nil, fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(v.sub.plan.cols))
-	}
-	set := make([]Value, out.n)
-	for i, row := range v.sub.plan.result(out).Rows {
-		set[i] = row[0]
-	}
-	return set, nil
+	m := ctx.once(v, v.sub, func() subMemo {
+		out, err := v.sub.run(ctx, b, r, nil)
+		if err != nil {
+			return subMemo{err: err}
+		}
+		if len(v.sub.plan.cols) != 1 {
+			return subMemo{err: fmt.Errorf("%w: IN subquery with %d columns", ErrNotScalar, len(v.sub.plan.cols))}
+		}
+		set := make([]Value, out.n)
+		for i, row := range v.sub.plan.result(out).Rows {
+			set[i] = row[0]
+		}
+		return subMemo{set: set}
+	})
+	return m.set, m.err
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate-context expressions.
+// Aggregate leaves. In aggregate context a node's row r is group r of
+// ctx.groups, and the ordinary nodes combine two leaves: an aggregate folding
+// its group and a column reading the group's first row.
 
-// gexpr evaluates to one value per group, mirroring groupEnv.eval.
-type gexpr interface {
-	eval(ctx *vecCtx, g *vgroup) (Value, error)
-}
-
-type glit struct{ val Value }
-
-func (v *glit) eval(ctx *vecCtx, g *vgroup) (Value, error) { return v.val, nil }
-
-// gfirst evaluates a row-context expression under aggregation, as the row
-// engine's groupEnv does for every shape it does not fold (a bare column
-// first among them): over the group's first row, or over a row of NULLs when
-// the group is empty.
-type gfirst struct{ x vexpr }
-
-func (v *gfirst) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	if g.n == 0 {
-		nulls := &vbatch{n: 1, cols: make([]*Vec, ctx.p.width)}
-		for s := range nulls.cols {
-			nulls.cols[s] = nullVec
-		}
-		return v.x.row(ctx, nulls, 0)
+// first returns group gi's first row as a batch and a column index of it, or
+// a row of NULLs when the group is empty (an aggregate over no rows).
+func (ctx *vecCtx) first(gi int) (*vbatch, int) {
+	if g := &ctx.groups[gi]; g.n > 0 {
+		return g.b, g.row(0)
 	}
-	return v.x.row(ctx, g.b, g.row(0))
+	nulls := &vbatch{n: 1, cols: make([]*Vec, ctx.p.width)}
+	for s := range nulls.cols {
+		nulls.cols[s] = nullVec
+	}
+	return nulls, 0
 }
 
 // nullVec is the constant NULL. It is shared, and nothing writes to it.
 var nullVec = &Vec{any: []Value{Null()}, konst: true}
 
-type gunary struct {
-	op string
-	x  gexpr
-}
+// gfirst is a column reference in aggregate context: the column at the
+// group's first row, as the row engine's groupEnv reads it.
+type gfirst struct{ slot int }
 
-func (v *gunary) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	inner, err := v.x.eval(ctx, g)
-	if err != nil {
-		return Null(), err
-	}
-	return applyUnary(v.op, inner)
-}
+func (v *gfirst) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
-type gbin struct {
-	op   string
-	l, r gexpr
-}
-
-func (v *gbin) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	if v.op == "AND" || v.op == "OR" {
-		l, err := v.l.eval(ctx, g)
-		if err != nil {
-			return Null(), err
-		}
-		if v.op == "AND" && !l.AsBool() {
-			return Bool(false), nil
-		}
-		if v.op == "OR" && l.AsBool() {
-			return Bool(true), nil
-		}
-		r, err := v.r.eval(ctx, g)
-		if err != nil {
-			return Null(), err
-		}
-		return Bool(r.AsBool()), nil
-	}
-	l, err := v.l.eval(ctx, g)
-	if err != nil {
-		return Null(), err
-	}
-	r, err := v.r.eval(ctx, g)
-	if err != nil {
-		return Null(), err
-	}
-	return applyBinary(v.op, l, r)
-}
-
-type gscalar struct {
-	name string
-	args []gexpr
-}
-
-func (v *gscalar) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	args := make([]Value, len(v.args))
-	for i, a := range v.args {
-		av, err := a.eval(ctx, g)
-		if err != nil {
-			return Null(), err
-		}
-		args[i] = av
-	}
-	return applyScalarFunc(v.name, args)
-}
-
-type gcast struct {
-	x    gexpr
-	kind Kind
-}
-
-func (v *gcast) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	inner, err := v.x.eval(ctx, g)
-	if err != nil {
-		return Null(), err
-	}
-	return castValue(inner, v.kind)
-}
-
-type gcase struct {
-	conds []gexpr
-	thens []gexpr
-	els   gexpr
-}
-
-func (v *gcase) eval(ctx *vecCtx, g *vgroup) (Value, error) {
-	for k := range v.conds {
-		c, err := v.conds[k].eval(ctx, g)
-		if err != nil {
-			return Null(), err
-		}
-		if c.AsBool() {
-			return v.thens[k].eval(ctx, g)
-		}
-	}
-	if v.els != nil {
-		return v.els.eval(ctx, g)
-	}
-	return Null(), nil
+func (v *gfirst) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	fb, fr := ctx.first(r)
+	return fb.cols[v.slot].At(fr), nil
 }
 
 // gagg folds an aggregate over the group. The argument expression is
@@ -1919,7 +1715,11 @@ func (a *gagg) argVec(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	return av, nil
 }
 
-func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
+func (a *gagg) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, a) }
+
+// row folds group r.
+func (a *gagg) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
+	g := &ctx.groups[r]
 	if a.star {
 		return Int(int64(g.n)), nil
 	}
