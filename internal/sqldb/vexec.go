@@ -1064,9 +1064,6 @@ type vexpr interface {
 // its row method, row by row in batch order. Over no rows it evaluates
 // nothing.
 func rowVec(ctx *vecCtx, b *vbatch, e vexpr) (*Vec, error) {
-	if b.n == 0 {
-		return noRows, nil
-	}
 	return mapVec(b.n, func(i int) (Value, error) { return e.row(ctx, b, b.row(i)) })
 }
 
@@ -1111,15 +1108,20 @@ func intAt(v *Vec, i int) int64 {
 	return v.ints[i]
 }
 
-// mapVec evaluates f element-wise into a generic vector.
+// mapVec evaluates f element-wise into a vector stored unboxed under the
+// first value's kind for as long as the values keep it, as an image column
+// is, so the kernels reading it take their typed paths.
 func mapVec(n int, f func(i int) (Value, error)) (*Vec, error) {
-	out := NewVec(KindNull, n)
+	out := noRows
 	for i := 0; i < n; i++ {
 		v, err := f(i)
 		if err != nil {
 			return nil, err
 		}
-		out.any = append(out.any, v)
+		if i == 0 {
+			out = NewVec(v.Kind(), n)
+		}
+		out.Append(v)
 	}
 	return out, nil
 }

@@ -102,3 +102,19 @@ func benchWarm(b *testing.B, db *Database, q string) {
 func BenchmarkLookupVecWarm(b *testing.B)     { benchWarm(b, lookupDB(), benchLookup) }
 func BenchmarkFoldVecWarm(b *testing.B)       { benchWarm(b, lookupDB(), benchFold) }
 func BenchmarkLookupJoinVecWarm(b *testing.B) { benchWarm(b, lookupDB(), benchLookupJoin) }
+
+// Filters and a projection whose nodes have no batch kernel of their own:
+// each evaluates its row method row by row (rowVec) over the 16k-row table.
+const (
+	benchIn      = `SELECT COUNT(*) FROM "sales" WHERE "units" IN (7, 42, 99)`
+	benchBetween = `SELECT COUNT(*) FROM "sales" WHERE "units" BETWEEN 100 AND 200`
+	benchLower   = `SELECT COUNT(*) FROM "sales" WHERE LOWER("name") = 'acct-07777'`
+	benchOr      = `SELECT COUNT(*) FROM "sales" WHERE "units" < 10 OR "revenue" > 9000`
+	benchCase    = `SELECT "name", CASE WHEN "units" > 250 THEN 'hi' ELSE 'lo' END FROM "sales"`
+)
+
+func BenchmarkFilterInVecWarm(b *testing.B)       { benchWarm(b, lookupDB(), benchIn) }
+func BenchmarkFilterBetweenVecWarm(b *testing.B)  { benchWarm(b, lookupDB(), benchBetween) }
+func BenchmarkFilterLowerVecWarm(b *testing.B)    { benchWarm(b, lookupDB(), benchLower) }
+func BenchmarkFilterOrVecWarm(b *testing.B)       { benchWarm(b, lookupDB(), benchOr) }
+func BenchmarkCaseProjectionVecWarm(b *testing.B) { benchWarm(b, lookupDB(), benchCase) }
