@@ -40,7 +40,6 @@ var census = []keep{
 	{"internal/sqldb.ExecVec", "TestDifferentialCorpus"},
 	{"internal/sqldb.Query", "TestDifferentialCorpus"},
 	{"internal/sqldb.Result.Scalar", "TestDifferentialSmallTableSubqueries"},
-	{"internal/sqldb.joinKey", "TestDifferentialCorpus"},
 
 	// The documented-surface gate's helpers.
 	{"internal/doclint.RepoRoot", "TestRepoRootFindsGoMod"},

@@ -9,10 +9,12 @@ import (
 
 // access.go holds the access paths a table image derives from its columns:
 // an equality index and a whole-column fold memo, which filtered scans,
-// unfiltered aggregates and lookup joins read instead of scanning. A path is
+// unfiltered aggregates and equi-joins read instead of scanning. A path is
 // built from an immutable column the first time a query wants it and lives
 // exactly as long as the image: AddTable publishes a new image with no paths,
 // so nothing is ever invalidated and the plan cache knows nothing of them.
+// An equi-join over anything else builds an eqIndex for the one query
+// (hashPairs in vexec.go).
 //
 // Whether a query scans or takes a path is decided by the image's row count
 // alone: an image of at most windowRows rows is one scan window, which the
@@ -123,6 +125,26 @@ func (ix *eqIndex) after(head int32) int32 {
 		return 0
 	}
 	return ix.next[head-1]
+}
+
+// lookup returns the first row+1 holding row i of v's key, 0 when there is
+// none. v is text for a text index and typed numeric for a numeric one; a
+// NULL key matches nothing, and neither does a NaN, which a numeric index
+// never holds and joinKey matches only to another NaN.
+func (ix *eqIndex) lookup(v *Vec, i int) int32 {
+	if v.IsNullAt(i) {
+		return 0
+	}
+	if v.kind == KindText {
+		_, head := ix.findText(v.strs[i])
+		return head
+	}
+	f := numAt(v, i)
+	if f != f {
+		return 0
+	}
+	_, head := ix.findNum(f)
+	return head
 }
 
 // rows lists the chain starting at head.
@@ -241,72 +263,33 @@ func (ctx *vecCtx) imageFold(slot int, v *Vec) (f *colFold, fresh bool) {
 	return cp.folded(v)
 }
 
-// indexJoin resolves hash join ji without building a match table, when one
-// side is a whole image column with an equality index and the other has fewer
-// rows than a scan window: it walks the small side's keys through the big
-// side's index. Pairs come out as joinSets emits them, in left-row order with
-// each left row's matches in right-scan order. ok is false when the join has
-// to hash: no index on either side, keys that do not hash by float64 image
-// (see fastJoinKeys), or more matches than an index walk is worth.
-func (p *vecPlan) indexJoin(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []int32, ok bool) {
-	j := &p.joins[ji]
-	leftKey, rightKey := left.cols[j.li], right.cols[j.ri]
-	if !typedNum(leftKey) || !typedNum(rightKey) {
+// walkIndex resolves an INNER equi-join from the left key's index when the
+// left key is a whole image column and the right side is small: it looks each
+// right key up and sorts the matches into joinSets' order, left row first.
+// ok is false when the left key has no index, or past |left|/8 matches, where
+// sorting costs more than indexing the right side.
+func (ctx *vecCtx) walkIndex(slot int, leftKey, rightKey *Vec) (li, ri []int32, ok bool) {
+	cp := ctx.imagePaths(slot, leftKey)
+	if cp == nil {
 		return nil, nil, false
 	}
-	pad := j.kind == "LEFT"
-	index := func(slot int, big, small *Vec) *eqIndex {
-		cp := ctx.imagePaths(slot, big)
-		if cp == nil || !fastJoinKeys(small, nil) {
-			return nil
-		}
-		return ctx.index(cp, big)
-	}
-	switch {
-	case left.n < windowRows:
-		ix := index(j.ri, rightKey, leftKey)
-		if ix == nil {
-			return nil, nil, false
-		}
-		for i := 0; i < left.n; i++ {
-			var head int32
-			if !leftKey.IsNullAt(i) {
-				_, head = ix.findNum(numAt(leftKey, i))
-			}
-			if head == 0 && pad {
-				li, ri = append(li, int32(i)), append(ri, -1)
-			}
-			for ; head != 0; head = ix.after(head) {
-				li, ri = append(li, int32(i)), append(ri, head-1)
-			}
-		}
-	case right.n < windowRows && !pad:
-		ix := index(j.li, leftKey, rightKey)
-		if ix == nil {
-			return nil, nil, false
-		}
-		// Matches arrive grouped by right row and are wanted by left row. Past
-		// an eighth of the left side, sorting them costs more than hashing it.
-		var pairs []int64 // left row << 32 | right row
-		for k := 0; k < right.n; k++ {
-			if rightKey.IsNullAt(k) {
-				continue
-			}
-			_, head := ix.findNum(numAt(rightKey, k))
-			for ; head != 0; head = ix.after(head) {
-				pairs = append(pairs, int64(head-1)<<32|int64(k))
-			}
-			if len(pairs) > left.n/8 {
-				return nil, nil, false
-			}
-		}
-		slices.Sort(pairs)
-		li, ri = make([]int32, len(pairs)), make([]int32, len(pairs))
-		for k, pr := range pairs {
-			li[k], ri[k] = int32(pr>>32), int32(pr)
-		}
-	default:
+	ix := ctx.index(cp, leftKey)
+	if ix == nil {
 		return nil, nil, false
+	}
+	var pairs []int64 // left row << 32 | right row
+	for k := 0; k < rightKey.Len(); k++ {
+		for head := ix.lookup(rightKey, k); head != 0; head = ix.after(head) {
+			pairs = append(pairs, int64(head-1)<<32|int64(k))
+		}
+		if len(pairs) > leftKey.Len()/8 {
+			return nil, nil, false
+		}
+	}
+	slices.Sort(pairs)
+	li, ri = make([]int32, len(pairs)), make([]int32, len(pairs))
+	for k, pr := range pairs {
+		li[k], ri[k] = int32(pr>>32), int32(pr)
 	}
 	ctx.db.plans.indexJoins.Add(1)
 	return li, ri, true

@@ -11,13 +11,13 @@ import (
 )
 
 // access_test.go covers the access paths on column images (access.go): the
-// equality index, the whole-column fold memo and the index join. They are
-// exact replacements for a scan, so every test is a differential against the
-// row engine, over a fixture whose tables are past the row-count rule. The
-// tests carry "Differential", "PlanCache" or "ExplainQuery" in their names so
-// `make sqldiff` selects them; TestDifferentialGenerated and
-// TestDifferentialCorpus (diff_test.go) run the same fixture through the
-// generator and the stored corpus.
+// equality index, the whole-column fold memo and the joins that probe an
+// image's index. They are exact replacements for a scan, so every test is a
+// differential against the row engine, over a fixture whose tables are past
+// the row-count rule. The tests carry "Differential", "PlanCache" or
+// "ExplainQuery" in their names so `make sqldiff` selects them;
+// TestDifferentialGenerated and TestDifferentialCorpus (diff_test.go) run the
+// same fixture through the generator and the stored corpus.
 
 // accessRows puts big past two scan windows.
 const accessRows = 2*windowRows + 500
@@ -230,17 +230,23 @@ func TestDifferentialAccessPathsTaken(t *testing.T) {
 		// A subquery in WHERE could raise an error, so nothing beside it is
 		// pushed down or probed; the subquery itself still folds.
 		{`SELECT v FROM big WHERE i = (SELECT MAX(id) FROM bigdim) AND k = 'k299'`, delta{}, delta{0, 0, 1, 0}},
-		// The filtered side walks the unfiltered side's index, whichever is which.
-		{`SELECT b.v FROM big b JOIN dim d ON b.i = d.id WHERE d.tag = 'x'`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
+		// A whole right image column is probed through its own index, whatever
+		// the left side is: small, filtered, big, or padded by a LEFT join.
 		{`SELECT b.v FROM dim d LEFT JOIN big b ON d.fid = b.i`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
 		{`SELECT b.v, e.w FROM big b JOIN bigdim e ON b.v = e.id WHERE b.u = 'u00077'`, delta{2, 1, 0, 1}, delta{0, 1, 0, 1}},
-		// LEFT padding of the big side, NaN-bearing and text keys, more
-		// matches than an index walk is worth, and two big sides all hash.
+		{`SELECT COUNT(*) FROM big b JOIN bigdim e ON b.i = e.id`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
+		{`SELECT b.v, e.w FROM big b LEFT JOIN bigdim e ON b.i = e.id`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
+		// An INNER join walks a small right side through the left side's index.
+		{`SELECT b.v FROM big b JOIN dim d ON b.i = d.id WHERE d.tag = 'x'`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
+		// Every other join indexes its right side for the query alone: LEFT
+		// padding of the big side, more matches than a walk is worth, a
+		// filtered right side past a scan window, and (by joinKey string)
+		// NaN-bearing and text keys.
 		{`SELECT b.v FROM big b LEFT JOIN dim d ON b.i = d.id WHERE d.tag = 'x'`, delta{}, delta{}},
+		{`SELECT b.v FROM big b JOIN dim d ON b.i = d.id`, delta{1, 0, 0, 0}, delta{}},
+		{`SELECT b.v FROM big b JOIN bigdim e ON b.i = e.id WHERE e.w >= 0.5`, delta{}, delta{}},
 		{`SELECT b.v FROM dim d JOIN big b ON d.id = b.nf`, delta{}, delta{}},
 		{`SELECT b.v FROM dim d JOIN big b ON d.name = b.k`, delta{}, delta{}},
-		{`SELECT b.v FROM big b JOIN dim d ON b.i = d.id`, delta{1, 0, 0, 0}, delta{}},
-		{`SELECT COUNT(*) FROM big b JOIN bigdim e ON b.i = e.id`, delta{}, delta{}},
 	} {
 		db := accessDB()
 		var last PlanCacheStats

@@ -479,6 +479,46 @@ func TestLoadCSV(t *testing.T) {
 	}
 }
 
+// TestLoadCSVDecimalSpellings pins which cells load as numbers: decimal and
+// scientific spellings do; ParseFloat's non-finite, hexadecimal and
+// underscored spellings load as text, so no NaN or infinity reaches a join
+// key or an aggregate from a CSV.
+func TestLoadCSVDecimalSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		cell string
+		want Value
+	}{
+		{"7", Int(7)},
+		{" -12 ", Int(-12)},
+		{"+3", Int(3)},
+		{"2.5", Float(2.5)},
+		{"-.5", Float(-0.5)},
+		{"1e3", Float(1000)},
+		{"6.02E+23", Float(6.02e23)},
+		{"9223372036854775808", Float(9223372036854775808)},
+		{"1e400", Text("1e400")},
+		{"NaN", Text("NaN")},
+		{"nan", Text("nan")},
+		{"Inf", Text("Inf")},
+		{"-infinity", Text("-infinity")},
+		{"+Inf", Text("+Inf")},
+		{"0x1p4", Text("0x1p4")},
+		{"0x10", Text("0x10")},
+		{"1_000", Text("1_000")},
+		{"e", Text("e")},
+		{"1-2", Text("1-2")},
+		{"", Null()},
+	} {
+		tab, err := LoadCSV("t", strings.NewReader("k\n\""+tc.cell+"\"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.Rows[0][0]; got.Kind() != tc.want.Kind() || got.String() != tc.want.String() {
+			t.Errorf("cell %q loads as %v (%v), want %v (%v)", tc.cell, got, got.Kind(), tc.want, tc.want.Kind())
+		}
+	}
+}
+
 func TestUniqueValues(t *testing.T) {
 	db := testDB(t)
 	vals, err := db.Table("airlines").UniqueValues("fatal_accidents_00_14")

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -94,12 +95,12 @@ func TestHashJoinNumericCoercion(t *testing.T) {
 	}
 }
 
-// TestHashJoinMatchesDenseKeys pins the array-indexed join (denseKeys) to the
-// row engine's matching at the places they could part: duplicate and NULL
+// TestHashJoinMatchesIntKeys pins the index-probed join of integer keys to
+// the row engine's matching at the places they could part: duplicate and NULL
 // keys, left keys outside the right side's range, int64 extremes, and the
 // 2^53 boundary, from which distinct integers share a float64 image (so
-// 2^53+1 joins 2^53) and the dense path must step aside.
-func TestHashJoinMatchesDenseKeys(t *testing.T) {
+// 2^53+1 joins 2^53, as joinKey has it).
+func TestHashJoinMatchesIntKeys(t *testing.T) {
 	const p53 = int64(1) << 53
 	for name, keys := range map[string][2][]Value{
 		"dense":      {{Int(3), Int(1), Null(), Int(7), Int(2), Int(3), Int(-40)}, {Int(2), Int(3), Null(), Int(3), Int(5), Int(1)}},
@@ -108,32 +109,54 @@ func TestHashJoinMatchesDenseKeys(t *testing.T) {
 		"at 2^53":    {{Int(p53 - 1), Int(p53), Int(p53 + 1)}, {Int(p53 - 1), Int(p53)}},
 		"sparse":     {{Int(5), Int(1 << 40)}, {Int(5), Int(1 << 40)}},
 	} {
-		db := NewDatabase(name)
-		for side, tab := range []string{"l", "r"} {
-			tb := NewTable(tab, "k", "tag")
-			for i, k := range keys[side] {
-				tb.MustAppendRow(k, Int(int64(i)))
-			}
-			db.AddTable(tb)
-		}
-		for _, q := range []string{
-			`SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k`,
-			`SELECT l.tag, r.tag FROM l LEFT JOIN r ON l.k = r.k`,
-			`SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k AND TRUE`, // nested loop
-		} {
-			if !checkDifferential(t, db, q) {
-				t.Errorf("%s: %q did not run vectorized", name, q)
-			}
-		}
+		checkJoinKeys(t, name, keys)
 	}
-	db := NewDatabase("d")
-	tb := NewTable("t", "k")
-	tb.MustAppendRow(Int(p53 - 2))
-	tb.MustAppendRow(Int(p53 - 1))
-	db.AddTable(tb)
-	images := []*tableImage{imageOf(db, "t")}
-	if _, _, ok := denseKeys(images[0].cols[0], images[0].cols[0], nil); !ok {
-		t.Error("keys just below 2^53 should take the dense path")
+}
+
+// TestHashJoinMatchesKeyKinds holds the keys that do not probe a numeric
+// index to the row engine: text that joinKey coerces ('5' meets 5.0, '5.0'
+// meets 5), bools, mixed storage, and NaN, which only the Go API can store
+// and which joinKey matches to another NaN but no number. NaN on the left
+// alone probes the right side's numeric index and matches nothing.
+func TestHashJoinMatchesKeyKinds(t *testing.T) {
+	nan := Float(math.NaN())
+	for name, keys := range map[string][2][]Value{
+		"text vs float":  {{Text("5"), Text("5.0"), Text("x"), Null(), Text("05")}, {Float(5), Float(5.5), Null(), Float(5)}},
+		"float vs text":  {{Float(5), Int(7), Float(-0.0)}, {Text("5"), Text("7.0"), Text("0"), Text("seven")}},
+		"bool":           {{Bool(true), Bool(false), Null(), Bool(true)}, {Bool(false), Bool(true), Bool(true)}},
+		"bool vs int":    {{Bool(true), Bool(false)}, {Int(1), Int(0)}},
+		"mixed":          {{Int(3), Text("3"), Float(2.5), Null(), Bool(true)}, {Float(3), Text("2.5"), Int(1)}},
+		"NaN right":      {{Float(1), nan, Float(2), nan}, {nan, Float(2), Float(2), nan}},
+		"NaN left":       {{nan, Float(1), Float(2)}, {Float(2), Float(1), Float(1)}},
+		"NaN vs int":     {{Int(0), Int(1)}, {nan, Float(1)}},
+		"signed zero":    {{Float(0), Float(-0.0), Int(0)}, {Float(-0.0), Int(0)}},
+		"int vs float":   {{Int(1), Int(2), Int(3)}, {Float(1), Float(2.5), Float(3)}},
+		"all NULL right": {{Int(1), Null()}, {Null(), Null()}},
+	} {
+		checkJoinKeys(t, name, keys)
+	}
+}
+
+// checkJoinKeys loads keys as l.k and r.k, each row tagged with its number,
+// and holds an inner, a LEFT and a nested-loop join of them to the oracle.
+func checkJoinKeys(t *testing.T, name string, keys [2][]Value) {
+	t.Helper()
+	db := NewDatabase(name)
+	for side, tab := range []string{"l", "r"} {
+		tb := NewTable(tab, "k", "tag")
+		for i, k := range keys[side] {
+			tb.MustAppendRow(k, Int(int64(i)))
+		}
+		db.AddTable(tb)
+	}
+	for _, q := range []string{
+		`SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k`,
+		`SELECT l.tag, r.tag FROM l LEFT JOIN r ON l.k = r.k`,
+		`SELECT l.tag, r.tag FROM l JOIN r ON l.k = r.k AND TRUE`, // nested loop
+	} {
+		if !checkDifferential(t, db, q) {
+			t.Errorf("%s: %q did not run vectorized", name, q)
+		}
 	}
 }
 

@@ -229,7 +229,7 @@ type PlanCacheStats struct {
 	IndexBuilds uint64 // equality indexes built, at most one per image column
 	IndexProbes uint64 // pushed "column = literal" conjuncts answered from an index instead of a scan
 	FoldHits    uint64 // unfiltered aggregates answered from a column's memoised fold
-	IndexJoins  uint64 // hash joins resolved by walking one side's keys through the other's index
+	IndexJoins  uint64 // equi-joins matched through a table image's cached index on either side
 }
 
 // PlanCacheStats returns cumulative hit/miss and execution-outcome counters
@@ -256,8 +256,8 @@ func (d *Database) InvalidatePlans() {
 
 // ExplainQuery describes how the vectorized engine would execute sql:
 // per-scan pushed-down predicate counts and how many of them an equality
-// index can answer (eq), the join algorithm per join and which side's index
-// an index join may walk, residual filter count, the pipeline kind, and the
+// index can answer (eq), the join algorithm per join and which side's cached
+// index a hash join may use, residual filter count, the pipeline kind, and the
 // error a plan ends with when the row engine would refuse its FROM clause or
 // its select list. The access paths named are the plan's candidates: each is
 // taken only on an image of more than 1,024 rows whose column can be indexed.
@@ -296,10 +296,11 @@ func (p *vecPlan) explain(db *Database) string {
 	return b.String()
 }
 
-// indexJoinSides names the sides of join ji whose equality index an index
-// join may walk: a side qualifies while it can still be a whole image column
-// when the join runs, which is to say an unfiltered scan (and, for the left
-// side, the first one, of a join that pads nothing).
+// indexJoinSides names the sides of hash join ji whose image index the join
+// may use, the right side's to probe and the left side's to walk: a side
+// qualifies while it can still be a whole image column when the join runs,
+// which is to say an unfiltered scan (and, for the left side, the first one,
+// of a join that pads nothing). The right side's index wins when it has one.
 func (p *vecPlan) indexJoinSides(ji int) string {
 	j := p.joins[ji]
 	if !j.hash {

@@ -56,7 +56,7 @@ SELECT k, SUM(i), COUNT(f) FROM big GROUP BY k ORDER BY 1 LIMIT 5
 SELECT COUNT(w), MIN(w), MAX(id) FROM bigdim
 -- Index join: the small side on either side of the big one, LEFT padding,
 -- NULL and absent keys, an int key against a float key, and the keys that
--- must hash instead (NaN-bearing, text, too many matches, both sides big).
+-- take a per-query index instead (NaN-bearing, text, too many matches).
 SELECT b.v, d.tag FROM big b JOIN dim d ON b.i = d.id WHERE d.tag = 'x'
 SELECT d.id, b.v FROM dim d JOIN big b ON d.id = b.i WHERE d.tag = 'y'
 SELECT d.id, d.tag, b.v FROM dim d LEFT JOIN big b ON d.id = b.i
@@ -73,3 +73,14 @@ SELECT b.v, e.w FROM big b JOIN bigdim e ON b.v = e.id WHERE b.u = 'u00077'
 SELECT e.w, b.u FROM bigdim e JOIN big b ON b.v = e.id WHERE e.w = 2.5
 SELECT b.v, d.tag, e.w FROM big b JOIN dim d ON b.i = d.id JOIN bigdim e ON d.id = e.id WHERE d.tag = 'x' AND b.k = 'k003'
 SELECT d.id, b.v FROM dim d JOIN big b ON d.id = b.i WHERE d.tag = 'y' AND b.f = 2
+-- The right key's index first: a LEFT join of the big side against a cached
+-- index, two whole images, a filtered right side that gets an index of its
+-- own for the query, and a right side holding a NaN, which matches by
+-- joinKey string.
+SELECT b.v, e.w FROM big b LEFT JOIN bigdim e ON b.i = e.id
+SELECT b.v, e.w FROM big b LEFT JOIN bigdim e ON b.f = e.id WHERE b.v < 600
+SELECT COUNT(*), SUM(b.v) FROM bigdim e JOIN big b ON e.w = b.f
+SELECT b.v, e.w FROM big b JOIN bigdim e ON b.i = e.id WHERE e.w >= 0.5 AND b.v < 900
+SELECT COUNT(*), SUM(b.v) FROM big b LEFT JOIN bigdim e ON b.nf = e.id WHERE e.w > 0 OR e.w IS NULL
+SELECT e.id, b.v FROM bigdim e JOIN big b ON e.w = b.nf WHERE e.id < 40
+SELECT b.v, c.v FROM big b JOIN big c ON b.u = c.k

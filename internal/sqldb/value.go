@@ -484,10 +484,16 @@ func (v *Vec) appendKey(i int, dst []byte) []byte {
 
 // inferLiteral converts raw text (e.g. from CSV ingestion) to the most
 // specific value kind: integer, float, then text. Empty strings become NULL.
+// Only decimal spellings are numbers: the non-finite, hexadecimal and
+// underscored forms ParseFloat also accepts ("NaN", "Inf", "0x1p4", "1_000")
+// stay text, as they do in textutil.ParseNumber.
 func inferLiteral(raw string) Value {
 	t := strings.TrimSpace(raw)
 	if t == "" {
 		return Null()
+	}
+	if strings.Trim(t, "0123456789+-.eE") != "" {
+		return Text(raw)
 	}
 	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
 		return Int(i)

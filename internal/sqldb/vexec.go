@@ -3,8 +3,6 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -559,124 +557,76 @@ func gatherBatch(b *vbatch, idx []int32) *vbatch {
 	return out
 }
 
-// hashMatch resolves a hash join's matches without a slice per key: heads[i]
-// is the first right row whose key equals left row i's (-1 for none, and for
-// a NULL key, which never matches in SQL equality), and next chains each
-// right row to the following one with an equal key, so walking a chain visits
-// matches in the right-scan order joinSets emits them in. lf and rf are the
-// keys' memoised whole-column folds where they have one (nil otherwise), which
-// spare the key statistics a rescan.
-func hashMatch(leftKey, rightKey *Vec, ln, rn int, lf, rf *colFold) (heads, next []int32) {
-	heads, next = make([]int32, ln), make([]int32, rn)
-	if lo, span, ok := denseKeys(leftKey, rightKey, rf); ok {
-		// Surrogate keys (the <entity>_id columns of a normalized schema):
-		// an array indexed by key-lo replaces the hash table.
-		first := make([]int32, span) // right row + 1, so 0 is "absent"
-		for i := rn - 1; i >= 0; i-- {
-			next[i] = -1
-			if !rightKey.IsNullAt(i) {
-				k := rightKey.ints[i] - lo
-				next[i] = first[k] - 1
-				first[k] = int32(i) + 1
-			}
-		}
-		for i, x := range leftKey.ints {
-			heads[i] = -1
-			if k := uint64(x - lo); k < uint64(span) && !leftKey.IsNullAt(i) {
-				heads[i] = first[k] - 1
-			}
-		}
-		return heads, next
-	}
-	if fastJoinKeys(leftKey, lf) && fastJoinKeys(rightKey, rf) {
-		// Typed numeric keys: joinKey reduces every numeric to its float64
-		// image (Float(f).key()), under which two values share a key string
-		// iff they are equal as float64s — I-form below 1e15, bit-exact
-		// F-form above, NaN-bearing vectors excluded by fastJoinKeys. Hashing
-		// the float64 directly is therefore match-identical and skips all
-		// key-string allocation.
-		first := make(map[float64]int32, rn) // right row + 1, so 0 is "absent"
-		for i := rn - 1; i >= 0; i-- {
-			next[i] = -1
-			if !rightKey.IsNullAt(i) {
-				k := numAt(rightKey, i)
-				next[i] = first[k] - 1
-				first[k] = int32(i) + 1
-			}
-		}
-		for i := range heads {
-			heads[i] = -1
-			if !leftKey.IsNullAt(i) {
-				heads[i] = first[numAt(leftKey, i)] - 1
-			}
-		}
-		return heads, next
-	}
-	first := make(map[string]int32, rn)
-	var kb []byte
-	for i := rn - 1; i >= 0; i-- {
-		next[i] = -1
-		if v := rightKey.At(i); !v.IsNull() {
-			kb = appendJoinKey(kb[:0], v)
-			next[i] = first[string(kb)] - 1
-			first[string(kb)] = int32(i) + 1
-		}
-	}
-	for i := range heads {
-		heads[i] = -1
-		if v := leftKey.At(i); !v.IsNull() {
-			kb = appendJoinKey(kb[:0], v)
-			heads[i] = first[string(kb)] - 1 // alloc-free lookup
-		}
-	}
-	return heads, next
-}
-
-// hashPairs lists hash join ji's (left row, right row) pairs from a match
-// table over both sides, in joinSets' order, with -1 as the right row of a
-// LEFT join's unmatched left row.
+// hashPairs lists equi-join ji's (left row, right row) pairs in joinSets'
+// order: left-major, each left row's matches in right-scan order, and -1 as
+// the right row of a LEFT join's unmatched left row. Every match is found in
+// an eqIndex (access.go). Typed numeric keys probe one over the right key:
+// the image's own when the key is a whole image column, one built for this
+// query otherwise, unless an INNER join can walk its small right side through
+// the left key's image index instead (walkIndex). Every other key (text,
+// which joinKey coerces, mixed, bool, or a right side holding a NaN) probes
+// an index over both sides' joinKey strings.
 func (p *vecPlan) hashPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []int32) {
 	j := &p.joins[ji]
 	pad := j.kind == "LEFT"
 	leftKey, rightKey := left.cols[j.li], right.cols[j.ri]
-	lf, _ := ctx.imageFold(j.li, leftKey)
-	rf, _ := ctx.imageFold(j.ri, rightKey)
-	heads, next := hashMatch(leftKey, rightKey, left.n, right.n, lf, rf)
-	total := 0
-	for _, h := range heads {
-		if h < 0 && pad {
-			total++
-		}
-		for m := h; m >= 0; m = next[m] {
-			total++
+	var ix *eqIndex
+	if typedNum(leftKey) && typedNum(rightKey) {
+		if cp := ctx.imagePaths(j.ri, rightKey); cp != nil {
+			if ix = ctx.index(cp, rightKey); ix != nil {
+				ctx.db.plans.indexJoins.Add(1)
+			}
+		} else {
+			if !pad && right.n < windowRows {
+				if li, ri, ok := ctx.walkIndex(j.li, leftKey, rightKey); ok {
+					return li, ri
+				}
+			}
+			ix = buildEqIndex(rightKey)
 		}
 	}
-	li, ri = make([]int32, 0, total), make([]int32, 0, total)
-	for i, h := range heads {
-		if h < 0 && pad {
+	if ix == nil {
+		leftKey, rightKey = joinKeys(leftKey), joinKeys(rightKey)
+		ix = buildEqIndex(rightKey)
+	}
+	li, ri = make([]int32, 0, left.n), make([]int32, 0, left.n)
+	for i := 0; i < left.n; i++ {
+		head := ix.lookup(leftKey, i)
+		if head == 0 && pad {
 			li, ri = append(li, int32(i)), append(ri, -1)
 		}
-		for m := h; m >= 0; m = next[m] {
-			li, ri = append(li, int32(i)), append(ri, m)
+		for ; head != 0; head = ix.after(head) {
+			li, ri = append(li, int32(i)), append(ri, head-1)
 		}
 	}
 	return li, ri
 }
 
+// joinKeys returns v's joinKey strings as a text vector, NULL where v is.
+func joinKeys(v *Vec) *Vec {
+	n := v.Len()
+	out := &Vec{kind: KindText, strs: make([]string, n), nulls: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		if x := v.At(i); x.IsNull() {
+			out.nulls[i] = true
+		} else {
+			out.strs[i] = joinKey(x)
+		}
+	}
+	return out
+}
+
 // joinBatch joins the accumulated left batch with the freshly scanned right
-// batch under join ji, mirroring joinSets: on the recognized equi-join key an
-// index join where one applies (access.go) and a hash join otherwise (built
-// on the right, probed in left order, LEFT padding with NULLs), a nested loop
-// over the compiled ON clause for every other join. Only the columns a later
-// operator reads are gathered into the joined batch.
+// batch under join ji, mirroring joinSets: on the recognized equi-join key a
+// hash join (an index over the right key, probed in left order, LEFT padding
+// with NULLs), a nested loop over the compiled ON clause for every other
+// join. Only the columns a later operator reads are gathered into the joined
+// batch.
 func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, error) {
 	j := &p.joins[ji]
 	var li, ri []int32
 	if j.hash {
-		var indexed bool
-		if li, ri, indexed = p.indexJoin(ctx, left, right, ji); !indexed {
-			li, ri = p.hashPairs(ctx, left, right, ji)
-		}
+		li, ri = p.hashPairs(ctx, left, right, ji)
 	} else {
 		var err error
 		if li, ri, err = p.loopPairs(ctx, left, right, ji); err != nil {
@@ -751,85 +701,6 @@ func (p *vecPlan) loopPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []
 		}
 	}
 	return li, ri, nil
-}
-
-// denseKeys reports whether both key vectors are unboxed integers and the
-// right side's non-NULL keys span a range [lo, lo+span) small enough to index
-// an array by (at most a few slots per right row). The range must lie
-// strictly inside ±2^53: there int64 equality is float64 equality, which is
-// what joinKey matches on; from 2^53 on distinct integers share a float64
-// image and only the hash paths reproduce that. rf, when not nil, is the
-// right key's whole-column fold: its extremes are float64 extremes, which
-// inside ±2^53 are the integer extremes and outside it fail the range test
-// just the same.
-func denseKeys(leftKey, rightKey *Vec, rf *colFold) (lo int64, span int, ok bool) {
-	if leftKey.kind != KindInt || rightKey.kind != KindInt {
-		return 0, 0, false
-	}
-	lo, hi, seen := int64(0), int64(0), false
-	if rf != nil {
-		if seen = rf.cnt > 0; seen {
-			lo, hi = rightKey.ints[rf.lo], rightKey.ints[rf.hi]
-		}
-	} else {
-		for i, x := range rightKey.ints {
-			if rightKey.IsNullAt(i) {
-				continue
-			}
-			if !seen || x < lo {
-				lo = x
-			}
-			if !seen || x > hi {
-				hi = x
-			}
-			seen = true
-		}
-	}
-	const exact = 1 << 53
-	if !seen || lo <= -exact || hi >= exact || uint64(hi-lo) >= uint64(4*len(rightKey.ints)+1024) {
-		return 0, 0, false
-	}
-	return lo, int(hi-lo) + 1, true
-}
-
-// fastJoinKeys reports whether the vector's join keys can hash by float64
-// image: typed int vectors always qualify; typed float vectors qualify unless
-// they carry a NaN, whose joinKey string (bit-exact F-form) matches other
-// identical NaNs while float64 map keys never would. f, when not nil, is the
-// vector's whole-column fold, which already knows.
-func fastJoinKeys(v *Vec, f *colFold) bool {
-	switch v.kind {
-	case KindInt:
-		return true
-	case KindFloat:
-		if f != nil {
-			return !f.nan
-		}
-		for _, f := range v.floats {
-			if math.IsNaN(f) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// appendJoinKey appends joinKey(v) to dst without forcing a string
-// allocation, mirroring joinKey/Float.key exactly: numerics (except BOOL)
-// reduce to their float64 image — I-form for integral magnitudes below 1e15,
-// bit-exact F-form otherwise — and everything else uses Value.key.
-func appendJoinKey(dst []byte, v Value) []byte {
-	if f, ok := v.AsFloat(); ok && v.Kind() != KindBool {
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			dst = append(dst, 0, 'I')
-			return strconv.AppendInt(dst, int64(f), 10)
-		}
-		dst = append(dst, 0, 'F')
-		return strconv.AppendFloat(dst, f, 'b', -1, 64)
-	}
-	return append(dst, v.key()...)
 }
 
 // runRows projects a non-aggregated batch: straight into dst, or through the
@@ -1809,12 +1680,11 @@ func foldCol(av *Vec, g *vgroup) colFold {
 
 // colFold is what one pass over a group of an unboxed numeric vector yields
 // for every aggregate at once: the non-NULL count, their sum, the rows of the
-// first minimum and maximum (-1 over no values), and whether a NaN was seen.
+// first minimum and maximum (-1 over no values).
 type colFold struct {
 	cnt    int
 	sum    numSum
 	lo, hi int
-	nan    bool
 }
 
 // foldTyped folds group g of av (xs is av's storage) without boxing. MIN/MAX
@@ -1823,7 +1693,7 @@ type colFold struct {
 // NaN-incomparable) values. SUM and AVG accumulate as evalAggregate does, in
 // a numSum.
 func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
-	cnt, lo, hi, nan := 0, -1, -1, false
+	cnt, lo, hi := 0, -1, -1
 	var sum numSum
 	for k := 0; k < g.n; k++ {
 		r := g.row(k)
@@ -1836,7 +1706,6 @@ func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
 		} else {
 			sum.addFloat(x)
 		}
-		nan = nan || x != x
 		if cnt == 0 || x < float64(xs[lo]) {
 			lo = r
 		}
@@ -1845,7 +1714,7 @@ func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
 		}
 		cnt++
 	}
-	return colFold{cnt: cnt, sum: sum, lo: lo, hi: hi, nan: nan}
+	return colFold{cnt: cnt, sum: sum, lo: lo, hi: hi}
 }
 
 // finishFold reads one aggregate out of av's fold.
