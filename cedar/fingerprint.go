@@ -74,10 +74,10 @@ func dbFingerprint(db *sqldb.Database) [32]byte {
 			f.str(c.Name)
 			f.u64(uint64(c.Type))
 		}
-		f.u64(uint64(len(t.Rows)))
-		for _, row := range t.Rows {
-			for _, v := range row {
-				f.str(v.String())
+		f.u64(uint64(t.NumRows()))
+		for r := 0; r < t.NumRows(); r++ {
+			for c := range t.Columns {
+				f.str(t.Cell(r, c).String())
 			}
 		}
 	}

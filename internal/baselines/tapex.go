@@ -38,7 +38,7 @@ func (t *TAPEX) Name() string { return "TAPEX" }
 func (t *TAPEX) VerifyDocument(d *claim.Document) {
 	cells := 0
 	for _, tab := range d.Data.Tables() {
-		cells += len(tab.Rows) * len(tab.Columns)
+		cells += tab.NumRows() * len(tab.Columns)
 	}
 	power := t.power(cells)
 	for _, c := range d.Claims {

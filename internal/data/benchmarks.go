@@ -217,16 +217,12 @@ func NormalizeTable(t *sqldb.Table, dbName string) (*sqldb.Database, error) {
 }
 
 // keyedColumn builds the two-column table of the synthetic key (the row's
-// 1-based position) and t's column ci. Its rows are carved from one slab and
-// passed to AppendRow whole, which refines the column kinds without copying.
+// 1-based position) and t's column ci.
 func keyedColumn(t *sqldb.Table, ci int, name, key string) *sqldb.Table {
 	tab := sqldb.NewTable(name, key, t.Columns[ci].Name)
-	tab.Rows = make([][]sqldb.Value, 0, len(t.Rows))
-	slab := make([]sqldb.Value, 2*len(t.Rows))
-	for ri, row := range t.Rows {
-		r := slab[2*ri : 2*ri+2 : 2*ri+2]
-		r[0], r[1] = sqldb.Int(int64(ri+1)), row[ci]
-		tab.MustAppendRow(r...)
+	tab.Grow(t.NumRows())
+	for r := 0; r < t.NumRows(); r++ {
+		tab.MustAppendRow(sqldb.Int(int64(r+1)), t.Cell(r, ci))
 	}
 	return tab
 }

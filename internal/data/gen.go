@@ -208,7 +208,7 @@ func (g *generator) drawKind() nl.Kind {
 // entity display) and an optional context hint sentence.
 func (g *generator) drawSpec(kind nl.Kind, db *sqldb.Database, ts tableSpec) (spec *nl.Spec, colPhrase, entityDisplay, hint string, err error) {
 	tab := db.Table(ts.name)
-	if tab == nil || len(tab.Rows) == 0 {
+	if tab == nil || tab.NumRows() == 0 {
 		return nil, "", "", "", fmt.Errorf("data: empty table %q", ts.name)
 	}
 	noun := ts.noun
@@ -219,8 +219,7 @@ func (g *generator) drawSpec(kind nl.Kind, db *sqldb.Database, ts tableSpec) (sp
 	}
 	entityIdx := tab.ColumnIndex(ts.entity)
 	pickEntityVal := func() string {
-		row := tab.Rows[g.rng.Intn(len(tab.Rows))]
-		return row[entityIdx].Text()
+		return tab.Cell(g.rng.Intn(tab.NumRows()), entityIdx).Text()
 	}
 
 	switch kind {
@@ -309,8 +308,7 @@ func (g *generator) drawFilter(tab *sqldb.Table, ts tableSpec) (col, val string,
 	}
 	m := candidates[g.rng.Intn(len(candidates))]
 	idx := tab.ColumnIndex(m.name)
-	row := tab.Rows[g.rng.Intn(len(tab.Rows))]
-	return m.name, row[idx].String(), false, nil
+	return m.name, tab.Cell(g.rng.Intn(tab.NumRows()), idx).String(), false, nil
 }
 
 // displayValue renders the claim value: the gold value for correct claims, a

@@ -190,15 +190,14 @@ var routeSubKinds = []nl.Kind{nl.KindLookup, nl.KindLookup, nl.KindSum, nl.KindA
 func drawRouteSub(rng *rand.Rand, lex *nl.Lexicon, db *sqldb.Database, schema *nl.Schema, ts tableSpec) (sentence, value, goldSQL string, correct bool, err error) {
 	kind := routeSubKinds[rng.Intn(len(routeSubKinds))]
 	tab := db.Table(ts.name)
-	if tab == nil || len(tab.Rows) == 0 {
+	if tab == nil || tab.NumRows() == 0 {
 		return "", "", "", false, fmt.Errorf("data: empty table %q", ts.name)
 	}
 	m := ts.measures[rng.Intn(len(ts.measures))]
 	spec := &nl.Spec{Kind: kind, Noun: ts.noun, Column: m.name}
 	if kind == nl.KindLookup {
 		spec.EntityCol = ts.entity
-		row := tab.Rows[rng.Intn(len(tab.Rows))]
-		spec.EntityVal = row[tab.ColumnIndex(ts.entity)].Text()
+		spec.EntityVal = tab.Cell(rng.Intn(tab.NumRows()), tab.ColumnIndex(ts.entity)).Text()
 	}
 	goldSQL, err = nl.BuildSQL(schema, spec)
 	if err != nil {

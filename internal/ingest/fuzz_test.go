@@ -11,21 +11,23 @@ import (
 	"time"
 
 	"repro/internal/sqldb"
+	"repro/internal/textutil"
 )
 
 // classifyAllParsers is classify as it was before it looked at a cell's bytes
-// first: every parser tried on every cell. It is the oracle FuzzClassify
+// first: every parser tried on every cell, the number parsers on every
+// decimal spelling (textutil.DecimalSpelling). It is the oracle FuzzClassify
 // holds the shape checks to.
 func classifyAllParsers(raw string) (sqldb.Value, ColType) {
 	t := strings.TrimSpace(raw)
 	if nullTokens[strings.ToLower(t)] {
 		return sqldb.Null(), ColUnknown
 	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return sqldb.Int(i), ColInt
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
-		if !strings.ContainsAny(t, "iI") {
+	if textutil.DecimalSpelling(t) {
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return sqldb.Int(i), ColInt
+		}
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
 			return sqldb.Float(f), ColFloat
 		}
 	}
@@ -46,16 +48,28 @@ func classifyAllParsers(raw string) (sqldb.Value, ColType) {
 // same bytes, so every fingerprint ever persisted or documented still holds.
 func referenceTableFingerprint(t *sqldb.Table) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "table|%s|%d|%d\n", strings.ToLower(t.Name), len(t.Columns), len(t.Rows))
+	fmt.Fprintf(h, "table|%s|%d|%d\n", strings.ToLower(t.Name), len(t.Columns), t.NumRows())
 	for _, c := range t.Columns {
 		fmt.Fprintf(h, "col|%s|%d\n", strings.ToLower(c.Name), int(c.Type))
 	}
-	for _, row := range t.Rows {
+	for _, row := range tableRows(t) {
 		for _, v := range row {
 			fmt.Fprintf(h, "%d|%s\n", int(v.Kind()), v.String())
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// tableRows returns t's cells row by row.
+func tableRows(t *sqldb.Table) [][]sqldb.Value {
+	rows := make([][]sqldb.Value, t.NumRows())
+	for r := range rows {
+		rows[r] = make([]sqldb.Value, len(t.Columns))
+		for c := range rows[r] {
+			rows[r][c] = t.Cell(r, c)
+		}
+	}
+	return rows
 }
 
 // FuzzClassify holds classify to the all-parsers oracle: a shape check may
@@ -99,11 +113,11 @@ func FuzzClassify(f *testing.F) {
 }
 
 // FuzzTypeInference throws adversarial CSV/JSON at the full ingestion path
-// and checks the invariants that matter downstream: no panics, every kept
-// row matches the final column set, inferred column types agree with the
-// stored sqldb kinds, and re-ingesting identical bytes reproduces the same
-// fingerprint (the determinism gates depend on that), and the column image a
-// catalog builds from the table is bit-equal to its rows.
+// and checks the invariants that matter downstream: no panics, inferred
+// column types agree with the stored sqldb kinds, re-ingesting identical
+// bytes reproduces the same fingerprint (the determinism gates depend on
+// that), and a vectorized scan of the registered table reads back its cells
+// bit for bit.
 func FuzzTypeInference(f *testing.F) {
 	f.Add("a,b\n1,2\n")
 	f.Add("\xEF\xBB\xBFa,b\n1,2,3\n4\n")
@@ -132,10 +146,8 @@ func FuzzTypeInference(f *testing.F) {
 			if len(res.Columns) != len(res.Table.Columns) {
 				t.Fatalf("format %s: %d infos vs %d columns", format, len(res.Columns), len(res.Table.Columns))
 			}
-			for _, row := range res.Table.Rows {
-				if len(row) != len(res.Table.Columns) {
-					t.Fatalf("format %s: row width %d, want %d", format, len(row), len(res.Table.Columns))
-				}
+			rows := tableRows(res.Table)
+			for _, row := range rows {
 				for i, v := range row {
 					if v.IsNull() {
 						continue
@@ -171,8 +183,8 @@ func FuzzTypeInference(f *testing.F) {
 			if tableFingerprint(dec.Table) != res.Fingerprint {
 				t.Fatalf("format %s: codec round-trip changed the table", format)
 			}
-			// Registering the table builds its column image; a vectorized
-			// SELECT * (ExecVec never falls back) reads every image cell.
+			// Registering the table freezes its columns into the image; a
+			// vectorized SELECT * reads every image cell.
 			db := sqldb.NewDatabase("fuzz")
 			db.AddTable(res.Table)
 			stmt, err := sqldb.Parse("SELECT * FROM fuzz")
@@ -180,13 +192,13 @@ func FuzzTypeInference(f *testing.F) {
 				t.Fatal(err)
 			}
 			scan, err := sqldb.ExecVec(db, stmt)
-			if err != nil || len(scan.Rows) != len(res.Table.Rows) {
+			if err != nil || len(scan.Rows) != len(rows) {
 				t.Fatalf("format %s: vectorized scan: %d rows, err %v", format, len(scan.Rows), err)
 			}
-			for i, row := range res.Table.Rows {
+			for i, row := range rows {
 				for c, want := range row {
 					if got := scan.Rows[i][c]; got != want {
-						t.Fatalf("format %s: col %s row %d: image holds %#v, Rows hold %#v",
+						t.Fatalf("format %s: col %s row %d: image holds %#v, table %#v",
 							format, res.Table.Columns[c].Name, i, got, want)
 					}
 				}
@@ -213,8 +225,8 @@ func FuzzDatasetCodec(f *testing.F) {
 	f.Add([]byte(salesCSV))
 	f.Add([]byte(`[{"a":1,"b":"x"},{"a":2.5}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := decodeDataset(data); err == nil && len(r.Table.Rows) > len(data) {
-			t.Fatalf("a %d-byte record decoded into %d rows", len(data), len(r.Table.Rows))
+		if r, err := decodeDataset(data); err == nil && r.Table.NumRows() > len(data) {
+			t.Fatalf("a %d-byte record decoded into %d rows", len(data), r.Table.NumRows())
 		}
 		res, err := Ingest(bytes.NewReader(data), Options{Table: "fuzz", SampleRows: 64, MaxBytes: 1 << 16})
 		if err != nil {

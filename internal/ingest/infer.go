@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/sqldb"
+	"repro/internal/textutil"
 )
 
 // infer.go classifies raw cell text into the ingest type lattice. The
@@ -103,11 +104,7 @@ func classify(raw string) (sqldb.Value, ColType) {
 			}
 		}
 		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			// Infinities would otherwise sneak through ParseFloat; treat them as
-			// text so aggregates stay finite. (NaN spellings are null tokens.)
-			if !strings.ContainsAny(t, "iI") {
-				return sqldb.Float(f), ColFloat
-			}
+			return sqldb.Float(f), ColFloat
 		}
 	}
 	switch lower {
@@ -127,35 +124,17 @@ func classify(raw string) (sqldb.Value, ColType) {
 	return sqldb.Text(t), ColString
 }
 
-// numberShaped reports whether t could be a strconv integer or float. After
-// one optional sign, every spelling they accept is "inf", "infinity" or
-// "nan" in any case, or starts with a digit or a decimal point. Such a
-// numeral holds only letters (hex digits, exponent marks), digits, '.', '_'
-// and signs, and a sign past the first byte follows an exponent mark, 'e'
-// or, in hex, 'p'. So a date's '-' after a digit rules both parsers out.
+// numberShaped reports whether t could be a number. Only decimal spellings
+// are (textutil.DecimalSpelling), as in sqldb.LoadCSV: "Inf", hex and
+// underscored cells stay text, so aggregates stay finite (NaN spellings are
+// null tokens). A sign past the first byte must follow an exponent mark, so
+// a date's '-' after a digit rules both parsers out before they run.
 func numberShaped(t string) bool {
-	body := t
-	if body != "" && (body[0] == '+' || body[0] == '-') {
-		body = body[1:]
-	}
-	if body == "" {
-		return false
-	}
-	switch c := body[0]; {
-	case c == 'i', c == 'I', c == 'n', c == 'N':
-		return strings.EqualFold(body, "inf") || strings.EqualFold(body, "infinity") || strings.EqualFold(body, "nan")
-	case '0' <= c && c <= '9', c == '.':
-	default:
+	if t == "" || !textutil.DecimalSpelling(t) {
 		return false
 	}
 	for i := 1; i < len(t); i++ {
-		switch c := t[i]; {
-		case c == '+' || c == '-':
-			if p := t[i-1]; p != 'e' && p != 'E' && p != 'p' && p != 'P' {
-				return false
-			}
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_':
-		default:
+		if c := t[i]; (c == '+' || c == '-') && t[i-1] != 'e' && t[i-1] != 'E' {
 			return false
 		}
 	}

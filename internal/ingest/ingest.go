@@ -209,29 +209,34 @@ func Ingest(r io.Reader, opts Options) (*Result, error) {
 	for i, c := range rows.cols {
 		t.Columns = append(t.Columns, sqldb.Column{Name: c.name, Type: rows.colTypes[i].sqlKind()})
 	}
+	// The kept rows fill the table's columns and are garbage once Ingest
+	// returns: they were kept as rows only because sampling replaces them and
+	// a JSON key can widen a column late.
 	nulls := make([]int, len(rows.cols))
-	t.Rows = make([][]sqldb.Value, 0, len(kept))
+	full := make([]sqldb.Value, len(rows.cols))
+	t.Grow(len(kept))
 	for _, row := range kept {
-		// Rows were accumulated before the final column set settled (JSON
-		// objects can introduce keys late); pad to full width.
-		for len(row) < len(rows.cols) {
-			row = append(row, sqldb.Null())
-		}
-		for i, v := range row {
-			// Values classified before the column widened (an int cell in a
-			// column that later proved float or string) coerce to the final
-			// column kind so stored kinds always match the declared schema.
-			row[i] = coerce(v, t.Columns[i].Type)
+		for i := range full {
+			// A row read before the final column set settled (JSON objects
+			// can introduce keys late) is NULL past its end. Values
+			// classified before the column widened (an int cell in a column
+			// that later proved float or string) coerce to the final column
+			// kind so stored kinds always match the declared schema.
+			v := sqldb.Null()
+			if i < len(row) {
+				v = row[i]
+			}
+			full[i] = coerce(v, t.Columns[i].Type)
 			if v.IsNull() {
 				nulls[i]++
 			}
 		}
-		t.Rows = append(t.Rows, row)
+		t.MustAppendRow(full...)
 	}
 
 	res.Table = t
 	res.RowsTotal = rows.seen
-	res.RowsKept = len(t.Rows)
+	res.RowsKept = t.NumRows()
 	for i, c := range rows.cols {
 		res.Columns = append(res.Columns, ColumnInfo{Name: c.name, Type: rows.colTypes[i].String(), Nulls: nulls[i]})
 	}
@@ -632,7 +637,7 @@ func tableFingerprint(t *sqldb.Table) string {
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(len(t.Columns)), 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(len(t.Rows)), 10)
+	b = strconv.AppendInt(b, int64(t.NumRows()), 10)
 	b = append(b, '\n')
 	for _, c := range t.Columns {
 		b = append(b, "col|"...)
@@ -641,8 +646,9 @@ func tableFingerprint(t *sqldb.Table) string {
 		b = strconv.AppendInt(b, int64(c.Type), 10)
 		b = append(b, '\n')
 	}
-	for _, row := range t.Rows {
-		for _, v := range row {
+	for r := 0; r < t.NumRows(); r++ {
+		for c := range t.Columns {
+			v := t.Cell(r, c)
 			b = strconv.AppendInt(b, int64(v.Kind()), 10)
 			b = append(b, '|')
 			b = appendValue(b, v)

@@ -65,7 +65,7 @@ func TestIngestCSVTypes(t *testing.T) {
 		t.Fatalf("revenue nulls = %d, want 1", revNulls)
 	}
 	dayIdx := res.Table.ColumnIndex("day")
-	if got := res.Table.Rows[0][dayIdx].Text(); got != "2024-01-02" {
+	if got := res.Table.Cell(0, dayIdx).Text(); got != "2024-01-02" {
 		t.Fatalf("day[0] = %q, want ISO date", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestIngestCSVRaggedAndBOM(t *testing.T) {
 		t.Fatalf("columns = %d, want 2 (extra cell dropped under detected header)", len(res.Columns))
 	}
 	// Short row pads with NULL.
-	if !res.Table.Rows[1][1].IsNull() {
+	if !res.Table.Cell(1, 1).IsNull() {
 		t.Fatal("short row not NULL-padded")
 	}
 }
@@ -133,7 +133,7 @@ func TestIngestNDJSON(t *testing.T) {
 		t.Fatalf("score type = %s, want float (int ∪ float)", res.Columns[1].Type)
 	}
 	// Row 1 lacks "extra": padded NULL.
-	if !res.Table.Rows[0][2].IsNull() {
+	if !res.Table.Cell(0, 2).IsNull() {
 		t.Fatal("missing key not NULL")
 	}
 }
@@ -184,7 +184,7 @@ func TestIngestSamplingDeterministic(t *testing.T) {
 	if nd.Format != "ndjson" || nd.RowsKept != r1.RowsKept || nd.RowsTotal != r1.RowsTotal {
 		t.Fatalf("ndjson format=%s kept=%d total=%d, csv kept=%d total=%d", nd.Format, nd.RowsKept, nd.RowsTotal, r1.RowsKept, r1.RowsTotal)
 	}
-	if !reflect.DeepEqual(nd.Table.Rows, r1.Table.Rows) {
+	if !reflect.DeepEqual(tableRows(nd.Table), tableRows(r1.Table)) {
 		t.Fatal("ndjson and csv renderings of the same records sampled different rows")
 	}
 }
@@ -399,7 +399,7 @@ func countedRecord(cols int, rows uint32) []byte {
 // left in the record. A table of no columns used to take one row per loop
 // turn from nothing, so a 59-byte record decoded into 50 million empty rows.
 func TestDatasetCodecRejectsImpossibleCounts(t *testing.T) {
-	if r, err := decodeDataset(countedRecord(0, 0)); err != nil || len(r.Table.Rows) != 0 {
+	if r, err := decodeDataset(countedRecord(0, 0)); err != nil || r.Table.NumRows() != 0 {
 		t.Fatalf("an empty table without columns: %v", err)
 	}
 	for _, rec := range [][]byte{
@@ -409,7 +409,7 @@ func TestDatasetCodecRejectsImpossibleCounts(t *testing.T) {
 		countedRecord(2, 1),
 	} {
 		if r, err := decodeDataset(rec); err == nil {
-			t.Errorf("a %d-byte record decoded into %d rows", len(rec), len(r.Table.Rows))
+			t.Errorf("a %d-byte record decoded into %d rows", len(rec), r.Table.NumRows())
 		}
 	}
 	// A column count no record could hold, then a name count.
@@ -561,9 +561,8 @@ func TestDatasetDeleteSurvivesRestart(t *testing.T) {
 
 func TestRegistryProtectsBaseTables(t *testing.T) {
 	db := sqldb.NewDatabase("d")
-	base := sqldb.NewTable("base")
-	base.Columns = []sqldb.Column{{Name: "id", Type: sqldb.KindInt}}
-	base.Rows = [][]sqldb.Value{{sqldb.Int(1)}}
+	base := sqldb.NewTable("base", "id")
+	base.MustAppendRow(sqldb.Int(1))
 	db.AddTable(base)
 	reg := NewRegistry(db, nil, Options{})
 	res := mustIngest(t, "id\n2\n", Options{Table: "base"})
@@ -614,5 +613,43 @@ func TestClassifyEdgeCases(t *testing.T) {
 	}
 	if v, ct := classify("Jan 2, 2024"); ct != ColDate || v.Text() != "2024-01-02" {
 		t.Fatalf("date spelling not normalized: %v", v.Text())
+	}
+}
+
+// TestIngestNumberSpellingsMatchLoadCSV feeds one cell at a time through
+// sqldb.LoadCSV and Ingest. Both read only decimal spellings as numbers
+// (textutil.DecimalSpelling), so every cell loads under the same kind at
+// both doors, except ingest's null tokens, which it reads as NULL.
+func TestIngestNumberSpellingsMatchLoadCSV(t *testing.T) {
+	for _, tc := range []struct {
+		cell string
+		want sqldb.Kind // LoadCSV's kind, and Ingest's unless a null token
+	}{
+		{"NaN", sqldb.KindText}, {"nan", sqldb.KindText}, {"-nan", sqldb.KindText},
+		{"Inf", sqldb.KindText}, {"-inf", sqldb.KindText}, {"+Infinity", sqldb.KindText},
+		{"0x1p4", sqldb.KindText}, {"0X1P-2", sqldb.KindText}, {"0x10", sqldb.KindText},
+		{"1_000", sqldb.KindText}, {"1_0.5", sqldb.KindText},
+		{"1e3", sqldb.KindFloat}, {"6.02E+23", sqldb.KindFloat}, {"-.5e-3", sqldb.KindFloat}, {"1e400", sqldb.KindText},
+		{"+5", sqldb.KindInt}, {"-5", sqldb.KindInt}, {"-0", sqldb.KindInt}, {"+.5", sqldb.KindFloat},
+		{"+", sqldb.KindText}, {"1-2", sqldb.KindText}, {"e", sqldb.KindText},
+		{" 42 ", sqldb.KindInt}, {"  -2.5\t", sqldb.KindFloat}, {"4 2", sqldb.KindText},
+		{"", sqldb.KindNull}, {"null", sqldb.KindText}, {"NA", sqldb.KindText}, {"n/a", sqldb.KindText},
+	} {
+		csv := "k\n\"" + tc.cell + "\"\n"
+		loaded, err := sqldb.LoadCSV("t", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Cell(0, 0).Kind(); got != tc.want {
+			t.Errorf("LoadCSV %q: %v, want %v", tc.cell, got, tc.want)
+		}
+		res := mustIngest(t, csv, Options{Table: "t", Format: "csv"})
+		want := tc.want
+		if nullTokens[strings.ToLower(strings.TrimSpace(tc.cell))] {
+			want = sqldb.KindNull
+		}
+		if got := res.Table.Cell(0, 0).Kind(); got != want || res.Table.NumRows() != 1 {
+			t.Errorf("Ingest %q: %v in %d rows, want %v in one", tc.cell, got, res.Table.NumRows(), want)
+		}
 	}
 }

@@ -152,9 +152,10 @@ func encodeDataset(r *Result) []byte {
 		e.str(c.Name)
 		e.u8(uint8(c.Type))
 	}
-	e.u32(uint32(len(t.Rows)))
-	for _, row := range t.Rows {
-		for _, v := range row {
+	e.u32(uint32(t.NumRows()))
+	for r := 0; r < t.NumRows(); r++ {
+		for c := range t.Columns {
+			v := t.Cell(r, c)
 			e.u8(uint8(v.Kind()))
 			switch v.Kind() {
 			case sqldb.KindInt:
@@ -200,7 +201,7 @@ func decodeDataset(b []byte) (*Result, error) {
 	for i := 0; i < ncols && d.err == nil; i++ {
 		r.Columns = append(r.Columns, ColumnInfo{Name: d.str(), Type: d.str(), Nulls: int(d.u32())})
 	}
-	t := &sqldb.Table{Name: d.str()}
+	t := sqldb.NewTable(d.str())
 	ntc := d.count("table columns", 5)
 	for i := 0; i < ntc && d.err == nil; i++ {
 		name := d.str()
@@ -211,8 +212,9 @@ func decodeDataset(b []byte) (*Result, error) {
 	if nrows > 0 && ntc == 0 {
 		return nil, fmt.Errorf("ingest: corrupt dataset record: %d rows without columns", nrows)
 	}
+	row := make([]sqldb.Value, ntc)
+	t.Grow(nrows)
 	for i := 0; i < nrows && d.err == nil; i++ {
-		row := make([]sqldb.Value, ntc)
 		for j := 0; j < ntc; j++ {
 			switch sqldb.Kind(d.u8()) {
 			case sqldb.KindNull:
@@ -230,13 +232,13 @@ func decodeDataset(b []byte) (*Result, error) {
 			}
 		}
 		if d.err == nil {
-			t.Rows = append(t.Rows, row)
+			t.MustAppendRow(row...)
 		}
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
 	r.Table = t
-	r.RowsKept = len(t.Rows)
+	r.RowsKept = t.NumRows()
 	return r, nil
 }

@@ -181,11 +181,12 @@ func pickLookupEntity(t *sqldb.Table, entIdx int) string {
 	}
 	first := ""
 	ambiguous := map[string]bool{}
-	for _, row := range t.Rows {
-		if row[entIdx].IsNull() || row[entIdx].Text() == "" {
+	for r := 0; r < t.NumRows(); r++ {
+		cell := t.Cell(r, entIdx)
+		if cell.IsNull() || cell.Text() == "" {
 			continue
 		}
-		entity := row[entIdx].Text()
+		entity := cell.Text()
 		if first == "" {
 			first = entity
 		}
@@ -196,7 +197,7 @@ func pickLookupEntity(t *sqldb.Table, entIdx int) string {
 			if ci == entIdx || (c.Type != sqldb.KindInt && c.Type != sqldb.KindFloat) {
 				continue
 			}
-			if d, ok := displayValue(row[ci]); ok && d != "" && strings.Contains(entity, d) {
+			if d, ok := displayValue(t.Cell(r, ci)); ok && d != "" && strings.Contains(entity, d) {
 				ambiguous[entity] = true
 				break
 			}

@@ -130,11 +130,12 @@ func buildEntry(db *sqldb.Database, t *sqldb.Table, st *nl.SchemaTable, lex *nl.
 func collectTextValues(t *sqldb.Table, i int) []string {
 	var out []string
 	seen := make(map[string]bool)
-	for _, row := range t.Rows {
-		if i >= len(row) || row[i].Kind() != sqldb.KindText {
+	for r := 0; r < t.NumRows(); r++ {
+		v := t.Cell(r, i)
+		if v.Kind() != sqldb.KindText {
 			continue
 		}
-		norm := embed.Normalize(row[i].Text())
+		norm := embed.Normalize(v.Text())
 		if len(norm) < 3 || seen[norm] {
 			continue
 		}

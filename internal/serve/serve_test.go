@@ -376,11 +376,14 @@ func TestStatusAndMetrics(t *testing.T) {
 			t.Fatalf("status = %d, want 200", resp.StatusCode)
 		}
 		resp.Body.Close()
-		// The fake backend runs no SQL; stand in for it. The third query
-		// finds the table grown since registration and answers from the
-		// grown rows.
+		// The fake backend runs no SQL; stand in for it. Before the third
+		// query the table is replaced by a grown copy, registered under the
+		// same name, and the query answers from the grown rows.
 		if i == 2 {
-			tab.MustAppendRow(sqldb.Int(2))
+			grown := sqldb.NewTable("t", "a")
+			grown.MustAppendRow(sqldb.Int(1))
+			grown.MustAppendRow(sqldb.Int(2))
+			db.AddTable(grown)
 		}
 		n, err := sqldb.QueryScalar(db, "SELECT COUNT(*) FROM t")
 		if err != nil {
@@ -417,7 +420,9 @@ func TestStatusAndMetrics(t *testing.T) {
 	if met.Resilience != nil {
 		t.Errorf("resilience section present without a snapshot source: %+v", met.Resilience)
 	}
-	if want := (SQLCounters{PlanHits: 2, PlanMisses: 1, PlanEntries: 1, VecRuns: 3}); met.SQL == nil || *met.SQL != want {
+	// Registering the grown table invalidated the cached plan, so the third
+	// query compiled again.
+	if want := (SQLCounters{PlanHits: 1, PlanMisses: 2, PlanEntries: 1, VecRuns: 3}); met.SQL == nil || *met.SQL != want {
 		t.Errorf("sql counters = %+v, want %+v", met.SQL, want)
 	}
 }

@@ -361,11 +361,10 @@ func TestPlanCacheAccessPathsFirstProbe(t *testing.T) {
 }
 
 // TestPlanCacheAccessPathsReRegistration checks that a path never outlives
-// the rows it was built from. AddTable of changed rows publishes a new image
-// with no paths, so the next query answers from the new rows; a table whose
-// Rows grew after registration has a stale image, which the next query
-// rebuilds from the live rows, with paths of its own, without consulting the
-// index built before it grew.
+// the registration it was built for. AddTable of changed rows publishes a new
+// image with no paths, so the next query answers from the new rows; AddTable
+// of the same frozen table again builds its paths afresh over the same
+// vectors.
 func TestPlanCacheAccessPathsReRegistration(t *testing.T) {
 	build := func(shift int) *Table {
 		tab := NewTable("t", "k", "v")
@@ -405,17 +404,98 @@ func TestPlanCacheAccessPathsReRegistration(t *testing.T) {
 		t.Fatalf("re-registered with changed rows: %+v, want a second index and fold over the new image", st)
 	}
 
-	grown := db.Table("t")
-	grown.MustAppendRow(Text("k7"), Int(1_000_000))
-	st = answers("1007602 | 7", "1000000 | 4270358")
+	db.AddTable(db.Table("t"))
+	st = answers("7602 | 6", "2557 | 3270358")
 	if st.IndexBuilds != 3 || st.IndexProbes != 6 || st.FoldHits != 9 {
-		t.Fatalf("grown after registration: %+v, want a third index and fold over the rebuilt image", st)
-	}
-
-	db.AddTable(grown)
-	st = answers("1007602 | 7", "1000000 | 4270358")
-	if st.IndexBuilds != 4 || st.IndexProbes != 8 || st.FoldHits != 12 {
 		t.Fatalf("registered again: %+v, want the paths back over the new image", st)
+	}
+}
+
+// TestPlanCacheAccessPathsTwoDatabases registers one table in two databases.
+// Both answer from the same frozen vectors, and each registration builds and
+// counts its own access paths: a query in one database neither finds nor
+// books the other's index or fold.
+func TestPlanCacheAccessPathsTwoDatabases(t *testing.T) {
+	tab := NewTable("t", "k", "v")
+	for r := 0; r < accessRows; r++ {
+		tab.MustAppendRow(Text("k"+strconv.Itoa(r%500)), Int(int64(r)))
+	}
+	a, b := NewDatabase("a"), NewDatabase("b")
+	a.AddTable(tab)
+	b.AddTable(tab)
+	if imageOf(a, "t") == imageOf(b, "t") || imageOf(a, "t").cols[1] != imageOf(b, "t").cols[1] {
+		t.Fatal("want one image per database over the same vectors")
+	}
+	queries := map[string]string{
+		`SELECT SUM(v), COUNT(*) FROM t WHERE k = 'k7'`: "7542 | 6",
+		`SELECT MAX(v), SUM(v) FROM t`:                  "2547 | 3244878",
+	}
+	run := func(db *Database) {
+		t.Helper()
+		for q, want := range queries {
+			res, err := Query(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.String(); !strings.HasSuffix(got, "\n"+want) {
+				t.Fatalf("%s: %q: got\n%s\nwant %s", db.Name, q, got, want)
+			}
+		}
+	}
+	run(a)
+	run(a)
+	if st := b.PlanCacheStats(); st.IndexBuilds != 0 || st.IndexProbes != 0 || st.FoldHits != 0 {
+		t.Fatalf("b counted a's paths: %+v", st)
+	}
+	run(b)
+	for _, db := range []*Database{a, b} {
+		// One index and one fold each; a probe per lookup run, and a fold
+		// hit per aggregate but the one that built it.
+		want := [3]uint64{1, 2, 3}
+		if db == b {
+			want = [3]uint64{1, 1, 1}
+		}
+		st := db.PlanCacheStats()
+		if got := [3]uint64{st.IndexBuilds, st.IndexProbes, st.FoldHits}; got != want {
+			t.Errorf("%s: builds, probes, fold hits = %v, want %v (%+v)", db.Name, got, want, st)
+		}
+	}
+	checkImages(t, a)
+	checkImages(t, b)
+}
+
+// TestPlanCacheSharedTableConcurrent registers one table in eight databases
+// at once, first while it is unfrozen and then again while other goroutines
+// read its cells, and queries each database. Every answer must be the same.
+// Run with -race (make sqldiff does).
+func TestPlanCacheSharedTableConcurrent(t *testing.T) {
+	tab := NewTable("t", "k", "v")
+	for r := 0; r < accessRows; r++ {
+		tab.MustAppendRow(Int(int64(r%7)), Float(float64(r)))
+	}
+	const q, want = `SELECT COUNT(*), SUM(v) FROM t WHERE k = 3`, "364 | 463554"
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if round == 1 && g%2 == 1 {
+					for r := 0; r < tab.NumRows(); r += 97 {
+						if got := tab.Cell(r, 0); got != Int(int64(r%7)) {
+							t.Errorf("row %d reads %v", r, got)
+						}
+					}
+				}
+				db := NewDatabase(fmt.Sprint("db", g))
+				db.AddTable(tab)
+				res, err := Query(db, q)
+				if err != nil || !strings.HasSuffix(res.String(), "\n"+want) {
+					t.Errorf("%s: %v, %v; want %s", db.Name, res, err, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -15,11 +15,18 @@ type Column struct {
 	Type Kind
 }
 
-// Table is an in-memory relation: an ordered column list plus row storage.
+// Table is an in-memory relation: an ordered column list and one typed
+// vector of cells per column. AppendRow fills it; the first AddTable freezes
+// it, and from then on those vectors are the column image every query reads.
 type Table struct {
 	Name    string
 	Columns []Column
-	Rows    [][]Value
+
+	mu     sync.Mutex // serializes AppendRow with AddTable's freeze
+	frozen bool
+	n      int    // rows appended
+	room   int    // rows promised by Grow
+	cols   []*Vec // cells per column; nil while all of a column's cells are NULL
 }
 
 // NewTable constructs an empty table with the given column names. Column
@@ -33,24 +40,58 @@ func NewTable(name string, cols ...string) *Table {
 }
 
 // AppendRow adds a row, refining column types from the appended values. The
-// row length must match the column count.
+// row length must match the column count, and the table must not have been
+// registered yet.
 func (t *Table) AppendRow(vals ...Value) error {
 	if len(vals) != len(t.Columns) {
 		return fmt.Errorf("table %s: row has %d values, want %d", t.Name, len(vals), len(t.Columns))
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.frozen {
+		return fmt.Errorf("table %s: registered tables are read-only", t.Name)
+	}
+	t.cols = append(t.cols, make([]*Vec, max(0, len(t.Columns)-len(t.cols)))...)
 	for i, v := range vals {
 		t.Columns[i].Type = mergeKind(t.Columns[i].Type, v.Kind())
+		if t.cols[i] == nil && !v.IsNull() {
+			// Stored unboxed under the first non-NULL cell's kind, the NULLs
+			// before it masked, and demoted if a later cell disagrees.
+			t.cols[i] = NewVec(v.Kind(), max(t.room, t.n+1))
+			for range t.n {
+				t.cols[i].Append(Null())
+			}
+		}
+		if t.cols[i] != nil {
+			t.cols[i].Append(v)
+		}
 	}
-	t.Rows = append(t.Rows, vals)
+	t.n++
 	return nil
 }
 
-// MustAppendRow is AppendRow but panics on arity mismatch; intended for
-// static table construction in corpora and tests.
+// MustAppendRow is AppendRow but panics on error; intended for static table
+// construction in corpora and tests.
 func (t *Table) MustAppendRow(vals ...Value) {
 	if err := t.AppendRow(vals...); err != nil {
 		panic(err)
 	}
+}
+
+// Grow tells t that n more rows are coming, before they are appended: each
+// column's storage is then allocated once, at full size, when its first
+// non-NULL cell arrives, instead of being grown copy by copy.
+func (t *Table) Grow(n int) { t.room = t.n + n }
+
+// NumRows returns the number of rows in the table.
+func (t *Table) NumRows() int { return t.n }
+
+// Cell returns the value at row r of column c.
+func (t *Table) Cell(r, c int) Value {
+	if c < len(t.cols) && t.cols[c] != nil {
+		return t.cols[c].At(r)
+	}
+	return Null()
 }
 
 // ColumnIndex returns the position of the named column (case-insensitive),
@@ -82,13 +123,9 @@ func (t *Table) UniqueValues(column string) ([]Value, error) {
 	}
 	seen := make(map[string]bool)
 	var out []Value
-	for _, row := range t.Rows {
-		v := row[idx]
-		if v.IsNull() {
-			continue
-		}
-		k := v.key()
-		if !seen[k] {
+	for r := 0; r < t.n; r++ {
+		v := t.Cell(r, idx)
+		if k := v.key(); !v.IsNull() && !seen[k] {
 			seen[k] = true
 			out = append(out, v)
 		}
@@ -110,55 +147,48 @@ func mergeKind(cur, next Kind) Kind {
 	return KindText
 }
 
-// tableImage is a table's column-resident form: one immutable vector per
-// column, built from Rows when the table is registered. Rows stay the
-// construction and interchange surface; the image is what scans read, as
-// slice views, so the row-to-column layout change is paid once per table
-// instead of once per query.
+// tableImage is a registered table's column-resident form: the frozen
+// table's vectors, which scans read as slice views, and the access paths one
+// registration derives from them.
 type tableImage struct {
-	n    int // len(Rows) when the image was built
+	n    int // rows
 	cols []*Vec
 	// paths holds each column's lazily built access paths (access.go); nil
 	// for an image of at most windowRows rows, which is only ever scanned.
 	paths []colPaths
 }
 
-// buildImage transposes t.Rows into typed column vectors, each stored unboxed
-// under the kind of its first non-NULL cell and demoted to generic storage if
-// a later cell disagrees. A row shorter than the column list (only a caller
-// writing Rows directly can make one) reads NULL past its end.
-func buildImage(t *Table) *tableImage {
-	cell := func(row []Value, c int) Value {
-		if c < len(row) {
-			return row[c]
-		}
-		return Null()
+// newImage freezes t and wraps its vectors, uncopied, in an image with no
+// access paths yet. The first freeze clips each vector to its length, so an
+// append through a copy reallocates instead of writing into the table; a
+// column without a non-NULL cell, or added to Columns since, is stored as
+// generic NULLs. Registering t again wraps the same vectors.
+func newImage(t *Table) *tableImage {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.cols) < len(t.Columns) { // written only then: a frozen table's cells are read unlocked
+		t.cols = append(t.cols, make([]*Vec, len(t.Columns)-len(t.cols))...)
 	}
-	img := &tableImage{n: len(t.Rows), cols: make([]*Vec, len(t.Columns))}
-	for c := range img.cols {
-		kind := KindNull
-		for _, row := range t.Rows {
-			if kind = cell(row, c).Kind(); kind != KindNull {
-				break
-			}
+	for c, v := range t.cols {
+		if v == nil {
+			t.cols[c] = &Vec{any: make([]Value, t.n)} // the zero Value is NULL
+		} else if !t.frozen {
+			t.cols[c] = new(Vec)
+			t.cols[c].window(v, 0, t.n)
 		}
-		v := NewVec(kind, len(t.Rows))
-		for _, row := range t.Rows {
-			v.Append(cell(row, c))
-		}
-		img.cols[c] = v
 	}
-	if img.n > windowRows {
-		img.paths = make([]colPaths, len(img.cols))
+	t.frozen = true
+	img := &tableImage{n: t.n, cols: t.cols}
+	if t.n > windowRows {
+		img.paths = make([]colPaths, len(t.cols))
 	}
 	return img
 }
 
 // Database is a named collection of tables. Catalog reads and writes are
-// safe for concurrent use; the tables themselves must not be mutated after
-// registration: queries read the column image AddTable built, and a query
-// that finds a table's row count changed since rebuilds the image from the
-// live rows first (see vecPlan.run).
+// safe for concurrent use. AddTable freezes a table, so the column image
+// queries read cannot change under them: a registered table refuses
+// AppendRow.
 type Database struct {
 	Name string
 
@@ -197,13 +227,13 @@ func NewDatabase(name string) *Database {
 }
 
 // AddTable registers a table, replacing any previous table with the same
-// (case-insensitive) name. Its column image is built here, before the table
-// is published, so no query ever transposes rows; registering the same
-// *Table again rebuilds the image from its current Rows. Cached query plans
+// (case-insensitive) name, and freezes it: its vectors become the image
+// queries read. A frozen table may be registered again, here or in another
+// database; each registration gets access paths of its own. Cached plans
 // that reference the table are invalidated: they may have bound column
 // positions against the replaced schema. Plans over other tables stay cached.
 func (d *Database) AddTable(t *Table) {
-	img := buildImage(t)
+	img := newImage(t)
 	d.mu.Lock()
 	key := strings.ToLower(t.Name)
 	if _, exists := d.tables[key]; !exists {
@@ -215,19 +245,6 @@ func (d *Database) AddTable(t *Table) {
 	d.tableVers[key] = d.version
 	d.mu.Unlock()
 	d.plans.invalidate(key)
-}
-
-// refreshImage rebuilds t's column image from its live rows, as AddTable
-// does, and publishes it if t is still the registered table of its name.
-func (d *Database) refreshImage(t *Table) *tableImage {
-	img := buildImage(t)
-	key := strings.ToLower(t.Name)
-	d.mu.Lock()
-	if d.tables[key] == t {
-		d.images[key] = img
-	}
-	d.mu.Unlock()
-	return img
 }
 
 // RemoveTable drops the named table (case-insensitive) and invalidates
@@ -336,9 +353,7 @@ func (d *Database) TableNames() []string {
 // Schema renders a compact CREATE TABLE description of every table, used to
 // fill the {db_schema} placeholder of the verification prompt templates.
 // Every attempt's prompt carries it, so the text is rendered once per catalog
-// version and shared until the catalog changes. Like the column image, it
-// follows AddTable: a table altered in place shows once it is registered
-// again.
+// version and shared until the catalog changes.
 func (d *Database) Schema() string {
 	d.mu.RLock()
 	version := d.version
@@ -380,13 +395,10 @@ func (d *Database) SampleRows(n int) string {
 		fmt.Fprintf(&b, "-- %s\n", t.Name)
 		b.WriteString(strings.Join(t.ColumnNames(), " | "))
 		b.WriteByte('\n')
-		for i, row := range t.Rows {
-			if i >= n {
-				break
-			}
-			cells := make([]string, len(row))
-			for j, v := range row {
-				cells[j] = v.String()
+		for r := 0; r < min(n, t.n); r++ {
+			cells := make([]string, len(t.Columns))
+			for c := range cells {
+				cells[c] = t.Cell(r, c).String()
 			}
 			b.WriteString(strings.Join(cells, " | "))
 			b.WriteByte('\n')
@@ -405,6 +417,7 @@ func LoadCSV(name string, r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("load csv %s: header: %w", name, err)
 	}
 	t := NewTable(name, header...)
+	row := make([]Value, len(t.Columns))
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -413,18 +426,11 @@ func LoadCSV(name string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load csv %s: %w", name, err)
 		}
-		row := make([]Value, len(t.Columns))
+		rec = append(rec, make([]string, max(0, len(row)-len(rec)))...) // a short record is NULL past its end
 		for i := range row {
-			if i < len(rec) {
-				row[i] = inferLiteral(rec[i])
-			} else {
-				row[i] = Null()
-			}
+			row[i] = inferLiteral(rec[i])
 		}
-		t.Rows = append(t.Rows, row)
-		for i, v := range row {
-			t.Columns[i].Type = mergeKind(t.Columns[i].Type, v.Kind())
-		}
+		t.MustAppendRow(row...)
 	}
 	return t, nil
 }

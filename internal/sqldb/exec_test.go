@@ -456,8 +456,8 @@ func TestLoadCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	if tab.NumRows() != 3 {
+		t.Fatalf("rows = %d", tab.NumRows())
 	}
 	if tab.Columns[1].Type != KindInt {
 		t.Errorf("crashes type = %v", tab.Columns[1].Type)
@@ -465,7 +465,7 @@ func TestLoadCSV(t *testing.T) {
 	if tab.Columns[2].Type != KindFloat {
 		t.Errorf("rate type = %v", tab.Columns[2].Type)
 	}
-	if !tab.Rows[1][2].IsNull() {
+	if !tab.Cell(1, 2).IsNull() {
 		t.Errorf("empty cell should be NULL")
 	}
 	db := NewDatabase("d")
@@ -513,7 +513,7 @@ func TestLoadCSVDecimalSpellings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tab.Rows[0][0]; got.Kind() != tc.want.Kind() || got.String() != tc.want.String() {
+		if got := tab.Cell(0, 0); got.Kind() != tc.want.Kind() || got.String() != tc.want.String() {
 			t.Errorf("cell %q loads as %v (%v), want %v (%v)", tc.cell, got, got.Kind(), tc.want, tc.want.Kind())
 		}
 	}

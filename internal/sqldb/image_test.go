@@ -3,35 +3,37 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
 )
 
-// image_test.go covers column-resident storage: the image AddTable builds is
-// bit-equal to Rows, operators never write through it, a table mutated after
-// registration is served by the row engine, concurrent replacement is
-// race-free, and the warm scan no longer allocates per row. The tests carry
-// "Differential" or "PlanCache" in their names so `make sqldiff` selects them.
+// image_test.go covers column-resident storage: a table's vectors read back
+// exactly the cells appended, operators never write through them, a
+// registered table is frozen, one table may be registered in several
+// databases, concurrent replacement is race-free, the warm scan no longer
+// allocates per row, and a big table's storage stays under a ceiling. The
+// tests carry "Differential" or "PlanCache" in their names so `make sqldiff`
+// selects them.
 
-// TestDifferentialValueSize pins Value at 32 bytes. Rows, generic vectors and
-// join gathers are []Value, so Value's size multiplies into the live heap of
-// every workload; it is what lets a table keep both Rows and a column image
-// at no more memory than Rows alone cost at 48 bytes. A new payload field
-// must share the existing word, not widen the struct.
+// TestDifferentialValueSize pins Value at 32 bytes. Generic vectors, join
+// gathers and result rows are []Value, so Value's size multiplies into the
+// live heap of a mixed column and of every query's output. A new payload
+// field must share the existing word, not widen the struct.
 func TestDifferentialValueSize(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got > 32 {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 32", got)
 	}
 }
 
-// edgeDB holds the cells the shared payload word and the typed storage kinds
+// edgeRows are the cells the shared payload word and the typed storage kinds
 // could get wrong: NaN, signed zeros, int64 extremes, bools, NULLs leading,
 // trailing and filling a column, and columns that demote to generic storage.
-func edgeDB() *Database {
-	db := NewDatabase("edge")
-	t := NewTable("edge", "i", "f", "s", "b", "mixed", "nulls", "late")
+func edgeRows() [][]Value {
+	var rows [][]Value
 	ints := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 53, 1<<53 + 1}
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
 	mixed := []Value{Int(1), Float(1), Text("1"), Bool(true), Null(), Float(math.NaN())}
@@ -44,7 +46,17 @@ func edgeDB() *Database {
 		if r == 30 {
 			late = Text("x")
 		}
-		t.MustAppendRow(i, f, s, b, mixed[r%len(mixed)], Null(), late)
+		rows = append(rows, []Value{i, f, s, b, mixed[r%len(mixed)], Null(), late})
+	}
+	return rows
+}
+
+// edgeDB registers edgeRows as table edge, beside an empty table.
+func edgeDB() *Database {
+	db := NewDatabase("edge")
+	t := NewTable("edge", "i", "f", "s", "b", "mixed", "nulls", "late")
+	for _, row := range edgeRows() {
+		t.MustAppendRow(row...)
 	}
 	db.AddTable(t)
 	db.AddTable(NewTable("none", "a", "b"))
@@ -58,38 +70,62 @@ func imageOf(db *Database, name string) *tableImage {
 	return images[0]
 }
 
-// checkImages asserts that every table's image is bit-equal to its Rows.
-// Value is comparable and holds float payloads as bits, so == distinguishes
-// NaN payloads and signed zeros instead of hiding them.
+// checkImages asserts that every table's image has the table's shape and is
+// bit-equal to its cells. Value is comparable and holds float payloads as
+// bits, so == distinguishes NaN payloads and signed zeros instead of hiding
+// them.
 func checkImages(t *testing.T, db *Database) {
 	t.Helper()
 	for _, tab := range db.Tables() {
 		img := imageOf(db, tab.Name)
-		if img == nil || img.n != len(tab.Rows) || len(img.cols) != len(tab.Columns) {
+		if img == nil || img.n != tab.NumRows() || len(img.cols) != len(tab.Columns) {
 			t.Fatalf("%s.%s: image missing or misshapen: %+v", db.Name, tab.Name, img)
 		}
 		for c, col := range img.cols {
-			if col.Len() != len(tab.Rows) {
-				t.Fatalf("%s.%s.%s: image has %d values, table %d rows", db.Name, tab.Name, tab.Columns[c].Name, col.Len(), len(tab.Rows))
+			if col.Len() != tab.NumRows() {
+				t.Fatalf("%s.%s.%s: image has %d values, table %d rows", db.Name, tab.Name, tab.Columns[c].Name, col.Len(), tab.NumRows())
 			}
-			for i, row := range tab.Rows {
-				if got := col.At(i); got != row[c] {
-					t.Fatalf("%s.%s.%s row %d: image holds %#v, Rows hold %#v", db.Name, tab.Name, tab.Columns[c].Name, i, got, row[c])
+			for i := 0; i < tab.NumRows(); i++ {
+				cell := tab.Cell(i, c)
+				if got := col.At(i); got != cell {
+					t.Fatalf("%s.%s.%s row %d: image holds %#v, table %#v", db.Name, tab.Name, tab.Columns[c].Name, i, got, cell)
 				}
-				if col.IsNullAt(i) != row[c].IsNull() {
-					t.Fatalf("%s.%s.%s row %d: IsNullAt disagrees with Rows", db.Name, tab.Name, tab.Columns[c].Name, i)
+				if col.IsNullAt(i) != cell.IsNull() {
+					t.Fatalf("%s.%s.%s row %d: IsNullAt disagrees with the cell", db.Name, tab.Name, tab.Columns[c].Name, i)
 				}
 			}
 		}
 	}
 }
 
+// dbRows copies every table's cells, so a later read can tell whether
+// anything wrote through the shared vectors.
+func dbRows(db *Database) map[string][][]Value {
+	out := make(map[string][][]Value)
+	for _, tab := range db.Tables() {
+		out[tab.Name] = tableRows(tab)
+	}
+	return out
+}
+
 func TestDifferentialImageRoundTrip(t *testing.T) {
 	for _, db := range []*Database{fuzzFixtureDB(), diffDB(), edgeDB(), benchDB(4000)} {
 		checkImages(t, db)
 	}
+	// The vectors read back exactly the cells appended, and freezing clipped
+	// each one, so an append through a view reallocates.
+	edge := edgeDB()
+	if got, want := tableRows(edge.Table("edge")), edgeRows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("edge reads back\n%#v\nwant\n%#v", got, want)
+	}
+	for c, col := range imageOf(edge, "edge").cols {
+		if cap(col.ints) != len(col.ints) || cap(col.floats) != len(col.floats) || cap(col.strs) != len(col.strs) ||
+			cap(col.bools) != len(col.bools) || cap(col.nulls) != len(col.nulls) || cap(col.any) != len(col.any) {
+			t.Errorf("edge column %d keeps append slack", c)
+		}
+	}
 	// Storage is chosen per column from its cells, not its declared type.
-	images := []*tableImage{imageOf(edgeDB(), "edge")}
+	images := []*tableImage{imageOf(edge, "edge")}
 	want := []Kind{KindInt, KindFloat, KindText, KindBool, KindNull, KindNull, KindNull}
 	for c, col := range images[0].cols {
 		if col.kind != want[c] {
@@ -124,6 +160,7 @@ func TestDifferentialImageViewsReadOnly(t *testing.T) {
 		`SELECT k, COUNT(*), AVG(v) FROM fact WHERE id > 1500 GROUP BY k ORDER BY 2 DESC LIMIT 5`,
 	}}
 	for i, db := range dbs {
+		before := dbRows(db)
 		for _, q := range queries[i] {
 			stmt, err := Parse(q)
 			if err != nil {
@@ -135,23 +172,26 @@ func TestDifferentialImageViewsReadOnly(t *testing.T) {
 			checkDifferential(t, db, q)
 		}
 		checkImages(t, db)
+		if !reflect.DeepEqual(dbRows(db), before) {
+			t.Fatalf("%s: a query wrote through a table's vectors", db.Name)
+		}
 	}
 }
 
-// TestPlanCacheStaleImageFallback is the regression test for the stale-image
-// guard. Appending to a table after AddTable breaks the registration
-// contract; before the column image existed that happened to work, and with
-// an unguarded image it would silently answer from the old rows. The guard
-// rebuilds the image from the live rows, so every answer is the rows'.
-func TestPlanCacheStaleImageFallback(t *testing.T) {
-	db := NewDatabase("stale")
+// TestPlanCacheRegisteredTableFrozen checks that registration freezes a
+// table: AppendRow on a registered table fails (MustAppendRow panics), the
+// failed append changes neither the table nor any answer, and registering the
+// same *Table again serves the same rows over a fresh image.
+func TestPlanCacheRegisteredTableFrozen(t *testing.T) {
+	db := NewDatabase("frozen")
 	tab := NewTable("t", "k", "v")
 	for i := 0; i < 10; i++ {
 		tab.MustAppendRow(Int(int64(i)), Float(float64(i)))
 	}
 	db.AddTable(tab)
 	const q = `SELECT COUNT(*), SUM(v) FROM t WHERE k >= 5`
-	query := func(want string) {
+	const want = "COUNT(*) | SUM(\"v\")\n5 | 35"
+	query := func() {
 		t.Helper()
 		res, err := Query(db, q)
 		if err != nil {
@@ -161,19 +201,28 @@ func TestPlanCacheStaleImageFallback(t *testing.T) {
 			t.Fatalf("got\n%s\nwant\n%s", got, want)
 		}
 	}
-	const head = "COUNT(*) | SUM(\"v\")\n"
-	query(head + "5 | 35")
-	tab.MustAppendRow(Int(10), Float(10))
-	query(head + "6 | 45")
+	query()
+	if err := tab.AppendRow(Int(10), Float(10)); err == nil {
+		t.Fatal("AppendRow on a registered table succeeded")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("MustAppendRow on a registered table did not panic")
+			}
+		}()
+		tab.MustAppendRow(Int(11), Float(11))
+	}()
+	if tab.NumRows() != 10 {
+		t.Fatalf("a refused append left %d rows, want 10", tab.NumRows())
+	}
+	query()
 	checkImages(t, db)
-	tab.Rows = tab.Rows[:8]
-	query(head + "3 | 18")
+	db.AddTable(tab)
 	checkImages(t, db)
-	db.AddTable(tab) // the same *Table: its image must be rebuilt
-	checkImages(t, db)
-	query(head + "3 | 18")
-	if st := db.PlanCacheStats(); st.VecRuns != 4 {
-		t.Fatalf("%+v, want four runs", st)
+	query()
+	if st := db.PlanCacheStats(); st.VecRuns != 3 {
+		t.Fatalf("%+v, want three runs", st)
 	}
 }
 
@@ -311,5 +360,74 @@ func TestPlanCacheWarmAllocCeiling(t *testing.T) {
 		} else {
 			t.Logf("%s: %d B/query (ceiling %d)", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// TestPlanCacheGrowAllocatesOnce checks that a table told its size by Grow
+// allocates each column's storage once: filling 4,096 rows of an int and a
+// text column costs the table, its column lists and the two vectors with
+// their arrays: 8 allocations (9 under -race), where growing the arrays row
+// by row costs 37.
+func TestPlanCacheGrowAllocatesOnce(t *testing.T) {
+	fill := func(grow bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			tab := NewTable("t", "i", "s")
+			if grow {
+				tab.Grow(4096)
+			}
+			for r := range 4096 {
+				tab.MustAppendRow(Int(int64(r)), Text("x"))
+			}
+		})
+	}
+	if with, without := fill(true), fill(false); with > 10 {
+		t.Errorf("filling after Grow made %v allocations (%v without Grow), want at most 10", with, without)
+	} else {
+		t.Logf("%v allocations after Grow, %v without", with, without)
+	}
+}
+
+// bigSalesDB registers a table shaped like the lib-bigtable benchmark's: an
+// entity key, a six-way text column, an int, a two-decimal float, a bool and
+// an ISO date per row, drawn from a seeded source.
+func bigSalesDB(rows int) *Database {
+	rng := rand.New(rand.NewSource(1))
+	teams := []string{"north", "south", "east", "west", "central", "coastal"}
+	tab := NewTable("sales", "name", "team", "units", "revenue", "discounted", "day")
+	tab.Grow(rows)
+	for i := 0; i < rows; i++ {
+		tab.MustAppendRow(Text(fmt.Sprintf("acct-%05d", i)), Text(teams[rng.Intn(len(teams))]),
+			Int(int64(rng.Intn(500))), Float(float64(rng.Intn(1_000_000))/100), Bool(rng.Intn(2) == 1),
+			Text(fmt.Sprintf("2024-%02d-%02d", 1+rng.Intn(12), 1+rng.Intn(28))))
+	}
+	db := NewDatabase("sales")
+	db.AddTable(tab)
+	return db
+}
+
+// TestPlanCacheTableStorageCeiling holds what a registered 16,000 × 6 table
+// keeps on the heap, cells' text included, to a ceiling. Measured after two
+// GCs on linux/amd64:
+//
+//	boxed rows and a column image beside them   5,077,520 B
+//	the columns alone, filled after Grow        1,579,568 B
+//
+// The ceiling is 1.23 × the columns' figure: rows kept beside the image
+// again, or the cells copied into a separate image, would break it.
+func TestPlanCacheTableStorageCeiling(t *testing.T) {
+	const ceiling = 1_950_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db := bigSalesDB(16000)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(db)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > ceiling {
+		t.Errorf("a registered 16,000-row table holds %d bytes, ceiling %d", held, ceiling)
+	} else {
+		t.Logf("a registered 16,000-row table holds %d bytes (ceiling %d)", held, ceiling)
 	}
 }

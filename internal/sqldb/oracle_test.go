@@ -282,8 +282,21 @@ func (ex *executor) scanTable(ref TableRef) (*workingSet, error) {
 	for _, c := range t.Columns {
 		ws.binds = append(ws.binds, colBind{table: eff, name: c.Name})
 	}
-	ws.rows = t.Rows
+	ws.rows = tableRows(t)
 	return ws, nil
+}
+
+// tableRows returns t's cells row by row, as the oracle's working sets hold
+// them.
+func tableRows(t *Table) [][]Value {
+	rows := make([][]Value, t.NumRows())
+	for r := range rows {
+		rows[r] = make([]Value, len(t.Columns))
+		for c := range rows[r] {
+			rows[r][c] = t.Cell(r, c)
+		}
+	}
+	return rows
 }
 
 // groupRows partitions the working set by the GROUP BY keys. With no GROUP

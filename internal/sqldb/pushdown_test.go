@@ -31,8 +31,8 @@ func quoteText(s string) string {
 // sampleLit renders a literal drawn from the column's actual values, so
 // generated comparisons are selective rather than all-true/all-false.
 func sampleLit(rng *rand.Rand, t *sqldb.Table, col int) string {
-	for tries := 0; tries < 8 && len(t.Rows) > 0; tries++ {
-		v := t.Rows[rng.Intn(len(t.Rows))][col]
+	for tries := 0; tries < 8 && t.NumRows() > 0; tries++ {
+		v := t.Cell(rng.Intn(t.NumRows()), col)
 		if v.IsNull() {
 			continue
 		}
@@ -198,8 +198,8 @@ func TestPushdownPreservesRowCounts(t *testing.T) {
 
 // TestDifferentialImageRoundTripGenerators checks the column image of every
 // generator database from outside sqldb: a vectorized SELECT * projects the
-// image's vectors cell by cell, so its result must be bit-equal to
-// Table.Rows. Value is comparable and carries floats as bits,
+// image's vectors cell by cell, so its result must be bit-equal to the
+// table's cells. Value is comparable and carries floats as bits,
 // so != tells NaN payloads and signed zeros apart.
 func TestDifferentialImageRoundTripGenerators(t *testing.T) {
 	var docs []*claim.Document
@@ -236,13 +236,13 @@ func TestDifferentialImageRoundTripGenerators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s.%s: vectorized scan failed: %v", db.Name, tab.Name, err)
 			}
-			if len(res.Rows) != len(tab.Rows) {
-				t.Fatalf("%s.%s: image has %d rows, table %d", db.Name, tab.Name, len(res.Rows), len(tab.Rows))
+			if len(res.Rows) != tab.NumRows() {
+				t.Fatalf("%s.%s: image has %d rows, table %d", db.Name, tab.Name, len(res.Rows), tab.NumRows())
 			}
-			for i, row := range tab.Rows {
-				for c, want := range row {
-					if got := res.Rows[i][c]; got != want {
-						t.Fatalf("%s.%s.%s row %d: image holds %#v, Rows hold %#v", db.Name, tab.Name, tab.Columns[c].Name, i, got, want)
+			for i, row := range res.Rows {
+				for c, got := range row {
+					if want := tab.Cell(i, c); got != want {
+						t.Fatalf("%s.%s.%s row %d: image holds %#v, table %#v", db.Name, tab.Name, tab.Columns[c].Name, i, got, want)
 					}
 				}
 			}

@@ -241,20 +241,10 @@ func (p *vecPlan) run(db *Database, outer *outerRow, dst []Value) (output, error
 		tables, images = make([]*Table, k), make([]*tableImage, k)
 	}
 	tables, images = tables[:k], images[:k]
+	// The stamp moves with every AddTable of a named table, and a
+	// registered table is frozen: the same stamp means the same columns.
 	if db.snapshotTables(p.names, tables, images) != p.version {
 		return output{}, errPlanStale
-	}
-	for i, s := range p.scans {
-		t := tables[i]
-		if t == nil || len(t.Columns) != s.n {
-			return output{}, errPlanStale
-		}
-		// Rows appended or dropped after AddTable break the registration
-		// contract; the image no longer describes the table, so it is built
-		// again from the live rows.
-		if images[i].n != len(t.Rows) {
-			images[i] = db.refreshImage(t)
-		}
 	}
 	ctx.images = images
 	for len(ctx.scans) < len(p.scans) {

@@ -53,7 +53,7 @@ func ParseNumber(s string) (float64, bool) {
 	cleaned = strings.TrimRight(cleaned, "%")
 	cleaned = strings.ReplaceAll(cleaned, ",", "")
 	cleaned = strings.TrimSpace(cleaned)
-	if !decimalSpelling(cleaned) {
+	if !DecimalSpelling(cleaned) {
 		return 0, false
 	}
 	v, err := strconv.ParseFloat(cleaned, 64)
@@ -63,11 +63,14 @@ func ParseNumber(s string) (float64, bool) {
 	return v, true
 }
 
-// decimalSpelling reports whether s is made only of the bytes a decimal or
-// scientific-notation number is written with. It is what keeps ParseFloat's
-// non-finite, hexadecimal and underscored spellings out; ParseFloat still
-// decides whether the bytes form a number (and rejects one that overflows).
-func decimalSpelling(s string) bool {
+// DecimalSpelling reports whether s is made only of the bytes a decimal or
+// scientific-notation number is written with: digits, '.', signs, 'e' and
+// 'E'. It is the one test that keeps strconv's non-finite ("NaN", "Inf"),
+// hexadecimal ("0x1p4") and underscored ("1_000") spellings from being read
+// as numbers, here, in sqldb.LoadCSV and in ingest's type inference; strconv
+// still decides whether the bytes form a number (and rejects one that
+// overflows).
+func DecimalSpelling(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case '0' <= c && c <= '9', c == '.', c == '+', c == '-', c == 'e', c == 'E':
