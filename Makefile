@@ -23,8 +23,9 @@
 
 GO ?= go
 FUZZTIME ?= 5s
+N ?= 10
 
-.PHONY: check build fmt vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench census
+.PHONY: check build fmt vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench census pairs
 
 check: build fmt vet gatelint race fuzz-smoke doclint benchmark-quick
 
@@ -238,3 +239,19 @@ census:
 	GOCOVERDIR=$$dir/counters $$dir/cedar-bench -seed 17 all >/dev/null && \
 	$(GO) tool covdata percent -i=$$dir/counters && \
 	echo "counters kept in $$dir/counters"
+
+# Alternating pairs of `go run ./benchmark` runs, parent against the working
+# tree (internal/benchpairs): the benchmark is built once at PARENT, in a git
+# worktree under a temporary directory, and once here; then N pairs run, each
+# workload in a process of its own at -trace 0, alternating which side goes
+# first. ARGS passes -workload, -seconds and -out through (-out names
+# the directory every run's result line is kept in). For each workload and
+# end-to-end metric it prints both medians, the parent's quartile spread over
+# its median, the change's wins, ties and losses, and whether the change's
+# median is worse than the metric's BENCHMARK.json bound. It gates nothing
+# and is not part of `check` (about 15 minutes for N=10 on 2 vCPUs).
+#
+#	make pairs PARENT=HEAD~1 N=10 ARGS='-workload lib-bigtable -seconds 60'
+pairs:
+	@test -n "$(PARENT)" || { echo "make pairs needs PARENT=<rev>"; exit 2; }
+	GO=$(GO) $(GO) run ./internal/benchpairs -parent '$(PARENT)' -n $(N) $(ARGS)

@@ -69,14 +69,15 @@ func dbFingerprint(db *sqldb.Database) [32]byte {
 	f.u64(uint64(len(tables)))
 	for _, t := range tables {
 		f.str(t.Name)
-		f.u64(uint64(len(t.Columns)))
-		for _, c := range t.Columns {
+		cols := t.Schema()
+		f.u64(uint64(len(cols)))
+		for _, c := range cols {
 			f.str(c.Name)
 			f.u64(uint64(c.Type))
 		}
 		f.u64(uint64(t.NumRows()))
 		for r := 0; r < t.NumRows(); r++ {
-			for c := range t.Columns {
+			for c := range cols {
 				f.str(t.Cell(r, c).String())
 			}
 		}

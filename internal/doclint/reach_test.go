@@ -71,10 +71,10 @@ var census = []keep{
 // shipped root, or is kept by a census entry naming the test that needs it.
 //
 // The roots are main and init of every main package (cmd/*, examples/*,
-// benchmark, internal/gatelint), every init function and package-level
-// variable initializer, and the exported API of package cedar. A
-// declaration reaches every module declaration its source names. A method
-// is also reached when its receiver type is reached and the method
+// benchmark, internal/gatelint, internal/benchpairs), every init function
+// and package-level variable initializer, and the exported API of package
+// cedar. A declaration reaches every module declaration its source names. A
+// method is also reached when its receiver type is reached and the method
 // satisfies an interface, of the module or of the standard library, that
 // the type implements, so String, ServeHTTP and MarshalJSON need no entry.
 func TestDoclintReachable(t *testing.T) {

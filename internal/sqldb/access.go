@@ -56,7 +56,7 @@ func (cp *colPaths) index(col *Vec) (ix *eqIndex, fresh bool) {
 // on first use; fresh reports that this call did.
 func (cp *colPaths) folded(col *Vec) (f *colFold, fresh bool) {
 	cp.foldOnce.Do(func() {
-		cf := foldCol(col, &vgroup{n: col.Len()})
+		cf := foldCol(vview{col: col}, &vgroup{n: col.Len()})
 		cp.fold, fresh = &cf, true
 	})
 	return cp.fold, fresh
@@ -233,46 +233,32 @@ func (ctx *vecCtx) index(cp *colPaths, col *Vec) *eqIndex {
 	return ix
 }
 
-// imagePaths returns the access paths of the image column that v is, or nil
-// when v is anything else. Pointer identity is the whole test: every filter,
-// gather and join builds new vectors, so a batch column that still is the
-// image's vector is that column, whole and unselected.
-func (ctx *vecCtx) imagePaths(slot int, v *Vec) *colPaths {
-	for si := range ctx.p.scans {
-		s := &ctx.p.scans[si]
-		if c := slot - s.base; c >= 0 && c < s.n {
-			if img := ctx.images[si]; img.cols[c] == v {
-				return img.path(c)
-			}
-			return nil
-		}
+// wholePaths returns the access paths of key column v when b holds every
+// row of v's scan's image in order (its list is nil), nil otherwise.
+func (ctx *vecCtx) wholePaths(b *vbatch, v *vcol) *colPaths {
+	if b.scans[v.si].rows != nil {
+		return nil
 	}
-	return nil
+	return ctx.images[v.si].path(v.c)
 }
 
-// imageFold returns the memoised fold of the typed numeric image column that
-// v is, or nil when v is not one.
-func (ctx *vecCtx) imageFold(slot int, v *Vec) (f *colFold, fresh bool) {
-	if !typedNum(v) {
+// imageFold returns the memoised fold of column c of scan si's image, or nil
+// when it is not typed numeric or the image has no access paths.
+func (ctx *vecCtx) imageFold(si, c int) (f *colFold, fresh bool) {
+	img := ctx.images[si]
+	cp, col := img.path(c), img.cols[c]
+	if cp == nil || !typedNum(col) {
 		return nil, false
 	}
-	cp := ctx.imagePaths(slot, v)
-	if cp == nil {
-		return nil, false
-	}
-	return cp.folded(v)
+	return cp.folded(col)
 }
 
-// walkIndex resolves an INNER equi-join from the left key's index when the
-// left key is a whole image column and the right side is small: it looks each
-// right key up and sorts the matches into joinSets' order, left row first.
-// ok is false when the left key has no index, or past |left|/8 matches, where
-// sorting costs more than indexing the right side.
-func (ctx *vecCtx) walkIndex(slot int, leftKey, rightKey *Vec) (li, ri []int32, ok bool) {
-	cp := ctx.imagePaths(slot, leftKey)
-	if cp == nil {
-		return nil, nil, false
-	}
+// walkIndex resolves an INNER equi-join from the left key's index, cp's, when
+// the left key is a whole image column and the right side is small: it looks
+// each right key up and sorts the matches into joinSets' order, left row
+// first. ok is false when the left key has no index, or past |left|/8
+// matches, where sorting costs more than indexing the right side.
+func (ctx *vecCtx) walkIndex(cp *colPaths, leftKey, rightKey *Vec) (li, ri []int32, ok bool) {
 	ix := ctx.index(cp, leftKey)
 	if ix == nil {
 		return nil, nil, false

@@ -247,6 +247,16 @@ func TestDifferentialAccessPathsTaken(t *testing.T) {
 		{`SELECT b.v FROM big b JOIN bigdim e ON b.i = e.id WHERE e.w >= 0.5`, delta{}, delta{}},
 		{`SELECT b.v FROM dim d JOIN big b ON d.id = b.nf`, delta{}, delta{}},
 		{`SELECT b.v FROM dim d JOIN big b ON d.name = b.k`, delta{}, delta{}},
+		// Row lists through joins: the probed middle scan of a chain, whose
+		// list the next join probes the whole bigdim image with; LEFT chains
+		// probing whole right images; folds and GROUP BY keys read through a
+		// join's lists. A filtered or joined list is never a whole column, so
+		// nothing folds from the memo.
+		{`SELECT d.tag, b.u, e.w FROM dim d JOIN big b ON d.id = b.i JOIN bigdim e ON b.v = e.id WHERE b.k = 'k014'`, delta{2, 1, 0, 1}, delta{0, 1, 0, 1}},
+		{`SELECT d.id, b.v, e.w FROM dim d LEFT JOIN big b ON d.id = b.i LEFT JOIN bigdim e ON b.i = e.id WHERE b.k = 'k013' OR b.k IS NULL`, delta{2, 0, 0, 2}, delta{0, 0, 0, 2}},
+		{`SELECT SUM(b.v), MIN(e.w), MAX(b.f), COUNT(b.nf) FROM big b JOIN bigdim e ON b.i = e.id WHERE b.k = 'k003'`, delta{2, 1, 0, 1}, delta{0, 1, 0, 1}},
+		{`SELECT SUM(b.v), MIN(b.f), COUNT(b.i), AVG(d.fid) FROM dim d LEFT JOIN big b ON d.id = b.i`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
+		{`SELECT e.w, COUNT(*), COUNT(e.id), SUM(b.v) FROM big b LEFT JOIN bigdim e ON b.v = e.id GROUP BY e.w ORDER BY 1`, delta{1, 0, 0, 1}, delta{0, 0, 0, 1}},
 	} {
 		db := accessDB()
 		var last PlanCacheStats

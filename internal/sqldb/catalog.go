@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,16 +18,19 @@ type Column struct {
 
 // Table is an in-memory relation: an ordered column list and one typed
 // vector of cells per column. AppendRow fills it; the first AddTable freezes
-// it, and from then on those vectors are the column image every query reads.
+// it, and from then on those vectors are the column image every query reads
+// and a copy of Columns taken then is its schema: a later edit of Columns
+// changes no query, Schema() or column lookup.
 type Table struct {
 	Name    string
 	Columns []Column
 
 	mu     sync.Mutex // serializes AppendRow with AddTable's freeze
 	frozen bool
-	n      int    // rows appended
-	room   int    // rows promised by Grow
-	cols   []*Vec // cells per column; nil while all of a column's cells are NULL
+	n      int      // rows appended
+	room   int      // rows promised by Grow
+	cols   []*Vec   // cells per column; nil while all of a column's cells are NULL
+	schema []Column // Columns as the first AddTable froze them; nil before
 }
 
 // NewTable constructs an empty table with the given column names. Column
@@ -94,10 +98,23 @@ func (t *Table) Cell(r, c int) Value {
 	return Null()
 }
 
+// columns is the table's column list: the frozen schema once registered,
+// Columns before.
+func (t *Table) columns() []Column {
+	if t.schema != nil {
+		return t.schema
+	}
+	return t.Columns
+}
+
+// Schema returns a copy of the table's column list: as the first AddTable
+// froze it once the table is registered, Columns before.
+func (t *Table) Schema() []Column { return slices.Clone(t.columns()) }
+
 // ColumnIndex returns the position of the named column (case-insensitive),
 // or -1 when absent.
 func (t *Table) ColumnIndex(name string) int {
-	for i, c := range t.Columns {
+	for i, c := range t.columns() {
 		if strings.EqualFold(c.Name, name) {
 			return i
 		}
@@ -107,8 +124,9 @@ func (t *Table) ColumnIndex(name string) int {
 
 // ColumnNames returns the ordered column names.
 func (t *Table) ColumnNames() []string {
-	out := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
+	cols := t.columns()
+	out := make([]string, len(cols))
+	for i, c := range cols {
 		out[i] = c.Name
 	}
 	return out
@@ -158,26 +176,27 @@ type tableImage struct {
 	paths []colPaths
 }
 
-// newImage freezes t and wraps its vectors, uncopied, in an image with no
-// access paths yet. The first freeze clips each vector to its length, so an
-// append through a copy reallocates instead of writing into the table; a
-// column without a non-NULL cell, or added to Columns since, is stored as
-// generic NULLs. Registering t again wraps the same vectors.
+// newImage wraps t's vectors, uncopied, in an image with no access paths
+// yet. The first call freezes t: it copies Columns as the schema and clips
+// each vector to its length, so an append through a copy reallocates instead
+// of writing into the table, and a column without a non-NULL cell is stored
+// as generic NULLs. Registering t again wraps the same vectors.
 func newImage(t *Table) *tableImage {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.cols) < len(t.Columns) { // written only then: a frozen table's cells are read unlocked
-		t.cols = append(t.cols, make([]*Vec, len(t.Columns)-len(t.cols))...)
-	}
-	for c, v := range t.cols {
-		if v == nil {
-			t.cols[c] = &Vec{any: make([]Value, t.n)} // the zero Value is NULL
-		} else if !t.frozen {
-			t.cols[c] = new(Vec)
-			t.cols[c].window(v, 0, t.n)
+	if !t.frozen { // written only then: a frozen table's schema and cells are read unlocked
+		t.schema = append(make([]Column, 0, len(t.Columns)), t.Columns...)
+		t.cols = append(t.cols, make([]*Vec, max(0, len(t.schema)-len(t.cols)))...)
+		for c, v := range t.cols {
+			if v == nil {
+				t.cols[c] = &Vec{any: make([]Value, t.n)} // the zero Value is NULL
+			} else {
+				t.cols[c] = new(Vec)
+				t.cols[c].window(v, 0, t.n)
+			}
 		}
+		t.frozen = true
 	}
-	t.frozen = true
 	img := &tableImage{n: t.n, cols: t.cols}
 	if t.n > windowRows {
 		img.paths = make([]colPaths, len(t.cols))
@@ -375,7 +394,7 @@ func renderSchema(tables []*Table) string {
 	var b strings.Builder
 	for _, t := range tables {
 		fmt.Fprintf(&b, "CREATE TABLE \"%s\" (", t.Name)
-		for i, c := range t.Columns {
+		for i, c := range t.schema {
 			if i > 0 {
 				b.WriteString(", ")
 			}
@@ -396,7 +415,7 @@ func (d *Database) SampleRows(n int) string {
 		b.WriteString(strings.Join(t.ColumnNames(), " | "))
 		b.WriteByte('\n')
 		for r := 0; r < min(n, t.n); r++ {
-			cells := make([]string, len(t.Columns))
+			cells := make([]string, len(t.columns()))
 			for c := range cells {
 				cells[c] = t.Cell(r, c).String()
 			}

@@ -78,20 +78,21 @@ func checkImages(t *testing.T, db *Database) {
 	t.Helper()
 	for _, tab := range db.Tables() {
 		img := imageOf(db, tab.Name)
-		if img == nil || img.n != tab.NumRows() || len(img.cols) != len(tab.Columns) {
+		cols := tab.Schema()
+		if img == nil || img.n != tab.NumRows() || len(img.cols) != len(cols) {
 			t.Fatalf("%s.%s: image missing or misshapen: %+v", db.Name, tab.Name, img)
 		}
 		for c, col := range img.cols {
 			if col.Len() != tab.NumRows() {
-				t.Fatalf("%s.%s.%s: image has %d values, table %d rows", db.Name, tab.Name, tab.Columns[c].Name, col.Len(), tab.NumRows())
+				t.Fatalf("%s.%s.%s: image has %d values, table %d rows", db.Name, tab.Name, cols[c].Name, col.Len(), tab.NumRows())
 			}
 			for i := 0; i < tab.NumRows(); i++ {
 				cell := tab.Cell(i, c)
 				if got := col.At(i); got != cell {
-					t.Fatalf("%s.%s.%s row %d: image holds %#v, table %#v", db.Name, tab.Name, tab.Columns[c].Name, i, got, cell)
+					t.Fatalf("%s.%s.%s row %d: image holds %#v, table %#v", db.Name, tab.Name, cols[c].Name, i, got, cell)
 				}
 				if col.IsNullAt(i) != cell.IsNull() {
-					t.Fatalf("%s.%s.%s row %d: IsNullAt disagrees with the cell", db.Name, tab.Name, tab.Columns[c].Name, i)
+					t.Fatalf("%s.%s.%s row %d: IsNullAt disagrees with the cell", db.Name, tab.Name, cols[c].Name, i)
 				}
 			}
 		}
@@ -226,6 +227,64 @@ func TestPlanCacheRegisteredTableFrozen(t *testing.T) {
 	}
 }
 
+// TestPlanCacheFrozenSchema checks that registration freezes a table's
+// column list with its cells. A column appended to Columns afterwards used to
+// make the next SELECT * panic past the image's columns, and a Column.Type
+// edited in place changed Schema() with no plan or memo invalidated. Neither
+// edit may move an answer, Schema(), the table's schema or a column lookup,
+// cached or recompiled, nor survive registering the table again.
+func TestPlanCacheFrozenSchema(t *testing.T) {
+	db := NewDatabase("frozen")
+	tab := NewTable("t", "k")
+	for i := 0; i < 3; i++ {
+		tab.MustAppendRow(Int(int64(i)))
+	}
+	db.AddTable(tab)
+	queries := []string{
+		`SELECT * FROM t`,
+		`SELECT t.*, k + 1 FROM t ORDER BY 1 DESC`,
+		`SELECT k, COUNT(*) FROM t GROUP BY k`,
+		`SELECT * FROM t a JOIN t b ON a.k = b.k`,
+		`SELECT * FROM t a LEFT JOIN t b ON a.k < b.k`,
+	}
+	answers := func() []string {
+		t.Helper()
+		var out []string
+		for _, q := range queries {
+			res, err := Query(db, q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			out = append(out, res.String())
+		}
+		return out
+	}
+	want, schema := answers(), db.Schema()
+	tab.Columns = append(tab.Columns, Column{Name: "extra", Type: KindInt})
+	tab.Columns[0].Type = KindText
+	check := func(pass string) {
+		t.Helper()
+		if got := answers(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: answers moved:\n%q\nwant\n%q", pass, got, want)
+		}
+		if got := db.Schema(); got != schema {
+			t.Errorf("%s: Schema() = %q, want %q", pass, got, schema)
+		}
+		if got := tab.Schema(); !reflect.DeepEqual(got, []Column{{Name: "k", Type: KindInt}}) {
+			t.Errorf("%s: table schema %+v", pass, got)
+		}
+		if tab.ColumnIndex("extra") != -1 || !reflect.DeepEqual(tab.ColumnNames(), []string{"k"}) {
+			t.Errorf("%s: the appended column is visible: %v", pass, tab.ColumnNames())
+		}
+	}
+	check("cached")
+	db.InvalidatePlans()
+	check("recompiled")
+	db.AddTable(tab)
+	check("registered again")
+	checkImages(t, db)
+}
+
 // TestPlanCacheImageReplaceStress has 32 goroutines scan, filter, join and
 // aggregate a multi-window table while another keeps replacing it through
 // AddTable with one of two contents of different length. A table and its
@@ -329,21 +388,23 @@ func allocPerQuery(t *testing.T, db *Database, q string) uint64 {
 // TestPlanCacheWarmAllocCeiling holds the warm path at 16k rows to a ceiling
 // on the bytes per query it allocates, measured with allocPerQuery:
 //
-//	                        row transposition   column image   access paths   one join index
-//	filtered SUM            1,639,564 B/query      4,168          1,128            160
-//	2-table join-aggregate  3,444,355 B/query    665,173        665,203        605,184
-//	lookup join                                   69,992          1,280          1,008
+//	                        row transposition   column image   access paths   one join index   row lists
+//	filtered SUM            1,639,564 B/query      4,168          1,128            160             160
+//	2-table join-aggregate  3,444,355 B/query    665,173        665,203        605,184         293,689
+//	lookup join                                   69,992          1,280          1,008             496
+//	1,000 x 1,000 cross join COUNT(*)                                       46,315,236       8,012,089
 //
 // The filtered SUM used to allocate its survivors' index list window by
-// window; from the equality index it allocates the 13 matching rows and
-// their gathered values. The lookup join used to allocate a 64 KB match
-// table over its 16k-row side before gathering one row; the index join
-// allocates the one pair. The join-aggregate matches 14k of 16k fact rows
-// against the whole dim.k column, whose cached index it probes: it no longer
-// fills a 64 KB per-left-row match array, and what it allocates is its match
-// lists, the two gathered columns later operators read, and the groups' row
-// lists (about 600 KB that no storage layout removes), which is why it
-// passes by a few percent rather than by a factor.
+// window; from the equality index it allocates the 13 matching rows. The
+// lookup join used to allocate a 64 KB match table over its 16k-row side
+// before gathering one row; the index join allocates the one pair, and the
+// item reads its cell through the pair's lists. The join-aggregate matches
+// 14k of 16k fact rows against the whole dim.k column, whose cached index it
+// probes; it allocates its match lists, which are the joined batch's row
+// lists, and the groups' row lists, and gathers nothing: the GROUP BY key and
+// SUM's argument read the images through the lists. A cross join's COUNT(*)
+// allocates its two match lists, 8 B a pair, where gathering and growing
+// them cost 46 B. Each ceiling is at most 1.25 times the last column.
 func TestPlanCacheWarmAllocCeiling(t *testing.T) {
 	bench, lookup := benchDB(16000), lookupDB()
 	for _, tc := range []struct {
@@ -352,8 +413,9 @@ func TestPlanCacheWarmAllocCeiling(t *testing.T) {
 		ceiling uint64
 	}{
 		{"filtered SUM", `SELECT SUM(v) FROM fact WHERE k = 77`, bench, 2 << 10},
-		{"join-aggregate", benchJoinAgg, bench, 620 << 10},
+		{"join-aggregate", benchJoinAgg, bench, 360_000},
 		{"lookup join", benchLookupJoin, lookup, 8 << 10},
+		{"cross join COUNT(*)", `SELECT COUNT(*) FROM fact a CROSS JOIN fact b`, benchDB(1000), 10_000_000},
 	} {
 		if got := allocPerQuery(t, tc.db, tc.q); got > tc.ceiling {
 			t.Errorf("%s: %d B/query, ceiling %d", tc.name, got, tc.ceiling)

@@ -37,7 +37,7 @@ func TestConstantOperandStaysConstant(t *testing.T) {
 	}
 	images := make([]*tableImage, 1)
 	db.snapshotTables(p.names, make([]*Table, 1), images)
-	b := &vbatch{n: images[0].n, cols: []*Vec{nil, images[0].cols[1]}}
+	b := &vbatch{n: images[0].n, scans: []vside{{cols: images[0].cols}}, cols: make([]*Vec, 2)}
 	if b.n <= windowRows {
 		t.Fatalf("image has %d rows, want more than %d", b.n, windowRows)
 	}

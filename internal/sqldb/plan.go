@@ -45,16 +45,12 @@ type planEq struct {
 }
 
 // planJoin describes how the i+1'th relation joins the accumulated working
-// set: a hash join on two bound key slots, or a nested loop over the compiled
-// ON predicate (none for CROSS).
+// set: a hash join on two key columns, or a nested loop over the compiled ON
+// predicate (none for CROSS).
 type planJoin struct {
-	kind      string // "INNER", "CROSS", "LEFT"
-	on        vexpr  // a nested-loop join's ON clause; nil for CROSS and hash joins
-	onNeed    []bool // the slots on reads
-	hash      bool
-	li, ri    int    // key slots (full layout) when hash
-	leftWidth int    // slots of the left side; the ON clause also sees the right table's
-	carry     []bool // slots an operator after this join reads
+	kind       string // "INNER", "CROSS", "LEFT"
+	on         vexpr  // a nested-loop join's ON clause; nil for CROSS and hash joins
+	lkey, rkey *vcol  // a hash join's key columns; nil for a nested loop
 }
 
 // vecPlan is a compiled, immutable, concurrently executable query plan.
@@ -64,8 +60,7 @@ type vecPlan struct {
 	names    []string // the FROM and JOIN table names; the first len(scans) are scanned
 	scans    []planScan
 	joins    []planJoin
-	width    int    // working-set slots
-	needed   []bool // slots that must be materialized
+	width    int // working-set slots
 	residual []vexpr
 
 	// fail, when set, is the error the row engine stops with after the
@@ -77,13 +72,6 @@ type vecPlan struct {
 	cols       []string
 	aggregated bool
 	tail       selectTail
-
-	// selAgg and selRows say that the final stage reads every column it
-	// needs at the rows a scan selected, so the survivors of a scan that
-	// neither joins nor meets a residual filter are never gathered: an
-	// aggregate without GROUP BY whose aggregates take a bare column (or *),
-	// or a projection of bare columns and literals.
-	selAgg, selRows bool
 
 	// itemsV is the items, then the ORDER BY keys that are not an item; it
 	// and having are in aggregate context when the plan is aggregated.
@@ -102,14 +90,12 @@ type vecPlan struct {
 // names it cannot resolve itself are looked up, as the row engine's env does
 // through its parent.
 type planCompiler struct {
-	db       *Database
-	p        *vecPlan
-	binds    []colBind // the working set's slots, in FROM order
-	vis      int       // how many of binds the expression being compiled sees
-	needed   []bool
-	denseAgg bool // an aggregate's argument is more than a bare column
-	agg      bool // expressions are compiled in aggregate context
-	reads    int  // nodes compiled so far that read a row: see compile
+	db    *Database
+	p     *vecPlan
+	binds []colBind // the working set's slots, in FROM order
+	vis   int       // how many of binds the expression being compiled sees
+	agg   bool      // expressions are compiled in aggregate context
+	reads int       // nodes compiled so far that read a row: see compile
 
 	up    *planCompiler // the enclosing statement's compiler, for a subquery
 	upVis int           // how many of up's binds the subquery sees
@@ -154,32 +140,28 @@ func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 			}
 			break
 		}
-		p.scans = append(p.scans, planScan{base: len(c.binds), n: len(t.Columns)})
-		for _, col := range t.Columns {
+		p.scans = append(p.scans, planScan{base: len(c.binds), n: len(t.schema)})
+		for _, col := range t.schema {
 			c.binds = append(c.binds, colBind{table: refs[i].EffectiveName(), name: col.Name})
 		}
 	}
 	p.width = len(c.binds)
 	c.vis = p.width
-	c.needed = make([]bool, p.width)
 	for ji := 0; ji+1 < len(p.scans); ji++ {
 		j, right := stmt.Joins[ji], p.scans[ji+1]
-		pj := planJoin{kind: j.Kind, leftWidth: right.base}
+		pj := planJoin{kind: j.Kind}
 		if li, ri, ok := equiJoinColumns(j.On, c.binds[:right.base], c.binds[right.base:right.base+right.n]); ok {
-			pj.hash, pj.li, pj.ri = true, li, right.base+ri
+			pj.lkey, pj.rkey = p.column(li), p.column(right.base+ri)
 		} else if j.On != nil {
-			// An ON clause sees the tables joined so far and its own; the
-			// slots it reads are recorded apart, since only its join needs
-			// them.
-			outer := c.needed
-			c.needed, c.vis = make([]bool, p.width), right.base+right.n
+			// An ON clause sees the tables joined so far and its own.
+			c.vis = right.base + right.n
 			pj.on = c.compile(j.On)
-			pj.onNeed, c.needed, c.vis = c.needed, outer, p.width
+			c.vis = p.width
 		}
 		p.joins = append(p.joins, pj)
 	}
 	if p.fail != nil {
-		return c.finish()
+		return p
 	}
 
 	if stmt.Where != nil {
@@ -188,7 +170,7 @@ func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 	items, err := expandStars(stmt.Items, c.binds)
 	if err != nil {
 		p.fail = constFail(err)
-		return c.finish()
+		return p
 	}
 	p.cols = projectionNames(items)
 	p.aggregated = len(stmt.GroupBy) > 0 || stmt.Having != nil || itemsHaveAggregate(items)
@@ -211,7 +193,7 @@ func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 		}
 		p.orderV = append(p.orderV, k)
 	}
-	return c.finish()
+	return p
 }
 
 // constFail is a plan failure that does not depend on the catalog.
@@ -233,7 +215,7 @@ func (c *planCompiler) compileWhere(stmt *SelectStmt) {
 	}
 	for ji, j := range p.joins {
 		right := p.scans[ji+1]
-		if pushdownOK && !j.hash && j.on != nil && !safeExpr(stmt.Joins[ji].On, c.binds[:right.base+right.n]) {
+		if pushdownOK && j.on != nil && !safeExpr(stmt.Joins[ji].On, c.binds[:right.base+right.n]) {
 			pushdownOK = false
 		}
 	}
@@ -254,45 +236,13 @@ func (c *planCompiler) compileWhere(stmt *SelectStmt) {
 	}
 }
 
-// finish settles which slots each scan materializes and each join carries.
-// A join carries forward what the expressions read plus what the joins after
-// it read; its own keys and ON slots are dead once it has matched.
-func (c *planCompiler) finish() *vecPlan {
-	p := c.p
-	for ji := len(p.joins) - 1; ji >= 0; ji-- {
-		j := &p.joins[ji]
-		j.carry = append([]bool(nil), c.needed...)
-		if j.hash {
-			c.needed[j.li], c.needed[j.ri] = true, true
-		}
-		for s, on := range j.onNeed {
-			c.needed[s] = c.needed[s] || on
-		}
+// column returns the stored column at working-set slot slot.
+func (p *vecPlan) column(slot int) *vcol {
+	si := len(p.scans) - 1
+	for p.scans[si].base > slot {
+		si--
 	}
-	p.needed = c.needed
-	p.selAgg = len(p.groupByV) == 0 && !c.denseAgg
-	p.selRows = allRowFree(p.itemsV)
-	return p
-}
-
-// rowFree reports whether e reads nothing but a stored column or a literal:
-// the expressions whose value at any row of a scan's image is its value at
-// that row of the scan, selected or not.
-func rowFree(e vexpr) bool {
-	switch e.(type) {
-	case *vcol, *vlit:
-		return true
-	}
-	return false
-}
-
-func allRowFree(es []vexpr) bool {
-	for _, e := range es {
-		if !rowFree(e) {
-			return false
-		}
-	}
-	return true
+	return &vcol{slot: slot, si: si, c: slot - p.scans[si].base}
 }
 
 // staticOrderKey resolves the row engine's orderKey shortcuts at plan time:
@@ -391,7 +341,7 @@ func (c *planCompiler) lower(e Expr) vexpr {
 	case *ColumnExpr:
 		x := c.column(v)
 		if col, ok := x.(*vcol); ok && c.agg {
-			return &gfirst{slot: col.slot}
+			return &gfirst{col: col}
 		}
 		return x
 	case *UnaryExpr:
@@ -456,16 +406,14 @@ func (c *planCompiler) lower(e Expr) vexpr {
 // (a correlated reference), innermost first.
 func (c *planCompiler) column(v *ColumnExpr) vexpr {
 	if slot, ok := resolveBind(c.binds[:c.vis], v.Table, v.Name); ok {
-		c.needed[slot] = true
 		c.reads++
-		return &vcol{slot: slot}
+		return c.p.column(slot)
 	}
 	level := 1
 	for cur := c; cur.up != nil; cur = cur.up {
 		if slot, ok := resolveBind(cur.up.binds[:cur.upVis], v.Table, v.Name); ok {
-			cur.up.needed[slot] = true
 			c.corr = max(c.corr, level)
-			return &vouter{level: level, slot: slot}
+			return &vouter{level: level, col: cur.up.p.column(slot)}
 		}
 		level++
 	}
@@ -500,7 +448,6 @@ func (c *planCompiler) aggregate(v *FuncExpr) vexpr {
 		c.agg = false
 		g.arg = c.compile(v.Args[0])
 		c.agg = true
-		c.denseAgg = c.denseAgg || !rowFree(g.arg)
 	}
 	c.reads++
 	return g

@@ -280,7 +280,7 @@ func (p *vecPlan) explain(db *Database) string {
 		}
 		j := p.joins[i-1]
 		alg := "nested-loop"
-		if j.hash {
+		if j.lkey != nil {
 			alg = "hash"
 		}
 		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d eq=%d", strings.ToLower(j.kind), alg, p.names[i], len(s.pushed), len(s.eq))
@@ -303,7 +303,7 @@ func (p *vecPlan) explain(db *Database) string {
 // of a join that pads nothing). The right side's index wins when it has one.
 func (p *vecPlan) indexJoinSides(ji int) string {
 	j := p.joins[ji]
-	if !j.hash {
+	if j.lkey == nil {
 		return ""
 	}
 	var sides []string

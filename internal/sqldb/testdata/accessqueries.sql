@@ -84,3 +84,14 @@ SELECT b.v, e.w FROM big b JOIN bigdim e ON b.i = e.id WHERE e.w >= 0.5 AND b.v 
 SELECT COUNT(*), SUM(b.v) FROM big b LEFT JOIN bigdim e ON b.nf = e.id WHERE e.w > 0 OR e.w IS NULL
 SELECT e.id, b.v FROM bigdim e JOIN big b ON e.w = b.nf WHERE e.id < 40
 SELECT b.v, c.v FROM big b JOIN big c ON b.u = c.k
+-- Row lists through joins: a chain whose middle scan is probed, ungrouped
+-- folds of bare columns read through a join's lists (LEFT padding
+-- included), GROUP BY over a LEFT join's padded side, and cross joins with
+-- and without a residual filter.
+SELECT d.tag, b.u, e.w FROM dim d JOIN big b ON d.id = b.i JOIN bigdim e ON b.v = e.id WHERE b.k = 'k014'
+SELECT d.id, b.v, e.w FROM dim d LEFT JOIN big b ON d.id = b.i LEFT JOIN bigdim e ON b.i = e.id WHERE b.k = 'k013' OR b.k IS NULL
+SELECT SUM(b.v), MIN(e.w), MAX(b.f), COUNT(b.nf) FROM big b JOIN bigdim e ON b.i = e.id WHERE b.k = 'k003'
+SELECT SUM(b.v), MIN(b.f), COUNT(b.i), AVG(d.fid) FROM dim d LEFT JOIN big b ON d.id = b.i
+SELECT e.w, COUNT(*), COUNT(e.id), SUM(b.v) FROM big b LEFT JOIN bigdim e ON b.v = e.id GROUP BY e.w ORDER BY 1
+SELECT COUNT(*), SUM(d.id), MIN(e.w) FROM dim d CROSS JOIN bigdim e WHERE d.id < e.id AND e.w > 3
+SELECT COUNT(*), MAX(d.tag), SUM(e.w) FROM dim d CROSS JOIN bigdim e

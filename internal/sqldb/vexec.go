@@ -7,15 +7,15 @@ import (
 	"sync"
 )
 
-// vexec.go is the vectorized runtime for plans produced by compilePlan: data
-// flows through the operator tree as column batches (vbatch) instead of one
-// row at a time. Scans read the table's column image without copying it and
-// hand on the rows its pushed-down filters select as a selection, gathered
-// only for an operator that needs dense columns; hash joins produce index
-// pair lists and gather columns instead of materializing joined rows;
-// aggregates fold typed vectors directly, over a scan's selection when they
-// can. The final stage yields cells: Query wraps them in a Result, and
-// QueryScalar takes the one cell.
+// vexec.go is the vectorized runtime for plans produced by compilePlan. A
+// stage's working set (vbatch) is one row list per scan over that scan's
+// table image, never a copy of it: a scan's pushed-down filters make its
+// list, a join composes both sides' lists through its match lists, and every
+// other filter composes them through its survivors. A column is gathered
+// once per batch, when an expression reads it as a vector; a bare column
+// read at a row, a GROUP BY key, an aggregate's argument or an item reads
+// the image through its scan's list. The final stage yields cells: Query
+// wraps them in a Result, and QueryScalar takes the one cell.
 //
 // The answer is the row-at-a-time one (DESIGN.md §12). Every node has one
 // semantics, its row method: the row engine's, short-circuits included. A
@@ -84,34 +84,94 @@ func (p *vecPlan) result(o output) *Result {
 	return res
 }
 
-// vbatch is a horizontal slice of the working set in columnar form. cols is
-// indexed by working-set slot (the plan's full bind layout); slots the plan
-// does not need are nil.
+// vbatch is a stage's working set: n rows, each one row of every scan's
+// table image. It is one row list per scan (vside), which filters and joins
+// compose and never gather. A column is gathered at most once per batch,
+// into cols, when an expression reads it as a vector (vcol.eval); a bare
+// column read at one row reads the image through its scan's list.
 type vbatch struct {
-	n    int
-	cols []*Vec
-	// sel, when not nil, lists the rows of cols that make up the batch
-	// (n == len(sel)): a scan's survivors, not gathered. Only the final stages
-	// the plan marks selAgg or selRows read rows through row(); everything
-	// else takes dense().
-	sel []int32
+	n     int
+	scans []vside // per scan of the plan; a scan's own batch sets only its own
+	cols  []*Vec  // per working-set slot: the column gathered over the n rows
 }
 
-// row returns the column index of the batch's i'th row.
-func (b *vbatch) row(i int) int {
-	if b.sel == nil {
+// vside is one scan's part of a batch: its image columns (or a window of
+// them) and the row of them each batch row is. A nil list means every row in
+// order, and -1 is a LEFT join's NULL row.
+type vside struct {
+	cols []*Vec
+	rows []int32
+}
+
+// pick returns the batch of b's rows idx, each scan's list composed through
+// them.
+func (b *vbatch) pick(idx []int32) *vbatch {
+	out := &vbatch{n: len(idx), scans: make([]vside, len(b.scans)), cols: make([]*Vec, len(b.cols))}
+	for si, s := range b.scans {
+		out.scans[si] = vside{cols: s.cols, rows: through(s.rows, idx)}
+	}
+	return out
+}
+
+// through composes a row list with rows of it: list[rows[k]], -1 staying -1.
+// A nil list is every row, so rows itself is the answer; the answer is never
+// nil, which would mean every row.
+func through(list, rows []int32) []int32 {
+	if rows == nil {
+		return []int32{}
+	}
+	if list == nil {
+		return rows
+	}
+	out := make([]int32, len(rows))
+	for k, r := range rows {
+		out[k] = -1
+		if r >= 0 {
+			out[k] = list[r]
+		}
+	}
+	return out
+}
+
+// vview is a column over a batch's rows read without gathering it: row i is
+// row index(i) of col, or NULL where that is -1.
+type vview struct {
+	col  *Vec
+	rows []int32 // nil: row i is col's row i
+}
+
+// index returns the row of col that the batch's row i reads, -1 for NULL.
+func (v vview) index(i int) int {
+	if v.rows == nil {
 		return i
 	}
-	return int(b.sel[i])
+	return int(v.rows[i])
 }
 
-// dense returns b with every column index a row: b itself, or its selection
-// gathered into a new batch.
-func (b *vbatch) dense() *vbatch {
-	if b.sel == nil {
-		return b
+// at returns the value at the batch's row i.
+func (v vview) at(i int) Value {
+	if r := v.index(i); r >= 0 {
+		return v.col.At(r)
 	}
-	return gatherBatch(b, b.sel)
+	return Null()
+}
+
+// appendKey appends the grouping key of the batch's row i to dst.
+func (v vview) appendKey(i int, dst []byte) []byte {
+	if r := v.index(i); r >= 0 {
+		return v.col.appendKey(r, dst)
+	}
+	return append(dst, Null().key()...)
+}
+
+// viewOf is e over b's rows as the final stage reads it: a bare column
+// through its scan's list, any other node evaluated as a vector.
+func viewOf(ctx *vecCtx, b *vbatch, e vexpr) (vview, error) {
+	if c, ok := e.(*vcol); ok {
+		return c.view(b), nil
+	}
+	v, err := e.eval(ctx, b)
+	return vview{col: v}, err
 }
 
 // vecCtx carries one execution's state: the database, the enclosing row a
@@ -134,7 +194,7 @@ type vecCtx struct {
 	scans  []vscan // per scan: its batch and selection buffers
 	consts []*Vec  // constant vectors; the first nconst are in use
 	nconst int
-	items  []*Vec    // runRows' projected vectors
+	items  []vview   // runRows' projected columns
 	none   vbatch    // the empty working set of a table-less SELECT
 	unit   vbatch    // the one row a table-less SELECT projects
 	group  [1]vgroup // the one group of an aggregate without GROUP BY
@@ -195,7 +255,7 @@ func (ctx *vecCtx) release() {
 	for i := range ctx.scans {
 		sc := &ctx.scans[i]
 		clear(sc.b.cols)
-		sc.b.sel = nil
+		clear(sc.b.scans)
 		if cap(sc.sel) > maxIdleSel || cap(sc.next) > maxIdleSel {
 			sc.sel, sc.next = nil, nil
 		}
@@ -256,7 +316,7 @@ func (p *vecPlan) run(db *Database, outer *outerRow, dst []Value) (output, error
 		return output{}, err
 	}
 	if len(p.residual) > 0 {
-		if b, err = filterStage(ctx, b.dense(), p.residual); err != nil {
+		if b, err = filterStage(ctx, b, p.residual); err != nil {
 			return output{}, err
 		}
 	}
@@ -286,7 +346,7 @@ func filterStage(ctx *vecCtx, b *vbatch, filters []vexpr) (*vbatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gatherBatch(b, keep), nil
+	return b.pick(keep), nil
 }
 
 // replayFilter is a failed filter stage run again the row engine's way: row
@@ -297,7 +357,7 @@ func replayFilter(ctx *vecCtx, b *vbatch, filters []vexpr) ([]int32, error) {
 	for i := 0; i < b.n; i++ {
 		ok := true
 		for _, f := range filters {
-			v, err := f.row(ctx, b, b.row(i))
+			v, err := f.row(ctx, b, i)
 			if err != nil {
 				return nil, err
 			}
@@ -312,28 +372,27 @@ func replayFilter(ctx *vecCtx, b *vbatch, filters []vexpr) ([]int32, error) {
 	return keep, nil
 }
 
-// replayVecs is a failed projection stage run again the row engine's way:
+// replayViews is a failed projection stage run again the row engine's way:
 // row by row, each row's expressions in order. It returns one vector per
-// expression, indexed like b's rows, or the first error.
-func replayVecs(ctx *vecCtx, b *vbatch, exprs []vexpr) ([]*Vec, error) {
-	vecs := make([]*Vec, len(exprs))
-	for k := range vecs {
-		vecs[k] = NewVec(KindNull, b.n)
+// expression over b's rows, or the first error.
+func replayViews(ctx *vecCtx, b *vbatch, exprs []vexpr) ([]vview, error) {
+	views := make([]vview, len(exprs))
+	for k := range views {
+		views[k].col = NewVec(KindNull, b.n)
 	}
 	for i := 0; i < b.n; i++ {
 		for k, e := range exprs {
-			v, err := e.row(ctx, b, b.row(i))
+			v, err := e.row(ctx, b, i)
 			if err != nil {
 				return nil, err
 			}
-			vecs[k].Append(v)
+			views[k].col.Append(v)
 		}
 	}
-	return vecs, nil
+	return views, nil
 }
 
-// buildBatch scans and joins the FROM clause into one batch. A join reads
-// both sides dense.
+// buildBatch scans and joins the FROM clause into one batch.
 func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 	if len(p.scans) == 0 {
 		return &ctx.none, nil
@@ -347,7 +406,7 @@ func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		left, err = p.joinBatch(ctx, left.dense(), right.dense(), ji)
+		left, err = p.joinBatch(ctx, left, right, ji)
 		if err != nil {
 			return nil, err
 		}
@@ -355,82 +414,73 @@ func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 	return left, nil
 }
 
-// scanBatch hands operators the needed columns of scan si straight from the
-// table image. With pushed-down filters it evaluates them over windows of
-// windowRows rows — over the image columns themselves when the image is one
-// window — and keeps the rows every filter selects as the batch's selection,
-// so filtered rows never reach join or aggregation operators. Pushed filters
-// cannot raise errors (safeExpr), which is what lets each one see the whole
-// window instead of the previous filter's survivors, and a conjunct of the
-// form column = literal be answered from the column's equality index
-// (access.go) with the others run over the index's survivors only.
+// scanBatch hands operators scan si straight from the table image, its list
+// nil. With pushed-down filters it evaluates them over windows of windowRows
+// rows — over the image columns themselves when the image is one window — and
+// keeps the rows every filter selects as the scan's list, so filtered rows
+// never reach join or aggregation operators. Pushed filters cannot raise
+// errors (safeExpr), which is what lets each one see the whole window instead
+// of the previous filter's survivors, and a conjunct of the form column =
+// literal be answered from the column's equality index (access.go) with the
+// others run over the index's survivors only.
 func (p *vecPlan) scanBatch(ctx *vecCtx, si int) (*vbatch, error) {
 	s, img, sc := &p.scans[si], ctx.images[si], &ctx.scans[si]
 	out := &sc.b
-	out.n, out.sel = img.n, nil
-	if cap(out.cols) < p.width {
-		out.cols = make([]*Vec, p.width)
+	out.n = img.n
+	if cap(out.scans) < len(p.scans) || cap(out.cols) < p.width {
+		out.scans, out.cols = make([]vside, len(p.scans)), make([]*Vec, p.width)
 	}
-	out.cols = out.cols[:p.width]
-	for c := 0; c < s.n; c++ {
-		if slot := s.base + c; p.needed[slot] {
-			out.cols[slot] = img.cols[c]
-		}
-	}
+	out.scans, out.cols = out.scans[:len(p.scans)], out.cols[:p.width] // zero: release clears them
+	out.scans[si].cols = img.cols
 	if len(s.pushed) == 0 {
 		return out, nil
 	}
 	keep, rest, probed := p.probeScan(ctx, si)
 	if !probed {
 		var err error
-		if keep, err = filterScan(ctx, s.pushed, out, sc); err != nil {
+		if keep, err = filterScan(ctx, si, s.pushed, out, sc); err != nil {
 			return nil, err
 		}
-	} else if len(rest) > 0 {
-		b := out
-		if len(keep) < img.n {
-			b = gatherBatch(out, keep)
-		}
-		for _, f := range rest {
-			var err error
-			if b, err = filterBatch(ctx, b, f); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
 	}
 	if len(keep) < img.n {
 		if keep == nil {
-			keep = []int32{} // a selection of no rows is still a selection
+			keep = []int32{} // a list of no rows is still a list
 		}
-		out.sel, out.n = keep, len(keep)
+		out.scans[si].rows, out.n = keep, len(keep)
 	}
-	return out, nil
+	b := out
+	for _, f := range rest {
+		var err error
+		if b, err = filterBatch(ctx, b, f); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
-// filterScan returns the rows of the whole-image batch out that every pushed
-// filter selects, in sc's buffer. An image of one window is filtered in
-// place; a larger one window by window, over views of its columns.
-func filterScan(ctx *vecCtx, pushed []vexpr, out *vbatch, sc *vscan) ([]int32, error) {
+// filterScan returns the rows of scan si's whole-image batch out that every
+// pushed filter selects, in sc's buffer. An image of one window is filtered
+// in place; a larger one window by window, over views of its columns.
+func filterScan(ctx *vecCtx, si int, pushed []vexpr, out *vbatch, sc *vscan) ([]int32, error) {
 	if out.n <= windowRows {
 		keep, err := selectPushed(ctx, pushed, out, sc.sel, &sc.next)
 		sc.sel = keep
 		return keep, err
 	}
-	win := &vbatch{cols: make([]*Vec, len(out.cols))}
+	img := out.scans[si].cols
+	win := &vbatch{scans: make([]vside, len(out.scans))} // its lists are nil: it gathers nothing
+	views, wcols := make([]Vec, len(img)), make([]*Vec, len(img))
+	for c := range wcols {
+		wcols[c] = &views[c]
+	}
+	win.scans[si].cols = wcols
 	keep := sc.sel[:0]
 	var sel, next []int32
 	for lo := 0; lo < out.n; lo += windowRows {
 		hi := min(lo+windowRows, out.n)
 		win.n = hi - lo
-		for slot, cv := range out.cols {
-			if cv == nil {
-				continue
-			}
-			if win.cols[slot] == nil {
-				win.cols[slot] = new(Vec)
-			}
-			win.cols[slot].window(cv, lo, hi)
+		for c, cv := range img {
+			views[c].window(cv, lo, hi)
 		}
 		var err error
 		if sel, err = selectPushed(ctx, pushed, win, sel, &next); err != nil {
@@ -532,43 +582,33 @@ func filterBatch(ctx *vecCtx, b *vbatch, f vexpr) (*vbatch, error) {
 	if len(idx) == b.n {
 		return b, nil
 	}
-	return gatherBatch(b, idx), nil
-}
-
-// gatherBatch builds a new batch keeping the selected row indices; nil
-// (unneeded) columns stay nil.
-func gatherBatch(b *vbatch, idx []int32) *vbatch {
-	out := &vbatch{n: len(idx), cols: make([]*Vec, len(b.cols))}
-	for slot, cv := range b.cols {
-		if cv != nil {
-			out.cols[slot] = cv.Gather(idx)
-		}
-	}
-	return out
+	return b.pick(idx), nil
 }
 
 // hashPairs lists equi-join ji's (left row, right row) pairs in joinSets'
 // order: left-major, each left row's matches in right-scan order, and -1 as
 // the right row of a LEFT join's unmatched left row. Every match is found in
 // an eqIndex (access.go). Typed numeric keys probe one over the right key:
-// the image's own when the key is a whole image column, one built for this
-// query otherwise, unless an INNER join can walk its small right side through
-// the left key's image index instead (walkIndex). Every other key (text,
-// which joinKey coerces, mixed, bool, or a right side holding a NaN) probes
-// an index over both sides' joinKey strings.
+// the image's own when the right scan's list is nil (the key is a whole image
+// column), one built for this query otherwise, unless an INNER join can walk
+// its small right side through the left key's image index instead
+// (walkIndex). Every other key (text, which joinKey coerces, mixed, bool, or
+// a right side holding a NaN) probes an index over both sides' joinKey
+// strings.
 func (p *vecPlan) hashPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []int32) {
 	j := &p.joins[ji]
 	pad := j.kind == "LEFT"
-	leftKey, rightKey := left.cols[j.li], right.cols[j.ri]
+	leftKey, _ := j.lkey.eval(ctx, left) // a column's eval cannot fail
+	rightKey, _ := j.rkey.eval(ctx, right)
 	var ix *eqIndex
 	if typedNum(leftKey) && typedNum(rightKey) {
-		if cp := ctx.imagePaths(j.ri, rightKey); cp != nil {
+		if cp := ctx.wholePaths(right, j.rkey); cp != nil {
 			if ix = ctx.index(cp, rightKey); ix != nil {
 				ctx.db.plans.indexJoins.Add(1)
 			}
 		} else {
-			if !pad && right.n < windowRows {
-				if li, ri, ok := ctx.walkIndex(j.li, leftKey, rightKey); ok {
+			if cp := ctx.wholePaths(left, j.lkey); cp != nil && !pad && right.n < windowRows {
+				if li, ri, ok := ctx.walkIndex(cp, leftKey, rightKey); ok {
 					return li, ri
 				}
 			}
@@ -610,12 +650,10 @@ func joinKeys(v *Vec) *Vec {
 // batch under join ji, mirroring joinSets: on the recognized equi-join key a
 // hash join (an index over the right key, probed in left order, LEFT padding
 // with NULLs), a nested loop over the compiled ON clause for every other
-// join. Only the columns a later operator reads are gathered into the joined
-// batch.
+// join. The joined batch is the match lists composed into both sides' lists.
 func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, error) {
-	j := &p.joins[ji]
 	var li, ri []int32
-	if j.hash {
+	if p.joins[ji].lkey != nil {
 		li, ri = p.hashPairs(ctx, left, right, ji)
 	} else {
 		var err error
@@ -623,28 +661,35 @@ func (p *vecPlan) joinBatch(ctx *vecCtx, left, right *vbatch, ji int) (*vbatch, 
 			return nil, err
 		}
 	}
-	out := &vbatch{n: len(li), cols: make([]*Vec, p.width)}
-	for slot, cv := range left.cols {
-		if cv != nil && j.carry[slot] {
-			out.cols[slot] = cv.Gather(li)
-		}
-	}
-	for slot, cv := range right.cols {
-		if cv != nil && j.carry[slot] {
-			out.cols[slot] = cv.Gather(ri)
-		}
-	}
-	return out, nil
+	return joined(left, right, ji+1, li, ri), nil
+}
+
+// joined is the batch of the pairs (li[k], ri[k]): left's rows li, with
+// right's scan si read through ri.
+func joined(left, right *vbatch, si int, li, ri []int32) *vbatch {
+	out := left.pick(li)
+	r := right.scans[si]
+	out.scans[si] = vside{cols: r.cols, rows: through(r.rows, ri)}
+	return out
 }
 
 // loopPairs lists nested-loop join ji's (left row, right row) pairs in
 // joinSets' order, left-major, with -1 as the right row of a LEFT join's
-// unmatched left row. The ON clause runs as a filter stage over windows of
-// whole left rows' candidate pairs, so a window that fails is replayed pair
-// by pair before any later pair is looked at: the first error is the row
-// engine's.
+// unmatched left row. A CROSS join lists every pair. An ON clause runs as a
+// filter stage over windows of whole left rows' candidate pairs, so a window
+// that fails is replayed pair by pair before any later pair is looked at: the
+// first error is the row engine's.
 func (p *vecPlan) loopPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []int32, err error) {
 	j := &p.joins[ji]
+	if j.on == nil {
+		li, ri = make([]int32, 0, left.n*right.n), make([]int32, 0, left.n*right.n)
+		for i := 0; i < left.n; i++ {
+			for k := 0; k < right.n; k++ {
+				li, ri = append(li, int32(i)), append(ri, int32(k))
+			}
+		}
+		return li, ri, nil
+	}
 	per := max(windowRows/max(right.n, 1), 1) // left rows per window
 	var pl, pr []int32
 	for i0 := 0; i0 < left.n; i0 += per {
@@ -655,31 +700,15 @@ func (p *vecPlan) loopPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []
 				pl, pr = append(pl, int32(i)), append(pr, int32(k))
 			}
 		}
-		var keep []int32
-		if j.on == nil { // CROSS: every pair
-			keep = make([]int32, len(pl))
-			for x := range keep {
-				keep[x] = int32(x)
+		pb := joined(left, right, ji+1, pl, pr)
+		nconst := ctx.nconst // the window's constants die with it
+		keep, err := selectRows(ctx, pb, j.on, nil)
+		if err != nil {
+			if keep, err = replayFilter(ctx, pb, []vexpr{j.on}); err != nil {
+				return nil, nil, err
 			}
-		} else {
-			pb := &vbatch{n: len(pl), cols: make([]*Vec, p.width)}
-			for s, need := range j.onNeed {
-				switch {
-				case !need:
-				case s < j.leftWidth:
-					pb.cols[s] = left.cols[s].Gather(pl)
-				default:
-					pb.cols[s] = right.cols[s].Gather(pr)
-				}
-			}
-			nconst := ctx.nconst // the window's constants die with it
-			if keep, err = selectRows(ctx, pb, j.on, nil); err != nil {
-				if keep, err = replayFilter(ctx, pb, []vexpr{j.on}); err != nil {
-					return nil, nil, err
-				}
-			}
-			ctx.nconst = nconst
 		}
+		ctx.nconst = nconst
 		for i, next := i0, 0; i < i1; i++ {
 			matched := false
 			for end := int32((i - i0 + 1) * right.n); next < len(keep) && keep[next] < end; next++ {
@@ -701,30 +730,26 @@ func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 		// Table-less SELECT: one row evaluated over no bindings, with no
 		// ORDER BY keys — exactly the row engine's FROM-less branch.
 		b = &ctx.unit
-	} else if !p.selRows {
-		b = b.dense()
 	}
 	if cap(ctx.items) < len(p.itemsV) {
-		ctx.items = make([]*Vec, len(p.itemsV))
+		ctx.items = make([]vview, len(p.itemsV))
 	}
-	vecs := ctx.items[:len(p.itemsV)]
+	views := ctx.items[:len(p.itemsV)]
 	for k, iv := range p.itemsV {
-		cv, err := iv.eval(ctx, b)
+		v, err := viewOf(ctx, b, iv)
 		if err != nil {
-			b = b.dense()
-			if vecs, err = replayVecs(ctx, b, p.itemsV); err != nil {
+			if views, err = replayViews(ctx, b, p.itemsV); err != nil {
 				return output{}, err
 			}
 			break
 		}
-		vecs[k] = cv
+		views[k] = v
 	}
 	w := len(p.cols)
 	if p.tail.none() {
 		for i := 0; i < b.n; i++ {
-			r := b.row(i)
-			for _, cv := range vecs[:w] {
-				dst = append(dst, cv.At(r))
+			for _, v := range views[:w] {
+				dst = append(dst, v.at(i))
 			}
 		}
 		return output{cells: dst, n: b.n}, nil
@@ -732,16 +757,16 @@ func (p *vecPlan) runRows(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
 	flat := make([]Value, b.n*w)
 	out := make([]outRow, b.n)
 	for i := range out {
-		r, row := b.row(i), &out[i]
+		row := &out[i]
 		row.cells = flat[i*w : (i+1)*w : (i+1)*w]
 		for k := range row.cells {
-			row.cells[k] = vecs[k].At(r)
+			row.cells[k] = views[k].at(i)
 		}
 		if len(p.orderV) > 0 {
 			row.keys = make([]Value, len(p.orderV))
 			for k, ci := range p.orderV {
 				if ci >= 0 {
-					row.keys[k] = vecs[ci].At(r)
+					row.keys[k] = views[ci].at(i)
 				}
 			}
 		}
@@ -779,9 +804,6 @@ func (g *vgroup) row(k int) int {
 // engine does; if it fails, it is replayed with every aggregate folding its
 // group's arguments row by row (gagg.row).
 func (p *vecPlan) runAgg(ctx *vecCtx, b *vbatch, dst []Value) (output, error) {
-	if !p.selAgg {
-		b = b.dense()
-	}
 	groups, err := p.partition(ctx, b)
 	if err != nil {
 		return output{}, err
@@ -859,19 +881,19 @@ func (p *vecPlan) groupItems(ctx *vecCtx, gi int, dst []Value) ([]Value, error) 
 // aggregates over empty inputs still produce a row.
 func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 	if len(p.groupByV) == 0 {
-		ctx.group[0] = vgroup{b: b, n: b.n, rows: b.sel}
+		ctx.group[0] = vgroup{b: b, n: b.n}
 		return ctx.group[:], nil
 	}
-	keyVecs := make([]*Vec, len(p.groupByV))
+	keys := make([]vview, len(p.groupByV))
 	for k, gv := range p.groupByV {
-		kv, err := gv.eval(ctx, b)
+		kv, err := viewOf(ctx, b, gv)
 		if err != nil {
-			if keyVecs, err = replayVecs(ctx, b, p.groupByV); err != nil {
+			if keys, err = replayViews(ctx, b, p.groupByV); err != nil {
 				return nil, err
 			}
 			break
 		}
-		keyVecs[k] = kv
+		keys[k] = kv
 	}
 	// Two passes, so the groups' row lists are slices of one exactly sized
 	// array instead of each growing by doubling.
@@ -881,7 +903,7 @@ func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 	var kb []byte
 	for i := range gids {
 		kb = kb[:0]
-		for _, kv := range keyVecs {
+		for _, kv := range keys {
 			kb = kv.appendKey(i, kb)
 		}
 		gi, ok := index[string(kb)] // alloc-free lookup
@@ -911,7 +933,7 @@ func (p *vecPlan) partition(ctx *vecCtx, b *vbatch) ([]vgroup, error) {
 // Row-context vectorized expressions.
 
 // vexpr evaluates to one value per row. row evaluates the expression at
-// column index r of b alone, exactly as the row engine's eval would: AND, OR
+// row r of b alone, exactly as the row engine's eval would: AND, OR
 // and CASE evaluate only the operands the row reaches, everything else its
 // operands in order. In aggregate context r is a group of ctx.groups (and b
 // is nil). eval is the stage's batch evaluation: a kernel for the shapes
@@ -925,7 +947,7 @@ type vexpr interface {
 // its row method, row by row in batch order. Over no rows it evaluates
 // nothing.
 func rowVec(ctx *vecCtx, b *vbatch, e vexpr) (*Vec, error) {
-	return mapVec(b.n, func(i int) (Value, error) { return e.row(ctx, b, b.row(i)) })
+	return mapVec(b.n, func(i int) (Value, error) { return e.row(ctx, b, i) })
 }
 
 // vconst is a node that reads no row: its operands are literals, outer
@@ -939,7 +961,7 @@ func (v *vconst) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 	if b.n == 0 {
 		return noRows, nil
 	}
-	val, err := v.row(ctx, b, b.row(0))
+	val, err := v.row(ctx, b, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -995,24 +1017,43 @@ func (v *vlit) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
 
 func (v *vlit) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return v.val, nil }
 
-type vcol struct{ slot int }
+// vcol is a stored column: column c of scan si, working-set slot slot.
+type vcol struct{ slot, si, c int }
 
+// view is the column over b's rows, read through its scan's list.
+func (v *vcol) view(b *vbatch) vview {
+	s := &b.scans[v.si]
+	return vview{col: s.cols[v.c], rows: s.rows}
+}
+
+// eval is the column as a vector of b's rows: the image column itself when
+// the scan's list is nil, else gathered through it once per batch.
 func (v *vcol) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	s := &b.scans[v.si]
+	if s.rows == nil {
+		return s.cols[v.c], nil
+	}
+	if b.cols[v.slot] == nil {
+		b.cols[v.slot] = s.cols[v.c].Gather(s.rows)
+	}
 	return b.cols[v.slot], nil
 }
 
-func (v *vcol) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return b.cols[v.slot].At(r), nil }
+func (v *vcol) row(ctx *vecCtx, b *vbatch, r int) (Value, error) { return v.view(b).at(r), nil }
 
-// vouter reads slot of the enclosing row level statements out: a correlated
+// vouter reads col of the enclosing row level statements out: a correlated
 // subquery's reference to the row it runs for, a constant over its batch.
-type vouter struct{ level, slot int }
+type vouter struct {
+	level int
+	col   *vcol
+}
 
 func (v *vouter) value(ctx *vecCtx) Value {
 	o := ctx.outer
 	for l := 1; l < v.level; l++ {
 		o = o.up
 	}
-	return o.b.cols[v.slot].At(o.r)
+	return v.col.view(o.b).at(o.r)
 }
 
 func (v *vouter) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
@@ -1521,38 +1562,36 @@ func (v *vinsub) set(ctx *vecCtx, b *vbatch, r int) ([]Value, error) {
 // ctx.groups, and the ordinary nodes combine two leaves: an aggregate folding
 // its group and a column reading the group's first row.
 
-// first returns group gi's first row as a batch and a column index of it, or
-// a row of NULLs when the group is empty (an aggregate over no rows).
+// first returns group gi's first row as a batch and a row of it, or a row
+// of NULLs when the group is empty (an aggregate over no rows).
 func (ctx *vecCtx) first(gi int) (*vbatch, int) {
-	if g := &ctx.groups[gi]; g.n > 0 {
+	g := &ctx.groups[gi]
+	if g.n > 0 {
 		return g.b, g.row(0)
 	}
-	nulls := &vbatch{n: 1, cols: make([]*Vec, ctx.p.width)}
-	for s := range nulls.cols {
-		nulls.cols[s] = nullVec
-	}
-	return nulls, 0
+	return g.b.pick(nullList), 0
 }
 
-// nullVec is the constant NULL. It is shared, and nothing writes to it.
-var nullVec = &Vec{any: []Value{Null()}, konst: true}
+// nullList is the list of one NULL row. It is shared, and nothing writes to it.
+var nullList = []int32{-1}
 
 // gfirst is a column reference in aggregate context: the column at the
 // group's first row, as the row engine's groupEnv reads it.
-type gfirst struct{ slot int }
+type gfirst struct{ col *vcol }
 
 func (v *gfirst) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, v) }
 
 func (v *gfirst) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	fb, fr := ctx.first(r)
-	return fb.cols[v.slot].At(fr), nil
+	return v.col.view(fb).at(fr), nil
 }
 
-// gagg folds an aggregate over the group. The argument expression is
-// evaluated once over the whole batch (memoized across groups and across the
-// HAVING/items/ORDER BY positions that reference aggregates; a bare column is
-// the batch's own) and each group indexes into it; typed vectors take unboxed
-// fold paths that reproduce evalAggregate's float64 arithmetic exactly.
+// gagg folds an aggregate over the group. A bare column argument is read
+// through its scan's list; any other argument is evaluated once over
+// the whole batch (memoized across groups and across the HAVING/items/ORDER
+// BY positions that reference aggregates) and each group indexes into it.
+// Typed vectors take unboxed fold paths that reproduce evalAggregate's
+// float64 arithmetic exactly.
 type gagg struct {
 	name           string
 	star, distinct bool
@@ -1560,22 +1599,22 @@ type gagg struct {
 	arg            vexpr
 }
 
-func (a *gagg) argVec(ctx *vecCtx, b *vbatch) (*Vec, error) {
+func (a *gagg) argView(ctx *vecCtx, b *vbatch) (vview, error) {
 	if c, ok := a.arg.(*vcol); ok {
-		return b.cols[c.slot], nil
+		return c.view(b), nil
 	}
 	if av, ok := ctx.aggs[a]; ok {
-		return av, nil
+		return vview{col: av}, nil
 	}
 	av, err := a.arg.eval(ctx, b)
 	if err != nil {
-		return nil, err
+		return vview{}, err
 	}
 	if ctx.aggs == nil {
 		ctx.aggs = make(map[*gagg]*Vec)
 	}
 	ctx.aggs[a] = av
-	return av, nil
+	return vview{col: av}, nil
 }
 
 func (a *gagg) eval(ctx *vecCtx, b *vbatch) (*Vec, error) { return rowVec(ctx, b, a) }
@@ -1592,33 +1631,33 @@ func (a *gagg) row(ctx *vecCtx, b *vbatch, r int) (Value, error) {
 	if ctx.replay {
 		return a.replay(ctx, g)
 	}
-	av, err := a.argVec(ctx, g.b)
+	av, err := a.argView(ctx, g.b)
 	if err != nil {
 		return Null(), err
 	}
-	name := a.name
-	if !a.distinct && av.kind != KindNull && !av.konst {
+	name, col := a.name, av.col
+	if !a.distinct && col.kind != KindNull && !col.konst {
 		if name == "COUNT" {
 			// The NULL mask of an unboxed vector already says how many values
 			// the group holds.
 			cnt := g.n
-			if av.nulls != nil {
+			if col.nulls != nil || av.rows != nil {
 				for k := 0; k < g.n; k++ {
-					if av.nulls[g.row(k)] {
+					if r := av.index(g.row(k)); r < 0 || col.nulls != nil && col.nulls[r] {
 						cnt--
 					}
 				}
 			}
 			return Int(int64(cnt)), nil
 		}
-		if typedNum(av) {
-			return finishFold(name, av, a.fold(ctx, av, g))
+		if typedNum(col) {
+			return finishFold(name, col, a.fold(ctx, av, g))
 		}
 	}
 	// Generic fold: evalAggregate's, over the group's values in row order.
 	agg := aggFold{name: name, distinct: a.distinct}
 	for k := 0; k < g.n; k++ {
-		if err := agg.add(av.At(g.row(k))); err != nil {
+		if err := agg.add(av.at(g.row(k))); err != nil {
 			return Null(), err
 		}
 	}
@@ -1646,11 +1685,12 @@ func (a *gagg) replay(ctx *vecCtx, g *vgroup) (Value, error) {
 }
 
 // fold returns the group's typed fold of av: from the column's memo when the
-// group is a whole, unselected image column (stored by the first such query
-// and the same tuple for every later one), by one pass otherwise.
-func (a *gagg) fold(ctx *vecCtx, av *Vec, g *vgroup) colFold {
-	if c, ok := a.arg.(*vcol); ok && g.rows == nil {
-		if f, fresh := ctx.imageFold(c.slot, av); f != nil {
+// group is the whole batch and the batch every row of the column's image
+// (stored by the first such query and the same tuple for every later one),
+// by one pass otherwise.
+func (a *gagg) fold(ctx *vecCtx, av vview, g *vgroup) colFold {
+	if c, ok := a.arg.(*vcol); ok && g.rows == nil && av.rows == nil {
+		if f, fresh := ctx.imageFold(c.si, c.c); f != nil {
 			if !fresh {
 				ctx.db.plans.foldHits.Add(1)
 			}
@@ -1660,38 +1700,39 @@ func (a *gagg) fold(ctx *vecCtx, av *Vec, g *vgroup) colFold {
 	return foldCol(av, g)
 }
 
-// foldCol folds group g of the typed numeric vector av.
-func foldCol(av *Vec, g *vgroup) colFold {
-	if av.kind == KindInt {
-		return foldTyped(av, av.ints, g)
+// foldCol folds group g of the typed numeric column av.
+func foldCol(av vview, g *vgroup) colFold {
+	if av.col.kind == KindInt {
+		return foldTyped(av, av.col.ints, g)
 	}
-	return foldTyped(av, av.floats, g)
+	return foldTyped(av, av.col.floats, g)
 }
 
 // colFold is what one pass over a group of an unboxed numeric vector yields
 // for every aggregate at once: the non-NULL count, their sum, the rows of the
-// first minimum and maximum (-1 over no values).
+// vector holding the first minimum and maximum (-1 over no values).
 type colFold struct {
 	cnt    int
 	sum    numSum
 	lo, hi int
 }
 
-// foldTyped folds group g of av (xs is av's storage) without boxing. MIN/MAX
-// comparisons go through float64 because that is what evalAggregate does
-// via Compare; like it, MIN and MAX keep the first of equal (or
+// foldTyped folds group g of av (xs is av.col's storage) without boxing.
+// MIN/MAX comparisons go through float64 because that is what evalAggregate
+// does via Compare; like it, MIN and MAX keep the first of equal (or
 // NaN-incomparable) values. SUM and AVG accumulate as evalAggregate does, in
 // a numSum.
-func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
+func foldTyped[T int64 | float64](av vview, xs []T, g *vgroup) colFold {
 	cnt, lo, hi := 0, -1, -1
 	var sum numSum
+	nulls := av.col.nulls
 	for k := 0; k < g.n; k++ {
-		r := g.row(k)
-		if av.nulls != nil && av.nulls[r] {
+		r := av.index(g.row(k))
+		if r < 0 || nulls != nil && nulls[r] {
 			continue
 		}
 		x := float64(xs[r])
-		if av.kind == KindInt {
+		if av.col.kind == KindInt {
 			sum.addInt(int64(xs[r]))
 		} else {
 			sum.addFloat(x)
@@ -1707,8 +1748,8 @@ func foldTyped[T int64 | float64](av *Vec, xs []T, g *vgroup) colFold {
 	return colFold{cnt: cnt, sum: sum, lo: lo, hi: hi}
 }
 
-// finishFold reads one aggregate out of av's fold.
-func finishFold(name string, av *Vec, f colFold) (Value, error) {
+// finishFold reads one aggregate out of col's fold.
+func finishFold(name string, col *Vec, f colFold) (Value, error) {
 	switch name {
 	case "SUM", "AVG":
 		return f.sum.result(name, f.cnt)
@@ -1717,9 +1758,9 @@ func finishFold(name string, av *Vec, f colFold) (Value, error) {
 			return Null(), nil
 		}
 		if name == "MIN" {
-			return av.At(f.lo), nil
+			return col.At(f.lo), nil
 		}
-		return av.At(f.hi), nil
+		return col.At(f.hi), nil
 	}
 	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, name)
 }
