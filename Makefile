@@ -25,7 +25,7 @@ GO ?= go
 FUZZTIME ?= 5s
 N ?= 10
 
-.PHONY: check build fmt vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench census pairs
+.PHONY: check build fmt vet test race chaos trace store sqldiff shard stream ingest route fuzz-smoke doclint gatelint benchmark-quick bench census pairs lines
 
 check: build fmt vet gatelint race fuzz-smoke doclint benchmark-quick
 
@@ -255,3 +255,13 @@ census:
 pairs:
 	@test -n "$(PARENT)" || { echo "make pairs needs PARENT=<rev>"; exit 2; }
 	GO=$(GO) $(GO) run ./internal/benchpairs -parent '$(PARENT)' -n $(N) $(ARGS)
+
+# The line counts ROADMAP.md quotes, each taken as `find … | xargs cat | wc -l`
+# (blank and comment lines included): non-test Go in the whole module, in
+# benchmark/ and in internal/sqldb, then every _test.go file. It gates nothing
+# and is not part of `check`.
+lines:
+	@for d in . benchmark internal/sqldb; do \
+		printf 'non-test Go %-15s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done; \
+	printf 'tests %-21s %6d\n' . "$$(find . -name '*_test.go' | xargs cat | wc -l)"

@@ -13,7 +13,11 @@ import (
 func corpusSignature(c *data.RouteBenchCorpus) string {
 	s := ""
 	for _, db := range c.Databases {
-		s += db.Name + ":" + fmt.Sprint(db.TableNames()) + "\n"
+		var names []string
+		for _, t := range db.Tables() {
+			names = append(names, t.Name)
+		}
+		s += db.Name + ":" + fmt.Sprint(names) + "\n"
 	}
 	for _, d := range c.Docs {
 		s += d.ID + " " + d.Data.Name + "\n"

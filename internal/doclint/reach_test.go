@@ -60,7 +60,6 @@ var census = []keep{
 	{"internal/serve.Coordinator.Owner", "TestCoordinatorReplicaRegistration"},
 	{"internal/serve.Server.QueueDepth", "TestStreamBackpressureBoundsInFlight"},
 	{"internal/shard.Ring.Has", "TestProberEjectAndReadmit"},
-	{"internal/sqldb.Database.Version", "TestSchemaMemoChurn"},
 	{"internal/store.Store.Dir", "TestRecoveryRaceStress"},
 	{"internal/store.Store.Len", "TestCachedPersistIgnoresAnonymousReads"},
 	{"internal/store.Store.Stats", "TestStorePutSemantics"},

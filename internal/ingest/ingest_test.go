@@ -586,6 +586,32 @@ func TestRegistryProtectsBaseTables(t *testing.T) {
 	}
 }
 
+// TestRegistryFailedReAddKeepsPrevious: a re-ingestion the surface rejects
+// leaves the previous dataset's table in the catalog, so the claims the
+// registry still serves for it keep answering.
+func TestRegistryFailedReAddKeepsPrevious(t *testing.T) {
+	db := sqldb.NewDatabase("d")
+	reg := NewRegistry(db, nil, Options{})
+	ds, err := reg.Add(mustIngest(t, "city,population\nparis,100\nrome,200\n", Options{Table: "d"}))
+	if err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	if _, err := reg.Add(mustIngest(t, "flag\ntrue\nfalse\n", Options{Table: "d"})); err == nil || !strings.Contains(err.Error(), "yields no verifiable claims") {
+		t.Fatalf("re-Add of a claimless table: err = %v, want a rejection", err)
+	}
+	if got := db.Table("d").ColumnNames(); !reflect.DeepEqual(got, []string{"city", "population"}) {
+		t.Fatalf("catalog table d has columns %v after the rejected re-add, want [city population]", got)
+	}
+	if reg.Get("d") != ds || len(ds.Surface.Claims) == 0 {
+		t.Fatal("the registry no longer serves the previous dataset")
+	}
+	for _, c := range ds.Surface.Claims {
+		if _, err := sqldb.QueryScalar(db, c.Query); err != nil {
+			t.Errorf("claim %s: %s: %v", c.ID, c.Query, err)
+		}
+	}
+}
+
 func TestCleanColumnName(t *testing.T) {
 	cases := map[string]string{
 		"Revenue (USD)": "revenue_usd",

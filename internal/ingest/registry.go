@@ -74,14 +74,19 @@ func (r *Registry) Add(res *Result) (*Dataset, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := strings.ToLower(res.Name)
-	if _, isDataset := r.byName[key]; !isDataset && r.db.Table(res.Name) != nil {
+	prev := r.db.Table(res.Name)
+	if _, isDataset := r.byName[key]; !isDataset && prev != nil {
 		return nil, fmt.Errorf("ingest: table %q already exists and is not an ingested dataset", res.Name)
 	}
 	r.db.AddTable(res.Table)
 	surface, err := BuildSurface(r.db, res.Name)
 	if err != nil {
-		// Roll the catalog back so a surfaceless table does not linger.
-		if _, was := r.byName[key]; !was {
+		// Roll the catalog back so a surfaceless table does not linger: the
+		// dataset it would have replaced is registered again (it is frozen,
+		// so it is the table its surface was built from), or none.
+		if prev != nil {
+			r.db.AddTable(prev)
+		} else {
 			r.db.RemoveTable(res.Name)
 		}
 		return nil, err

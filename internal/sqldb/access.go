@@ -214,7 +214,7 @@ func (ctx *vecCtx) probe(img *tableImage, c int, lit Value) (rows []int32, ok bo
 	if ix == nil {
 		return nil, false
 	}
-	ctx.db.plans.indexProbes.Add(1)
+	ctx.cat.stats.indexProbes.Add(1)
 	var head int32
 	if col.kind == KindText {
 		_, head = ix.findText(lit.Text())
@@ -228,7 +228,7 @@ func (ctx *vecCtx) probe(img *tableImage, c int, lit Value) (rows []int32, ok bo
 func (ctx *vecCtx) index(cp *colPaths, col *Vec) *eqIndex {
 	ix, fresh := cp.index(col)
 	if fresh {
-		ctx.db.plans.indexBuilds.Add(1)
+		ctx.cat.stats.indexBuilds.Add(1)
 	}
 	return ix
 }
@@ -239,13 +239,13 @@ func (ctx *vecCtx) wholePaths(b *vbatch, v *vcol) *colPaths {
 	if b.scans[v.si].rows != nil {
 		return nil
 	}
-	return ctx.images[v.si].path(v.c)
+	return ctx.p.images[v.si].path(v.c)
 }
 
 // imageFold returns the memoised fold of column c of scan si's image, or nil
 // when it is not typed numeric or the image has no access paths.
 func (ctx *vecCtx) imageFold(si, c int) (f *colFold, fresh bool) {
-	img := ctx.images[si]
+	img := ctx.p.images[si]
 	cp, col := img.path(c), img.cols[c]
 	if cp == nil || !typedNum(col) {
 		return nil, false
@@ -277,6 +277,6 @@ func (ctx *vecCtx) walkIndex(cp *colPaths, leftKey, rightKey *Vec) (li, ri []int
 	for k, pr := range pairs {
 		li[k], ri[k] = int32(pr>>32), int32(pr)
 	}
-	ctx.db.plans.indexJoins.Add(1)
+	ctx.cat.stats.indexJoins.Add(1)
 	return li, ri, true
 }

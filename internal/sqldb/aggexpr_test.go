@@ -174,9 +174,8 @@ func TestCastValueAll(t *testing.T) {
 
 func TestCatalogHelpers(t *testing.T) {
 	db := aggDB(t)
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "sales" {
-		t.Errorf("TableNames = %v", names)
+	if tabs := db.Tables(); len(tabs) != 1 || tabs[0].Name != "sales" || db.Table("SALES") != tabs[0] {
+		t.Errorf("Tables = %v", tabs)
 	}
 	// MustAppendRow panics on arity mismatch.
 	defer func() {

@@ -4,11 +4,17 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
+
+// catalog.go holds tables and the databases that register them. A table is
+// filled row by row and frozen when first registered; a database's state is
+// one immutable catalog value behind an atomic pointer, which every write
+// replaces and every query loads once.
 
 // Column describes one column of a table.
 type Column struct {
@@ -169,7 +175,8 @@ func mergeKind(cur, next Kind) Kind {
 // table's vectors, which scans read as slice views, and the access paths one
 // registration derives from them.
 type tableImage struct {
-	n    int // rows
+	t    *Table // the registered table
+	n    int    // rows
 	cols []*Vec
 	// paths holds each column's lazily built access paths (access.go); nil
 	// for an image of at most windowRows rows, which is only ever scanned.
@@ -197,197 +204,136 @@ func newImage(t *Table) *tableImage {
 		}
 		t.frozen = true
 	}
-	img := &tableImage{n: t.n, cols: t.cols}
+	img := &tableImage{t: t, n: t.n, cols: t.cols}
 	if t.n > windowRows {
 		img.paths = make([]colPaths, len(t.cols))
 	}
 	return img
 }
 
-// Database is a named collection of tables. Catalog reads and writes are
-// safe for concurrent use. AddTable freezes a table, so the column image
-// queries read cannot change under them: a registered table refuses
-// AppendRow.
+// Database is a named collection of tables. Its state is one immutable
+// catalog value, which AddTable and RemoveTable replace whole: a query loads
+// the current catalog once and reads only it, subqueries included, with no
+// catalog lock and no staleness check. AddTable freezes a table, so the column images
+// a catalog holds cannot change under a query either: a registered table
+// refuses AppendRow. All methods are safe for concurrent use.
 type Database struct {
 	Name string
 
-	mu      sync.RWMutex
-	tables  map[string]*Table
-	images  map[string]*tableImage // column image per table, same keys as tables
-	order   []string
-	version uint64 // bumped on every catalog change; guards cached plans
-	// tableVers records, per (lowercased) table name, the catalog version at
-	// which that table last changed. Entries persist across RemoveTable (a
-	// removal is a change), so a plan compiled against a since-removed table
-	// can never read a stale stamp of zero.
-	tableVers map[string]uint64
-
-	plans planCache // parsed-plan / prepared-statement cache (stmt_cache.go)
-
-	// schema is the last Schema() rendering and the catalog version it was
-	// rendered at. A reader uses it only while that version is current, so
-	// the version bump in AddTable/RemoveTable is its whole invalidation.
-	schema atomic.Pointer[schemaText]
+	cat   atomic.Pointer[catalog]
+	wmu   sync.Mutex // serialises the writers: AddTable, RemoveTable, InvalidatePlans
+	stats planStats  // plan-cache and access-path counters over every catalog (stmt_cache.go)
 }
 
-type schemaText struct {
-	version uint64
-	text    string
+// catalog is one state of a database: each table's image under its
+// lowercased name, the registration order, and what is derived from them once
+// — the schema text every prompt carries, rendered on first use, and the
+// compiled plans. Nothing else is written once a catalog is published; a
+// plan compiled against a catalog binds that catalog's images
+// (stmt_cache.go).
+type catalog struct {
+	images map[string]*tableImage
+	order  []string // lowercased names; a new catalog gets a new slice
+	stats  *planStats
+
+	schemaOnce sync.Once
+	schema     string
+
+	mu    sync.Mutex // guards plans
+	plans map[string]planEntry
 }
 
 // NewDatabase constructs an empty database.
 func NewDatabase(name string) *Database {
-	return &Database{
-		Name:      name,
-		tables:    make(map[string]*Table),
-		images:    make(map[string]*tableImage),
-		tableVers: make(map[string]uint64),
-	}
+	d := &Database{Name: name}
+	d.cat.Store(&catalog{images: make(map[string]*tableImage), stats: &d.stats})
+	return d
 }
 
 // AddTable registers a table, replacing any previous table with the same
-// (case-insensitive) name, and freezes it: its vectors become the image
-// queries read. A frozen table may be registered again, here or in another
-// database; each registration gets access paths of its own. Cached plans
-// that reference the table are invalidated: they may have bound column
-// positions against the replaced schema. Plans over other tables stay cached.
+// (case-insensitive) name in its place in the registration order, and
+// freezes it: its vectors become the image queries read. A frozen table may
+// be registered again, here or in another database; each registration gets
+// access paths of its own. Cached plans that looked the name up are dropped:
+// they bound the replaced image. Plans over other tables stay cached.
 func (d *Database) AddTable(t *Table) {
 	img := newImage(t)
-	d.mu.Lock()
 	key := strings.ToLower(t.Name)
-	if _, exists := d.tables[key]; !exists {
-		d.order = append(d.order, key)
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	old := d.cat.Load()
+	order := old.order
+	if old.images[key] == nil {
+		order = append(order[:len(order):len(order)], key)
 	}
-	d.tables[key] = t
-	d.images[key] = img
-	d.version++
-	d.tableVers[key] = d.version
-	d.mu.Unlock()
-	d.plans.invalidate(key)
+	d.cat.Store(old.next(key, img, order))
 }
 
-// RemoveTable drops the named table (case-insensitive) and invalidates
-// cached plans referencing it. It reports whether the table existed.
+// RemoveTable drops the named table (case-insensitive) and the cached plans
+// that looked it up. It reports whether the table existed.
 func (d *Database) RemoveTable(name string) bool {
-	d.mu.Lock()
 	key := strings.ToLower(name)
-	if _, exists := d.tables[key]; !exists {
-		d.mu.Unlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	old := d.cat.Load()
+	i := slices.Index(old.order, key)
+	if i < 0 {
 		return false
 	}
-	delete(d.tables, key)
-	delete(d.images, key)
-	for i, k := range d.order {
-		if k == key {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
+	d.cat.Store(old.next(key, nil, append(old.order[:i:i], old.order[i+1:]...)))
+	return true
+}
+
+// next returns the catalog that differs from c only in table key, which
+// holds img or, when img is nil, nothing, with the given registration order.
+// It carries over every cached plan of c that did not look key up: the images
+// such a plan binds are the new catalog's too.
+func (c *catalog) next(key string, img *tableImage, order []string) *catalog {
+	n := &catalog{images: maps.Clone(c.images), order: order, stats: c.stats}
+	if img != nil {
+		n.images[key] = img
+	} else {
+		delete(n.images, key)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for sql, e := range c.plans {
+		if !slices.Contains(e.tables, key) {
+			if n.plans == nil {
+				n.plans = make(map[string]planEntry, len(c.plans))
+			}
+			n.plans[sql] = e
 		}
 	}
-	d.version++
-	d.tableVers[key] = d.version
-	d.mu.Unlock()
-	d.plans.invalidate(key)
-	return true
+	return n
 }
 
 // Table returns the named table (case-insensitive), or nil when absent.
 func (d *Database) Table(name string) *Table {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.tables[strings.ToLower(name)]
-}
-
-// Version returns the catalog version, which increments on every AddTable.
-// Cached plans carry the version they were compiled against.
-func (d *Database) Version() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.version
-}
-
-// snapshotTables resolves the named tables and their column images into
-// tables and images (each as long as names) and returns their combined change
-// stamp, all in one atomic step, so a concurrent AddTable cannot hand an
-// executor a table whose schema differs from the plan it is about to run, or
-// an image built from another table's rows. The stamp is the maximum
-// per-table version over names: it moves only when one of the named tables
-// changes, so churn on unrelated tables does not stale plans compiled
-// against this set.
-func (d *Database) snapshotTables(names []string, tables []*Table, images []*tableImage) uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var stamp uint64
-	for i, n := range names {
-		key := strings.ToLower(n)
-		tables[i], images[i] = d.tables[key], d.images[key]
-		if v := d.tableVers[key]; v > stamp {
-			stamp = v
-		}
+	if img := d.cat.Load().images[strings.ToLower(name)]; img != nil {
+		return img.t
 	}
-	return stamp
-}
-
-// stampFor returns the combined change stamp of the named tables: the
-// maximum catalog version at which any of them last changed (zero when none
-// ever existed). Names must already be lowercased.
-func (d *Database) stampFor(names []string) uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var stamp uint64
-	for _, n := range names {
-		if v := d.tableVers[n]; v > stamp {
-			stamp = v
-		}
-	}
-	return stamp
+	return nil
 }
 
 // Tables returns all tables in registration order.
-func (d *Database) Tables() []*Table {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.tablesLocked()
-}
+func (d *Database) Tables() []*Table { return d.cat.Load().tables() }
 
-// tablesLocked is Tables for a caller already holding d.mu.
-func (d *Database) tablesLocked() []*Table {
-	out := make([]*Table, 0, len(d.order))
-	for _, k := range d.order {
-		out = append(out, d.tables[k])
-	}
-	return out
-}
-
-// TableNames returns the registered table names in registration order.
-func (d *Database) TableNames() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.order))
-	for _, k := range d.order {
-		out = append(out, d.tables[k].Name)
+func (c *catalog) tables() []*Table {
+	out := make([]*Table, len(c.order))
+	for i, k := range c.order {
+		out[i] = c.images[k].t
 	}
 	return out
 }
 
 // Schema renders a compact CREATE TABLE description of every table, used to
 // fill the {db_schema} placeholder of the verification prompt templates.
-// Every attempt's prompt carries it, so the text is rendered once per catalog
-// version and shared until the catalog changes.
+// Every attempt's prompt carries it, so each catalog renders it once.
 func (d *Database) Schema() string {
-	d.mu.RLock()
-	version := d.version
-	if m := d.schema.Load(); m != nil && m.version == version {
-		d.mu.RUnlock()
-		return m.text
-	}
-	tables := d.tablesLocked()
-	d.mu.RUnlock()
-	// Rendered from the tables of exactly this version. A slower renderer of
-	// an older version may store after a newer one; its entry then matches
-	// no reader's version and is replaced on the next call.
-	text := renderSchema(tables)
-	d.schema.Store(&schemaText{version: version, text: text})
-	return text
+	c := d.cat.Load()
+	c.schemaOnce.Do(func() { c.schema = renderSchema(c.tables()) })
+	return c.schema
 }
 
 func renderSchema(tables []*Table) string {

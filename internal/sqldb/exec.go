@@ -47,7 +47,7 @@ func (r *Result) String() string {
 // every statement runs on the vectorized engine: its answer, result or error,
 // is the one the row-at-a-time semantics of DESIGN.md §12 define.
 func Query(db *Database, sql string) (*Result, error) {
-	p, out, err := db.plans.exec(db, sql, nil)
+	p, out, err := db.exec(sql, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func Query(db *Database, sql string) (*Result, error) {
 // the cell is the plan's output itself: no Result is built.
 func QueryScalar(db *Database, sql string) (Value, error) {
 	var one [1]Value
-	p, out, err := db.plans.exec(db, sql, one[:0])
+	p, out, err := db.exec(sql, one[:0])
 	if err != nil {
 		return Null(), err
 	}

@@ -201,8 +201,8 @@ func FuzzPlanCacheKey(f *testing.F) {
 			if err != nil {
 				continue // unparsable input is never cached
 			}
-			e1, err1 := db.plans.lookup(db, q)
-			e2, err2 := db.plans.lookup(db, q)
+			e1, err1 := db.cat.Load().plan(q)
+			e2, err2 := db.cat.Load().plan(q)
 			if err1 != nil || err2 != nil || e1 != e2 {
 				t.Fatalf("re-lookup of %q returned another entry (%v, %v)", q, err1, err2)
 			}

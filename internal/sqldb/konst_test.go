@@ -27,7 +27,7 @@ func TestConstantOperandStaysConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := compilePlan(db, stmt)
+	p, _ := compilePlan(db.cat.Load(), stmt)
 	if len(p.residual) != 1 { // unary minus may raise an error, so it is not pushed
 		t.Fatalf("%s: want one residual filter, got %d", sql, len(p.residual))
 	}
@@ -35,15 +35,14 @@ func TestConstantOperandStaysConstant(t *testing.T) {
 	if !ok {
 		t.Fatalf("filter is %T, want *vcmp", p.residual[0])
 	}
-	images := make([]*tableImage, 1)
-	db.snapshotTables(p.names, make([]*Table, 1), images)
-	b := &vbatch{n: images[0].n, scans: []vside{{cols: images[0].cols}}, cols: make([]*Vec, 2)}
+	img := p.images[0]
+	b := &vbatch{n: img.n, scans: []vside{{cols: img.cols}}, cols: make([]*Vec, 2)}
 	if b.n <= windowRows {
 		t.Fatalf("image has %d rows, want more than %d", b.n, windowRows)
 	}
 	ctx := takeCtx()
 	defer ctx.release()
-	ctx.db, ctx.p = db, p
+	ctx.cat, ctx.p = db.cat.Load(), p
 	v, err := cmp.r.eval(ctx, b)
 	if err != nil {
 		t.Fatal(err)

@@ -274,8 +274,11 @@ func nullRow(n int) []Value {
 func (ex *executor) scanTable(ref TableRef) (*workingSet, error) {
 	t := ex.db.Table(ref.Name)
 	if t == nil {
-		return nil, fmt.Errorf("%w: %q (available: %s)", ErrUnknownTable, ref.Name,
-			strings.Join(ex.db.TableNames(), ", "))
+		var names []string
+		for _, t := range ex.db.Tables() {
+			names = append(names, t.Name)
+		}
+		return nil, fmt.Errorf("%w: %q (available: %s)", ErrUnknownTable, ref.Name, strings.Join(names, ", "))
 	}
 	eff := ref.EffectiveName()
 	ws := &workingSet{}

@@ -18,8 +18,9 @@ import (
 // name that does not resolve, an aggregate outside aggregate context or a *
 // outside the select list compiles to a node that raises the row engine's
 // error when a row reaches it. A table or join the row engine would refuse
-// ends the plan with that refusal. The compiled plan is immutable and safe
-// for concurrent execution.
+// ends the plan with that refusal. A plan binds the table images of the
+// catalog it is compiled against; it is immutable and safe for concurrent
+// execution.
 
 // windowRows is how many rows of a table image a filtered scan evaluates its
 // pushed-down predicates over at a time. It bounds the predicates'
@@ -31,7 +32,7 @@ const windowRows = 1024
 // working-set layout plus any filter conjuncts pushed below the join.
 type planScan struct {
 	base   int      // first slot index in the working-set layout
-	n      int      // column count (validated against the live table at exec)
+	n      int      // column count
 	pushed []vexpr  // pushdown filters, evaluated per scan window
 	eq     []planEq // the pushed filters an equality index can answer, ascending by k
 }
@@ -55,9 +56,7 @@ type planJoin struct {
 
 // vecPlan is a compiled, immutable, concurrently executable query plan.
 type vecPlan struct {
-	version uint64 // catalog version the plan was bound against
-
-	names    []string // the FROM and JOIN table names; the first len(scans) are scanned
+	images   []*tableImage // the scanned tables' images in the catalog compiled against, parallel to scans
 	scans    []planScan
 	joins    []planJoin
 	width    int // working-set slots
@@ -67,7 +66,7 @@ type vecPlan struct {
 	// WHERE filter: a table it does not hold or a RIGHT JOIN (the working
 	// set then ends before that relation and there is no WHERE), or a
 	// qualified * naming no table.
-	fail func(*Database) error
+	fail func(*catalog) error
 
 	cols       []string
 	aggregated bool
@@ -90,21 +89,25 @@ type vecPlan struct {
 // names it cannot resolve itself are looked up, as the row engine's env does
 // through its parent.
 type planCompiler struct {
-	db    *Database
-	p     *vecPlan
-	binds []colBind // the working set's slots, in FROM order
-	vis   int       // how many of binds the expression being compiled sees
-	agg   bool      // expressions are compiled in aggregate context
-	reads int       // nodes compiled so far that read a row: see compile
+	cat    *catalog
+	tables []string // the lowercased table names looked up, subqueries included
+	p      *vecPlan
+	binds  []colBind // the working set's slots, in FROM order
+	vis    int       // how many of binds the expression being compiled sees
+	agg    bool      // expressions are compiled in aggregate context
+	reads  int       // nodes compiled so far that read a row: see compile
 
 	up    *planCompiler // the enclosing statement's compiler, for a subquery
 	upVis int           // how many of up's binds the subquery sees
 	corr  int           // outermost enclosing level a reference reads; 0 for none
 }
 
-// compilePlan binds stmt against db's current catalog.
-func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
-	return (&planCompiler{db: db}).compileStmt(stmt)
+// compilePlan binds stmt against cat, returning its plan and the lowercased
+// name of every table the compilation looked up, found or not, subqueries
+// included: the plan reads nothing else of cat.
+func compilePlan(cat *catalog, stmt *SelectStmt) (*vecPlan, []string) {
+	c := &planCompiler{cat: cat}
+	return c.compileStmt(stmt), c.tables
 }
 
 // compileStmt lowers stmt in the row engine's order: the FROM relations and
@@ -119,30 +122,33 @@ func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 			refs = append(refs, j.Table)
 		}
 	}
-	p.names = make([]string, len(refs))
-	for i, r := range refs {
-		p.names[i] = r.Name
-	}
-	tables := make([]*Table, len(refs))
-	p.version = c.db.snapshotTables(p.names, tables, make([]*tableImage, len(refs)))
 
 	// Working-set layout: buildFrom's bind order, up to the first relation
 	// the row engine refuses.
-	for i, t := range tables {
+	for i, r := range refs {
 		if i > 0 && stmt.Joins[i-1].Kind == "RIGHT" {
 			p.fail = constFail(fmt.Errorf("%w: RIGHT JOIN", ErrUnsupported))
 			break
 		}
-		if t == nil {
-			name := refs[i].Name // the error lists the live catalog's tables
-			p.fail = func(db *Database) error {
-				return fmt.Errorf("%w: %q (available: %s)", ErrUnknownTable, name, strings.Join(db.TableNames(), ", "))
+		key := strings.ToLower(r.Name)
+		c.tables = append(c.tables, key)
+		img := c.cat.images[key]
+		if img == nil {
+			// The error lists the tables of the catalog the plan runs in: a
+			// carried-over plan runs in a later one than it was compiled in.
+			p.fail = func(cat *catalog) error {
+				names := make([]string, len(cat.order))
+				for i, k := range cat.order {
+					names[i] = cat.images[k].t.Name
+				}
+				return fmt.Errorf("%w: %q (available: %s)", ErrUnknownTable, r.Name, strings.Join(names, ", "))
 			}
 			break
 		}
-		p.scans = append(p.scans, planScan{base: len(c.binds), n: len(t.schema)})
-		for _, col := range t.schema {
-			c.binds = append(c.binds, colBind{table: refs[i].EffectiveName(), name: col.Name})
+		p.images = append(p.images, img)
+		p.scans = append(p.scans, planScan{base: len(c.binds), n: len(img.t.schema)})
+		for _, col := range img.t.schema {
+			c.binds = append(c.binds, colBind{table: r.EffectiveName(), name: col.Name})
 		}
 	}
 	p.width = len(c.binds)
@@ -197,8 +203,8 @@ func (c *planCompiler) compileStmt(stmt *SelectStmt) *vecPlan {
 }
 
 // constFail is a plan failure that does not depend on the catalog.
-func constFail(err error) func(*Database) error {
-	return func(*Database) error { return err }
+func constFail(err error) func(*catalog) error {
+	return func(*catalog) error { return err }
 }
 
 // compileWhere splits WHERE's top-level AND chain. Conjuncts are pushed into
@@ -427,8 +433,9 @@ func (c *planCompiler) column(v *ColumnExpr) vexpr {
 // of this statement or of one enclosing it; in aggregate context that row is
 // the group's first.
 func (c *planCompiler) subquery(stmt *SelectStmt) subq {
-	sc := &planCompiler{db: c.db, up: c, upVis: c.vis}
+	sc := &planCompiler{cat: c.cat, up: c, upVis: c.vis}
 	p := sc.compileStmt(stmt)
+	c.tables = append(c.tables, sc.tables...)
 	c.corr = max(c.corr, sc.corr-1)
 	if sc.corr > 0 {
 		c.reads++

@@ -214,7 +214,7 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 				case gi == 2 && it%3 == 0:
 					_ = db.PlanCacheStats()
 					// Prepare without executing.
-					if _, err := db.plans.lookup(db, stable[rng.Intn(len(stable))]); err != nil {
+					if _, err := db.cat.Load().plan(stable[rng.Intn(len(stable))]); err != nil {
 						errc <- err
 						return
 					}
@@ -409,7 +409,7 @@ func TestPlanCacheReleasesQueryText(t *testing.T) {
 		runtime.AddCleanup(unsafe.StringData(completion), func(ch chan struct{}) { close(ch) }, released)
 		_, rest, _ := strings.Cut(completion, "```sql\n")
 		query, _, _ := strings.Cut(rest, "\n```")
-		if _, err := db.plans.lookup(db, query); err != nil {
+		if _, err := db.cat.Load().plan(query); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -424,4 +424,64 @@ func TestPlanCacheReleasesQueryText(t *testing.T) {
 		t.Fatal("the plan cache keeps the completion its query was cut from alive")
 	}
 	runtime.KeepAlive(db)
+}
+
+// TestPlanCacheCarriedPlanListsRunningCatalog: a plan that found no table
+// is carried into the catalogs that add other tables, and its error lists
+// the tables of the catalog it runs in, as the row engine's does, not those
+// of the catalog it was compiled in.
+func TestPlanCacheCarriedPlanListsRunningCatalog(t *testing.T) {
+	db := diffDB()
+	const q = `SELECT COUNT(*) FROM nope`
+	stmt, _ := Parse(q)
+	check := func(step string) {
+		t.Helper()
+		_, qErr := Query(db, q)
+		_, rowErr := Exec(db, stmt)
+		if qErr == nil || rowErr == nil || qErr.Error() != rowErr.Error() {
+			t.Fatalf("%s: error mismatch:\nrow:   %v\nquery: %v", step, rowErr, qErr)
+		}
+	}
+	check("compiled")
+	db.AddTable(NewTable("extra", "x"))
+	before := db.PlanCacheStats()
+	check("carried over")
+	if after := db.PlanCacheStats(); after.Hits != before.Hits+1 {
+		t.Fatalf("the plan was not carried over: %d hits, want %d", after.Hits, before.Hits+1)
+	}
+	db.RemoveTable("t1")
+	check("after RemoveTable")
+}
+
+// TestSchemaMemoKeepsTableOrder: replacing a table keeps its place in
+// Tables() and Schema(), which every prompt carries; removing one leaves the
+// others in order, and a catalog read before either is unchanged by them.
+func TestSchemaMemoKeepsTableOrder(t *testing.T) {
+	db := NewDatabase("order")
+	for _, name := range []string{"a", "b", "c"} {
+		db.AddTable(churnTable(name, 2))
+	}
+	names := func() string {
+		var out []string
+		for _, tab := range db.Tables() {
+			out = append(out, tab.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	old, oldSchema := db.cat.Load(), db.Schema()
+	db.AddTable(churnTable("B", 3))
+	if got := names(); got != "a,B,c" {
+		t.Fatalf("after replacing b: Tables() = %s, want a,B,c", got)
+	}
+	if !strings.Contains(db.Schema(), "(\"c0\" INTEGER, \"c1\" TEXT);\nCREATE TABLE \"B\"") {
+		t.Fatalf("after replacing b: Schema() = %q", db.Schema())
+	}
+	db.RemoveTable("a")
+	db.AddTable(churnTable("d", 1))
+	if got := names(); got != "B,c,d" {
+		t.Fatalf("after removing a and adding d: Tables() = %s, want B,c,d", got)
+	}
+	if got := strings.Join(old.order, ","); got != "a,b,c" || old.schema != oldSchema {
+		t.Fatalf("a published catalog changed: order %s", got)
+	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // referenceSchema is Schema as it was before the rendering was memoised per
-// catalog version: rendered afresh from the current tables on every call.
+// catalog: rendered afresh from the current tables on every call.
 func referenceSchema(d *Database) string {
 	var b strings.Builder
 	for _, t := range d.Tables() {
@@ -74,9 +74,9 @@ func TestSchemaMemoInvalidation(t *testing.T) {
 
 // TestSchemaMemoChurn reads Schema from 32 goroutines while four others add,
 // replace and remove tables. The writers take turns and note the fresh
-// render at every catalog version; a reader notes the version before and
-// after each call. Every text a reader got must be the fresh render at a
-// version inside its window — a prompt never carries a schema older than the
+// render of every catalog they publish; a reader notes the catalog before
+// and after each call. Every text a reader got must be the fresh render of a
+// catalog inside its window — a prompt never carries a schema older than the
 // catalog its attempt could have seen — and a read after the last write is
 // the fresh render of the final catalog.
 func TestSchemaMemoChurn(t *testing.T) {
@@ -84,12 +84,14 @@ func TestSchemaMemoChurn(t *testing.T) {
 	db := NewDatabase("churn")
 	db.AddTable(churnTable("base", 4))
 
+	// The catalogs the writers publish, in order, and each one's render.
 	var (
-		turn    sync.Mutex // serialises writers so each version has one render
-		renders = map[uint64]string{db.Version(): referenceSchema(db)}
+		turn    sync.Mutex // serialises writers so each catalog has one render
+		seq     = map[*catalog]int{db.cat.Load(): 0}
+		renders = []string{referenceSchema(db)}
 	)
 	type read struct {
-		before, after uint64
+		before, after *catalog
 		text          string
 	}
 	reads := make([][]read, readers)
@@ -106,9 +108,9 @@ func TestSchemaMemoChurn(t *testing.T) {
 					return
 				default:
 				}
-				before := db.Version()
+				before := db.cat.Load()
 				text := db.Schema()
-				rd := read{before, db.Version(), text}
+				rd := read{before, db.cat.Load(), text}
 				// A quiet catalog answers the same thing millions of times;
 				// one record per distinct answer is the whole evidence.
 				if n := len(reads[r]); n == 0 || reads[r][n-1] != rd {
@@ -131,7 +133,10 @@ func TestSchemaMemoChurn(t *testing.T) {
 				} else {
 					db.AddTable(churnTable(name, 1+(w+i)%5))
 				}
-				renders[db.Version()] = referenceSchema(db)
+				if _, seen := seq[db.cat.Load()]; !seen { // a RemoveTable that found nothing publishes nothing
+					seq[db.cat.Load()] = len(renders)
+					renders = append(renders, referenceSchema(db))
+				}
 				turn.Unlock()
 			}
 		}(w)
@@ -148,19 +153,18 @@ func TestSchemaMemoChurn(t *testing.T) {
 		total += spins[r]
 		for _, rd := range rs {
 			ok := false
-			for v := rd.before; v <= rd.after && !ok; v++ {
-				text, rendered := renders[v]
-				ok = rendered && text == rd.text
+			for v := seq[rd.before]; v <= seq[rd.after] && !ok; v++ {
+				ok = renders[v] == rd.text
 			}
 			if !ok {
-				t.Fatalf("reader %d between versions %d and %d got a schema no catalog in that window renders:\n%s", r, rd.before, rd.after, rd.text)
+				t.Fatalf("reader %d between catalogs %d and %d got a schema no catalog in that window renders:\n%s", r, seq[rd.before], seq[rd.after], rd.text)
 			}
 			if rd.before == rd.after {
 				memoised++
 			}
 		}
 	}
-	t.Logf("%d reads over %d catalog versions, %d distinct answers inside one version", total, len(renders), memoised)
+	t.Logf("%d reads over %d catalogs, %d distinct answers inside one catalog", total, len(renders), memoised)
 	if total < readers || memoised == 0 {
 		t.Fatalf("%d reads, %d inside one version; the readers barely ran", total, memoised)
 	}

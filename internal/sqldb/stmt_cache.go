@@ -1,83 +1,68 @@
 package sqldb
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// stmt_cache.go is the parsed-plan / prepared-statement cache. Plans are
-// keyed by the query text, so a repeated query skips the lexer, the parser
-// and the planner entirely; two spellings of one statement are two entries,
-// whose plans are equal because compilation is deterministic. Entries record
-// the tables they reference (including subqueries) and the combined change
-// stamp of those tables at compile time; AddTable/RemoveTable drop only the
-// entries that reference the changed table, and a stamp mismatch at lookup
-// or execution time forces recompilation, so no query ever runs against a
-// plan bound to a previous schema while catalog churn on unrelated tables
-// leaves plans cached. All operations are safe under concurrent verify
-// workers.
+// stmt_cache.go is the parsed-plan / prepared-statement cache. Each catalog
+// (catalog.go) caches its own plans, keyed by the query text, so a repeated
+// query skips the lexer, the parser and the planner entirely; two spellings
+// of one statement are two entries, whose plans are equal because
+// compilation is deterministic. A plan is compiled against the catalog that
+// caches it and binds that catalog's table images, and a catalog never
+// changes, so no plan can go stale: a query loads the catalog once and runs
+// the plan it finds there, its subqueries' plans included. A new catalog
+// carries over every plan that looked up none of the tables it changed, so
+// churn on unrelated tables leaves their plans cached. All operations are
+// safe under concurrent verify workers.
 
-// planCacheCap bounds the cache; reaching it flushes wholesale (the verify
-// workloads cycle through a small set of template-generated queries, so an
-// LRU would buy nothing over the simple scheme).
+// planCacheCap bounds a catalog's cache; reaching it flushes wholesale (the
+// verify workloads cycle through a small set of template-generated queries,
+// so an LRU would buy nothing over the simple scheme).
 const planCacheCap = 512
 
-// planEntry is one cached prepared statement: the (lowercased, sorted)
-// tables the statement references, the combined change stamp of those
-// tables at compile time, and the compiled plan.
+// planEntry is one cached statement: its plan and the lowercased name of
+// every table its compilation looked up, found or not, subqueries included.
 type planEntry struct {
-	tables  []string
-	version uint64
-	vp      *vecPlan
+	tables []string
+	vp     *vecPlan
 }
 
-// exec runs sql's plan, appending its output cells to dst (see vecPlan.run).
-// A plan the catalog changed under is looked up again, which compiles it
-// against the live catalog, and rerun.
-func (c *planCache) exec(db *Database, sql string, dst []Value) (*vecPlan, output, error) {
-	for {
-		pe, err := c.lookup(db, sql)
-		if err != nil {
-			return nil, output{}, err
-		}
-		out, err := pe.vp.run(db, nil, dst)
-		if !errors.Is(err, errPlanStale) {
-			c.runs.Add(1)
-			return pe.vp, out, err
-		}
-	}
-}
-
-// planCache caches planEntries per database.
-type planCache struct {
-	mu      sync.Mutex
-	entries map[string]*planEntry // by query text
-	hits    uint64
-	misses  uint64
-
-	runs atomic.Uint64 // executions (planCache.exec)
+// planStats counts a database's plan lookups and runs and the access paths
+// those runs took, over every catalog the database has published.
+type planStats struct {
+	hits, misses, runs atomic.Uint64
 
 	// Access paths taken by vectorized runs (access.go).
 	indexBuilds, indexProbes, foldHits, indexJoins atomic.Uint64
 }
 
-// lookup returns a prepared entry for sql, parsing and compiling on miss.
-// Parse errors are returned verbatim and never cached. An entry is valid
-// while the combined change stamp of its referenced tables still equals the
-// stamp it was compiled at.
-func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[sql]; ok && e.version == db.stampFor(e.tables) {
-		c.hits++
-		c.mu.Unlock()
-		return e, nil
+// exec runs sql's plan in d's current catalog, appending its output cells to
+// dst (see vecPlan.run).
+func (d *Database) exec(sql string, dst []Value) (*vecPlan, output, error) {
+	cat := d.cat.Load()
+	p, err := cat.plan(sql)
+	if err != nil {
+		return nil, output{}, err
 	}
-	c.misses++
+	out, err := p.run(cat, nil, dst)
+	d.stats.runs.Add(1)
+	return p, out, err
+}
+
+// plan returns sql's plan in c, parsing and compiling it on a miss. Parse
+// errors are returned verbatim and never cached.
+func (c *catalog) plan(sql string) (*vecPlan, error) {
+	c.mu.Lock()
+	e, ok := c.plans[sql]
 	c.mu.Unlock()
+	if ok {
+		c.stats.hits.Add(1)
+		return e.vp, nil
+	}
+	c.stats.misses.Add(1)
 
 	// A miss keys and parses a copy: the text is often a substring of a
 	// model completion, which the key and the parsed identifiers would
@@ -87,133 +72,14 @@ func (c *planCache) lookup(db *Database, sql string) (*planEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	tables := tablesOf(stmt)
-	stamp := db.stampFor(tables)
-	e := &planEntry{tables: tables, version: stamp, vp: compilePlan(db, stmt)}
-	if db.stampFor(tables) != stamp {
-		// The catalog changed between the stamp read and compilation; serve
-		// the entry uncached. If the plan is stale its run says so and exec
-		// looks it up again. The full table set is compared (not vp.version,
-		// which stamps only the FROM tables) so a racing change to a
-		// subquery table is caught too.
-		return e, nil
-	}
+	vp, tables := compilePlan(c, stmt)
 	c.mu.Lock()
-	if c.entries == nil || len(c.entries) >= planCacheCap {
-		c.entries = make(map[string]*planEntry)
+	if c.plans == nil || len(c.plans) >= planCacheCap {
+		c.plans = make(map[string]planEntry)
 	}
-	c.entries[sql] = e
+	c.plans[sql] = planEntry{tables: tables, vp: vp}
 	c.mu.Unlock()
-	return e, nil
-}
-
-// flush drops every cached plan (explicit invalidation).
-func (c *planCache) flush() {
-	c.mu.Lock()
-	c.entries = nil
-	c.mu.Unlock()
-}
-
-// invalidate drops the cached plans that reference the given (lowercased)
-// table, leaving every other entry in place. AddTable/RemoveTable call it so
-// catalog churn — e.g. dataset ingestion — does not evict the hot plans of
-// unrelated tables.
-func (c *planCache) invalidate(table string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for sql, e := range c.entries {
-		if e.references(table) {
-			delete(c.entries, sql)
-		}
-	}
-}
-
-// references reports whether the entry's statement mentions the table.
-// Entry table lists are sorted, but they are short enough that a linear scan
-// beats a binary search in practice.
-func (pe *planEntry) references(table string) bool {
-	for _, t := range pe.tables {
-		if t == table {
-			return true
-		}
-	}
-	return false
-}
-
-// tablesOf collects every table name a statement references — FROM, joins,
-// and subqueries anywhere in the expression tree — lowercased, deduplicated,
-// and sorted. The plan cache uses the set to scope invalidation.
-func tablesOf(stmt *SelectStmt) []string {
-	set := make(map[string]bool)
-	collectStmtTables(stmt, set)
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func collectStmtTables(stmt *SelectStmt, set map[string]bool) {
-	if stmt == nil {
-		return
-	}
-	if stmt.From != nil {
-		set[strings.ToLower(stmt.From.Name)] = true
-	}
-	for _, j := range stmt.Joins {
-		set[strings.ToLower(j.Table.Name)] = true
-		collectExprTables(j.On, set)
-	}
-	for _, it := range stmt.Items {
-		collectExprTables(it.Expr, set)
-	}
-	collectExprTables(stmt.Where, set)
-	for _, e := range stmt.GroupBy {
-		collectExprTables(e, set)
-	}
-	collectExprTables(stmt.Having, set)
-	for _, o := range stmt.OrderBy {
-		collectExprTables(o.Expr, set)
-	}
-}
-
-func collectExprTables(e Expr, set map[string]bool) {
-	switch x := e.(type) {
-	case *UnaryExpr:
-		collectExprTables(x.Expr, set)
-	case *BinaryExpr:
-		collectExprTables(x.Left, set)
-		collectExprTables(x.Right, set)
-	case *BetweenExpr:
-		collectExprTables(x.Expr, set)
-		collectExprTables(x.Lo, set)
-		collectExprTables(x.Hi, set)
-	case *InExpr:
-		collectExprTables(x.Expr, set)
-		for _, it := range x.List {
-			collectExprTables(it, set)
-		}
-		collectStmtTables(x.Sub, set)
-	case *IsNullExpr:
-		collectExprTables(x.Expr, set)
-	case *FuncExpr:
-		for _, a := range x.Args {
-			collectExprTables(a, set)
-		}
-	case *CastExpr:
-		collectExprTables(x.Expr, set)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			collectExprTables(w.Cond, set)
-			collectExprTables(w.Then, set)
-		}
-		collectExprTables(x.Else, set)
-	case *SubqueryExpr:
-		collectStmtTables(x.Stmt, set)
-	case *ExistsExpr:
-		collectStmtTables(x.Stmt, set)
-	}
+	return vp, nil
 }
 
 // PlanCacheStats is a snapshot of a database's plan-cache counters.
@@ -233,25 +99,31 @@ type PlanCacheStats struct {
 }
 
 // PlanCacheStats returns cumulative hit/miss and execution-outcome counters
-// and the current entry count (cached query texts).
+// and the current catalog's entry count (cached query texts).
 func (d *Database) PlanCacheStats() PlanCacheStats {
-	c := &d.plans
+	c, st := d.cat.Load(), &d.stats
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	entries := len(c.plans)
+	c.mu.Unlock()
 	return PlanCacheStats{
-		Hits: c.hits, Misses: c.misses, Entries: len(c.entries),
-		VecRuns:     c.runs.Load(),
-		IndexBuilds: c.indexBuilds.Load(), IndexProbes: c.indexProbes.Load(),
-		FoldHits: c.foldHits.Load(), IndexJoins: c.indexJoins.Load(),
+		Hits: st.hits.Load(), Misses: st.misses.Load(), Entries: entries,
+		VecRuns:     st.runs.Load(),
+		IndexBuilds: st.indexBuilds.Load(), IndexProbes: st.indexProbes.Load(),
+		FoldHits: st.foldHits.Load(), IndexJoins: st.indexJoins.Load(),
 	}
 }
 
-// InvalidatePlans drops all cached plans, forcing the next execution of each
-// query to re-parse and re-compile. Benchmarks use it to measure the cold
-// path; AddTable/RemoveTable instead invalidate only the entries referencing
-// the changed table.
+// InvalidatePlans drops all cached plans of the current catalog, forcing the
+// next execution of each query to re-parse and re-compile. Benchmarks use it
+// to measure the cold path; AddTable/RemoveTable instead drop only the
+// entries that looked up the changed table.
 func (d *Database) InvalidatePlans() {
-	d.plans.flush()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	c := d.cat.Load()
+	c.mu.Lock()
+	c.plans = nil
+	c.mu.Unlock()
 }
 
 // ExplainQuery describes how the vectorized engine would execute sql:
@@ -267,15 +139,17 @@ func ExplainQuery(db *Database, sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return compilePlan(db, stmt).explain(db), nil
+	cat := db.cat.Load()
+	p, _ := compilePlan(cat, stmt)
+	return p.explain(cat, stmt), nil
 }
 
-func (p *vecPlan) explain(db *Database) string {
+func (p *vecPlan) explain(cat *catalog, stmt *SelectStmt) string {
 	var b strings.Builder
 	b.WriteString("vectorized\n")
 	for i, s := range p.scans {
 		if i == 0 {
-			fmt.Fprintf(&b, "scan %s pushed=%d eq=%d\n", p.names[i], len(s.pushed), len(s.eq))
+			fmt.Fprintf(&b, "scan %s pushed=%d eq=%d\n", stmt.From.Name, len(s.pushed), len(s.eq))
 			continue
 		}
 		j := p.joins[i-1]
@@ -283,7 +157,7 @@ func (p *vecPlan) explain(db *Database) string {
 		if j.lkey != nil {
 			alg = "hash"
 		}
-		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d eq=%d", strings.ToLower(j.kind), alg, p.names[i], len(s.pushed), len(s.eq))
+		fmt.Fprintf(&b, "%s join (%s) %s pushed=%d eq=%d", strings.ToLower(j.kind), alg, stmt.Joins[i-1].Table.Name, len(s.pushed), len(s.eq))
 		if sides := p.indexJoinSides(i - 1); sides != "" {
 			fmt.Fprintf(&b, " index-join=%s", sides)
 		}
@@ -291,7 +165,7 @@ func (p *vecPlan) explain(db *Database) string {
 	}
 	fmt.Fprintf(&b, "residual=%d aggregated=%v\n", len(p.residual), p.aggregated)
 	if p.fail != nil {
-		fmt.Fprintf(&b, "fails: %v\n", p.fail(db))
+		fmt.Fprintf(&b, "fails: %v\n", p.fail(cat))
 	}
 	return b.String()
 }

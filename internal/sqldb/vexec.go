@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -29,25 +28,17 @@ import (
 // row at a time through the same nodes' row methods, in the row engine's
 // order; the replay's values or first error are the answer.
 
-// errPlanStale reports that the catalog changed after the plan was compiled.
-// The statement is compiled again and rerun against the live catalog.
-var errPlanStale = errors.New("sqldb: plan compiled against stale catalog")
-
 // ExecVec compiles and executes a parsed statement, bypassing the plan
 // cache. It is the entry point the differential tests drive; Query runs the
 // same plans from the cache.
 func ExecVec(db *Database, stmt *SelectStmt) (*Result, error) {
-	for {
-		p := compilePlan(db, stmt)
-		out, err := p.run(db, nil, nil)
-		if errors.Is(err, errPlanStale) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return p.result(out), nil
+	cat := db.cat.Load()
+	p, _ := compilePlan(cat, stmt)
+	out, err := p.run(cat, nil, nil)
+	if err != nil {
+		return nil, err
 	}
+	return p.result(out), nil
 }
 
 // output is what a plan's final stage yields: n rows of len(vecPlan.cols)
@@ -174,23 +165,20 @@ func viewOf(ctx *vecCtx, b *vbatch, e vexpr) (vview, error) {
 	return vview{col: v}, err
 }
 
-// vecCtx carries one execution's state: the database, the enclosing row a
-// correlated subquery's run reads, the scans' table images, and scratch
+// vecCtx carries one execution's state: the catalog it runs in, the
+// enclosing row a correlated subquery's run reads, and scratch
 // space — scan batches and selections, constants, the one group of an
 // ungrouped aggregate — that a run takes from idleCtxs and hands back, so a
 // warm query reuses the previous run's instead of allocating its own. The
 // cached plan stays immutable and race-free, and nothing a run returns points
 // into its ctx.
 type vecCtx struct {
-	db     *Database
+	cat    *catalog
 	p      *vecPlan
-	outer  *outerRow     // the enclosing row of a correlated subquery's run
-	images []*tableImage // the scans' table images, parallel to p.scans
-	replay bool          // the per-group stage is being replayed (gagg.row)
-	groups []vgroup      // the groups an aggregated plan projects
+	outer  *outerRow // the enclosing row of a correlated subquery's run
+	replay bool      // the per-group stage is being replayed (gagg.row)
+	groups []vgroup  // the groups an aggregated plan projects
 
-	tabBuf [4]*Table
-	imgBuf [4]*tableImage
 	scans  []vscan // per scan: its batch and selection buffers
 	consts []*Vec  // constant vectors; the first nconst are in use
 	nconst int
@@ -250,8 +238,6 @@ func takeCtx() *vecCtx {
 
 // release drops what the run referenced and hands ctx back to idleCtxs.
 func (ctx *vecCtx) release() {
-	clear(ctx.tabBuf[:])
-	clear(ctx.imgBuf[:])
 	for i := range ctx.scans {
 		sc := &ctx.scans[i]
 		clear(sc.b.cols)
@@ -263,7 +249,7 @@ func (ctx *vecCtx) release() {
 	clear(ctx.items)
 	clear(ctx.memos)
 	ctx.memos = ctx.memos[:0]
-	ctx.db, ctx.p, ctx.outer, ctx.images, ctx.nconst, ctx.aggs, ctx.replay, ctx.groups = nil, nil, nil, nil, 0, nil, false, nil
+	ctx.cat, ctx.p, ctx.outer, ctx.nconst, ctx.aggs, ctx.replay, ctx.groups = nil, nil, nil, 0, nil, false, nil
 	ctx.group[0], ctx.cell[0] = vgroup{}, Value{}
 	idleCtxs.Lock()
 	if len(idleCtxs.ctxs) < maxIdleCtxs {
@@ -286,27 +272,14 @@ func (ctx *vecCtx) konst(val Value) *Vec {
 // noRows is the value of an expression over a batch of no rows.
 var noRows = new(Vec)
 
-// run executes the plan against db; outer is the enclosing row of a
-// correlated subquery's run, nil otherwise. A statement without a tail
-// appends its output cells to dst, so a caller expecting one cell can pass
-// room for it. errPlanStale means the catalog changed since compilation.
-func (p *vecPlan) run(db *Database, outer *outerRow, dst []Value) (output, error) {
+// run executes the plan in cat, the catalog it was compiled against or one
+// that carried it over; outer is the enclosing row of a correlated
+// subquery's run, nil otherwise. A statement without a tail appends its
+// output cells to dst, so a caller expecting one cell can pass room for it.
+func (p *vecPlan) run(cat *catalog, outer *outerRow, dst []Value) (output, error) {
 	ctx := takeCtx()
 	defer ctx.release()
-	ctx.db, ctx.p, ctx.outer = db, p, outer
-
-	k := len(p.names)
-	tables, images := ctx.tabBuf[:], ctx.imgBuf[:]
-	if k > len(tables) {
-		tables, images = make([]*Table, k), make([]*tableImage, k)
-	}
-	tables, images = tables[:k], images[:k]
-	// The stamp moves with every AddTable of a named table, and a
-	// registered table is frozen: the same stamp means the same columns.
-	if db.snapshotTables(p.names, tables, images) != p.version {
-		return output{}, errPlanStale
-	}
-	ctx.images = images
+	ctx.cat, ctx.p, ctx.outer = cat, p, outer
 	for len(ctx.scans) < len(p.scans) {
 		ctx.scans = append(ctx.scans, vscan{})
 	}
@@ -321,7 +294,7 @@ func (p *vecPlan) run(db *Database, outer *outerRow, dst []Value) (output, error
 		}
 	}
 	if p.fail != nil {
-		return output{}, p.fail(db)
+		return output{}, p.fail(cat)
 	}
 	if p.aggregated {
 		return p.runAgg(ctx, b, dst)
@@ -424,7 +397,7 @@ func (p *vecPlan) buildBatch(ctx *vecCtx) (*vbatch, error) {
 // literal be answered from the column's equality index (access.go) with the
 // others run over the index's survivors only.
 func (p *vecPlan) scanBatch(ctx *vecCtx, si int) (*vbatch, error) {
-	s, img, sc := &p.scans[si], ctx.images[si], &ctx.scans[si]
+	s, img, sc := &p.scans[si], ctx.p.images[si], &ctx.scans[si]
 	out := &sc.b
 	out.n = img.n
 	if cap(out.scans) < len(p.scans) || cap(out.cols) < p.width {
@@ -519,7 +492,7 @@ func selectPushed(ctx *vecCtx, pushed []vexpr, b *vbatch, sel []int32, next *[]i
 // conjunct could be probed and the scan should run as a scan.
 func (p *vecPlan) probeScan(ctx *vecCtx, si int) (keep []int32, rest []vexpr, ok bool) {
 	s := &p.scans[si]
-	if len(s.eq) == 0 || ctx.images[si].paths == nil {
+	if len(s.eq) == 0 || ctx.p.images[si].paths == nil {
 		return nil, nil, false
 	}
 	next := 0 // s.eq ascends by k
@@ -527,7 +500,7 @@ func (p *vecPlan) probeScan(ctx *vecCtx, si int) (keep []int32, rest []vexpr, ok
 		if next < len(s.eq) && s.eq[next].k == k {
 			e := s.eq[next]
 			next++
-			if rows, probed := ctx.probe(ctx.images[si], e.col, e.lit); probed {
+			if rows, probed := ctx.probe(ctx.p.images[si], e.col, e.lit); probed {
 				if ok {
 					keep = intersect(keep, rows)
 				} else {
@@ -604,7 +577,7 @@ func (p *vecPlan) hashPairs(ctx *vecCtx, left, right *vbatch, ji int) (li, ri []
 	if typedNum(leftKey) && typedNum(rightKey) {
 		if cp := ctx.wholePaths(right, j.rkey); cp != nil {
 			if ix = ctx.index(cp, rightKey); ix != nil {
-				ctx.db.plans.indexJoins.Add(1)
+				ctx.cat.stats.indexJoins.Add(1)
 			}
 		} else {
 			if cp := ctx.wholePaths(left, j.lkey); cp != nil && !pad && right.n < windowRows {
@@ -1439,7 +1412,7 @@ func (s subq) run(ctx *vecCtx, b *vbatch, r int, dst []Value) (output, error) {
 		}
 		outer = &outerRow{b: b, r: r, up: ctx.outer}
 	}
-	return s.plan.run(ctx.db, outer, dst)
+	return s.plan.run(ctx.cat, outer, dst)
 }
 
 // subMemo is what a subquery node computed: the value of a scalar or EXISTS
@@ -1692,7 +1665,7 @@ func (a *gagg) fold(ctx *vecCtx, av vview, g *vgroup) colFold {
 	if c, ok := a.arg.(*vcol); ok && g.rows == nil && av.rows == nil {
 		if f, fresh := ctx.imageFold(c.si, c.c); f != nil {
 			if !fresh {
-				ctx.db.plans.foldHits.Add(1)
+				ctx.cat.stats.foldHits.Add(1)
 			}
 			return *f
 		}
