@@ -116,9 +116,6 @@ type Options struct {
 	// in-process, on a serving replica, or at a sharding coordinator (the
 	// priced routed schedule is reporting-only; see RoutedSchedule).
 	Route bool
-	// RouteTopK bounds the candidate tables the routing stage considers per
-	// sub-claim; 0 means route.DefaultTopK.
-	RouteTopK int
 
 	// Retries, when positive, retries each failed retryable model call up to
 	// Retries additional times with capped exponential backoff and
@@ -412,7 +409,6 @@ func (s *System) verifyRun(docs []*Document, spans *[]trace.Span) (Report, error
 		}
 		plan = route.PlanDocuments(docs, s.catalog, route.Options{
 			Seed:   s.opts.Seed,
-			TopK:   s.opts.RouteTopK,
 			Tracer: s.opts.Tracer,
 		})
 		runDocs = plan.Expanded

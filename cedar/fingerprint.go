@@ -109,7 +109,7 @@ func (s *System) configFingerprint() [32]byte {
 	// routing off — keeps its exact pre-routing key material.
 	if o.Route {
 		f.str("route")
-		f.u64(uint64(o.RouteTopK))
+		f.u64(0) // the retired RouteTopK option, always 0: keeps route-enabled memos' keys
 		f.f64(route.DefaultFee.Dollars())
 		f.f64(route.DefaultAccuracy)
 		f.buf = append(f.buf, s.catalogFP...)

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"repro/cedar"
-	"repro/internal/cliutil"
-	"repro/internal/exp"
 	"repro/internal/ingest"
 	"repro/internal/serve"
 )
@@ -95,15 +93,15 @@ func TestIngestedDatasetServingIdentity(t *testing.T) {
 	o := testOptions(t, csvPath)
 	o.BatchWait = -1
 
-	// The surface claims come from an in-process ingestion over the same
-	// base fixture; claim generation is deterministic, so the HTTP-ingested
-	// replicas will accept exactly these sentences.
-	db, _, err := cliutil.LoadDatabase(o.CSVPaths, o.TableName)
+	// Reference: the System cedar-serve stands up from the same flags, with
+	// the dataset ingested in process. Claim generation is deterministic, so
+	// the HTTP-ingested replicas will accept exactly these surface claims.
+	sys, err := o.Open(nil, ingest.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := ingest.NewRegistry(db, nil, ingest.Options{Seed: 1})
-	ds, err := reg.IngestFrom(strings.NewReader(salesFixtureCSV), ingest.Options{Table: "sales"})
+	defer sys.Close()
+	ds, err := sys.Datasets.IngestFrom(strings.NewReader(salesFixtureCSV), ingest.Options{Table: "sales"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,28 +112,6 @@ func TestIngestedDatasetServingIdentity(t *testing.T) {
 	if len(claims) < 8 {
 		t.Fatalf("surface generated only %d claims", len(claims))
 	}
-
-	// Reference: the library entry point with the serving tier's profiling
-	// and resilience configuration.
-	sr := exp.ServingResilience()
-	sys, err := cedar.New(cedar.Options{
-		Seed:           o.Seed,
-		AccuracyTarget: o.Target,
-		Workers:        o.Workers,
-		Retries:        sr.Retries,
-		Timeout:        sr.Timeout,
-		HedgeAfter:     sr.HedgeAfter,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profDocs, err := cedar.Benchmark(cedar.BenchAggChecker, o.Seed+100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ProfileOn(profDocs[:6]); err != nil {
-		t.Fatal(err)
-	}
 	var direct []*cedar.Claim
 	for _, in := range claims {
 		c, err := cedar.NewClaim(in.ID, in.Sentence, in.Value, in.Context)
@@ -144,7 +120,7 @@ func TestIngestedDatasetServingIdentity(t *testing.T) {
 		}
 		direct = append(direct, c)
 	}
-	if _, err := sys.VerifyClaims(docID, db, direct); err != nil {
+	if _, err := sys.VerifyClaims(docID, sys.DB, direct); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]serve.ClaimResult, 0, len(direct))

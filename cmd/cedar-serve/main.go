@@ -63,24 +63,16 @@ import (
 	"repro/internal/exp"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/sqldb"
 	"repro/internal/trace"
 )
 
 // serveOptions carries the parsed command line into run.
 type serveOptions struct {
-	CSVPaths  []string
-	Datasets  []string
-	TableName string
-	Addr      string
-	Target    float64
-	Seed      int64
-	Workers   int
-	StatsPath string
+	cliutil.SystemFlags
+	Addr string
 
 	MaxBatch       int
 	BatchWait      time.Duration
@@ -90,17 +82,6 @@ type serveOptions struct {
 	DrainTimeout   time.Duration
 	StreamWindow   int
 	ReviewCap      int
-
-	Retries    int
-	Timeout    time.Duration
-	HedgeAfter time.Duration
-	Breaker    int
-	FaultRate  float64
-
-	CacheDir string
-
-	Route     bool
-	RouteTopK int
 
 	SampleRows     int
 	MaxIngestBytes int64
@@ -121,14 +102,9 @@ type serveOptions struct {
 func defineFlags(fs *flag.FlagSet) *serveOptions {
 	o := &serveOptions{}
 	sr := exp.ServingResilience()
-	fs.Var((*cliutil.CSVList)(&o.CSVPaths), "csv", "CSV data table (header row first); repeat for multi-table databases")
-	fs.Var((*cliutil.CSVList)(&o.Datasets), "dataset", "ingested dataset to load from -cache-dir at startup (see cedar ingest and docs/DATA.md); repeatable")
-	fs.StringVar(&o.TableName, "table", "", "table name for a single CSV (default: file base name)")
+	o.Register(fs, cliutil.SystemFlags{Target: 0.99, Seed: 1, Workers: 8,
+		Retries: sr.Retries, Timeout: sr.Timeout, HedgeAfter: sr.HedgeAfter})
 	fs.StringVar(&o.Addr, "addr", ":8080", "listen address")
-	fs.Float64Var(&o.Target, "target", 0.99, "accuracy target in (0,1]")
-	fs.Int64Var(&o.Seed, "seed", 1, "random seed for the simulated models")
-	fs.IntVar(&o.Workers, "workers", 8, "concurrent claim verifications per micro-batch; results are identical for any value")
-	fs.StringVar(&o.StatsPath, "stats", "", "profiling statistics JSON (from cedar-profile -o); skips built-in profiling")
 	fs.IntVar(&o.MaxBatch, "max-batch", 8, "documents coalesced into one micro-batch at most")
 	fs.DurationVar(&o.BatchWait, "batch-wait", 2*time.Millisecond, "how long to linger for more requests before flushing a partial micro-batch")
 	fs.IntVar(&o.QueueDepth, "queue-depth", 64, "admitted requests waiting for a batch slot before new ones shed with 429")
@@ -137,14 +113,6 @@ func defineFlags(fs *flag.FlagSet) *serveOptions {
 	fs.DurationVar(&o.DrainTimeout, "drain-timeout", 30*time.Second, "how long graceful shutdown waits for admitted requests to finish")
 	fs.IntVar(&o.StreamWindow, "stream-window", 4, "documents one /v1/verify/stream request may have in flight; past it the server stops reading the stream (backpressure)")
 	fs.IntVar(&o.ReviewCap, "review-cap", 256, "pending human-review items kept; at the cap new items evict only lower-priority ones")
-	fs.IntVar(&o.Retries, "retries", sr.Retries, "retry failed retryable model calls up to N additional times (capped backoff, seeded jitter)")
-	fs.DurationVar(&o.Timeout, "timeout", sr.Timeout, "per-call simulated deadline across retries; 0 disables")
-	fs.DurationVar(&o.HedgeAfter, "hedge", sr.HedgeAfter, "race a backup model call once the primary exceeds this simulated latency; 0 disables")
-	fs.IntVar(&o.Breaker, "breaker", 0, "trip a per-model circuit breaker after N consecutive failures; 0 disables (order-dependent, see DESIGN.md §9)")
-	fs.Float64Var(&o.FaultRate, "fault-rate", 0, "inject deterministic transport faults at this per-attempt probability (chaos testing)")
-	fs.StringVar(&o.CacheDir, "cache-dir", "", "persist temperature-0 completions and verdict memos in this directory; restarts answer repeated work at zero fee (DESIGN.md §11). Datasets ingested via POST /v1/datasets persist here too")
-	fs.BoolVar(&o.Route, "route", false, "decompose compound claims and route each sub-claim to the best-matching table (DESIGN.md §16); in -coordinator mode sub-claims fan out across the ring by their routed fingerprint")
-	fs.IntVar(&o.RouteTopK, "route-topk", 0, "candidate tables the routing stage considers per sub-claim; 0 uses the built-in default")
 	fs.IntVar(&o.SampleRows, "sample-rows", 0, "default row budget for POST /v1/datasets ingestions: keep at most N rows, reservoir-sampled deterministically (default 50000)")
 	fs.Int64Var(&o.MaxIngestBytes, "max-ingest-bytes", 0, "default byte budget for POST /v1/datasets ingestions, stopping at the last complete record (default 32 MiB)")
 	fs.BoolVar(&o.Coordinator, "coordinator", false, "run as a sharding coordinator: route requests to the -replicas processes instead of verifying locally (DESIGN.md §13)")
@@ -184,80 +152,18 @@ func newServer(o *serveOptions) (*serve.Server, func() error, error) {
 // harvest each replica's full verification trace for cross-topology
 // comparison.
 func newServerSink(o *serveOptions, sink func([]trace.Span)) (*serve.Server, func() error, error) {
-	db, dbName, err := loadServeDatabase(o)
-	if err != nil {
-		return nil, nil, err
-	}
 	// The tracer feeds the per-method rollups of GET /v1/metrics; the
-	// backend resets it each micro-batch, so memory stays bounded.
+	// backend resets it each micro-batch, so memory stays bounded. The
+	// dataset registry shares the System's persistent store (when
+	// -cache-dir is set), so ingested catalogs survive restarts.
 	tracer := cedar.NewTracer()
-	sys, err := cedar.New(cedar.Options{
-		Seed:             o.Seed,
-		AccuracyTarget:   o.Target,
-		Workers:          o.Workers,
-		Retries:          o.Retries,
-		Timeout:          o.Timeout,
-		HedgeAfter:       o.HedgeAfter,
-		BreakerThreshold: o.Breaker,
-		FaultRate:        o.FaultRate,
-		CacheDir:         o.CacheDir,
-		Route:            o.Route,
-		RouteTopK:        o.RouteTopK,
-		Tracer:           tracer,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.StatsPath != "" {
-		stats, err := profile.LoadStats(o.StatsPath)
-		if err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-		if err := sys.SetStats(stats); err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-	} else {
-		// The same built-in profiling corpus cmd/cedar uses, so a served
-		// run reproduces a CLI run of the same seed exactly.
-		profDocs, err := cedar.Benchmark(cedar.BenchAggChecker, o.Seed+100)
-		if err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-		if err := sys.ProfileOn(profDocs[:6]); err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-	}
-	// The dataset registry shares the System's persistent store (when
-	// -cache-dir is set), so ingested catalogs survive restarts; named
-	// -dataset flags restore persisted datasets into the catalog before the
-	// first request, recording each sampling decision in the trace.
-	reg := ingest.NewRegistry(db, sys.Store(), ingest.Options{
+	sys, err := o.Open(tracer, ingest.Options{
 		SampleRows: o.SampleRows,
 		MaxBytes:   o.MaxIngestBytes,
 		Seed:       o.Seed,
 	})
-	for _, name := range o.Datasets {
-		ds, err := reg.LoadDataset(name)
-		if err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-		tracer.Record(trace.Span{
-			Key:    trace.Key{Doc: dbName, Method: "ingest"},
-			Kind:   trace.KindIngestSample,
-			Detail: ds.Info.SampleDetail(),
-		})
-	}
-	if o.Route {
-		// After dataset restore, so ingested tables are routable too.
-		if err := sys.SetCatalog(db); err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	backend := serve.BackendFunc(func(docs []*cedar.Document) (serve.RunStats, error) {
 		rep, err := sys.Verify(docs)
@@ -271,8 +177,8 @@ func newServerSink(o *serveOptions, sink func([]trace.Span)) (*serve.Server, fun
 	})
 	srv, err := serve.New(serve.Config{
 		Backend:        backend,
-		DB:             db,
-		DocID:          dbName,
+		DB:             sys.DB,
+		DocID:          sys.Name,
 		MaxBatch:       o.MaxBatch,
 		BatchWait:      o.BatchWait,
 		QueueDepth:     o.QueueDepth,
@@ -283,31 +189,13 @@ func newServerSink(o *serveOptions, sink func([]trace.Span)) (*serve.Server, fun
 		Schedule:       sys.Schedule(),
 		Resilience:     func() metrics.ResilienceSnapshot { return sys.Resilience() },
 		Tracer:         tracer,
-		Datasets:       reg,
+		Datasets:       sys.Datasets,
 	})
 	if err != nil {
 		sys.Close()
 		return nil, nil, err
 	}
 	return srv, sys.Close, nil
-}
-
-// loadServeDatabase builds the serving database: the -csv tables when
-// given, otherwise an empty catalog named for -table or the first -dataset
-// (the persisted datasets themselves load after the System exists, through
-// the registry sharing its store).
-func loadServeDatabase(o *serveOptions) (*sqldb.Database, string, error) {
-	if len(o.CSVPaths) > 0 {
-		return cliutil.LoadDatabase(o.CSVPaths, o.TableName)
-	}
-	name := o.TableName
-	if name == "" {
-		if len(o.Datasets) == 0 {
-			return nil, "", fmt.Errorf("one of -csv, -dataset, or -table is required")
-		}
-		name = o.Datasets[0]
-	}
-	return sqldb.NewDatabase(name), name, nil
 }
 
 // routeKeyFor builds the coordinator's shard key function: the claim/config
@@ -335,7 +223,7 @@ func newCoordinator(o *serveOptions) (*serve.Coordinator, error) {
 	if len(o.Replicas) == 0 {
 		return nil, fmt.Errorf("-coordinator requires at least one -replicas URL")
 	}
-	db, dbName, err := loadServeDatabase(o)
+	db, dbName, err := o.Database()
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +242,6 @@ func newCoordinator(o *serveOptions) (*serve.Coordinator, error) {
 		cfg.Route = &serve.RouteConfig{
 			Catalog: route.NewCatalog(db),
 			Seed:    o.Seed,
-			TopK:    o.RouteTopK,
 		}
 	}
 	return serve.NewCoordinator(cfg)

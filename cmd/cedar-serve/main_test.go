@@ -15,8 +15,7 @@ import (
 	"time"
 
 	"repro/cedar"
-	"repro/internal/cliutil"
-	"repro/internal/exp"
+	"repro/internal/ingest"
 	"repro/internal/serve"
 )
 
@@ -75,8 +74,19 @@ var testClaims = []serve.ClaimInput{
 // ledger totals whether they arrive over HTTP or through the library entry
 // point the cedar CLI uses.
 func TestServedMatchesDirectRun(t *testing.T) {
+	// A -dataset without -cache-dir has no store to restore from: the
+	// server refuses to start, before profiling, with cedar's error.
+	fs := flag.NewFlagSet("cedar-serve", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse([]string{"-dataset", "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := newServer(o); err == nil || err.Error() != "-dataset requires -cache-dir (datasets are loaded from the persistent store)" {
+		t.Fatalf("newServer with -dataset and no -cache-dir: %v", err)
+	}
+
 	csvPath := writeCSVFixture(t)
-	o := testOptions(t, csvPath)
+	o = testOptions(t, csvPath)
 	o.BatchWait = -1 // every request rides alone, like a CLI run
 
 	srv, closeSys, err := newServer(o)
@@ -120,31 +130,13 @@ func TestServedMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reference run: same database, same resilience options, same
-	// profiling corpus, through the entry point cmd/cedar uses.
-	db, dbName, err := cliutil.LoadDatabase(o.CSVPaths, o.TableName)
+	// The reference run: the System cmd/cedar stands up from the same
+	// flags, through the entry point it verifies with.
+	sys, err := o.Open(nil, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr := exp.ServingResilience()
-	sys, err := cedar.New(cedar.Options{
-		Seed:           o.Seed,
-		AccuracyTarget: o.Target,
-		Workers:        o.Workers,
-		Retries:        sr.Retries,
-		Timeout:        sr.Timeout,
-		HedgeAfter:     sr.HedgeAfter,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profDocs, err := cedar.Benchmark(cedar.BenchAggChecker, o.Seed+100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ProfileOn(profDocs[:6]); err != nil {
-		t.Fatal(err)
-	}
+	defer sys.Close()
 	var claims []*cedar.Claim
 	for _, in := range testClaims {
 		c, err := cedar.NewClaim(in.ID, in.Sentence, in.Value, in.Context)
@@ -153,10 +145,11 @@ func TestServedMatchesDirectRun(t *testing.T) {
 		}
 		claims = append(claims, c)
 	}
-	rep, err := sys.VerifyClaims(dbName, db, claims)
+	rep, err := sys.Run(claims)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dbName := sys.Name
 
 	if served.DocID != dbName {
 		t.Errorf("served doc_id = %q, want the CLI's %q", served.DocID, dbName)

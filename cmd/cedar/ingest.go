@@ -15,7 +15,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/sqldb"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // ingestOptions carries the parsed ingest subcommand line.
@@ -149,37 +148,4 @@ func runIngest(args []string) error {
 		fmt.Println("not persisted (no -cache-dir); pass -cache-dir to make the dataset loadable later")
 	}
 	return nil
-}
-
-// loadDatasets restores the named persisted datasets from cacheDir into db,
-// recording each restore's sampling decision in the trace (the span kind is
-// dropped from the replay identity surface — see trace.ReplayNormalize).
-// The store is opened read-and-closed here, before cedar.New reopens the
-// same directory, so the two never hold it concurrently.
-func loadDatasets(db *sqldb.Database, cacheDir string, names []string, tracer *trace.Tracer) ([]*ingest.Dataset, error) {
-	if cacheDir == "" {
-		return nil, fmt.Errorf("-dataset requires -cache-dir (datasets are loaded from the persistent store)")
-	}
-	st, err := store.Open(cacheDir)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	reg := ingest.NewRegistry(db, st, ingest.Options{})
-	out := make([]*ingest.Dataset, 0, len(names))
-	for _, name := range names {
-		ds, err := reg.LoadDataset(name)
-		if err != nil {
-			return nil, err
-		}
-		if tracer != nil {
-			tracer.Record(trace.Span{
-				Key:    trace.Key{Doc: db.Name, Method: "ingest"},
-				Kind:   trace.KindIngestSample,
-				Detail: ds.Info.SampleDetail(),
-			})
-		}
-		out = append(out, ds)
-	}
-	return out, nil
 }

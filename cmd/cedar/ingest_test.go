@@ -6,7 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/cliutil"
 )
 
 const salesCSVFixture = `region,product,units,revenue
@@ -86,13 +89,9 @@ func TestIngestColdWarmDeterminism(t *testing.T) {
 	// Cold and warm verification runs load the dataset from the store; the
 	// JSON verdict stream must repeat bit for bit.
 	o := runOptions{
-		Datasets:   []string{"sales"},
-		CacheDir:   cacheDir,
-		ClaimsPath: claimsPath,
-		Target:     0.99,
-		Seed:       1,
-		Workers:    2,
-		AsJSON:     true,
+		SystemFlags: cliutil.SystemFlags{Datasets: []string{"sales"}, CacheDir: cacheDir, Target: 0.99, Seed: 1, Workers: 2},
+		ClaimsPath:  claimsPath,
+		AsJSON:      true,
 	}
 	cold := captureStdout(t, func() error { return run(o) })
 	warm := captureStdout(t, func() error { return run(o) })
@@ -130,7 +129,10 @@ func TestIngestAndDatasetErrors(t *testing.T) {
 	}
 
 	// -dataset without -cache-dir has nowhere to load from.
-	o := runOptions{Datasets: []string{"sales"}, ClaimsPath: claimsPath, Target: 0.99, Seed: 1, Workers: 1}
+	o := runOptions{
+		SystemFlags: cliutil.SystemFlags{Datasets: []string{"sales"}, Target: 0.99, Seed: 1, Workers: 1},
+		ClaimsPath:  claimsPath,
+	}
 	if err := run(o); err == nil {
 		t.Error("expected error for -dataset without -cache-dir")
 	}
@@ -144,5 +146,45 @@ func TestIngestAndDatasetErrors(t *testing.T) {
 	o.Datasets = []string{"nope"}
 	if err := run(o); err == nil {
 		t.Error("expected error for unknown dataset name")
+	}
+}
+
+// TestIngestRestoreSpanInTrace: a `cedar -dataset` run's exported trace
+// carries one ingest_sample span per restored dataset. The run resets its
+// trace when it starts, and a restore recorded before it was lost.
+func TestIngestRestoreSpanInTrace(t *testing.T) {
+	dir := t.TempDir()
+	salesPath := filepath.Join(dir, "sales.csv")
+	if err := os.WriteFile(salesPath, []byte(salesCSVFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	claimsPath := filepath.Join(dir, "claims.json")
+	captureStdout(t, func() error {
+		return runIngest([]string{salesPath, "-table", "sales", "-cache-dir", cacheDir, "-claims-out", claimsPath})
+	})
+	tracePath := filepath.Join(dir, "out.jsonl")
+	o := runOptions{
+		SystemFlags: cliutil.SystemFlags{Datasets: []string{"sales"}, CacheDir: cacheDir, Target: 0.99, Seed: 1, Workers: 1},
+		ClaimsPath:  claimsPath,
+		TracePath:   tracePath,
+	}
+	captureStdout(t, func() error { return run(o) })
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restores []string
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var sp struct{ Kind, Detail string }
+		if err := json.Unmarshal(line, &sp); err != nil {
+			t.Fatal(err)
+		}
+		if sp.Kind == "ingest_sample" {
+			restores = append(restores, sp.Detail)
+		}
+	}
+	if len(restores) != 1 || !strings.HasPrefix(restores[0], "dataset=sales ") {
+		t.Fatalf("trace holds ingest_sample spans %q, want one for sales", restores)
 	}
 }

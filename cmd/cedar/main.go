@@ -28,7 +28,7 @@ import (
 
 	"repro/cedar"
 	"repro/internal/cliutil"
-	"repro/internal/profile"
+	"repro/internal/ingest"
 	"repro/internal/report"
 )
 
@@ -52,26 +52,12 @@ type claimOutput struct {
 // FlagSet against docs/CLI.md.
 func defineFlags(fs *flag.FlagSet) *runOptions {
 	o := &runOptions{}
-	fs.Var((*cliutil.CSVList)(&o.CSVPaths), "csv", "CSV data table (header row first); repeat for multi-table databases")
-	fs.Var((*cliutil.CSVList)(&o.Datasets), "dataset", "ingested dataset to load from -cache-dir (see cedar ingest and docs/DATA.md); repeatable")
-	fs.StringVar(&o.TableName, "table", "", "table name for a single CSV (default: file base name)")
+	o.Register(fs, cliutil.SystemFlags{Target: 0.99, Seed: 1, Workers: 1})
 	fs.StringVar(&o.ClaimsPath, "claims", "", "JSON file with the claims to verify")
-	fs.Float64Var(&o.Target, "target", 0.99, "accuracy target in (0,1]")
-	fs.Int64Var(&o.Seed, "seed", 1, "random seed for the simulated models")
-	fs.IntVar(&o.Workers, "workers", 1, "concurrent claim verifications; results are identical for any value")
 	fs.BoolVar(&o.AsJSON, "json", false, "emit results as JSON")
-	fs.StringVar(&o.StatsPath, "stats", "", "profiling statistics JSON (from cedar-profile -o); skips built-in profiling")
 	fs.StringVar(&o.HTMLPath, "html", "", "also write a demo-style HTML report to this file")
-	fs.IntVar(&o.Retries, "retries", 0, "retry failed retryable model calls up to N additional times (capped backoff, seeded jitter)")
-	fs.DurationVar(&o.Timeout, "timeout", 0, "per-call simulated deadline across retries (e.g. 30s); 0 disables")
-	fs.DurationVar(&o.HedgeAfter, "hedge", 0, "race a backup model call once the primary exceeds this simulated latency; 0 disables")
-	fs.IntVar(&o.Breaker, "breaker", 0, "trip a per-model circuit breaker after N consecutive failures; 0 disables (order-dependent, see DESIGN.md §9)")
-	fs.Float64Var(&o.FaultRate, "fault-rate", 0, "inject deterministic transport faults at this per-attempt probability (chaos testing)")
 	fs.StringVar(&o.TracePath, "trace", "", "write the run's attempt-level trace as sorted JSONL to this file")
 	fs.BoolVar(&o.TraceSummary, "trace-summary", false, "print per-method/per-model trace rollups and the run manifest to stderr")
-	fs.StringVar(&o.CacheDir, "cache-dir", "", "persist temperature-0 completions and verdict memos in this directory; repeated runs answer persisted work at zero fee (DESIGN.md §11)")
-	fs.BoolVar(&o.Route, "route", false, "decompose compound claims and route each sub-claim to the best-matching table of the loaded database (DESIGN.md §16)")
-	fs.IntVar(&o.RouteTopK, "route-topk", 0, "candidate tables the routing stage considers per sub-claim; 0 uses the built-in default")
 	return o
 }
 
@@ -97,55 +83,18 @@ func main() {
 
 // runOptions carries the parsed command line into run.
 type runOptions struct {
-	CSVPaths     []string
-	Datasets     []string
-	TableName    string
+	cliutil.SystemFlags
 	ClaimsPath   string
-	Target       float64
-	Seed         int64
-	Workers      int
 	AsJSON       bool
-	StatsPath    string
 	HTMLPath     string
-	Retries      int
-	Timeout      time.Duration
-	HedgeAfter   time.Duration
-	Breaker      int
-	FaultRate    float64
 	TracePath    string
 	TraceSummary bool
-	CacheDir     string
-	Route        bool
-	RouteTopK    int
 }
 
 func run(o runOptions) error {
 	var tracer *cedar.Tracer
 	if o.TracePath != "" || o.TraceSummary {
 		tracer = cedar.NewTracer()
-	}
-
-	var db *cedar.Database
-	var dbName string
-	var err error
-	if len(o.CSVPaths) > 0 {
-		db, dbName, err = cliutil.LoadDatabase(o.CSVPaths, o.TableName)
-		if err != nil {
-			return err
-		}
-	} else {
-		// Dataset-only run: the first dataset names the database (and the
-		// seeding document ID), matching what cedar ingest registered.
-		dbName = o.TableName
-		if dbName == "" {
-			dbName = o.Datasets[0]
-		}
-		db = cedar.NewDatabase(dbName)
-	}
-	if len(o.Datasets) > 0 {
-		if _, err := loadDatasets(db, o.CacheDir, o.Datasets, tracer); err != nil {
-			return err
-		}
 	}
 
 	raw, err := os.ReadFile(o.ClaimsPath)
@@ -156,7 +105,7 @@ func run(o runOptions) error {
 	if err := json.Unmarshal(raw, &inputs); err != nil {
 		return fmt.Errorf("parsing %s: %w", o.ClaimsPath, err)
 	}
-	doc := &cedar.Document{ID: dbName, Domain: "cli", Data: db}
+	var claims []*cedar.Claim
 	for i, in := range inputs {
 		if in.ID == "" {
 			in.ID = fmt.Sprintf("c%d", i+1)
@@ -165,56 +114,19 @@ func run(o runOptions) error {
 		if err != nil {
 			return err
 		}
-		doc.Claims = append(doc.Claims, c)
+		claims = append(claims, c)
 	}
 
-	sys, err := cedar.New(cedar.Options{
-		Seed:             o.Seed,
-		AccuracyTarget:   o.Target,
-		Workers:          o.Workers,
-		Retries:          o.Retries,
-		Timeout:          o.Timeout,
-		HedgeAfter:       o.HedgeAfter,
-		BreakerThreshold: o.Breaker,
-		FaultRate:        o.FaultRate,
-		CacheDir:         o.CacheDir,
-		Route:            o.Route,
-		RouteTopK:        o.RouteTopK,
-		Tracer:           tracer,
-	})
+	sys, err := o.Open(tracer, ingest.Options{})
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
-	if o.Route {
-		if err := sys.SetCatalog(db); err != nil {
-			return err
-		}
-	}
-	if o.StatsPath != "" {
-		stats, err := profile.LoadStats(o.StatsPath)
-		if err != nil {
-			return err
-		}
-		if err := sys.SetStats(stats); err != nil {
-			return err
-		}
-	} else {
-		profDocs, err := cedar.Benchmark(cedar.BenchAggChecker, o.Seed+100)
-		if err != nil {
-			return err
-		}
-		if err := sys.ProfileOn(profDocs[:6]); err != nil {
-			return err
-		}
-	}
-	// The claims run through the same request-scoped entry point cedar-serve
-	// uses, with the database name as the seeding document ID — which is why
-	// serving the same claims over HTTP reproduces this run bit for bit.
-	rep, err := sys.VerifyClaims(dbName, db, doc.Claims)
+	rep, err := sys.Run(claims)
 	if err != nil {
 		return err
 	}
+	doc := &cedar.Document{ID: sys.Name, Domain: "cli", Data: sys.DB, Claims: claims}
 	if err := cliutil.ExportTrace(tracer, o.TracePath, o.TraceSummary, sys.TraceManifest([]*cedar.Document{doc})); err != nil {
 		return err
 	}

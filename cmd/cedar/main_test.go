@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cliutil"
 )
 
 func writeFixtures(t *testing.T) (csvPath, claimsPath string) {
@@ -38,12 +40,8 @@ func writeFixtures(t *testing.T) (csvPath, claimsPath string) {
 // opts builds a baseline runOptions for the shared fixtures.
 func opts(csvPaths []string, table, claimsPath string) runOptions {
 	return runOptions{
-		CSVPaths:   csvPaths,
-		TableName:  table,
-		ClaimsPath: claimsPath,
-		Target:     0.99,
-		Seed:       1,
-		Workers:    1,
+		SystemFlags: cliutil.SystemFlags{CSVPaths: csvPaths, TableName: table, Target: 0.99, Seed: 1, Workers: 1},
+		ClaimsPath:  claimsPath,
 	}
 }
 

@@ -123,7 +123,7 @@ func TestRouteBenchRoutingAccuracy(t *testing.T) {
 					t.Fatalf("seed %d claim %s: %d subs vs %d gold labels", seed, cl.ID, len(subs), len(gold))
 				}
 				for j, sub := range subs {
-					entry, _, _ := cat.Bind(seed, route.DefaultTopK, d.ID, i, j, sub)
+					entry, _, _ := cat.Bind(seed, d.ID, i, j, sub)
 					if entry == nil {
 						t.Fatalf("seed %d claim %s sub %d: no binding", seed, cl.ID, j)
 					}

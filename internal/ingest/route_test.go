@@ -42,7 +42,7 @@ func TestRouteAcrossIngestedAndCompiledTables(t *testing.T) {
 	}
 	wantEntries := []string{"ops/airlines", "ops/drinks"}
 	for i, sub := range subs {
-		entry, _, _ := cat.Bind(5, 0, "ops", 0, i, sub)
+		entry, _, _ := cat.Bind(5, "ops", 0, i, sub)
 		if entry == nil {
 			t.Fatalf("sub %d did not bind", i)
 		}

@@ -216,24 +216,18 @@ func scoreEntry(e *Entry, vec embed.Vector, padded string) float64 {
 	return best + bonus
 }
 
-// Bind scores a sub-claim, keeps the top-k candidates, and lets the routing
-// stage pick one with seeded tie-breaking. The (docID, claimIdx, subIdx)
-// triple is the sub-claim's routing identity: any planner — library,
-// replica, coordinator — that uses the same seed binds it identically. It
-// returns the chosen entry, its score, and whether the pick broke a tie;
-// the entry is nil only for an empty catalog.
-func (c *Catalog) Bind(seed int64, topK int, docID string, claimIdx, subIdx int, sub SubClaim) (*Entry, float64, bool) {
+// Bind scores a sub-claim, keeps the DefaultTopK best candidates, and lets
+// the routing stage pick one with seeded tie-breaking. The (docID,
+// claimIdx, subIdx) triple is the sub-claim's routing identity: any planner
+// — library, replica, coordinator — that uses the same seed binds it
+// identically. It returns the chosen entry, its score, and whether the pick
+// broke a tie; the entry is nil only for an empty catalog.
+func (c *Catalog) Bind(seed int64, docID string, claimIdx, subIdx int, sub SubClaim) (*Entry, float64, bool) {
 	scores := c.Score(sub.Sentence)
 	if len(scores) == 0 {
 		return nil, 0, false
 	}
-	if topK <= 0 {
-		topK = DefaultTopK
-	}
-	if topK > len(scores) {
-		topK = len(scores)
-	}
-	cand := scores[:topK]
+	cand := scores[:min(DefaultTopK, len(scores))]
 	names := make([]string, len(cand))
 	vals := make([]float64, len(cand))
 	for i, s := range cand {

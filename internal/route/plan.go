@@ -137,7 +137,7 @@ func (p *Plan) routeSubs(doc *claim.Document, claimIdx int, subs []SubClaim, cat
 	parent := doc.Claims[claimIdx]
 	out := make([]*Unit, 0, len(subs))
 	for j, sub := range subs {
-		entry, score, tied := cat.Bind(opts.Seed, opts.topK(), doc.ID, claimIdx, j, sub)
+		entry, score, tied := cat.Bind(opts.Seed, doc.ID, claimIdx, j, sub)
 		if entry == nil {
 			return nil
 		}

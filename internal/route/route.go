@@ -40,24 +40,15 @@ const DefaultFee fee.Fee = 100_000
 // model is deliberately a little conservative.
 const DefaultAccuracy = 0.96
 
-// Options configure planning. The zero value is usable: TopK defaults to
-// DefaultTopK. Every sub-claim routing decision books DefaultFee.
+// Options configure planning. The zero value is usable. Every sub-claim
+// routing decision books DefaultFee.
 type Options struct {
 	// Seed drives the routing stage's tie-breaking; it must match across
 	// topologies (library, replica, coordinator) for identical bindings.
 	Seed int64
-	// TopK bounds the candidate set handed to the routing pick.
-	TopK int
 	// Tracer, when non-nil, records route_score/route_pick spans under the
 	// parent claim's identity. Both kinds are dropped by
 	// trace.ReplayNormalize: the routing transcript is a property of how the
 	// claim was planned, not of the verification work.
 	Tracer *trace.Tracer
-}
-
-func (o Options) topK() int {
-	if o.TopK <= 0 {
-		return DefaultTopK
-	}
-	return o.TopK
 }

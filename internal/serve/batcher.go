@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/claim"
@@ -19,6 +20,8 @@ type job struct {
 	// closes done; closing never blocks on a handler that already gave up.
 	res  jobResult
 	done chan struct{}
+	// settled is set once res is, before done closes (finish).
+	settled atomic.Bool
 }
 
 // jobResult is the batch outcome delivered to one job's handler. The job's
@@ -38,21 +41,23 @@ func newJob(ctx context.Context, docs []*claim.Document) *job {
 	return &job{docs: docs, ctx: ctx, done: make(chan struct{})}
 }
 
-// finish delivers the job's batch outcome.
-func (j *job) finish(res jobResult) {
-	j.res = res
-	close(j.done)
-}
-
-// finished reports whether the job's outcome has been delivered.
-func (j *job) finished() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
+// finish delivers one outcome to jobs, the live jobs of one batch. Every
+// job is settled before the first done channel closes, so a handler woken by
+// one of them finds the others finished too: a stream writes one batch's
+// verdicts together.
+func finish(res jobResult, jobs ...*job) {
+	for _, j := range jobs {
+		j.res = res
+		j.settled.Store(true)
+	}
+	for _, j := range jobs {
+		close(j.done)
 	}
 }
+
+// finished reports whether the job's outcome is delivered or being
+// delivered: awaiting it does not wait for a batch.
+func (j *job) finished() bool { return j.settled.Load() }
 
 // batchLoop is the single goroutine that converts the admitted-request
 // queue into pipeline runs. One loop — not one per batch — so runs are
@@ -123,7 +128,7 @@ func (s *Server) runBatch(batch []*job) {
 	var docs []*claim.Document
 	for _, j := range batch {
 		if err := j.ctx.Err(); err != nil {
-			j.finish(jobResult{err: err})
+			finish(jobResult{err: err}, j)
 			continue
 		}
 		live = append(live, j)
@@ -145,9 +150,7 @@ func (s *Server) runBatch(batch []*job) {
 		s.harvestTrace()
 	}
 	s.batchSeq++ // only written here, on the single batch-loop goroutine
-	for _, j := range live {
-		j.finish(jobResult{stats: bs, batch: s.batchSeq, err: err})
-	}
+	finish(jobResult{stats: bs, batch: s.batchSeq, err: err}, live...)
 }
 
 // harvestTrace folds the just-finished run's spans into the cumulative

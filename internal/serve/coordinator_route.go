@@ -22,8 +22,6 @@ type RouteConfig struct {
 	Catalog *route.Catalog
 	// Seed is the routing tie-break seed — the replicas' verification seed.
 	Seed int64
-	// TopK bounds the candidate tables per sub-claim (0 = route.DefaultTopK).
-	TopK int
 }
 
 // planRouted converts wire documents into the domain model (applying the
@@ -48,7 +46,6 @@ func (c *Coordinator) planRouted(inputs []DocumentInput) (*route.Plan, []*claim.
 	}
 	plan := route.PlanDocuments(docs, rc.Catalog, route.Options{
 		Seed:   rc.Seed,
-		TopK:   rc.TopK,
 		Tracer: c.cfg.Tracer,
 	})
 	if len(plan.Routed) == 0 {

@@ -53,12 +53,23 @@ type streamDoc struct {
 	status   int
 	verdicts []StreamEvent
 	errDet   *ErrorDetail // terminal failure for this document
-	done     chan struct{}
+	// settled is set once the answer is filed, before done closes.
+	settled atomic.Bool
+	done    chan struct{}
 }
 
+// answer answers d alone.
 func (d *streamDoc) answer(det *ErrorDetail) {
-	d.errDet = det
+	d.settle(det)
 	close(d.done)
+}
+
+// settle files d's answer without closing done. An exchange settles every
+// document it answers before it closes any, so a handler woken by one of
+// them finds the others settled and writes their events together.
+func (d *streamDoc) settle(det *ErrorDetail) {
+	d.errDet = det
+	d.settled.Store(true)
 }
 
 // streamSession is one client stream's traffic to the replicas.
@@ -142,12 +153,10 @@ func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request)
 		if !ok {
 			break
 		}
-		select {
-		case <-d.done:
-		default:
+		if !d.settled.Load() {
 			sw.flush()
-			<-d.done
 		}
+		<-d.done
 		read++
 		if d.status != 0 {
 			c.traceRoute(d.docID, d.node, d.hop, d.status)
@@ -233,7 +242,12 @@ func (s *streamSession) exchange(node string, docs []*streamDoc, body []byte) {
 		s.fees.Calls += x.sum.Calls
 	}
 	relayed := false
+	var answered []*streamDoc
 	for _, d := range docs {
+		answer := func(det *ErrorDetail) {
+			d.settle(det)
+			answered = append(answered, d)
+		}
 		move := func(why error) {
 			d.err = why
 			d.hop++
@@ -244,19 +258,22 @@ func (s *streamSession) exchange(node string, docs []*streamDoc, body []byte) {
 			move(err)
 		case err != nil && d.end > taken:
 			_, det := s.c.proxyErrorDetail(err)
-			d.answer(&det)
+			answer(&det)
 		case err != nil:
 			// Its claims may have run and been billed, so it never goes
 			// elsewhere.
 			_, det := s.c.proxyErrorDetail(fmt.Errorf("%v: %w", err, shard.ErrAfterDelivery))
-			d.answer(&det)
+			answer(&det)
 		case res.Status == http.StatusServiceUnavailable && d.hop < len(d.nodes)-1:
 			move(fmt.Errorf("replica %s: draining (503)", node))
 		default:
 			relayed = true
 			d.node, d.status = node, res.Status
-			d.answer(x.outcome(d, res))
+			answer(x.outcome(d, res))
 		}
+	}
+	for _, d := range answered {
+		close(d.done)
 	}
 	if relayed {
 		s.c.routed.Add(1)

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/ingest"
-	"repro/internal/trace"
 )
 
 // datasets.go is the dynamic dataset onboarding surface (docs/DATA.md):
@@ -148,13 +147,6 @@ func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		badRequest(s.met, w, err.Error())
 		return
-	}
-	if t := s.cfg.Tracer; t.Enabled() {
-		t.Record(trace.Span{
-			Key:    trace.Key{Doc: s.cfg.DocID, Method: "ingest"},
-			Kind:   trace.KindIngestSample,
-			Detail: ds.Info.SampleDetail(),
-		})
 	}
 	writeJSON(w, http.StatusOK, DatasetResponse{Dataset: ds.Info, Surface: ds.Surface})
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,28 +51,33 @@ type streamPending struct {
 // is full instead of shedding with 429: the stream window already bounds
 // what one stream can pin, so waiting for a slot is backpressure, not
 // unbounded queueing. Draining and deadline still reject, shaped like the
-// unary admission errors.
-func (s *Server) admitStream(ctx context.Context, docs []*claim.Document) (*job, *apiError) {
-	j := newJob(ctx, docs)
+// unary admission errors. queued runs once the job is on the queue, under
+// handoff: the lock the stream's handler takes to see whether its pending
+// queue is empty.
+func (s *Server) admitStream(j *job, handoff *sync.Mutex, queued func()) *apiError {
 	for {
 		s.mu.RLock()
 		if s.draining {
 			s.mu.RUnlock()
 			s.met.inc(&s.met.rejectedDraining)
-			return nil, &apiError{status: http.StatusServiceUnavailable, code: CodeDraining,
+			return &apiError{status: http.StatusServiceUnavailable, code: CodeDraining,
 				msg: "server is draining; retry against another replica"}
 		}
+		handoff.Lock()
 		select {
 		case s.queue <- j:
+			queued()
+			handoff.Unlock()
 			s.mu.RUnlock()
-			return j, nil
+			return nil
 		default:
 		}
+		handoff.Unlock()
 		s.mu.RUnlock()
 		select {
-		case <-ctx.Done():
+		case <-j.ctx.Done():
 			s.met.inc(&s.met.deadlineExpired)
-			return nil, &apiError{status: http.StatusGatewayTimeout, code: CodeDeadlineExceeded,
+			return &apiError{status: http.StatusGatewayTimeout, code: CodeDeadlineExceeded,
 				msg: "request deadline expired waiting for an admission slot"}
 		case <-time.After(time.Millisecond):
 		}
@@ -148,7 +154,16 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	s.met.inc(&s.met.streams)
 
-	pending := make(chan streamPending, s.cfg.StreamWindow)
+	// The reader admits a document and puts it on pending in one step under
+	// handoff, and the handler looks for an empty pending under handoff too:
+	// no batch can finish with one of its documents between the two, so the
+	// handler never flushes a batch's verdicts apart. The reader takes room
+	// first, so its send under handoff never blocks. Room for one document
+	// past the window admits as many at once as a reader that admitted
+	// first and then waited for room on pending did.
+	pending := make(chan streamPending, s.cfg.StreamWindow+1)
+	room := make(chan struct{}, s.cfg.StreamWindow+1)
+	var handoff sync.Mutex
 	// readerErr holds at most one terminal input-side error, read only after
 	// pending closes (the channel buffer orders the memory accesses).
 	readerErr := make(chan ErrorDetail, 1)
@@ -163,20 +178,21 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 					Message: fmt.Sprintf("stream document %d: %v", index, err)}
 				return false
 			}
-			j, aerr := s.admitStream(ctx, []*claim.Document{doc})
-			if aerr != nil {
+			select {
+			case room <- struct{}{}:
+			case <-ctx.Done():
+				// The client is gone (or the deadline hit) with the window
+				// full.
+				return false
+			}
+			j := newJob(ctx, []*claim.Document{doc})
+			if aerr := s.admitStream(j, &handoff, func() {
+				pending <- streamPending{j: j, doc: doc, index: index}
+			}); aerr != nil {
 				readerErr <- ErrorDetail{Code: aerr.code, Message: aerr.msg}
 				return false
 			}
-			select {
-			case pending <- streamPending{j: j, doc: doc, index: index}:
-				return true
-			case <-ctx.Done():
-				// The client is gone (or the deadline hit) with the window
-				// full. The batch loop finishes the admitted job without
-				// anyone waiting: closing its done channel never blocks.
-				return false
-			}
+			return true
 		}))
 	}()
 
@@ -189,13 +205,17 @@ func (s *Server) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		// Events are flushed only before the handler waits: on the reader
 		// here, on the batch below.
-		if len(pending) == 0 {
+		handoff.Lock()
+		idle := len(pending) == 0
+		handoff.Unlock()
+		if idle {
 			sw.flush()
 		}
 		p, ok := <-pending
 		if !ok {
 			break
 		}
+		<-room
 		if !p.j.finished() {
 			sw.flush()
 		}

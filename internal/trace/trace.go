@@ -121,11 +121,12 @@ const (
 	// spans, are the stream-vs-batch identity surface.
 	KindStreamAdmit  = "stream_admit"
 	KindStreamResult = "stream_result"
-	// KindIngestSample records a dataset-ingestion sampling decision (DESIGN.md
-	// §15): Detail carries the dataset name, rows seen vs kept, the byte
-	// budget outcome, and the reservoir seed. It describes how a catalog was
-	// built, not how claims were verified — the same claims verify identically
-	// against the sampled catalog regardless of where it was ingested — so
+	// KindIngestSample records the sampling decision of one dataset a `cedar
+	// -dataset` run restored (DESIGN.md §15), in that run's trace: Detail
+	// carries the dataset name, rows seen vs kept, the byte budget outcome,
+	// and the reservoir seed. It describes how a catalog was built, not how
+	// claims were verified — the same claims verify identically against the
+	// sampled catalog regardless of where it was ingested — so
 	// ReplayNormalize drops it from the cross-topology identity surface.
 	KindIngestSample = "ingest_sample"
 	// KindRouteScore and KindRoutePick record the cross-database routing of
