@@ -2,7 +2,7 @@
 # verification gate: build, gofmt, vet, `gatelint` (every gate below must
 # still select tests), the complete test suite under the race detector, run
 # once, a short fuzz smoke over the SQL parser/executor, the store's segment
-# decoder, the shard ring, the ingestion type-inference engine and dataset
+# decoder and record codec, the shard ring, the ingestion type-inference engine and dataset
 # codec, the claim decomposer/router, the prompt-schema memo, the sparse
 # embedding, the simulated model's fused prompt read and the wire codec, the
 # documented-surface gate, and `benchmark-quick`: the repository benchmark's
@@ -85,9 +85,11 @@ trace:
 # Persistent-store gate under the race detector (DESIGN.md §11): segment
 # round-trip/recovery units, the crash-recovery truncation sweep (reopen at
 # every byte offset of the final record), the 32-goroutine read/write
-# stress, the cache collision regression, persisted-hit replay, and the
+# stress, the cache collision regression, persisted-hit replay, the
 # cross-process determinism harness (cold vs warm bit-identity, zero fees
-# for persisted hits) including the cedar-serve warm-restart contract.
+# for persisted hits) including the cedar-serve warm-restart contract, and
+# the pinned cache directory an earlier build wrote (its memos all hit, its
+# completions answer every temperature-0 attempt, its fingerprints hold).
 store:
 	$(GO) test -race -run 'Store|Segment|Recovery|Persist|CrossProcess|Memo|Collision|ReplayNormalize|WarmRestart' \
 		./internal/store ./internal/llm ./internal/trace ./cedar ./cmd/cedar-serve
@@ -195,6 +197,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParseAndExec$$ -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run NONE -fuzz FuzzPlanCacheKey$$ -fuzztime $(FUZZTIME) ./internal/sqldb
 	$(GO) test -run NONE -fuzz FuzzStoreDecode$$ -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run NONE -fuzz FuzzRecordCodec$$ -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run NONE -fuzz FuzzRingAssign$$ -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run NONE -fuzz FuzzTypeInference$$ -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run NONE -fuzz FuzzClassify$$ -fuzztime $(FUZZTIME) ./internal/ingest

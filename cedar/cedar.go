@@ -19,6 +19,7 @@
 package cedar
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -266,14 +267,14 @@ func (s *System) SetCatalog(dbs ...*Database) error {
 	if cat.Len() == 0 {
 		return errors.New("cedar: SetCatalog found no tables to route to")
 	}
-	fp := newFields()
-	fp.u64(uint64(len(dbs)))
+	var fp store.Enc
+	fp.U64(uint64(len(dbs)))
 	for _, db := range dbs {
 		d := dbFingerprint(db)
-		fp.buf = append(fp.buf, d[:]...)
+		fp.B = append(fp.B, d[:]...)
 	}
 	s.catalog = cat
-	s.catalogFP = fp.buf
+	s.catalogFP = fp.B
 	return nil
 }
 
@@ -467,39 +468,46 @@ func (s *System) persistHits() int {
 // memoPass reconciles freshly computed verdicts with the persistent memo
 // layer after a run (DESIGN.md §11). For each claim it recomputes the memo
 // key and either (a) validates the fresh verdict against the stored memo —
-// counting a hit on agreement, recording a memo_mismatch span and
-// overwriting on disagreement — or (b) stores a new memo on a miss. Memos
+// counting a hit when the stored bytes are the fresh verdict's encoding,
+// recording a memo_mismatch span and overwriting when they decode to another
+// verdict — or (b) stores a new memo on a miss or an undecodable record. Memos
 // never feed verdicts forward: the pipeline has already run, so a corrupt or
-// stale memo can surface as a mismatch but cannot alter a Result.
+// stale memo can surface as a mismatch but cannot alter a Result. Each
+// database is fingerprinted once per pass, however many documents share it.
 func (s *System) memoPass(docs []*Document) (hits, mismatches int) {
 	if s.store == nil {
 		return 0, 0
 	}
 	cfgFP := s.configFingerprint()
+	dbFPs := make(map[*sqldb.Database][32]byte)
 	for _, d := range docs {
-		dbFP := dbFingerprint(d.Data)
+		dbFP, ok := dbFPs[d.Data]
+		if !ok {
+			dbFP = dbFingerprint(d.Data)
+			dbFPs[d.Data] = dbFP
+		}
 		for i, c := range d.Claims {
 			key := memoKey(dbFP, cfgFP, d.ID, i, c)
-			fresh := c.Result
+			fresh := encodeMemo(c.Result)
 			if val, ok := s.store.Get(key); ok {
+				if bytes.Equal(val, fresh) {
+					hits++
+					continue
+				}
 				if memo, ok := decodeMemo(val); ok {
-					if memoEqual(memo, fresh) {
-						hits++
-						continue
-					}
 					mismatches++
 					if s.opts.Tracer.Enabled() {
 						s.opts.Tracer.Record(trace.Span{
 							Key:     trace.Key{Doc: d.ID, Claim: i, Method: "memo"},
 							Kind:    trace.KindMemoMismatch,
 							Outcome: trace.OutcomeError,
-							Detail:  fmt.Sprintf("memo %s vs fresh %s", memoVerdict(memo), memoVerdict(fresh)),
+							Detail:  fmt.Sprintf("memo %s vs fresh %s", memoVerdict(memo), memoVerdict(c.Result)),
 						})
 					}
 				}
 			}
 			// Miss, undecodable, or mismatch: persist the fresh verdict.
-			_ = s.store.Put(key, encodeMemo(fresh))
+			_ = s.store.Put(key, fresh)
 		}
 	}
 	return hits, mismatches

@@ -111,7 +111,7 @@ func defineFlags(fs *flag.FlagSet) *serveOptions {
 	fs.DurationVar(&o.RequestTimeout, "request-timeout", 60*time.Second, "per-request deadline propagated via context; expired requests answer 504")
 	fs.DurationVar(&o.RetryAfter, "retry-after", 0, "Retry-After hint on 429 responses (default: estimated queue drain time, min 1s)")
 	fs.DurationVar(&o.DrainTimeout, "drain-timeout", 30*time.Second, "how long graceful shutdown waits for admitted requests to finish")
-	fs.IntVar(&o.StreamWindow, "stream-window", 4, "documents one /v1/verify/stream request may have in flight; past it the server stops reading the stream (backpressure)")
+	fs.IntVar(&o.StreamWindow, "stream-window", 4, "read-ahead of one /v1/verify/stream request: a replica admits at most this many +2 of its documents before one is answered, then stops reading the stream (backpressure)")
 	fs.IntVar(&o.ReviewCap, "review-cap", 256, "pending human-review items kept; at the cap new items evict only lower-priority ones")
 	fs.IntVar(&o.SampleRows, "sample-rows", 0, "default row budget for POST /v1/datasets ingestions: keep at most N rows, reservoir-sampled deterministically (default 50000)")
 	fs.Int64Var(&o.MaxIngestBytes, "max-ingest-bytes", 0, "default byte budget for POST /v1/datasets ingestions, stopping at the last complete record (default 32 MiB)")

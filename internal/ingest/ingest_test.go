@@ -370,29 +370,35 @@ func TestDatasetCodecRoundTrip(t *testing.T) {
 			t.Fatalf("truncated record (%d bytes) decoded without error", cut)
 		}
 	}
+	// So do records with bytes after the last row, like every record family.
+	for _, tail := range [][]byte{{0}, {byte(sqldb.KindInt), 1, 0, 0, 0, 0, 0, 0, 0}} {
+		if _, err := decodeDataset(append(enc[:len(enc):len(enc)], tail...)); err == nil {
+			t.Fatalf("record with %d trailing bytes decoded without error", len(tail))
+		}
+	}
 }
 
 // countedRecord encodes a dataset record whose table declares cols INTEGER
 // columns and rows rows, and holds no row bytes at all.
 func countedRecord(cols int, rows uint32) []byte {
-	e := &enc{}
-	e.u8(datasetCodecVer)
-	e.str("t")
-	e.str("csv")
-	e.u64(0)
-	e.u64(0)
-	e.u8(0)
-	e.u64(0)
-	e.str("")
-	e.u32(0)
-	e.str("t")
-	e.u32(uint32(cols))
+	e := &store.Enc{}
+	e.U8(datasetCodecVer)
+	e.Str("t")
+	e.Str("csv")
+	e.U64(0)
+	e.U64(0)
+	e.U8(0)
+	e.U64(0)
+	e.Str("")
+	e.U32(0)
+	e.Str("t")
+	e.U32(uint32(cols))
 	for i := 0; i < cols; i++ {
-		e.str("c")
-		e.u8(uint8(sqldb.KindInt))
+		e.Str("c")
+		e.U8(uint8(sqldb.KindInt))
 	}
-	e.u32(rows)
-	return e.b
+	e.U32(rows)
+	return e.B
 }
 
 // TestDatasetCodecRejectsImpossibleCounts: a count is bounded by the bytes

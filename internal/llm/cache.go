@@ -2,7 +2,6 @@ package llm
 
 import (
 	"container/list"
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -10,9 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// persistCompletionPrefix namespaces temperature-0 completion records inside
-// the shared result store (verdict memos use "m\x00"; see cedar).
-const persistCompletionPrefix = "c\x00"
+// maxCacheEntries bounds a Cached's in-memory table; past it the least
+// recently used entry is evicted.
+const maxCacheEntries = 4096
 
 // Cached wraps a Client with a response cache for temperature-0 requests.
 // Temperature-0 completions are deterministic per prompt (both for real
@@ -24,8 +23,6 @@ const persistCompletionPrefix = "c\x00"
 type Cached struct {
 	// Client is the underlying completion provider.
 	Client Client
-	// MaxEntries bounds the in-memory cache (LRU eviction); 0 means 4096.
-	MaxEntries int
 	// Persist, when set, extends the cache across processes: every completion
 	// this cache fills is appended to the store, and misses consult it before
 	// invoking the model (DESIGN.md §11). Reads are gated on a non-zero
@@ -72,8 +69,8 @@ type inflightCall struct {
 }
 
 // NewCached wraps a client with a temperature-0 cache.
-func NewCached(client Client, maxEntries int) *Cached {
-	return &Cached{Client: client, MaxEntries: maxEntries}
+func NewCached(client Client) *Cached {
+	return &Cached{Client: client}
 }
 
 // Complete implements Client. Concurrent misses on the same key are
@@ -190,11 +187,7 @@ func (c *Cached) leaderFill(req Request, key string) (Response, error) {
 // install adds a filled entry to the in-memory LRU. Caller holds c.mu.
 func (c *Cached) install(key string, resp Response) {
 	c.table[key] = c.order.PushFront(&cacheEntry{key: key, resp: resp})
-	max := c.MaxEntries
-	if max <= 0 {
-		max = 4096
-	}
-	for c.order.Len() > max {
+	for c.order.Len() > maxCacheEntries {
 		back := c.order.Back()
 		delete(c.table, back.Value.(*cacheEntry).key)
 		c.order.Remove(back)
@@ -241,29 +234,20 @@ func cacheKey(req Request) string {
 	for _, m := range req.Messages {
 		n += 8 + len(m.Role) + len(m.Content)
 	}
-	buf := make([]byte, 0, n)
-	var u32 [4]byte
-	appendStr := func(s string) {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
-		buf = append(buf, u32[:]...)
-		buf = append(buf, s...)
-	}
-	appendStr(req.Model)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(req.MaxTokens))
-	buf = append(buf, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], uint64(req.Seed))
-	buf = append(buf, u64[:]...)
+	e := store.Enc{B: make([]byte, 0, n)}
+	e.Str(req.Model)
+	e.U64(uint64(req.MaxTokens))
+	e.U64(uint64(req.Seed))
 	for _, m := range req.Messages {
-		appendStr(m.Role)
-		appendStr(m.Content)
+		e.Str(m.Role)
+		e.Str(m.Content)
 	}
-	return string(buf)
+	return string(e.B)
 }
 
-// persistKey namespaces a completion cache key for the shared store.
+// persistKey places a completion cache key in the store's Completions family.
 func persistKey(key string) []byte {
-	return append([]byte(persistCompletionPrefix), key...)
+	return append([]byte(store.Completions), key...)
 }
 
 // persistedResponseVersion tags the on-disk completion value encoding; bump
@@ -271,43 +255,29 @@ func persistKey(key string) []byte {
 // garbage.
 const persistedResponseVersion = 1
 
-// encodePersistedResponse serializes a completion for the store:
-// version byte | u32 contentLen | content | u64 ptok | u64 ctok | u64 latencyNs.
+// encodePersistedResponse serializes a completion for the store: version,
+// content, prompt tokens, completion tokens, latency in nanoseconds.
 func encodePersistedResponse(resp Response) []byte {
-	buf := make([]byte, 0, 1+4+len(resp.Content)+24)
-	buf = append(buf, persistedResponseVersion)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(resp.Content)))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, resp.Content...)
-	var u64 [8]byte
-	for _, v := range []uint64{uint64(resp.Usage.PromptTokens), uint64(resp.Usage.CompletionTokens), uint64(resp.Latency)} {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		buf = append(buf, u64[:]...)
-	}
-	return buf
+	e := store.Enc{B: make([]byte, 0, 1+4+len(resp.Content)+24)}
+	e.U8(persistedResponseVersion)
+	e.Str(resp.Content)
+	e.U64(uint64(resp.Usage.PromptTokens))
+	e.U64(uint64(resp.Usage.CompletionTokens))
+	e.U64(uint64(resp.Latency))
+	return e.B
 }
 
 // decodePersistedResponse reverses encodePersistedResponse. A wrong version
 // or malformed layout reads as a miss (ok=false); the caller falls through to
 // the model.
 func decodePersistedResponse(val []byte) (Response, bool) {
-	if len(val) < 5 || val[0] != persistedResponseVersion {
+	d := store.Dec{B: val}
+	if d.U8() != persistedResponseVersion {
 		return Response{}, false
 	}
-	contentLen := binary.LittleEndian.Uint32(val[1:])
-	rest := val[5:]
-	if uint64(len(rest)) != uint64(contentLen)+24 {
-		return Response{}, false
-	}
-	content := string(rest[:contentLen])
-	nums := rest[contentLen:]
-	return Response{
-		Content: content,
-		Usage: Usage{
-			PromptTokens:     int(binary.LittleEndian.Uint64(nums[0:])),
-			CompletionTokens: int(binary.LittleEndian.Uint64(nums[8:])),
-		},
-		Latency: time.Duration(binary.LittleEndian.Uint64(nums[16:])),
-	}, true
+	resp := Response{Content: d.Str()}
+	resp.Usage.PromptTokens = int(d.U64())
+	resp.Usage.CompletionTokens = int(d.U64())
+	resp.Latency = time.Duration(d.U64())
+	return resp, d.End() == nil
 }

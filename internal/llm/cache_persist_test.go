@@ -22,7 +22,7 @@ func TestCacheKeyCollisionRegression(t *testing.T) {
 		t.Fatal("distinct requests share a cache key: encoding is not injective")
 	}
 	under := &countingClient{}
-	c := NewCached(under, 0)
+	c := NewCached(under)
 	ra, err := c.Complete(a)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func req(model, prompt string, temp float64) Request {
 
 func TestCachedHitsTempZero(t *testing.T) {
 	under := &countingClient{}
-	c := NewCached(under, 0)
+	c := NewCached(under)
 	r1, err := c.Complete(req("m", "hello", 0))
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestCachedHitsTempZero(t *testing.T) {
 
 func TestCachedBypassesPositiveTemperature(t *testing.T) {
 	under := &countingClient{}
-	c := NewCached(under, 0)
+	c := NewCached(under)
 	a, _ := c.Complete(req("m", "hello", 0.5))
 	b, _ := c.Complete(req("m", "hello", 0.5))
 	if a.Content == b.Content {
@@ -68,7 +68,7 @@ func TestCachedBypassesPositiveTemperature(t *testing.T) {
 
 func TestCachedKeysOnModelAndMessages(t *testing.T) {
 	under := &countingClient{}
-	c := NewCached(under, 0)
+	c := NewCached(under)
 	c.Complete(req("m1", "p", 0))
 	c.Complete(req("m2", "p", 0))
 	c.Complete(req("m1", "q", 0))
@@ -79,18 +79,18 @@ func TestCachedKeysOnModelAndMessages(t *testing.T) {
 
 func TestCachedEviction(t *testing.T) {
 	under := &countingClient{}
-	c := NewCached(under, 2)
-	c.Complete(req("m", "a", 0))
-	c.Complete(req("m", "b", 0))
-	c.Complete(req("m", "c", 0)) // evicts "a"
-	c.Complete(req("m", "a", 0)) // miss again
-	if under.calls != 4 {
-		t.Errorf("calls = %d want 4 (eviction)", under.calls)
+	c := NewCached(under)
+	for i := 0; i <= maxCacheEntries; i++ { // one past the cap evicts "p0"
+		c.Complete(req("m", fmt.Sprintf("p%d", i), 0))
 	}
-	// "c" and "a" are resident now.
-	c.Complete(req("m", "a", 0))
-	c.Complete(req("m", "c", 0))
-	if under.calls != 4 {
+	c.Complete(req("m", "p0", 0)) // miss again
+	if under.calls != maxCacheEntries+2 {
+		t.Errorf("calls = %d want %d (eviction)", under.calls, maxCacheEntries+2)
+	}
+	// "p0" and the newest entry are resident now.
+	c.Complete(req("m", "p0", 0))
+	c.Complete(req("m", fmt.Sprintf("p%d", maxCacheEntries), 0))
+	if under.calls != maxCacheEntries+2 {
 		t.Errorf("calls = %d, resident entries missed", under.calls)
 	}
 }
@@ -100,7 +100,7 @@ func TestCachedEviction(t *testing.T) {
 // differently, so they must occupy distinct cache slots.
 func TestCacheKeyIncludesMaxTokens(t *testing.T) {
 	under := &countingClient{}
-	c := NewCached(under, 0)
+	c := NewCached(under)
 	short := req("m", "p", 0)
 	short.MaxTokens = 64
 	long := req("m", "p", 0)
@@ -146,7 +146,7 @@ func primeInflight(c *Cached, r Request, resp Response, err error) {
 func TestCachedWaiterCountsHits(t *testing.T) {
 	t.Run("leader succeeded", func(t *testing.T) {
 		under := &countingClient{}
-		c := NewCached(under, 0)
+		c := NewCached(under)
 		r := req("m", "p", 0)
 		primeInflight(c, r, Response{Content: "leader reply"}, nil)
 		resp, err := c.Complete(r)
@@ -165,7 +165,7 @@ func TestCachedWaiterCountsHits(t *testing.T) {
 	})
 	t.Run("leader failed", func(t *testing.T) {
 		under := &countingClient{}
-		c := NewCached(under, 0)
+		c := NewCached(under)
 		r := req("m", "p", 0)
 		leaderErr := errors.New("simulated transport failure")
 		primeInflight(c, r, Response{}, leaderErr)
@@ -184,7 +184,7 @@ func TestCachedWaiterCountsHits(t *testing.T) {
 
 func TestCachedConcurrent(t *testing.T) {
 	under := &countingClient{}
-	c := NewCached(under, 64)
+	c := NewCached(under)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)

@@ -77,7 +77,7 @@ func TestCachedConcurrentSingleFlight(t *testing.T) {
 	const perGoroutine = 50
 	const distinctPrompts = 4
 	client := &stableClient{}
-	cache := NewCached(client, 0)
+	cache := NewCached(client)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)

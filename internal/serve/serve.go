@@ -26,8 +26,8 @@
 //
 // Beyond the unary routes, POST /v1/verify/stream accepts an NDJSON stream
 // of documents and streams per-claim verdicts back as their micro-batches
-// land, holding at most StreamWindow documents in flight (backpressure, not
-// buffering); verdicts the pipeline is least sure about are queued for human
+// land, admitting at most StreamWindow+2 documents before one is answered
+// (backpressure, not buffering); verdicts the pipeline is least sure about are queued for human
 // review (internal/review), exposed via GET /v1/review and resolved via
 // POST /v1/review/{id}.
 //
@@ -106,8 +106,10 @@ type Config struct {
 	// waits, floored at 1s). Fixed by configuration, so shedding behavior
 	// is deterministic and testable.
 	RetryAfter time.Duration
-	// StreamWindow bounds the documents one POST /v1/verify/stream request
-	// may have admitted but not yet answered (default 4). The stream reader
+	// StreamWindow sets how far one POST /v1/verify/stream request reads
+	// ahead of its answers (default 4): at most StreamWindow+2 of its
+	// documents are admitted before one is answered, the one the handler
+	// awaits and StreamWindow+1 queued behind it. Then the stream reader
 	// stops consuming input — real backpressure, pushed to the client's TCP
 	// window — instead of buffering past it.
 	StreamWindow int

@@ -24,9 +24,9 @@ import (
 // StreamEvents back — per-claim verdicts as soon as each document's
 // micro-batch lands, then a closing summary. Two invariants anchor it:
 //
-//   - Backpressure, not buffering: at most Config.StreamWindow documents per
-//     stream are admitted but unanswered. Past the window the server simply
-//     stops reading the request body, which TCP turns into client-side
+//   - Backpressure, not buffering: at most Config.StreamWindow+2 documents
+//     per stream are admitted before one is answered. Past that the server
+//     simply stops reading the request body, which TCP turns into client-side
 //     backpressure; a slow producer costs the server nothing and a fast one
 //     cannot queue unbounded work.
 //   - Determinism survives streaming: every streamed document becomes an

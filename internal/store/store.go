@@ -3,8 +3,8 @@
 // benchmarks, and server restarts. CEDAR's premise is that verification cost
 // is dominated by LLM fees, yet an in-memory cache alone re-bills every
 // identical temperature-0 prompt the moment the process exits. The store
-// persists two record families — temperature-0 completions (written by
-// llm.Cached) and claim-level verdict memos (written by cedar.System) — in
+// persists the record families of its keyspace (codec.go: completions, verdict
+// memos and ingested datasets, each written by one package through Enc) in
 // append-only, CRC-framed segment files with an in-memory index, so a warm
 // process answers repeated deterministic work at zero fee and bit-identical
 // content (DESIGN.md §11).

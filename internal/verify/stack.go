@@ -127,7 +127,7 @@ func NewStack(seed int64, o Middleware) (*Stack, error) {
 		}
 		c = &llm.Metered{Client: c, Ledger: s.Ledger, Tracer: o.Tracer}
 		if o.Cache || o.Store != nil {
-			cached := llm.NewCached(c, 0)
+			cached := llm.NewCached(c)
 			cached.Tracer = o.Tracer
 			cached.Persist = o.Store
 			s.Caches = append(s.Caches, cached)
