@@ -9,12 +9,17 @@
 # own correctness checks on a twentieth of every workload.
 #
 # The focused gates — chaos (fault injection + resilience middleware),
-# trace (golden-trace determinism), store (crash recovery + cross-process
+# trace (trace determinism), store (crash recovery + cross-process
 # determinism), sqldiff (vectorized executor vs row oracle + plan-cache
 # stress), shard (multi-replica determinism + failover), stream
 # (stream-vs-batch determinism, review queue, the wire), ingest (dataset
 # onboarding) and route (cross-database decomposition and routing, DESIGN.md
-# §16) — each run a subset of `race`'s tests under the race detector. They
+# §16) — each run a subset of `race`'s tests under the race detector. The
+# determinism half of chaos, trace, store, shard, stream, ingest and route is
+# one test, cmd/cedar-serve's TestIdentityMatrix: every cell of
+# cmd/cedar-serve/testdata/identity_cells.txt (corpus × fault profile ×
+# layer and transport × workers × shards × route × store × plan cache) held
+# to its class reference, so each of those gates runs it whole. They
 # are not prerequisites of `check`, which already runs every one of those
 # tests once in `race`; they are for a focused run while working on one
 # layer, and `gatelint` still lints their selectors. Performance is measured
@@ -45,18 +50,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-mode pass over the fault-injection and resilience suites: the chaos
-# determinism matrix, the breaker state machine (unit + 32-goroutine
+# Race-mode pass over the fault-injection and resilience suites: the identity
+# matrix (verdicts, fees and traces alike at fault rates 0, 0.05, 0.2, 0.2
+# with a hedge and 0.5, at any worker count), the breaker state machine (unit + 32-goroutine
 # stress), retrier/hedge accounting, the failed-attempt billing fixes, and
 # the fee type every bill is booked in (exact dollar round trip and JSON,
 # and the lint that no fee is summed as a float64).
 chaos:
-	$(GO) test -race -run 'Chaos|Breaker|Retrier|Hedge|Fault|Throttled|Metered|Resilience|FeeRoundTrip|FeeJSON|FeesAreIntegers' \
-		./internal/core ./internal/llm/resilience ./internal/llm ./cedar ./internal/fee
+	$(GO) test -race -run 'Chaos|Breaker|Retrier|Hedge|Fault|Throttled|Metered|Resilience|FeeRoundTrip|FeeJSON|FeesAreIntegers|IdentityMatrix' \
+		./internal/core ./internal/llm/resilience ./internal/llm ./cedar ./internal/fee ./cmd/cedar-serve
 
-# Golden-trace determinism gate under the race detector: the sorted JSONL
-# trace of a run must be byte-identical across worker counts, with and
-# without injected faults, plus the tracer's own unit/alloc/race suite. The
+# Trace determinism gate under the race detector: the identity matrix (the
+# sorted raw trace of a run byte-identical across worker counts, plan-cache
+# warmth and degenerate routing, with and without injected faults, and the
+# normalized trace across every layer, transport, shard count and store),
+# the exported stream's well-formedness, plus the tracer's own
+# unit/alloc/race suite. The
 # simulated model's compiled prompt reading (DESIGN.md §17) promises the same
 # bytes by construction, so its differentials against the code it replaced
 # run here too: the lazy math/rand source, the sparse embedding, the schema
@@ -78,20 +87,21 @@ chaos:
 # the allocation ceilings of a warm parse, a replica's unary request and a
 # relayed stream event.
 trace:
-	$(GO) test -race -run 'GoldenTrace|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL|Differential|LazyRand|ColumnCache|CompiledCaches|SchemaMemo|AllocCeiling|FoldedCreateTable|AttemptExecutesOnce|AttemptResultShapes|ClaimInputs' \
+	$(GO) test -race -run 'IdentityMatrix|TraceSpans|Tracer|Aggregate|Quantile|Manifest|WriteJSONL|Differential|LazyRand|ColumnCache|CompiledCaches|SchemaMemo|AllocCeiling|FoldedCreateTable|AttemptExecutesOnce|AttemptResultShapes|ClaimInputs' \
 		./internal/core ./internal/trace ./internal/llm ./internal/llm/sim ./internal/nl ./internal/embed ./internal/verify \
-		./internal/prompts ./internal/textutil ./internal/serve
+		./internal/prompts ./internal/textutil ./internal/serve ./cmd/cedar-serve
 
 # Persistent-store gate under the race detector (DESIGN.md §11): segment
 # round-trip/recovery units, the crash-recovery truncation sweep (reopen at
 # every byte offset of the final record), the 32-goroutine read/write
-# stress, the cache collision regression, persisted-hit replay, the
-# cross-process determinism harness (cold vs warm bit-identity, zero fees
-# for persisted hits) including the cedar-serve warm-restart contract, and
+# stress, the cache collision regression, persisted-hit replay, the identity
+# matrix's store cells (cold, warm and warm again: bit-identical verdicts and
+# normalized traces, warm calls = cold calls − persisted hits, every memo
+# hit), memo mismatches, the cedar-serve warm-restart contract, and
 # the pinned cache directory an earlier build wrote (its memos all hit, its
 # completions answer every temperature-0 attempt, its fingerprints hold).
 store:
-	$(GO) test -race -run 'Store|Segment|Recovery|Persist|CrossProcess|Memo|Collision|ReplayNormalize|WarmRestart' \
+	$(GO) test -race -run 'Store|Segment|Recovery|Persist|IdentityMatrix|Memo|Collision|ReplayNormalize|WarmRestart' \
 		./internal/store ./internal/llm ./internal/trace ./cedar ./cmd/cedar-serve
 
 # Documented-surface gate: every flag each binary registers must appear in
@@ -123,8 +133,8 @@ gatelint:
 # generators' catalogs (an external test of internal/sqldb), the plan-cache
 # suite (invalidation, cap, 32-goroutine mixed
 # prepare/execute/invalidate stress), the Schema() memo under catalog churn
-# (32 readers, never a stale schema), the warm-cache verdict/trace
-# determinism tests at the pipeline level, the allocation ceiling of a warm
+# (32 readers, never a stale schema), the lib-bigtable warm plan cache's
+# access paths, the allocation ceiling of a warm
 # one-cell QueryScalar on a document-sized table, and exact integer
 # arithmetic and SUM (ErrOverflow past int64) on every engine path.
 sqldiff:
@@ -134,16 +144,17 @@ sqldiff:
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring
 # determinism/minimal-movement units and the 32-goroutine membership stress,
 # the replica health prober/breaker, proxy failover, coordinator
-# routing/fan-out/drain-rebalance, the cmd-level multi-replica identity
-# harness (bit-identical verdicts and normalized traces at shard counts
-# {1,2,4,8}, including a mid-load replica kill).
+# routing/fan-out/drain-rebalance, the identity matrix (bit-identical
+# verdicts, fees and merged normalized traces at shard counts {1,2,4,8},
+# unary, batch and stream), and the mid-load replica kill.
 shard:
-	$(GO) test -race -run 'Shard|Ring|Prober|Coordinator|Failover|Rebalance|RouteKey' \
+	$(GO) test -race -run 'Shard|Ring|Prober|Coordinator|Failover|Rebalance|RouteKey|IdentityMatrix' \
 		./internal/shard ./internal/serve ./cmd/cedar-serve
 
-# Streaming gate under the race detector (DESIGN.md §14): the NDJSON
-# stream endpoint's determinism vs batch (arrival order, window size,
-# faults), early delivery (a document's verdicts are read while a later
+# Streaming gate under the race detector (DESIGN.md §14): the identity
+# matrix's stream cells (cedar.Stream in arrival and shuffled order, a
+# replica's and a coordinator's /v1/verify/stream, against batch), each
+# stream window counted exactly against a wedged backend, early delivery (a document's verdicts are read while a later
 # batch still runs), backpressure/slow-client behavior (a disconnecting
 # client must not wedge the batcher), the review queue (ranking,
 # idempotent resolve, heap eviction against the scan it replaced,
@@ -159,7 +170,7 @@ shard:
 # micro-batch written with at most two flushes, and a stream that stops
 # reading its body early leaving no panic in either tier's server log.
 stream:
-	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact|TierGolden|TrailingData|WireEncode|WireFiller|WireCodec' \
+	$(GO) test -race -run 'Stream|Review|AfterDelivery|Delivered|Disagreement|Disconnect|SlowClient|MetricsFeesExact|TierGolden|TrailingData|WireEncode|WireFiller|WireCodec|IdentityMatrix' \
 		./internal/serve ./internal/review ./internal/shard ./internal/verify ./cedar ./cmd/cedar-serve
 
 # Ingestion gate under the race detector (DESIGN.md §15, docs/DATA.md): the
@@ -167,25 +178,26 @@ stream:
 # reservoir sampler, dataset persistence round-trips (encode/decode, store
 # restart, a deleted dataset staying deleted, base-table protection), the CLI's ingest→verify cold/warm
 # bit-identity, the serving tier's /v1/datasets handlers and coordinator
-# fan-out (direct run vs single replica vs 4-shard coordinator verdict
-# identity), the documented journey's fingerprint, the dataset codec's
+# fan-out, the identity matrix's sales cells (direct run, replica and
+# coordinator alike, every replica's fingerprint equal), the documented
+# journey's fingerprint, the dataset codec's
 # bounds on corrupt counts, and the CSV path's allocation ceiling and
 # sampled-heap bound.
 ingest:
-	$(GO) test -race -run 'Ingest|Dataset|Registry|Surface|Classify|CleanColumn' \
+	$(GO) test -race -run 'Ingest|Dataset|Registry|Surface|Classify|CleanColumn|IdentityMatrix' \
 		./internal/ingest ./cmd/cedar ./cmd/cedar-serve
 
 # Routing determinism gate under the race detector (DESIGN.md §16):
 # deterministic compound-claim decomposition, catalog scoring and seeded
-# binding, the plan/recombine units, the cedar-level determinism matrix
-# (bit-identical verdicts, fees, and normalized traces across workers {1,8}
-# × fault rates {0,0.2}), the single-database degenerate byte-identity, the
-# partition property test, the routed serving tier (shard counts {1,4} vs a
-# direct route-enabled replica), routing accuracy against the corpus's gold
+# binding, the plan/recombine units, the identity matrix's routed cells
+# (bit-identical verdicts, fees and normalized traces across workers {1,8},
+# fault rates {0,0.2} and shard counts {1,4}, the library against a
+# replica and a coordinator, and the single-database degenerate raw
+# byte-identity), the partition property test, routing accuracy against the corpus's gold
 # labels (≥ 0.9, catalog binding and route.PlanDocuments), and routed F1
 # above home-database F1.
 route:
-	$(GO) test -race -run 'Route|Decompose|Combine|Catalog|UnitID' \
+	$(GO) test -race -run 'Route|Decompose|Combine|Catalog|UnitID|IdentityMatrix' \
 		./internal/route ./internal/agent ./internal/schedule ./internal/data \
 		./cedar ./internal/serve ./cmd/cedar-serve ./internal/ingest
 
@@ -245,7 +257,9 @@ census:
 
 # Alternating pairs of `go run ./benchmark` runs, parent against the working
 # tree (internal/benchpairs): the benchmark is built once at PARENT, in a git
-# worktree under a temporary directory, and once here; then N pairs run, each
+# worktree under a temporary directory, and once here, both with -trimpath
+# -buildvcs=false, and it says whether the two binaries are byte-identical
+# (the same source builds the same bytes); then N pairs run, each
 # workload in a process of its own at -trace 0, alternating which side goes
 # first. ARGS passes -workload, -seconds and -out through (-out names
 # the directory every run's result line is kept in). For each workload and

@@ -2,9 +2,13 @@ package cedar
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/claim"
 )
 
 func TestEndToEndPublicAPI(t *testing.T) {
@@ -380,5 +384,56 @@ func TestBreakerOptionHealthyRun(t *testing.T) {
 	}
 	if snap := sys.Resilience(); snap.BreakerTrips != 0 || snap.BreakerSheds != 0 {
 		t.Errorf("breaker acted on a healthy provider: %v", snap)
+	}
+}
+
+// TestStreamSubmitBlocksPastWindow counts NewStream's bound with no one
+// reading Results: window documents wait their turn and one more is being
+// verified or awaits delivery, so Submit number window+2 blocks until a
+// result is read. (That a stream verifies as a batch does, in any arrival
+// order, is a cell of cmd/cedar-serve's TestIdentityMatrix.)
+func TestStreamSubmitBlocksPastWindow(t *testing.T) {
+	docs, err := Benchmark(BenchAggChecker, 505)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(Options{Seed: 404})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ProfileOn(docs[:6]); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			st, submit := sys.NewStream(window), claim.CloneDocuments(docs[6:6+window+3])
+			var admitted atomic.Int64
+			go func() {
+				for _, d := range submit {
+					if err := st.Submit(d); err != nil {
+						t.Error(err)
+					}
+					admitted.Add(1)
+				}
+				st.Close()
+			}()
+			for deadline := time.Now().Add(5 * time.Second); admitted.Load() < int64(window+1) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(50 * time.Millisecond) // every chance to run past the bound
+			if got := admitted.Load(); got != int64(window+1) {
+				t.Errorf("%d documents admitted with none delivered, want %d", got, window+1)
+			}
+			delivered := 0
+			for range st.Results() {
+				delivered++
+			}
+			if delivered != len(submit) {
+				t.Errorf("%d of %d documents delivered", delivered, len(submit))
+			}
+			if err := st.Submit(submit[0]); err != ErrStreamClosed {
+				t.Errorf("Submit after Close = %v, want ErrStreamClosed", err)
+			}
+		})
 	}
 }

@@ -1,47 +1,26 @@
 package cedar
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/claim"
-	"repro/internal/trace"
 )
 
-// The cross-process determinism harness (DESIGN.md §11): a cold run populates
-// a temp-dir store, a warm run in a completely fresh System over the same
-// directory must reproduce it — bit-identical verdicts (full Result, Trace
-// string included), identical Quality partitions, zero ledger fees for
-// persisted completions, and a byte-identical trace after ReplayNormalize
-// strips replay noise. The matrix crosses workers {1, 8} with fault rates
-// {0, 0.2}. The stack runs without Retrier/Hedged: a cold retry-then-success
-// stores its completion under a retry-agnostic key, so a warm first attempt
-// would be answered from the store and the cold run's fault/retry spans could
-// not replay — verdict determinism would survive, trace identity would not
-// (the documented §11 caveat; cedar-serve's warm-restart test covers the
-// retrying configuration at verdict level).
+// The cross-process contract itself (cold populates, warm reproduces at a
+// lower fee, DESIGN.md §11) is the store axis of cmd/cedar-serve's
+// TestIdentityMatrix. What stays here is the memo bookkeeping around it.
 
-// storeRunResult captures everything one run exposes that the contract
-// constrains.
+// storeRunResult captures what one run of the memo tests reports.
 type storeRunResult struct {
 	report  Report
 	results []claim.Result // all claims, doc-major order
-	spans   []trace.Span   // canonical order, eval run only
 }
 
 // storeRun builds a fresh System over cacheDir, profiles it, verifies a clone
 // of evalDocs, and closes it — one "process" of the cross-process contract.
-func storeRun(t *testing.T, cacheDir string, workers int, faultRate float64, profDocs, evalDocs []*Document) storeRunResult {
+func storeRun(t *testing.T, cacheDir string, profDocs, evalDocs []*Document) storeRunResult {
 	t.Helper()
-	tracer := NewTracer()
-	sys, err := New(Options{
-		Seed:      404,
-		CacheDir:  cacheDir,
-		Workers:   workers,
-		FaultRate: faultRate,
-		Tracer:    tracer,
-	})
+	sys, err := New(Options{Seed: 404, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +43,7 @@ func storeRun(t *testing.T, cacheDir string, workers int, faultRate float64, pro
 			results = append(results, c.Result)
 		}
 	}
-	return storeRunResult{report: rep, results: results, spans: tracer.Spans()}
-}
-
-// normalizedJSONL serializes ReplayNormalize(spans) for byte comparison.
-func normalizedJSONL(t *testing.T, spans []trace.Span) []byte {
-	t.Helper()
-	tr := trace.New()
-	for _, s := range trace.ReplayNormalize(spans) {
-		tr.Record(s)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return storeRunResult{report: rep, results: results}
 }
 
 // assertSameResults compares full claim results — verdict, method, attempts,
@@ -96,144 +61,6 @@ func assertSameResults(t *testing.T, label string, want, got []claim.Result) {
 	}
 }
 
-// TestCrossProcessDeterminism is the foregrounded acceptance gate of the
-// persistent store: cold populates, warm reproduces — across worker counts
-// and fault rates — with the exact accounting identity
-// warm.Calls == cold.Calls − warm.PersistedHits (every call the warm run did
-// not make is a persisted hit, and nothing else changed).
-func TestCrossProcessDeterminism(t *testing.T) {
-	docs, err := Benchmark(BenchAggChecker, 404)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profDocs, evalDocs := docs[:8], docs[8:20]
-
-	for _, rate := range []float64{0, 0.2} {
-		// Verdicts must also agree across worker counts within a rate.
-		var acrossWorkers []claim.Result
-		for _, workers := range []int{1, 8} {
-			rate, workers := rate, workers
-			t.Run(fmt.Sprintf("rate=%v/workers=%d", rate, workers), func(t *testing.T) {
-				dir := t.TempDir()
-				cold := storeRun(t, dir, workers, rate, profDocs, evalDocs)
-				warm := storeRun(t, dir, workers, rate, profDocs, evalDocs)
-
-				assertSameResults(t, "cold vs warm", cold.results, warm.results)
-				if cold.report.Quality != warm.report.Quality {
-					t.Errorf("quality partitions diverged:\n cold %v\n warm %v", cold.report.Quality, warm.report.Quality)
-				}
-
-				// Accounting: the warm run books exactly the calls the store
-				// could not answer, at strictly lower cost.
-				if warm.report.PersistedHits == 0 {
-					t.Error("warm run had no persisted hits")
-				}
-				if cold.report.PersistedHits != 0 {
-					t.Errorf("cold run claims %d persisted hits from an empty store", cold.report.PersistedHits)
-				}
-				if warm.report.Calls != cold.report.Calls-warm.report.PersistedHits {
-					t.Errorf("warm calls = %d, want cold %d − persisted %d",
-						warm.report.Calls, cold.report.Calls, warm.report.PersistedHits)
-				}
-				if warm.report.Dollars >= cold.report.Dollars {
-					t.Errorf("warm run cost $%.4f, not below cold $%.4f", warm.report.Dollars, cold.report.Dollars)
-				}
-
-				// Memos: every claim's fresh verdict must match its memo.
-				if cold.report.MemoHits != 0 {
-					t.Errorf("cold run hit %d memos in an empty store", cold.report.MemoHits)
-				}
-				if warm.report.MemoHits != warm.report.Claims {
-					t.Errorf("warm memo hits = %d of %d claims", warm.report.MemoHits, warm.report.Claims)
-				}
-				if warm.report.MemoMismatches != 0 {
-					t.Errorf("warm run had %d memo mismatches", warm.report.MemoMismatches)
-				}
-
-				// Traces: byte-identical after replay normalization.
-				coldTrace := normalizedJSONL(t, cold.spans)
-				warmTrace := normalizedJSONL(t, warm.spans)
-				if len(coldTrace) == 0 {
-					t.Fatal("cold run produced an empty normalized trace")
-				}
-				if !bytes.Equal(coldTrace, warmTrace) {
-					t.Errorf("normalized traces differ (%d vs %d bytes)", len(coldTrace), len(warmTrace))
-					diffJSONL(t, coldTrace, warmTrace)
-				}
-
-				// A second warm run over the now-complete store reproduces the
-				// first warm run exactly.
-				warm2 := storeRun(t, dir, workers, rate, profDocs, evalDocs)
-				assertSameResults(t, "warm vs warm", warm.results, warm2.results)
-				if !bytes.Equal(warmTrace, normalizedJSONL(t, warm2.spans)) {
-					t.Error("second warm run's normalized trace diverged")
-				}
-
-				if acrossWorkers == nil {
-					acrossWorkers = cold.results
-				} else {
-					assertSameResults(t, "across workers", acrossWorkers, cold.results)
-				}
-			})
-		}
-	}
-}
-
-// diffJSONL reports the first differing line of two JSONL streams.
-func diffJSONL(t *testing.T, want, got []byte) {
-	t.Helper()
-	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
-	n := len(wl)
-	if len(gl) < n {
-		n = len(gl)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(wl[i], gl[i]) {
-			t.Logf("first divergence at line %d:\n want %s\n  got %s", i+1, wl[i], gl[i])
-			return
-		}
-	}
-	t.Logf("streams share a %d-line prefix; lengths differ (%d vs %d lines)", n, len(wl), len(gl))
-}
-
-// TestStoreTransparency: enabling CacheDir must not change verdicts relative
-// to a store-less run — the persistence layer is an accelerator, never a
-// behavior fork.
-func TestStoreTransparency(t *testing.T) {
-	docs, err := Benchmark(BenchAggChecker, 404)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profDocs, evalDocs := docs[:8], docs[8:14]
-
-	run := func(cacheDir string) []claim.Result {
-		t.Helper()
-		sys, err := New(Options{Seed: 404, CacheDir: cacheDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		if err := sys.ProfileOn(claim.CloneDocuments(profDocs)); err != nil {
-			t.Fatal(err)
-		}
-		cloned := claim.CloneDocuments(evalDocs)
-		if _, err := sys.Verify(cloned); err != nil {
-			t.Fatal(err)
-		}
-		var results []claim.Result
-		for _, d := range cloned {
-			for _, c := range d.Claims {
-				results = append(results, c.Result)
-			}
-		}
-		return results
-	}
-
-	bare := run("")
-	stored := run(t.TempDir())
-	assertSameResults(t, "bare vs stored", bare, stored)
-}
-
 // TestMemoMismatchSurfaces: a corrupted memo must be detected, counted,
 // overwritten — and must never change the fresh verdict.
 func TestMemoMismatchSurfaces(t *testing.T) {
@@ -244,7 +71,7 @@ func TestMemoMismatchSurfaces(t *testing.T) {
 	profDocs, evalDocs := docs[:8], docs[8:10]
 	dir := t.TempDir()
 
-	cold := storeRun(t, dir, 1, 0, profDocs, evalDocs)
+	cold := storeRun(t, dir, profDocs, evalDocs)
 
 	// Corrupt every memo in place: flip the verdict bits of each stored memo
 	// through a System handle on the same directory.
@@ -281,7 +108,7 @@ func TestMemoMismatchSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := storeRun(t, dir, 1, 0, profDocs, evalDocs)
+	warm := storeRun(t, dir, profDocs, evalDocs)
 	assertSameResults(t, "verdicts despite tampered memos", cold.results, warm.results)
 	if warm.report.MemoMismatches != flipped {
 		t.Errorf("mismatches = %d, want %d", warm.report.MemoMismatches, flipped)
@@ -291,7 +118,7 @@ func TestMemoMismatchSurfaces(t *testing.T) {
 	}
 
 	// The mismatch pass overwrote the memos, so a third run is clean again.
-	again := storeRun(t, dir, 1, 0, profDocs, evalDocs)
+	again := storeRun(t, dir, profDocs, evalDocs)
 	if again.report.MemoMismatches != 0 || again.report.MemoHits != again.report.Claims {
 		t.Errorf("after overwrite: hits=%d mismatches=%d of %d claims",
 			again.report.MemoHits, again.report.MemoMismatches, again.report.Claims)

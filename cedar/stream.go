@@ -59,8 +59,8 @@ type Stream struct {
 }
 
 // NewStream opens an incremental verification session over the system. The
-// window bounds documents admitted but not yet delivered (default 4): Submit
-// blocks — backpressure, not buffering — once window documents are in flight.
+// window (default 4) bounds admitted, undelivered documents: Submit blocks
+// (backpressure) once window wait behind one being verified or delivered.
 // The system must be profiled, like Verify. Close the stream to end the
 // session; Results closes after the last outcome.
 func (s *System) NewStream(window int) *Stream {

@@ -111,7 +111,7 @@ func defineFlags(fs *flag.FlagSet) *serveOptions {
 	fs.DurationVar(&o.RequestTimeout, "request-timeout", 60*time.Second, "per-request deadline propagated via context; expired requests answer 504")
 	fs.DurationVar(&o.RetryAfter, "retry-after", 0, "Retry-After hint on 429 responses (default: estimated queue drain time, min 1s)")
 	fs.DurationVar(&o.DrainTimeout, "drain-timeout", 30*time.Second, "how long graceful shutdown waits for admitted requests to finish")
-	fs.IntVar(&o.StreamWindow, "stream-window", 4, "read-ahead of one /v1/verify/stream request: a replica admits at most this many +2 of its documents before one is answered, then stops reading the stream (backpressure)")
+	fs.IntVar(&o.StreamWindow, "stream-window", 4, "read-ahead of one /v1/verify/stream request: a replica admits at most this many +2 of its documents before one is answered, a coordinator places this many +1 with its replicas and reads one more, then either stops reading the stream (backpressure)")
 	fs.IntVar(&o.ReviewCap, "review-cap", 256, "pending human-review items kept; at the cap new items evict only lower-priority ones")
 	fs.IntVar(&o.SampleRows, "sample-rows", 0, "default row budget for POST /v1/datasets ingestions: keep at most N rows, reservoir-sampled deterministically (default 50000)")
 	fs.Int64Var(&o.MaxIngestBytes, "max-ingest-bytes", 0, "default byte budget for POST /v1/datasets ingestions, stopping at the last complete record (default 32 MiB)")
@@ -138,20 +138,12 @@ func main() {
 
 // newServer builds the serving stack — database, profiled System, backend
 // adapter, HTTP server — without binding a listener, so tests can drive it
-// through httptest. The returned closer releases the System's persistent
-// store handles (-cache-dir); call it after Shutdown, and before another
-// newServer may reopen the same directory (warm restart).
-func newServer(o *serveOptions) (*serve.Server, func() error, error) {
-	return newServerSink(o, nil)
-}
-
-// newServerSink is newServer with a span sink: when non-nil, sink receives
-// every micro-batch's trace spans right after the batch's run completes
-// (the System resets its tracer at each run start, so without a sink only
-// the last batch's spans survive). The sharded-identity harness uses it to
-// harvest each replica's full verification trace for cross-topology
-// comparison.
-func newServerSink(o *serveOptions, sink func([]trace.Span)) (*serve.Server, func() error, error) {
+// through httptest. Its closer releases the System's store handles
+// (-cache-dir): call it after Shutdown, before another newServer reopens the
+// directory. A non-nil sink gets each micro-batch's trace spans as its run
+// completes (the tracer resets per run); main passes nil, and the identity
+// matrix a harvester.
+func newServer(o *serveOptions, sink func([]trace.Span)) (*serve.Server, func() error, error) {
 	// The tracer feeds the per-method rollups of GET /v1/metrics; the
 	// backend resets it each micro-batch, so memory stays bounded. The
 	// dataset registry shares the System's persistent store (when
@@ -313,7 +305,7 @@ func run(o *serveOptions) error {
 	if o.Coordinator {
 		return runCoordinator(o)
 	}
-	srv, closeSys, err := newServer(o)
+	srv, closeSys, err := newServer(o, nil)
 	if err != nil {
 		return err
 	}

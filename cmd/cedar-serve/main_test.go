@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -14,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/cedar"
-	"repro/internal/ingest"
 	"repro/internal/serve"
 )
 
@@ -58,7 +55,7 @@ func TestNegativeRetriesRejected(t *testing.T) {
 	if err := fs.Parse([]string{"-csv", writeCSVFixture(t), "-retries", "-1"}); err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := newServer(o)
+	srv, _, err := newServer(o, nil)
 	if err == nil || !strings.Contains(err.Error(), "Retries") {
 		t.Fatalf("newServer with -retries -1 = (%v, %v), want an error naming Retries", srv, err)
 	}
@@ -69,112 +66,16 @@ var testClaims = []serve.ClaimInput{
 	{ID: "bad", Sentence: "The highest fatalities between 2000 and 2014 recorded was 999.", Value: "999"},
 }
 
-// TestServedMatchesDirectRun is the CLI/HTTP bit-identity contract: the same
-// seed, database, and claims produce identical verdicts and identical
-// ledger totals whether they arrive over HTTP or through the library entry
-// point the cedar CLI uses.
-func TestServedMatchesDirectRun(t *testing.T) {
-	// A -dataset without -cache-dir has no store to restore from: the
-	// server refuses to start, before profiling, with cedar's error.
+// TestServeDatasetRequiresCacheDir: a -dataset without -cache-dir has no
+// store to restore from, so the server refuses to start, before profiling,
+// with cedar's error. (That a served run matches the CLI's is a cell of
+// TestIdentityMatrix.)
+func TestServeDatasetRequiresCacheDir(t *testing.T) {
 	fs := flag.NewFlagSet("cedar-serve", flag.ContinueOnError)
 	o := defineFlags(fs)
-	if err := fs.Parse([]string{"-dataset", "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := newServer(o); err == nil || err.Error() != "-dataset requires -cache-dir (datasets are loaded from the persistent store)" {
+	must(t, fs.Parse([]string{"-dataset", "x"}))
+	if _, _, err := newServer(o, nil); err == nil || err.Error() != "-dataset requires -cache-dir (datasets are loaded from the persistent store)" {
 		t.Fatalf("newServer with -dataset and no -cache-dir: %v", err)
-	}
-
-	csvPath := writeCSVFixture(t)
-	o = testOptions(t, csvPath)
-	o.BatchWait = -1 // every request rides alone, like a CLI run
-
-	srv, closeSys, err := newServer(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeSys()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	body, err := json.Marshal(serve.VerifyRequest{Claims: testClaims})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func() serve.VerifyResponse {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
-		}
-		var out serve.VerifyResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	served := post()
-	// Serving is stateless across batches: a repeat of the same request
-	// reproduces itself exactly (the ledger and tracer reset per run).
-	if again := post(); !reflect.DeepEqual(served, again) {
-		t.Errorf("served response not reproducible:\nfirst  %+v\nsecond %+v", served, again)
-	}
-
-	ctx, cancel := contextWithTimeout(5 * time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// The reference run: the System cmd/cedar stands up from the same
-	// flags, through the entry point it verifies with.
-	sys, err := o.Open(nil, ingest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	var claims []*cedar.Claim
-	for _, in := range testClaims {
-		c, err := cedar.NewClaim(in.ID, in.Sentence, in.Value, in.Context)
-		if err != nil {
-			t.Fatal(err)
-		}
-		claims = append(claims, c)
-	}
-	rep, err := sys.Run(claims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbName := sys.Name
-
-	if served.DocID != dbName {
-		t.Errorf("served doc_id = %q, want the CLI's %q", served.DocID, dbName)
-	}
-	if len(served.Claims) != len(claims) {
-		t.Fatalf("served %d claims, want %d", len(served.Claims), len(claims))
-	}
-	for i, c := range claims {
-		got := served.Claims[i]
-		want := serve.ClaimResult{
-			ID:       c.ID,
-			Correct:  c.Result.Correct,
-			Verified: c.Result.Verified,
-			Method:   c.Result.Method,
-			Query:    c.Result.Query,
-			Attempts: c.Result.Attempts,
-			Failure:  c.Result.Failure,
-		}
-		if got != want {
-			t.Errorf("claim %s served %+v, direct run %+v", c.ID, got, want)
-		}
-	}
-	if served.Batch.Claims != rep.Claims || served.Batch.Dollars.Dollars() != rep.Dollars || served.Batch.Calls != rep.Calls {
-		t.Errorf("served batch totals %+v, direct run claims=%d dollars=%v calls=%d",
-			served.Batch, rep.Claims, rep.Dollars, rep.Calls)
 	}
 }
 
@@ -183,7 +84,7 @@ func TestServedMatchesDirectRun(t *testing.T) {
 func TestServerStatusAndResilienceMetrics(t *testing.T) {
 	csvPath := writeCSVFixture(t)
 	o := testOptions(t, csvPath)
-	srv, closeSys, err := newServer(o)
+	srv, closeSys, err := newServer(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,18 +97,8 @@ func TestServerStatusAndResilienceMetrics(t *testing.T) {
 		_ = srv.Shutdown(ctx)
 	}()
 
-	body, err := json.Marshal(serve.VerifyRequest{Claims: testClaims[:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("verify status = %d, want 200", resp.StatusCode)
-	}
+	var verified serve.VerifyResponse
+	postJSON(t, ts.URL+"/v1/verify", serve.VerifyRequest{Claims: testClaims[:1]}, &verified)
 
 	sresp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
@@ -254,38 +145,18 @@ func TestServeWarmRestart(t *testing.T) {
 	csvPath := writeCSVFixture(t)
 	cacheDir := t.TempDir()
 
-	post := func(ts *httptest.Server) serve.VerifyResponse {
-		t.Helper()
-		body, err := json.Marshal(serve.VerifyRequest{Claims: testClaims})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
-		}
-		var out serve.VerifyResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
 	serveOnce := func() serve.VerifyResponse {
 		t.Helper()
 		o := testOptions(t, csvPath)
 		o.BatchWait = -1
 		o.CacheDir = cacheDir
-		srv, closeSys, err := newServer(o)
+		srv, closeSys, err := newServer(o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
-		out := post(ts)
+		var out serve.VerifyResponse
+		postJSON(t, ts.URL+"/v1/verify", serve.VerifyRequest{Claims: testClaims}, &out)
 		ts.Close()
 		ctx, cancel := contextWithTimeout(5 * time.Second)
 		defer cancel()

@@ -26,7 +26,7 @@ func TestPprofListenerIsSeparate(t *testing.T) {
 		t.Errorf("pprof cmdline = %d %q", resp.StatusCode, body)
 	}
 
-	srv, closeSys, err := newServer(testOptions(t, writeCSVFixture(t)))
+	srv, closeSys, err := newServer(testOptions(t, writeCSVFixture(t)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 	"repro/internal/trace"
 )
 
-// spanSink accumulates the per-micro-batch trace spans newServerSink hands
-// out, so the harness can compare a replica's full verification trace.
+// spanSink accumulates the per-micro-batch trace spans newServer hands out,
+// so the identity matrix can compare a replica's full verification trace.
 type spanSink struct {
 	mu    sync.Mutex
 	spans []trace.Span
@@ -30,10 +30,13 @@ func (s *spanSink) add(spans []trace.Span) {
 	s.mu.Unlock()
 }
 
-func (s *spanSink) all() []trace.Span {
+// take returns the spans accumulated since the last take.
+func (s *spanSink) take() []trace.Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]trace.Span(nil), s.spans...)
+	out := s.spans
+	s.spans = nil
+	return out
 }
 
 // shardReplica is one in-process replica: a full cedar-serve stack (own
@@ -44,8 +47,8 @@ type shardReplica struct {
 	sink *spanSink
 }
 
-// shardTier is the in-process multi-replica fixture of the sharded-identity
-// harness: a coordinator plus n replicas on loopback, all sharing one
+// shardTier is the in-process multi-replica fixture of the identity matrix
+// and the shard tests: a coordinator plus n replicas on loopback, all sharing one
 // database fixture and seed — the topology `cedar-serve -coordinator`
 // assembles from separate processes.
 type shardTier struct {
@@ -65,7 +68,7 @@ func bootShardTier(t *testing.T, csvPath string, n int, tune func(*serveOptions)
 			tune(o)
 		}
 		sink := &spanSink{}
-		srv, closeSys, err := newServerSink(o, sink.add)
+		srv, closeSys, err := newServer(o, sink.add)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,10 +112,10 @@ func bootShardTier(t *testing.T, csvPath string, n int, tune func(*serveOptions)
 // shardWorkload builds W documents over the airlines fixture with a mix of
 // correct and incorrect claims, so the quality partition under comparison is
 // non-trivial (some verified-correct, some not).
-func shardWorkload(w int) []serve.VerifyRequest {
-	out := make([]serve.VerifyRequest, 0, w)
+func shardWorkload(w int) []serve.DocumentInput {
+	out := make([]serve.DocumentInput, 0, w)
 	for i := 0; i < w; i++ {
-		req := serve.VerifyRequest{
+		req := serve.DocumentInput{
 			DocID: fmt.Sprintf("shard-doc-%d", i),
 			Claims: []serve.ClaimInput{
 				{ID: "good", Sentence: "Malaysia Airlines recorded 2 fatal accidents between 2000 and 2014.", Value: "2"},
@@ -131,7 +134,7 @@ func shardWorkload(w int) []serve.VerifyRequest {
 // postShardVerify submits one document through the coordinator. It runs on
 // workload goroutines, so failures use t.Error (goroutine-safe) and surface
 // as a zero status code for the test goroutine to act on.
-func postShardVerify(t *testing.T, client *http.Client, base string, req serve.VerifyRequest) (serve.VerifyResponse, int) {
+func postShardVerify(t *testing.T, client *http.Client, base string, req serve.DocumentInput) (serve.VerifyResponse, int) {
 	t.Helper()
 	var out serve.VerifyResponse
 	body, err := json.Marshal(req)
@@ -156,7 +159,7 @@ func postShardVerify(t *testing.T, client *http.Client, base string, req serve.V
 
 // runShardWorkload pushes the whole workload through the coordinator
 // concurrently and returns verdicts keyed by document ID.
-func runShardWorkload(t *testing.T, tier *shardTier, reqs []serve.VerifyRequest) map[string][]serve.ClaimResult {
+func runShardWorkload(t *testing.T, tier *shardTier, reqs []serve.DocumentInput) map[string][]serve.ClaimResult {
 	t.Helper()
 	client := &http.Client{Timeout: 60 * time.Second}
 	verdicts := make([]serve.VerifyResponse, len(reqs))
@@ -164,7 +167,7 @@ func runShardWorkload(t *testing.T, tier *shardTier, reqs []serve.VerifyRequest)
 	var wg sync.WaitGroup
 	for i, req := range reqs {
 		wg.Add(1)
-		go func(i int, req serve.VerifyRequest) {
+		go func(i int, req serve.DocumentInput) {
 			defer wg.Done()
 			verdicts[i], codes[i] = postShardVerify(t, client, tier.coordTS.URL, req)
 		}(i, req)
@@ -178,104 +181,6 @@ func runShardWorkload(t *testing.T, tier *shardTier, reqs []serve.VerifyRequest)
 		out[v.DocID] = v.Claims
 	}
 	return out
-}
-
-// mergedNormalizedTrace merges every replica's harvested spans, restores
-// canonical order, and strips topology-dependent noise — the cross-topology
-// trace identity surface.
-func mergedNormalizedTrace(t *testing.T, tier *shardTier) []byte {
-	t.Helper()
-	var all []trace.Span
-	for _, rep := range tier.replicas {
-		all = append(all, rep.sink.all()...)
-	}
-	sortSpans(all)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, sp := range trace.ReplayNormalize(all) {
-		if err := enc.Encode(sp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-func sortSpans(spans []trace.Span) {
-	for i := 1; i < len(spans); i++ { // insertion sort keeps this test dependency-free
-		for j := i; j > 0 && spans[j].Less(spans[j-1]); j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-}
-
-// TestShardedServingIdentity is the sharded-tier determinism harness: the
-// same workload served at shard counts 1, 2, 4, and 8 yields bit-identical
-// verdicts, an identical quality partition, and a byte-identical normalized
-// merged trace — sharding buys throughput, never different answers.
-func TestShardedServingIdentity(t *testing.T) {
-	csvPath := writeCSVFixture(t)
-	reqs := shardWorkload(10)
-
-	type topology struct {
-		verdicts map[string][]serve.ClaimResult
-		trace    []byte
-	}
-	results := make(map[int]topology)
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			tier := bootShardTier(t, csvPath, shards, nil)
-			verdicts := runShardWorkload(t, tier, reqs)
-			if len(verdicts) != len(reqs) {
-				t.Fatalf("%d documents answered, want %d", len(verdicts), len(reqs))
-			}
-			results[shards] = topology{verdicts: verdicts, trace: mergedNormalizedTrace(t, tier)}
-
-			if shards > 1 {
-				touched := 0
-				for _, rep := range tier.replicas {
-					if len(rep.sink.all()) > 0 {
-						touched++
-					}
-				}
-				if touched < 2 {
-					t.Errorf("only %d of %d replicas verified anything; the ring is not spreading load", touched, shards)
-				}
-			}
-		})
-	}
-
-	base := results[1]
-	// The workload's quality partition is non-trivial: both verified-correct
-	// and failed claims appear, so identity below is not vacuous.
-	good, bad := 0, 0
-	for _, claims := range base.verdicts {
-		for _, c := range claims {
-			if c.Verified && c.Correct {
-				good++
-			} else {
-				bad++
-			}
-		}
-	}
-	if good == 0 || bad == 0 {
-		t.Fatalf("degenerate workload: %d verified-correct, %d other", good, bad)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := results[shards]
-		if got.verdicts == nil {
-			t.Fatalf("no results for %d shards", shards)
-		}
-		if !reflect.DeepEqual(base.verdicts, got.verdicts) {
-			t.Errorf("verdicts at %d shards differ from 1 shard", shards)
-		}
-		if !bytes.Equal(base.trace, got.trace) {
-			t.Errorf("normalized merged trace at %d shards differs from 1 shard (%d vs %d bytes)",
-				shards, len(got.trace), len(base.trace))
-		}
-	}
-	if len(base.trace) == 0 {
-		t.Error("normalized trace is empty; the span sink harvested nothing")
-	}
 }
 
 // TestShardFailoverChaos kills a replica mid-load — listener and all live
@@ -390,7 +295,7 @@ func TestShardReplicaSelfRegistration(t *testing.T) {
 	// A second replica registers itself the way run() does with -replica-of.
 	o := testOptions(t, csvPath)
 	o.BatchWait = -1
-	srv, closeSys, err := newServerSink(o, nil)
+	srv, closeSys, err := newServer(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

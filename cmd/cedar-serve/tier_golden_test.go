@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-var updateTier = flag.Bool("update", false, "rewrite testdata/tier.golden from this build")
+var update = flag.Bool("update", false, "rewrite testdata/tier.golden and testdata/identity_cells.txt from this build")
 
 // tierGoldenPath holds the exact response bodies of the serving tier.
 var tierGoldenPath = filepath.Join("testdata", "tier.golden")
@@ -90,7 +90,7 @@ func tierCases() []tierCase {
 // rewrites the golden; only a change to what the tier answers may do so.
 func TestTierGolden(t *testing.T) {
 	got := tierTranscript(t)
-	if *updateTier {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(tierGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func tierTranscript(t *testing.T) []byte {
 	o := testOptions(t, airlines)
 	o.BatchWait = -1
 	tune(o)
-	srv, closeSys, err := newServer(o)
+	srv, closeSys, err := newServer(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

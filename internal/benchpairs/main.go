@@ -13,7 +13,8 @@
 // and lost, and a verdict: "WORSE" when the change's median is worse than
 // the parent's by more than the metric's bound (in the metric's direction),
 // "unresolved" when the parent's own spread is wider than the bound, "ok"
-// otherwise. It also says whether both sides printed the same
+// otherwise. It also says whether the two binaries, both built with
+// buildFlags, are byte-identical, and whether both sides printed the same
 // `bench.digest` in every pair. It exits non-zero when a run fails or a
 // digest differs; a WORSE verdict is reported, not an error.
 //
@@ -120,10 +121,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var bins [2]string
 	for s, dir := range dirs {
 		bins[s] = filepath.Join(tmp, sides[s]+".bin")
-		if err := command(dir, goBin(), "build", "-o", bins[s], "./benchmark"); err != nil {
+		if err := command(dir, goBin(), append(append([]string{"build"}, buildFlags...), "-o", bins[s], "./benchmark")...); err != nil {
 			return fmt.Errorf("building the %s's benchmark: %w", sides[s], err)
 		}
 	}
+	parentBin, _ := os.ReadFile(bins[0])
+	changeBin, _ := os.ReadFile(bins[1])
+	fmt.Fprintf(stdout, "benchmark binaries byte-identical: %t\n", string(parentBin) == string(changeBin))
 
 	benchArgs := []string{"-trace", "0"}
 	if *seconds != "" {
@@ -174,6 +178,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	return nil
 }
+
+// buildFlags keep the checkout's path and version-control stamp out of a
+// build, so equal sources in two checkouts build equal bytes.
+var buildFlags = []string{"-trimpath", "-buildvcs=false"}
 
 // goBin is the go command: $GO, as the Makefile passes it, or go.
 func goBin() string {

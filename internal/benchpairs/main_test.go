@@ -86,3 +86,12 @@ func TestCompareRejectsBadLines(t *testing.T) {
 		t.Error("one parent run against no change run was accepted")
 	}
 }
+
+// TestBuildFlagsAreReproducible pins how both sides are built: without the
+// checkout's path or version-control stamp, so the same source builds the
+// same bytes and "benchmark binaries byte-identical" can say true.
+func TestBuildFlagsAreReproducible(t *testing.T) {
+	if got := strings.Join(buildFlags, " "); got != "-trimpath -buildvcs=false" {
+		t.Errorf("build flags %q, want -trimpath -buildvcs=false", got)
+	}
+}

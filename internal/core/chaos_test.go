@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/claim"
 	"repro/internal/data"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/llm/resilience"
 	"repro/internal/llm/sim"
 	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/schedule"
 	"repro/internal/verify"
 )
@@ -18,7 +18,7 @@ import (
 // resilientStack builds the stack cedar ships (verify.NewStack) with fault
 // injection, retries and optionally a hedge and a tracer. The breaker is
 // deliberately absent — its shared state is order-dependent, so it gets its
-// own tests instead of a seat in the determinism matrix.
+// own tests instead of a seat in the identity matrix.
 func resilientStack(t testing.TB, seed int64, mw verify.Middleware) ([]verify.Method, *llm.Ledger) {
 	t.Helper()
 	s, err := verify.NewStack(seed, mw)
@@ -28,90 +28,44 @@ func resilientStack(t testing.TB, seed int64, mw verify.Middleware) ([]verify.Me
 	return s.Methods, s.Ledger
 }
 
-// TestChaosDeterministicAcrossWorkerCounts is the chaos matrix: fault rate ×
-// worker count, asserting that (a) verdicts and ledger totals are identical
-// across worker counts under injected faults, and (b) no claim is lost —
-// every claim ends verified, degraded to unverified, or explicitly failed
-// with a typed transport error.
-func TestChaosDeterministicAcrossWorkerCounts(t *testing.T) {
-	docs, err := data.AggChecker(404)
+// runSnapshot captures what the pipeline tests read of a verification run:
+// per-claim results and aggregate quality. (That a run is identical at any
+// worker count, fault rate or plan-cache warmth is cmd/cedar-serve's
+// TestIdentityMatrix.)
+type runSnapshot struct {
+	results []claim.Result
+	quality metrics.Quality
+}
+
+// snapshotRun profiles and runs the pipeline over clones of evalDocs on the
+// stack verify.NewStack builds with mw.
+func snapshotRun(t *testing.T, seed int64, workers int, evalDocs, profDocs []*claim.Document, mw verify.Middleware) runSnapshot {
+	t.Helper()
+	methods, ledger := resilientStack(t, seed, mw)
+	stats, err := profile.Run(methods, profDocs, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profDocs, evalDocs := docs[:8], docs[8:20]
-	for _, rate := range []float64{0, 0.05, 0.2, 0.5} {
-		rate := rate
-		t.Run(fmt.Sprintf("rate=%v", rate), func(t *testing.T) {
-			mw := verify.Middleware{FaultRate: rate, Retries: 2}
-			if rate == 0.2 {
-				// One cell exercises hedging on top of faults + retries.
-				mw.HedgeAfter = 2 * time.Second
-			}
-			build := func(t testing.TB, seed int64) ([]verify.Method, *llm.Ledger) {
-				return resilientStack(t, seed, mw)
-			}
-			gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
-
-			base := snapshotRunWith(t, 404, 1, gen, profDocs, build)
-			if len(base.results) == 0 {
-				t.Fatal("no claims processed in baseline run")
-			}
-			assertNoClaimLost(t, base)
-			assertQualityPartition(t, base)
-
-			got := snapshotRunWith(t, 404, 8, gen, profDocs, build)
-			assertNoClaimLost(t, got)
-			assertQualityPartition(t, got)
-			if got.quality != base.quality {
-				t.Errorf("workers=8 quality %v != workers=1 %v", got.quality, base.quality)
-			}
-			if got.usage != base.usage {
-				t.Errorf("workers=8 token usage %+v != workers=1 %+v", got.usage, base.usage)
-			}
-			if got.dollars != base.dollars {
-				t.Errorf("workers=8 fees $%v != workers=1 $%v", got.dollars, base.dollars)
-			}
-			if got.calls != base.calls {
-				t.Errorf("workers=8 calls %d != workers=1 %d", got.calls, base.calls)
-			}
-			if len(got.results) != len(base.results) {
-				t.Fatalf("workers=8 produced %d results, workers=1 %d", len(got.results), len(base.results))
-			}
-			for i := range base.results {
-				if got.results[i] != base.results[i] {
-					t.Errorf("workers=8 claim %d result differs:\n got %+v\nwant %+v",
-						i, got.results[i], base.results[i])
-				}
-			}
-		})
+	p, err := New(Config{
+		Methods:        methods,
+		Stats:          stats,
+		AccuracyTarget: 0.99,
+		Seed:           seed,
+		Workers:        workers,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// assertNoClaimLost checks the accounting invariant of the failure model:
-// every claim lands in exactly one terminal bucket.
-func assertNoClaimLost(t *testing.T, snap runSnapshot) {
-	t.Helper()
-	for i, r := range snap.results {
-		switch {
-		case r.Verified:
-			if r.Method == "" || r.Method == claim.MethodUnverified || r.Method == claim.MethodFailed {
-				t.Errorf("claim %d verified but method is %q", i, r.Method)
-			}
-		case r.Method == claim.MethodFailed:
-			if r.Failure == "" {
-				t.Errorf("claim %d marked failed without a typed transport error", i)
-			}
-		case r.Method == claim.MethodUnverified:
-			if r.Failure != "" {
-				t.Errorf("claim %d unverified but carries transport failure %q (should be labeled failed)", i, r.Failure)
-			}
-		default:
-			t.Errorf("claim %d lost: not verified, not unverified, not failed (method %q)", i, r.Method)
-		}
-		if r.Attempts == 0 {
-			t.Errorf("claim %d was never attempted", i)
+	docs := claim.CloneDocuments(evalDocs)
+	ledger.Reset()
+	p.VerifyDocumentsParallel(docs, workers)
+	snap := runSnapshot{quality: metrics.Evaluate(docs)}
+	for _, d := range docs {
+		for _, c := range d.Claims {
+			snap.results = append(snap.results, c.Result)
 		}
 	}
+	return snap
 }
 
 // assertQualityPartition checks the scoring invariant of the Failed bugfix:
@@ -146,16 +100,11 @@ func TestQualityPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	profDocs, evalDocs := docs[:8], docs[8:20]
-	gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
-
-	plain := snapshotRun(t, 404, 1, gen, profDocs)
+	plain := snapshotRun(t, 404, 1, evalDocs, profDocs, verify.Middleware{})
 	for _, rate := range []float64{0, 0.1, 0.35, 0.6, 0.9} {
 		rate := rate
 		t.Run(fmt.Sprintf("rate=%v", rate), func(t *testing.T) {
-			build := func(t testing.TB, seed int64) ([]verify.Method, *llm.Ledger) {
-				return resilientStack(t, seed, verify.Middleware{FaultRate: rate, Retries: 1})
-			}
-			snap := snapshotRunWith(t, 404, 4, gen, profDocs, build)
+			snap := snapshotRun(t, 404, 4, evalDocs, profDocs, verify.Middleware{FaultRate: rate, Retries: 1})
 			assertQualityPartition(t, snap)
 			if rate == 0 {
 				if snap.quality.Failed != 0 {

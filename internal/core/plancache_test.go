@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -11,12 +10,8 @@ import (
 	"repro/internal/data"
 	"repro/internal/ingest"
 	"repro/internal/sqldb"
+	"repro/internal/verify"
 )
-
-// plancache_determinism_test.go extends the determinism contract to the SQL
-// plan cache. claim.CloneDocuments shares each document's *sqldb.Database,
-// so every verification run after the first executes against warm plan
-// caches; verdicts, ledger fees, and normalized trace bytes must not notice.
 
 // planCacheTotals sums plan-cache counters across the distinct databases of
 // a document set.
@@ -39,103 +34,6 @@ func planCacheTotals(docs []*claim.Document) sqldb.PlanCacheStats {
 		total.IndexJoins += st.IndexJoins
 	}
 	return total
-}
-
-// TestVerifyDeterministicWithWarmPlanCache runs the join-heavy JoinBench
-// workload cold, then re-runs it with fully warm plan caches at worker
-// counts 1 and 8. Every snapshot field — per-claim results, quality, token
-// usage, fees, call count — must be bit-identical to the cold run, and the
-// caches must demonstrably serve hits in the warm runs.
-func TestVerifyDeterministicWithWarmPlanCache(t *testing.T) {
-	_, normalized, err := data.JoinBench(405)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profFlat, _, err := data.JoinBench(406)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evalDocs, profDocs := normalized, profFlat[:6]
-	gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
-
-	// Cold caches: flush whatever document generation itself executed.
-	for _, d := range evalDocs {
-		if d.Data != nil {
-			d.Data.InvalidatePlans()
-		}
-	}
-	cold := snapshotRun(t, 405, 1, gen, profDocs)
-	if len(cold.results) == 0 {
-		t.Fatal("no claims verified in cold run")
-	}
-	afterCold := planCacheTotals(evalDocs)
-	if afterCold.Misses == 0 {
-		t.Fatal("cold run never reached the plan cache; the workload is not exercising Query")
-	}
-
-	for _, workers := range []int{1, 8} {
-		before := planCacheTotals(evalDocs)
-		warm := snapshotRun(t, 405, workers, gen, profDocs)
-		after := planCacheTotals(evalDocs)
-
-		if after.Hits <= before.Hits {
-			t.Errorf("workers=%d warm run gained no plan-cache hits (%d -> %d)", workers, before.Hits, after.Hits)
-		}
-		if warm.quality != cold.quality {
-			t.Errorf("workers=%d warm quality %v != cold %v", workers, warm.quality, cold.quality)
-		}
-		if warm.usage != cold.usage {
-			t.Errorf("workers=%d warm token usage %+v != cold %+v", workers, warm.usage, cold.usage)
-		}
-		if warm.dollars != cold.dollars {
-			t.Errorf("workers=%d warm fees $%v != cold $%v", workers, warm.dollars, cold.dollars)
-		}
-		if warm.calls != cold.calls {
-			t.Errorf("workers=%d warm calls %d != cold %d", workers, warm.calls, cold.calls)
-		}
-		if len(warm.results) != len(cold.results) {
-			t.Fatalf("workers=%d warm produced %d results, cold %d", workers, len(warm.results), len(cold.results))
-		}
-		for i := range cold.results {
-			if warm.results[i] != cold.results[i] {
-				t.Errorf("workers=%d claim %d verdict changed on a warm cache:\nwarm %+v\ncold %+v",
-					workers, i, warm.results[i], cold.results[i])
-			}
-		}
-	}
-}
-
-// TestGoldenTraceUnchangedByWarmPlanCache asserts the stronger trace-level
-// property: the sorted JSONL trace of a verification run is byte-identical
-// whether plan caches are cold or warm, at worker counts 1 and 8.
-func TestGoldenTraceUnchangedByWarmPlanCache(t *testing.T) {
-	docs, err := data.AggChecker(404)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profDocs, evalDocs := docs[:8], docs[8:20]
-	gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
-
-	for _, d := range evalDocs {
-		if d.Data != nil {
-			d.Data.InvalidatePlans()
-		}
-	}
-	golden, _, _ := tracedRun(t, 404, 1, 0, gen, profDocs)
-	if len(golden) == 0 {
-		t.Fatal("cold run produced an empty trace")
-	}
-	if planCacheTotals(evalDocs).Entries == 0 {
-		t.Fatal("cold traced run left the plan cache empty; the workload is not exercising Query")
-	}
-	for _, workers := range []int{1, 8} {
-		got, _, _ := tracedRun(t, 404, workers, 0, gen, profDocs)
-		if !bytes.Equal(golden, got) {
-			t.Errorf("workers=%d warm-cache trace differs from cold sequential trace (%d vs %d bytes)",
-				workers, len(got), len(golden))
-			diffTraces(t, golden, got)
-		}
-	}
 }
 
 // TestWarmPlanCacheBigTableNoRowFallback verifies the benchmark's
@@ -189,11 +87,9 @@ func TestWarmPlanCacheBigTableNoRowFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func() []*claim.Document { return claim.CloneDocuments(evalDocs) }
-
 	for _, workers := range []int{1, 8} {
 		before := planCacheTotals(evalDocs)
-		snap := snapshotRun(t, 405, workers, gen, profDocs[:8])
+		snap := snapshotRun(t, 405, workers, evalDocs, profDocs[:8], verify.Middleware{})
 		after := planCacheTotals(evalDocs)
 		if len(snap.results) != len(flat.Claims)+len(norm.Claims) {
 			t.Fatalf("workers=%d verified %d claims, want %d", workers, len(snap.results), len(flat.Claims)+len(norm.Claims))

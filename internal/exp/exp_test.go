@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/verify"
 )
 
@@ -297,44 +295,6 @@ func checkCSV(t *testing.T, out, firstCol string, rows int) {
 	}
 	if records[0][0] != firstCol {
 		t.Errorf("header starts with %q want %q", records[0][0], firstCol)
-	}
-}
-
-// TestStackResilientDeterministic runs an experiment stack under injected
-// faults with retries at workers 1 and 8 and requires identical quality and
-// cost, mirroring the cedar-bench -fault-rate flag path.
-func TestStackResilientDeterministic(t *testing.T) {
-	ro := ResilienceOptions{FaultRate: 0.2, Retries: 2}
-	runAt := func(workers int) (metrics.Quality, metrics.RunCost, int64) {
-		stack, err := NewStackResilient(17, ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stack.Workers = workers
-		docs, err := data.AggChecker(17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := stack.Profile(docs[:6])
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, rc, _, err := stack.RunCEDAR(stats, 0.95, docs[6:14])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q, rc, stack.Resilience.Snapshot().Faults
-	}
-	q1, rc1, faults := runAt(1)
-	if faults == 0 {
-		t.Fatal("fault plan injected nothing at rate 0.2")
-	}
-	q8, rc8, _ := runAt(8)
-	if q1 != q8 {
-		t.Errorf("quality differs across workers: %v vs %v", q1, q8)
-	}
-	if rc1 != rc8 {
-		t.Errorf("run cost differs across workers: %+v vs %+v", rc1, rc8)
 	}
 }
 

@@ -50,7 +50,7 @@ func (s State) String() string {
 // state is shared across concurrent callers, so *which* calls get shed
 // depends on arrival order. Enabling it trades across-worker-count
 // bit-determinism for genuine load shedding — it is off by default and
-// excluded from the chaos determinism matrix; its own tests pin behavior at
+// excluded from the identity matrix; its own tests pin behavior at
 // workers=1 and assert invariants (not exact schedules) under race.
 type Breaker struct {
 	// Client is the underlying completion provider.

@@ -43,10 +43,10 @@ type CoordinatorConfig struct {
 	// Attempts bounds the replicas one request may try, owner first
 	// (default 3).
 	Attempts int
-	// StreamWindow bounds the documents one POST /v1/verify/stream request
-	// may have in flight across replicas (default 4). Each document is
-	// proxied to the replica owning its shard key; the window is the
-	// coordinator's own backpressure bound, independent of the replicas'.
+	// StreamWindow bounds how far one POST /v1/verify/stream request reads
+	// ahead of its answers (default 4): StreamWindow+1 documents placed with
+	// replicas and one more read, none answered. It is the coordinator's own
+	// backpressure bound, independent of the replicas'.
 	StreamWindow int
 	// RequestTimeout bounds one proxied request end to end (default 60s;
 	// negative disables).

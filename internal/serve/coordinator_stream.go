@@ -93,8 +93,8 @@ type ownerQueue struct {
 
 // handleVerifyStream answers POST /v1/verify/stream on the coordinator. A
 // reader goroutine decodes, validates, routes and queues documents — stalling
-// when StreamWindow of them are unanswered — while the handler goroutine
-// writes each document's events in arrival order.
+// once StreamWindow+1 of them are placed and unanswered, with one more read —
+// while the handler goroutine writes each document's events in arrival order.
 func (c *Coordinator) handleVerifyStream(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) || oversize(c.met, w, r) {

@@ -203,51 +203,84 @@ func TestStreamFirstVerdictBeforeLastBatch(t *testing.T) {
 	}
 }
 
-// The stream window is real backpressure: with the backend wedged, the
-// server stops reading the request body after window+1 admissions instead of
-// buffering the client's backlog, and the admission queue never grows past
-// the window.
+// The stream window is real backpressure, counted exactly against wedged
+// backends: a replica admits window+2 documents of a stream before one is
+// answered (the one awaited and window+1 queued behind it), a coordinator
+// places window+1 with its replicas, and neither reads further until one is
+// answered. The coordinator's documents go to window+2 replicas, one each,
+// so every placed document is sent whatever the handler's timing.
 func TestStreamBackpressureBoundsInFlight(t *testing.T) {
-	be := &gatedBackend{entered: make(chan struct{}, 64), gate: make(chan struct{})}
-	srv, ts := newTestServer(t, Config{Backend: be, BatchWait: -1, MaxBatch: 1, StreamWindow: 1})
-
-	pr, pw := io.Pipe()
 	const total = 12
-	go func() {
-		for i := 0; i < total; i++ {
-			_, _ = io.WriteString(pw, streamDocLine(fmt.Sprintf("d%d", i), "1")+"\n")
-		}
-		pw.Close()
-	}()
-	respCh := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/verify/stream", "application/x-ndjson", pr)
-		if err != nil {
-			t.Error(err)
-			respCh <- nil
-			return
-		}
-		respCh <- resp
-	}()
+	for _, window := range []int{1, 2, 4} {
+		for _, coord := range []bool{false, true} {
+			t.Run(fmt.Sprintf("window=%d/coordinator=%t", window, coord), func(t *testing.T) {
+				be := &gatedBackend{entered: make(chan struct{}, 64), gate: make(chan struct{})}
+				wedged := func(window int) *replicaFixture {
+					return newReplica(t, Config{Backend: be, BatchWait: -1, MaxBatch: 1, StreamWindow: window})
+				}
+				ids := make([]string, total)
+				for i := range ids {
+					ids[i] = fmt.Sprintf("d%d", i)
+				}
+				var replicas []*replicaFixture
+				var url string
+				want := window + 2
+				if !coord {
+					replicas = []*replicaFixture{wedged(window)}
+					url = replicas[0].ts.URL
+				} else {
+					for len(replicas) < window+2 {
+						replicas = append(replicas, wedged(total))
+					}
+					c, cts := newTestCoordinator(t, CoordinatorConfig{StreamWindow: window}, replicas...)
+					url, want = cts.URL, window+1
+					for i := range ids {
+						n := len(replicas)
+						ids[i] = docsOwnedBy(t, c, replicas[i%n].ts.URL, i/n+1)[i/n]
+					}
+				}
+				var body strings.Builder
+				for _, id := range ids {
+					body.WriteString(streamDocLine(id, "1") + "\n")
+				}
+				respCh := make(chan *http.Response, 1)
+				go func() {
+					resp, err := http.Post(url+"/v1/verify/stream", "application/x-ndjson", strings.NewReader(body.String()))
+					if err != nil {
+						t.Error(err)
+					}
+					respCh <- resp
+				}()
 
-	<-be.entered // first micro-batch is in flight and wedged
-	// Give the reader every chance to run ahead; the window must stop it.
-	time.Sleep(150 * time.Millisecond)
-	if depth := srv.QueueDepth(); depth > 2 {
-		t.Errorf("queue depth = %d while wedged; window did not apply backpressure", depth)
-	}
-	close(be.gate) // release every batch
-	resp := <-respCh
-	if resp == nil {
-		t.Fatal("stream request failed")
-	}
-	verdicts, errs, sum := splitEvents(t, readEvents(t, resp))
-	if len(errs) != 0 || len(verdicts) != total || sum.Docs != total {
-		t.Fatalf("after release: %d verdicts, %d errors, summary %+v; want %d verdicts", len(verdicts), len(errs), sum, total)
-	}
-	for i, ev := range verdicts {
-		if ev.Index != i {
-			t.Fatalf("verdict[%d].Index = %d; arrival order lost", i, ev.Index)
+				admitted := func() int { // in a wedged batch or queued behind one
+					n := len(be.entered)
+					for _, r := range replicas {
+						n += r.srv.QueueDepth()
+					}
+					return n
+				}
+				for deadline := time.Now().Add(5 * time.Second); admitted() < want && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(100 * time.Millisecond) // every chance to run past the bound
+				if got := admitted(); got != want {
+					t.Errorf("%d documents admitted with none answered, want %d", got, want)
+				}
+				close(be.gate) // release every batch
+				resp := <-respCh
+				if resp == nil {
+					t.Fatal("stream request failed")
+				}
+				verdicts, errs, sum := splitEvents(t, readEvents(t, resp))
+				if len(errs) != 0 || len(verdicts) != total || sum.Docs != total {
+					t.Fatalf("after release: %d verdicts, %d errors, summary %+v; want %d verdicts", len(verdicts), len(errs), sum, total)
+				}
+				for i, ev := range verdicts {
+					if ev.Index != i {
+						t.Fatalf("verdict[%d].Index = %d; arrival order lost", i, ev.Index)
+					}
+				}
+			})
 		}
 	}
 }

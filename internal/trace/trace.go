@@ -322,7 +322,7 @@ func (t *Tracer) Summary() Summary {
 //   - cache_hit, cache_wait, and memo_mismatch spans are dropped;
 //   - shard_route and shard_failover spans are dropped — routing is a
 //     property of the serving topology, not of the verification work, and the
-//     sharded-identity harness compares traces across shard counts;
+//     identity matrix compares traces across shard counts;
 //   - stream_admit and stream_result spans are dropped — arrival order is a
 //     property of how documents were submitted, not of the verification work,
 //     and the stream-determinism gate compares streamed traces against batch
