@@ -143,10 +143,11 @@ sqldiff:
 
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring
 # determinism/minimal-movement units and the 32-goroutine membership stress,
-# the replica health prober/breaker, proxy failover, coordinator
-# routing/fan-out/drain-rebalance, the identity matrix (bit-identical
-# verdicts, fees and merged normalized traces at shard counts {1,2,4,8},
-# unary, batch and stream), and the mid-load replica kill.
+# the replica health prober/breaker, proxy failover, the coordinator's relay
+# (unary and batch alike: one request to one owning replica, its answer
+# verbatim), broadcast folds and drain-rebalance, the identity matrix
+# (bit-identical verdicts, fees and merged normalized traces at shard counts
+# {1,2,4,8}, unary, batch and stream), and the mid-load replica kill.
 shard:
 	$(GO) test -race -run 'Shard|Ring|Prober|Coordinator|Failover|Rebalance|RouteKey|IdentityMatrix' \
 		./internal/shard ./internal/serve ./cmd/cedar-serve
@@ -192,7 +193,8 @@ ingest:
 # binding, the plan/recombine units, the identity matrix's routed cells
 # (bit-identical verdicts, fees and normalized traces across workers {1,8},
 # fault rates {0,0.2} and shard counts {1,4}, the library against a
-# replica and a coordinator, and the single-database degenerate raw
+# replica (where routing runs) and a coordinator relaying to one, and the
+# single-database degenerate raw
 # byte-identity), the partition property test, routing accuracy against the corpus's gold
 # labels (≥ 0.9, catalog binding and route.PlanDocuments), and routed F1
 # above home-database F1.
@@ -275,11 +277,15 @@ pairs:
 
 # The line counts ROADMAP.md quotes, each taken as `find … | xargs cat | wc -l`
 # (blank and comment lines included): non-test Go in the whole module, in
-# benchmark/, in internal/sqldb, in cmd/ and in internal/cliutil (the two
-# binaries' shared assembly), then every _test.go file. It gates nothing and
-# is not part of `check`.
+# benchmark/, in internal/sqldb, in cmd/, in internal/cliutil (the two
+# binaries' shared assembly), in internal/serve and in internal/shard (the
+# serving tier), then every _test.go file. Last, the coordinator's relay
+# files — internal/serve/coordinator*.go and internal/shard/proxy.go — in
+# non-blank, non-comment lines. It gates nothing and is not part of `check`.
 lines:
-	@for d in . benchmark internal/sqldb cmd internal/cliutil; do \
+	@for d in . benchmark internal/sqldb cmd internal/cliutil internal/serve internal/shard; do \
 		printf 'non-test Go %-16s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
 	done; \
-	printf 'tests %-22s %6d\n' . "$$(find . -name '*_test.go' | xargs cat | wc -l)"
+	printf 'tests %-22s %6d\n' . "$$(find . -name '*_test.go' | xargs cat | wc -l)"; \
+	printf 'coordinator files, code only %6d\n' \
+		"$$(ls internal/serve/coordinator*.go internal/shard/proxy.go | grep -v _test | xargs cat | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l)"

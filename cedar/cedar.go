@@ -114,8 +114,8 @@ type Options struct {
 	// to Route being off. Routing never alters the verification schedule:
 	// sub-claims verify under the same planned schedule as any other claim,
 	// which is what keeps verdicts identical whether a sub-claim is planned
-	// in-process, on a serving replica, or at a sharding coordinator (the
-	// priced routed schedule is reporting-only; see RoutedSchedule).
+	// in-process or on a serving replica, behind a sharding coordinator or
+	// not (the priced routed schedule is reporting-only; see RoutedSchedule).
 	Route bool
 
 	// Retries, when positive, retries each failed retryable model call up to
@@ -161,6 +161,10 @@ type System struct {
 	// catalogFP fingerprints their contents into the memo config key.
 	catalog   *route.Catalog
 	catalogFP []byte
+	// prints holds the fingerprint of each database the last memo pass read,
+	// so a run over an unchanged catalog does not digest it again. Guarded
+	// by runMu.
+	prints map[*sqldb.Database]dbPrint
 
 	// runMu serializes verification runs: the fee ledger and the tracer are
 	// run-scoped (reset at run start, read at run end), so overlapping runs
@@ -472,22 +476,23 @@ func (s *System) persistHits() int {
 // recording a memo_mismatch span and overwriting when they decode to another
 // verdict — or (b) stores a new memo on a miss or an undecodable record. Memos
 // never feed verdicts forward: the pipeline has already run, so a corrupt or
-// stale memo can surface as a mismatch but cannot alter a Result. Each
-// database is fingerprinted once per pass, however many documents share it.
+// stale memo can surface as a mismatch but cannot alter a Result. A database
+// is fingerprinted once per pass, however many documents share it, and not
+// again in a later pass while its catalog is unchanged (printOf).
 func (s *System) memoPass(docs []*Document) (hits, mismatches int) {
 	if s.store == nil {
 		return 0, 0
 	}
 	cfgFP := s.configFingerprint()
-	dbFPs := make(map[*sqldb.Database][32]byte)
+	prints := make(map[*sqldb.Database]dbPrint, len(s.prints))
 	for _, d := range docs {
-		dbFP, ok := dbFPs[d.Data]
+		p, ok := prints[d.Data]
 		if !ok {
-			dbFP = dbFingerprint(d.Data)
-			dbFPs[d.Data] = dbFP
+			p = printOf(d.Data, s.prints)
+			prints[d.Data] = p
 		}
 		for i, c := range d.Claims {
-			key := memoKey(dbFP, cfgFP, d.ID, i, c)
+			key := memoKey(p.fp, cfgFP, d.ID, i, c)
 			fresh := encodeMemo(c.Result)
 			if val, ok := s.store.Get(key); ok {
 				if bytes.Equal(val, fresh) {
@@ -510,6 +515,7 @@ func (s *System) memoPass(docs []*Document) (hits, mismatches int) {
 			_ = s.store.Put(key, fresh)
 		}
 	}
+	s.prints = prints
 	return hits, mismatches
 }
 

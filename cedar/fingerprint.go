@@ -2,6 +2,7 @@ package cedar
 
 import (
 	"crypto/sha256"
+	"slices"
 
 	"repro/internal/claim"
 	"repro/internal/route"
@@ -27,10 +28,13 @@ const verdictCodeVersion = 1
 // schema (column names and inferred types), and every row value. Two
 // databases with the same fingerprint present identical data to every SQL
 // query the verifier can generate.
-func dbFingerprint(db *sqldb.Database) [32]byte {
+func dbFingerprint(db *sqldb.Database) [32]byte { return digestCatalog(db.Name, db.Tables()) }
+
+// digestCatalog is dbFingerprint over a database's name and its tables in
+// registration order.
+func digestCatalog(name string, tables []*sqldb.Table) [32]byte {
 	var e store.Enc
-	e.Str(db.Name)
-	tables := db.Tables()
+	e.Str(name)
 	e.U64(uint64(len(tables)))
 	for _, t := range tables {
 		e.Str(t.Name)
@@ -48,6 +52,28 @@ func dbFingerprint(db *sqldb.Database) [32]byte {
 		}
 	}
 	return sha256.Sum256(e.B)
+}
+
+// dbPrint is a database's fingerprint with the catalog it digests: the
+// database's name and its registered tables, in order.
+type dbPrint struct {
+	name   string
+	tables []*sqldb.Table
+	fp     [32]byte
+}
+
+// printOf fingerprints db, reusing its print in last when that digests the
+// catalog db holds now. A registered table is frozen (DESIGN.md §12), so the
+// same name and the same table pointers in the same order are the same data,
+// and only a table added, replaced or removed, or a renamed database, costs
+// a digest of every cell again.
+func printOf(db *sqldb.Database, last map[*sqldb.Database]dbPrint) dbPrint {
+	p := dbPrint{name: db.Name, tables: db.Tables()}
+	if old, ok := last[db]; ok && old.name == p.name && slices.Equal(old.tables, p.tables) {
+		return old
+	}
+	p.fp = digestCatalog(p.name, p.tables)
+	return p
 }
 
 // configFingerprint digests every option that can change a verdict, plus the

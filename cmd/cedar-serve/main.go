@@ -31,7 +31,8 @@
 // -coordinator it verifies nothing itself: it routes each request to one of
 // the -replicas processes by the consistent hash of the request's
 // claim/config fingerprint, health-probes the replicas (ejecting dead or
-// draining ones and rehashing their keyspace), and merges fan-out batches.
+// draining ones and rehashing their keyspace), and relays each replica's
+// answer verbatim.
 // A replica started with -replica-of registers itself with its coordinator
 // on startup and deregisters as the first step of its graceful drain.
 // Because verdicts are deterministic per (seed, database, claims), every
@@ -63,7 +64,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
-	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -208,35 +208,26 @@ func routeKeyFor(o *serveOptions, dbName string) func(docID string, claims []ser
 }
 
 // newCoordinator builds the -coordinator serving stack without binding a
-// listener. The database is loaded only for its name: the coordinator must
-// derive the same default document ID the replicas do, so a request that
-// omits doc_id routes by the identity the replica will verify under.
+// listener. It reads no data: it needs only the database's name, the default
+// document ID the replicas derive, so a request that omits doc_id routes by
+// the identity the replica will verify under. Compound claims route at the
+// replicas, so -route takes effect there.
 func newCoordinator(o *serveOptions) (*serve.Coordinator, error) {
 	if len(o.Replicas) == 0 {
 		return nil, fmt.Errorf("-coordinator requires at least one -replicas URL")
 	}
-	db, dbName, err := o.Database()
+	dbName, err := o.Name()
 	if err != nil {
 		return nil, err
 	}
-	cfg := serve.CoordinatorConfig{
+	return serve.NewCoordinator(serve.CoordinatorConfig{
 		RouteKey:       routeKeyFor(o, dbName),
 		DocID:          dbName,
 		Replicas:       o.Replicas,
 		ProbeInterval:  o.ProbeInterval,
 		StreamWindow:   o.StreamWindow,
 		RequestTimeout: o.RequestTimeout,
-	}
-	if o.Route && len(db.Tables()) > 0 {
-		// The coordinator decomposes compound claims itself so sub-claims can
-		// fan out across the ring; a dataset-only coordinator has no catalog
-		// here and relays whole documents — the replicas route internally.
-		cfg.Route = &serve.RouteConfig{
-			Catalog: route.NewCatalog(db),
-			Seed:    o.Seed,
-		}
-	}
-	return serve.NewCoordinator(cfg)
+	})
 }
 
 // advertiseURL derives the URL a replica registers under from its -addr: a

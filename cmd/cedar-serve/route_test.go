@@ -60,9 +60,9 @@ func routedWorkload(w int) []serve.DocumentInput {
 	return out
 }
 
-// TestRoutedBatchMergesCallerOrder drives the routed batch path: one
-// request whose documents mix compound and simple claims comes back in
-// caller order with recombined verdicts.
+// TestRoutedBatchMergesCallerOrder drives a routed batch through a
+// coordinator: one request whose documents mix compound and simple claims
+// comes back in caller order with verdicts its replica recombined.
 func TestRoutedBatchMergesCallerOrder(t *testing.T) {
 	airlinesCSV := writeCSVFixture(t)
 	drinksCSV := writeDrinksFixture(t)
@@ -96,8 +96,8 @@ func TestRoutedBatchMergesCallerOrder(t *testing.T) {
 }
 
 // TestRoutedCoordinatorPassthrough pins the degenerate case: a request with
-// no compound claims takes the ordinary relay path through a route-enabled
-// coordinator — the response is byte-identical to a route-less tier's.
+// no compound claims through a route-enabled tier is answered byte for byte
+// as a route-less tier answers it.
 func TestRoutedCoordinatorPassthrough(t *testing.T) {
 	airlinesCSV := writeCSVFixture(t)
 	drinksCSV := writeDrinksFixture(t)

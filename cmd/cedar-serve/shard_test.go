@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -283,6 +284,23 @@ func TestShardFailoverChaos(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Error("killed replica still healthy on the coordinator after 5s")
+}
+
+// TestShardCoordinatorReadsNoData: a coordinator takes only the database's
+// name from its flags, the default document ID, and opens no -csv, so one
+// it could not read does not stop it.
+func TestShardCoordinatorReadsNoData(t *testing.T) {
+	o := testOptions(t, filepath.Join(t.TempDir(), "absent", "airlines.csv"))
+	o.Replicas = []string{"http://127.0.0.1:1"}
+	coord, err := newCoordinator(o)
+	if err != nil {
+		t.Fatalf("coordinator over an unreadable -csv: %v", err)
+	}
+	ctx, cancel := contextWithTimeout(5 * time.Second)
+	defer cancel()
+	if err := coord.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestShardReplicaSelfRegistration covers the -replica-of lifecycle helpers:

@@ -104,24 +104,31 @@ func (f *SystemFlags) Register(fs *flag.FlagSet, d SystemFlags) {
 	fs.BoolVar(&f.Route, "route", d.Route, "decompose compound claims and route each sub-claim to the best-matching table (DESIGN.md §16)")
 }
 
-// Database builds the database the claims verify against and names it: one
-// table per -csv path, or else an empty catalog named for -table or the
-// first -dataset, which Open fills from the store. -table names a single
-// CSV's table; several CSVs name their tables by file. The name is also a
-// run's default document ID, so every binary seeds identically for
-// identical flags.
-func (f *SystemFlags) Database() (db *sqldb.Database, name string, err error) {
-	name = f.TableName
+// Name names the database the flags describe, without reading any data:
+// -table, or else the first -csv's file base name, or else the first
+// -dataset. -table names a single CSV's table; several CSVs name their
+// tables by file. The name is also a run's default document ID, so every
+// binary seeds identically for identical flags.
+func (f *SystemFlags) Name() (string, error) {
 	switch {
-	case name != "" && len(f.CSVPaths) > 1:
-		return nil, "", fmt.Errorf("-table applies to a single -csv; multi-table databases name tables by file")
-	case name != "":
+	case f.TableName != "" && len(f.CSVPaths) > 1:
+		return "", fmt.Errorf("-table applies to a single -csv; multi-table databases name tables by file")
+	case f.TableName != "":
+		return f.TableName, nil
 	case len(f.CSVPaths) > 0:
-		name = TableName(f.CSVPaths[0])
+		return TableName(f.CSVPaths[0]), nil
 	case len(f.Datasets) > 0:
-		name = f.Datasets[0]
-	default:
-		return nil, "", fmt.Errorf("one of -csv, -dataset, or -table is required")
+		return f.Datasets[0], nil
+	}
+	return "", fmt.Errorf("one of -csv, -dataset, or -table is required")
+}
+
+// Database builds the database the claims verify against under Name: one
+// table per -csv path, or else an empty catalog, which Open fills from the
+// store.
+func (f *SystemFlags) Database() (db *sqldb.Database, name string, err error) {
+	if name, err = f.Name(); err != nil {
+		return nil, "", err
 	}
 	db = sqldb.NewDatabase(name)
 	for _, path := range f.CSVPaths {

@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,20 +56,15 @@ type CoordinatorConfig struct {
 	// every proxied request. These are topology-dependent and dropped by
 	// trace.ReplayNormalize.
 	Tracer *trace.Tracer
-	// Route, when non-nil, enables cross-database claim routing at the
-	// coordinator (DESIGN.md §16): compound claims decompose here and each
-	// sub-claim fans out to the replica owning its routed fingerprint, with
-	// verdicts recombined in caller order. Requests without compound claims
-	// take the ordinary relay path untouched.
-	Route *RouteConfig
 }
 
 // Coordinator is the sharding front end of the serving tier: an
 // http.Handler exposing the same /v1 verification surface as Server, but
-// answering by routing each request to the replica owning its claim/config
-// fingerprint on a consistent-hash ring. Replicas register and deregister
-// at runtime; a health prober ejects dead or draining replicas (rehashing
-// their keyspace onto ring successors) and readmits them when they recover.
+// answering by relaying each request to the replica owning its claim/config
+// fingerprint (a batch's, its first document's) on a consistent-hash ring.
+// Replicas register and deregister at runtime; a health prober ejects dead
+// or draining replicas (rehashing their keyspace onto ring successors) and
+// readmits them when they recover.
 // Because verdicts are deterministic per (doc_id, claims) regardless of
 // which replica verifies them, routing affects throughput and fee
 // attribution only — never responses.
@@ -253,13 +246,6 @@ func (c *Coordinator) routeKey(docID string, claims []ClaimInput) ([]byte, strin
 	return c.cfg.RouteKey(docID, claims), docID
 }
 
-// bookRoute counts one exchange a replica answered and records its routing
-// spans.
-func (c *Coordinator) bookRoute(docID string, res shard.Result) {
-	c.routed.Add(1)
-	c.traceRoute(docID, res.Node, res.Hops, res.Status)
-}
-
 // traceRoute records one document's routing spans: the failover hops, if it
 // took any, and the replica that answered it with what status.
 func (c *Coordinator) traceRoute(docID, node string, hops, status int) {
@@ -330,8 +316,7 @@ func (c *Coordinator) relay(w http.ResponseWriter, res shard.Result) {
 	_, _ = w.Write(res.Body)
 }
 
-// handleVerify proxies POST /v1/verify to the replica owning the request's
-// shard key, failing over along the ring when the owner is dead or draining.
+// handleVerify relays POST /v1/verify to the replica owning its document.
 func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) {
@@ -342,180 +327,51 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
-	defer cancel()
-	if c.cfg.Route != nil && c.tryRouted(ctx, w, started, []DocumentInput{{DocID: req.DocID, Claims: req.Claims}},
-		func(b []byte, docs []DocumentResult, stats BatchStats) []byte {
-			resp := VerifyResponse{DocID: docs[0].DocID, Claims: docs[0].Claims, Batch: stats}
-			return resp.appendJSON(b)
-		}) {
-		return
-	}
-	key, docID := c.routeKey(req.DocID, req.Claims)
-	res, err := c.proxy.Do(ctx, key, "/v1/verify", body)
-	if err != nil {
-		c.renderProxyError(w, err)
-		return
-	}
-	c.bookRoute(docID, res)
-	if res.Status == http.StatusOK {
-		c.met.recordRequest(time.Since(started))
-	}
-	c.relay(w, res)
+	c.relayVerify(w, r, started, "/v1/verify", body, req.DocID, req.Claims)
 }
 
-// handleVerifyBatch answers POST /v1/verify/batch through the scatter:
-// documents fan out by owning replica and merge back in the caller's order
-// with summed batch stats. Every document still rides a replica micro-batch,
-// so fee attribution follows the replica that did the work.
+// handleVerifyBatch relays POST /v1/verify/batch whole to the replica owning
+// its first document. The replica admits the batch as one job, as it does a
+// batch posted to it directly, so its documents share a run, a bad document
+// is refused before any is verified, and every answer is the replica's own.
 func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) {
 		return
 	}
 	var req BatchRequest
-	if !decodeRequest(c.met, w, r, func(b []byte) error { return decodeBatch(b, &req) }) {
+	body, ok := decodeBody(c.met, w, r, func(b []byte) error { return decodeBatch(b, &req) })
+	if !ok {
 		return
 	}
 	if len(req.Documents) == 0 {
 		badRequest(c.met, w, "batch request has no documents")
 		return
 	}
+	first := req.Documents[0]
+	c.relayVerify(w, r, started, "/v1/verify/batch", body, first.DocID, first.Claims)
+}
+
+// relayVerify is the coordinator's one verification relay: it sends a
+// decoded body to the replica owning the shard key of (docID, claims),
+// failing over along the ring when the owner is dead or draining, and writes
+// the replica's answer verbatim. Compound claims route at the replica
+// (DESIGN.md §16), as they do in the library.
+func (c *Coordinator) relayVerify(w http.ResponseWriter, r *http.Request, started time.Time, path string, body []byte, docID string, claims []ClaimInput) {
 	ctx, cancel := requestContext(r, c.cfg.RequestTimeout)
 	defer cancel()
-	render := func(b []byte, docs []DocumentResult, stats BatchStats) []byte {
-		resp := BatchResponse{Documents: docs, Batch: stats}
-		return resp.appendJSON(b)
-	}
-	if c.cfg.Route != nil && c.tryRouted(ctx, w, started, req.Documents, render) {
-		return
-	}
-	docs, stats, relayRes, err := c.scatterDocs(ctx, req.Documents)
-	if c.scatterFailed(w, relayRes, err) {
-		return
-	}
-	c.met.recordRequest(time.Since(started))
-	writeWire(w, http.StatusOK, func(b []byte) []byte { return render(b, docs, stats) })
-}
-
-// scatterDocs is the coordinator's one scatter/gather: it partitions the
-// documents by owning replica, sends each replica its sub-batch concurrently
-// through the failover proxy, and merges the verdicts back in the caller's
-// document order with the sub-batch stats summed. Any failed sub-batch fails
-// the whole scatter, and the failure covering the earliest document is the
-// one reported, so the error is stable under re-grouping: a transport failure
-// or a reply with fewer documents or claims than were sent comes back as the
-// error; a replica's own non-OK answer comes back as the shard.Result to
-// relay. Every exchange a replica answered, in a failed scatter too, counts
-// in `routed` and leaves its routing span.
-func (c *Coordinator) scatterDocs(ctx context.Context, docs []DocumentInput) ([]DocumentResult, BatchStats, *shard.Result, error) {
-	// Partition by owner. Assignment is read once per document; a membership
-	// change mid-request is handled by the proxy's failover, not re-grouped.
-	type group struct {
-		idxs  []int // positions in docs; idxs[0] is the group's earliest
-		sub   BatchRequest
-		key   []byte
-		docID string
-		res   shard.Result
-		err   error
-		reply BatchResponse
-	}
-	byOwner := make(map[string]*group)
-	var groups []*group // first-seen owner order: deterministic fan-out
-	for i, in := range docs {
-		key, docID := c.routeKey(in.DocID, in.Claims)
-		owner, ok := c.ring.Assign(key)
-		if !ok {
-			return nil, BatchStats{}, nil, shard.ErrNoReplicas
-		}
-		g := byOwner[owner]
-		if g == nil {
-			g = &group{key: key, docID: docID}
-			byOwner[owner] = g
-			groups = append(groups, g)
-		}
-		g.idxs = append(g.idxs, i)
-		g.sub.Documents = append(g.sub.Documents, in)
-	}
-
-	var wg sync.WaitGroup
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			body, err := json.Marshal(g.sub)
-			if err == nil {
-				g.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
-			}
-			if err == nil && g.res.Status == http.StatusOK {
-				if err = json.Unmarshal(g.res.Body, &g.reply); err == nil {
-					err = checkReply(g.res.Node, g.sub.Documents, g.reply.Documents)
-				}
-			}
-			g.err = err
-		}(g)
-	}
-	wg.Wait()
-
-	var failed *group
-	for _, g := range groups {
-		if g.res.Node != "" { // a replica answered, whatever it said
-			c.bookRoute(g.docID, g.res)
-		}
-		if (g.err != nil || g.res.Status != http.StatusOK) && (failed == nil || g.idxs[0] < failed.idxs[0]) {
-			failed = g
-		}
-	}
-	switch {
-	case failed == nil:
-	case failed.err != nil:
-		return nil, BatchStats{}, nil, failed.err
-	default:
-		return nil, BatchStats{}, &failed.res, nil
-	}
-
-	merged := make([]DocumentResult, len(docs))
-	var stats BatchStats
-	for _, g := range groups {
-		for j, idx := range g.idxs {
-			merged[idx] = g.reply.Documents[j]
-		}
-		stats.Docs += g.reply.Batch.Docs
-		stats.Claims += g.reply.Batch.Claims
-		stats.Dollars += g.reply.Batch.Dollars
-		stats.Calls += g.reply.Batch.Calls
-	}
-	return merged, stats, nil, nil
-}
-
-// checkReply rejects a sub-batch reply that is shorter than what was sent. A
-// replica answers every document and every claim it admits, so a short reply
-// is a broken replica, and merging it would hand the caller blank verdicts.
-func checkReply(node string, sent []DocumentInput, got []DocumentResult) error {
-	if len(got) != len(sent) {
-		return fmt.Errorf("replica %s returned %d documents for %d", node, len(got), len(sent))
-	}
-	for i, in := range sent {
-		if len(got[i].Claims) != len(in.Claims) {
-			return fmt.Errorf("replica %s returned %d claims for %d in document %q",
-				node, len(got[i].Claims), len(in.Claims), got[i].DocID)
-		}
-	}
-	return nil
-}
-
-// scatterFailed renders a failed scatter — the proxy error, or the replica's
-// own non-OK answer relayed — and reports whether it wrote a response.
-func (c *Coordinator) scatterFailed(w http.ResponseWriter, relayRes *shard.Result, err error) bool {
-	switch {
-	case err != nil:
+	key, docID := c.routeKey(docID, claims)
+	res, err := c.proxy.Do(ctx, key, path, body)
+	if err != nil {
 		c.renderProxyError(w, err)
-	case relayRes != nil:
-		c.relay(w, *relayRes)
-	default:
-		return false
+		return
 	}
-	return true
+	c.routed.Add(1)
+	c.traceRoute(docID, res.Node, res.Hops, res.Status)
+	if res.Status == http.StatusOK {
+		c.met.recordRequest(time.Since(started))
+	}
+	c.relay(w, res)
 }
 
 // broadcast repeats the request — its method and content type, the given URI

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,9 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/route"
-	"repro/internal/sqldb"
 )
 
 // fakeTier is a set of scriptable replica endpoints behind a coordinator
@@ -270,121 +266,6 @@ func TestCoordinatorEmptyRingAnswers503Everywhere(t *testing.T) {
 	_, errs, _ := splitEvents(t, readEvents(t, postStream(t, tier.ts.URL, streamDocLine("d1", "1")+"\n")))
 	if len(errs) != 1 || errs[0].Error == nil || errs[0].Error.Code != CodeDraining {
 		t.Errorf("stream on an empty ring: errors = %+v, want one draining error event", errs)
-	}
-}
-
-// shortReplica answers /v1/verify/batch with every claim verified, minus the
-// last document or the last claim of the last document.
-func shortReplica(dropDoc, dropClaim bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var out BatchResponse
-		for _, d := range req.Documents {
-			dr := DocumentResult{DocID: d.DocID}
-			for i, c := range d.Claims {
-				id := c.ID
-				if id == "" {
-					id = fmt.Sprintf("c%d", i+1)
-				}
-				dr.Claims = append(dr.Claims, ClaimResult{ID: id, Correct: true, Verified: true, Method: "fake"})
-			}
-			out.Documents = append(out.Documents, dr)
-			out.Batch.Docs++
-			out.Batch.Claims += len(d.Claims)
-		}
-		last := len(out.Documents) - 1
-		if dropClaim {
-			out.Documents[last].Claims = out.Documents[last].Claims[:len(out.Documents[last].Claims)-1]
-		}
-		if dropDoc {
-			out.Documents = out.Documents[:last]
-		}
-		writeJSON(w, http.StatusOK, out)
-	}
-}
-
-// routeFixture is a two-table catalog with disjoint vocabulary, so the
-// compound claim below decomposes into one sub-claim per table.
-func routeFixture() (*RouteConfig, string) {
-	db := sqldb.NewDatabase("testdb")
-	flights := sqldb.NewTable("flights", "airline", "incidents")
-	flights.MustAppendRow(sqldb.Text("Aeroflot"), sqldb.Int(76))
-	flights.MustAppendRow(sqldb.Text("Qantas"), sqldb.Int(1))
-	db.AddTable(flights)
-	movies := sqldb.NewTable("movies", "title", "box_office")
-	movies.MustAppendRow(sqldb.Text("Heat"), sqldb.Int(187))
-	movies.MustAppendRow(sqldb.Text("Arrival"), sqldb.Int(203))
-	db.AddTable(movies)
-	compound := `{"doc_id":"d1","claims":[{"id":"mixed","sentence":"Aeroflot recorded 76 incidents, and Heat recorded 187 box office.","value":"76"}]}`
-	return &RouteConfig{Catalog: route.NewCatalog(db), Seed: 1}, compound
-}
-
-// A replica that answers fewer documents, or fewer claims, than it was sent is
-// a 500 internal naming the replica and both counts, on the plain batch path
-// and on the routed path alike — never a 200 carrying blank verdicts.
-func TestCoordinatorShortReplicaReplyIs500(t *testing.T) {
-	rc, compound := routeFixture()
-	plainBatch := `{"documents":[{"doc_id":"a","claims":[{"sentence":"n is 1.","value":"1"},{"sentence":"m is 2.","value":"2"}]},` +
-		`{"doc_id":"b","claims":[{"sentence":"k is 3.","value":"3"},{"sentence":"j is 4.","value":"4"}]}]}`
-	for _, tc := range []struct {
-		name       string
-		route      *RouteConfig
-		path, body string
-		dropDoc    bool
-		want       string
-	}{
-		{name: "batch, last document dropped", path: "/v1/verify/batch", body: plainBatch, dropDoc: true,
-			want: "returned 1 documents for 2"},
-		{name: "batch, last claim dropped", path: "/v1/verify/batch", body: plainBatch,
-			want: "returned 1 claims for 2 in document \"b\""},
-		{name: "routed unary, last document dropped", route: rc, path: "/v1/verify", body: compound, dropDoc: true,
-			want: "returned 1 documents for 2"},
-		{name: "routed batch, last claim dropped", route: rc, path: "/v1/verify/batch", body: `{"documents":[` + compound + `]}`,
-			want: "returned 0 claims for 1"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tier := newFakeTier(t, CoordinatorConfig{Route: tc.route}, shortReplica(tc.dropDoc, !tc.dropDoc))
-			status, body := do(t, "POST", tier.ts.URL+tc.path, tc.body)
-			var eb ErrorBody
-			_ = json.Unmarshal([]byte(body), &eb)
-			if status != http.StatusInternalServerError || eb.Error.Code != CodeInternal {
-				t.Fatalf("short reply = %d %s, want 500 internal", status, body)
-			}
-			for _, frag := range []string{"replica " + tier.urls[0], tc.want} {
-				if !strings.Contains(eb.Error.Message, frag) {
-					t.Errorf("error message %q lacks %q", eb.Error.Message, frag)
-				}
-			}
-			// The replica did answer: the exchange counts as routed even though
-			// the scatter failed.
-			if routed := fetchCoordMetrics(t, tier.ts.URL).Shard.Routed; routed != 1 {
-				t.Errorf("routed = %d after one answered exchange, want 1", routed)
-			}
-		})
-	}
-}
-
-// On a failed scatter `routed` counts every exchange a replica answered, not
-// just the one whose failure is reported.
-func TestCoordinatorFailedScatterCountsAnsweredExchanges(t *testing.T) {
-	good := shortReplica(false, false)
-	tier := newFakeTier(t, CoordinatorConfig{}, good, answer(400, errorEnvelope(CodeBadRequest, "nope")))
-	docA, docB := docOwnedBy(t, tier.coord, tier.urls[0]), docOwnedBy(t, tier.coord, tier.urls[1])
-	body := `{"documents":[` + verifyBody(docA) + `,` + verifyBody(docB) + `]}`
-	status, resp := do(t, "POST", tier.ts.URL+"/v1/verify/batch", body)
-	if status != http.StatusBadRequest || !strings.Contains(resp, "nope") {
-		t.Fatalf("batch with one rejecting replica = %d %s, want its 400 relayed", status, resp)
-	}
-	met := fetchCoordMetrics(t, tier.ts.URL)
-	if met.Shard.Routed != 2 {
-		t.Errorf("routed = %d, want both answered exchanges counted", met.Shard.Routed)
-	}
-	if met.Requests.BadRequests != 1 {
-		t.Errorf("bad_requests = %d, want the relayed 400 booked once", met.Requests.BadRequests)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -111,53 +112,59 @@ func TestCoordinatorRoutesVerifyToOwner(t *testing.T) {
 	}
 }
 
-// A batch fans out by owner, merges in the caller's document order, and sums
-// the sub-batch stats. Replica-side validation errors relay through.
-func TestCoordinatorBatchFanoutMergesInOrder(t *testing.T) {
+// A batch relays whole to the replica owning its first document, as one job
+// there, whichever replicas own its other documents. A bad document is
+// refused before anything is verified or billed, in the words a replica uses
+// for the same batch: its index in the caller's batch. A served batch is one
+// routed exchange, its documents in the caller's order.
+func TestCoordinatorBatchRelaysWhole(t *testing.T) {
 	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
 	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
 	c, ts := newTestCoordinator(t, CoordinatorConfig{}, a, b)
+	docA, docB := docOwnedBy(t, c, a.ts.URL), docOwnedBy(t, c, b.ts.URL)
+	doc := func(id, value string) string {
+		return fmt.Sprintf(`{"doc_id":%q,"claims":[{"sentence":"n is 1.","value":%q}]}`, id, value)
+	}
 
-	// Interleave docs owned by each replica so the merge has to reorder.
-	docA1, docB1 := docOwnedBy(t, c, a.ts.URL), docOwnedBy(t, c, b.ts.URL)
-	ids := []string{docA1, docB1, docA1 + "-x", docB1 + "-x"}
+	bad := `{"documents":[` + doc(docA, "1") + `,` + doc(docB, "7") + `]}`
+	wantStatus, want := do(t, "POST", b.ts.URL+"/v1/verify/batch", bad)
+	gotStatus, got := do(t, "POST", ts.URL+"/v1/verify/batch", bad)
+	if gotStatus != http.StatusBadRequest || gotStatus != wantStatus || got != want {
+		t.Errorf("coordinator answered %d %s, want the replica's %d %s", gotStatus, got, wantStatus, want)
+	}
+	for _, rep := range []*replicaFixture{a, b} {
+		if n := fetchCoordMetrics(t, rep.ts.URL).Verify.Batches; n != 0 {
+			t.Errorf("replica %s verified %d batches for a refused request", rep.ts.URL, n)
+		}
+	}
+
+	ids := []string{docA, docB, docA + "-x", docB + "-x"}
 	var docs []string
 	for _, id := range ids {
-		docs = append(docs, fmt.Sprintf(`{"doc_id":%q,"claims":[{"sentence":"n is 1.","value":"1"}]}`, id))
+		docs = append(docs, doc(id, "1"))
 	}
-	body := `{"documents":[` + strings.Join(docs, ",") + `]}`
-	resp, err := http.Post(ts.URL+"/v1/verify/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	before := fetchCoordMetrics(t, ts.URL).Shard.Routed
+	status, body := do(t, "POST", ts.URL+"/v1/verify/batch", `{"documents":[`+strings.Join(docs, ",")+`]}`)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d %s, want 200", status, body)
 	}
 	var out BatchResponse
-	decodeInto(t, resp, &out)
-	if len(out.Documents) != 4 {
-		t.Fatalf("documents = %d, want 4", len(out.Documents))
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Documents) != len(ids) {
+		t.Fatalf("documents = %d, want %d", len(out.Documents), len(ids))
 	}
 	for i, id := range ids {
-		if out.Documents[i].DocID != id {
-			t.Errorf("documents[%d] = %q, want %q (original order)", i, out.Documents[i].DocID, id)
+		if d := out.Documents[i]; d.DocID != id || d.Claims[0].Method != "replica-a" {
+			t.Errorf("documents[%d] = %s served by %s, want %s served by replica-a", i, d.DocID, d.Claims[0].Method, id)
 		}
 	}
 	if out.Batch.Docs != 4 || out.Batch.Claims != 4 || out.Batch.Calls != 4 {
-		t.Errorf("summed batch stats = %+v, want 4 docs/claims/calls", out.Batch)
+		t.Errorf("batch stats = %+v, want the replica's 4 docs/claims/calls", out.Batch)
 	}
-
-	// A bad document fails the whole batch with the replica's 400 relayed.
-	bad := fmt.Sprintf(`{"documents":[{"doc_id":%q,"claims":[{"sentence":"n is 1.","value":"7"}]}]}`, docA1)
-	resp, err = http.Post(ts.URL+"/v1/verify/batch", "application/json", strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad batch status = %d, want relayed 400", resp.StatusCode)
-	}
-	if code := errorCode(t, resp); code != CodeBadRequest {
-		t.Errorf("error code = %q, want %q", code, CodeBadRequest)
+	if routed := fetchCoordMetrics(t, ts.URL).Shard.Routed - before; routed != 1 {
+		t.Errorf("routed rose by %d for one batch, want 1", routed)
 	}
 }
 

@@ -244,7 +244,7 @@ const (
 // the document ID to defaultDocID (the serving database's name) and claim IDs
 // to their positions — the exact defaults the cedar CLI applies, preserving
 // the CLI/HTTP bit-identity contract. A replica binds the document to its
-// database; a coordinator planning routes passes none.
+// database; a coordinator validating a streamed document passes none.
 func buildDocument(in DocumentInput, defaultDocID string, db *sqldb.Database) (*claim.Document, error) {
 	if len(in.Claims) == 0 {
 		return nil, fmt.Errorf("document %q has no claims", in.DocID)

@@ -327,10 +327,10 @@ func (t *Tracer) Summary() Summary {
 //     property of how documents were submitted, not of the verification work,
 //     and the stream-determinism gate compares streamed traces against batch
 //     runs;
-//   - route_score and route_pick spans are dropped — compound-claim routing
-//     is planned wherever the compound claim arrived (library, replica, or
-//     coordinator), while the routed sub-claims verify elsewhere, and the
-//     route gate compares traces across those topologies;
+//   - route_score and route_pick spans are dropped — they record how
+//     compound claims were planned, which the library does once per run and
+//     a replica once per micro-batch, and the route gate compares the
+//     verification work across those topologies;
 //   - per-key Seq is renumbered over what remains, since dropped and
 //     rewritten spans consumed sequence slots.
 //
