@@ -112,21 +112,23 @@ func TestCoordinatorRoutesVerifyToOwner(t *testing.T) {
 	}
 }
 
+// batchDoc is one single-claim batch document; value "1" matches the
+// sentence, any other value is not in it and fails validation.
+func batchDoc(id, value string) string {
+	return fmt.Sprintf(`{"doc_id":%q,"claims":[{"sentence":"n is 1.","value":%q}]}`, id, value)
+}
+
 // A batch relays whole to the replica owning its first document, as one job
 // there, whichever replicas own its other documents. A bad document is
 // refused before anything is verified or billed, in the words a replica uses
-// for the same batch: its index in the caller's batch. A served batch is one
-// routed exchange, its documents in the caller's order.
+// for the same batch: its index in the caller's batch.
 func TestCoordinatorBatchRelaysWhole(t *testing.T) {
 	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
 	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
 	c, ts := newTestCoordinator(t, CoordinatorConfig{}, a, b)
 	docA, docB := docOwnedBy(t, c, a.ts.URL), docOwnedBy(t, c, b.ts.URL)
-	doc := func(id, value string) string {
-		return fmt.Sprintf(`{"doc_id":%q,"claims":[{"sentence":"n is 1.","value":%q}]}`, id, value)
-	}
 
-	bad := `{"documents":[` + doc(docA, "1") + `,` + doc(docB, "7") + `]}`
+	bad := `{"documents":[` + batchDoc(docA, "1") + `,` + batchDoc(docB, "7") + `]}`
 	wantStatus, want := do(t, "POST", b.ts.URL+"/v1/verify/batch", bad)
 	gotStatus, got := do(t, "POST", ts.URL+"/v1/verify/batch", bad)
 	if gotStatus != http.StatusBadRequest || gotStatus != wantStatus || got != want {
@@ -137,11 +139,23 @@ func TestCoordinatorBatchRelaysWhole(t *testing.T) {
 			t.Errorf("replica %s verified %d batches for a refused request", rep.ts.URL, n)
 		}
 	}
+}
 
+// A valid batch whose documents are owned by different replicas goes out as
+// one exchange, not a fan-out: the first document's owner serves every
+// document, in the caller's order, with its own batch stats, and the
+// coordinator counts one routed exchange.
+func TestCoordinatorBatchFanoutMergesInOrder(t *testing.T) {
+	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
+	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})
+	c, ts := newTestCoordinator(t, CoordinatorConfig{}, a, b)
+	docA, docB := docOwnedBy(t, c, a.ts.URL), docOwnedBy(t, c, b.ts.URL)
+
+	// Interleave documents owned by each replica; none may leave replica A.
 	ids := []string{docA, docB, docA + "-x", docB + "-x"}
 	var docs []string
 	for _, id := range ids {
-		docs = append(docs, doc(id, "1"))
+		docs = append(docs, batchDoc(id, "1"))
 	}
 	before := fetchCoordMetrics(t, ts.URL).Shard.Routed
 	status, body := do(t, "POST", ts.URL+"/v1/verify/batch", `{"documents":[`+strings.Join(docs, ",")+`]}`)
