@@ -115,7 +115,7 @@ func defineFlags(fs *flag.FlagSet) *serveOptions {
 	fs.IntVar(&o.ReviewCap, "review-cap", 256, "pending human-review items kept; at the cap new items evict only lower-priority ones")
 	fs.IntVar(&o.SampleRows, "sample-rows", 0, "default row budget for POST /v1/datasets ingestions: keep at most N rows, reservoir-sampled deterministically (default 50000)")
 	fs.Int64Var(&o.MaxIngestBytes, "max-ingest-bytes", 0, "default byte budget for POST /v1/datasets ingestions, stopping at the last complete record (default 32 MiB)")
-	fs.BoolVar(&o.Coordinator, "coordinator", false, "run as a sharding coordinator: route requests to the -replicas processes instead of verifying locally (DESIGN.md §13)")
+	fs.BoolVar(&o.Coordinator, "coordinator", false, "run as a sharding coordinator: route requests to the -replicas processes instead of verifying locally (DESIGN.md §13); -route has no effect here, start the replicas with it")
 	fs.Var((*cliutil.URLList)(&o.Replicas), "replicas", "replica base URL for -coordinator mode; repeat (or comma-separate) for more")
 	fs.StringVar(&o.ReplicaOf, "replica-of", "", "coordinator base URL this replica registers with on startup and deregisters from when draining")
 	fs.DurationVar(&o.ProbeInterval, "probe-interval", 500*time.Millisecond, "coordinator health-probe cadence; a replica failing two consecutive probes is ejected and its keyspace rehashed")
@@ -293,33 +293,49 @@ func run(o *serveOptions) error {
 		defer stop()
 		log.Printf("cedar-serve: pprof on http://%s/debug/pprof/", addr)
 	}
+	// front is what the listener serves: a replica's verification stack or,
+	// with -coordinator, the sharding front end, which joins no ring itself.
+	var front interface {
+		http.Handler
+		Shutdown(context.Context) error
+	}
+	role, replicaOf := "replica", o.ReplicaOf
 	if o.Coordinator {
-		return runCoordinator(o)
+		if o.Route {
+			log.Printf("cedar-serve: warning: -route has no effect on a coordinator; compound claims route only on replicas started with -route")
+		}
+		coord, err := newCoordinator(o)
+		if err != nil {
+			return err
+		}
+		front, role, replicaOf = coord, fmt.Sprintf("coordinator of %d replica(s)", len(o.Replicas)), ""
+	} else {
+		srv, closeSys, err := newServer(o, nil)
+		if err != nil {
+			return err
+		}
+		defer closeSys()
+		front = srv
 	}
-	srv, closeSys, err := newServer(o, nil)
-	if err != nil {
-		return err
-	}
-	defer closeSys()
 	httpSrv := &http.Server{
 		Addr:              o.Addr,
-		Handler:           srv,
+		Handler:           front,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("cedar-serve: listening on %s", o.Addr)
+	log.Printf("cedar-serve: %s listening on %s", role, o.Addr)
 	self := advertiseURL(o.Addr)
-	if o.ReplicaOf != "" {
+	if replicaOf != "" {
 		rctx, cancel := context.WithTimeout(ctx, o.DrainTimeout)
-		err := registerReplica(rctx, o.ReplicaOf, self)
+		err := registerReplica(rctx, replicaOf, self)
 		cancel()
 		if err != nil {
 			return err
 		}
-		log.Printf("cedar-serve: registered as %s with coordinator %s", self, o.ReplicaOf)
+		log.Printf("cedar-serve: registered as %s with coordinator %s", self, replicaOf)
 	}
 	select {
 	case err := <-errc:
@@ -329,22 +345,23 @@ func run(o *serveOptions) error {
 	// Graceful drain, in order: leave the coordinator's ring so new work
 	// rehashes at once, stop admitting and verify everything already
 	// accepted, then close the listener so in-flight handlers deliver their
-	// responses before the process exits.
+	// responses before the process exits. A coordinator holds no work of
+	// its own: its replicas drain themselves.
 	log.Printf("cedar-serve: draining (admitted requests finish, new ones get 503)")
 	dctx, cancel := context.WithTimeout(context.Background(), o.DrainTimeout)
 	defer cancel()
-	if o.ReplicaOf != "" {
-		if err := deregisterReplica(dctx, o.ReplicaOf, self); err != nil {
+	if replicaOf != "" {
+		if err := deregisterReplica(dctx, replicaOf, self); err != nil {
 			log.Printf("cedar-serve: %v (draining anyway)", err)
 		}
 	}
-	if err := srv.Shutdown(dctx); err != nil {
+	if err := front.Shutdown(dctx); err != nil {
 		return err
 	}
 	if err := httpSrv.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	log.Printf("cedar-serve: drained cleanly")
+	log.Printf("cedar-serve: %s drained cleanly", role)
 	return nil
 }
 
@@ -374,39 +391,4 @@ func startPprof(addr string) (string, func(), error) {
 		_ = srv.Close()
 		<-done
 	}, nil
-}
-
-// runCoordinator is run's -coordinator branch: same listener lifecycle and
-// drain choreography, with the sharding front end as the handler.
-func runCoordinator(o *serveOptions) error {
-	coord, err := newCoordinator(o)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{
-		Addr:              o.Addr,
-		Handler:           coord,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("cedar-serve: coordinating %d replica(s) on %s", len(o.Replicas), o.Addr)
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("cedar-serve: coordinator draining")
-	dctx, cancel := context.WithTimeout(context.Background(), o.DrainTimeout)
-	defer cancel()
-	if err := coord.Shutdown(dctx); err != nil {
-		return err
-	}
-	if err := httpSrv.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	log.Printf("cedar-serve: coordinator drained cleanly")
-	return nil
 }

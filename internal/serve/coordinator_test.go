@@ -130,9 +130,18 @@ func TestCoordinatorBatchRelaysWhole(t *testing.T) {
 
 	bad := `{"documents":[` + batchDoc(docA, "1") + `,` + batchDoc(docB, "7") + `]}`
 	wantStatus, want := do(t, "POST", b.ts.URL+"/v1/verify/batch", bad)
+	before := fetchCoordMetrics(t, ts.URL)
 	gotStatus, got := do(t, "POST", ts.URL+"/v1/verify/batch", bad)
 	if gotStatus != http.StatusBadRequest || gotStatus != wantStatus || got != want {
 		t.Errorf("coordinator answered %d %s, want the replica's %d %s", gotStatus, got, wantStatus, want)
+	}
+	// The refusal is one relayed exchange, booked once as the caller's 400.
+	after := fetchCoordMetrics(t, ts.URL)
+	if n := after.Requests.BadRequests - before.Requests.BadRequests; n != 1 {
+		t.Errorf("coordinator bad_requests rose by %d for one refused batch, want 1", n)
+	}
+	if n := after.Shard.Routed - before.Shard.Routed; n != 1 {
+		t.Errorf("coordinator routed rose by %d for one refused batch, want 1", n)
 	}
 	for _, rep := range []*replicaFixture{a, b} {
 		if n := fetchCoordMetrics(t, rep.ts.URL).Verify.Batches; n != 0 {
@@ -142,9 +151,10 @@ func TestCoordinatorBatchRelaysWhole(t *testing.T) {
 }
 
 // A valid batch whose documents are owned by different replicas goes out as
-// one exchange, not a fan-out: the first document's owner serves every
-// document, in the caller's order, with its own batch stats, and the
-// coordinator counts one routed exchange.
+// one exchange, not a fan-out (the name is the scatter's, which this test now
+// rules out): the first document's owner serves every document, in the
+// caller's order, with its own batch stats, and the coordinator counts one
+// routed exchange.
 func TestCoordinatorBatchFanoutMergesInOrder(t *testing.T) {
 	a := newReplica(t, Config{Backend: tagBackend("replica-a"), BatchWait: -1})
 	b := newReplica(t, Config{Backend: tagBackend("replica-b"), BatchWait: -1})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
@@ -102,9 +103,8 @@ func TestStreamOversizeMidStream(t *testing.T) {
 	}
 }
 
-// A replica's own 413 (its limit can bind where the coordinator's did not:
-// a routed request is re-encoded) comes back through the coordinator as the
-// replica wrote it.
+// A replica's own 413 (a replica may refuse what the coordinator admitted)
+// comes back through the coordinator as the replica wrote it.
 func TestCoordinatorRelaysReplica413(t *testing.T) {
 	envelope := errorEnvelope(CodeTooLarge, tooLargeMessage)
 	tier := newFakeTier(t, CoordinatorConfig{}, answer(http.StatusRequestEntityTooLarge, envelope))
@@ -115,6 +115,34 @@ func TestCoordinatorRelaysReplica413(t *testing.T) {
 	status, body = do(t, "POST", tier.ts.URL+"/v1/verify/batch", `{"documents":[`+claimBody+`]}`)
 	if status != http.StatusRequestEntityTooLarge || body != envelope {
 		t.Fatalf("batch relayed %d %q, want 413 %q", status, body, envelope)
+	}
+}
+
+// A replica answer longer than the coordinator buffers (8 MiB, as a verdict
+// reply to a batch of a few MiB can be) is never relayed cut: the caller gets
+// a 502 replica_lost envelope, not a 200 with verdicts missing. The replica
+// answered, so its breaker is not fed and it keeps serving other requests.
+func TestCoordinatorOversizeReplyIs502(t *testing.T) {
+	huge := `{"documents":[` + strings.Repeat(" ", 8<<20) + `]}`
+	tier := newFakeTier(t, CoordinatorConfig{}, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/verify/batch" {
+			answer(http.StatusOK, huge)(w, r)
+			return
+		}
+		answer(http.StatusOK, `{"doc_id":"d","claims":[]}`)(w, r)
+	})
+	for i := 0; i < 3; i++ { // more than the breaker's default FailAfter
+		status, body := do(t, "POST", tier.ts.URL+"/v1/verify/batch", `{"documents":[`+claimBody+`]}`)
+		var env ErrorBody
+		if err := json.Unmarshal([]byte(body), &env); status != http.StatusBadGateway || err != nil || env.Error.Code != CodeReplicaLost {
+			t.Fatalf("oversize reply relayed as %d (%d bytes), want 502 %s", status, len(body), CodeReplicaLost)
+		}
+		if !strings.Contains(env.Error.Message, "8 MiB") {
+			t.Errorf("message %q does not name the response cap", env.Error.Message)
+		}
+	}
+	if status, body := do(t, "POST", tier.ts.URL+"/v1/verify", claimBody); status != http.StatusOK {
+		t.Errorf("after oversize replies, unary answered %d %s, want 200 from the same replica", status, body)
 	}
 }
 

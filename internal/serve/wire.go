@@ -233,7 +233,8 @@ const (
 	// CodeNotFound answers a resolve of an unknown review item.
 	CodeNotFound = "not_found"
 	// CodeReplicaLost reports a replica that failed after a request was
-	// delivered to it: the work may have run (and been billed), so the
+	// delivered to it, or answered more than the coordinator relays
+	// (8 MiB): the work may have run (and been billed), so the
 	// coordinator must not silently retry it elsewhere — the caller decides
 	// whether re-submitting is acceptable (it is always verdict-safe;
 	// determinism makes re-verification idempotent, only fees recur).

@@ -15,7 +15,7 @@ import (
 // maxProxyResponseBytes bounds one replica response the proxy buffers — any
 // response: verdicts, dataset summaries, review queues, health probes; of a
 // 200 answer to Send, any one line. It matches the serve layer's request-body
-// cap.
+// cap. A longer response is ErrResponseTooLarge, never a cut body.
 const maxProxyResponseBytes = 8 << 20
 
 // probeTimeout bounds one health probe.
@@ -33,6 +33,11 @@ var ErrNoReplicas = errors.New("shard: no live replicas")
 // and the persistent store make a true re-run idempotent in results, though
 // never in fees).
 var ErrAfterDelivery = errors.New("shard: replica failed after the request was delivered")
+
+// ErrResponseTooLarge marks a replica response longer than the proxy buffers.
+// The request ran, so Do reports it as ErrAfterDelivery too, and relays none
+// of it: a cut body would reach the caller as a 200 with verdicts missing.
+var ErrResponseTooLarge = errors.New("shard: replica response over the 8 MiB cap")
 
 // Result is one proxied exchange: which replica answered (after zero or
 // more failovers), with what status and body.
@@ -96,10 +101,12 @@ func (p *Proxy) Do(ctx context.Context, key []byte, path string, body []byte) (R
 	var lastErr error
 	for hop, node := range nodes {
 		res, delivered, err := p.call(ctx, node, http.MethodPost, path, "application/json", body)
+		if errors.Is(err, ErrResponseTooLarge) {
+			p.report(node, true) // a healthy replica, with too long an answer
+			return Result{}, fmt.Errorf("replica %s: %w: %w", node, err, ErrAfterDelivery)
+		}
 		if err != nil {
-			if p.OnFailure != nil {
-				p.OnFailure(node)
-			}
+			p.report(node, false)
 			if delivered {
 				// The request was fully handed to the replica before the
 				// failure: it may have verified the claims and booked their
@@ -121,15 +128,11 @@ func (p *Proxy) Do(ctx context.Context, key []byte, path string, body []byte) (R
 		if retriable(res.Status) && hop < len(nodes)-1 {
 			// Drain rejection: the replica refused admission. Rehash to the
 			// next successor; its in-flight work finishes where it is.
-			if p.OnFailure != nil {
-				p.OnFailure(node)
-			}
+			p.report(node, false)
 			lastErr = fmt.Errorf("replica %s: draining (503)", node)
 			continue
 		}
-		if p.OnSuccess != nil {
-			p.OnSuccess(node)
-		}
+		p.report(node, true)
 		res.Hops = hop
 		return res, nil
 	}
@@ -169,21 +172,26 @@ func (p *Proxy) Send(ctx context.Context, node, path string, body []byte, visit 
 			}
 			err = lines.Err()
 		} else {
-			res.Body, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyResponseBytes))
+			res.Body, err = readCapped(resp.Body)
 		}
 		resp.Body.Close()
 	}
 	if err != nil {
 		err = fmt.Errorf("replica %s: %w", node, err)
 	}
-	if err != nil || retriable(res.Status) {
-		if p.OnFailure != nil {
-			p.OnFailure(node)
-		}
-	} else if p.OnSuccess != nil {
-		p.OnSuccess(node)
-	}
+	p.report(node, err == nil && !retriable(res.Status))
 	return res, taken, err
+}
+
+// report feeds one replica outcome to OnSuccess or OnFailure.
+func (p *Proxy) report(node string, ok bool) {
+	f := p.OnFailure
+	if ok {
+		f = p.OnSuccess
+	}
+	if f != nil {
+		f(node)
+	}
 }
 
 // Each sends the same request to every live replica, one at a time in roster
@@ -259,11 +267,20 @@ func (p *Proxy) call(ctx context.Context, node, method, path, contentType string
 		return Result{Node: node}, tracker.sent.Load(), err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyResponseBytes))
+	b, err := readCapped(resp.Body)
 	if err != nil {
 		return Result{Node: node}, true, err
 	}
 	return Result{Node: node, Status: resp.StatusCode, Body: b}, true, nil
+}
+
+// readCapped buffers a response body, or answers ErrResponseTooLarge.
+func readCapped(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, maxProxyResponseBytes+1))
+	if err == nil && len(b) > maxProxyResponseBytes {
+		return nil, ErrResponseTooLarge
+	}
+	return b, err
 }
 
 // roundTrip sends one request to one replica, the only place the tier touches

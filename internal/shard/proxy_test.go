@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -269,6 +271,55 @@ func TestProxyNoRetryOnTruncatedResponse(t *testing.T) {
 	}
 	if got := successor.served(); got != 0 {
 		t.Fatalf("successor served %d request(s) after a truncated response, want 0", got)
+	}
+}
+
+// A response one byte over the cap is an error, never a cut body: the replica
+// answered, so the request stays where it ran (ErrAfterDelivery) and the
+// breaker hears a success, not a failure. One at the cap is relayed whole.
+func TestProxyOversizeResponseIsAnError(t *testing.T) {
+	var size atomic.Int64
+	size.Store(maxProxyResponseBytes + 1)
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		io.Copy(io.Discard, req.Body)
+		w.Write(bytes.Repeat([]byte("x"), int(size.Load())))
+	}))
+	defer big.Close()
+	successor := newReplicaStub(t, "b")
+	ring := NewRing(16)
+	ring.Add("a")
+	ring.Add("b")
+	urls := map[string]string{"a": big.URL, "b": successor.ts.URL}
+	var failed, succeeded []string
+	p := &Proxy{
+		Ring:      ring,
+		BaseURL:   func(n string) string { return urls[n] },
+		Client:    http.DefaultClient,
+		OnFailure: func(n string) { failed = append(failed, n) },
+		OnSuccess: func(n string) { succeeded = append(succeeded, n) },
+	}
+	var key []byte
+	for i := 0; ; i++ {
+		key = Fingerprint("big", "doc", string(rune('0'+i%10)), string(rune('a'+i/10)))
+		if owner, _ := ring.Assign(key); owner == "a" {
+			break
+		}
+	}
+	res, err := p.Do(context.Background(), key, "/v1/verify/batch", []byte("req"))
+	if !errors.Is(err, ErrResponseTooLarge) || !errors.Is(err, ErrAfterDelivery) || res.Body != nil {
+		t.Fatalf("oversize response = %d bytes, %v; want no body, ErrResponseTooLarge and ErrAfterDelivery", len(res.Body), err)
+	}
+	if got := successor.served(); got != 0 {
+		t.Errorf("successor served %d request(s) after an oversize answer, want 0", got)
+	}
+	if len(failed) != 0 || len(succeeded) != 1 || succeeded[0] != "a" {
+		t.Errorf("breaker heard failures %v, successes %v; want one success from a", failed, succeeded)
+	}
+
+	size.Store(maxProxyResponseBytes)
+	res, err = p.Do(context.Background(), key, "/v1/verify/batch", []byte("req"))
+	if err != nil || len(res.Body) != maxProxyResponseBytes {
+		t.Fatalf("response at the cap = %d bytes, %v; want all %d", len(res.Body), err, maxProxyResponseBytes)
 	}
 }
 
